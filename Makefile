@@ -24,8 +24,9 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Seed-vs-indexed extraction comparison over the registered workloads;
-# medians over -count 3 are what README quotes.
+# Extraction over the six largest registered workloads: the reference
+# scan (seed) against the production scan, sequential and with parallel
+# candidate scoring; medians over -count 3 are what README quotes.
 bench:
 	$(GO) test ./internal/phase -run xxx -bench ExtractApps -benchtime 5x -count 3
 
@@ -70,5 +71,6 @@ scenarios: build
 
 check: build
 	$(GO) vet ./...
+	cd perfbench && $(GO) build ./... && $(GO) vet ./...
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race $(RACE_PKGS)

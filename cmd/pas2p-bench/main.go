@@ -30,7 +30,7 @@ func main() {
 	table := flag.String("table", "all", "which table to regenerate: 2, 3, 5, 7, 8, 9, D, E or all")
 	scale := flag.Int("scale", 1, "divide process counts by this factor (1 = paper scale)")
 	overhead := flag.Duration("overhead", 8*time.Microsecond, "per-event instrumentation overhead")
-	par := flag.Bool("parallel", false, "fan phase extraction out over the CPUs")
+	par := flag.Bool("parallel", false, "score phase candidates on a worker pool")
 	jsonOut := flag.String("json", "", "write the table 8/9 rows plus the block-codec sweep as machine-readable benchmark JSON")
 	codecEvents := flag.Int("codec-events", 1_000_000, "event count for the codec sweep recorded in -json output")
 	streamEvents := flag.Int64("stream-events", 1_000_000, "event count for the out-of-core streaming scale point in -json output (0 disables)")

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"pas2p"
 	"pas2p/internal/apps"
 	"pas2p/internal/faults"
 	"pas2p/internal/fsx"
@@ -150,7 +151,7 @@ func cmdAnalyze(args []string) error {
 	eventSim := fs.Float64("event-similarity", 0.80, "fraction of similar events required")
 	compSim := fs.Float64("compute-similarity", 0.85, "compute-time similarity ratio")
 	relevance := fs.Float64("relevance", 0.01, "relevant-phase AET fraction")
-	par := fs.Bool("parallel", false, "fan phase extraction out over the CPUs (tracefile decode is always parallel; see 'trace -parallel')")
+	par := fs.Bool("parallel", false, "score phase candidates on a worker pool (tracefile decode is always parallel; see 'trace -parallel')")
 	metricsOut := fs.String("metrics", "", "write a metrics snapshot (stage spans, counters) as JSON")
 	timelineOut := fs.String("timeline", "", "write a Chrome trace-event timeline of the tracefile")
 	promOut := fs.String("prom", "", "also write the metrics in Prometheus text format")
@@ -309,10 +310,9 @@ func cmdAnalyze(args []string) error {
 	return nil
 }
 
-// analyzeStreamFile runs the out-of-core pipeline over an open v2
-// tracefile: rank streams, streaming logical order, incremental phase
-// extraction with a spill budget. Memory stays bounded regardless of
-// trace size.
+// analyzeStreamFile runs the out-of-core pipeline (pas2p.AnalyzeStream)
+// over an open v2 tracefile. Memory stays bounded regardless of trace
+// size.
 func analyzeStreamFile(f *os.File, outPath string, warm int, budgetStr string, cfg phase.Config) error {
 	budget, err := parseBytes(budgetStr)
 	if err != nil {
@@ -322,14 +322,7 @@ func analyzeStreamFile(f *os.File, outPath string, warm int, budgetStr string, c
 	if err != nil {
 		return err
 	}
-	rs, err := br.RankStreams()
-	if err != nil {
-		return err
-	}
-	tick, err := logical.StreamOrder(rs)
-	if err != nil {
-		return err
-	}
+	defer br.Close()
 	var spillDir string
 	if budget > 0 {
 		spillDir, err = os.MkdirTemp("", "pas2p-spill-*")
@@ -338,13 +331,13 @@ func analyzeStreamFile(f *os.File, outPath string, warm int, budgetStr string, c
 		}
 		defer os.RemoveAll(spillDir)
 	}
-	res, err := phase.ExtractStreamTable(context.Background(), tick, tick.Meta(), warm,
-		phase.StreamConfig{Config: cfg, MemBudgetBytes: budget, SpillDir: spillDir})
+	res, err := pas2p.AnalyzeStream(context.Background(), br, cfg, warm,
+		pas2p.AnalyzeStreamOptions{MemBudgetBytes: budget, SpillDir: spillDir})
 	if err != nil {
 		return err
 	}
 	defer res.Close()
-	meta := rs.Meta()
+	meta := br.Meta()
 	fmt.Printf("application: %s, %d processes, %d events, %d ticks (streamed)\n",
 		meta.AppName, meta.Procs, meta.Events, res.Stats.Ticks)
 	fmt.Println(res.Analysis.Summary())

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -84,11 +85,7 @@ func cmdInspect(args []string) error {
 	}
 
 	if *phases {
-		l, err := logical.Order(tr)
-		if err != nil {
-			return err
-		}
-		an, err := phase.Extract(l, phase.DefaultConfig())
+		an, _, err := phase.AnalyzeTrace(context.Background(), tr, phase.DefaultConfig(), *warm)
 		if err != nil {
 			return err
 		}

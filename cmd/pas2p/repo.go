@@ -1,10 +1,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"pas2p/internal/apps"
-	"pas2p/internal/logical"
 	"pas2p/internal/mpi"
 	"pas2p/internal/phase"
 	"pas2p/internal/signature"
@@ -65,15 +65,7 @@ func cmdRepo(args []string) error {
 		if err != nil {
 			return err
 		}
-		l, err := logical.Order(traced.Trace)
-		if err != nil {
-			return err
-		}
-		an, err := phase.Extract(l, phase.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		tb, err := an.BuildTable(1)
+		_, tb, err := phase.AnalyzeTrace(context.Background(), traced.Trace, phase.DefaultConfig(), 1)
 		if err != nil {
 			return err
 		}

@@ -1,13 +1,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
 
 	"pas2p/internal/apps"
 	"pas2p/internal/fsx"
-	"pas2p/internal/logical"
 	"pas2p/internal/mpi"
 	"pas2p/internal/phase"
 	"pas2p/internal/signature"
@@ -43,15 +43,7 @@ func cmdSign(args []string) error {
 	if err != nil {
 		return err
 	}
-	l, err := logical.Order(traced.Trace)
-	if err != nil {
-		return err
-	}
-	an, err := phase.Extract(l, phase.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	tb, err := an.BuildTable(1)
+	_, tb, err := phase.AnalyzeTrace(context.Background(), traced.Trace, phase.DefaultConfig(), 1)
 	if err != nil {
 		return err
 	}

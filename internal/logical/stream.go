@@ -1,32 +1,31 @@
 package logical
 
-// Streaming logical order: the bounded-memory half of the out-of-core
-// analysis pipeline.
+// Streaming logical order: the one PAS2P ordering engine. Order
+// drains it over an in-memory trace; AnalyzeStream runs it over a v2
+// tracefile's rank streams.
 //
-// Order materialises the full event slice, assigns LTs with the queue
-// algorithm, then normalises (receive-run permutation, monotone clamp)
-// and finally sorts the global (LT, sub) key set into ticks. StreamOrder
-// produces the exact same tick sequence without ever holding more than
-// O(procs + frontier) events:
+// The paper's order assigns LTs with the Table 1 queue algorithm,
+// normalises them (receive-run permutation, monotone clamp) and ranks
+// the global (LT, sub) key set into ticks. StreamOrder produces that
+// tick sequence without ever holding more than O(procs + frontier)
+// events:
 //
 //   - events are pulled lazily, one per process at a time, from an
 //     EventSource (trace.RankStreams over a v2 file, or an in-memory
 //     adapter);
-//   - the assignment loop is the in-core queue algorithm verbatim —
-//     same pop order, same visit counting, same stall errors — except
-//     that a process's current event lives in a one-slot head buffer
-//     instead of a slice, and each matched send's LT is deleted after
-//     its receive consumes it (valid traces pair them 1:1, so the map
-//     holds only the unmatched frontier);
+//   - a process's current event lives in a one-slot head buffer, and
+//     each matched send's LT is deleted once its receive consumes it
+//     (valid traces pair them 1:1, so the map holds only the unmatched
+//     frontier, and a second receive of one send stalls);
 //   - the permutation + clamp + sub-numbering passes are per-process
 //     local, so they run incrementally as events are assigned: receives
 //     buffer into the current run, any non-receive (or end of stream)
-//     flushes the run with the same stable sort, and the running clamp
+//     flushes the run with a stable sort by LT, and the running clamp
 //     and collision counter finalise each event's (LT, sub) key;
 //   - finalised events feed per-process FIFO queues merged by a k-way
 //     minimum. Per process the key sequence is strictly increasing, so
 //     the global minimum visits every distinct key exactly once in
-//     sorted order — which is precisely buildTicks' sort-and-rank — and
+//     sorted order — which is precisely a sort-and-rank of the keys — and
 //     each pop emits one tick, numbered by pop count, with slots
 //     gathered in process order.
 //
@@ -34,13 +33,7 @@ package logical
 // lastSub+1): the clamp guarantees its next key cannot be smaller, so a
 // candidate tick is emitted only when every silent process provably
 // cannot join it. That is what makes the output deterministic and
-// bit-identical to Order regardless of I/O interleaving.
-//
-// One deliberate divergence: because sendLT entries are deleted on
-// match, a malformed trace in which two receives name the same send
-// resolves the first and stalls on the second (in-core assigns both).
-// Valid traces — anything the recorder or Trace.Validate accepts —
-// never do that, and the stall error text is the standard one.
+// independent of I/O interleaving.
 
 import (
 	"fmt"
@@ -65,8 +58,8 @@ type EventSource interface {
 	NextEvent(p int, dst *trace.Event) (bool, error)
 }
 
-// traceSource adapts an in-memory trace to EventSource (tests and the
-// in-core comparison path).
+// traceSource adapts an in-memory trace to EventSource; Order reads
+// its per-process slices back by source position.
 type traceSource struct {
 	meta trace.Meta
 	per  [][]trace.Event
@@ -75,7 +68,9 @@ type traceSource struct {
 
 // SourceFromTrace wraps an in-memory trace as an EventSource. The
 // trace is not modified.
-func SourceFromTrace(tr *trace.Trace) EventSource {
+func SourceFromTrace(tr *trace.Trace) EventSource { return newTraceSource(tr) }
+
+func newTraceSource(tr *trace.Trace) *traceSource {
 	return &traceSource{
 		meta: trace.Meta{AppName: tr.AppName, Procs: tr.Procs,
 			Events: uint64(len(tr.Events)), AET: tr.AET},
@@ -95,20 +90,23 @@ func (s *traceSource) NextEvent(p int, dst *trace.Event) (bool, error) {
 	return true, nil
 }
 
-// TickEvent is one process's event at a tick, reduced to exactly what
-// the downstream phase stage consumes: the communication signature and
-// the behaviour-cell payload.
+// TickEvent is one process's event at a tick, reduced to what the
+// downstream phase stage consumes (the communication signature and the
+// behaviour-cell payload) plus where the event came from.
 type TickEvent struct {
 	Proc    int32
 	Sig     uint64
 	Size    int64
 	Compute vtime.Duration
 	Exit    vtime.Time
+	// Pos is the event's index in its process's EventSource stream,
+	// before the receive-run permutation.
+	Pos int
 }
 
 // Tick is one logically-ordered time unit: at least one event, at most
 // one per process, slots in ascending process order. Index is the
-// final tick number (identical to the in-core Logical tick index).
+// final tick number (the Logical tick index Order builds).
 type Tick struct {
 	Index int
 	Slots []TickEvent
@@ -120,6 +118,7 @@ type Tick struct {
 type pendEvent struct {
 	lt      int64
 	sub     int32
+	pos     int
 	sig     uint64
 	size    int64
 	compute vtime.Duration
@@ -151,7 +150,7 @@ type TickReader struct {
 	total  uint64
 	err    error
 
-	// --- queue-algorithm state (mirrors assignPAS2P) ---
+	// --- Table 1 queue-algorithm state ---
 	queue      []int32
 	qHead      int
 	next       []uint64 // events pulled AND consumed per process
@@ -235,8 +234,7 @@ func StreamOrder(src EventSource) (*TickReader, error) {
 // Meta returns the source tracefile's header.
 func (r *TickReader) Meta() trace.Meta { return r.src }
 
-// qlen is the number of pending queue entries (matches the in-core
-// len(queue) at every point of the algorithm).
+// qlen is the number of pending queue entries.
 func (r *TickReader) qlen() int { return len(r.queue) - r.qHead }
 
 func (r *TickReader) qpop() int32 {
@@ -253,8 +251,7 @@ func (r *TickReader) qpop() int32 {
 func (r *TickReader) qpush(p int32) { r.queue = append(r.queue, p) }
 
 // loadHead ensures process p's current event is in its head slot.
-// Returns false when the process has no further events (the in-core
-// `next[p] >= len(evs)` guard).
+// Returns false when the process has no further events.
 func (r *TickReader) loadHead(p int32) (bool, error) {
 	if r.headOK[p] {
 		return true, nil
@@ -365,7 +362,7 @@ func (r *TickReader) step() error {
 // pipeline and frees the head slot.
 func (r *TickReader) consume(p int32) {
 	e := &r.head[p]
-	pe := pendEvent{lt: e.LT, sig: e.CommSignature(), size: e.Size,
+	pe := pendEvent{lt: e.LT, pos: int(r.next[p]), sig: e.CommSignature(), size: e.Size,
 		compute: e.ComputeBefore, exit: e.Exit}
 	if e.Kind == trace.Recv {
 		r.run[p] = append(r.run[p], pe)
@@ -382,8 +379,10 @@ func (r *TickReader) consume(p int32) {
 	}
 }
 
-// flushRun closes process p's open receive run: the same stable
-// sort-by-LT as permuteRecvRuns, then finalisation in that order.
+// flushRun closes process p's open receive run: the paper's
+// permutation inside the LTRecvs (a stable sort by LT, as
+// permuteRecvRuns does for the Lamport order), then finalisation in
+// that order.
 func (r *TickReader) flushRun(p int32) {
 	rn := r.run[p]
 	if len(rn) == 0 {
@@ -397,8 +396,8 @@ func (r *TickReader) flushRun(p int32) {
 }
 
 // finalize applies the running monotone clamp and collision numbering
-// (clampMonotone + buildTicks' sub computation) and queues the event
-// for the merge.
+// (what clampMonotone and buildTicks do for the Lamport order) and
+// queues the event for the merge.
 func (r *TickReader) finalize(p int32, pe pendEvent) {
 	if pe.lt < r.lastLT[p] {
 		pe.lt = r.lastLT[p]
@@ -462,10 +461,14 @@ func (r *TickReader) tryPop() (*Tick, bool) {
 		if h.lt == minLT && h.sub == minSub {
 			r.tick.Slots = append(r.tick.Slots, TickEvent{
 				Proc: int32(p), Sig: h.sig, Size: h.size,
-				Compute: h.compute, Exit: h.exit,
+				Compute: h.compute, Exit: h.exit, Pos: h.pos,
 			})
 			r.mqHead[p]++
-			if r.mqHead[p] > 1024 && r.mqHead[p]*2 >= len(r.mq[p]) {
+			if r.mqHead[p] == len(r.mq[p]) {
+				// Drained: refill from the front, where the cache is warm.
+				r.mq[p] = r.mq[p][:0]
+				r.mqHead[p] = 0
+			} else if r.mqHead[p] > 1024 && r.mqHead[p]*2 >= len(r.mq[p]) {
 				n := copy(r.mq[p], r.mq[p][r.mqHead[p]:])
 				r.mq[p] = r.mq[p][:n]
 				r.mqHead[p] = 0

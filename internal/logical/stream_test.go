@@ -30,7 +30,8 @@ func collectTicks(t *testing.T, r *TickReader) []Tick {
 }
 
 // inCoreTicks projects an in-core Logical onto the streaming Tick
-// representation for comparison.
+// representation for comparison. A Logical does not keep source
+// positions, so Pos stays zero.
 func inCoreTicks(l *Logical) []Tick {
 	out := make([]Tick, len(l.Ticks))
 	for t, slots := range l.Ticks {
@@ -58,7 +59,9 @@ func assertSameTicks(t *testing.T, name string, want, got []Tick) {
 				name, i, len(got[i].Slots), len(want[i].Slots))
 		}
 		for j := range want[i].Slots {
-			if want[i].Slots[j] != got[i].Slots[j] {
+			g := got[i].Slots[j]
+			g.Pos = 0 // not projected by inCoreTicks
+			if want[i].Slots[j] != g {
 				t.Fatalf("%s: tick %d slot %d diverges:\n  in-core: %+v\n  stream:  %+v",
 					name, i, j, want[i].Slots[j], got[i].Slots[j])
 			}
@@ -66,17 +69,19 @@ func assertSameTicks(t *testing.T, name string, want, got []Tick) {
 	}
 }
 
-// assertStreamMatchesOrder is the PR's core logical-stage property:
-// StreamOrder must emit the exact tick sequence Order builds, both
-// over an in-memory source and over an encoded tracefile's rank
-// streams.
+// assertStreamMatchesOrder is the core logical-stage property:
+// StreamOrder must emit the exact tick sequence the in-core oracle
+// builds, both over an in-memory source and over an encoded
+// tracefile's rank streams, and Order must collect the oracle's
+// Logical.
 func assertStreamMatchesOrder(t *testing.T, name string, tr *trace.Trace) {
 	t.Helper()
-	l, err := Order(tr)
+	l, err := orderOracle(tr)
 	if err != nil {
-		t.Fatalf("%s: in-core order: %v", name, err)
+		t.Fatalf("%s: oracle order: %v", name, err)
 	}
 	want := inCoreTicks(l)
+	assertOrderMatchesOracle(t, name, tr)
 
 	r, err := StreamOrder(SourceFromTrace(tr))
 	if err != nil {
@@ -159,7 +164,7 @@ func TestStreamOrderDeepRecvChain(t *testing.T) {
 }
 
 // TestStreamOrderDetectsStall: genuinely inconsistent relations fail
-// with the exact in-core error text.
+// with the oracle's exact error text.
 func TestStreamOrderDetectsStall(t *testing.T) {
 	mk := func(me, peer int32) []trace.Event {
 		return []trace.Event{
@@ -173,9 +178,9 @@ func TestStreamOrderDetectsStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, inCoreErr := Order(tr)
+	_, inCoreErr := orderOracle(tr)
 	if inCoreErr == nil {
-		t.Fatal("in-core order accepted a receive cycle")
+		t.Fatal("oracle order accepted a receive cycle")
 	}
 	r, err := StreamOrder(SourceFromTrace(tr))
 	if err != nil {

@@ -13,16 +13,15 @@ import (
 	"pas2p/internal/trace"
 )
 
-// goldenConfigs returns the three extraction modes that must agree bit
-// for bit: the pre-index reference scan, the fingerprint-indexed
-// matcher, and the indexed matcher with parallel candidate scoring.
+// goldenConfigs returns the two Extract modes that must agree bit for
+// bit with the pre-index reference scan (extractSeed): the
+// fingerprint-indexed matcher, and the indexed matcher with parallel
+// candidate scoring.
 func goldenConfigs() map[string]Config {
-	seed := DefaultConfig()
-	seed.naiveMatch = true
 	indexed := DefaultConfig()
 	parallel := DefaultConfig()
 	parallel.ExtractParallel = true
-	return map[string]Config{"seed": seed, "indexed": indexed, "parallel": parallel}
+	return map[string]Config{"indexed": indexed, "parallel": parallel}
 }
 
 // assertAnalysesEqual fails unless the two analyses carry the same
@@ -63,7 +62,7 @@ func assertAnalysesEqual(t *testing.T, label string, want, got *Analysis) {
 func assertAllModesAgree(t *testing.T, label string, l *logical.Logical) {
 	t.Helper()
 	cfgs := goldenConfigs()
-	ref, err := Extract(l, cfgs["seed"])
+	ref, err := extractSeed(l, DefaultConfig())
 	if err != nil {
 		t.Fatalf("%s: seed extraction: %v", label, err)
 	}
@@ -218,13 +217,11 @@ func TestGoldenRandomTraces(t *testing.T) {
 					seedCfg := DefaultConfig()
 					seedCfg.EventSimilarity = ev
 					seedCfg.ComputeSimilarity = 0.7
-					seedCfg.naiveMatch = true
-					ref, err := Extract(l, seedCfg)
+					ref, err := extractSeed(l, seedCfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					idxCfg := seedCfg
-					idxCfg.naiveMatch = false
 					idxCfg.ExtractParallel = true
 					an, err := Extract(l, idxCfg)
 					if err != nil {

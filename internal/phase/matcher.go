@@ -1,4 +1,4 @@
-// The matching engine behind savePhase. A window first tries the
+// The matching engine behind every window close. A window first tries the
 // window-equality cache (iterative programs repeat windows verbatim);
 // on a miss, candidates come from the fingerprint index, survivors of
 // the counting bound are scored with the early-exit similarity test,

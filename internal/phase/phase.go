@@ -13,7 +13,6 @@ package phase
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"pas2p/internal/logical"
 	"pas2p/internal/obs"
@@ -36,16 +35,14 @@ type Config struct {
 	// RelevanceFraction is the share of the application execution time
 	// a phase must account for to be relevant (paper: 0.01).
 	RelevanceFraction float64
-	// ExtractParallel scores same-length phase candidates on a worker
-	// pool instead of sequentially. The result is bit-identical to the
+	// ExtractParallel scores the surviving same-length phase
+	// candidates of a closed window on a worker pool instead of
+	// sequentially. Only candidate scoring fans out; the tick scan
+	// itself is sequential. The result is bit-identical to the
 	// sequential path: candidates are still resolved in phase-ID order.
 	ExtractParallel bool
 	// Workers bounds the ExtractParallel pool; 0 means GOMAXPROCS.
 	Workers int
-	// naiveMatch disables the fingerprint index and scans every phase
-	// with the full cell-by-cell test — the pre-index reference path,
-	// kept for the golden equivalence tests and benchmarks.
-	naiveMatch bool
 	// Observer, when non-nil, records a "phase.extract" span with tick,
 	// scoring and pruning counters. A pointer keeps Config comparable
 	// (predict relies on == against the zero value) and nil keeps the
@@ -168,6 +165,9 @@ func Extract(l *logical.Logical, cfg Config) (*Analysis, error) {
 // ExtractWithLog runs the extraction while narrating each step of the
 // paper's Fig. 6 algorithm (startpoints, repeat detections, 4a/4b
 // decisions, folds) through logf. A nil logf disables narration.
+//
+// It is the scan ExtractStreamTable runs, fed from l's tick table,
+// with every behaviour matrix resident and no phase table.
 func ExtractWithLog(l *logical.Logical, cfg Config, logf func(format string, args ...any)) (*Analysis, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -176,359 +176,15 @@ func ExtractWithLog(l *logical.Logical, cfg Config, logf func(format string, arg
 		return nil, fmt.Errorf("phase: empty logical trace")
 	}
 	sp := cfg.Observer.StartSpan("phase.extract")
-	x := &extractor{
-		l:    l,
-		cfg:  cfg,
-		an:   &Analysis{Logical: l, Config: cfg, AET: l.Trace.AET},
-		logf: logf,
+	defer sp.End()
+	x := newStreamExtractor(cfg, l.Trace.Procs, l.Trace.AET, nil, -1)
+	x.logf = logf
+	if err := x.scan(nil, newLogicalTicks(l)); err != nil {
+		return nil, err
 	}
-	if cfg.naiveMatch {
-		x.cuts = buildCuts(l)
-	} else {
-		// The indexed scan computes the cuts during its fill pass.
-		x.m = newMatcher(cfg)
-	}
-	x.run()
-	sp.SetCounter("ticks", int64(l.NumTicks()))
-	sp.SetCounter("events", int64(len(l.Trace.Events)))
-	sp.SetCounter("phases_found", int64(len(x.an.Phases)))
-	if x.m != nil {
-		sp.SetCounter("windows_scored", x.m.nScored)
-		sp.SetCounter("windows_pruned", x.m.nPruned)
-		sp.SetCounter("window_cache_hits", x.m.nCacheHits)
-	}
-	sp.End()
+	x.an.Logical = l
+	x.setCounters(sp)
 	return x.an, nil
-}
-
-// buildCuts returns cut[t] = the physical completion time of everything
-// at ticks < t (a running max of event exits). Occurrence durations are
-// cut deltas, so phase durations tile the run exactly.
-func buildCuts(l *logical.Logical) []vtime.Time {
-	cuts := make([]vtime.Time, l.NumTicks()+1)
-	var hw vtime.Time
-	for t := 0; t < l.NumTicks(); t++ {
-		cuts[t] = hw
-		for _, s := range l.Ticks[t] {
-			if e := l.Trace.Events[s.Event].Exit; e > hw {
-				hw = e
-			}
-		}
-	}
-	cuts[l.NumTicks()] = hw
-	return cuts
-}
-
-type extractor struct {
-	l    *logical.Logical
-	cfg  Config
-	an   *Analysis
-	cuts []vtime.Time
-	// m is the fingerprint-indexed matcher; nil selects the reference
-	// full-scan path (cfg.naiveMatch).
-	m    *matcher
-	logf func(format string, args ...any)
-}
-
-func (x *extractor) log(format string, args ...any) {
-	if x.logf != nil {
-		x.logf(format, args...)
-	}
-}
-
-// run scans the tick axis: grow a window from the current startpoint
-// until some process repeats a communication type it already showed in
-// the window; then close one or two phases exactly as the paper's
-// steps 4a/4b prescribe and restart from the repeat boundary. The
-// indexed engine uses its own scan with flat, epoch-cleared state; the
-// reference path below is the frozen pre-index implementation the
-// golden tests compare against.
-func (x *extractor) run() {
-	if x.m != nil {
-		x.runIndexed()
-		return
-	}
-	nTicks := x.l.NumTicks()
-	start := 0
-	// firstSeen[p] maps a process's comm signature to the tick of its
-	// first occurrence within the current window.
-	firstSeen := make([]map[uint64]int, x.l.Trace.Procs)
-	reset := func() {
-		for p := range firstSeen {
-			firstSeen[p] = nil
-		}
-	}
-	reset()
-	for t := 0; t < nTicks; t++ {
-		// Find the repeated event at this tick with the earliest first
-		// occurrence, if any (deterministic: ticks are process-sorted).
-		repeatFirst := -1
-		x.l.EachSig(t, func(proc int32, sig uint64) {
-			m := firstSeen[proc]
-			if m == nil {
-				m = make(map[uint64]int)
-				firstSeen[proc] = m
-			}
-			if ft, ok := m[sig]; ok {
-				if repeatFirst < 0 || ft < repeatFirst {
-					repeatFirst = ft
-				}
-				return
-			}
-			m[sig] = t
-		})
-		if repeatFirst < 0 {
-			continue // step 3: keep growing
-		}
-		if repeatFirst == start {
-			// Step 4a: one full period [start, t).
-			x.log("tick %d: repeat of the startpoint event -> step 4a, close phase [%d,%d)", t, start, t)
-			x.savePhase(start, t)
-		} else {
-			// Step 4b: partition into phase a and phase b.
-			x.log("tick %d: repeat of tick-%d event -> step 4b, partition into [%d,%d) and [%d,%d)",
-				t, repeatFirst, start, repeatFirst, repeatFirst, t)
-			x.savePhase(start, repeatFirst)
-			x.savePhase(repeatFirst, t)
-		}
-		// Step 6: new startpoint where the last phase ended; the
-		// repeated event at t opens the new window.
-		x.log("tick %d: new startpoint (step 6)", t)
-		start = t
-		reset()
-		x.l.EachSig(t, func(proc int32, sig uint64) {
-			m := firstSeen[proc]
-			if m == nil {
-				m = make(map[uint64]int)
-				firstSeen[proc] = m
-			}
-			m[sig] = t
-		})
-	}
-	if start < nTicks {
-		x.savePhase(start, nTicks)
-	}
-}
-
-// scanBuf holds the big scratch arrays of one indexed extraction —
-// the behaviour matrix, its row headers, the per-event signatures and
-// the event prefix sums. Nothing retains them past runIndexed (phases
-// copy their cells out, the matcher dies with the extractor), so they
-// recycle through a pool instead of churning tens of megabytes of
-// garbage per extraction.
-type scanBuf struct {
-	flat []Cell
-	rows [][]Cell
-	sigs []uint64
-	evAt []int
-}
-
-var scanPool sync.Pool
-
-// cells returns the flat matrix at size n, zeroed: absent cells must
-// read as Cell{} for the equality cache and the similarity tests.
-func (b *scanBuf) cells(n int) []Cell {
-	if cap(b.flat) < n {
-		b.flat = make([]Cell, n)
-	} else {
-		b.flat = b.flat[:n]
-		clear(b.flat)
-	}
-	return b.flat
-}
-
-// rowSlice returns the row-header slice; every entry is rewritten.
-func (b *scanBuf) rowSlice(n int) [][]Cell {
-	if cap(b.rows) < n {
-		b.rows = make([][]Cell, n)
-	}
-	b.rows = b.rows[:n]
-	return b.rows
-}
-
-// sigSlice returns the per-event signature slice; fully rewritten.
-func (b *scanBuf) sigSlice(n int) []uint64 {
-	if cap(b.sigs) < n {
-		b.sigs = make([]uint64, n)
-	}
-	b.sigs = b.sigs[:n]
-	return b.sigs
-}
-
-// prefix returns the prefix-sum slice; entry 0 is the only one read
-// before being written.
-func (b *scanBuf) prefix(n int) []int {
-	if cap(b.evAt) < n {
-		b.evAt = make([]int, n)
-	}
-	b.evAt = b.evAt[:n]
-	b.evAt[0] = 0
-	return b.evAt
-}
-
-// runIndexed is the scan behind the fingerprint-indexed engine. It
-// makes the identical 4a/4b decisions as the reference scan — the
-// first-occurrence table reproduces the firstSeen map semantics
-// exactly — but materialises the whole behaviour matrix up front in
-// one flat allocation (fanned out over the worker pool when
-// Config.ExtractParallel is set), so windows are zero-copy slices of
-// the tick axis, window event counts come from a prefix sum, and the
-// repeat scan walks contiguous memory with an epoch-cleared
-// open-addressed table instead of per-window maps.
-func (x *extractor) runIndexed() {
-	nTicks := x.l.NumTicks()
-	procs := x.l.Trace.Procs
-	events := x.l.Trace.Events
-	buf, _ := scanPool.Get().(*scanBuf)
-	if buf == nil {
-		buf = &scanBuf{}
-	}
-	defer scanPool.Put(buf)
-	flat := buf.cells(nTicks * procs)
-	rows := buf.rowSlice(nTicks)
-	evAt := buf.prefix(nTicks + 1) // prefix sums of present cells
-	for t := 0; t < nTicks; t++ {
-		rows[t] = flat[t*procs : (t+1)*procs : (t+1)*procs]
-		evAt[t+1] = evAt[t] + len(x.l.Ticks[t])
-	}
-	// Fill walks the events in storage order — sequential reads, since
-	// logical ordering rewrote every LT to its final tick index — and
-	// scatters cells into the matrix. Each event owns its (tick, proc)
-	// slot exclusively, so chunks of the event axis never conflict and
-	// the pass fans out over the worker pool; only the per-tick
-	// exit high-water marks need per-worker accumulators.
-	x.cuts = make([]vtime.Time, nTicks+1) // running max of exits, finished below
-	sigs := buf.sigSlice(len(events))     // per-event signature, for the repeat scan
-	fill := func(lo, hi int, cuts []vtime.Time) {
-		for i := lo; i < hi; i++ {
-			ev := &events[i]
-			t := int(ev.LT)
-			sig := ev.CommSignature()
-			sigs[i] = sig
-			flat[t*procs+int(ev.Process)] = Cell{Present: true, Sig: sig, Size: ev.Size, Compute: ev.ComputeBefore}
-			if ev.Exit > cuts[t+1] {
-				cuts[t+1] = ev.Exit
-			}
-		}
-	}
-	if x.cfg.ExtractParallel && x.m.workers > 1 && len(events) >= 4096 {
-		workers := x.m.workers
-		part := make([][]vtime.Time, workers)
-		var wg sync.WaitGroup
-		chunk := (len(events) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			if lo >= len(events) {
-				break
-			}
-			hi := lo + chunk
-			if hi > len(events) {
-				hi = len(events)
-			}
-			part[w] = make([]vtime.Time, nTicks+1)
-			wg.Add(1)
-			go func(lo, hi int, cuts []vtime.Time) {
-				defer wg.Done()
-				fill(lo, hi, cuts)
-			}(lo, hi, part[w])
-		}
-		wg.Wait()
-		for _, cuts := range part {
-			for t, v := range cuts {
-				if v > x.cuts[t] {
-					x.cuts[t] = v
-				}
-			}
-		}
-	} else {
-		fill(0, len(events), x.cuts)
-	}
-	for t := 0; t < nTicks; t++ {
-		// Same running max as buildCuts: cut[t] covers everything at
-		// ticks < t.
-		if x.cuts[t+1] < x.cuts[t] {
-			x.cuts[t+1] = x.cuts[t]
-		}
-	}
-	var ft firstTable
-	ft.init(512)
-	start := 0
-	for t := 0; t < nTicks; t++ {
-		// Find the repeated event at this tick with the earliest first
-		// occurrence, if any. The minimum over the tick makes the
-		// outcome independent of iteration order. Signatures come from
-		// the per-event array — the tick's slots walk it as one
-		// sequential stream per process — rather than the much larger
-		// behaviour matrix.
-		repeatFirst := -1
-		for _, sl := range x.l.Ticks[t] {
-			if f := ft.insertOrGet(sigs[sl.Event], sl.Proc, t); f >= 0 && (repeatFirst < 0 || f < repeatFirst) {
-				repeatFirst = f
-			}
-		}
-		if repeatFirst < 0 {
-			continue // step 3: keep growing
-		}
-		if repeatFirst == start {
-			// Step 4a: one full period [start, t).
-			if x.logf != nil { // guard: ...any args heap-box on every call
-				x.log("tick %d: repeat of the startpoint event -> step 4a, close phase [%d,%d)", t, start, t)
-			}
-			x.savePhaseCells(start, t, rows[start:t:t], evAt[t]-evAt[start])
-		} else {
-			// Step 4b: partition into phase a and phase b.
-			if x.logf != nil {
-				x.log("tick %d: repeat of tick-%d event -> step 4b, partition into [%d,%d) and [%d,%d)",
-					t, repeatFirst, start, repeatFirst, repeatFirst, t)
-			}
-			x.savePhaseCells(start, repeatFirst, rows[start:repeatFirst:repeatFirst], evAt[repeatFirst]-evAt[start])
-			x.savePhaseCells(repeatFirst, t, rows[repeatFirst:t:t], evAt[t]-evAt[repeatFirst])
-		}
-		// Step 6: new startpoint where the last phase ended; the
-		// repeated event at t opens the new window.
-		if x.logf != nil {
-			x.log("tick %d: new startpoint (step 6)", t)
-		}
-		start = t
-		ft.reset()
-		for _, sl := range x.l.Ticks[t] {
-			ft.insertOrGet(sigs[sl.Event], sl.Proc, t)
-		}
-	}
-	if start < nTicks {
-		x.savePhaseCells(start, nTicks, rows[start:nTicks:nTicks], evAt[nTicks]-evAt[start])
-	}
-}
-
-// savePhaseCells folds a pre-materialised window [s,e) through the
-// matching engine: the window-equality cache first, then the
-// fingerprint index. A window that becomes a new phase gets its cells
-// copied out, so the Analysis never pins the extraction's flat matrix.
-func (x *extractor) savePhaseCells(s, e int, cells [][]Cell, events int) {
-	if e <= s {
-		return
-	}
-	occ := Occurrence{StartTick: s, EndTick: e, Dur: x.cuts[e].Sub(x.cuts[s])}
-	if match := x.m.cacheHit(cells, events); match != nil {
-		match.Occurrences = append(match.Occurrences, occ)
-		if x.logf != nil { // guard: ...any args heap-box on every call
-			x.log("  window [%d,%d) similar to phase %d -> weight %d (step 5)", s, e, match.ID, match.Weight())
-		}
-		return
-	}
-	match := x.m.match(cells, events)
-	if match == nil {
-		owned := copyCells(cells)
-		np := x.newPhase(owned, events, occ)
-		x.m.addCurrent(np, owned)
-		x.m.setCache(owned, events, np)
-		return
-	}
-	x.m.setCache(cells, events, match)
-	match.Occurrences = append(match.Occurrences, occ)
-	if x.logf != nil {
-		x.log("  window [%d,%d) similar to phase %d -> weight %d (step 5)", s, e, match.ID, match.Weight())
-	}
 }
 
 // copyCells clones a window's behaviour matrix into its own storage.
@@ -547,106 +203,12 @@ func copyCells(cells [][]Cell) [][]Cell {
 	return out
 }
 
-// savePhase folds the window [s,e) into an existing similar phase or
-// records a new one (reference path).
-func (x *extractor) savePhase(s, e int) {
-	if e <= s {
-		return
-	}
-	occ := Occurrence{StartTick: s, EndTick: e, Dur: x.cuts[e].Sub(x.cuts[s])}
-	cells, events := x.window(s, e)
-	var match *Phase
-	for _, p := range x.an.Phases {
-		if similarSeed(p, cells, events, x.cfg) {
-			match = p
-			break
-		}
-	}
-	if match == nil {
-		x.newPhase(cells, events, occ)
-		return
-	}
-	match.Occurrences = append(match.Occurrences, occ)
-	x.log("  window [%d,%d) similar to phase %d -> weight %d (step 5)", s, e, match.ID, match.Weight())
-}
-
-// newPhase records a freshly discovered phase.
-func (x *extractor) newPhase(cells [][]Cell, events int, occ Occurrence) *Phase {
-	p := &Phase{
-		ID:          len(x.an.Phases) + 1,
-		TickLen:     len(cells),
-		Cells:       cells,
-		Events:      events,
-		Occurrences: []Occurrence{occ},
-	}
-	x.an.Phases = append(x.an.Phases, p)
-	x.log("  window [%d,%d) is new -> phase %d (%d events)", occ.StartTick, occ.EndTick, p.ID, events)
-	return p
-}
-
-// window materialises the behaviour matrix of ticks [s,e).
-func (x *extractor) window(s, e int) ([][]Cell, int) {
-	procs := x.l.Trace.Procs
-	cells := make([][]Cell, e-s)
-	events := 0
-	for t := s; t < e; t++ {
-		row := make([]Cell, procs)
-		for _, sl := range x.l.Ticks[t] {
-			ev := &x.l.Trace.Events[sl.Event]
-			row[sl.Proc] = Cell{
-				Present: true,
-				Sig:     ev.CommSignature(),
-				Size:    ev.Size,
-				Compute: ev.ComputeBefore,
-			}
-			events++
-		}
-		cells[t-s] = row
-	}
-	return cells, events
-}
-
-// similarSeed implements the paper's step 5 criteria with a full
-// cell-by-cell scan and no shortcuts — the reference the indexed
-// matcher must agree with bit for bit.
-func similarSeed(p *Phase, cells [][]Cell, events int, cfg Config) bool {
-	if p.TickLen != len(cells) {
-		return false // 5a: tick spans must match
-	}
-	total := p.Events
-	if events > total {
-		total = events
-	}
-	if total == 0 {
-		return true
-	}
-	similarCount := 0
-	for t := range cells {
-		for pr := range cells[t] {
-			a, b := p.Cells[t][pr], cells[t][pr]
-			switch {
-			case !a.Present && !b.Present:
-				// No event on either side: not counted.
-			case !a.Present || !b.Present:
-				// 5b: "type 0" compares similar to anything.
-				similarCount++
-			default:
-				if a.Sig == b.Sig &&
-					ratioAtLeast(float64(a.Size), float64(b.Size), cfg.VolumeSimilarity) &&
-					ratioAtLeast(float64(a.Compute), float64(b.Compute), cfg.ComputeSimilarity) {
-					similarCount++
-				}
-			}
-		}
-	}
-	return float64(similarCount) >= cfg.EventSimilarity*float64(total)
-}
-
-// similarCells is similarSeed's early-exit form: it returns as soon as
-// the accumulated count already meets the threshold, or as soon as the
-// cells still unexamined cannot lift it there. Both exits fire only
-// once the outcome is decided, using the very comparison the full scan
-// ends with, so the answer is always identical to similarSeed's.
+// similarCells implements the paper's step 5 criteria with early
+// exits: it returns as soon as the accumulated count already meets the
+// threshold, or as soon as the cells still unexamined cannot lift it
+// there. Both exits fire only once the outcome is decided, using the
+// very comparison a full cell-by-cell scan ends with, so the answer is
+// always the full scan's.
 func similarCells(a, b [][]Cell, aEvents, bEvents int, cfg Config) bool {
 	total := aEvents
 	if bEvents > total {

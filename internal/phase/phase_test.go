@@ -2,6 +2,7 @@ package phase
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -342,5 +343,35 @@ func TestValidateCatchesOverlap(t *testing.T) {
 	p.Occurrences = append(p.Occurrences, p.Occurrences[0])
 	if err := a.Validate(); err == nil {
 		t.Error("overlapping occurrences should fail validation")
+	}
+}
+
+// TestExtractWithLogNarration pins the Fig. 6 narration that
+// `pas2p analyze -explain` prints: on a small iterative run the scan
+// must report the step 4b split of the init segment, the step 4a
+// period closes, the step 5 folds, the step 6 restarts and the
+// trailing window, line for line.
+func TestExtractWithLogNarration(t *testing.T) {
+	a := analyzeApp(t, machine.ClusterA(), 2, iterativeBody(4), DefaultConfig())
+	var got []string
+	logf := func(format string, args ...any) { got = append(got, fmt.Sprintf(format, args...)) }
+	if _, err := ExtractWithLog(a.Logical, DefaultConfig(), logf); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"tick 6: repeat of tick-3 event -> step 4b, partition into [0,3) and [3,6)",
+		"  window [0,3) is new -> phase 1 (4 events)",
+		"  window [3,6) is new -> phase 2 (6 events)",
+		"tick 6: new startpoint (step 6)",
+		"tick 9: repeat of the startpoint event -> step 4a, close phase [6,9)",
+		"  window [6,9) similar to phase 2 -> weight 2 (step 5)",
+		"tick 9: new startpoint (step 6)",
+		"tick 12: repeat of the startpoint event -> step 4a, close phase [9,12)",
+		"  window [9,12) similar to phase 2 -> weight 3 (step 5)",
+		"tick 12: new startpoint (step 6)",
+		"  window [12,15) similar to phase 2 -> weight 4 (step 5)",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("narration diverges:\n got:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -1,17 +1,17 @@
-// Out-of-core phase extraction: the §3.3 scan over a stream of
-// logically-ordered ticks instead of a materialised Logical.
+// The §3.3 scan over a stream of logically-ordered ticks: the one
+// phase-extraction engine. ExtractStreamTable feeds it from the
+// streaming logical order; Extract feeds it from a Logical's tick
+// table.
 //
-// The in-core runIndexed scan buffers the whole behaviour matrix and
-// decides windows against it. The streaming extractor keeps only the
-// rows of the *open* window — the span since the last startpoint —
-// because every decision the scan makes is local to it: the repeat
-// detector is the same epoch-cleared first-occurrence table (reset at
-// every startpoint), occurrence durations come from a running
-// completion-cut high-water mark, and the phase-table boundary counts
-// come from per-process event counters snapshotted at window edges.
-// Closed windows fold through the identical matcher (equality cache,
-// fingerprint index, counting bound, early-exit scoring), so phase
-// sets, occurrence lists and tables are bit-identical to Extract +
+// The extractor keeps only the rows of the *open* window — the span
+// since the last startpoint — because every decision the scan makes is
+// local to it: the repeat detector is an epoch-cleared
+// first-occurrence table (reset at every startpoint), occurrence
+// durations come from a running completion-cut high-water mark, and
+// the phase-table boundary counts come from per-process event counters
+// snapshotted at window edges. Closed windows fold through the matcher
+// (equality cache, fingerprint index, counting bound, early-exit
+// scoring), so the streamed phase table is bit-identical to Extract +
 // BuildTable.
 //
 // Representative behaviour matrices are the one per-phase state whose
@@ -30,10 +30,12 @@ import (
 	"hash/crc32"
 	"io"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"pas2p/internal/fsx"
 	"pas2p/internal/logical"
+	"pas2p/internal/obs"
 	"pas2p/internal/trace"
 	"pas2p/internal/vtime"
 )
@@ -138,64 +140,85 @@ func ExtractStreamTable(ctx context.Context, src TickSource, meta trace.Meta, wa
 			procs: meta.Procs, entries: map[int]*spillEntry{}}
 	}
 	sp := cfg.Observer.StartSpan("phase.extract.stream")
-	x := &streamExtractor{
-		cfg:        cfg.Config,
-		procs:      meta.Procs,
-		m:          newMatcher(cfg.Config),
-		store:      store,
-		an:         &Analysis{Config: cfg.Config, AET: meta.AET},
-		warm:       warmOccurrence,
-		baseCounts: make([]int64, meta.Procs),
-		cum:        make([]int64, meta.Procs),
-		cacheBufs:  map[int]*cacheBuf{},
+	x := newStreamExtractor(cfg.Config, meta.Procs, meta.AET, store, warmOccurrence)
+	if err := x.scan(ctx, src); err != nil {
+		return nil, err
 	}
-	if store != nil {
-		x.m.cellsOf = store.cells
-	}
-	x.ft.init(512)
-
-	for i := 0; ; i++ {
-		if i%ctxCheckEvery == 0 && ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		tk, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		x.ingest(tk)
-		if x.err != nil {
-			return nil, x.err
-		}
-	}
-	if x.nTicks == 0 {
-		return nil, fmt.Errorf("phase: empty logical trace")
-	}
-	// Trailing window, exactly like the in-core scan's final close.
-	x.closeWindow(x.start, x.nTicks)
-	if x.err != nil {
-		return nil, x.err
-	}
-
 	tb := x.finishTable(meta)
 	res := &StreamResult{Analysis: x.an, Table: tb, store: store}
 	res.Stats.Ticks = x.nTicks
 	if store != nil {
 		res.Stats.SpilledPhases, res.Stats.SpillLoads, res.Stats.SpillBytes = store.stats()
 	}
-	sp.SetCounter("ticks", int64(x.nTicks))
-	sp.SetCounter("phases_found", int64(len(x.an.Phases)))
-	sp.SetCounter("windows_scored", x.m.nScored)
-	sp.SetCounter("windows_pruned", x.m.nPruned)
-	sp.SetCounter("window_cache_hits", x.m.nCacheHits)
+	x.setCounters(sp)
 	sp.SetCounter("spilled_phases", int64(res.Stats.SpilledPhases))
 	sp.SetCounter("spill_loads", res.Stats.SpillLoads)
 	sp.End()
 	return res, nil
+}
+
+// logicalTicks replays a Logical's tick table as a TickSource. The
+// events are stored grouped by process, so walking a tick's slots
+// would read the event array with a stride; instead each chunk of
+// ticks is filled process by process, reading every process's events
+// in order. A process's events carry increasing LTs equal to their
+// tick, and filling in ascending process order leaves each tick's
+// slots in process order.
+type logicalTicks struct {
+	l      *logical.Logical
+	per    [][]trace.Event // per-process events not yet filled
+	buf    []logical.TickEvent
+	off    []int // off[t-t0] is tick t's first slot in buf
+	at     []int // fill cursor per tick of the chunk
+	t0, t1 int   // the filled chunk's ticks
+	next   int
+	tick   logical.Tick
+}
+
+// tickChunk is how many ticks one fill covers.
+const tickChunk = 32
+
+func newLogicalTicks(l *logical.Logical) *logicalTicks {
+	return &logicalTicks{l: l, per: l.Trace.PerProcess()}
+}
+
+func (s *logicalTicks) Next() (*logical.Tick, error) {
+	if s.next >= s.l.NumTicks() {
+		return nil, io.EOF
+	}
+	if s.next >= s.t1 {
+		s.fill()
+	}
+	k := s.next - s.t0
+	s.tick.Index = s.next
+	s.tick.Slots = s.buf[s.off[k]:s.off[k+1]]
+	s.next++
+	return &s.tick, nil
+}
+
+// fill projects the ticks from next on, up to tickChunk of them, into
+// buf.
+func (s *logicalTicks) fill() {
+	s.t0 = s.next
+	s.t1 = min(s.t0+tickChunk, s.l.NumTicks())
+	s.off = append(s.off[:0], 0)
+	for t := s.t0; t < s.t1; t++ {
+		s.off = append(s.off, s.off[len(s.off)-1]+len(s.l.Ticks[t]))
+	}
+	n := s.off[len(s.off)-1]
+	s.buf = slices.Grow(s.buf[:0], n)[:n]
+	s.at = append(s.at[:0], s.off...)
+	for p, evs := range s.per {
+		i := 0
+		for ; i < len(evs) && evs[i].LT < int64(s.t1); i++ {
+			e := &evs[i]
+			k := int(e.LT) - s.t0
+			s.buf[s.at[k]] = logical.TickEvent{Proc: int32(p), Sig: e.CommSignature(),
+				Size: e.Size, Compute: e.ComputeBefore, Exit: e.Exit}
+			s.at[k]++
+		}
+		s.per[p] = evs[i:]
+	}
 }
 
 // occSnap freezes one occurrence's table-relevant view: its index
@@ -244,6 +267,7 @@ type streamExtractor struct {
 	store *spillStore
 	an    *Analysis
 	err   error
+	logf  func(format string, args ...any) // Fig. 6 narration; nil = silent
 
 	// Open-window state: rows buffered since the current startpoint.
 	start     int
@@ -260,16 +284,77 @@ type streamExtractor struct {
 	baseCounts []int64
 	cum        []int64
 
+	// warm is the table's warm-occurrence index; negative means no
+	// table is built (rstate stays empty).
 	warm      int
 	rstate    []*rowState // indexed by phase ID-1
 	cacheBufs map[int]*cacheBuf
 
-	nTicks int
+	nTicks, nEvents int
+}
+
+// newStreamExtractor prepares a scan over procs processes. A nil store
+// keeps every behaviour matrix resident; a negative warm skips the
+// phase-table bookkeeping.
+func newStreamExtractor(cfg Config, procs int, aet vtime.Duration, store *spillStore, warm int) *streamExtractor {
+	x := &streamExtractor{
+		cfg:        cfg,
+		procs:      procs,
+		m:          newMatcher(cfg),
+		store:      store,
+		an:         &Analysis{Config: cfg, AET: aet},
+		warm:       warm,
+		baseCounts: make([]int64, procs),
+		cum:        make([]int64, procs),
+		cacheBufs:  map[int]*cacheBuf{},
+	}
+	if store != nil {
+		x.m.cellsOf = store.cells
+	}
+	x.ft.init(512)
+	return x
+}
+
+// scan ingests every tick of src, then closes the trailing window.
+// ctx, when non-nil, is checked every ctxCheckEvery ticks.
+func (x *streamExtractor) scan(ctx context.Context, src TickSource) error {
+	for i := 0; ; i++ {
+		if i%ctxCheckEvery == 0 && ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		tk, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		x.ingest(tk)
+		if x.err != nil {
+			return x.err
+		}
+	}
+	if x.nTicks == 0 {
+		return fmt.Errorf("phase: empty logical trace")
+	}
+	x.closeWindow(x.start, x.nTicks)
+	return x.err
+}
+
+// setCounters records the scan's work counts on its span.
+func (x *streamExtractor) setCounters(sp *obs.Span) {
+	sp.SetCounter("ticks", int64(x.nTicks))
+	sp.SetCounter("events", int64(x.nEvents))
+	sp.SetCounter("phases_found", int64(len(x.an.Phases)))
+	sp.SetCounter("windows_scored", x.m.nScored)
+	sp.SetCounter("windows_pruned", x.m.nPruned)
+	sp.SetCounter("window_cache_hits", x.m.nCacheHits)
 }
 
 // ingest advances the scan by one tick: repeat-scan it, close windows
-// if it repeats, then append its row to the open window. Mirrors one
-// iteration of runIndexed's tick loop.
+// if it repeats, then append its row to the open window.
 func (x *streamExtractor) ingest(tk *logical.Tick) {
 	t := tk.Index
 	repeatFirst := -1
@@ -279,11 +364,19 @@ func (x *streamExtractor) ingest(tk *logical.Tick) {
 		}
 	}
 	if repeatFirst >= 0 {
+		// Narration is guarded at each call: ...any args heap-box.
 		if repeatFirst == x.start {
 			// Step 4a: one full period [start, t).
+			if x.logf != nil {
+				x.logf("tick %d: repeat of the startpoint event -> step 4a, close phase [%d,%d)", t, x.start, t)
+			}
 			x.closeWindow(x.start, t)
 		} else {
 			// Step 4b: partition into phase a and phase b.
+			if x.logf != nil {
+				x.logf("tick %d: repeat of tick-%d event -> step 4b, partition into [%d,%d) and [%d,%d)",
+					t, repeatFirst, x.start, repeatFirst, repeatFirst, t)
+			}
 			x.closeWindow(x.start, repeatFirst)
 			x.closeWindow(repeatFirst, t)
 		}
@@ -292,6 +385,9 @@ func (x *streamExtractor) ingest(tk *logical.Tick) {
 		}
 		// Step 6: new startpoint at t; the repeated event opens the new
 		// window.
+		if x.logf != nil {
+			x.logf("tick %d: new startpoint (step 6)", t)
+		}
 		x.rowPool = append(x.rowPool, x.rows...)
 		x.rows = x.rows[:0]
 		x.rowExit = x.rowExit[:0]
@@ -328,11 +424,11 @@ func (x *streamExtractor) ingest(tk *logical.Tick) {
 		x.hw = exitMax
 	}
 	x.nTicks++
+	x.nEvents += len(tk.Slots)
 }
 
 // cutAt returns the completion cut at window boundary b (start <= b <=
-// current tick): the running max of event exits over all ticks < b,
-// identical to the in-core cuts array.
+// current tick): the running max of event exits over all ticks < b.
 func (x *streamExtractor) cutAt(b int) vtime.Time {
 	c := x.cutStart
 	for _, e := range x.rowExit[:b-x.start] {
@@ -363,8 +459,11 @@ func (x *streamExtractor) countsAt(b int) []int64 {
 	return out
 }
 
-// closeWindow folds [s,e) through the matching engine — the streaming
-// twin of savePhaseCells, plus the occurrence snapshot for the table.
+// closeWindow folds [s,e) through the matching engine: the
+// window-equality cache first, then the fingerprint index. A window
+// that becomes a new phase gets its cells copied out, since the open
+// window's rows are recycled. The occurrence is then snapshotted for
+// the table.
 func (x *streamExtractor) closeWindow(s, e int) {
 	if e <= s {
 		return
@@ -377,12 +476,16 @@ func (x *streamExtractor) closeWindow(s, e int) {
 	occ := Occurrence{StartTick: s, EndTick: e, Dur: x.cutAt(e).Sub(x.cutAt(s))}
 	var ph *Phase
 	if match := x.m.cacheHit(cells, events); match != nil {
-		match.Occurrences = append(match.Occurrences, occ)
 		ph = match
 	} else if match := x.m.match(cells, events); match != nil {
 		x.setCacheCopy(cells, events, match)
-		match.Occurrences = append(match.Occurrences, occ)
 		ph = match
+	}
+	if ph != nil {
+		ph.Occurrences = append(ph.Occurrences, occ)
+		if x.logf != nil {
+			x.logf("  window [%d,%d) similar to phase %d -> weight %d (step 5)", s, e, ph.ID, ph.Weight())
+		}
 	} else {
 		owned := copyCells(cells)
 		np := &Phase{
@@ -399,7 +502,12 @@ func (x *streamExtractor) closeWindow(s, e int) {
 		} else {
 			np.Cells = owned
 		}
-		x.rstate = append(x.rstate, &rowState{})
+		if x.warm >= 0 {
+			x.rstate = append(x.rstate, &rowState{})
+		}
+		if x.logf != nil {
+			x.logf("  window [%d,%d) is new -> phase %d (%d events)", s, e, np.ID, events)
+		}
 		ph = np
 	}
 	if x.store != nil {
@@ -408,7 +516,9 @@ func (x *streamExtractor) closeWindow(s, e int) {
 			return
 		}
 	}
-	x.noteOccurrence(ph, occ)
+	if x.warm >= 0 {
+		x.noteOccurrence(ph, occ)
+	}
 }
 
 // setCacheCopy stores the window in the matcher's equality cache

@@ -45,9 +45,9 @@ func streamExtractFor(t *testing.T, tr *trace.Trace, warm int, cfg Config, budge
 	return res
 }
 
-// assertStreamMatchesInCore is the PR's core phase-stage property: the
-// streaming extraction must reproduce Extract's analysis and
-// BuildTable's table bit for bit, whether or not matrices spill.
+// assertStreamMatchesInCore is the core phase-stage property: the
+// streaming extraction must reproduce the reference scan's analysis
+// and BuildTable's table bit for bit, whether or not matrices spill.
 func assertStreamMatchesInCore(t *testing.T, label string, tr *trace.Trace, warm int) {
 	t.Helper()
 	l, err := logical.Order(tr)
@@ -55,9 +55,9 @@ func assertStreamMatchesInCore(t *testing.T, label string, tr *trace.Trace, warm
 		t.Fatalf("%s: order: %v", label, err)
 	}
 	cfg := DefaultConfig()
-	ref, err := Extract(l, cfg)
+	ref, err := extractSeed(l, cfg)
 	if err != nil {
-		t.Fatalf("%s: in-core extract: %v", label, err)
+		t.Fatalf("%s: reference extract: %v", label, err)
 	}
 	refTB, err := ref.BuildTable(warm)
 	if err != nil {
@@ -89,8 +89,9 @@ func assertStreamMatchesInCore(t *testing.T, label string, tr *trace.Trace, warm
 }
 
 // TestStreamExtractGoldenApps proves streaming phase extraction is bit
-// identical to Analyze's in-core path on every registered application
-// workload, with and without spilling.
+// identical to the reference scan plus BuildTable on every registered
+// application workload, with and without spilling, at a warm index of
+// 0 (no advance), 2 and 50 (past most weights: the clamp).
 func TestStreamExtractGoldenApps(t *testing.T) {
 	workloads := map[string]string{
 		"bt": "classA", "sp": "classA", "cg": "classA", "ft": "classA",
@@ -123,7 +124,9 @@ func TestStreamExtractGoldenApps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertStreamMatchesInCore(t, name, res.Trace, 2)
+			for _, warm := range []int{0, 2, 50} {
+				assertStreamMatchesInCore(t, fmt.Sprintf("%s/warm%d", name, warm), res.Trace, warm)
+			}
 		})
 	}
 }
@@ -219,7 +222,7 @@ func TestStreamExtractBoundaryShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Extract(l, DefaultConfig())
+	ref, err := extractSeed(l, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,12 @@
 package predict
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
 
 	"pas2p/internal/faults"
-	"pas2p/internal/logical"
 	"pas2p/internal/machine"
 	"pas2p/internal/mpi"
 	"pas2p/internal/obs"
@@ -163,27 +163,13 @@ func Run(e Experiment) (*Outcome, error) {
 	out.TFSize = trace.EncodedSize(traced.Trace)
 
 	// 3. Analysis: logical ordering, phase extraction, phase table.
-	//    TFAT is the real tool time this takes. Extraction records its
-	//    own "phase.extract" span through PhaseConfig.Observer.
+	//    TFAT is the real tool time this takes. The stages record the
+	//    analyze.order, phase.extract and analyze.table spans through
+	//    PhaseConfig.Observer.
 	t0 := time.Now()
-	sp = o.StartSpan("predict.order")
-	l, err := logical.Order(traced.Trace)
+	an, tb, err := phase.AnalyzeTrace(context.Background(), traced.Trace, e.PhaseConfig, warmOcc)
 	if err != nil {
-		sp.End()
-		return nil, fmt.Errorf("predict: ordering: %w", err)
-	}
-	sp.SetCounter("events", int64(len(traced.Trace.Events)))
-	sp.SetCounter("ticks", int64(l.NumTicks()))
-	sp.End()
-	an, err := phase.Extract(l, e.PhaseConfig)
-	if err != nil {
-		return nil, fmt.Errorf("predict: extraction: %w", err)
-	}
-	sp = o.StartSpan("predict.table")
-	tb, err := an.BuildTable(warmOcc)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("predict: table: %w", err)
+		return nil, fmt.Errorf("predict: analysis: %w", err)
 	}
 	out.TFAT = time.Since(t0)
 	out.Total = tb.TotalPhases

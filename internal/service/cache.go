@@ -3,16 +3,18 @@ package service
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"sync"
 )
 
-// cacheKey identifies one analysis result: the PAS2PTR2 whole-file
-// CRC of the submitted tracefile (every byte of the upload feeds it)
-// plus the warm-occurrence selector, which changes the table rows.
+// cacheKey identifies one analysis result: the SHA-256 of the uploaded
+// tracefile bytes plus the warm-occurrence selector, which changes the
+// table rows. The v2 whole-file CRC cannot serve as the key: it
+// depends only on the file's layout (see trace.FileCRC), so distinct
+// traces of the same size share it.
 type cacheKey struct {
-	crc  uint32
-	size int64 // upload length: cheap second factor against CRC collisions
+	sum  [sha256.Size]byte
 	warm int
 }
 

@@ -18,7 +18,6 @@ import (
 
 	"pas2p"
 	"pas2p/internal/apps"
-	"pas2p/internal/logical"
 	"pas2p/internal/machine"
 	"pas2p/internal/mpi"
 	"pas2p/internal/obs"
@@ -59,9 +58,9 @@ type AnalyzeResponse struct {
 	App    string `json:"app"`
 	Procs  int    `json:"procs"`
 	Events int    `json:"events"`
-	// TraceCRC32C echoes the uploaded tracefile's whole-file CRC-32C
-	// (zero for non-v2 uploads): the client can verify the server
-	// analysed exactly the bytes it sent.
+	// TraceCRC32C echoes the uploaded tracefile's trailer CRC-32C
+	// (trace.FileCRC; zero for non-v2 uploads). It identifies the
+	// file's block layout, not its content.
 	TraceCRC32C uint32 `json:"trace_crc32c"`
 	Warm        int    `json:"warm_occurrence"`
 	BaseAETNS   int64  `json:"base_aet_ns"`
@@ -461,9 +460,9 @@ func (s *Service) handleAnalyze(ctx context.Context, r *http.Request) (*handlerR
 
 	crc, isV2 := trace.FileCRC(data)
 	if !isV2 {
-		// Legacy or JSON tracefile: no whole-file CRC to key the cache
-		// on, so compute fresh (the decoder still verifies per-record
-		// checksums where the format carries them).
+		// Legacy or JSON tracefile: analysed fresh, outside the cache
+		// (the decoder still verifies per-record checksums where the
+		// format carries them).
 		resp, aerr := s.analyzeWork(ctx, data, 0, warm)
 		if aerr != nil {
 			return nil, aerr
@@ -471,7 +470,7 @@ func (s *Service) handleAnalyze(ctx context.Context, r *http.Request) (*handlerR
 		return &handlerResult{v: resp, header: analyzeHeaders("bypass", "in-core")}, nil
 	}
 
-	k := cacheKey{crc: crc, size: int64(len(data)), warm: warm}
+	k := cacheKey{sum: sha256.Sum256(data), warm: warm}
 	if v, ok := s.cache.get(k); ok {
 		s.mCacheHit.Inc()
 		return &handlerResult{v: v, header: analyzeHeaders("hit", "in-core")}, nil
@@ -501,12 +500,12 @@ func analyzeHeaders(cache, mode string) map[string]string {
 }
 
 // handleAnalyzeStream serves a large analyze upload out-of-core: the
-// body is spooled to a scratch file (never held on the heap), its v2
-// trailer CRC keys the same LRU/single-flight as the in-core path, and
-// the bounded-memory AnalyzeStream pipeline produces the answer — bit-
-// identical to the in-core one, so cache entries are interchangeable
-// between lanes. A spooled upload that turns out not to be v2 falls
-// back in-core when it fits under MaxBodyBytes, else it is refused:
+// body is spooled to a scratch file (never held on the heap) and
+// hashed on the way, its digest keys the same LRU/single-flight as the
+// in-core path, and the bounded-memory AnalyzeStream pipeline produces
+// the answer — bit-identical to the in-core one, so cache entries are
+// interchangeable between lanes. A spooled upload that turns out not
+// to be v2 falls back in-core when it fits under MaxBodyBytes, else it is refused:
 // only the checksummed block format supports random access.
 func (s *Service) handleAnalyzeStream(ctx context.Context, r *http.Request, warm int) (*handlerResult, *APIError) {
 	spool, err := os.CreateTemp("", "pas2p-upload-*.pas2p")
@@ -517,7 +516,8 @@ func (s *Service) handleAnalyzeStream(ctx context.Context, r *http.Request, warm
 		spool.Close()
 		os.Remove(spool.Name())
 	}()
-	size, err := io.Copy(spool, r.Body)
+	digest := sha256.New()
+	size, err := io.Copy(io.MultiWriter(spool, digest), r.Body)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -545,7 +545,8 @@ func (s *Service) handleAnalyzeStream(ctx context.Context, r *http.Request, warm
 		return &handlerResult{v: resp, header: analyzeHeaders("bypass", "in-core")}, nil
 	}
 
-	k := cacheKey{crc: crc, size: size, warm: warm}
+	k := cacheKey{warm: warm}
+	digest.Sum(k.sum[:0])
 	if v, ok := s.cache.get(k); ok {
 		s.mCacheHit.Inc()
 		return &handlerResult{v: v, header: analyzeHeaders("hit", "stream")}, nil
@@ -708,11 +709,7 @@ func (s *Service) handleSign(ctx context.Context, r *http.Request) (*handlerResu
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		l, err := logical.Order(traced.Trace)
-		if err != nil {
-			return nil, err
-		}
-		_, tb, err := analyzeLogical(ctx, l)
+		_, tb, err := phase.AnalyzeTrace(ctx, traced.Trace, phase.DefaultConfig(), 1)
 		if err != nil {
 			return nil, err
 		}
@@ -757,26 +754,6 @@ func (s *Service) handleSign(ctx context.Context, r *http.Request) (*handlerResu
 		return nil, repoAPIError(err, "sign")
 	}
 	return &handlerResult{v: v}, nil
-}
-
-// analyzeLogical is the ctx-checked extract+table tail of the sign
-// pipeline (ordering already done by the caller).
-func analyzeLogical(ctx context.Context, l *logical.Logical) (*phase.Analysis, *phase.Table, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	an, err := phase.Extract(l, phase.DefaultConfig())
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	tb, err := an.BuildTable(1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return an, tb, nil
 }
 
 func (s *Service) handleLookup(ctx context.Context, r *http.Request) (*handlerResult, *APIError) {

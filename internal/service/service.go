@@ -15,8 +15,8 @@
 //   - per-request panic isolation: a panicking handler kills its
 //     request (typed 500, stack on the flight recorder), never the
 //     server;
-//   - an LRU analysis cache keyed by the PAS2PTR2 whole-file CRC with
-//     single-flight dedup of concurrent identical submissions;
+//   - an LRU analysis cache keyed by the SHA-256 of the uploaded bytes
+//     with single-flight dedup of concurrent identical submissions;
 //   - graceful drain: stop accepting, finish or shed in-flight work
 //     inside the drain deadline, flush a final obs snapshot;
 //   - a crash-safe sigrepo underneath (jittered lock retry, fsck),

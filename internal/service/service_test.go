@@ -628,9 +628,71 @@ func waitFor(t *testing.T, cond func() bool) {
 
 // Unit tests for the cache and single-flight plumbing.
 
+// TestAnalyzeCacheKeysOnContent: two distinct v2 traces of the same
+// size (the second has a doubled header AET) share the trailer CRC,
+// which depends only on the block layout. Each must still get its own
+// correct answer, in the in-core and in the stream lane, with the
+// response echoing its own trailer CRC.
+func TestAnalyzeCacheKeysOnContent(t *testing.T) {
+	a := tracefileBytes(t, "cg", 4)
+	tr, err := trace.Decode(bytes.NewReader(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.AET *= 2
+	var buf bytes.Buffer
+	if err := pas2p.EncodeTrace(&buf, tr, pas2p.TraceCodecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	if len(a) != len(b) || bytes.Equal(a, b) {
+		t.Fatalf("want two distinct same-size traces, got %d and %d bytes", len(a), len(b))
+	}
+	want := func(data []byte) AnalyzeResponse {
+		tr, err := trace.Decode(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, tb, err := pas2p.Analyze(tr, pas2p.DefaultPhaseConfig(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crc, _ := trace.FileCRC(data)
+		return AnalyzeResponse{TraceCRC32C: crc, BaseAETNS: int64(tb.BaseAET),
+			TotalPhases: tb.TotalPhases, Relevant: len(tb.RelevantRows()),
+			PredictedAETNS: int64(tb.PredictedAET(true))}
+	}
+	for lane, threshold := range map[string]int64{"in-core": -1, "stream": 1} {
+		_, ts := newTestService(t, func(c *Config) { c.StreamThresholdBytes = threshold })
+		for i, data := range [][]byte{a, b, a, b} {
+			resp := postBytes(t, ts.URL+"/v1/analyze", data, nil)
+			if resp.StatusCode != http.StatusOK {
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				t.Fatalf("%s upload %d: %d %q", lane, i, resp.StatusCode, body)
+			}
+			wantCache := "miss"
+			if i >= 2 {
+				wantCache = "hit"
+			}
+			if got := resp.Header.Get(CacheHeader); got != wantCache {
+				t.Errorf("%s upload %d: X-Cache = %q, want %q", lane, i, got, wantCache)
+			}
+			var got AnalyzeResponse
+			decodeInto(t, resp, &got)
+			w := want(data)
+			if got.TraceCRC32C != w.TraceCRC32C || got.BaseAETNS != w.BaseAETNS ||
+				got.TotalPhases != w.TotalPhases || got.Relevant != w.Relevant ||
+				got.PredictedAETNS != w.PredictedAETNS {
+				t.Fatalf("%s upload %d answered %+v, want %+v", lane, i, got, w)
+			}
+		}
+	}
+}
+
 func TestLRUCacheEvictsOldest(t *testing.T) {
 	c := newLRUCache(2)
-	k := func(i uint32) cacheKey { return cacheKey{crc: i, size: 1, warm: 1} }
+	k := func(i byte) cacheKey { return cacheKey{sum: [32]byte{i}, warm: 1} }
 	c.put(k(1), &AnalyzeResponse{TotalPhases: 1})
 	c.put(k(2), &AnalyzeResponse{TotalPhases: 2})
 	if _, ok := c.get(k(1)); !ok {
@@ -650,7 +712,7 @@ func TestLRUCacheEvictsOldest(t *testing.T) {
 
 func TestFlightGroupDedupsConcurrentCallers(t *testing.T) {
 	g := newFlightGroup()
-	k := cacheKey{crc: 7, size: 7, warm: 1}
+	k := cacheKey{sum: [32]byte{7}, warm: 1}
 	started := make(chan struct{})
 	proceed := make(chan struct{})
 	var leaders, followers int
@@ -700,7 +762,7 @@ func TestFlightGroupDedupsConcurrentCallers(t *testing.T) {
 
 func TestFlightGroupFollowerTakesOverDeadLeader(t *testing.T) {
 	g := newFlightGroup()
-	k := cacheKey{crc: 9, size: 9, warm: 1}
+	k := cacheKey{sum: [32]byte{9}, warm: 1}
 	leaderIn := make(chan struct{})
 	leaderGo := make(chan struct{})
 	go func() {

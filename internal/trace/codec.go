@@ -67,12 +67,16 @@ const maxEventCount = 1 << 36
 const eventChunk = 1 << 16
 
 // FileCRC extracts the whole-file CRC32-C a v2 tracefile declares in
-// its trailer without reading the body. It is the stable identity of
-// an encoded tracefile (every preceding byte feeds it), which the
-// signature service uses as its cache and dedup key. The second
-// return is false when data is not a plausible v2 tracefile (wrong
-// magic, missing trailer); the CRC itself is NOT verified here —
-// only a full Decode or VerifyStream proves the bytes match it.
+// its trailer without reading the body. Every preceding byte feeds
+// it, but the header and every block end in their own CRC32-C, and a
+// CRC run over bytes that end in their own CRC leaves a fixed residue:
+// the value depends only on the lengths of the header and the blocks,
+// not on the content, so traces of the same layout share it. It is no
+// content identity (the signature service keys its cache on a digest
+// of the bytes). The second return is false when data is not a
+// plausible v2 tracefile (wrong magic, missing trailer); the CRC
+// itself is NOT verified here — only a full Decode or VerifyStream
+// proves the bytes match it.
 func FileCRC(data []byte) (uint32, bool) {
 	// magic + trailer magic + fileCRC is the absolute minimum length.
 	if len(data) < len(magicV2)+len(trailer)+4 {

@@ -261,41 +261,7 @@ func Analyze(tr *Trace, cfg PhaseConfig, warmOccurrence int) (*PhaseAnalysis, *P
 // A cancelled analysis returns ctx.Err() and nil outputs; it never
 // returns a partial analysis.
 func AnalyzeCtx(ctx context.Context, tr *Trace, cfg PhaseConfig, warmOccurrence int) (*PhaseAnalysis, *PhaseTable, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	sp := cfg.Observer.StartSpan("analyze.order")
-	l, err := logical.Order(tr)
-	if err != nil {
-		sp.End()
-		return nil, nil, err
-	}
-	sp.SetCounter("events", int64(len(tr.Events)))
-	sp.SetCounter("ticks", int64(l.NumTicks()))
-	sp.End()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	// phase.Extract records its own "phase.extract" span via cfg.Observer.
-	an, err := phase.Extract(l, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	sp = cfg.Observer.StartSpan("analyze.table")
-	tb, err := an.BuildTable(warmOccurrence)
-	if err != nil {
-		sp.End()
-		return nil, nil, err
-	}
-	if sp != nil {
-		// RelevantRows allocates; keep it off the nil-observer path.
-		sp.SetCounter("relevant_phases", int64(len(tb.RelevantRows())))
-	}
-	sp.End()
-	return an, tb, nil
+	return phase.AnalyzeTrace(ctx, tr, cfg, warmOccurrence)
 }
 
 // Out-of-core analysis. AnalyzeStream is stage A over a tracefile that
