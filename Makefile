@@ -10,8 +10,9 @@ GO ?= go
 # runs campaign cases on a bounded worker pool, and service (plus its
 # daemon and load generator) serves concurrent HTTP traffic over
 # shared admission, cache, and drain state — including the chaos
-# serving proof.
-RACE_PKGS = ./internal/phase/... ./internal/logical/... ./internal/obs/... ./internal/faults/... ./internal/sigrepo/... ./internal/fsx/... ./internal/trace/... ./internal/sim/... ./internal/scenario/... ./internal/service/... ./cmd/pas2pd/... ./cmd/pas2p-loadgen/...
+# serving proof. signature and mpi end their runs early by unwinding
+# the parked rank goroutines while the caller carries on.
+RACE_PKGS = ./internal/phase/... ./internal/logical/... ./internal/obs/... ./internal/faults/... ./internal/sigrepo/... ./internal/fsx/... ./internal/trace/... ./internal/sim/... ./internal/signature/... ./internal/mpi/... ./internal/scenario/... ./internal/service/... ./cmd/pas2pd/... ./cmd/pas2p-loadgen/...
 
 .PHONY: build test race bench bench-json bench-baseline soak-100m check cover fuzz scenarios
 

@@ -224,6 +224,11 @@ func (c *Comm) SetMode(computeScale float64, commFree bool) {
 	c.p.SetMode(sim.Mode{ComputeScale: computeScale, CommFree: commFree})
 }
 
+// Retire puts this rank in free mode for the rest of the run (tool
+// layers only); see sim.Proc.Retire. A run whose ranks have all
+// retired ends without simulating the rest, with the same makespan.
+func (c *Comm) Retire() { c.p.Retire() }
+
 // TimelineOn reports whether this run records a timeline; callers
 // guard annotation-string construction with it.
 func (c *Comm) TimelineOn() bool { return c.p.TimelineOn() }

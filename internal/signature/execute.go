@@ -60,7 +60,8 @@ func (e *ErrISAMismatch) Error() string {
 
 // Execute runs the signature on a target machine: each checkpoint is
 // restarted, the warm-up region runs cold, the phase is measured once,
-// and Equation (1) predicts the full application execution time.
+// and Equation (1) predicts the full application execution time. The
+// run ends once every rank has measured (or abandoned) its last phase.
 func (s *Signature) Execute(target *machine.Deployment) (*ExecResult, error) {
 	if target == nil {
 		return nil, fmt.Errorf("signature: nil target deployment")
@@ -422,5 +423,10 @@ func (x *executorInterceptor) at(c *mpi.Comm, pos int64) {
 			return
 		}
 	}
-	x.state = stDone
+	if x.state != stDone {
+		// Every segment is measured or abandoned: the rest of the run
+		// is never executed.
+		x.state = stDone
+		c.Retire()
+	}
 }

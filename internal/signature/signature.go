@@ -11,10 +11,17 @@
 // phases the application's code still runs (state stays correct) but
 // costs no virtual time, exactly the observable timing behaviour of a
 // checkpoint restore.
+//
+// Both runs end where the paper's do: the construction run once the
+// last checkpoint is stored, the execution run once the last phase is
+// measured or abandoned. Each rank then retires (mpi.Comm.Retire), and
+// the simulator stops the run as soon as every rank has; SCT and SET
+// are the same as if the rest of the application had been simulated.
 package signature
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"pas2p/internal/checkpoint"
@@ -101,8 +108,8 @@ func (o Options) validate() error {
 	if o.WarmupEvents < 0 {
 		return fmt.Errorf("signature: negative warmup events")
 	}
-	if o.ColdFactor < 1 {
-		return fmt.Errorf("signature: cold factor %v must be >= 1", o.ColdFactor)
+	if math.IsNaN(o.ColdFactor) || math.IsInf(o.ColdFactor, 0) || o.ColdFactor < 1 {
+		return fmt.Errorf("signature: cold factor %v must be finite and >= 1", o.ColdFactor)
 	}
 	if !o.Checkpoint.Valid() {
 		return fmt.Errorf("signature: invalid checkpoint cost model")
@@ -150,8 +157,9 @@ type BuildResult struct {
 // Build constructs the signature on the base machine: the application
 // is re-run under the libpas2p-equivalent interceptor, coordinated
 // checkpoints are taken at each selected phase's checkpoint position,
-// and the run is cut short (fast-forwarded) once the last checkpoint
-// is stored.
+// and the run is cut short once the last checkpoint is stored: each
+// rank retires after its last snapshot, and the simulator ends the run
+// once all have.
 func Build(app mpi.App, tb *phase.Table, base *machine.Deployment, opts Options) (*BuildResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -189,8 +197,9 @@ func Build(app mpi.App, tb *phase.Table, base *machine.Deployment, opts Options)
 
 	// Construction run: execute normally, charging a snapshot at each
 	// checkpoint position; after the last snapshot the remainder of
-	// the run is cut off (free mode), as the signature "terminates the
-	// execution because it is not necessary to continue".
+	// the run is cut off (the ranks retire), as the signature
+	// "terminates the execution because it is not necessary to
+	// continue".
 	sp := opts.Observer.StartSpan("signature.build")
 	snapCost := opts.Checkpoint.SnapshotTime(opts.StateBytesPerRank)
 	res, err := mpi.Run(app, mpi.RunConfig{
@@ -284,7 +293,7 @@ func (b *builderInterceptor) at(c *mpi.Comm, pos int64) {
 		b.next++
 		if b.next == len(b.segs) {
 			// Last snapshot stored: cut the rest of the run off.
-			c.SetMode(0, true)
+			c.Retire()
 		}
 	}
 }

@@ -2,6 +2,8 @@ package signature
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"pas2p/internal/logical"
@@ -203,6 +205,16 @@ func TestExecuteValidation(t *testing.T) {
 	if _, err := br.Signature.Execute(deployOn(t, machine.ClusterA(), 4)); err == nil {
 		t.Error("rank mismatch should fail")
 	}
+	// Options changed after Build skip validation; the simulator must
+	// still refuse a non-finite cold factor rather than run with a
+	// silently different warm-up.
+	for _, cold := range []float64{math.NaN(), math.Inf(1)} {
+		sig := *br.Signature
+		sig.Options.ColdFactor = cold
+		if _, err := sig.Execute(base); err == nil || !strings.Contains(err.Error(), "non-finite compute scale") {
+			t.Errorf("cold factor %v: err = %v, want a non-finite compute scale error", cold, err)
+		}
+	}
 }
 
 func TestBuildValidation(t *testing.T) {
@@ -210,12 +222,14 @@ func TestBuildValidation(t *testing.T) {
 	base := deployOn(t, machine.ClusterA(), 8)
 	tb, _ := analyze(t, app, base)
 
-	bad := lightOptions()
-	bad.ColdFactor = 0.5
-	if _, err := Build(app, tb, base, bad); err == nil {
-		t.Error("cold factor < 1 should fail")
+	for _, cold := range []float64{0.5, math.NaN(), math.Inf(1)} {
+		bad := lightOptions()
+		bad.ColdFactor = cold
+		if _, err := Build(app, tb, base, bad); err == nil {
+			t.Errorf("cold factor %v should fail", cold)
+		}
 	}
-	bad = lightOptions()
+	bad := lightOptions()
 	bad.WarmupEvents = -1
 	if _, err := Build(app, tb, base, bad); err == nil {
 		t.Error("negative warmup should fail")

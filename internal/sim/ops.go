@@ -21,6 +21,7 @@ const (
 	opWait
 	opCollective
 	opSetMode
+	opRetire
 )
 
 type request struct {
@@ -100,9 +101,25 @@ func (e *Engine) handle(ps *procState, req request) (result, bool) {
 		return result{now: ps.clock}, false
 
 	case opSetMode:
+		if ps.retired {
+			e.err = fmt.Errorf("rank %d: SetMode after Retire", ps.rank)
+			return result{}, true
+		}
+		if s := req.mode.ComputeScale; math.IsNaN(s) || math.IsInf(s, 0) {
+			e.err = fmt.Errorf("rank %d: non-finite compute scale %v", ps.rank, s)
+			return result{}, true
+		}
 		ps.mode = req.mode
 		if ps.mode.ComputeScale < 0 {
 			ps.mode.ComputeScale = 0
+		}
+		return result{now: ps.clock}, false
+
+	case opRetire:
+		if !ps.retired {
+			ps.retired = true
+			ps.mode = Mode{CommFree: true}
+			e.retiredLive++
 		}
 		return result{now: ps.clock}, false
 
@@ -140,6 +157,9 @@ func (e *Engine) handleSend(ps *procState, req request) (result, bool) {
 	m.payload = req.payload
 	m.sendPost = ps.clock
 	m.senderFree = ps.mode.CommFree
+	if !m.senderFree {
+		e.costedInFlight++
+	}
 	ps.sendIndex++
 	e.stats.Messages++
 	e.stats.Bytes += int64(req.size)
@@ -620,6 +640,9 @@ func (e *Engine) pruneAnyStuck() {
 func (e *Engine) bind(pr *postedRecv, m *message) {
 	pr.matched = true
 	m.matched = true
+	if !m.senderFree {
+		e.costedInFlight--
+	}
 	ps := pr.owner
 
 	if m.rdv && !m.timingKnown {

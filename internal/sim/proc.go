@@ -68,6 +68,16 @@ func (p *Proc) SetMode(m Mode) {
 	p.call(request{kind: opSetMode, mode: m})
 }
 
+// Retire puts the rank in free mode for good: computation costs
+// nothing and communication is instantaneous for the rest of the run,
+// and a later SetMode is an engine error. Once every live rank has
+// retired and nothing costed is still in flight, the engine ends the
+// run without simulating the rest; Finish is the same as if the run had
+// gone to completion.
+func (p *Proc) Retire() {
+	p.call(request{kind: opRetire})
+}
+
 // Mode returns the rank's current costing mode.
 func (p *Proc) Mode() Mode { return p.st.mode }
 

@@ -18,6 +18,15 @@
 // wildcard-source receives are resolved with a conservative rule that
 // only commits to a match when no other rank could still produce an
 // earlier-arriving message.
+//
+// A rank that has nothing left to measure retires (Proc.Retire): it
+// runs in free mode for the rest of the run. Once every live rank has
+// retired and nothing costed is still in flight, no clock can rise
+// above the latest one, so the engine ends the run there instead of
+// simulating the rest. Result.Finish is then exactly what the run to
+// completion would report; the traffic counters and RankFinish cover
+// only the part that was simulated, and a deadlock or panic the rest
+// would have hit goes unreported.
 package sim
 
 import (
@@ -78,12 +87,15 @@ type Config struct {
 	TimelineName string
 }
 
-// Result summarises a completed run.
+// Result summarises a completed run. When the run stopped early
+// because every rank retired, Finish is still exact, but the other
+// fields cover only the part that was simulated.
 type Result struct {
 	// Finish is the virtual time at which the last rank finished: the
 	// application execution time.
 	Finish vtime.Time
-	// RankFinish holds each rank's individual finish time.
+	// RankFinish holds each rank's individual finish time (its clock
+	// when the run stopped, for a run that stopped early).
 	RankFinish []vtime.Time
 	// Messages and Bytes count point-to-point traffic; Collectives
 	// counts collective operations (one per operation, not per rank).
@@ -137,6 +149,8 @@ type procState struct {
 	pending result
 
 	mode Mode
+	// retired marks a rank that runs in free mode for good (Retire).
+	retired bool
 
 	// nonblocking request bookkeeping: the live requests of this rank.
 	// Outstanding sets are small, so a linear slice beats a map.
@@ -275,6 +289,12 @@ type Engine struct {
 
 	doneCount int
 	err       error
+
+	// retiredLive counts retired ranks whose body has not returned;
+	// costedInFlight counts messages sent outside free mode and not yet
+	// matched. settled reads both to end a run early.
+	retiredLive    int
+	costedInFlight int
 
 	stats Result
 
@@ -433,14 +453,21 @@ func rankMain(p *Proc, body func(*Proc)) {
 	body(p)
 	p.st.status = stDone
 	e.doneCount++
+	if p.st.retired {
+		e.retiredLive--
+	}
 	e.yieldCh <- struct{}{}
 }
 
 // loop is the scheduler: repeatedly run the earliest ready rank; when
 // none is ready, resolve a conservative wildcard receive; otherwise
-// report deadlock.
+// report deadlock. A run whose outcome can no longer change ends early.
 func (e *Engine) loop() {
 	for e.doneCount < e.n && e.err == nil {
+		if e.settled() {
+			e.stop()
+			return
+		}
 		e.retryAnyStuck(false)
 		ps := e.popReady()
 		if ps == nil {
@@ -463,6 +490,49 @@ func (e *Engine) loop() {
 		// signals back when it parks, finishes or fails.
 		<-e.yieldCh
 	}
+}
+
+// settled reports whether no rank's clock can rise above the current
+// latest clock any more, so Finish is already known. That holds once
+// every live rank is retired (from then on computation costs nothing
+// and every send arrives at its sender's clock), no message sent at a
+// cost is still unmatched, no pending collective had a costed arrival,
+// and no completed request a rank has yet to wait on completes after
+// the latest clock. Only the first two tests run on every pick.
+func (e *Engine) settled() bool {
+	if e.retiredLive < e.n-e.doneCount || e.costedInFlight > 0 {
+		return false
+	}
+	for _, cs := range e.colls {
+		if !cs.freeAll {
+			return false
+		}
+	}
+	var latest vtime.Time
+	for _, ps := range e.procs {
+		latest = vtime.Max(latest, e.effTime(ps))
+	}
+	for _, ps := range e.procs {
+		if ps.status == stDone {
+			continue
+		}
+		for _, rs := range ps.reqs {
+			if rs.done && rs.complete > latest {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// stop ends a settled run: each ready rank takes its wake time as its
+// clock, exactly as when it is scheduled, and the parked rank
+// goroutines are unwound.
+func (e *Engine) stop() {
+	for _, ps := range e.procs {
+		ps.clock = e.effTime(ps)
+	}
+	e.abort()
 }
 
 // readyLess orders the ready heap: earliest wake first, ties broken by
