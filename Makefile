@@ -72,6 +72,6 @@ scenarios: build
 
 check: build
 	$(GO) vet ./...
-	cd perfbench && $(GO) build ./... && $(GO) vet ./...
+	cd perfbench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race $(RACE_PKGS)

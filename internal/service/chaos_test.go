@@ -274,7 +274,7 @@ func TestChaosServiceServesCleanOrTyped(t *testing.T) {
 }
 
 // TestChaosTruncatedUploadIsTyped pins the ingestion half: a tracefile
-// damaged in flight (torn tail, flipped bit) is always a typed 422,
+// damaged in flight (torn tail, flipped bits) is always a typed 422,
 // never a 200 and never a panic — the whole-file CRC and per-block
 // checksums catch it.
 func TestChaosTruncatedUploadIsTyped(t *testing.T) {
@@ -287,6 +287,9 @@ func TestChaosTruncatedUploadIsTyped(t *testing.T) {
 		{"torn", data[:len(data)/2]},
 		{"truncated", data[:len(data)-3]},
 		{"bitflip", flipBit(data, 1234567)},
+		// PAS2PTR2 → PAS2PTR1: the retired layout's magic, which no
+		// reader accepts.
+		{"magic-downgrade", flipBit(flipBit(data, 7*8), 7*8+1)},
 	} {
 		resp := postBytes(t, ts.URL+"/v1/analyze", mut.body, nil)
 		wantTyped(t, resp, http.StatusUnprocessableEntity, CodeCorruptTrace)

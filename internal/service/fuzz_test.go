@@ -34,6 +34,7 @@ func FuzzServiceRequest(f *testing.F) {
 	f.Add(uint8(5), []byte(`[1,2,3]`), "procs=abc", "abc")
 	f.Add(uint8(6), []byte(`{"app":"cg"} trailing`), "app=cg", "1.5")
 	f.Add(uint8(7), []byte{0x00, 0xff, 0xfe}, "", "\x00")
+	f.Add(uint8(1), append([]byte("PAS2PTR1"), make([]byte, 40)...), "", "")
 
 	f.Fuzz(func(t *testing.T, sel uint8, body []byte, rawQuery, deadline string) {
 		// Decoder helpers first: every rejection must be a typed 4xx.

@@ -460,9 +460,9 @@ func (s *Service) handleAnalyze(ctx context.Context, r *http.Request) (*handlerR
 
 	crc, isV2 := trace.FileCRC(data)
 	if !isV2 {
-		// Legacy or JSON tracefile: analysed fresh, outside the cache
-		// (the decoder still verifies per-record checksums where the
-		// format carries them).
+		// Compressed or JSON tracefile (or bytes no decoder accepts):
+		// analysed fresh, outside the cache; a rejected upload is a
+		// typed corrupt_trace.
 		resp, aerr := s.analyzeWork(ctx, data, 0, warm)
 		if aerr != nil {
 			return nil, aerr

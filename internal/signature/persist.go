@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -32,10 +33,15 @@ type Saved struct {
 	Catalog     *checkpoint.Catalog
 }
 
-// EnvelopeVersion is the current persisted-signature format: the
-// Saved payload wrapped in an integrity envelope. Version 1 is the
-// bare Saved JSON, still accepted by LoadSaved as the migration path.
+// EnvelopeVersion is the persisted-signature format LoadSaved reads:
+// the Saved payload wrapped in an integrity envelope. Version 1, the
+// bare Saved JSON with no envelope, is retired and rejected with
+// ErrRetiredFormat.
 const EnvelopeVersion = 2
+
+// ErrRetiredFormat is matched (errors.Is) by the error LoadSaved
+// returns for a document in a retired format.
+var ErrRetiredFormat = errors.New("retired signature format")
 
 // envelope is the on-disk wrapper of a persisted signature. The
 // SHA-256 is computed over the compacted payload bytes, so pretty-
@@ -76,10 +82,9 @@ func (s *Signature) Save(w io.Writer, workload, baseCluster string) error {
 	return enc.Encode(&env)
 }
 
-// LoadSaved reads a persisted signature description: the current
-// checksummed envelope, or the bare version-1 JSON via the migration
-// path. Envelope checksum mismatches are reported as corruption, not
-// decoded into a wrong signature.
+// LoadSaved reads a persisted signature description in the checksummed
+// envelope. Envelope checksum mismatches are reported as corruption,
+// not decoded into a wrong signature.
 func LoadSaved(r io.Reader) (*Saved, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -89,11 +94,13 @@ func LoadSaved(r io.Reader) (*Saved, error) {
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("signature: decoding: %w", err)
 	}
-	if env.FormatVersion == 0 && env.PayloadSHA256 == "" && env.Payload == nil {
-		// Bare v1 form: the whole document is the Saved payload.
-		return loadPayload(data)
-	}
-	if env.FormatVersion != EnvelopeVersion {
+	switch env.FormatVersion {
+	case EnvelopeVersion:
+	case 0, 1:
+		// Version 1 was the bare Saved document, with no formatVersion.
+		return nil, fmt.Errorf("signature: %w (format version %d, want %d)",
+			ErrRetiredFormat, env.FormatVersion, EnvelopeVersion)
+	default:
 		return nil, fmt.Errorf("signature: unsupported format version %d (want %d)",
 			env.FormatVersion, EnvelopeVersion)
 	}

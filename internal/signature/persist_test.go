@@ -3,12 +3,12 @@ package signature
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 
-	"pas2p/internal/apps"
 	"pas2p/internal/machine"
 )
 
@@ -81,87 +81,20 @@ func TestSaveWritesEnvelope(t *testing.T) {
 	}
 }
 
-// TestLoadSavedMigratesBareV1 feeds LoadSaved the pre-envelope form (a
-// bare Saved document) and expects the migration path to accept it.
-func TestLoadSavedMigratesBareV1(t *testing.T) {
-	app := iterApp(8, 20)
-	base := deployOn(t, machine.ClusterA(), 8)
-	tb, _ := analyze(t, app, base)
-	br, err := Build(app, tb, base, lightOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env bytes.Buffer
-	if err := br.Signature.Save(&env, "wl", "Cluster A"); err != nil {
-		t.Fatal(err)
-	}
-	fromEnv, err := LoadSaved(bytes.NewReader(env.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The bare v1 writer was a plain JSON encoding of Saved.
-	bare, err := json.Marshal(fromEnv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromBare, err := LoadSaved(bytes.NewReader(bare))
-	if err != nil {
-		t.Fatalf("bare v1 migration: %v", err)
-	}
-	if !reflect.DeepEqual(fromEnv, fromBare) {
-		t.Error("v1 and v2 load paths disagree")
-	}
-}
-
-// TestGoldenV1SignatureMigration loads the committed pre-envelope
-// signature file, predicts from it, and checks the v2 re-save
-// predicts bit-identically: stored metadata migrates losslessly.
+// TestGoldenV1SignatureMigration pins the rejection of the retired
+// format: the committed pre-envelope signature file (a bare Saved
+// document, no checksum) must be refused with ErrRetiredFormat, never
+// loaded.
 func TestGoldenV1SignatureMigration(t *testing.T) {
 	raw, err := os.ReadFile("testdata/golden_v1.sig.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(raw, []byte("payloadSHA256")) {
-		t.Fatal("golden file is not bare v1; regenerate from the pre-envelope writer")
+		t.Fatal("golden file is not a bare pre-envelope document")
 	}
-	saved, err := LoadSaved(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("golden v1 migration: %v", err)
-	}
-	if saved.AppName != "cg" || saved.Procs != 8 || saved.Workload != "classA" {
-		t.Fatalf("golden decoded to %s/p%d/%q", saved.AppName, saved.Procs, saved.Workload)
-	}
-	app, err := apps.Make(saved.AppName, saved.Procs, saved.Workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig, err := saved.Reassemble(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := deployOn(t, machine.ClusterB(), 8)
-	r1, err := sig.Execute(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := sig.Save(&v2, saved.Workload, saved.BaseCluster); err != nil {
-		t.Fatal(err)
-	}
-	saved2, err := LoadSaved(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig2, err := saved2.Reassemble(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := sig2.Execute(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.PET != r2.PET || r1.SET != r2.SET {
-		t.Errorf("migrated signature diverges: PET %v/%v SET %v/%v", r1.PET, r2.PET, r1.SET, r2.SET)
+	if _, err := LoadSaved(bytes.NewReader(raw)); !errors.Is(err, ErrRetiredFormat) {
+		t.Fatalf("LoadSaved(golden_v1.sig.json) = %v, want ErrRetiredFormat", err)
 	}
 }
 

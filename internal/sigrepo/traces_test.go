@@ -97,54 +97,64 @@ func TestTraceAddLookupReadList(t *testing.T) {
 }
 
 func TestTraceCorruptionQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	repo, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := synthTrace(t, "ep", 2, 1200)
-	path, err := repo.AddTrace(tr, "classB")
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, mut := range []struct {
+		name   string
+		mutate func([]byte)
+	}{
+		// One flipped byte in an event block.
+		{"block-flip", func(data []byte) { data[len(data)/2] ^= 0x10 }},
+		// PAS2PTR2 → PAS2PTR1: the retired layout's magic.
+		{"magic-downgrade", func(data []byte) { data[7] ^= 3 }},
+	} {
+		t.Run(mut.name, func(t *testing.T) {
+			dir := t.TempDir()
+			repo, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := synthTrace(t, "ep", 2, 1200)
+			path, err := repo.AddTrace(tr, "classB")
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mut.mutate(data)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	// Flip one byte in an event block.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x10
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			if _, err := repo.LookupTrace("ep", 2, "classB"); err == nil {
+				t.Fatal("corrupt trace served by LookupTrace")
+			} else if !strings.Contains(err.Error(), "offset") {
+				t.Fatalf("corruption error lacks offset: %v", err)
+			}
 
-	if _, err := repo.LookupTrace("ep", 2, "classB"); err == nil {
-		t.Fatal("corrupt trace served by LookupTrace")
-	} else if !strings.Contains(err.Error(), "offset") {
-		t.Fatalf("corruption error lacks offset: %v", err)
-	}
+			rep, err := repo.Fsck()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.TracesCorrupt != 1 || len(rep.Quarantined) != 1 {
+				t.Fatalf("fsck did not quarantine corrupt trace: %+v", rep)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("corrupt trace still in place: %v", err)
+			}
+			if _, err := os.Stat(rep.Quarantined[0]); err != nil {
+				t.Fatalf("quarantined copy missing: %v", err)
+			}
 
-	rep, err := repo.Fsck()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TracesCorrupt != 1 || len(rep.Quarantined) != 1 {
-		t.Fatalf("fsck did not quarantine corrupt trace: %+v", rep)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("corrupt trace still in place: %v", err)
-	}
-	if _, err := os.Stat(rep.Quarantined[0]); err != nil {
-		t.Fatalf("quarantined copy missing: %v", err)
-	}
-
-	// After repair: clean repository, second fsck is a no-op.
-	rep2, err := repo.Fsck()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.TracesScanned != 0 || rep2.TracesCorrupt != 0 || len(rep2.Problems) != 0 {
-		t.Fatalf("second fsck found new damage: %+v", rep2)
+			// After repair: clean repository, second fsck is a no-op.
+			rep2, err := repo.Fsck()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep2.TracesScanned != 0 || rep2.TracesCorrupt != 0 || len(rep2.Problems) != 0 {
+				t.Fatalf("second fsck found new damage: %+v", rep2)
+			}
+		})
 	}
 }
 

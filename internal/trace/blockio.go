@@ -25,6 +25,10 @@ package trace
 //     block, so consumers (analyze, repo fsck) can verify or fold over
 //     a tracefile without materialising the whole []Event twice.
 //
+// Decode and BlockReader parse the prefix and the trailer through the
+// same two functions (readPrefix, readTrailer in codec.go); only the
+// block loop between them differs.
+//
 // Corruption reporting is bit-compatible with the serial codec: the
 // engine reads block bytes in file order and resolves errors to the
 // lowest-offset failure, so a corrupted or truncated file produces the
@@ -293,11 +297,9 @@ func NewBlockWriter(w io.Writer, meta Meta, opts CodecOptions) (*BlockWriter, er
 	if err := cw.write([]byte(meta.AppName)); err != nil {
 		return nil, err
 	}
-	hcrc := crc32.Update(0, crcTable, magicV2[:])
-	hcrc = crc32.Update(hcrc, crcTable, hdr[:])
-	hcrc = crc32.Update(hcrc, crcTable, []byte(meta.AppName))
+	// The header CRC covers every byte written so far.
 	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], hcrc)
+	binary.LittleEndian.PutUint32(u32[:], cw.crc)
 	if err := cw.write(u32[:]); err != nil {
 		return nil, err
 	}
@@ -553,34 +555,22 @@ func (e *decEngine) firstError() (uint64, error) {
 	return e.errStart, e.err
 }
 
-// decodeV2With reads the checksummed body (magic already consumed and
-// folded into cr.crc) through the block engine.
-func decodeV2With(cr *crcReader, opts CodecOptions) (*Trace, error) {
-	nameLen, procs, count, aet, hdr, err := readHeader(cr)
+// DecodeWith reads the binary tracefile format with explicit options.
+// Results — including every corruption error's text and offset — are
+// identical at every worker count.
+func DecodeWith(r io.Reader, opts CodecOptions) (*Trace, error) {
+	cr := &crcReader{br: bufio.NewReaderSize(r, 1<<16)}
+	meta, err := readPrefix(cr)
 	if err != nil {
 		return nil, err
 	}
-	name := make([]byte, nameLen)
-	if err := cr.readFull(name); err != nil {
-		return nil, corruptf(cr.off, "reading app name: %v", err)
-	}
-	wantH := crc32.Update(0, crcTable, magicV2[:])
-	wantH = crc32.Update(wantH, crcTable, hdr[:])
-	wantH = crc32.Update(wantH, crcTable, name)
-	var u32 [4]byte
-	if err := cr.readFull(u32[:]); err != nil {
-		return nil, corruptf(cr.off, "reading header checksum: %v", err)
-	}
-	if got := binary.LittleEndian.Uint32(u32[:]); got != wantH {
-		return nil, corruptf(cr.off, "header checksum mismatch (stored %08x, computed %08x)", got, wantH)
-	}
-
+	count := meta.Events
 	workers := opts.workerCount()
 	if count < 4*blockEvents {
 		workers = 1
 	}
 	m := newCodecMetrics(opts.Reg, "decode", workers)
-	t := &Trace{AppName: string(name), Procs: procs, AET: aet, Events: make([]Event, 0)}
+	t := &Trace{AppName: meta.AppName, Procs: meta.Procs, AET: meta.AET, Events: make([]Event, 0)}
 
 	var eng *decEngine
 	if workers > 1 {
@@ -662,57 +652,25 @@ func decodeV2With(cr *crcReader, opts CodecOptions) (*Trace, error) {
 		next += batch
 	}
 
-	var tm [8]byte
-	if err := cr.readFull(tm[:]); err != nil {
-		return nil, corruptf(cr.off, "reading trailer: %v", err)
-	}
-	if tm != trailer {
-		return nil, corruptf(cr.off-8, "bad trailer %q", tm[:])
-	}
-	wantF := cr.crc
-	if err := cr.readFull(u32[:]); err != nil {
-		return nil, corruptf(cr.off, "reading file checksum: %v", err)
-	}
-	if got := binary.LittleEndian.Uint32(u32[:]); got != wantF {
-		return nil, corruptf(cr.off, "file checksum mismatch (stored %08x, computed %08x)", got, wantF)
+	if err := readTrailer(cr); err != nil {
+		return nil, err
 	}
 	m.publish()
 	return t, nil
 }
 
-// DecodeWith reads the binary tracefile format (v2 or the legacy v1
-// migration path) with explicit options. Results — including every
-// corruption error's text and offset — are identical at every worker
-// count.
-func DecodeWith(r io.Reader, opts CodecOptions) (*Trace, error) {
-	cr := &crcReader{br: bufio.NewReaderSize(r, 1<<16)}
-	var m [8]byte
-	if err := cr.readFull(m[:]); err != nil {
-		return nil, corruptf(cr.off, "reading magic: %v", err)
-	}
-	switch m {
-	case magicV2:
-		return decodeV2With(cr, opts)
-	case magic:
-		return decodeV1(cr)
-	default:
-		return nil, corruptf(0, "bad magic %q", m[:])
-	}
-}
-
 // ---------------------------------------------------------------------
 // Streaming reader.
 
-// BlockReader streams a binary tracefile (v2, or the legacy v1) one
-// block at a time: the header is surfaced through Meta before any
-// event is materialised, Next yields up to blockEvents events per call
-// into a reused scratch slice, and the trailer and whole-file CRC are
-// verified before the final io.EOF. Corruption errors carry the same
-// text and byte offsets as Decode.
+// BlockReader streams a binary tracefile one block at a time: the
+// header is surfaced through Meta before any event is materialised,
+// Next yields up to blockEvents events per call into a reused scratch
+// slice, and the trailer and whole-file CRC are verified before the
+// final io.EOF. Corruption errors carry the same text and byte offsets
+// as Decode.
 type BlockReader struct {
 	cr         *crcReader
 	meta       Meta
-	v1         bool
 	verifyOnly bool
 	next       uint64
 	buf        []byte
@@ -739,9 +697,8 @@ var brScratchPool = sync.Pool{New: func() any {
 	return &brScratch{buf: make([]byte, 0, blockBytes+4)}
 }}
 
-// NewBlockReader reads the tracefile prefix (magic, header, name and,
-// for v2, the header checksum) and positions the stream at the first
-// block.
+// NewBlockReader reads the tracefile prefix (magic, header, name and
+// header checksum) and positions the stream at the first block.
 func NewBlockReader(r io.Reader) (*BlockReader, error) {
 	return NewBlockReaderWith(r, CodecOptions{})
 }
@@ -751,44 +708,15 @@ func NewBlockReader(r io.Reader) (*BlockReader, error) {
 // knob does not apply).
 func NewBlockReaderWith(r io.Reader, opts CodecOptions) (*BlockReader, error) {
 	cr := &crcReader{br: bufio.NewReaderSize(r, 1<<16)}
-	var mg [8]byte
-	if err := cr.readFull(mg[:]); err != nil {
-		return nil, corruptf(cr.off, "reading magic: %v", err)
-	}
-	v1 := false
-	switch mg {
-	case magicV2:
-	case magic:
-		v1 = true
-	default:
-		return nil, corruptf(0, "bad magic %q", mg[:])
-	}
-	nameLen, procs, count, aet, hdr, err := readHeader(cr)
+	meta, err := readPrefix(cr)
 	if err != nil {
 		return nil, err
-	}
-	name := make([]byte, nameLen)
-	if err := cr.readFull(name); err != nil {
-		return nil, corruptf(cr.off, "reading app name: %v", err)
-	}
-	if !v1 {
-		wantH := crc32.Update(0, crcTable, magicV2[:])
-		wantH = crc32.Update(wantH, crcTable, hdr[:])
-		wantH = crc32.Update(wantH, crcTable, name)
-		var u32 [4]byte
-		if err := cr.readFull(u32[:]); err != nil {
-			return nil, corruptf(cr.off, "reading header checksum: %v", err)
-		}
-		if got := binary.LittleEndian.Uint32(u32[:]); got != wantH {
-			return nil, corruptf(cr.off, "header checksum mismatch (stored %08x, computed %08x)", got, wantH)
-		}
 	}
 	sc := brScratchPool.Get().(*brScratch)
 	ra, _ := r.(io.ReaderAt)
 	return &BlockReader{
 		cr:      cr,
-		meta:    Meta{AppName: string(name), Procs: procs, Events: count, AET: aet},
-		v1:      v1,
+		meta:    meta,
 		sc:      sc,
 		buf:     sc.buf[:0],
 		scratch: sc.evs,
@@ -831,10 +759,8 @@ func (br *BlockReader) Next() ([]Event, error) {
 	}
 	if br.next >= br.meta.Events {
 		br.finished = true
-		if !br.v1 {
-			if err := br.finishV2(); err != nil {
-				return nil, err
-			}
+		if err := readTrailer(br.cr); err != nil {
+			return nil, err
 		}
 		br.m.publish()
 		return nil, io.EOF
@@ -845,28 +771,10 @@ func (br *BlockReader) Next() ([]Event, error) {
 		end = br.meta.Events
 	}
 	ext := blockExtent{start: start, end: end, off: br.cr.off}
-	n := int(end-start) * recordSize
-	if !br.v1 {
-		n += 4
-	}
-	br.buf = br.buf[:n]
-	if !br.v1 {
-		if err := readBlock(br.cr, br.buf, ext, br.meta.Events); err != nil {
-			br.finished = true
-			return nil, err
-		}
-	} else if err := br.cr.readFull(br.buf); err != nil {
-		// v1 has no block checksum; report the failing record exactly
-		// as decodeV1 does.
+	br.buf = br.buf[:int(end-start)*recordSize+4]
+	if err := readBlock(br.cr, br.buf, ext, br.meta.Events); err != nil {
 		br.finished = true
-		consumed := br.cr.off - ext.off
-		failing := start + uint64(consumed)/uint64(recordSize)
-		if consumed%recordSize == 0 && (err == io.ErrUnexpectedEOF || err == io.EOF) {
-			err = io.EOF
-		} else if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, corruptf(br.cr.off, "reading event %d of %d: %v", failing, br.meta.Events, err)
+		return nil, err
 	}
 	var dst []Event
 	if !br.verifyOnly {
@@ -875,38 +783,12 @@ func (br *BlockReader) Next() ([]Event, error) {
 		}
 		dst = br.scratch[:end-start]
 	}
-	if br.v1 {
-		if !br.verifyOnly {
-			for i := range dst {
-				getRecord(br.buf[i*recordSize:], &dst[i])
-			}
-		}
-	} else if err := verifyAndDecodeBlock(br.buf, ext, dst, br.verifyOnly, br.m); err != nil {
+	if err := verifyAndDecodeBlock(br.buf, ext, dst, br.verifyOnly, br.m); err != nil {
 		br.finished = true
 		return nil, err
 	}
 	br.next = end
 	return dst, nil
-}
-
-// finishV2 consumes and verifies the trailer and whole-file CRC.
-func (br *BlockReader) finishV2() error {
-	var tm [8]byte
-	if err := br.cr.readFull(tm[:]); err != nil {
-		return corruptf(br.cr.off, "reading trailer: %v", err)
-	}
-	if tm != trailer {
-		return corruptf(br.cr.off-8, "bad trailer %q", tm[:])
-	}
-	wantF := br.cr.crc
-	var u32 [4]byte
-	if err := br.cr.readFull(u32[:]); err != nil {
-		return corruptf(br.cr.off, "reading file checksum: %v", err)
-	}
-	if got := binary.LittleEndian.Uint32(u32[:]); got != wantF {
-		return corruptf(br.cr.off, "file checksum mismatch (stored %08x, computed %08x)", got, wantF)
-	}
-	return nil
 }
 
 // VerifyStream reads a binary tracefile to the end, verifying every

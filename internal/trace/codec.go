@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -29,16 +30,43 @@ import (
 //	trailer[8] "PAS2PEND"
 //	fileCRC u32             over every preceding byte of the file
 //
-// Decode still reads version 1 (PAS2PTR1: header and records with no
-// checksums) as the migration path, never trusts header-declared
-// sizes for allocation, and reports corruption with the byte offset
-// at which it was detected.
+// It is the only flat layout read: the unchecksummed PAS2PTR1 layout
+// is retired and rejected with ErrRetiredFormat. Decode never trusts
+// header-declared sizes for allocation and reports corruption with the
+// byte offset at which it was detected.
 
 var (
-	magic   = [8]byte{'P', 'A', 'S', '2', 'P', 'T', 'R', '1'}
 	magicV2 = [8]byte{'P', 'A', 'S', '2', 'P', 'T', 'R', '2'}
 	trailer = [8]byte{'P', 'A', 'S', '2', 'P', 'E', 'N', 'D'}
 )
+
+// retiredMagics are the leading bytes of the layouts no longer read:
+// the unchecksummed flat PAS2PTR1 and the index-less compressed
+// PAS2PTZ1. Each is two bits of byte 7 away from its successor, so a
+// damaged current file can carry one; naming them gives that case a
+// typed error.
+var retiredMagics = [...][8]byte{
+	{'P', 'A', 'S', '2', 'P', 'T', 'R', '1'},
+	{'P', 'A', 'S', '2', 'P', 'T', 'Z', '1'},
+}
+
+// ErrRetiredFormat is matched (errors.Is) by the error every reader
+// returns for a file in a retired layout.
+var ErrRetiredFormat = errors.New("retired tracefile format")
+
+// checkMagic accepts exactly want; a retired layout gets
+// ErrRetiredFormat and anything else a bad-magic error.
+func checkMagic(got []byte, want [8]byte) error {
+	if string(got) == string(want[:]) {
+		return nil
+	}
+	for _, r := range retiredMagics {
+		if string(got) == string(r[:]) {
+			return corruptf(0, "%w %q", ErrRetiredFormat, got)
+		}
+	}
+	return corruptf(0, "bad magic %q", got)
+}
 
 // crcTable is the Castagnoli polynomial table shared by encode and
 // decode (hardware-accelerated on amd64/arm64).
@@ -199,14 +227,14 @@ func (cr *crcReader) readFull(p []byte) error {
 	return err
 }
 
-// corruptf builds a corruption error carrying the detection offset.
+// corruptf builds a corruption error carrying the detection offset;
+// format may wrap a sentinel with %w.
 func corruptf(off int64, format string, args ...any) error {
-	return fmt.Errorf("trace: %s (at byte offset %d)", fmt.Sprintf(format, args...), off)
+	return fmt.Errorf("trace: "+format+" (at byte offset %d)", append(args, off)...)
 }
 
-// Decode reads the binary tracefile format, either the current v2
-// (verifying every checksum) or the legacy v1 migration path. All
-// corruption and truncation errors include the byte offset at which
+// Decode reads the binary tracefile format, verifying every checksum.
+// All corruption and truncation errors include the byte offset at which
 // the problem was detected. Block verification and deserialisation run
 // on the worker-pool block engine (blockio.go); use DecodeWith to pin
 // the worker count or attach metrics.
@@ -214,25 +242,70 @@ func Decode(r io.Reader) (*Trace, error) {
 	return DecodeWith(r, CodecOptions{})
 }
 
-// readHeader reads and validates the common 24-byte header.
-func readHeader(cr *crcReader) (nameLen int, procs int, count uint64, aet vtime.Duration, hdr [24]byte, err error) {
-	if err = cr.readFull(hdr[:]); err != nil {
-		err = corruptf(cr.off, "reading header: %v", err)
-		return
+// readPrefix reads and verifies the tracefile prefix — magic, header,
+// app name and header CRC — leaving cr at the first event block. The
+// declared counts are range-checked here but never trusted for
+// allocation.
+func readPrefix(cr *crcReader) (Meta, error) {
+	var mg [8]byte
+	if err := cr.readFull(mg[:]); err != nil {
+		return Meta{}, corruptf(cr.off, "reading magic: %v", err)
 	}
-	nameLen = int(binary.LittleEndian.Uint16(hdr[0:]))
-	procs = int(binary.LittleEndian.Uint32(hdr[4:]))
-	count = binary.LittleEndian.Uint64(hdr[8:])
-	aet = vtime.Duration(binary.LittleEndian.Uint64(hdr[16:]))
-	if procs <= 0 || procs > 1<<20 {
-		err = corruptf(cr.off, "implausible process count %d", procs)
-		return
+	if err := checkMagic(mg[:], magicV2); err != nil {
+		return Meta{}, err
 	}
-	if count > maxEventCount {
-		err = corruptf(cr.off, "implausible event count %d", count)
-		return
+	var hdr [24]byte
+	if err := cr.readFull(hdr[:]); err != nil {
+		return Meta{}, corruptf(cr.off, "reading header: %v", err)
 	}
-	return
+	le := binary.LittleEndian
+	meta := Meta{
+		Procs:  int(le.Uint32(hdr[4:])),
+		Events: le.Uint64(hdr[8:]),
+		AET:    vtime.Duration(le.Uint64(hdr[16:])),
+	}
+	if meta.Procs <= 0 || meta.Procs > 1<<20 {
+		return Meta{}, corruptf(cr.off, "implausible process count %d", meta.Procs)
+	}
+	if meta.Events > maxEventCount {
+		return Meta{}, corruptf(cr.off, "implausible event count %d", meta.Events)
+	}
+	name := make([]byte, le.Uint16(hdr[0:]))
+	if err := cr.readFull(name); err != nil {
+		return Meta{}, corruptf(cr.off, "reading app name: %v", err)
+	}
+	meta.AppName = string(name)
+	// The header CRC covers every byte read so far, which is exactly
+	// what the running whole-file CRC holds.
+	if err := readCRC(cr, "header", cr.crc); err != nil {
+		return Meta{}, err
+	}
+	return meta, nil
+}
+
+// readTrailer consumes and verifies the trailer magic and the
+// whole-file CRC that close the tracefile.
+func readTrailer(cr *crcReader) error {
+	var tm [8]byte
+	if err := cr.readFull(tm[:]); err != nil {
+		return corruptf(cr.off, "reading trailer: %v", err)
+	}
+	if tm != trailer {
+		return corruptf(cr.off-8, "bad trailer %q", tm[:])
+	}
+	return readCRC(cr, "file", cr.crc)
+}
+
+// readCRC reads a stored u32 CRC and compares it with want.
+func readCRC(cr *crcReader, what string, want uint32) error {
+	var u32 [4]byte
+	if err := cr.readFull(u32[:]); err != nil {
+		return corruptf(cr.off, "reading %s checksum: %v", what, err)
+	}
+	if got := binary.LittleEndian.Uint32(u32[:]); got != want {
+		return corruptf(cr.off, "%s checksum mismatch (stored %08x, computed %08x)", what, got, want)
+	}
+	return nil
 }
 
 // growEvents extends evs towards total. Until trusted, growth is
@@ -255,65 +328,6 @@ func growEvents(evs []Event, total uint64, trusted bool) []Event {
 	grown := make([]Event, len(evs), want)
 	copy(grown, evs)
 	return grown
-}
-
-// decodeV1 reads the legacy unchecksummed body (magic already
-// consumed). It survives as the migration path for pre-v2 archives.
-func decodeV1(cr *crcReader) (*Trace, error) {
-	nameLen, procs, count, aet, _, err := readHeader(cr)
-	if err != nil {
-		return nil, err
-	}
-	name := make([]byte, nameLen)
-	if err := cr.readFull(name); err != nil {
-		return nil, corruptf(cr.off, "reading app name: %v", err)
-	}
-	t := &Trace{AppName: string(name), Procs: procs, AET: aet, Events: make([]Event, 0)}
-	var rec [recordSize]byte
-	for i := uint64(0); i < count; i++ {
-		if uint64(cap(t.Events)) <= i {
-			t.Events = growEvents(t.Events, count, false)
-		}
-		if err := cr.readFull(rec[:]); err != nil {
-			return nil, corruptf(cr.off, "reading event %d of %d: %v", i, count, err)
-		}
-		t.Events = t.Events[:i+1]
-		getRecord(rec[:], &t.Events[i])
-	}
-	return t, nil
-}
-
-// encodeV1 writes the legacy v1 format. It exists so tests can prove
-// the migration path against freshly produced v1 bytes (the committed
-// golden file pins the historical layout).
-func encodeV1(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	if len(t.AppName) > 0xffff {
-		return fmt.Errorf("trace: app name too long")
-	}
-	var hdr [24]byte
-	binary.LittleEndian.PutUint16(hdr[0:], uint16(len(t.AppName)))
-	binary.LittleEndian.PutUint16(hdr[2:], 0)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(t.Procs))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(t.Events)))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(t.AET))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(t.AppName); err != nil {
-		return err
-	}
-	var rec [recordSize]byte
-	for i := range t.Events {
-		putRecord(rec[:], &t.Events[i])
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // EncodeJSON writes a human-readable trace, mainly for debugging and

@@ -290,60 +290,6 @@ func TestBlockWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBlockReaderV1 checks the streaming reader on the legacy
-// unchecksummed format, including truncation errors matching decodeV1.
-func TestBlockReaderV1(t *testing.T) {
-	tr := fuzzTrace(t, 41, 2, 700) // 1400 events, multiple blocks
-	var buf bytes.Buffer
-	if err := encodeV1(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	br, err := NewBlockReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []Event
-	for {
-		blk, err := br.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("next: %v", err)
-		}
-		events = append(events, blk...)
-	}
-	if !reflect.DeepEqual(events, tr.Events) {
-		t.Fatal("v1 streamed events diverge from the original")
-	}
-
-	// Truncation mid-file: Decode and the streaming reader must agree.
-	cut := raw[:len(raw)-recordSize*3-7]
-	_, decErr := Decode(bytes.NewReader(cut))
-	if decErr == nil {
-		t.Fatal("truncated v1 decoded cleanly")
-	}
-	br2, err := NewBlockReader(bytes.NewReader(cut))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamErr error
-	for {
-		_, err := br2.Next()
-		if err != nil {
-			if err != io.EOF {
-				streamErr = err
-			}
-			break
-		}
-	}
-	if streamErr == nil || streamErr.Error() != decErr.Error() {
-		t.Fatalf("v1 truncation errors diverge:\n  decode: %v\n  stream: %v", decErr, streamErr)
-	}
-}
-
 // TestBlockWriterCountMismatch: the writer must refuse both overrun
 // (more events than the header declared) and underrun at Close.
 func TestBlockWriterCountMismatch(t *testing.T) {

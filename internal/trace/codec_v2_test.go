@@ -3,64 +3,93 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"io"
 	"os"
-	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
 
-// TestGoldenV1Migration proves pre-v2 archives keep loading: the
-// committed golden file was written by the v1 encoder before the
-// checksummed format existed, and must decode, validate, and survive
-// a v2 re-encode round trip bit-identically.
+// TestGoldenV1Migration pins the rejection of the retired flat
+// layout: the committed golden file, written by the unchecksummed
+// PAS2PTR1 encoder before checksums existed, must be refused with
+// ErrRetiredFormat (and a byte offset) by every flat reader, never
+// decoded.
 func TestGoldenV1Migration(t *testing.T) {
 	raw, err := os.ReadFile("testdata/golden_v1.pas2p")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(raw, magic[:]) {
-		t.Fatal("golden file is not v1 format; regenerate it with encodeV1")
+	if !bytes.HasPrefix(raw, []byte("PAS2PTR1")) {
+		t.Fatal("golden file is not in the retired PAS2PTR1 layout")
 	}
-	tr, err := Decode(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("v1 migration decode: %v", err)
-	}
-	if tr.AppName != "cg" || tr.Procs != 8 || len(tr.Events) == 0 {
-		t.Fatalf("golden decoded to %s/%d procs/%d events", tr.AppName, tr.Procs, len(tr.Events))
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("golden trace invalid: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), magicV2[:]) {
-		t.Error("Encode no longer writes v2")
-	}
-	again, err := DecodeAny(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again, tr) {
-		t.Error("v1 → v2 migration round trip mismatch")
+	for name, read := range map[string]func(io.Reader) error{
+		"Decode":       func(r io.Reader) error { _, err := Decode(r); return err },
+		"DecodeAny":    func(r io.Reader) error { _, err := DecodeAny(r); return err },
+		"VerifyStream": func(r io.Reader) error { _, err := VerifyStream(r); return err },
+	} {
+		err := read(bytes.NewReader(raw))
+		if !errors.Is(err, ErrRetiredFormat) {
+			t.Errorf("%s(golden_v1.pas2p) = %v, want ErrRetiredFormat", name, err)
+		} else if !strings.Contains(err.Error(), "offset") {
+			t.Errorf("%s: error lacks offset: %v", name, err)
+		}
 	}
 }
 
-// TestV1EncoderRoundTrip checks fresh v1 bytes also take the
-// migration path (not only the committed golden).
-func TestV1EncoderRoundTrip(t *testing.T) {
-	tr := fuzzTrace(t, 11, 4, 300)
-	var buf bytes.Buffer
-	if err := encodeV1(&buf, tr); err != nil {
+// TestMagicDowngradeRejected flips two bits of byte 7 of a current
+// flat file (PAS2PTR2 → PAS2PTR1) and of a compressed archive
+// (PAS2PTZ2 → PAS2PTZ1). The result carries a retired layout's magic;
+// every reader must answer it with ErrRetiredFormat rather than decode
+// the bytes under the retired layout's (unchecksummed) rules.
+func TestMagicDowngradeRejected(t *testing.T) {
+	tr := fuzzTrace(t, 7, 3, 40)
+	var flat, z bytes.Buffer
+	if err := Encode(&flat, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	if err := Compress(&z, tr); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Error("v1 round trip mismatch")
+	downgrade := func(b []byte) []byte {
+		out := bytes.Clone(b)
+		out[7] ^= 3
+		return out
+	}
+	files := []struct {
+		name, magic string
+		data        []byte
+	}{
+		{"flat", "PAS2PTR1", downgrade(flat.Bytes())},
+		{"compressed", "PAS2PTZ1", downgrade(z.Bytes())},
+	}
+	readers := []struct {
+		name string
+		read func(io.Reader) error
+	}{
+		{"Decode", func(r io.Reader) error { _, err := Decode(r); return err }},
+		{"DecodeAny", func(r io.Reader) error { _, err := DecodeAny(r); return err }},
+		{"BlockReader", func(r io.Reader) error {
+			_, err := streamEvents(r.(*bytes.Reader))
+			return err
+		}},
+		{"VerifyStream", func(r io.Reader) error { _, err := VerifyStream(r); return err }},
+		{"Decompress", func(r io.Reader) error { _, err := Decompress(r); return err }},
+	}
+	for _, f := range files {
+		if string(f.data[:8]) != f.magic {
+			t.Fatalf("%s: downgraded magic %q, want %q", f.name, f.data[:8], f.magic)
+		}
+		for _, rd := range readers {
+			err := rd.read(bytes.NewReader(f.data))
+			if !errors.Is(err, ErrRetiredFormat) {
+				t.Errorf("%s/%s: err = %v, want ErrRetiredFormat", f.name, rd.name, err)
+			} else if !strings.Contains(err.Error(), "offset") {
+				t.Errorf("%s/%s: error lacks offset: %v", f.name, rd.name, err)
+			}
+		}
 	}
 }
 
@@ -108,33 +137,45 @@ func TestDecodeV2DetectsTruncation(t *testing.T) {
 	}
 }
 
-// TestDecodeBoundsMaliciousHeader crafts a 32-byte v1 header claiming
-// 2^35 events: Decode must fail on the missing body without first
-// attempting a multi-terabyte allocation (chunked growth bounds the
+// maliciousPrefix builds a complete, checksum-valid tracefile prefix
+// (magic, header, empty app name, header CRC) declaring count events,
+// followed by no body at all.
+func maliciousPrefix(count uint64) []byte {
+	b := append([]byte(nil), magicV2[:]...)
+	var hdr [24]byte
+	binary.LittleEndian.PutUint32(hdr[4:], 1)            // procs
+	binary.LittleEndian.PutUint64(hdr[8:], count)        // events
+	binary.LittleEndian.PutUint64(hdr[16:], 1_000_000_0) // aet
+	b = append(b, hdr[:]...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+}
+
+// TestDecodeBoundsMaliciousHeader crafts a header that passes its own
+// checksum yet claims 2^35 events (~3 TiB of records) with no body:
+// Decode and VerifyStream must fail on the missing body without first
+// attempting a multi-gigabyte allocation (chunked growth bounds the
 // damage to one eventChunk).
 func TestDecodeBoundsMaliciousHeader(t *testing.T) {
-	var b bytes.Buffer
-	b.Write(magic[:])
-	var hdr [24]byte
-	binary.LittleEndian.PutUint16(hdr[0:], 0)            // nameLen
-	binary.LittleEndian.PutUint32(hdr[4:], 1)            // procs
-	binary.LittleEndian.PutUint64(hdr[8:], 1<<35)        // count: ~3 TiB of records
-	binary.LittleEndian.PutUint64(hdr[16:], 1_000_000_0) // aet
-	b.Write(hdr[:])
-	_, err := Decode(bytes.NewReader(b.Bytes()))
-	if err == nil {
-		t.Fatal("malicious header should fail")
+	raw := maliciousPrefix(1 << 35)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, decErr := Decode(bytes.NewReader(raw))
+	_, verErr := VerifyStream(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	for name, err := range map[string]error{"Decode": decErr, "VerifyStream": verErr} {
+		if err == nil {
+			t.Fatalf("%s: malicious header should fail", name)
+		}
+		if !strings.Contains(err.Error(), "offset") {
+			t.Errorf("%s: error lacks offset: %v", name, err)
+		}
 	}
-	if !strings.Contains(err.Error(), "offset") {
-		t.Errorf("error lacks offset: %v", err)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Errorf("malicious header cost %d MiB of allocation", alloc>>20)
 	}
 
 	// Above the plausibility cap the header itself is rejected.
-	binary.LittleEndian.PutUint64(hdr[8:], 1<<40)
-	var b2 bytes.Buffer
-	b2.Write(magic[:])
-	b2.Write(hdr[:])
-	if _, err := Decode(bytes.NewReader(b2.Bytes())); err == nil ||
+	if _, err := Decode(bytes.NewReader(maliciousPrefix(1 << 40))); err == nil ||
 		!strings.Contains(err.Error(), "implausible event count") {
 		t.Errorf("count cap not enforced: %v", err)
 	}

@@ -28,24 +28,17 @@ import (
 //   - relations are stored as varint deltas against their expected
 //     progression (per-channel send counters).
 //
-// Two container layouts exist. Z1 (legacy) concatenates the per-process
-// sections with no index, so a reader can only find section p by
-// decoding sections 0..p-1 — decompression is inherently serial. Z2
-// (current) writes every section's byte length between the template
-// dictionary and the section bodies, giving readers random access:
-// sections load as independent byte ranges and decode on a worker
-// pool. The section payloads are identical in both layouts, and
-// sections are process-independent, so the decoded trace is the same
-// whichever layout or worker count is used. New files are always
-// written as Z2; Z1 remains readable.
+// The container (Z2, magic PAS2PTZ2) writes every section's byte
+// length between the template dictionary and the section bodies, giving
+// readers random access: sections load as independent byte ranges and
+// decode on a worker pool. Sections are process-independent, so the
+// decoded trace is the same at every worker count. The index-less
+// PAS2PTZ1 layout is retired and rejected with ErrRetiredFormat.
 //
 // Decompression reproduces the trace bit-for-bit (including global
 // IDs, which are reassigned by the same deterministic rule).
 
-var (
-	magicZ  = [8]byte{'P', 'A', 'S', '2', 'P', 'T', 'Z', '1'}
-	magicZ2 = [8]byte{'P', 'A', 'S', '2', 'P', 'T', 'Z', '2'}
-)
+var magicZ2 = [8]byte{'P', 'A', 'S', '2', 'P', 'T', 'Z', '2'}
 
 // template is the structural part of an event.
 type template struct {
@@ -81,8 +74,8 @@ type CompressOptions struct {
 	// GOMAXPROCS, 1 forces the serial path. Template detection and
 	// section encoding are process-independent, so the output is
 	// byte-identical at every setting. DecompressWith has the matching
-	// knob on the read side: the Z2 section index lets it fan sections
-	// out the same way (legacy Z1 inputs decode serially).
+	// knob on the read side: the section index lets it fan sections
+	// out the same way.
 	Workers int
 }
 
@@ -96,17 +89,6 @@ func Compress(w io.Writer, t *Trace) error {
 // fans out across opts.Workers; sections are concatenated in process
 // order, so the bytes match the serial encoder's exactly.
 func CompressWith(w io.Writer, t *Trace, opts CompressOptions) error {
-	return compressTo(w, t, opts, false)
-}
-
-// compressLegacy writes the index-less Z1 layout. The write path
-// always emits Z2 now; this exists so the legacy read path keeps a
-// producer for its regression tests.
-func compressLegacy(w io.Writer, t *Trace, opts CompressOptions) error {
-	return compressTo(w, t, opts, true)
-}
-
-func compressTo(w io.Writer, t *Trace, opts CompressOptions, legacy bool) error {
 	if opts.MaxBlock <= 0 {
 		opts.MaxBlock = 64
 	}
@@ -123,11 +105,7 @@ func compressTo(w io.Writer, t *Trace, opts CompressOptions, legacy bool) error 
 	}
 
 	bw := bufio.NewWriterSize(w, 1<<16)
-	m := magicZ2
-	if legacy {
-		m = magicZ
-	}
-	if _, err := bw.Write(m[:]); err != nil {
+	if _, err := bw.Write(magicZ2[:]); err != nil {
 		return err
 	}
 	var scratch [binary.MaxVarintLen64]byte
@@ -220,20 +198,8 @@ func compressTo(w io.Writer, t *Trace, opts CompressOptions, legacy bool) error 
 	// Per-process streams: each section depends only on its own
 	// process's events and the (now frozen) dictionary, so sections
 	// are encoded into per-process buffers concurrently and written
-	// out in process order. The Z2 layout needs every section's byte
-	// length before the first body, so sections are always fully
-	// buffered; only the legacy serial path can recycle one buffer.
-	if legacy && workers == 1 {
-		var buf bytes.Buffer
-		for p, evs := range per {
-			buf.Reset()
-			compressSection(&buf, p, evs, dict, opts.MaxBlock)
-			if _, err := bw.Write(buf.Bytes()); err != nil {
-				return err
-			}
-		}
-		return bw.Flush()
-	}
+	// out in process order. The index needs every section's byte
+	// length before the first body, so sections are fully buffered.
 	bufs := make([]bytes.Buffer, len(per))
 	if workers > 1 {
 		runProcs(len(per), workers, func(p int) {
@@ -244,11 +210,9 @@ func compressTo(w io.Writer, t *Trace, opts CompressOptions, legacy bool) error 
 			compressSection(&bufs[p], p, per[p], dict, opts.MaxBlock)
 		}
 	}
-	if !legacy {
-		for p := range bufs {
-			if err := putUv(uint64(bufs[p].Len())); err != nil {
-				return err
-			}
+	for p := range bufs {
+		if err := putUv(uint64(bufs[p].Len())); err != nil {
+			return err
 		}
 	}
 	for p := range bufs {
@@ -394,30 +358,24 @@ func equalBlocks(ids []uint64, a, b, n int) bool {
 	return true
 }
 
-// Decompress reads the compressed tracefile format, either layout.
+// Decompress reads the compressed tracefile format.
 func Decompress(r io.Reader) (*Trace, error) {
 	return DecompressWith(r, CodecOptions{})
 }
 
 // DecompressWith reads the compressed format with explicit codec
-// options. For the indexed Z2 layout, opts.Workers sections decode
-// concurrently (0 or negative selects GOMAXPROCS); the decoded trace
-// is identical at every worker count because sections are process-
-// independent and assembled in process order. Legacy Z1 inputs carry
-// no section index and always decode serially.
+// options: opts.Workers sections decode concurrently (0 or negative
+// selects GOMAXPROCS); the decoded trace is identical at every worker
+// count because sections are process-independent and assembled in
+// process order.
 func DecompressWith(r io.Reader, opts CodecOptions) (*Trace, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var m [8]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	indexed := false
-	switch m {
-	case magicZ:
-	case magicZ2:
-		indexed = true
-	default:
-		return nil, fmt.Errorf("trace: bad compressed magic %q", m[:])
+	if err := checkMagic(m[:], magicZ2); err != nil {
+		return nil, err
 	}
 	getUv := func() (uint64, error) { return binary.ReadUvarint(br) }
 	getV := func() (int64, error) { return binary.ReadVarint(br) }
@@ -483,64 +441,53 @@ func DecompressWith(r io.Reader, opts CodecOptions) (*Trace, error) {
 			peerOff: int32(po), tag: int32(tg), size: int64(sz)}
 	}
 
+	// The index gives every section's byte range up front, so sections
+	// load as opaque buffers and decode on a worker pool.
+	lens := make([]uint64, procs)
+	for p := range lens {
+		sl, err := getUv()
+		if err != nil {
+			return nil, fmt.Errorf("trace: reading section index: %w", err)
+		}
+		if sl > maxSectionBytes {
+			return nil, fmt.Errorf("trace: implausible section length %d (proc %d)", sl, p)
+		}
+		lens[p] = sl
+	}
+	secs := make([][]byte, procs)
+	for p := range secs {
+		secs[p] = make([]byte, lens[p])
+		if _, err := io.ReadFull(br, secs[p]); err != nil {
+			return nil, fmt.Errorf("trace: reading section %d: %w", p, err)
+		}
+	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > procs {
+		workers = procs
+	}
 	streams := make([][]Event, procs)
-	if indexed {
-		// Z2: the index gives every section's byte range up front, so
-		// sections load as opaque buffers and decode on a worker pool.
-		lens := make([]uint64, procs)
-		for p := range lens {
-			sl, err := getUv()
-			if err != nil {
-				return nil, fmt.Errorf("trace: reading section index: %w", err)
-			}
-			if sl > maxSectionBytes {
-				return nil, fmt.Errorf("trace: implausible section length %d (proc %d)", sl, p)
-			}
-			lens[p] = sl
+	errs := make([]error, procs)
+	runProcs(procs, workers, func(p int) {
+		sr := bytes.NewReader(secs[p])
+		evs, err := decompressSection(sr, p, templates)
+		if err == nil && sr.Len() != 0 {
+			err = fmt.Errorf("trace: %d trailing bytes in section %d", sr.Len(), p)
 		}
-		secs := make([][]byte, procs)
-		for p := range secs {
-			secs[p] = make([]byte, lens[p])
-			if _, err := io.ReadFull(br, secs[p]); err != nil {
-				return nil, fmt.Errorf("trace: reading section %d: %w", p, err)
-			}
-		}
-		workers := opts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > procs {
-			workers = procs
-		}
-		errs := make([]error, procs)
-		runProcs(procs, workers, func(p int) {
-			sr := bytes.NewReader(secs[p])
-			evs, err := decompressSection(sr, p, templates)
-			if err == nil && sr.Len() != 0 {
-				err = fmt.Errorf("trace: %d trailing bytes in section %d", sr.Len(), p)
-			}
-			streams[p], errs[p] = evs, err
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for p := 0; p < procs; p++ {
-			evs, err := decompressSection(br, p, templates)
-			if err != nil {
-				return nil, err
-			}
-			streams[p] = evs
+		streams[p], errs[p] = evs, err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return NewTrace(string(name), procs, streams, vtime.Duration(aetU))
 }
 
-// decompressSection decodes one process's section body. The byte
-// source is either the shared sequential reader (Z1) or an isolated
-// per-section buffer (Z2); the payload is identical either way.
+// decompressSection decodes one process's section body from its
+// isolated per-section buffer.
 func decompressSection(br io.ByteReader, p int, templates []template) ([]Event, error) {
 	getUv := func() (uint64, error) { return binary.ReadUvarint(br) }
 	getV := func() (int64, error) { return binary.ReadVarint(br) }
@@ -660,14 +607,15 @@ func rleDecode(count int, getUv func() (uint64, error)) ([]uint64, error) {
 }
 
 // DecodeAny sniffs the tracefile format (flat binary, compressed, or
-// JSON) and decodes accordingly.
+// JSON) and decodes accordingly. Anything else, retired layouts
+// included, is rejected by the flat decoder's magic check.
 func DecodeAny(r io.Reader) (*Trace, error) {
 	return DecodeAnyWith(r, CodecOptions{})
 }
 
 // DecodeAnyWith is DecodeAny with codec options; the options apply to
-// the flat binary path and the indexed (Z2) compressed path (the
-// legacy Z1 and JSON decoders are inherently sequential).
+// the flat binary and compressed paths (the JSON decoder is inherently
+// sequential).
 func DecodeAnyWith(r io.Reader, opts CodecOptions) (*Trace, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	head, err := br.Peek(8)
@@ -675,13 +623,11 @@ func DecodeAnyWith(r io.Reader, opts CodecOptions) (*Trace, error) {
 		return nil, fmt.Errorf("trace: sniffing format: %w", err)
 	}
 	switch {
-	case bytes.Equal(head, magic[:]), bytes.Equal(head, magicV2[:]):
-		return DecodeWith(br, opts)
-	case bytes.Equal(head, magicZ[:]), bytes.Equal(head, magicZ2[:]):
+	case bytes.Equal(head, magicZ2[:]):
 		return DecompressWith(br, opts)
 	case head[0] == '{':
 		return DecodeJSON(br)
 	default:
-		return nil, fmt.Errorf("trace: unrecognised tracefile format (magic %q)", head)
+		return DecodeWith(br, opts)
 	}
 }

@@ -218,45 +218,6 @@ func TestCompressIndexedLayout(t *testing.T) {
 	}
 }
 
-// TestLegacyZ1ReadPath proves index-less Z1 files written by older
-// builds still decode, both directly and through the sniffer.
-func TestLegacyZ1ReadPath(t *testing.T) {
-	tr := repetitiveTrace(t, 4, 100)
-	var buf bytes.Buffer
-	if err := compressLegacy(&buf, tr, CompressOptions{MaxBlock: 64}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), magicZ[:]) {
-		t.Fatalf("legacy writer emitted magic %q, want %q", buf.Bytes()[:8], magicZ[:])
-	}
-	got, err := Decompress(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Decompress(Z1): %v", err)
-	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Fatal("legacy Z1 round trip mismatch")
-	}
-	got, err = DecodeAny(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("DecodeAny(Z1): %v", err)
-	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Fatal("DecodeAny legacy Z1 mismatch")
-	}
-	// The legacy parallel encoder matches the legacy serial encoder.
-	big := repetitiveTrace(t, 8, 500)
-	var serial, par bytes.Buffer
-	if err := compressLegacy(&serial, big, CompressOptions{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := compressLegacy(&par, big, CompressOptions{Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), par.Bytes()) {
-		t.Fatal("legacy serial and parallel encoders disagree")
-	}
-}
-
 // TestDecompressIndexedCorruption: truncated Z2 files and index/body
 // length mismatches must fail loudly, not decode to garbage.
 func TestDecompressIndexedCorruption(t *testing.T) {

@@ -122,6 +122,8 @@ func FuzzDecodeTracefile(f *testing.F) {
 	f.Add(int64(2), 4, 0, uint32(9), byte(1), uint16(1))
 	f.Add(int64(3), 2, 600, uint32(55555), byte(0x80), uint16(9000))
 	f.Add(int64(99), 6, 513, uint32(31), byte(7), uint16(40))
+	// Byte 7 ^= 3 downgrades the magic to the retired PAS2PTR1.
+	f.Add(int64(7), 3, 40, uint32(7), byte(2), uint16(0))
 	f.Fuzz(func(t *testing.T, seed int64, procs, events int, pos uint32, flip byte, cut uint16) {
 		if procs < 1 || procs > 8 || events < 0 || events > 1200 {
 			t.Skip("out of modelled range")
@@ -194,6 +196,7 @@ func FuzzBlockReader(f *testing.F) {
 	f.Add(int64(2), 4, 0, uint16(0), int8(1), byte(1))
 	f.Add(int64(3), 2, 600, uint16(2), int8(3), byte(0x80)) // several blocks
 	f.Add(int64(99), 6, 513, uint16(6), int8(-4), byte(7))  // boundary-straddling count
+	f.Add(int64(7), 3, 40, uint16(0), int8(-33), byte(2))   // byte 7 ^= 3: retired magic
 	f.Fuzz(func(t *testing.T, seed int64, procs, events int, blockIdx uint16, delta int8, flip byte) {
 		if procs < 1 || procs > 8 || events < 0 || events > 1200 {
 			t.Skip("out of modelled range")

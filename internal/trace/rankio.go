@@ -52,14 +52,11 @@ type RankStreams struct {
 }
 
 // RankStreams returns a per-process random-access view of the reader's
-// tracefile. It requires the v2 format and a source that implements
-// io.ReaderAt (an *os.File or *bytes.Reader does; a pipe does not).
+// tracefile. It requires a source that implements io.ReaderAt (an
+// *os.File or *bytes.Reader does; a pipe does not).
 // The view is independent of the reader's sequential position and
 // stays valid after Close.
 func (br *BlockReader) RankStreams() (*RankStreams, error) {
-	if br.v1 {
-		return nil, fmt.Errorf("trace: rank streams require the v2 tracefile format")
-	}
 	if br.ra == nil {
 		return nil, fmt.Errorf("trace: rank streams need a random-access source (io.ReaderAt)")
 	}

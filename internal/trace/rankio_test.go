@@ -186,22 +186,10 @@ func TestRankStreamsTruncatedFile(t *testing.T) {
 	}
 }
 
-// TestRankStreamsRequirements: v1 files and non-random-access sources
-// are refused with explicit errors.
+// TestRankStreamsRequirements: a non-random-access source is refused
+// with an explicit error.
 func TestRankStreamsRequirements(t *testing.T) {
 	tr := unevenTrace(t, []int{10})
-	var v1buf bytes.Buffer
-	if err := encodeV1(&v1buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	br, err := NewBlockReader(bytes.NewReader(v1buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := br.RankStreams(); err == nil || !strings.Contains(err.Error(), "v2") {
-		t.Fatalf("v1 RankStreams err = %v, want v2 requirement", err)
-	}
-
 	var v2buf bytes.Buffer
 	if err := Encode(&v2buf, tr); err != nil {
 		t.Fatal(err)

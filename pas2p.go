@@ -194,8 +194,8 @@ func EncodeTrace(w io.Writer, t *Trace, opts TraceCodecOptions) error {
 	return trace.EncodeWith(w, t, opts)
 }
 
-// DecodeTrace reads a binary tracefile (current or legacy format),
-// verifying every checksum.
+// DecodeTrace reads a binary tracefile, verifying every checksum.
+// Files in a retired layout are rejected, never decoded.
 func DecodeTrace(r io.Reader, opts TraceCodecOptions) (*Trace, error) {
 	return trace.DecodeWith(r, opts)
 }
