@@ -48,8 +48,11 @@ soak-100m:
 
 # Refresh the benchstat baseline CI compares against. Run on a quiet
 # machine; commit bench/baseline.txt with the change that moves it.
+# The simulator's per-operation benchmarks need many iterations per
+# sample (2 PingPong round trips measure nothing), so they run apart.
 bench-baseline:
 	$(GO) test ./internal/trace ./internal/phase -run xxx -bench . -benchtime 2x -count 3 | tee bench/baseline.txt
+	$(GO) test ./internal/sim -run xxx -bench . -benchtime 100000x -count 3 | tee -a bench/baseline.txt
 
 # Statement coverage with the CI ratchet threshold.
 cover:

@@ -35,6 +35,8 @@ func FuzzServiceRequest(f *testing.F) {
 	f.Add(uint8(6), []byte(`{"app":"cg"} trailing`), "app=cg", "1.5")
 	f.Add(uint8(7), []byte{0x00, 0xff, 0xfe}, "", "\x00")
 	f.Add(uint8(1), append([]byte("PAS2PTR1"), make([]byte, 40)...), "", "")
+	f.Add(uint8(0), []byte(`{}`), "app=cg", "9227000000000") // overflows time.Duration
+	f.Add(uint8(2), []byte(`{}`), ".", "")                   // GET /v1/.: non-canonical path
 
 	f.Fuzz(func(t *testing.T, sel uint8, body []byte, rawQuery, deadline string) {
 		// Decoder helpers first: every rejection must be a typed 4xx.

@@ -9,8 +9,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
+	"path"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -139,7 +141,8 @@ type PredictResponse struct {
 // Handler assembles the service mux: the five /v1 endpoints wrapped in
 // the robustness kit, plus the obshttp telemetry surface (/metrics,
 // /flight, /spans, /timeline, /debug/pprof) and a /healthz that
-// reports the daemon lifecycle (ready → draining → done).
+// reports the daemon lifecycle (ready → draining → done). A request
+// whose path is not canonical gets a typed 404.
 func (s *Service) Handler() (http.Handler, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/analyze", s.wrapLane(s.analyzeLane, "analyze", s.handleAnalyze))
@@ -154,7 +157,29 @@ func (s *Service) Handler() (http.Handler, error) {
 	h.Health = s.healthState
 	h.Mount(mux)
 	mux.HandleFunc("/", s.handleIndex)
-	return mux, nil
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// ServeMux would answer these with an untyped 301 redirect to
+		// the cleaned path.
+		if !canonicalPath(r.URL.Path) {
+			errNotFound("no such endpoint: %s (path is not canonical)", r.URL.Path).write(w)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	}), nil
+}
+
+// canonicalPath reports whether p is already in the form ServeMux
+// cleans request paths to: rooted, without dot segments or repeated
+// slashes, and with at most one trailing slash.
+func canonicalPath(p string) bool {
+	if !strings.HasPrefix(p, "/") {
+		return false
+	}
+	np := path.Clean(p)
+	if strings.HasSuffix(p, "/") && np != "/" {
+		np += "/"
+	}
+	return np == p
 }
 
 // healthState reports the daemon lifecycle for /healthz.
@@ -348,6 +373,9 @@ func clientDeadline(r *http.Request) (time.Duration, *APIError) {
 	ms, err := strconv.ParseInt(v, 10, 64)
 	if err != nil || ms <= 0 {
 		return 0, errBadRequest("%s must be a positive integer of milliseconds, got %q", DeadlineHeader, v)
+	}
+	if maxMS := int64(math.MaxInt64 / time.Millisecond); ms > maxMS {
+		return 0, errBadRequest("%s must be at most %d milliseconds, got %q", DeadlineHeader, maxMS, v)
 	}
 	return time.Duration(ms) * time.Millisecond, nil
 }

@@ -297,6 +297,50 @@ func TestRequestDecodeErrorsAreTyped(t *testing.T) {
 	wantTyped(t, resp, http.StatusRequestEntityTooLarge, CodeBodyTooLarge)
 }
 
+// TestRequestPathsAndHeadersAreTyped: requests ServeMux would
+// answer with an untyped 301 path-clean redirect, and deadlines that
+// overflow time.Duration, get typed errors. The client does not follow
+// redirects, so a 301 fails the test.
+func TestRequestPathsAndHeadersAreTyped(t *testing.T) {
+	_, ts := newTestService(t, nil)
+	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+		return http.ErrUseLastResponse
+	}}
+	cases := []struct {
+		name, path, deadline string
+		status               int
+		code                 Code
+	}{
+		{"dot", "/v1/.", "", http.StatusNotFound, CodeNotFound},
+		{"dot-dot", "/v1/lookup/..", "", http.StatusNotFound, CodeNotFound},
+		{"inner-dot", "/v1/./lookup?app=cg&procs=8", "", http.StatusNotFound, CodeNotFound},
+		{"double-slash", "//v1/lookup?app=cg&procs=8", "", http.StatusNotFound, CodeNotFound},
+		{"trailing-double-slash", "/v1//", "", http.StatusNotFound, CodeNotFound},
+		{"deadline-overflow", "/v1/lookup?app=cg&procs=8", "9227000000000", http.StatusBadRequest, CodeBadRequest},
+		{"deadline-max-int64", "/v1/lookup?app=cg&procs=8", "9223372036854775807", http.StatusBadRequest, CodeBadRequest},
+		// Canonical controls still reach their handlers.
+		{"canonical-miss", "/v1/lookup?app=cg&procs=8", "", http.StatusNotFound, CodeNotFound},
+		{"deadline-at-limit", "/v1/lookup?app=cg&procs=8", "9223372036854", http.StatusNotFound, CodeNotFound},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest(http.MethodGet, ts.URL+tc.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.deadline != "" {
+				req.Header.Set(DeadlineHeader, tc.deadline)
+			}
+			resp, err := client.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantTyped(t, resp, tc.status, tc.code)
+		})
+	}
+}
+
 func TestInfeasibleDeadlineIsShedBeforeWork(t *testing.T) {
 	svc, ts := newTestService(t, nil)
 	// The heavy class's estimate is seeded at 50ms; a 1ms budget can

@@ -11,7 +11,7 @@ import (
 // of the communicator must call the same operation in the same program
 // order; the operation completes for all members at
 // max(arrival clocks) + algorithmic cost.
-func (e *Engine) handleCollective(ps *procState, req request) (result, bool) {
+func (e *Engine) handleCollective(ps *procState, req *request) (blocked bool) {
 	members := req.collMembers
 	idx := -1
 	for i, m := range members {
@@ -20,12 +20,12 @@ func (e *Engine) handleCollective(ps *procState, req request) (result, bool) {
 		}
 		if m < 0 || m >= e.n {
 			e.err = fmt.Errorf("rank %d: collective with invalid member %d", ps.rank, m)
-			return result{}, true
+			return true
 		}
 	}
 	if idx < 0 {
 		e.err = fmt.Errorf("rank %d: called a collective it is not a member of", ps.rank)
-		return result{}, true
+		return true
 	}
 
 	seq := ps.collSeq[req.collCtx]
@@ -49,7 +49,7 @@ func (e *Engine) handleCollective(ps *procState, req request) (result, bool) {
 			len(cs.members) != len(members) {
 			e.err = fmt.Errorf("rank %d: collective mismatch at ctx %d seq %d: %v vs %v",
 				ps.rank, req.collCtx, seq, network.CollectiveOp(cs.op), req.collOp)
-			return result{}, true
+			return true
 		}
 		if req.size > cs.size {
 			cs.size = req.size
@@ -69,7 +69,7 @@ func (e *Engine) handleCollective(ps *procState, req request) (result, bool) {
 	if cs.arrived < len(members) {
 		ps.status = stStuck
 		ps.block = blockInfo{kind: bkColl, collOp: req.collOp, collCtx: req.collCtx, collSeq: seq}
-		return result{}, true
+		return true
 	}
 
 	// Last arrival: cost the operation and release everyone.
@@ -107,26 +107,25 @@ func (e *Engine) handleCollective(ps *procState, req request) (result, bool) {
 		}
 	}
 
-	var mine CollInfo
+	// Every member's outcome goes straight into its pending slot: the
+	// caller's for its inline return, the parked members' before they
+	// are made ready.
 	for i, m := range members {
-		info := CollInfo{
+		mp := e.procs[m]
+		mp.pending.coll = CollInfo{
 			Op: req.collOp, Ctx: req.collCtx, Seq: seq,
 			Start: cs.arrivals[i], End: ends[i],
 			Root: cs.root, Size: cs.size,
 			Members: members, Payloads: cs.payloads,
 		}
-		mp := e.procs[m]
-		if m == ps.rank {
-			ps.clock = ends[i]
-			mine = info
+		mp.clock = ends[i]
+		if mp == ps {
 			continue
 		}
-		mp.pending = result{now: ends[i], coll: info}
-		mp.clock = ends[i]
 		mp.wake = ends[i]
 		mp.status = stReady
 		mp.block = blockInfo{}
 		e.pushReady(mp)
 	}
-	return result{now: ps.clock, coll: mine}, false
+	return false
 }

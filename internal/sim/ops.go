@@ -32,8 +32,6 @@ type request struct {
 	peer, tag, size int // send/recv
 	payload         any
 
-	waitIDs []int // wait
-
 	collOp      network.CollectiveOp
 	collCtx     int
 	collMembers []int
@@ -67,11 +65,17 @@ type CollInfo struct {
 	Payloads []any
 }
 
-// result is what a parked rank receives when resumed (and what an
-// inline operation returns directly).
+// result is a rank's pending slot (procState.pending): each operation
+// writes its outcome there in place, whether it completes inline or a
+// later event completes it while the rank is parked, and the Proc
+// method reads back only the field it needs. Fields are overwritten,
+// never reset, between operations. Proc.Wait reads ptps == nil as a
+// singleton wait, so ptps is non-nil only from a multi-request
+// completion until that Wait consumes it; the Proc methods also drop
+// the payload references they hand out, so the slot keeps no payload
+// alive.
 type result struct {
 	aborted bool
-	now     vtime.Time
 	ptp     PtPInfo
 	ptps    []PtPInfo // wait on several requests; nil for singletons
 	coll    CollInfo
@@ -79,10 +83,10 @@ type result struct {
 }
 
 // handle applies one operation for the running rank ps, inline on the
-// rank's own goroutine. It returns the result and blocked=false when
-// the rank may continue, or blocked=true when the rank is now stuck
-// (or the engine failed) and must yield to the scheduler.
-func (e *Engine) handle(ps *procState, req request) (result, bool) {
+// rank's own goroutine, writing its outcome into ps.pending. It
+// returns false when the rank may continue, or true when the rank is
+// now stuck (or the engine failed) and must yield to the scheduler.
+func (e *Engine) handle(ps *procState, req *request) (blocked bool) {
 	switch req.kind {
 	case opAdvance:
 		d := req.dur
@@ -98,22 +102,22 @@ func (e *Engine) handle(ps *procState, req request) (result, bool) {
 		start := ps.clock
 		ps.clock = ps.clock.Add(d)
 		e.slice(ps.rank, "compute", "compute", start, ps.clock)
-		return result{now: ps.clock}, false
+		return false
 
 	case opSetMode:
 		if ps.retired {
 			e.err = fmt.Errorf("rank %d: SetMode after Retire", ps.rank)
-			return result{}, true
+			return true
 		}
 		if s := req.mode.ComputeScale; math.IsNaN(s) || math.IsInf(s, 0) {
 			e.err = fmt.Errorf("rank %d: non-finite compute scale %v", ps.rank, s)
-			return result{}, true
+			return true
 		}
 		ps.mode = req.mode
 		if ps.mode.ComputeScale < 0 {
 			ps.mode.ComputeScale = 0
 		}
-		return result{now: ps.clock}, false
+		return false
 
 	case opRetire:
 		if !ps.retired {
@@ -121,7 +125,7 @@ func (e *Engine) handle(ps *procState, req request) (result, bool) {
 			ps.mode = Mode{CommFree: true}
 			e.retiredLive++
 		}
-		return result{now: ps.clock}, false
+		return false
 
 	case opSend, opIsend:
 		return e.handleSend(ps, req)
@@ -130,25 +134,25 @@ func (e *Engine) handle(ps *procState, req request) (result, bool) {
 		return e.handleRecv(ps, req)
 
 	case opWait:
-		return e.handleWait(ps, req)
+		return e.handleWait(ps)
 
 	case opCollective:
 		return e.handleCollective(ps, req)
 
 	default:
 		e.err = fmt.Errorf("rank %d: unknown op %d", ps.rank, req.kind)
-		return result{}, true
+		return true
 	}
 }
 
-func (e *Engine) handleSend(ps *procState, req request) (result, bool) {
+func (e *Engine) handleSend(ps *procState, req *request) (blocked bool) {
 	if req.peer < 0 || req.peer >= e.n {
 		e.err = fmt.Errorf("rank %d: send to invalid rank %d", ps.rank, req.peer)
-		return result{}, true
+		return true
 	}
 	if req.size < 0 {
 		e.err = fmt.Errorf("rank %d: send with negative size %d", ps.rank, req.size)
-		return result{}, true
+		return true
 	}
 	path := e.cfg.Deployment.Path(ps.rank, req.peer)
 	m := e.newMessage()
@@ -210,7 +214,8 @@ func (e *Engine) handleSend(ps *procState, req request) (result, bool) {
 		e.slice(ps.rank, "send", "comm", info.Start, senderDone)
 		if req.kind == opSend {
 			ps.clock = senderDone
-			return result{now: ps.clock, ptp: info}, false
+			ps.pending.ptp = info
+			return false
 		}
 		rs := e.newReq(ps, reqSend)
 		rs.done = true
@@ -218,7 +223,8 @@ func (e *Engine) handleSend(ps *procState, req request) (result, bool) {
 		rs.info = info
 		// Isend still charges the local injection overhead.
 		ps.clock = senderDone
-		return result{now: ps.clock, reqID: rs.id}, false
+		ps.pending.reqID = rs.id
+		return false
 	}
 
 	// Rendezvous: completion awaits the matching receive. The sender
@@ -237,16 +243,17 @@ func (e *Engine) handleSend(ps *procState, req request) (result, bool) {
 			// call itself, exactly like the eager path.
 			ps.clock = rs.complete
 		}
-		return result{now: ps.clock, reqID: rs.id}, false
+		ps.pending.reqID = rs.id
+		return false
 	}
 	// Blocking rendezvous send = isend + wait.
 	return e.blockOnReq1(ps, rs.id, bkSend, req.peer, req.tag, req.size)
 }
 
-func (e *Engine) handleRecv(ps *procState, req request) (result, bool) {
+func (e *Engine) handleRecv(ps *procState, req *request) (blocked bool) {
 	if req.peer != AnySource && (req.peer < 0 || req.peer >= e.n) {
 		e.err = fmt.Errorf("rank %d: recv from invalid rank %d", ps.rank, req.peer)
-		return result{}, true
+		return true
 	}
 	rs := e.newReq(ps, reqRecv)
 	e.pruneMatched(ps) // safe here: never called mid-iteration
@@ -260,70 +267,66 @@ func (e *Engine) handleRecv(ps *procState, req request) (result, bool) {
 	e.tryMatchPosted(pr, req.peer == AnySource)
 
 	if req.kind == opIrecv {
-		return result{now: ps.clock, reqID: rs.id}, false
+		ps.pending.reqID = rs.id
+		return false
 	}
 	return e.blockOnReq1(ps, rs.id, bkRecv, req.peer, req.tag, 0)
 }
 
-func (e *Engine) handleWait(ps *procState, req request) (result, bool) {
-	for _, id := range req.waitIDs {
+// handleWait parks the rank on the request ids Proc.Wait put in its
+// wait buffer.
+func (e *Engine) handleWait(ps *procState) (blocked bool) {
+	for _, id := range ps.waitBuf {
 		if ps.findReq(id) == nil {
 			e.err = fmt.Errorf("rank %d: wait on unknown request %d", ps.rank, id)
-			return result{}, true
+			return true
 		}
 	}
-	return e.blockOnWait(ps, req.waitIDs)
+	return e.blockOnWait(ps, bkWait, 0, 0, 0)
 }
 
 // blockOnReq1 parks the rank on a single request (the blocking
-// Send/Recv path) unless it already resolved. The singleton wait set
-// lives in the rank's inline buffer, so no per-call slice is
-// allocated.
-func (e *Engine) blockOnReq1(ps *procState, id int, kind blockKind, peer, tag, size int) (result, bool) {
-	ps.wait1[0] = id
-	ps.waitSet = ps.wait1[:1]
+// Send/Recv path) unless it already resolved.
+func (e *Engine) blockOnReq1(ps *procState, id int, kind blockKind, peer, tag, size int) (blocked bool) {
+	ps.waitBuf = append(ps.waitBuf[:0], id)
+	return e.blockOnWait(ps, kind, peer, tag, size)
+}
+
+// blockOnWait parks the rank on the request ids in its wait buffer
+// unless every one already resolved; kind, peer, tag and size describe
+// the blocking operation for deadlock reports. The buffer is reused
+// across calls, so no wait set is allocated per operation.
+func (e *Engine) blockOnWait(ps *procState, kind blockKind, peer, tag, size int) (blocked bool) {
+	ps.waitSet = ps.waitBuf
 	ps.waitPost = ps.clock
-	if res, ok := e.completeWait(ps); ok {
-		return res, false
+	if e.completeWait(ps) {
+		return false
 	}
 	ps.status = stStuck
 	ps.block = blockInfo{kind: kind, peer: peer, tag: tag, size: size}
-	return result{}, true
-}
-
-// blockOnWait parks the rank on an explicit wait set (Proc.Wait)
-// unless every request already resolved.
-func (e *Engine) blockOnWait(ps *procState, ids []int) (result, bool) {
-	ps.waitSet = ids
-	ps.waitPost = ps.clock
-	if res, ok := e.completeWait(ps); ok {
-		return res, false
-	}
-	ps.status = stStuck
-	ps.block = blockInfo{kind: bkWait}
-	return result{}, true
+	return true
 }
 
 // completeWait checks a rank's wait set; when every request is done it
-// builds the wait result, advances the clock, clears the set and
-// recycles the consumed requests. Singleton waits return their info in
-// res.ptp with res.ptps nil, so the hot blocking path allocates
-// nothing.
-func (e *Engine) completeWait(ps *procState) (result, bool) {
+// writes the wait result into ps.pending, advances the clock, clears
+// the set and recycles the consumed requests. Singleton waits leave
+// their info in pending.ptp with pending.ptps nil, so the hot blocking
+// path allocates nothing.
+func (e *Engine) completeWait(ps *procState) bool {
 	if ps.waitSet == nil {
-		return result{}, false
+		return false
 	}
 	end := ps.waitPost
 	for _, id := range ps.waitSet {
 		rs := ps.findReq(id)
 		if !rs.done {
-			return result{}, false
+			return false
 		}
 		if rs.complete > end {
 			end = rs.complete
 		}
 	}
-	var res result
+	res := &ps.pending
 	if len(ps.waitSet) == 1 {
 		rs := ps.takeReq(ps.waitSet[0])
 		res.ptp = rs.info
@@ -337,9 +340,8 @@ func (e *Engine) completeWait(ps *procState) (result, bool) {
 		}
 	}
 	ps.clock = end
-	res.now = end
 	ps.waitSet = nil
-	return res, true
+	return true
 }
 
 // findReq returns the live request with the given id, or nil.
@@ -707,12 +709,10 @@ func (e *Engine) maybeWake(ps *procState) {
 			return
 		}
 	}
-	res, ok := e.completeWait(ps)
-	if !ok {
+	if !e.completeWait(ps) {
 		return
 	}
-	ps.pending = res
-	ps.wake = res.now
+	ps.wake = ps.clock
 	ps.status = stReady
 	ps.block = blockInfo{}
 	e.pushReady(ps)

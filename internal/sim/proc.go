@@ -26,17 +26,14 @@ func (p *Proc) Size() int { return p.eng.n }
 // Now returns the rank's current virtual clock.
 func (p *Proc) Now() vtime.Time { return p.st.clock }
 
-// await parks the goroutine until the scheduler resumes it; the
-// result payload travels in the rank's pending slot, written strictly
-// before the resume signal.
-func (p *Proc) await() result {
+// await parks the goroutine until the scheduler resumes it. The
+// operation's outcome is already in the rank's pending slot, written
+// strictly before the resume signal.
+func (p *Proc) await() {
 	<-p.st.resume
-	res := p.st.pending
-	p.st.pending = result{}
-	if res.aborted {
+	if p.st.pending.aborted {
 		panic(errAborted)
 	}
-	return res
 }
 
 // call applies one operation directly on the rank's own goroutine —
@@ -44,13 +41,15 @@ func (p *Proc) await() result {
 // exclusive access to the engine while scheduled. Only when the
 // operation blocks does the rank hand control back to the scheduler
 // and park; non-blocking operations cost no channel handoff at all.
-func (p *Proc) call(req request) result {
-	res, blocked := p.eng.handle(p.st, req)
-	if !blocked {
-		return res
+// Either way the outcome lands in the rank's pending slot, which call
+// returns: nothing is copied on the way, and the caller reads back
+// only the field it needs.
+func (p *Proc) call(req *request) *result {
+	if p.eng.handle(p.st, req) {
+		p.eng.yieldCh <- struct{}{}
+		p.await()
 	}
-	p.eng.yieldCh <- struct{}{}
-	return p.await()
+	return &p.st.pending
 }
 
 // Advance consumes virtual compute time (already converted by the
@@ -60,12 +59,12 @@ func (p *Proc) Advance(d vtime.Duration) {
 	if d <= 0 {
 		return
 	}
-	p.call(request{kind: opAdvance, dur: d})
+	p.call(&request{kind: opAdvance, dur: d})
 }
 
 // SetMode changes how this rank's subsequent operations are costed.
 func (p *Proc) SetMode(m Mode) {
-	p.call(request{kind: opSetMode, mode: m})
+	p.call(&request{kind: opSetMode, mode: m})
 }
 
 // Retire puts the rank in free mode for good: computation costs
@@ -75,7 +74,7 @@ func (p *Proc) SetMode(m Mode) {
 // run without simulating the rest; Finish is the same as if the run had
 // gone to completion.
 func (p *Proc) Retire() {
-	p.call(request{kind: opRetire})
+	p.call(&request{kind: opRetire})
 }
 
 // Mode returns the rank's current costing mode.
@@ -85,27 +84,26 @@ func (p *Proc) Mode() Mode { return p.st.mode }
 // dst and blocks until the send completes locally (eager) or the
 // transfer finishes (rendezvous). It reports the operation's timing.
 func (p *Proc) Send(dst, tag, size int, payload any) PtPInfo {
-	res := p.call(request{kind: opSend, peer: dst, tag: tag, size: size, payload: payload})
-	return res.ptp
+	return p.call(&request{kind: opSend, peer: dst, tag: tag, size: size, payload: payload}).ptp
 }
 
 // Recv blocks until a matching message (src/tag may be AnySource /
 // AnyTag) is delivered, returning its metadata and payload.
 func (p *Proc) Recv(src, tag int) PtPInfo {
-	res := p.call(request{kind: opRecv, peer: src, tag: tag})
-	return res.ptp
+	res := p.call(&request{kind: opRecv, peer: src, tag: tag})
+	info := res.ptp
+	res.ptp.Payload = nil // the slot must not keep the payload alive
+	return info
 }
 
 // Isend starts a send and returns a request id to pass to Wait.
 func (p *Proc) Isend(dst, tag, size int, payload any) int {
-	res := p.call(request{kind: opIsend, peer: dst, tag: tag, size: size, payload: payload})
-	return res.reqID
+	return p.call(&request{kind: opIsend, peer: dst, tag: tag, size: size, payload: payload}).reqID
 }
 
 // Irecv posts a receive and returns a request id to pass to Wait.
 func (p *Proc) Irecv(src, tag int) int {
-	res := p.call(request{kind: opIrecv, peer: src, tag: tag})
-	return res.reqID
+	return p.call(&request{kind: opIrecv, peer: src, tag: tag}).reqID
 }
 
 // Wait blocks until all given requests complete and returns their
@@ -114,13 +112,19 @@ func (p *Proc) Wait(ids ...int) []PtPInfo {
 	if len(ids) == 0 {
 		return nil
 	}
-	res := p.call(request{kind: opWait, waitIDs: ids})
-	if res.ptps == nil {
-		// Singleton waits travel in res.ptp so the engine's hot path
-		// never allocates; materialise the slice client-side.
-		return []PtPInfo{res.ptp}
+	// The ids go into the rank's wait buffer rather than the request,
+	// so the caller's slice never escapes.
+	p.st.waitBuf = append(p.st.waitBuf[:0], ids...)
+	res := p.call(&request{kind: opWait})
+	if ptps := res.ptps; ptps != nil {
+		res.ptps = nil // consumed: a later singleton must read nil
+		return ptps
 	}
-	return res.ptps
+	// Singleton waits travel in res.ptp so the engine's hot path
+	// never allocates; materialise the slice client-side.
+	info := res.ptp
+	res.ptp.Payload = nil
+	return []PtPInfo{info}
 }
 
 // TimelineOn reports whether this run records a timeline, so callers
@@ -142,9 +146,11 @@ func (p *Proc) Annotate(name string) {
 // contributions so the caller can apply the operation's data
 // semantics.
 func (p *Proc) Collective(op network.CollectiveOp, ctx int, members []int, root, size int, payload any) CollInfo {
-	res := p.call(request{
+	res := p.call(&request{
 		kind: opCollective, collOp: op, collCtx: ctx,
 		collMembers: members, collRoot: root, size: size, payload: payload,
 	})
-	return res.coll
+	info := res.coll
+	res.coll.Payloads = nil
+	return info
 }

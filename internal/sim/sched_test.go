@@ -10,24 +10,19 @@ import (
 	"pas2p/internal/vtime"
 )
 
-// runLogged executes cfg on a fresh engine with the scheduling hooks
-// set: scan=true uses the reference linear-scan scheduler, scan=false
-// the ready heap. It returns the exact rank schedule alongside the
-// result.
-func runLogged(t testing.TB, cfg Config, scan bool) ([]int, Result) {
-	t.Helper()
-	e, err := newEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
+// pickScan is the reference scheduler the ready heap replaced: scan
+// every rank and take the lowest rank among the earliest wakes.
+func pickScan(e *Engine) *procState {
+	var best *procState
+	for _, ps := range e.procs {
+		if ps.status != stReady {
+			continue
+		}
+		if best == nil || ps.wake < best.wake {
+			best = ps
+		}
 	}
-	var sched []int
-	e.schedLog = &sched
-	e.useScan = scan
-	res, err := e.run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sched, res
+	return best
 }
 
 // schedBodies are the program shapes the heap-vs-scan equivalence
@@ -114,25 +109,35 @@ var schedBodies = []struct {
 }
 
 // TestHeapSchedulerMatchesScan is the equivalence property the ready
-// heap must satisfy: for every program shape, the heap-based scheduler
-// produces the exact rank schedule of the reference O(P) linear scan
-// — and therefore bit-identical virtual timings.
+// heap must satisfy: for every program shape, each rank the heap picks
+// is the one the reference O(P) linear scan would pick from the same
+// engine state — so the whole schedule, and with it every virtual
+// timing, is the scan scheduler's.
 func TestHeapSchedulerMatchesScan(t *testing.T) {
 	for _, tc := range schedBodies {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Deployment: testDeployment(t, tc.ranks), Name: tc.name, Body: tc.body}
-			schedHeap, resHeap := runLogged(t, cfg, false)
-			schedScan, resScan := runLogged(t, cfg, true)
-			if !reflect.DeepEqual(schedHeap, schedScan) {
-				t.Fatalf("rank schedules diverge:\nheap: %v\nscan: %v", schedHeap, schedScan)
+			e, err := newEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if resHeap.Finish != resScan.Finish {
-				t.Fatalf("finish diverges: heap %v scan %v", resHeap.Finish, resScan.Finish)
+			picks, diverged := 0, ""
+			e.onPick = func(ps *procState) {
+				picks++
+				if want := pickScan(e); want != ps && diverged == "" {
+					diverged = fmt.Sprintf("pick %d: heap chose rank %d (wake %v), scan rank %d (wake %v)",
+						picks, ps.rank, ps.wake, want.rank, want.wake)
+				}
 			}
-			if !reflect.DeepEqual(resHeap.RankFinish, resScan.RankFinish) {
-				t.Fatalf("per-rank finish diverges:\nheap: %v\nscan: %v",
-					resHeap.RankFinish, resScan.RankFinish)
+			if _, err := e.run(); err != nil {
+				t.Fatal(err)
+			}
+			if diverged != "" {
+				t.Fatal(diverged)
+			}
+			if picks < tc.ranks {
+				t.Fatalf("only %d picks for %d ranks", picks, tc.ranks)
 			}
 		})
 	}

@@ -4,7 +4,11 @@
 // communication or declares computation, the rank goroutine applies
 // the operation to the engine directly, using the machine and network
 // models of packages machine and network; it hands control to the
-// sequential scheduler only when the operation blocks.
+// sequential scheduler only when the operation blocks. The operation
+// goes to the engine by pointer, and its outcome is written in place
+// into the rank's own result slot, inline or, for an operation that
+// blocked, before the rank is resumed, so the per-operation path
+// copies no request or result.
 //
 // Exactly one goroutine (either the scheduler or a single rank) runs
 // at any instant, and every scheduling decision uses deterministic
@@ -143,8 +147,9 @@ type procState struct {
 	wake   vtime.Time
 	status procStatus
 
-	// resume wakes the rank goroutine; the payload travels in pending,
-	// written strictly before the signal.
+	// resume wakes the rank goroutine. pending is the rank's result
+	// slot: every operation writes its outcome there in place, inline
+	// or, for a parked rank, strictly before the resume signal.
 	resume  chan struct{}
 	pending result
 
@@ -156,11 +161,11 @@ type procState struct {
 	// Outstanding sets are small, so a linear slice beats a map.
 	nextReqID int
 	reqs      []*reqState
-	// waitSet is the set of request ids a stuck rank is waiting on;
-	// blocking ops use wait1 as the backing store to avoid allocating
-	// a singleton per call.
+	// waitSet is the set of request ids a stuck rank is waiting on,
+	// nil when it waits on nothing; waitBuf is its reused backing
+	// store, so neither blocking ops nor Wait allocate one per call.
 	waitSet  []int
-	wait1    [1]int
+	waitBuf  []int
 	waitPost vtime.Time
 
 	// postedRecvs in post order, matched entries pruned lazily.
@@ -305,11 +310,9 @@ type Engine struct {
 	tlPid    int
 	msgBytes *obs.Histogram
 
-	// Test hooks: useScan swaps the ready heap for the reference
-	// linear scan (equivalence property tests), schedLog records the
-	// rank schedule when non-nil.
-	useScan  bool
-	schedLog *[]int
+	// onPick, when non-nil, sees every rank the scheduler picks,
+	// before it runs (a test hook).
+	onPick func(*procState)
 }
 
 // msgQueue is one (src, dst) point-to-point channel: messages in send
@@ -478,8 +481,8 @@ func (e *Engine) loop() {
 			e.cfg.Observer.Event("sim.deadlock", e.err.Error(), -1, int64(e.n-e.doneCount))
 			return
 		}
-		if e.schedLog != nil {
-			*e.schedLog = append(*e.schedLog, ps.rank)
+		if e.onPick != nil {
+			e.onPick(ps)
 		}
 		ps.status = stRunning
 		if ps.wake > ps.clock {
@@ -546,9 +549,6 @@ func readyLess(a, b *procState) bool {
 
 // pushReady inserts a newly-runnable rank into the ready heap.
 func (e *Engine) pushReady(ps *procState) {
-	if e.useScan {
-		return
-	}
 	h := append(e.ready, ps)
 	i := len(h) - 1
 	for i > 0 {
@@ -565,9 +565,6 @@ func (e *Engine) pushReady(ps *procState) {
 // popReady removes and returns the runnable rank with the earliest
 // (wake, rank) key, or nil when none is ready.
 func (e *Engine) popReady() *procState {
-	if e.useScan {
-		return e.pickReadyScan()
-	}
 	h := e.ready
 	if len(h) == 0 {
 		return nil
@@ -594,22 +591,6 @@ func (e *Engine) popReady() *procState {
 	}
 	e.ready = h
 	return top
-}
-
-// pickReadyScan is the pre-heap reference scheduler: scan every rank,
-// keep the first with the strictly smallest wake. Kept as the oracle
-// for the heap-equivalence property test.
-func (e *Engine) pickReadyScan() *procState {
-	var best *procState
-	for _, ps := range e.procs {
-		if ps.status != stReady {
-			continue
-		}
-		if best == nil || ps.wake < best.wake {
-			best = ps
-		}
-	}
-	return best
 }
 
 // abort unblocks every live rank goroutine with a poison result so the
