@@ -11,7 +11,9 @@ GO ?= go
 # daemon and load generator) serves concurrent HTTP traffic over
 # shared admission, cache, and drain state — including the chaos
 # serving proof. signature and mpi end their runs early by unwinding
-# the parked rank goroutines while the caller carries on.
+# the parked rank goroutines while the caller carries on; so does the
+# partial-execution baseline in predict, whose tests are the only part
+# of that (slow) package run under the detector.
 RACE_PKGS = ./internal/phase/... ./internal/logical/... ./internal/obs/... ./internal/faults/... ./internal/sigrepo/... ./internal/fsx/... ./internal/trace/... ./internal/sim/... ./internal/signature/... ./internal/mpi/... ./internal/scenario/... ./internal/service/... ./cmd/pas2pd/... ./cmd/pas2p-loadgen/...
 
 .PHONY: build test race bench bench-json bench-baseline soak-100m check cover fuzz scenarios
@@ -24,6 +26,7 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -run 'PartialExec' ./internal/predict
 
 # Extraction over the six largest registered workloads: the reference
 # scan (seed) against the production scan, sequential and with parallel
@@ -78,3 +81,4 @@ check: build
 	cd perfbench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -run 'PartialExec' ./internal/predict

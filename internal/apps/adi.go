@@ -79,14 +79,13 @@ func makeADI(name string, procs int, workload string, table map[string]adiParams
 			south := ((r+1)%rows)*cols + q
 			west := r*cols + (q+cols-1)%cols
 			east := r*cols + (q+1)%cols
-			work := mkbuf(512, float64(me))
+			work := mkbuf(2, float64(me))
 			// Initialise the grid and share solver constants.
 			c.Bcast(0, mkbuf(16, 2))
 			c.Barrier()
 			for it := 0; it < w.iters; it++ {
 				// RHS computation.
 				c.Compute(flops * 0.4)
-				touch(work, float64(it))
 				// x-sweep: exchange with east/west.
 				c.SendrecvN(east, 10, faceBytes, west, 10)
 				c.Compute(flops * 0.2)

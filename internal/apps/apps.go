@@ -3,14 +3,15 @@
 // Sweep3D, SMG2000, POP, the Moldy molecular-dynamics code, a
 // GROMACS-like MD variant, and the §6 master/worker pathological case.
 //
-// Each kernel is a faithful miniature: it performs the original's
-// communication structure (the pattern, peers, collective mix and
-// message-volume ratios) with real data movement and real arithmetic
-// on scaled-down arrays, while declaring per-iteration computation
-// costs that reproduce the original's compute/communication balance on
-// the modelled clusters. Phase extraction and prediction depend on
-// exactly these observables, so the kernels exercise the same code
-// paths the real applications would.
+// Each kernel is a faithful miniature: real Go code with the
+// original's control flow and communication structure (the pattern,
+// peers, collective mix and message-volume ratios), moving real
+// payloads in miniature buffers. Computation is declared, not
+// performed: each compute gap is a Compute call whose cost reproduces
+// the original's compute/communication balance on the modelled
+// clusters. Phase extraction and prediction consume only the event
+// stream and these gaps, so the kernels exercise the same code paths
+// the real applications would.
 package apps
 
 import (
@@ -103,18 +104,6 @@ func grid2D(p int) (rows, cols int) {
 func isSquare(p int) bool {
 	r := int(math.Sqrt(float64(p)))
 	return r*r == p
-}
-
-// touch performs a little real arithmetic over a buffer so signature
-// segments execute genuine code (the virtual cost is declared
-// separately via Compute).
-func touch(buf []float64, seed float64) float64 {
-	acc := seed
-	for i := range buf {
-		buf[i] = buf[i]*0.999 + acc*1e-6
-		acc += buf[i]
-	}
-	return acc
 }
 
 // mkbuf allocates a small working array.

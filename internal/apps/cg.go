@@ -74,14 +74,13 @@ func makeCG(procs int, workload string) (mpi.App, error) {
 			if partner >= procs {
 				partner = me
 			}
-			work := mkbuf(512, float64(me))
+			work := mkbuf(3, float64(me))
 			// Initialisation: distribute the matrix structure.
 			c.Bcast(0, mkbuf(8, 1))
 			c.Barrier()
 			for it := 0; it < w.outer; it++ {
 				for in := 0; in < w.inner; in++ {
 					c.Compute(flops)
-					touch(work, float64(it*in))
 					c.SendrecvN(partner, 1, exchange, partner, 1)
 					c.Allreduce([]float64{work[0], work[1]}, mpi.Sum)
 				}

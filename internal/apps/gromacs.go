@@ -64,8 +64,8 @@ func makeGromacs(procs int, workload string) (mpi.App, error) {
 			if me%4 == 0 {
 				imbalance = 1.08
 			}
-			work := mkbuf(256, float64(me))
-			pme := mkbuf(16*c.Size(), float64(me))
+			work := mkbuf(3, float64(me))
+			pme := mkbuf(2*c.Size(), float64(me))
 			c.Bcast(0, mkbuf(32, 9))
 			c.Barrier()
 			for step := 0; step < w.steps; step++ {
@@ -73,7 +73,6 @@ func makeGromacs(procs int, workload string) (mpi.App, error) {
 				c.SendrecvN(east, 80, halo, west, 80)
 				c.SendrecvN(south, 81, halo, north, 81)
 				c.Compute(w.flops * atomsPerProc * 40 * imbalance)
-				touch(work, float64(step))
 				// PME long-range electrostatics every pmeFreq steps.
 				if step%w.pmeFreq == 0 {
 					pme = c.AlltoallSized(pme, pmeBlock)

@@ -58,7 +58,7 @@ func makeLU(procs int, workload string) (mpi.App, error) {
 		Body: func(c *mpi.Comm) {
 			me := c.Rank()
 			r, q := me/cols, me%cols
-			work := mkbuf(256, float64(me))
+			work := mkbuf(2, float64(me))
 			c.Bcast(0, mkbuf(8, 3))
 			c.Barrier()
 			sweep := func(recvA, recvB, sendA, sendB int, tag int) {
@@ -70,7 +70,6 @@ func makeLU(procs int, workload string) (mpi.App, error) {
 						c.RecvN(recvB, tag)
 					}
 					c.Compute(blockFlops)
-					touch(work, float64(k))
 					if sendA >= 0 {
 						c.SendN(sendA, tag, pencil)
 					}

@@ -68,12 +68,10 @@ func makeMasterWorker(procs int, workload string) (mpi.App, error) {
 					}
 				}
 			} else {
-				work := mkbuf(512, float64(c.Rank()))
 				for round := 0; round < w.rounds; round++ {
 					c.RecvN(0, 90)
 					// Jobs are slightly imbalanced, like real farms.
 					c.Compute(w.flops * (1 + 0.1*float64(c.Rank()%5)))
-					touch(work, float64(round))
 					c.SendN(0, 91, w.jobBytes/4)
 				}
 			}

@@ -59,7 +59,7 @@ func makeMoldy(procs int, workload string) (mpi.App, error) {
 			me := c.Rank()
 			right := (me + 1) % n
 			left := (me + n - 1) % n
-			work := mkbuf(384, float64(me))
+			work := mkbuf(6, float64(me))
 			c.Bcast(0, mkbuf(32, 8))
 			c.Barrier()
 			for step := 0; step < w.steps; step++ {
@@ -69,7 +69,6 @@ func makeMoldy(procs int, workload string) (mpi.App, error) {
 				// the "x20" class).
 				c.SendrecvN(right, 70, boundary, left, 70)
 				c.Compute(w.flops * atomsPerProc * 60)
-				touch(work, float64(step))
 				c.Allreduce([]float64{work[0], work[1]}, mpi.Sum)
 				c.Compute(w.flops * atomsPerProc * 10)
 				c.Allreduce([]float64{work[2], work[3]}, mpi.Sum)

@@ -72,11 +72,10 @@ func makeEP(procs int, workload string) (mpi.App, error) {
 		Name:  "ep",
 		Procs: procs,
 		Body: func(c *mpi.Comm) {
-			work := mkbuf(128, float64(c.Rank()))
+			work := mkbuf(10, float64(c.Rank()))
 			c.Bcast(0, mkbuf(4, 10))
 			for b := 0; b < w.blocks; b++ {
 				c.Compute(blockFlops)
-				touch(work, float64(b))
 				// Progress heartbeat so phases are observable at all.
 				c.Allreduce([]float64{work[0]}, mpi.Sum)
 			}
@@ -109,13 +108,12 @@ func makeIS(procs int, workload string) (mpi.App, error) {
 		Procs: procs,
 		Body: func(c *mpi.Comm) {
 			n := c.Size()
-			work := mkbuf(16*n, float64(c.Rank()))
+			work := mkbuf(2*n, float64(c.Rank()))
 			c.Bcast(0, mkbuf(4, 11))
 			c.Barrier()
 			for it := 0; it < w.iters; it++ {
 				// Local bucket counting.
 				c.Compute(flops * 0.3)
-				touch(work, float64(it))
 				// Bucket-size exchange.
 				c.Allreduce(work[:n], mpi.Sum)
 				// Key redistribution.

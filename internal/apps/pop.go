@@ -70,14 +70,13 @@ func makePOP(procs int, workload string) (mpi.App, error) {
 			south := ((r+1)%rows)*cols + q
 			west := r*cols + (q+cols-1)%cols
 			east := r*cols + (q+1)%cols
-			work := mkbuf(256, float64(me))
+			work := mkbuf(8, float64(me))
 			c.Bcast(0, mkbuf(16, 7))
 			c.Barrier()
 			for step := 0; step < w.steps; step++ {
 				// Baroclinic part: 3-D tracers, wide halos, heavy
 				// compute.
 				c.Compute(w.flops * tile * 40)
-				touch(work, float64(step))
 				c.SendrecvN(east, 60, wideHalo, west, 60)
 				c.SendrecvN(south, 61, wideHalo, north, 61)
 				// Barotropic solver: latency-bound CG iterations.

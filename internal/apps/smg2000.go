@@ -95,7 +95,7 @@ func makeSMG(procs int, workload string) (mpi.App, error) {
 			south := ((r+1)%rows)*cols + q
 			west := r*cols + (q+cols-1)%cols
 			east := r*cols + (q+1)%cols
-			work := mkbuf(256, float64(me))
+			work := mkbuf(3, float64(me))
 			c.Bcast(0, mkbuf(8, 6))
 			c.Barrier()
 			for cyc := 0; cyc < w.cycles; cyc++ {
@@ -107,7 +107,6 @@ func makeSMG(procs int, workload string) (mpi.App, error) {
 						halo = 64
 					}
 					c.Compute(w.flops * pointsPerProc / float64(procs) / float64(shrink*shrink))
-					touch(work, float64(cyc*8+lvl))
 					c.SendrecvN(east, 40+lvl, halo, west, 40+lvl)
 					c.SendrecvN(south, 48+lvl, halo, north, 48+lvl)
 				}

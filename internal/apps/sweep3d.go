@@ -82,7 +82,7 @@ func makeSweep3D(procs int, workload string) (mpi.App, error) {
 				}
 				return nr*cols + nq
 			}
-			work := mkbuf(256, float64(me))
+			work := mkbuf(1, float64(me))
 			c.Bcast(0, mkbuf(8, 5))
 			c.Barrier()
 			// The four sweep directions (octant pairs): (di,dj) is the
@@ -101,7 +101,6 @@ func makeSweep3D(procs int, workload string) (mpi.App, error) {
 							c.RecvN(inJ, tag)
 						}
 						c.Compute(blockFlops)
-						touch(work, float64(d*16+k))
 						if outI >= 0 {
 							c.SendN(outI, tag, faceBytes)
 						}

@@ -77,6 +77,9 @@ func (h *Handlers) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("/spans", h.handleSpans)
 	mux.HandleFunc("/timeline", h.handleTimeline)
 	mux.HandleFunc("/flight", h.handleFlight)
+	// pprof.Index serves the index for the bare path too; without it
+	// ServeMux would answer /debug/pprof with an untyped redirect.
+	mux.HandleFunc("/debug/pprof", pprof.Index)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -3,6 +3,8 @@ package obshttp
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"regexp"
 	"strconv"
 	"strings"
@@ -419,5 +421,32 @@ func TestServeBadAddr(t *testing.T) {
 	}
 	if want := "http://" + s.Addr(); s.URL() != want {
 		t.Errorf("URL() = %q, want %q", s.URL(), want)
+	}
+}
+
+// TestBarePprofPathServesIndex: /debug/pprof answers with the profile
+// index itself rather than ServeMux's untyped redirect to
+// /debug/pprof/.
+func TestBarePprofPathServesIndex(t *testing.T) {
+	s := startTestServer(t, obs.New())
+	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+		return http.ErrUseLastResponse
+	}}
+	for _, path := range []string{"/debug/pprof", "/debug/pprof/"} {
+		resp, err := client.Get(s.URL() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, want 200", path, resp.StatusCode)
+		}
+		if !strings.Contains(string(body), "goroutine") {
+			t.Errorf("GET %s does not list profiles: %.100s", path, body)
+		}
 	}
 }

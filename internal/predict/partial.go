@@ -78,8 +78,8 @@ func (b PartialExec) Predict(app mpi.App, target *machine.Deployment, totalEvent
 	return &PartialResult{PET: pet, Cost: res.Elapsed}, nil
 }
 
-// partialInterceptor records the window boundary times and cuts the
-// run off (free mode) once every observation completes.
+// partialInterceptor records the window boundary times and retires
+// each rank once its observation completes.
 type partialInterceptor struct {
 	rank        int
 	kInit, kEnd int64
@@ -109,7 +109,8 @@ func (x *partialInterceptor) After(c *mpi.Comm, kind trace.Kind, idx int64) {
 		m.tEnd = c.Now()
 		m.haveE = true
 		// Observation finished: the rest of the run costs nothing
-		// (the baseline would stop the job here).
-		c.SetMode(0, true)
+		// (the baseline would stop the job here), and the run ends
+		// once every rank has got this far.
+		c.Retire()
 	}
 }

@@ -321,6 +321,9 @@ func TestRequestPathsAndHeadersAreTyped(t *testing.T) {
 		// Canonical controls still reach their handlers.
 		{"canonical-miss", "/v1/lookup?app=cg&procs=8", "", http.StatusNotFound, CodeNotFound},
 		{"deadline-at-limit", "/v1/lookup?app=cg&procs=8", "9223372036854", http.StatusNotFound, CodeNotFound},
+		// The bare telemetry path is the pprof index itself, not a
+		// redirect to it.
+		{"pprof-bare", "/debug/pprof", "", http.StatusOK, ""},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -335,6 +338,13 @@ func TestRequestPathsAndHeadersAreTyped(t *testing.T) {
 			resp, err := client.Do(req)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.code == "" {
+				resp.Body.Close()
+				if resp.StatusCode != tc.status {
+					t.Fatalf("status = %d, want %d", resp.StatusCode, tc.status)
+				}
+				return
 			}
 			wantTyped(t, resp, tc.status, tc.code)
 		})
