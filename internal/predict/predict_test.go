@@ -113,21 +113,13 @@ func TestPartialExecBaseline(t *testing.T) {
 	base := dep(t, machine.ClusterA(), 8)
 	target := dep(t, machine.ClusterB(), 8)
 
-	// Event totals from a base-machine trace.
-	traced, err := mpi.Run(app, mpi.RunConfig{Deployment: base, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	totals := make([]int64, app.Procs)
-	for p, evs := range traced.Trace.PerProcess() {
-		totals[p] = int64(len(evs))
-	}
 	full, err := mpi.Run(app, mpi.RunConfig{Deployment: target})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	res, err := DefaultPartialExec().Predict(app, target, totals)
+	// Event totals from a base-machine trace.
+	res, err := DefaultPartialExec().Predict(app, target, partialTotals(t, app, base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,15 +181,7 @@ func TestPAS2PBeatsPartialOnShiftingApps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	traced, err := mpi.Run(app, mpi.RunConfig{Deployment: base, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	totals := make([]int64, app.Procs)
-	for p, evs := range traced.Trace.PerProcess() {
-		totals[p] = int64(len(evs))
-	}
-	pres, err := DefaultPartialExec().Predict(app, target, totals)
+	pres, err := DefaultPartialExec().Predict(app, target, partialTotals(t, app, base))
 	if err != nil {
 		t.Fatal(err)
 	}
