@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -76,6 +77,34 @@ func TestAppTraceGolden(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("golden mismatch:\n got %s\nwant %s", got[i], want[i])
+		}
+	}
+}
+
+// TestRecordedTraceMatchesNewTrace checks the trace a traced run
+// assembles from its recorders against NewTrace over copies of the
+// same per-process streams, IDs included (the golden digest above
+// leaves IDs out). The copies start with every ID zeroed, so NewTrace
+// must assign them all.
+func TestRecordedTraceMatchesNewTrace(t *testing.T) {
+	for _, name := range Names() {
+		for _, procs := range []int{8, 16} {
+			res, _ := runTraced(t, name, procs, smallWorkload[name])
+			per := res.Trace.PerProcess()
+			streams := make([][]trace.Event, len(per))
+			for p, evs := range per {
+				streams[p] = append([]trace.Event(nil), evs...)
+				for i := range streams[p] {
+					streams[p][i].ID = 0
+				}
+			}
+			rebuilt, err := trace.NewTrace(res.Trace.AppName, res.Trace.Procs, streams, res.Trace.AET)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, procs, err)
+			}
+			if !reflect.DeepEqual(rebuilt, res.Trace) {
+				t.Errorf("%s/%d: recorded trace differs from NewTrace over its streams", name, procs)
+			}
 		}
 	}
 }

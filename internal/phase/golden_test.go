@@ -83,24 +83,12 @@ func assertAllModesAgree(t *testing.T, label string, l *logical.Logical) {
 // pre-index scan on every registered workload, under both the PAS2P
 // ordering and the Lamport baseline.
 func TestGoldenIndexedMatchesSeed(t *testing.T) {
-	// Smallest workload of every registered app, at a process count
-	// every kernel accepts.
-	workloads := map[string]string{
-		"bt": "classA", "sp": "classA", "cg": "classA", "ft": "classA",
-		"lu": "classA", "ep": "classA", "is": "classA",
-		"gromacs":      "d.villin",
-		"masterworker": "rounds5",
-		"moldy":        "tip4p-short",
-		"pop":          "synthetic60",
-		"smg2000":      "-n 120 solver 3",
-		"sweep3d":      "sweep.150",
-	}
 	d, err := machine.NewDeployment(machine.ClusterA(), 16, machine.MapBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range apps.Names() {
-		wl, ok := workloads[name]
+		wl, ok := goldenWorkloads[name]
 		if !ok {
 			t.Errorf("app %q has no golden workload registered; add it", name)
 			continue

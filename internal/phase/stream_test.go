@@ -93,22 +93,12 @@ func assertStreamMatchesInCore(t *testing.T, label string, tr *trace.Trace, warm
 // application workload, with and without spilling, at a warm index of
 // 0 (no advance), 2 and 50 (past most weights: the clamp).
 func TestStreamExtractGoldenApps(t *testing.T) {
-	workloads := map[string]string{
-		"bt": "classA", "sp": "classA", "cg": "classA", "ft": "classA",
-		"lu": "classA", "ep": "classA", "is": "classA",
-		"gromacs":      "d.villin",
-		"masterworker": "rounds5",
-		"moldy":        "tip4p-short",
-		"pop":          "synthetic60",
-		"smg2000":      "-n 120 solver 3",
-		"sweep3d":      "sweep.150",
-	}
 	d, err := machine.NewDeployment(machine.ClusterA(), 16, machine.MapBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range apps.Names() {
-		wl, ok := workloads[name]
+		wl, ok := goldenWorkloads[name]
 		if !ok {
 			t.Errorf("app %q has no golden workload registered; add it", name)
 			continue
