@@ -13,7 +13,6 @@ import (
 	"pas2p/internal/apps"
 	"pas2p/internal/faults"
 	"pas2p/internal/fsx"
-	"pas2p/internal/logical"
 	"pas2p/internal/machine"
 	"pas2p/internal/mpi"
 	"pas2p/internal/obs"
@@ -239,35 +238,18 @@ func cmdAnalyze(args []string) error {
 		tr = skewed
 		inj.Publish(o.Reg())
 	}
-	sp := o.StartSpan("analyze.order")
-	l, err := logical.Order(tr)
-	if err != nil {
-		sp.End()
-		return err
-	}
-	sp.SetCounter("events", int64(len(tr.Events)))
-	sp.SetCounter("ticks", int64(l.NumTicks()))
-	sp.End()
 	var logf func(string, ...any)
 	if *explain {
 		logf = func(format string, args ...any) {
 			fmt.Printf("  "+format+"\n", args...)
 		}
 	}
-	an, err := phase.ExtractWithLog(l, cfg, logf)
+	an, tb, err := phase.AnalyzeTraceWithLog(context.Background(), tr, cfg, *warm, logf)
 	if err != nil {
 		return err
 	}
-	sp = o.StartSpan("analyze.table")
-	tb, err := an.BuildTable(*warm)
-	if err != nil {
-		sp.End()
-		return err
-	}
-	sp.SetCounter("relevant_phases", int64(len(tb.RelevantRows())))
-	sp.End()
 	fmt.Printf("application: %s, %d processes, %d events, %d ticks\n",
-		tr.AppName, tr.Procs, len(tr.Events), l.NumTicks())
+		tr.AppName, tr.Procs, len(tr.Events), an.Ticks)
 	fmt.Println(an.Summary())
 	tb.Print(os.Stdout)
 	if *out != "" {

@@ -2,10 +2,15 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"pas2p/internal/logical"
+	"pas2p/internal/trace"
 	"pas2p/internal/workload"
 )
 
@@ -99,5 +104,83 @@ func TestParseBytes(t *testing.T) {
 		if _, err := parseBytes(bad); err == nil {
 			t.Errorf("parseBytes(%q): want error, got nil", bad)
 		}
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	ferr := f()
+	os.Stdout = old
+	w.Close()
+	out := <-done
+	r.Close()
+	return string(out), ferr
+}
+
+// TestAnalyzeExplainCLI: `analyze -explain` narrates the paper's Fig. 6
+// steps from the one in-core analysis, reports the logical trace's
+// tick count, and writes the same phase table as a plain run.
+func TestAnalyzeExplainCLI(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "synth.pas2p")
+	var buf bytes.Buffer
+	if _, err := workload.Synthesize(&buf, workload.SynthSpec{Procs: 4, TargetEvents: 600, Seed: 3}); err != nil {
+		t.Fatalf("Synthesize: %v", err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.DecodeAny(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := logical.Order(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	plain := filepath.Join(dir, "plain.json")
+	explained := filepath.Join(dir, "explained.json")
+	plainOut, err := captureStdout(t, func() error { return cmdAnalyze([]string{"-trace", path, "-o", plain}) })
+	if err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	out, err := captureStdout(t, func() error { return cmdAnalyze([]string{"-trace", path, "-explain", "-o", explained}) })
+	if err != nil {
+		t.Fatalf("analyze -explain: %v", err)
+	}
+	header := fmt.Sprintf("application: %s, %d processes, %d events, %d ticks\n",
+		tr.AppName, tr.Procs, len(tr.Events), l.NumTicks())
+	for _, want := range []string{header, "  window [0,", "is new -> phase 1", "new startpoint (step 6)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("analyze -explain output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(plainOut, "step 6") || !strings.Contains(plainOut, header) {
+		t.Errorf("plain analyze output narrates or lacks the header:\n%s", plainOut)
+	}
+	a, err := os.ReadFile(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(explained)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("analyze -explain changed the phase table:\n%s\n---\n%s", a, b)
 	}
 }

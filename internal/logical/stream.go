@@ -1,8 +1,10 @@
 package logical
 
 // Streaming logical order: the one PAS2P ordering engine. Order
-// drains it over an in-memory trace; AnalyzeStream runs it over a v2
-// tracefile's rank streams.
+// drains it over an in-memory trace into a Logical; the in-core
+// analysis (phase.AnalyzeTrace) feeds it straight into the phase scan
+// through StreamTrace; AnalyzeStream runs it over a v2 tracefile's
+// rank streams.
 //
 // The paper's order assigns LTs with the Table 1 queue algorithm,
 // normalises them (receive-run permutation, monotone clamp) and ranks

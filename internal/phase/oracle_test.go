@@ -19,7 +19,7 @@ func extractSeed(l *logical.Logical, cfg Config) (*Analysis, error) {
 	x := &extractor{
 		l:    l,
 		cfg:  cfg,
-		an:   &Analysis{Logical: l, Config: cfg, AET: l.Trace.AET},
+		an:   &Analysis{Logical: l, Ticks: l.NumTicks(), Config: cfg, AET: l.Trace.AET},
 		cuts: buildCuts(l),
 	}
 	x.run()

@@ -1,7 +1,7 @@
 // The §3.3 scan over a stream of logically-ordered ticks: the one
-// phase-extraction engine. ExtractStreamTable feeds it from the
-// streaming logical order; Extract feeds it from a Logical's tick
-// table.
+// phase-extraction engine. AnalyzeTrace and ExtractStreamTable feed it
+// from the streaming logical order; Extract feeds it from a Logical's
+// tick table.
 //
 // The extractor keeps only the rows of the *open* window — the span
 // since the last startpoint — because every decision the scan makes is
@@ -339,6 +339,7 @@ func (x *streamExtractor) scan(ctx context.Context, src TickSource) error {
 	if x.nTicks == 0 {
 		return fmt.Errorf("phase: empty logical trace")
 	}
+	x.an.Ticks = x.nTicks
 	x.closeWindow(x.start, x.nTicks)
 	return x.err
 }
@@ -542,16 +543,21 @@ func (x *streamExtractor) setCacheCopy(cells [][]Cell, events int, p *Phase) {
 
 // noteOccurrence feeds the streaming table builder: remember the warm
 // occurrence, the latest one, and freeze the designated back-to-back
-// pair the moment its second half arrives.
+// pair the moment its second half arrives. A frozen row is final
+// (freezing needs an occurrence at or past the warm index), so later
+// occurrences take no snapshot.
 func (x *streamExtractor) noteOccurrence(ph *Phase, occ Occurrence) {
 	rs := x.rstate[ph.ID-1]
+	if rs.frozen {
+		return
+	}
 	k := len(ph.Occurrences) - 1
 	snap := occSnap{
 		idx: k, startTick: occ.StartTick, endTick: occ.EndTick,
 		startEv: x.countsAt(occ.StartTick), endEv: x.countsAt(occ.EndTick),
 		dur: occ.Dur,
 	}
-	if !rs.frozen && rs.lastSet && rs.last.idx >= x.warm && rs.last.endTick == occ.StartTick {
+	if rs.lastSet && rs.last.idx >= x.warm && rs.last.endTick == occ.StartTick {
 		rs.frozen = true
 		rs.pairIdx = rs.last.idx
 		rs.pairOcc = rs.last

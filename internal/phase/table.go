@@ -1,6 +1,7 @@
 package phase
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -90,13 +91,23 @@ func (t *Table) PredictedAET(relevantOnly bool) vtime.Duration {
 	return pet
 }
 
+// ErrNoLogical is BuildTable's error on an analysis without a Logical:
+// AnalyzeTrace and ExtractStreamTable return their table alongside the
+// analysis instead.
+var ErrNoLogical = errors.New("phase: analysis has no logical trace to build a table from")
+
 // BuildTable derives the phase table from an analysis, designating for
 // each phase the occurrence with index min(warmOccurrence, weight-1) —
 // checkpointing a later occurrence guarantees the machine components
-// (caches, TLBs) are warm when the phase is measured.
+// (caches, TLBs) are warm when the phase is measured. It needs the
+// Logical that Extract records; on any other analysis it returns
+// ErrNoLogical.
 func (a *Analysis) BuildTable(warmOccurrence int) (*Table, error) {
 	if warmOccurrence < 0 {
 		return nil, fmt.Errorf("phase: negative warm occurrence index")
+	}
+	if a.Logical == nil {
+		return nil, ErrNoLogical
 	}
 	procs := a.Logical.Trace.Procs
 	// prefix[p] holds the sorted tick positions of process p's events,

@@ -105,6 +105,7 @@ func Extract(l *logical.Logical, cfg Config) (*phase.Analysis, error) {
 
 	an := &phase.Analysis{
 		Logical: l,
+		Ticks:   nTicks,
 		Config: phase.Config{
 			EventSimilarity:   1,
 			ComputeSimilarity: 1,

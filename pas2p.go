@@ -249,15 +249,19 @@ func ExtractPhases(l *Logical, cfg PhaseConfig) (*PhaseAnalysis, error) {
 // phase extraction and phase-table construction. warmOccurrence
 // selects which occurrence of each phase the signature will
 // checkpoint (1 = the second, leaving one occurrence to warm up).
+//
+// The logical order streams straight into phase extraction, so the
+// returned analysis's Logical is nil and its BuildTable returns an
+// error; use the returned table, and call OrderLogical for a Logical.
 func Analyze(tr *Trace, cfg PhaseConfig, warmOccurrence int) (*PhaseAnalysis, *PhaseTable, error) {
 	return AnalyzeCtx(context.Background(), tr, cfg, warmOccurrence)
 }
 
-// AnalyzeCtx is Analyze with cancellation: the context is checked at
-// every stage boundary (before ordering, extraction and table
-// construction), so a served request whose deadline expires — or a
-// draining server shedding in-flight work — abandons the pipeline at
-// the next boundary instead of completing a result nobody will read.
+// AnalyzeCtx is Analyze with cancellation: the context is checked
+// before the analysis starts and throughout its tick loop, so a served
+// request whose deadline expires — or a draining server shedding
+// in-flight work — abandons the pipeline at the next check instead of
+// completing a result nobody will read.
 // A cancelled analysis returns ctx.Err() and nil outputs; it never
 // returns a partial analysis.
 func AnalyzeCtx(ctx context.Context, tr *Trace, cfg PhaseConfig, warmOccurrence int) (*PhaseAnalysis, *PhaseTable, error) {
@@ -338,8 +342,8 @@ func AnalyzeAll(traces []*Trace, cfg PhaseConfig, warmOccurrence int, workers in
 
 // AnalyzeAllCtx is AnalyzeAll with cancellation: each worker checks
 // the context before claiming the next trace and AnalyzeCtx checks it
-// at every stage boundary, so cancelling stops the batch at the next
-// boundary. A cancelled batch returns ctx.Err() and nil slices.
+// throughout its tick loop, so cancelling stops the batch at the next
+// check. A cancelled batch returns ctx.Err() and nil slices.
 func AnalyzeAllCtx(ctx context.Context, traces []*Trace, cfg PhaseConfig, warmOccurrence int, workers int) ([]*PhaseAnalysis, []*PhaseTable, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
