@@ -138,14 +138,7 @@ func Run(app App, cfg RunConfig) (*RunResult, error) {
 	}
 	out := &RunResult{Elapsed: vtime.Duration(res.Finish), Stats: res}
 	if cfg.Trace {
-		streams := make([][]trace.Event, app.Procs)
-		for i, r := range recorders {
-			if r == nil {
-				return nil, fmt.Errorf("mpi: app %q rank %d produced no recorder", app.Name, i)
-			}
-			streams[i] = r.Events()
-		}
-		tr, err := trace.NewTrace(app.Name, app.Procs, streams, out.Elapsed)
+		tr, err := trace.FromRecorders(app.Name, recorders, out.Elapsed)
 		if err != nil {
 			return nil, err
 		}
@@ -250,7 +243,10 @@ func (c *Comm) worldPeer(r int) int {
 
 // commRank translates a world rank back to this communicator's rank.
 func (c *Comm) commRank(world int) int {
-	if world < 0 {
+	if world < 0 || c.size == c.p.Size() {
+		// Members are world ranks in ascending order (Split keeps its
+		// parent's order), so a communicator as large as the world is
+		// the world, and the translation is the identity.
 		return world
 	}
 	for i, m := range c.members {

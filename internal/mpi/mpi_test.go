@@ -199,6 +199,32 @@ func TestSplitFormsSubcommunicators(t *testing.T) {
 	}, RunConfig{})
 }
 
+// TestSplitTranslatesSourceRanks checks that a receive reports its
+// sender's rank in the receiving communicator, both in a split whose
+// members are not the world's leading ranks and in a world-sized
+// split, where the translation is the identity.
+func TestSplitTranslatesSourceRanks(t *testing.T) {
+	runApp(t, 6, func(c *Comm) {
+		for _, sub := range []*Comm{c.Split(c.Rank() % 2), c.Split(0)} {
+			if sub.Rank() != 0 {
+				sub.SendN(0, 5, 8)
+				continue
+			}
+			seen := map[int]bool{}
+			for i := 1; i < sub.Size(); i++ {
+				_, src := sub.RecvN(AnySource, 5)
+				seen[src] = true
+			}
+			for r := 1; r < sub.Size(); r++ {
+				if !seen[r] {
+					t.Errorf("world rank %d: split of size %d never saw source %d; got %v",
+						c.Rank(), sub.Size(), r, seen)
+				}
+			}
+		}
+	}, RunConfig{})
+}
+
 func TestSplitNegativeColor(t *testing.T) {
 	runApp(t, 3, func(c *Comm) {
 		color := c.Rank()

@@ -123,8 +123,8 @@ type Trace struct {
 	AppName string
 	// Procs is the number of processes in the run.
 	Procs int
-	// Events holds every process's events. After NewTrace/Normalize
-	// they are sorted by (Process, Number) and IDs are assigned in
+	// Events holds every process's events. After NewTrace or
+	// FromRecorders they are sorted by (Process, Number) and IDs are assigned in
 	// global physical-time order.
 	Events []Event
 	// AET is the uninstrumented-equivalent application execution time
@@ -154,6 +154,30 @@ func NewTrace(app string, procs int, perProc [][]Event, aet vtime.Duration) (*Tr
 	t := &Trace{AppName: app, Procs: procs, Events: make([]Event, 0, total), AET: aet}
 	for _, evs := range perProc {
 		t.Events = append(t.Events, evs...)
+	}
+	t.assignIDs()
+	return t, nil
+}
+
+// FromRecorders assembles the trace of an instrumented run from its
+// recorders, one per process in process order: each recorder's chunks
+// are copied once into Events, then IDs are assigned as NewTrace does.
+// A recorder stamps its own process and numbers its events, so unlike
+// NewTrace there are no streams to check.
+func FromRecorders(app string, recs []*Recorder, aet vtime.Duration) (*Trace, error) {
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("trace %q: no process recorders", app)
+	}
+	total := 0
+	for p, r := range recs {
+		if r == nil || int(r.proc) != p {
+			return nil, fmt.Errorf("trace %q: no recorder for process %d", app, p)
+		}
+		total += r.n
+	}
+	t := &Trace{AppName: app, Procs: len(recs), Events: make([]Event, 0, total), AET: aet}
+	for _, r := range recs {
+		t.Events = r.appendTo(t.Events)
 	}
 	t.assignIDs()
 	return t, nil
