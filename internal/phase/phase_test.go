@@ -2,6 +2,7 @@ package phase
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -346,16 +347,23 @@ func TestValidateCatchesOverlap(t *testing.T) {
 	}
 }
 
-// TestExtractWithLogNarration pins the Fig. 6 narration that
+// TestAnalyzeTraceWithLogNarration pins the Fig. 6 narration that
 // `pas2p analyze -explain` prints: on a small iterative run the scan
 // must report the step 4b split of the init segment, the step 4a
 // period closes, the step 5 folds, the step 6 restarts and the
 // trailing window, line for line.
-func TestExtractWithLogNarration(t *testing.T) {
-	a := analyzeApp(t, machine.ClusterA(), 2, iterativeBody(4), DefaultConfig())
+func TestAnalyzeTraceWithLogNarration(t *testing.T) {
+	d, err := machine.NewDeployment(machine.ClusterA(), 2, machine.MapBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mpi.Run(mpi.App{Name: "t", Procs: 2, Body: iterativeBody(4)}, mpi.RunConfig{Deployment: d, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got []string
 	logf := func(format string, args ...any) { got = append(got, fmt.Sprintf(format, args...)) }
-	if _, err := ExtractWithLog(a.Logical, DefaultConfig(), logf); err != nil {
+	if _, _, err := AnalyzeTraceWithLog(context.Background(), res.Trace, DefaultConfig(), 1, logf); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
