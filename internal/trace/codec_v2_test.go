@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"io"
@@ -192,6 +194,54 @@ func TestEncodedSizeMatchesV2(t *testing.T) {
 		}
 		if int64(buf.Len()) != EncodedSize(tr) {
 			t.Errorf("%d events: EncodedSize = %d, actual %d", events, EncodedSize(tr), buf.Len())
+		}
+	}
+}
+
+// TestEncodeOutputPinned pins the SHA-256 of Encode and Compress
+// output for fixed traces, so any change to the writers (how blocks
+// are produced, in which order, by which code path) that alters a
+// single byte of the on-disk format fails here first.
+func TestEncodeOutputPinned(t *testing.T) {
+	shapes := []struct {
+		seed          int64
+		procs, events int // events per process
+		encode        string
+		compress      string
+	}{
+		{1, 1, 0,
+			"e0890a0377e3e18ff6500434dba9e3bbd078688046574f29a8ea5c2a3f96c509",
+			"075873d019e3474a3434ab5b67e91c1afb7871348bb53db57c95b10bf4b39710"},
+		{3, 2, 255,
+			"f6df4a48ab8230f7839fb44ee2ed7a08da4c5a5189ef71c2e29d040acbacf33b",
+			"10f36fad7f3e1827369301ea7b5d40a452ed0c02d64aa5ff702c3790c8648596"},
+		{5, 2, 256,
+			"f2d470eba384fbae3963584e8dec4101dc10515c9ccd3371b645574cc0ee2d17",
+			"42ea153f6c1090fef37cfa40af15a33118df7437fedd9aed2d32222ddeecbdd8"},
+		{6, 4, 1500,
+			"e87819429005b7748d6765940c8e79f3a7d1af20302659e326ee0072cd96d579",
+			"cac2146e9384e7c887f2319932380df136363e2336595ac9c32f85f031ae0a8c"},
+		{7, 3, 2048,
+			"5bebef5a503ade8faa410b88b946302e991d545514dec4af1dd8088b2300860d",
+			"a55b8fc4188c6c144b262999ce95b02a9fd11fd30d3002e5e468069cbef8a624"},
+		{8, 1, 40000,
+			"dade7b78fa178b2201365e9f846c525ffcf47bb4f853d7252f9c32371b710d27",
+			"c8a53fef0832e4c836eb2779b6a598e6555259d9e0b2c57fca75a85f46a9e795"},
+	}
+	sum := func(write func(io.Writer, *Trace) error, tr *Trace) string {
+		h := sha256.New()
+		if err := write(h, tr); err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	for _, s := range shapes {
+		tr := fuzzTrace(t, s.seed, s.procs, s.events)
+		if got := sum(Encode, tr); got != s.encode {
+			t.Errorf("seed %d: Encode sha256 %s, want %s", s.seed, got, s.encode)
+		}
+		if got := sum(Compress, tr); got != s.compress {
+			t.Errorf("seed %d: Compress sha256 %s, want %s", s.seed, got, s.compress)
 		}
 	}
 }
