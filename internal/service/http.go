@@ -663,7 +663,7 @@ func (s *Service) analyzeStreamWork(ctx context.Context, spool *os.File, crc uin
 // abandonment via runWork).
 func (s *Service) analyzeWork(ctx context.Context, data []byte, crc uint32, warm int) (*AnalyzeResponse, *APIError) {
 	v, err := s.runWork(ctx, "analyze", func() (any, error) {
-		tr, err := trace.DecodeAnyWith(bytes.NewReader(data), trace.CodecOptions{Workers: s.cfg.AnalyzeWorkers})
+		tr, err := trace.DecodeAny(bytes.NewReader(data))
 		if err != nil {
 			return nil, errCorruptTrace(err)
 		}

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -97,8 +96,8 @@ func BenchmarkCompress(b *testing.B) {
 }
 
 // largeBenchTrace lazily builds the shared 1M-event trace (and its
-// encoding) the parallel benchmarks measure against. Building it once
-// keeps `go test -bench` setup time flat across sub-benchmarks.
+// encoding) the large benchmarks measure against. Building it once
+// keeps `go test -bench` setup time flat across benchmarks.
 var largeBench struct {
 	once sync.Once
 	tr   *Trace
@@ -118,43 +117,21 @@ func largeBenchTrace(b *testing.B) (*Trace, []byte) {
 	return largeBench.tr, largeBench.enc
 }
 
-// benchWorkerCounts are the parallelism levels the codec benchmarks
-// sweep; the acceptance target is workers=8 >= 2x workers=1 on an
-// 8-core host for the 1M-event trace.
-var benchWorkerCounts = []int{1, 2, 4, 8}
-
-// BenchmarkEncodeParallel measures block-engine serialisation
-// throughput on a 1M-event trace across worker counts. Output bytes
-// are identical at every setting, so MB/s is directly comparable.
-func BenchmarkEncodeParallel(b *testing.B) {
-	tr, _ := largeBenchTrace(b)
-	for _, w := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("events=1M/workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(EncodedSize(tr))
-			for i := 0; i < b.N; i++ {
-				if err := EncodeWith(io.Discard, tr, CodecOptions{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// The *Parallel benchmarks measure the codec pools, which run on
+// GOMAXPROCS workers; sweep them with the -cpu flag, e.g.
+//
+//	go test ./internal/trace -run xxx -cpu 1,2 -bench 'Decode|Compress'
 
 // BenchmarkDecodeParallel measures block verification +
-// deserialisation throughput on the same 1M-event tracefile.
+// deserialisation throughput on the 1M-event tracefile.
 func BenchmarkDecodeParallel(b *testing.B) {
 	_, enc := largeBenchTrace(b)
-	for _, w := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("events=1M/workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(enc)))
-			for i := 0; i < b.N; i++ {
-				if _, err := DecodeWith(bytes.NewReader(enc), CodecOptions{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.SetBytes(int64(len(enc)))
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(bytes.NewReader(enc)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -171,25 +148,37 @@ func BenchmarkVerifyStream(b *testing.B) {
 	}
 }
 
-// BenchmarkCompressParallel measures the ScalaTrace-style codec across
-// worker counts on a wide repetitive trace (per-process sections are
-// the parallel unit, so procs bounds the useful worker count).
+// BenchmarkCompressParallel measures the ScalaTrace-style codec on a
+// wide repetitive trace (per-process sections are the parallel unit,
+// so procs bounds the useful worker count).
 func BenchmarkCompressParallel(b *testing.B) {
 	tr := repetitiveTrace(b, 8, 500)
 	var flat bytes.Buffer
 	if err := Encode(&flat, tr); err != nil {
 		b.Fatal(err)
 	}
-	for _, w := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("procs=8/workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(flat.Len()))
-			for i := 0; i < b.N; i++ {
-				if err := CompressWith(io.Discard, tr, CompressOptions{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.SetBytes(int64(flat.Len()))
+	for i := 0; i < b.N; i++ {
+		if err := Compress(io.Discard, tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecompressParallel measures section decoding on a 64-process
+// archive, wide enough that every worker has sections to take.
+func BenchmarkDecompressParallel(b *testing.B) {
+	tr := repetitiveTrace(b, 64, 500)
+	var z bytes.Buffer
+	if err := Compress(&z, tr); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decompress(bytes.NewReader(z.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,26 +1,22 @@
 package trace
 
-// The parallel block engine behind the v2 tracefile codec, plus the
-// streaming block API.
+// The block engine behind the v2 tracefile codec, plus the streaming
+// block API.
 //
-// The v2 layout (see codec.go) already splits the event stream into
+// The v2 layout (see codec.go) splits the event stream into
 // independent fixed-size record blocks, each carrying its own CRC32C:
 // records are exactly recordSize bytes, so every block's byte extent
-// is computable up front and blocks can be serialised, checksummed and
-// deserialised on a worker pool with bit-identical output — the same
-// move the fingerprint-indexed phase matcher made for extraction. Only
-// two things stay serial: the byte stream itself (blocks are written
-// and read in file order) and the whole-file CRC, which is a single
-// hardware-accelerated crc32.Update per ~45 KiB block and nowhere near
-// the bottleneck (per-record serialisation is).
+// is computable up front. Encode writes the blocks serially. Decode
+// reads block bytes serially, in file order, and verifies and
+// deserialises them on a pool of GOMAXPROCS workers into disjoint
+// regions of the events slice; the whole-file CRC stays serial, a
+// single hardware-accelerated crc32.Update per ~45 KiB block.
 //
 // Three entry layers share the machinery:
 //
-//   - Encode/Decode (codec.go) delegate here with CodecOptions{}, so
-//     every existing caller gets the parallel engine and its pooled
-//     scratch buffers without signature changes;
-//   - EncodeWith/DecodeWith expose the Workers knob and an optional
-//     obs.Registry for the codec.* counters;
+//   - Encode/Decode (codec.go) delegate here with CodecOptions{};
+//   - EncodeWith/DecodeWith take an optional obs.Registry for the
+//     codec.* counters;
 //   - BlockWriter/BlockReader/VerifyStream stream traces block by
 //     block, so consumers (analyze, repo fsck) can verify or fold over
 //     a tracefile without materialising the whole []Event twice.
@@ -29,11 +25,11 @@ package trace
 // same two functions (readPrefix, readTrailer in codec.go); only the
 // block loop between them differs.
 //
-// Corruption reporting is bit-compatible with the serial codec: the
-// engine reads block bytes in file order and resolves errors to the
+// Corruption reporting does not depend on the worker count: decode
+// reads block bytes in file order and resolves errors to the
 // lowest-offset failure, so a corrupted or truncated file produces the
-// exact error string at every parallelism level (the determinism
-// property tests pin this).
+// exact error string on the serial path and on the pool (the
+// determinism property tests pin this).
 
 import (
 	"bufio"
@@ -54,7 +50,7 @@ import (
 // on-disk size is blockBytes+4 for the trailing CRC).
 const blockBytes = blockEvents * recordSize
 
-// maxBatchBlocks bounds how many blocks a parallel Decode reads ahead
+// maxBatchBlocks bounds how many blocks a pooled Decode reads ahead
 // of the deserialising workers, capping in-flight scratch memory at
 // maxBatchBlocks * (blockBytes+4) ≈ 5.6 MiB.
 const maxBatchBlocks = 128
@@ -69,28 +65,16 @@ type Meta struct {
 	AET     vtime.Duration
 }
 
-// CodecOptions tunes the block engine. The zero value is what Encode
-// and Decode use: automatic worker count, no metrics.
+// CodecOptions carries the block engine's optional metrics sink. The
+// zero value is what Encode and Decode use: no metrics.
 type CodecOptions struct {
-	// Workers is the block worker count: 0 (or negative) selects
-	// GOMAXPROCS, 1 forces the serial path. Output bytes, decoded
-	// traces and corruption errors are identical at every setting.
-	Workers int
 	// Reg, when non-nil, receives codec.* counters (blocks, bytes,
 	// wall ns, CRC ns) and worker-utilization gauges.
 	Reg *obs.Registry
 }
 
-// workerCount resolves the Workers knob against the host.
-func (o CodecOptions) workerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // codecMetrics accumulates one operation's counters locally (atomics,
-// touched by workers) and publishes them on completion. A nil
+// touched by decode workers) and publishes them on completion. A nil
 // *codecMetrics is the "not measuring" value and costs nothing.
 type codecMetrics struct {
 	reg     *obs.Registry
@@ -157,115 +141,16 @@ func encodeBlock(b []byte, events []Event, m *codecMetrics) []byte {
 	return b
 }
 
-// encJob carries one block through the encode pool. The job owns its
-// scratch buffer for life, so a recycled job allocates nothing.
-type encJob struct {
-	events []Event
-	buf    []byte
-	ready  chan struct{} // signalled (cap 1) when buf is filled
-}
-
-var encJobPool = sync.Pool{New: func() any {
-	return &encJob{buf: make([]byte, 0, blockBytes+4), ready: make(chan struct{}, 1)}
-}}
-
-// encEngine is the ordered worker pool behind a parallel BlockWriter:
-// blocks enter in file order, workers serialise and CRC them
-// concurrently, and a single writer goroutine drains them back in file
-// order so the byte stream (and the serially accumulated whole-file
-// CRC) is identical to the serial path's.
-type encEngine struct {
-	jobs    chan *encJob // workers consume
-	order   chan *encJob // writer drains, in submission order
-	done    chan struct{}
-	writeMu sync.Mutex // guards err across writer goroutine and finish
-	err     error
-	cw      *crcWriter
-	m       *codecMetrics
-}
-
-func newEncEngine(cw *crcWriter, workers int, m *codecMetrics) *encEngine {
-	inflight := workers * 4
-	e := &encEngine{
-		jobs:  make(chan *encJob, inflight),
-		order: make(chan *encJob, inflight),
-		done:  make(chan struct{}),
-		cw:    cw,
-		m:     m,
-	}
-	for w := 0; w < workers; w++ {
-		go e.worker()
-	}
-	go e.writer()
-	return e
-}
-
-func (e *encEngine) worker() {
-	var busy time.Duration
-	for j := range e.jobs {
-		var t0 time.Time
-		if e.m != nil {
-			t0 = time.Now()
-		}
-		j.buf = encodeBlock(j.buf[:0], j.events, e.m)
-		if e.m != nil {
-			busy += time.Since(t0)
-		}
-		j.ready <- struct{}{}
-	}
-	if e.m != nil {
-		e.m.busyNS.Add(busy.Nanoseconds())
-	}
-}
-
-func (e *encEngine) writer() {
-	for j := range e.order {
-		<-j.ready
-		if e.err == nil {
-			if err := e.cw.write(j.buf); err != nil {
-				e.writeMu.Lock()
-				e.err = err
-				e.writeMu.Unlock()
-			}
-		}
-		j.events = nil
-		encJobPool.Put(j)
-	}
-	close(e.done)
-}
-
-// submit enqueues one block. The events slice is retained until the
-// block is written, so callers must not mutate it before finish.
-func (e *encEngine) submit(events []Event) {
-	j := encJobPool.Get().(*encJob)
-	j.events = events
-	e.order <- j // before jobs: the order channel's backpressure bounds in-flight memory
-	e.jobs <- j
-}
-
-// finish closes the pool, waits for the writer to drain, and returns
-// the first write error.
-func (e *encEngine) finish() error {
-	close(e.jobs)
-	close(e.order)
-	<-e.done
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	return e.err
-}
-
 // BlockWriter streams a tracefile out block by block in the exact v2
 // byte format. The header (including the event count) is written up
 // front, so the total event count must be declared in Meta; Close
-// fails if the appended events do not match it. With Workers > 1 the
-// blocks are serialised and checksummed on a worker pool.
+// fails if the appended events do not match it.
 type BlockWriter struct {
 	cw      *crcWriter
 	meta    Meta
 	m       *codecMetrics
-	eng     *encEngine // nil on the serial path
-	scratch []byte     // serial path's block buffer
-	pend    []Event    // partial trailing block
+	scratch []byte  // block buffer
+	pend    []Event // partial trailing block
 	written uint64
 	closed  bool
 }
@@ -276,11 +161,7 @@ func NewBlockWriter(w io.Writer, meta Meta, opts CodecOptions) (*BlockWriter, er
 	if len(meta.AppName) > 0xffff {
 		return nil, fmt.Errorf("trace: app name too long")
 	}
-	workers := opts.workerCount()
-	if meta.Events < 4*blockEvents {
-		workers = 1 // pool spin-up costs more than a few blocks
-	}
-	m := newCodecMetrics(opts.Reg, "encode", workers)
+	m := newCodecMetrics(opts.Reg, "encode", 1)
 	cw := &crcWriter{w: bufio.NewWriterSize(w, 1<<16)}
 	if err := cw.write(magicV2[:]); err != nil {
 		return nil, err
@@ -303,29 +184,20 @@ func NewBlockWriter(w io.Writer, meta Meta, opts CodecOptions) (*BlockWriter, er
 	if err := cw.write(u32[:]); err != nil {
 		return nil, err
 	}
-	bw := &BlockWriter{cw: cw, meta: meta, m: m}
-	if workers > 1 {
-		bw.eng = newEncEngine(cw, workers, m)
-	} else {
-		bw.scratch = make([]byte, 0, blockBytes+4)
-	}
-	return bw, nil
+	return &BlockWriter{cw: cw, meta: meta, m: m, scratch: make([]byte, 0, blockBytes+4)}, nil
 }
 
-// emit writes one complete block (the trace's final block may be
-// short). With a pool engine the slice is retained until Close.
+// emit serialises and writes one complete block (the trace's final
+// block may be short).
 func (bw *BlockWriter) emit(events []Event) error {
-	if bw.eng != nil {
-		bw.eng.submit(events)
-		return nil
-	}
 	bw.scratch = encodeBlock(bw.scratch[:0], events, bw.m)
 	return bw.cw.write(bw.scratch)
 }
 
-// Append adds events to the stream. Full blocks are emitted (and, in
-// parallel mode, may alias the argument until Close returns); the
-// remainder is buffered for the next Append or Close.
+// Append adds events to the stream. Full blocks are written before
+// Append returns and the remainder is copied into the writer, so no
+// event is retained after Append returns: the caller may reuse the
+// slice at once.
 func (bw *BlockWriter) Append(events []Event) error {
 	bw.written += uint64(len(events))
 	if bw.written > bw.meta.Events {
@@ -344,7 +216,7 @@ func (bw *BlockWriter) Append(events []Event) error {
 		if err := bw.emit(bw.pend); err != nil {
 			return err
 		}
-		bw.pend = make([]Event, 0, blockEvents) // previous block may still be in flight
+		bw.pend = bw.pend[:0]
 	}
 	for len(events) >= blockEvents {
 		if err := bw.emit(events[:blockEvents]); err != nil {
@@ -377,12 +249,6 @@ func (bw *BlockWriter) Close() error {
 		err = bw.emit(bw.pend)
 		bw.pend = nil
 	}
-	if bw.eng != nil {
-		if ferr := bw.eng.finish(); err == nil {
-			err = ferr
-		}
-		bw.eng = nil
-	}
 	if err != nil {
 		return err
 	}
@@ -402,8 +268,8 @@ func (bw *BlockWriter) Close() error {
 }
 
 // EncodeWith writes the current (v2, checksummed) binary tracefile
-// format through the block engine with explicit options. The output is
-// byte-identical at every worker count.
+// format through the block engine, publishing codec.encode.* metrics
+// to opts.Reg when it is set.
 func EncodeWith(w io.Writer, t *Trace, opts CodecOptions) error {
 	bw, err := NewBlockWriter(w, Meta{
 		AppName: t.AppName, Procs: t.Procs,
@@ -483,8 +349,9 @@ func verifyAndDecodeBlock(buf []byte, ext blockExtent, dst []Event, verifyOnly b
 	return nil
 }
 
-// decJob carries one read block to the deserialising workers. Like
-// encJob, the job owns its buffer.
+// decJob carries one read block to the deserialising workers. The job
+// owns its scratch buffer for life, so a recycled job allocates
+// nothing.
 type decJob struct {
 	buf []byte
 	ext blockExtent
@@ -555,17 +422,24 @@ func (e *decEngine) firstError() (uint64, error) {
 	return e.errStart, e.err
 }
 
-// DecodeWith reads the binary tracefile format with explicit options.
-// Results — including every corruption error's text and offset — are
-// identical at every worker count.
+// DecodeWith reads the binary tracefile format, publishing
+// codec.decode.* metrics to opts.Reg when it is set. Blocks are
+// verified and deserialised on GOMAXPROCS workers.
 func DecodeWith(r io.Reader, opts CodecOptions) (*Trace, error) {
+	return decode(r, opts, runtime.GOMAXPROCS(0))
+}
+
+// decode is DecodeWith on the given number of workers. Results —
+// including every corruption error's text and offset — are identical
+// at every worker count; traces under four blocks always take the
+// serial path, where pool spin-up would cost more than it saves.
+func decode(r io.Reader, opts CodecOptions, workers int) (*Trace, error) {
 	cr := &crcReader{br: bufio.NewReaderSize(r, 1<<16)}
 	meta, err := readPrefix(cr)
 	if err != nil {
 		return nil, err
 	}
 	count := meta.Events
-	workers := opts.workerCount()
 	if count < 4*blockEvents {
 		workers = 1
 	}
@@ -676,7 +550,6 @@ type BlockReader struct {
 	buf        []byte
 	scratch    []Event
 	sc         *brScratch // pooled backing for buf/scratch; nil after Close
-	m          *codecMetrics
 	finished   bool
 	// ra and bodyOff enable RankStreams: the source, when it supports
 	// random access, and the byte offset of the first event block.
@@ -700,13 +573,6 @@ var brScratchPool = sync.Pool{New: func() any {
 // NewBlockReader reads the tracefile prefix (magic, header, name and
 // header checksum) and positions the stream at the first block.
 func NewBlockReader(r io.Reader) (*BlockReader, error) {
-	return NewBlockReaderWith(r, CodecOptions{})
-}
-
-// NewBlockReaderWith is NewBlockReader with codec options (only Reg is
-// consulted: streaming reads are sequential by nature, so the Workers
-// knob does not apply).
-func NewBlockReaderWith(r io.Reader, opts CodecOptions) (*BlockReader, error) {
 	cr := &crcReader{br: bufio.NewReaderSize(r, 1<<16)}
 	meta, err := readPrefix(cr)
 	if err != nil {
@@ -720,7 +586,6 @@ func NewBlockReaderWith(r io.Reader, opts CodecOptions) (*BlockReader, error) {
 		sc:      sc,
 		buf:     sc.buf[:0],
 		scratch: sc.evs,
-		m:       newCodecMetrics(opts.Reg, "decode", 1),
 		ra:      ra,
 		bodyOff: cr.off,
 	}, nil
@@ -762,7 +627,6 @@ func (br *BlockReader) Next() ([]Event, error) {
 		if err := readTrailer(br.cr); err != nil {
 			return nil, err
 		}
-		br.m.publish()
 		return nil, io.EOF
 	}
 	start := br.next
@@ -783,7 +647,7 @@ func (br *BlockReader) Next() ([]Event, error) {
 		}
 		dst = br.scratch[:end-start]
 	}
-	if err := verifyAndDecodeBlock(br.buf, ext, dst, br.verifyOnly, br.m); err != nil {
+	if err := verifyAndDecodeBlock(br.buf, ext, dst, br.verifyOnly, nil); err != nil {
 		br.finished = true
 		return nil, err
 	}
@@ -797,12 +661,7 @@ func (br *BlockReader) Next() ([]Event, error) {
 // fsck` runs over stored tracefiles: detection strength of a full
 // Decode at a fraction of the memory and time.
 func VerifyStream(r io.Reader) (Meta, error) {
-	return VerifyStreamWith(r, CodecOptions{})
-}
-
-// VerifyStreamWith is VerifyStream with codec options (Reg only).
-func VerifyStreamWith(r io.Reader, opts CodecOptions) (Meta, error) {
-	br, err := NewBlockReaderWith(r, opts)
+	br, err := NewBlockReader(r)
 	if err != nil {
 		return Meta{}, err
 	}

@@ -205,9 +205,8 @@ func (cw *crcWriter) write(p []byte) error {
 }
 
 // Encode writes the current (v2, checksummed) binary tracefile
-// format. Blocks are serialised and checksummed on the worker-pool
-// block engine (blockio.go); use EncodeWith to pin the worker count or
-// attach metrics.
+// format, one serialised and checksummed block at a time (blockio.go);
+// use EncodeWith to attach metrics.
 func Encode(w io.Writer, t *Trace) error {
 	return EncodeWith(w, t, CodecOptions{})
 }
@@ -236,8 +235,8 @@ func corruptf(off int64, format string, args ...any) error {
 // Decode reads the binary tracefile format, verifying every checksum.
 // All corruption and truncation errors include the byte offset at which
 // the problem was detected. Block verification and deserialisation run
-// on the worker-pool block engine (blockio.go); use DecodeWith to pin
-// the worker count or attach metrics.
+// on a pool of GOMAXPROCS workers (blockio.go); use DecodeWith to
+// attach metrics.
 func Decode(r io.Reader) (*Trace, error) {
 	return DecodeWith(r, CodecOptions{})
 }

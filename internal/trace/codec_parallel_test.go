@@ -11,11 +11,11 @@ import (
 	"pas2p/internal/obs"
 )
 
-// TestEncodeDeterministicAcrossWorkers is the PR's core property: the
-// block engine's output is byte-identical at every worker count, on
-// traces small enough to take the serial fallback and large enough to
-// actually fan out.
-func TestEncodeDeterministicAcrossWorkers(t *testing.T) {
+// TestDecodeRoundTripAcrossWorkers: a tracefile decodes back to the
+// encoded trace on the serial path and on the pool, on traces small
+// enough to take the serial fallback and large enough to actually fan
+// out.
+func TestDecodeRoundTripAcrossWorkers(t *testing.T) {
 	shapes := []struct {
 		seed   int64
 		procs  int
@@ -26,29 +26,18 @@ func TestEncodeDeterministicAcrossWorkers(t *testing.T) {
 		{3, 2, 255},   // sub-block total
 		{4, 3, 171},   // exactly one block (513 -> no; 3*171=513) — off-by-one around blockEvents
 		{5, 2, 256},   // exactly blockEvents
-		{6, 4, 1500},  // 6000 events: parallel path, partial final block
+		{6, 4, 1500},  // 6000 events: pooled path, partial final block
 		{7, 3, 2048},  // 6144 events: whole number of blocks
 		{8, 1, 40000}, // single stream, many blocks
 	}
 	for _, s := range shapes {
 		tr := fuzzTrace(t, s.seed, s.procs, s.events)
-		var serial bytes.Buffer
-		if err := EncodeWith(&serial, tr, CodecOptions{Workers: 1}); err != nil {
-			t.Fatalf("shape %+v: serial encode: %v", s, err)
+		var enc bytes.Buffer
+		if err := Encode(&enc, tr); err != nil {
+			t.Fatalf("shape %+v: encode: %v", s, err)
 		}
-		for _, workers := range []int{2, 8} {
-			var par bytes.Buffer
-			if err := EncodeWith(&par, tr, CodecOptions{Workers: workers}); err != nil {
-				t.Fatalf("shape %+v workers=%d: encode: %v", s, workers, err)
-			}
-			if !bytes.Equal(par.Bytes(), serial.Bytes()) {
-				t.Fatalf("shape %+v workers=%d: output diverges from serial (%d vs %d bytes)",
-					s, workers, par.Len(), serial.Len())
-			}
-		}
-		// And every worker count decodes it back to the same trace.
 		for _, workers := range []int{1, 2, 8} {
-			got, err := DecodeWith(bytes.NewReader(serial.Bytes()), CodecOptions{Workers: workers})
+			got, err := decode(bytes.NewReader(enc.Bytes()), CodecOptions{}, workers)
 			if err != nil {
 				t.Fatalf("shape %+v workers=%d: decode: %v", s, workers, err)
 			}
@@ -65,7 +54,7 @@ func TestEncodeDeterministicAcrossWorkers(t *testing.T) {
 // because block bytes are read serially in file order and worker errors
 // resolve to the lowest block start.
 func TestDecodeCorruptionDeterministicAcrossWorkers(t *testing.T) {
-	tr := fuzzTrace(t, 11, 4, 1500) // 6000 events: 12 blocks, parallel path
+	tr := fuzzTrace(t, 11, 4, 1500) // 6000 events: 12 blocks, pooled path
 	var buf bytes.Buffer
 	if err := Encode(&buf, tr); err != nil {
 		t.Fatal(err)
@@ -88,7 +77,7 @@ func TestDecodeCorruptionDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, c := range cases {
 		data := c.mutate(append([]byte(nil), raw...))
-		_, serialErr := DecodeWith(bytes.NewReader(data), CodecOptions{Workers: 1})
+		_, serialErr := decode(bytes.NewReader(data), CodecOptions{}, 1)
 		if serialErr == nil {
 			t.Fatalf("%s: corruption went undetected", c.name)
 		}
@@ -96,7 +85,7 @@ func TestDecodeCorruptionDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("%s: error lacks offset: %v", c.name, serialErr)
 		}
 		for _, workers := range []int{2, 8} {
-			_, err := DecodeWith(bytes.NewReader(data), CodecOptions{Workers: workers})
+			_, err := decode(bytes.NewReader(data), CodecOptions{}, workers)
 			if err == nil {
 				t.Fatalf("%s workers=%d: corruption went undetected", c.name, workers)
 			}
@@ -123,18 +112,18 @@ func TestCompressDeterministicAcrossWorkers(t *testing.T) {
 		procs  int
 		events int
 	}{
-		{21, 4, 800}, // 3200 events: parallel path
+		{21, 4, 800}, // 3200 events: pooled path
 		{22, 8, 400}, // wider than workers
 		{23, 2, 100}, // small: serial fallback
 	} {
 		tr := fuzzTrace(t, shape.seed, shape.procs, shape.events)
 		var serial bytes.Buffer
-		if err := CompressWith(&serial, tr, CompressOptions{Workers: 1}); err != nil {
+		if err := compress(&serial, tr, 1); err != nil {
 			t.Fatalf("shape %+v: serial compress: %v", shape, err)
 		}
 		for _, workers := range []int{2, 8} {
 			var par bytes.Buffer
-			if err := CompressWith(&par, tr, CompressOptions{Workers: workers}); err != nil {
+			if err := compress(&par, tr, workers); err != nil {
 				t.Fatalf("shape %+v workers=%d: compress: %v", shape, workers, err)
 			}
 			if !bytes.Equal(par.Bytes(), serial.Bytes()) {
@@ -201,7 +190,7 @@ func TestTrustedDecodeAllocs(t *testing.T) {
 	}
 	data := buf.Bytes()
 	allocs := testing.AllocsPerRun(2, func() {
-		got, err := DecodeWith(bytes.NewReader(data), CodecOptions{Workers: 1})
+		got, err := decode(bytes.NewReader(data), CodecOptions{}, 1)
 		if err != nil || len(got.Events) != 600_000 {
 			t.Fatalf("decode: %v", err)
 		}
@@ -216,7 +205,7 @@ func TestTrustedDecodeAllocs(t *testing.T) {
 
 // TestBlockWriterReaderRoundTrip drives the streaming API directly:
 // arbitrary Append chunkings must produce the byte-identical file that
-// EncodeWith produces, and BlockReader must hand back the same events
+// Encode produces, and BlockReader must hand back the same events
 // block by block with the trailer verified before EOF.
 func TestBlockWriterReaderRoundTrip(t *testing.T) {
 	tr := fuzzTrace(t, 31, 3, 1200) // 3600 events
@@ -226,28 +215,26 @@ func TestBlockWriterReaderRoundTrip(t *testing.T) {
 	}
 	meta := Meta{AppName: tr.AppName, Procs: tr.Procs, Events: uint64(len(tr.Events)), AET: tr.AET}
 
-	for _, workers := range []int{1, 8} {
-		for _, chunk := range []int{1, 100, blockEvents, blockEvents + 1, 997, len(tr.Events)} {
-			var got bytes.Buffer
-			bw, err := NewBlockWriter(&got, meta, CodecOptions{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
+	for _, chunk := range []int{1, 100, blockEvents, blockEvents + 1, 997, len(tr.Events)} {
+		var got bytes.Buffer
+		bw, err := NewBlockWriter(&got, meta, CodecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(tr.Events); off += chunk {
+			end := off + chunk
+			if end > len(tr.Events) {
+				end = len(tr.Events)
 			}
-			for off := 0; off < len(tr.Events); off += chunk {
-				end := off + chunk
-				if end > len(tr.Events) {
-					end = len(tr.Events)
-				}
-				if err := bw.Append(tr.Events[off:end]); err != nil {
-					t.Fatalf("workers=%d chunk=%d: append: %v", workers, chunk, err)
-				}
+			if err := bw.Append(tr.Events[off:end]); err != nil {
+				t.Fatalf("chunk=%d: append: %v", chunk, err)
 			}
-			if err := bw.Close(); err != nil {
-				t.Fatalf("workers=%d chunk=%d: close: %v", workers, chunk, err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("workers=%d chunk=%d: streamed bytes diverge from Encode", workers, chunk)
-			}
+		}
+		if err := bw.Close(); err != nil {
+			t.Fatalf("chunk=%d: close: %v", chunk, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("chunk=%d: streamed bytes diverge from Encode", chunk)
 		}
 	}
 
@@ -290,6 +277,37 @@ func TestBlockWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBlockWriterReusedAppendBuffer: Append retains no event after it
+// returns, so a caller may stream a whole trace through one reused
+// buffer (as workload.Synthesize does) and still get the trace back.
+func TestBlockWriterReusedAppendBuffer(t *testing.T) {
+	tr := syntheticTrace(12_000)
+	meta := Meta{AppName: tr.AppName, Procs: tr.Procs, Events: uint64(len(tr.Events)), AET: tr.AET}
+	var file bytes.Buffer
+	bw, err := NewBlockWriter(&file, meta, CodecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]Event, 1024)
+	for off := 0; off < len(tr.Events); off += len(buf) {
+		n := copy(buf, tr.Events[off:])
+		if err := bw.Append(buf[:n]); err != nil {
+			t.Fatal(err)
+		}
+		clear(buf) // the next chunk overwrites it anyway
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(bytes.NewReader(file.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Events, tr.Events) {
+		t.Fatal("events written through a reused Append buffer differ from the input")
+	}
+}
+
 // TestBlockWriterCountMismatch: the writer must refuse both overrun
 // (more events than the header declared) and underrun at Close.
 func TestBlockWriterCountMismatch(t *testing.T) {
@@ -319,17 +337,17 @@ func TestBlockWriterCountMismatch(t *testing.T) {
 
 // TestCodecMetricsPublished: an encode/decode pair with a registry
 // attached must publish block and byte counters that tally with the
-// file, at both parallelism settings.
+// file, with the decode on the serial path and on the pool.
 func TestCodecMetricsPublished(t *testing.T) {
 	tr := fuzzTrace(t, 61, 3, 1024) // 3072 events -> 6 blocks
 	wantBlocks := int64((len(tr.Events) + blockEvents - 1) / blockEvents)
 	for _, workers := range []int{1, 4} {
 		reg := obs.NewRegistry()
 		var buf bytes.Buffer
-		if err := EncodeWith(&buf, tr, CodecOptions{Workers: workers, Reg: reg}); err != nil {
+		if err := EncodeWith(&buf, tr, CodecOptions{Reg: reg}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeWith(bytes.NewReader(buf.Bytes()), CodecOptions{Workers: workers, Reg: reg}); err != nil {
+		if _, err := decode(bytes.NewReader(buf.Bytes()), CodecOptions{Reg: reg}, workers); err != nil {
 			t.Fatal(err)
 		}
 		snap := reg.Snapshot()
@@ -344,25 +362,25 @@ func TestCodecMetricsPublished(t *testing.T) {
 					wantBlocks*4+int64(len(tr.Events))*recordSize)
 			}
 		}
-		if got := snap.Gauges["codec.encode.workers"]; got != float64(workers) {
-			t.Fatalf("workers=%d: codec.encode.workers gauge = %v", workers, got)
+		if got := snap.Gauges["codec.encode.workers"]; got != 1 {
+			t.Fatalf("workers=%d: codec.encode.workers gauge = %v, want 1", workers, got)
+		}
+		if got := snap.Gauges["codec.decode.workers"]; got != float64(workers) {
+			t.Fatalf("workers=%d: codec.decode.workers gauge = %v", workers, got)
 		}
 	}
 }
 
 // TestEncodeWriteErrorPropagates: a sink that fails mid-stream must
-// surface the write error (not hang the pool, not succeed).
+// surface the write error, not succeed.
 func TestEncodeWriteErrorPropagates(t *testing.T) {
 	tr := fuzzTrace(t, 71, 4, 1500)
-	for _, workers := range []int{1, 8} {
-		w := &failAfterWriter{limit: 100_000}
-		err := EncodeWith(w, tr, CodecOptions{Workers: workers})
-		if err == nil {
-			t.Fatalf("workers=%d: encode to failing sink succeeded", workers)
-		}
-		if !strings.Contains(err.Error(), "sink full") {
-			t.Fatalf("workers=%d: wrong error: %v", workers, err)
-		}
+	err := Encode(&failAfterWriter{limit: 100_000}, tr)
+	if err == nil {
+		t.Fatal("encode to failing sink succeeded")
+	}
+	if !strings.Contains(err.Error(), "sink full") {
+		t.Fatalf("wrong error: %v", err)
 	}
 }
 

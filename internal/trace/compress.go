@@ -31,8 +31,9 @@ import (
 // The container (Z2, magic PAS2PTZ2) writes every section's byte
 // length between the template dictionary and the section bodies, giving
 // readers random access: sections load as independent byte ranges and
-// decode on a worker pool. Sections are process-independent, so the
-// decoded trace is the same at every worker count. The index-less
+// decode on a pool of GOMAXPROCS workers, as they encode on one.
+// Sections are process-independent, so the archive bytes and the
+// decoded trace are the same at every worker count. The index-less
 // PAS2PTZ1 layout is retired and rejected with ErrRetiredFormat.
 //
 // Decompression reproduces the trace bit-for-bit (including global
@@ -52,6 +53,10 @@ type template struct {
 
 const peerNone = int32(-1 << 20)
 
+// maxRepeatBlock is the largest tandem-repeat block length the loop
+// detector searches.
+const maxRepeatBlock = 64
+
 // maxSectionBytes bounds a single per-process section in the Z2 index;
 // anything larger than the flat encoding of the whole-file event cap
 // is corruption, not data.
@@ -66,37 +71,19 @@ func templateOf(e *Event) template {
 		peerOff: off, tag: e.Tag, size: e.Size}
 }
 
-// CompressOptions tunes the loop detector and the worker pool.
-type CompressOptions struct {
-	// MaxBlock is the largest tandem-repeat block length searched.
-	MaxBlock int
-	// Workers is the per-process worker count: 0 (or negative) selects
-	// GOMAXPROCS, 1 forces the serial path. Template detection and
-	// section encoding are process-independent, so the output is
-	// byte-identical at every setting. DecompressWith has the matching
-	// knob on the read side: the section index lets it fan sections
-	// out the same way.
-	Workers int
-}
-
 // Compress writes the compressed tracefile format (Z2, indexed).
+// Per-process work (template scans, loop detection, varint encoding)
+// fans out over GOMAXPROCS workers.
 func Compress(w io.Writer, t *Trace) error {
-	return CompressWith(w, t, CompressOptions{MaxBlock: 64})
+	return compress(w, t, runtime.GOMAXPROCS(0))
 }
 
-// CompressWith writes the compressed format with explicit options.
-// Per-process work (template scans, loop detection, varint encoding)
-// fans out across opts.Workers; sections are concatenated in process
-// order, so the bytes match the serial encoder's exactly.
-func CompressWith(w io.Writer, t *Trace, opts CompressOptions) error {
-	if opts.MaxBlock <= 0 {
-		opts.MaxBlock = 64
-	}
+// compress is Compress on the given number of workers. Sections are
+// concatenated in process order, so the bytes match the serial
+// encoder's exactly; traces under four blocks' worth of events always
+// take the serial path.
+func compress(w io.Writer, t *Trace, workers int) error {
 	per := t.PerProcess()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if workers > len(per) {
 		workers = len(per)
 	}
@@ -203,11 +190,11 @@ func CompressWith(w io.Writer, t *Trace, opts CompressOptions) error {
 	bufs := make([]bytes.Buffer, len(per))
 	if workers > 1 {
 		runProcs(len(per), workers, func(p int) {
-			compressSection(&bufs[p], p, per[p], dict, opts.MaxBlock)
+			compressSection(&bufs[p], p, per[p], dict)
 		})
 	} else {
 		for p := range per {
-			compressSection(&bufs[p], p, per[p], dict, opts.MaxBlock)
+			compressSection(&bufs[p], p, per[p], dict)
 		}
 	}
 	for p := range bufs {
@@ -246,7 +233,7 @@ func runProcs(n, workers int, fn func(p int)) {
 // compressSection encodes one process's event stream into buf. Writes
 // to a bytes.Buffer cannot fail, so the section body is error-free by
 // construction; I/O errors surface when the buffer is copied out.
-func compressSection(buf *bytes.Buffer, p int, evs []Event, dict map[template]uint64, maxBlock int) {
+func compressSection(buf *bytes.Buffer, p int, evs []Event, dict map[template]uint64) {
 	var scratch [binary.MaxVarintLen64]byte
 	putUv := func(v uint64) error {
 		n := binary.PutUvarint(scratch[:], v)
@@ -264,7 +251,7 @@ func compressSection(buf *bytes.Buffer, p int, evs []Event, dict map[template]ui
 	for i := range evs {
 		ids[i] = dict[templateOf(&evs[i])]
 	}
-	rleEncode(ids, maxBlock, putUv)
+	rleEncode(ids, putUv)
 	// Times: gap since previous exit, service time, plus the
 	// compute-before correction when it differs from the gap.
 	var prevExit vtime.Time
@@ -314,12 +301,12 @@ func compressSection(buf *bytes.Buffer, p int, evs []Event, dict map[template]ui
 // rleEncode emits the id sequence as tokens: either (0, id) for a
 // literal or (blockLen, count) pairs for a tandem repeat of the
 // preceding blockLen ids.
-func rleEncode(ids []uint64, maxBlock int, putUv func(uint64) error) error {
+func rleEncode(ids []uint64, putUv func(uint64) error) error {
 	i := 0
 	for i < len(ids) {
 		// Find the best tandem repeat of a block ending at i.
 		bestLen, bestCount := 0, 0
-		for bl := 1; bl <= maxBlock && bl <= i; bl++ {
+		for bl := 1; bl <= maxRepeatBlock && bl <= i; bl++ {
 			count := 0
 			for i+(count+1)*bl <= len(ids) && equalBlocks(ids, i-bl, i+count*bl, bl) {
 				count++
@@ -358,17 +345,16 @@ func equalBlocks(ids []uint64, a, b, n int) bool {
 	return true
 }
 
-// Decompress reads the compressed tracefile format.
+// Decompress reads the compressed tracefile format, decoding its
+// sections on GOMAXPROCS workers.
 func Decompress(r io.Reader) (*Trace, error) {
-	return DecompressWith(r, CodecOptions{})
+	return decompress(r, runtime.GOMAXPROCS(0))
 }
 
-// DecompressWith reads the compressed format with explicit codec
-// options: opts.Workers sections decode concurrently (0 or negative
-// selects GOMAXPROCS); the decoded trace is identical at every worker
-// count because sections are process-independent and assembled in
-// process order.
-func DecompressWith(r io.Reader, opts CodecOptions) (*Trace, error) {
+// decompress is Decompress on the given number of workers. The decoded
+// trace is identical at every worker count because sections are
+// process-independent and assembled in process order.
+func decompress(r io.Reader, workers int) (*Trace, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var m [8]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
@@ -460,10 +446,6 @@ func DecompressWith(r io.Reader, opts CodecOptions) (*Trace, error) {
 		if _, err := io.ReadFull(br, secs[p]); err != nil {
 			return nil, fmt.Errorf("trace: reading section %d: %w", p, err)
 		}
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > procs {
 		workers = procs
@@ -614,8 +596,8 @@ func DecodeAny(r io.Reader) (*Trace, error) {
 }
 
 // DecodeAnyWith is DecodeAny with codec options; the options apply to
-// the flat binary and compressed paths (the JSON decoder is inherently
-// sequential).
+// the flat binary path (the compressed and JSON decoders publish no
+// codec metrics).
 func DecodeAnyWith(r io.Reader, opts CodecOptions) (*Trace, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	head, err := br.Peek(8)
@@ -624,7 +606,7 @@ func DecodeAnyWith(r io.Reader, opts CodecOptions) (*Trace, error) {
 	}
 	switch {
 	case bytes.Equal(head, magicZ2[:]):
-		return DecompressWith(br, opts)
+		return Decompress(br)
 	case head[0] == '{':
 		return DecodeJSON(br)
 	default:

@@ -199,21 +199,21 @@ func TestCompressIndexedLayout(t *testing.T) {
 	// Compression is byte-identical at every worker count.
 	for _, w := range []int{1, 2, 4, 8} {
 		var again bytes.Buffer
-		if err := CompressWith(&again, tr, CompressOptions{MaxBlock: 64, Workers: w}); err != nil {
-			t.Fatalf("CompressWith(workers=%d): %v", w, err)
+		if err := compress(&again, tr, w); err != nil {
+			t.Fatalf("compress(workers=%d): %v", w, err)
 		}
 		if !bytes.Equal(again.Bytes(), buf.Bytes()) {
-			t.Fatalf("CompressWith(workers=%d) bytes differ from default", w)
+			t.Fatalf("compress(workers=%d) bytes differ from default", w)
 		}
 	}
 	// Decompression yields the identical trace at every worker count.
-	for _, w := range []int{0, 1, 2, 4, 8, 16} {
-		got, err := DecompressWith(bytes.NewReader(buf.Bytes()), CodecOptions{Workers: w})
+	for _, w := range []int{1, 2, 4, 8, 16} {
+		got, err := decompress(bytes.NewReader(buf.Bytes()), w)
 		if err != nil {
-			t.Fatalf("DecompressWith(workers=%d): %v", w, err)
+			t.Fatalf("decompress(workers=%d): %v", w, err)
 		}
 		if !reflect.DeepEqual(got, tr) {
-			t.Fatalf("DecompressWith(workers=%d) mismatch", w)
+			t.Fatalf("decompress(workers=%d) mismatch", w)
 		}
 	}
 }

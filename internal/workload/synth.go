@@ -153,10 +153,7 @@ func Synthesize(w io.Writer, spec SynthSpec) (trace.Meta, error) {
 		Events:  uint64(total),
 		AET:     synthAET(iters, collEvery, spec.Seed),
 	}
-	// Workers: 1 keeps the serial encode path, whose Append copies out
-	// of the caller's slice before returning — that is what lets one
-	// buffer be recycled for the entire run.
-	bw, err := trace.NewBlockWriter(w, meta, trace.CodecOptions{Workers: 1})
+	bw, err := trace.NewBlockWriter(w, meta, trace.CodecOptions{})
 	if err != nil {
 		return trace.Meta{}, err
 	}
