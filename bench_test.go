@@ -421,15 +421,15 @@ func BenchmarkAblationWorkload(b *testing.B) {
 		return traced.Trace
 	}
 	for i := 0; i < b.N; i++ {
-		ans, _, err := pas2p.AnalyzeAll([]*pas2p.Trace{traceFor("classA"), traceFor("classB")},
-			pas2p.DefaultPhaseConfig(), 1, 0)
-		if err != nil {
-			b.Fatal(err)
+		var points []pas2p.WorkloadPoint
+		for _, class := range []string{"classA", "classB"} {
+			an, _, err := pas2p.Analyze(traceFor(class), pas2p.DefaultPhaseConfig(), 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			points = append(points, pas2p.WorkloadPoint{Param: nnz[class], Analysis: an})
 		}
-		model, err := pas2p.FitWorkloadModel([]pas2p.WorkloadPoint{
-			{Param: nnz["classA"], Analysis: ans[0]},
-			{Param: nnz["classB"], Analysis: ans[1]},
-		})
+		model, err := pas2p.FitWorkloadModel(points)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func TestRegistryConcurrency(t *testing.T) {
 }
 
 // TestRegistrySpanConcurrency appends spans from many goroutines, as
-// AnalyzeAll's worker pool does.
+// the service's concurrent requests do on a shared observer.
 func TestRegistrySpanConcurrency(t *testing.T) {
 	o := New()
 	const n = 64

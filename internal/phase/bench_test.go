@@ -83,11 +83,10 @@ func benchAppLogical(b *testing.B, name, wl string, procs int) *logical.Logical 
 
 // BenchmarkExtractApps compares the extraction paths on real workload
 // traces: "seed" is the pre-index reference scan, "indexed" the
-// fingerprint-indexed matcher, "parallel" the same with candidate
-// scoring fanned out over the worker pool.
+// fingerprint-indexed matcher.
 // lu/classD at 64 ranks is the largest trace internal/apps produces
 // (897k events over 40k ticks); pop/synthetic240 is the densest. The
-// golden tests prove all three paths return the identical Analysis.
+// golden tests prove both paths return the identical Analysis.
 func BenchmarkExtractApps(b *testing.B) {
 	cases := []struct {
 		name, wl string
@@ -100,16 +99,12 @@ func BenchmarkExtractApps(b *testing.B) {
 		{"masterworker", "rounds50", 64},
 		{"smg2000", "-n 200 solver 3", 64},
 	}
-	parCfg := DefaultConfig()
-	parCfg.ExtractParallel = true
 	modes := []struct {
 		mode    string
 		extract func(*logical.Logical, Config) (*Analysis, error)
-		cfg     Config
 	}{
-		{"seed", extractSeed, DefaultConfig()},
-		{"indexed", Extract, DefaultConfig()},
-		{"parallel", Extract, parCfg},
+		{"seed", extractSeed},
+		{"indexed", Extract},
 	}
 	for _, c := range cases {
 		l := benchAppLogical(b, c.name, c.wl, c.procs)
@@ -117,7 +112,7 @@ func BenchmarkExtractApps(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", c.name, m.mode), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					a, err := m.extract(l, m.cfg)
+					a, err := m.extract(l, DefaultConfig())
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -13,17 +13,6 @@ import (
 	"pas2p/internal/trace"
 )
 
-// goldenConfigs returns the two Extract modes that must agree bit for
-// bit with the pre-index reference scan (extractSeed): the
-// fingerprint-indexed matcher, and the indexed matcher with parallel
-// candidate scoring.
-func goldenConfigs() map[string]Config {
-	indexed := DefaultConfig()
-	parallel := DefaultConfig()
-	parallel.ExtractParallel = true
-	return map[string]Config{"indexed": indexed, "parallel": parallel}
-}
-
 // assertAnalysesEqual fails unless the two analyses carry the same
 // phases (IDs, spans, cells), weights, occurrence windows and relevant
 // set.
@@ -56,12 +45,11 @@ func assertAnalysesEqual(t *testing.T, label string, want, got *Analysis) {
 	}
 }
 
-// assertAllModesAgree extracts a logical trace under every golden
-// config and checks the indexed and parallel analyses against the
-// reference scan.
-func assertAllModesAgree(t *testing.T, label string, l *logical.Logical) {
+// assertIndexedMatchesSeed extracts a logical trace with the
+// fingerprint-indexed matcher and checks the analysis against the
+// pre-index reference scan (extractSeed).
+func assertIndexedMatchesSeed(t *testing.T, label string, l *logical.Logical) {
 	t.Helper()
-	cfgs := goldenConfigs()
 	ref, err := extractSeed(l, DefaultConfig())
 	if err != nil {
 		t.Fatalf("%s: seed extraction: %v", label, err)
@@ -69,13 +57,11 @@ func assertAllModesAgree(t *testing.T, label string, l *logical.Logical) {
 	if err := ref.Validate(); err != nil {
 		t.Fatalf("%s: seed analysis invalid: %v", label, err)
 	}
-	for _, mode := range []string{"indexed", "parallel"} {
-		an, err := Extract(l, cfgs[mode])
-		if err != nil {
-			t.Fatalf("%s/%s: %v", label, mode, err)
-		}
-		assertAnalysesEqual(t, label+"/"+mode, ref, an)
+	an, err := Extract(l, DefaultConfig())
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
+	assertAnalysesEqual(t, label+"/indexed", ref, an)
 }
 
 // TestGoldenIndexedMatchesSeed proves the fingerprint-indexed matcher
@@ -111,7 +97,7 @@ func TestGoldenIndexedMatchesSeed(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s ordering: %v", ord, err)
 				}
-				assertAllModesAgree(t, name+"/"+ord, l)
+				assertIndexedMatchesSeed(t, name+"/"+ord, l)
 			}
 		})
 	}
@@ -197,7 +183,7 @@ func TestGoldenRandomTraces(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", ord, err)
 				}
-				assertAllModesAgree(t, ord, l)
+				assertIndexedMatchesSeed(t, ord, l)
 
 				// Also sweep a tighter and a looser threshold set, which
 				// shifts which candidates the index may prune.
@@ -209,9 +195,7 @@ func TestGoldenRandomTraces(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					idxCfg := seedCfg
-					idxCfg.ExtractParallel = true
-					an, err := Extract(l, idxCfg)
+					an, err := Extract(l, seedCfg)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,38 +1,24 @@
 // The matching engine behind every window close. A window first tries the
 // window-equality cache (iterative programs repeat windows verbatim);
 // on a miss, candidates come from the fingerprint index, survivors of
-// the counting bound are scored with the early-exit similarity test,
-// and — when Config.ExtractParallel is set — the scoring fans out over
-// a bounded worker pool. Results are bit-identical to the sequential
-// scan in every mode: the winner is always the matching candidate with
-// the lowest phase ID.
+// the counting bound are scored with the early-exit similarity test in
+// phase-ID order. Results are bit-identical to the reference scan: the
+// winner is always the matching candidate with the lowest phase ID.
 package phase
-
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
 
 // directScoreBucket is the bucket size up to which candidates are
 // scored outright: the early-exit test over a handful of phases is
 // cheaper than building the window profile the pruning bound needs.
 const directScoreBucket = 4
 
-// parallelMinCandidates is the surviving-candidate count below which
-// goroutine hand-off costs more than it saves.
-const parallelMinCandidates = 3
-
 type matcher struct {
 	cfg     Config
 	idx     *phaseIndex
-	workers int
 	scratch []indexEntry
 	// cellsOf, when set, resolves a candidate phase's behaviour matrix.
 	// The out-of-core extraction keeps cold matrices in a spill store and
 	// leaves Phase.Cells nil until the analysis is materialised, so every
-	// scoring site routes through it. Must be safe for concurrent calls
-	// (matchParallel workers score candidates concurrently).
+	// scoring site routes through it.
 	cellsOf func(*Phase) [][]Cell
 	// cache holds, per tick length, the previous window and its
 	// resolution.
@@ -48,7 +34,6 @@ type matcher struct {
 	// Extraction-wide tallies for the observability span: candidates
 	// actually scored with the full similarity test, candidates
 	// eliminated by the counting bound, and window-equality cache hits.
-	// Updated only on the extraction goroutine.
 	nScored, nPruned, nCacheHits int64
 }
 
@@ -66,11 +51,7 @@ type bucketCache struct {
 }
 
 func newMatcher(cfg Config) *matcher {
-	w := cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	m := &matcher{cfg: cfg, idx: newPhaseIndex(), workers: w, cache: make(map[int]*bucketCache)}
+	m := &matcher{cfg: cfg, idx: newPhaseIndex(), cache: make(map[int]*bucketCache)}
 	m.winTab.init(512)
 	return m
 }
@@ -181,61 +162,11 @@ func (m *matcher) match(cells [][]Cell, events int) *Phase {
 	}
 	m.scratch = live
 	m.nPruned += int64(len(cands) - len(live))
-	if len(live) == 0 {
-		return nil
-	}
-	if !m.cfg.ExtractParallel || m.workers == 1 || len(live) < parallelMinCandidates {
-		for _, c := range live {
-			m.nScored++
-			if similarCells(m.phaseCells(c.phase), cells, c.phase.Events, events, m.cfg) {
-				return c.phase
-			}
+	for _, c := range live {
+		m.nScored++
+		if similarCells(m.phaseCells(c.phase), cells, c.phase.Events, events, m.cfg) {
+			return c.phase
 		}
-		return nil
-	}
-	return m.matchParallel(live, cells, events)
-}
-
-// matchParallel scores the surviving candidates concurrently. Workers
-// pull indices from a shared counter and record matches in `best`, a
-// monotonically decreasing minimum, so the returned phase is exactly
-// the one the sequential scan would have picked; candidates past the
-// current best are skipped because they can no longer influence it.
-func (m *matcher) matchParallel(live []indexEntry, cells [][]Cell, events int) *Phase {
-	var next, best, scored atomic.Int64
-	n := int64(len(live))
-	best.Store(n)
-	workers := m.workers
-	if int64(workers) > n {
-		workers = int(n)
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= n || i >= best.Load() {
-					return
-				}
-				c := live[i]
-				scored.Add(1)
-				if similarCells(m.phaseCells(c.phase), cells, c.phase.Events, events, m.cfg) {
-					for {
-						b := best.Load()
-						if i >= b || best.CompareAndSwap(b, i) {
-							break
-						}
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	m.nScored += scored.Load()
-	if b := best.Load(); b < n {
-		return live[b].phase
 	}
 	return nil
 }

@@ -35,14 +35,6 @@ type Config struct {
 	// RelevanceFraction is the share of the application execution time
 	// a phase must account for to be relevant (paper: 0.01).
 	RelevanceFraction float64
-	// ExtractParallel scores the surviving same-length phase
-	// candidates of a closed window on a worker pool instead of
-	// sequentially. Only candidate scoring fans out; the tick scan
-	// itself is sequential. The result is bit-identical to the
-	// sequential path: candidates are still resolved in phase-ID order.
-	ExtractParallel bool
-	// Workers bounds the ExtractParallel pool; 0 means GOMAXPROCS.
-	Workers int
 	// Observer, when non-nil, records a "phase.extract" span with tick,
 	// scoring and pruning counters. A pointer keeps Config comparable
 	// (predict relies on == against the zero value) and nil keeps the
@@ -70,9 +62,6 @@ func (c Config) validate() error {
 	}
 	if !(c.RelevanceFraction >= 0 && c.RelevanceFraction < 1) {
 		return fmt.Errorf("phase: relevance fraction %v out of range", c.RelevanceFraction)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("phase: negative worker count %d", c.Workers)
 	}
 	return nil
 }

@@ -229,8 +229,6 @@ func TestConfigValidateRejectsNonFinite(t *testing.T) {
 		{"relevance -Inf", mod(func(c *Config) { c.RelevanceFraction = -inf }), false},
 		{"event zero", mod(func(c *Config) { c.EventSimilarity = 0 }), false},
 		{"event above one", mod(func(c *Config) { c.EventSimilarity = 1.01 }), false},
-		{"negative workers", mod(func(c *Config) { c.Workers = -1 }), false},
-		{"parallel with workers", mod(func(c *Config) { c.ExtractParallel = true; c.Workers = 2 }), true},
 	}
 	for _, c := range cases {
 		if err := c.cfg.validate(); (err == nil) != c.ok {

@@ -31,7 +31,6 @@ import (
 	"io"
 	"path/filepath"
 	"slices"
-	"sync"
 
 	"pas2p/internal/fsx"
 	"pas2p/internal/logical"
@@ -148,7 +147,7 @@ func ExtractStreamTable(ctx context.Context, src TickSource, meta trace.Meta, wa
 	res := &StreamResult{Analysis: x.an, Table: tb, store: store}
 	res.Stats.Ticks = x.nTicks
 	if store != nil {
-		res.Stats.SpilledPhases, res.Stats.SpillLoads, res.Stats.SpillBytes = store.stats()
+		res.Stats.SpilledPhases, res.Stats.SpillLoads, res.Stats.SpillBytes = store.spilled, store.loads, store.spillBytes
 	}
 	x.setCounters(sp)
 	sp.SetCounter("spilled_phases", int64(res.Stats.SpilledPhases))
@@ -512,7 +511,7 @@ func (x *streamExtractor) closeWindow(s, e int) {
 		ph = np
 	}
 	if x.store != nil {
-		if err := x.store.takeErr(); err != nil {
+		if err := x.store.firstErr; err != nil {
 			x.err = err
 			return
 		}
@@ -642,17 +641,15 @@ type spillEntry struct {
 }
 
 // spillStore owns every phase's representative matrix during a
-// budgeted extraction: a mutex-guarded resident set with LRU eviction
-// to one CRC-checked file per phase. Phase.Cells stays nil throughout,
-// so concurrent matcher workers never race on it — all access funnels
-// through cells().
+// budgeted extraction: a resident set with LRU eviction to one
+// CRC-checked file per phase. Phase.Cells stays nil throughout — all
+// access funnels through cells().
 type spillStore struct {
 	fs     fsx.FS
 	dir    string
 	budget int64
 	procs  int
 
-	mu         sync.Mutex
 	entries    map[int]*spillEntry
 	resident   int64
 	seq        int64
@@ -668,8 +665,6 @@ func (s *spillStore) path(id int) string {
 
 // adopt takes ownership of a freshly discovered phase's matrix.
 func (s *spillStore) adopt(p *Phase, cells [][]Cell) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.seq++
 	e := &spillEntry{ph: p, cells: cells,
 		bytes: int64(p.TickLen) * int64(s.procs) * residentCellBytes, lastSeq: s.seq}
@@ -679,13 +674,10 @@ func (s *spillStore) adopt(p *Phase, cells [][]Cell) {
 }
 
 // cells returns a phase's matrix for scoring, loading it from the
-// spill file if it was evicted. Safe for concurrent use; on I/O error
-// it records the error and returns an all-absent matrix of the right
-// shape so the caller's scan stays in bounds (the extraction aborts at
-// the next error check).
+// spill file if it was evicted. On I/O error it records the error and
+// returns an all-absent matrix of the right shape so the caller's scan
+// stays in bounds (the extraction aborts at the next error check).
 func (s *spillStore) cells(p *Phase) [][]Cell {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e := s.entries[p.ID]
 	if e == nil {
 		s.fail(fmt.Errorf("phase: spill store has no entry for phase %d", p.ID))
@@ -710,7 +702,6 @@ func (s *spillStore) cells(p *Phase) [][]Cell {
 
 // evict spills least-recently-used matrices until the resident set
 // fits the budget, never touching excludeID (the entry being served).
-// Callers hold s.mu.
 func (s *spillStore) evict(excludeID int) {
 	for s.resident > s.budget {
 		var victim *spillEntry
@@ -774,24 +765,9 @@ func (s *spillStore) fail(err error) {
 	}
 }
 
-// takeErr returns the first recorded error.
-func (s *spillStore) takeErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.firstErr
-}
-
-func (s *spillStore) stats() (spilled int, loads, bytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spilled, s.loads, s.spillBytes
-}
-
 // materialize sets Phase.Cells on every phase, loading evicted
 // matrices from disk. The budget is no longer enforced afterwards.
 func (s *spillStore) materialize() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.firstErr != nil {
 		return s.firstErr
 	}
@@ -812,8 +788,6 @@ func (s *spillStore) materialize() error {
 // close removes the spill files and the directory (best effort on the
 // directory: it may hold unrelated files).
 func (s *spillStore) close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var first error
 	for id, e := range s.entries {
 		if !e.onDisk {

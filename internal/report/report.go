@@ -13,7 +13,6 @@ import (
 	"pas2p/internal/apps"
 	"pas2p/internal/machine"
 	"pas2p/internal/obs"
-	"pas2p/internal/phase"
 	"pas2p/internal/predict"
 	"pas2p/internal/vtime"
 )
@@ -26,21 +25,9 @@ type Options struct {
 	ProcScale int
 	// EventOverhead is the instrumentation cost per event.
 	EventOverhead vtime.Duration
-	// ParallelPhases fans the phase-extraction stage of every
-	// experiment out over the CPUs.
-	ParallelPhases bool
 	// Observer, when non-nil, instruments every experiment's pipeline
 	// (stage spans, counters) — pas2p-bench -serve exposes it live.
 	Observer *obs.Observer
-}
-
-// phaseConfig returns the phase thresholds the experiments run with —
-// the paper's defaults, with the parallel engine toggled by the
-// options.
-func (o Options) phaseConfig() phase.Config {
-	cfg := phase.DefaultConfig()
-	cfg.ExtractParallel = o.ParallelPhases
-	return cfg
 }
 
 // DefaultOptions runs at the paper's process counts.
@@ -90,7 +77,6 @@ func runExperiment(name string, procs int, workload string,
 		Base:          base,
 		Target:        target,
 		EventOverhead: opts.EventOverhead,
-		PhaseConfig:   opts.phaseConfig(),
 		Observer:      opts.Observer,
 	})
 }

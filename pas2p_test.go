@@ -4,7 +4,6 @@ package pas2p_test
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"pas2p"
@@ -206,61 +205,5 @@ func TestTopologyEndToEnd(t *testing.T) {
 	}
 	if out.PETEPercent > 10 {
 		t.Errorf("PETE %.2f%% on the fat-tree target", out.PETEPercent)
-	}
-}
-
-// TestAnalyzeAll checks that the concurrent analysis fan-out returns
-// exactly what sequential Analyze calls return, in input order, and
-// that a failing trace fails the batch.
-func TestAnalyzeAll(t *testing.T) {
-	ring := func(iters int) pas2p.App {
-		return pas2p.App{
-			Name:  "ring",
-			Procs: 8,
-			Body: func(c *pas2p.Comm) {
-				n := c.Size()
-				for i := 0; i < iters; i++ {
-					c.Compute(1e6)
-					c.Sendrecv((c.Rank()+1)%n, 0, []float64{1}, (c.Rank()+n-1)%n, 0)
-					c.Allreduce([]float64{1}, pas2p.Sum)
-				}
-			},
-		}
-	}
-	d, err := pas2p.NewDeployment(pas2p.ClusterA(), 8, pas2p.MapBlock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var traces []*pas2p.Trace
-	for _, iters := range []int{10, 25, 40} {
-		res, err := pas2p.RunApp(ring(iters), pas2p.RunConfig{Deployment: d, Trace: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		traces = append(traces, res.Trace)
-	}
-	cfg := pas2p.DefaultPhaseConfig()
-	ans, tbs, err := pas2p.AnalyzeAll(traces, cfg, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ans) != len(traces) || len(tbs) != len(traces) {
-		t.Fatalf("got %d analyses, %d tables for %d traces", len(ans), len(tbs), len(traces))
-	}
-	for i, tr := range traces {
-		wantAn, wantTb, err := pas2p.Analyze(tr, cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ans[i], wantAn) {
-			t.Errorf("trace %d: concurrent analysis differs from sequential", i)
-		}
-		if !reflect.DeepEqual(tbs[i], wantTb) {
-			t.Errorf("trace %d: concurrent table differs from sequential", i)
-		}
-	}
-	traces[1] = &pas2p.Trace{} // empty: logical ordering rejects it
-	if _, _, err := pas2p.AnalyzeAll(traces, cfg, 1, 0); err == nil {
-		t.Fatal("batch with a failing trace should error")
 	}
 }
