@@ -34,11 +34,11 @@ func TestRejectBadArgs(t *testing.T) {
 		{"aet/unknown-flag", cmdAET, []string{"-nope"}, "not defined"},
 		{"predict/trailing", cmdPredict, []string{"-app", "cg", "zzz"}, "unexpected argument"},
 		{"predict/bad-faults", cmdPredict, []string{"-app", "cg", "-faults", "loss=2"}, "loss"},
-		{"profile/trailing", cmdProfile, []string{"cg", "-ranks", "4", "zzz"}, "unexpected argument"},
-		{"chaos/unknown-flag", cmdChaos, []string{"cg", "-bogus"}, "not defined"},
-		{"chaos/bad-faults", cmdChaos, []string{"cg", "-faults", "bogus=1"}, "unknown key"},
-		{"chaos/no-app", cmdChaos, []string{"-seed", "3"}, "usage"},
-		{"chaos/empty-faults", cmdChaos, []string{"cg", "-faults", ""}, "fault class"},
+		{"predict/unknown-flag", cmdPredict, []string{"-app", "cg", "-bogus"}, "not defined"},
+		{"predict/unknown-fault-key", cmdPredict, []string{"-app", "cg", "-faults", "bogus=1"}, "unknown key"},
+		{"predict/no-app", cmdPredict, []string{"-seed", "3"}, "-app is required"},
+		{"predict/huge-procs", cmdPredict, []string{"-app", "cg", "-procs", "1099511627776"}, "rank count"},
+		{"predict/cores-beyond-target", cmdPredict, []string{"-app", "cg", "-procs", "8", "-cores", "65"}, "core restriction"},
 		{"sign/unknown-flag", cmdSign, []string{"-x"}, "not defined"},
 		{"execsig/unknown-flag", cmdExecSig, []string{"-wat"}, "not defined"},
 		{"repo/trailing", cmdRepo, []string{"list", "extra"}, "unexpected argument"},
@@ -125,7 +125,6 @@ func TestHelpFlag(t *testing.T) {
 		args []string
 	}{
 		{"predict", cmdPredict, []string{"-h"}},
-		{"chaos", cmdChaos, []string{"cg", "-h"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer

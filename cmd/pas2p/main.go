@@ -12,7 +12,7 @@
 //	pas2p analyze  -trace cg.pas2p ...       extract phases, print the phase table
 //	pas2p aet      -app cg -cluster B ...    run the full application (ground truth)
 //	pas2p predict  -app cg -base A -target B full pipeline: signature + prediction
-//	pas2p profile  cg -ranks 16              instrumented pipeline: metrics + timeline
+//	pas2p predict  -app cg -faults crash=0.1 -verify  the same under seeded faults
 package main
 
 import (
@@ -53,10 +53,6 @@ func main() {
 		err = cmdAET(os.Args[2:])
 	case "predict":
 		err = cmdPredict(os.Args[2:])
-	case "profile":
-		err = cmdProfile(os.Args[2:])
-	case "chaos":
-		err = cmdChaos(os.Args[2:])
 	case "sign":
 		err = cmdSign(os.Args[2:])
 	case "execsig":
@@ -105,22 +101,17 @@ commands:
   aet      -app A -procs N [-workload W] [-cluster C] [-cores K]
                                 run the full application for its AET
   predict  -app A -procs N [-workload W] -base B -target T [-cores K]
-           [-timeline] [-all-phases] [-metrics FILE] [-faults SPEC -seed S]
-           [-serve ADDR]
+           [-all-phases] [-no-ground-truth] [-faults SPEC -seed S -verify]
+           [-metrics FILE] [-prom FILE] [-timeline FILE] [-serve ADDR]
                                 construct the signature on the base cluster,
-                                execute it on the target, predict the AET and
-                                (with a ground-truth run) report the error
-  profile  APP [-ranks N] [-base B] [-target T] [-metrics FILE]
-           [-timeline FILE] [-prom FILE]
-                                run the full pipeline under instrumentation
-                                and emit a metrics snapshot plus a Chrome
-                                trace-event timeline (Perfetto-loadable)
-  chaos    APP [-ranks N] [-seed S] [-faults SPEC] [-verify=false]
-           [-metrics FILE] [-timeline FILE] [-serve ADDR]
-                                run the pipeline under deterministic fault
-                                injection (message loss/dup/delay, crashes
-                                with checkpoint restart, clock jitter) and
-                                verify the seed reproduces the prediction
+                                execute it on the target, print the Fig. 11
+                                schedule and the predicted AET and (with a
+                                ground-truth run) the error; -faults injects
+                                seeded message loss/dup/delay, restart
+                                crashes and clock jitter, -verify re-runs
+                                and requires the identical outcome; the
+                                telemetry flags add a per-stage span report
+                                and write metrics or a Perfetto timeline
   sign     -app A -procs N [-workload W] [-base B] [-o SIG.json]
                                 stage A only: build the signature once and
                                 persist it
@@ -133,13 +124,13 @@ commands:
                                 add -verify re-reads the entry after writing,
                                 fsck quarantines corrupt entries and rebuilds
                                 the manifest
-  scenario run|validate PATH [-workers N] [-timeout D] [-json FILE]
+  scenario run|validate PATH [-timeout D] [-json FILE]
            [-junit FILE] [-serve ADDR] [-v]
                                 execute (or just validate) a declarative
                                 scenario suite: each *.yaml describes an app,
                                 machine models, optional faults and
                                 assertions (PETE bound, phase counts,
-                                recovery invariant, determinism, budgets);
+                                recovery invariant, determinism, wall budget);
                                 run sweeps targets x fault seeds and exits
                                 non-zero on any violated assertion
 `)

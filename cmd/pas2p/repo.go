@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"pas2p/internal/apps"
-	"pas2p/internal/mpi"
-	"pas2p/internal/phase"
-	"pas2p/internal/signature"
+	"pas2p/internal/predict"
 	"pas2p/internal/sigrepo"
 )
 
@@ -61,18 +59,11 @@ func cmdRepo(args []string) error {
 		if err != nil {
 			return err
 		}
-		traced, err := mpi.Run(a, mpi.RunConfig{Deployment: bd, Trace: true})
+		signed, err := predict.Sign(context.Background(), predict.Experiment{App: a, Base: bd})
 		if err != nil {
 			return err
 		}
-		_, tb, err := phase.AnalyzeTrace(context.Background(), traced.Trace, phase.DefaultConfig(), 1)
-		if err != nil {
-			return err
-		}
-		br, err := signature.Build(a, tb, bd, signature.DefaultOptions())
-		if err != nil {
-			return err
-		}
+		tb, br, traced := signed.Table, signed.Build, signed.Traced
 		path, err := repo.Add(br.Signature, wl, bd.Cluster.Name)
 		if err != nil {
 			return err

@@ -16,7 +16,7 @@ import (
 //	pas2p scenario run examples/scenarios -junit results.xml
 //
 // run executes every scenario's sweep matrix (targets × fault seeds)
-// on a bounded worker pool and exits non-zero when any assertion is
+// on a pool of GOMAXPROCS workers and exits non-zero when any assertion is
 // violated, naming the scenario, the assertion and the measured value.
 func cmdScenario(args []string) error {
 	if len(args) == 0 {
@@ -67,7 +67,6 @@ func scenarioValidate(path string, args []string) error {
 
 func scenarioRun(path string, args []string) error {
 	fs := newFlagSet("scenario run")
-	workers := fs.Int("workers", 0, "concurrent cases (0 = all CPUs; use 1 for reliable max_alloc budgets)")
 	timeout := fs.Duration("timeout", 0, "per-case wall budget for scenarios that set none (default 2m)")
 	jsonOut := fs.String("json", "", "write the canonical JSON results document to this path")
 	junitOut := fs.String("junit", "", "write JUnit XML for CI to this path")
@@ -89,11 +88,7 @@ func scenarioRun(path string, args []string) error {
 		return err
 	}
 	defer stopServe()
-	opts := scenario.Options{
-		Workers:  *workers,
-		Timeout:  *timeout,
-		Observer: o,
-	}
+	opts := scenario.Options{Timeout: *timeout, Observer: o}
 	if *verbose {
 		opts.Log = func(format string, a ...any) {
 			fmt.Printf(format+"\n", a...)

@@ -34,8 +34,7 @@ assert:
 	if err := os.MkdirAll(filepath.Dir(jsonPath), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	err := cmdScenario([]string{"run", dir,
-		"-workers", "1", "-json", jsonPath, "-junit", junitPath})
+	err := cmdScenario([]string{"run", dir, "-json", jsonPath, "-junit", junitPath})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -69,7 +68,7 @@ assert:
 	if err := os.WriteFile(filepath.Join(dir, "tight.yaml"), []byte(tight), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = cmdScenario([]string{"run", dir, "-workers", "1"})
+	err = cmdScenario([]string{"run", dir})
 	if err == nil || !strings.Contains(err.Error(), "cases failed") {
 		t.Fatalf("violated campaign did not fail: %v", err)
 	}

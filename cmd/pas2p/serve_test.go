@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -129,10 +130,10 @@ func TestAnalyzeServeLiveTelemetry(t *testing.T) {
 	}
 }
 
-// TestChaosServeFlightRecorder runs `pas2p chaos -serve` with
-// aggressive fault rates and checks /flight lists the injected faults
-// as ordered structured events — and that recording them does not
-// break the seed-determinism check (-verify stays on).
+// TestChaosServeFlightRecorder runs `pas2p predict -faults -verify
+// -serve` with aggressive fault rates and checks /flight lists the
+// injected faults as ordered structured events — and that recording
+// them does not break the seed-determinism check.
 func TestChaosServeFlightRecorder(t *testing.T) {
 	withServeHooks(t, nil, func(s *obshttp.Server) {
 		body, err := s.Fetch("/flight")
@@ -160,10 +161,10 @@ func TestChaosServeFlightRecorder(t *testing.T) {
 			t.Errorf("no exec.restart events in flight; kinds = %v", kinds)
 		}
 	})
-	err := cmdChaos([]string{"cg", "-ranks", "8", "-seed", "7",
-		"-faults", "loss=0.1,crash=0.2", "-no-ground-truth", "-serve", "127.0.0.1:0"})
+	err := cmdPredict([]string{"-app", "cg", "-procs", "8", "-seed", "7",
+		"-faults", "loss=0.1,crash=0.2", "-verify", "-no-ground-truth", "-serve", "127.0.0.1:0"})
 	if err != nil {
-		t.Fatalf("chaos -serve: %v", err)
+		t.Fatalf("predict -faults -verify -serve: %v", err)
 	}
 }
 
@@ -197,5 +198,41 @@ func TestServeBadAddrFails(t *testing.T) {
 	err := cmdPredict([]string{"-app", "cg", "-procs", "8", "-serve", "notanaddr:-1"})
 	if err == nil {
 		t.Fatal("predict -serve with a bad address should fail")
+	}
+}
+
+// TestPredictTelemetryFiles checks predict's telemetry flags: the span
+// report on stdout, the metrics in both formats, and a Perfetto
+// timeline whose traced-run track carries the phase boundaries.
+func TestPredictTelemetryFiles(t *testing.T) {
+	dir := t.TempDir()
+	metrics := filepath.Join(dir, "m.json")
+	prom := filepath.Join(dir, "m.prom")
+	timeline := filepath.Join(dir, "t.json")
+	out, err := captureStdout(t, func() error {
+		return cmdPredict([]string{"-app", "cg", "-procs", "8", "-no-ground-truth",
+			"-metrics", metrics, "-prom", prom, "-timeline", timeline})
+	})
+	if err != nil {
+		t.Fatalf("predict: %v", err)
+	}
+	for _, want := range []string{"signature execution timeline (Fig. 11)", "stage spans:",
+		"signature.execute", "timeline written to " + timeline} {
+		if !strings.Contains(out, want) {
+			t.Errorf("predict output lacks %q:\n%s", want, out)
+		}
+	}
+	for path, want := range map[string]string{
+		metrics:  `"signature.build"`,
+		prom:     "pas2p_span_wall_seconds",
+		timeline: `"phase 1"`,
+	} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(b), want) {
+			t.Errorf("%s lacks %s", filepath.Base(path), want)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"pas2p/internal/apps"
 	"pas2p/internal/fsx"
 	"pas2p/internal/mpi"
-	"pas2p/internal/phase"
+	"pas2p/internal/predict"
 	"pas2p/internal/signature"
 )
 
@@ -39,20 +39,13 @@ func cmdSign(args []string) error {
 	if err != nil {
 		return err
 	}
-	traced, err := mpi.Run(a, mpi.RunConfig{Deployment: bd, Trace: true})
-	if err != nil {
-		return err
-	}
-	_, tb, err := phase.AnalyzeTrace(context.Background(), traced.Trace, phase.DefaultConfig(), 1)
-	if err != nil {
-		return err
-	}
 	opts := signature.DefaultOptions()
 	opts.AllPhases = *allPhases
-	br, err := signature.Build(a, tb, bd, opts)
+	signed, err := predict.Sign(context.Background(), predict.Experiment{App: a, Base: bd, Signature: opts})
 	if err != nil {
 		return err
 	}
+	tb, br := signed.Table, signed.Build
 	path := *out
 	if path == "" {
 		path = *app + ".sig.json"
@@ -121,17 +114,8 @@ func cmdExecSig(args []string) error {
 			return err
 		}
 		aet := full.Elapsed.Seconds()
-		pet := res.PET.Seconds()
-		pete := 100 * abs(pet-aet) / aet
 		fmt.Printf("AET        : %.2fs  ->  PETE %.2f%% (SET is %.2f%% of AET)\n",
-			aet, pete, 100*res.SET.Seconds()/aet)
+			aet, predict.PETE(res.PET, full.Elapsed), 100*res.SET.Seconds()/aet)
 	}
 	return nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -14,7 +14,7 @@
 //	       [-snapshot FILE]
 //
 // Chaos mode wires a deterministic fault injector into served sign
-// runs (-faults, the pas2p chaos grammar: loss=0.05,dup=0.01,...) and
+// runs (-faults, the grammar of pas2p predict -faults: loss=0.05,dup=0.01,...) and
 // a fault-injecting filesystem under the repository (-fsfaults:
 // torn=0.05,trunc=0.02,flip=0.01). The service's contract holds under
 // both: every request either succeeds with a checksum-valid answer or

@@ -14,6 +14,17 @@ import (
 	"pas2p/internal/vtime"
 )
 
+// MaxRanks caps the rank count of a deployment and MaxCores a
+// cluster's Nodes x CoresPerNode. Laying out a deployment allocates per
+// rank and per core, so an unchecked count from a request body or a
+// custom cluster file could exhaust memory before any simulation
+// starts. The largest in-tree uses are 256 ranks (Table 7) and 256
+// cores (cluster C); the caps leave wide headroom above both.
+const (
+	MaxRanks = 1 << 16
+	MaxCores = 1 << 20
+)
+
 // Cluster describes one target machine, mirroring the rows of the
 // paper's Table 2.
 type Cluster struct {
@@ -51,6 +62,9 @@ func (c *Cluster) Validate() error {
 	switch {
 	case c.Nodes <= 0 || c.CoresPerNode <= 0:
 		return fmt.Errorf("machine %q: topology %d nodes x %d cores invalid", c.Name, c.Nodes, c.CoresPerNode)
+	case c.Nodes > MaxCores/c.CoresPerNode:
+		return fmt.Errorf("machine %q: topology %d nodes x %d cores exceeds the %d-core cap",
+			c.Name, c.Nodes, c.CoresPerNode, MaxCores)
 	case c.CoreGFLOPS <= 0:
 		return fmt.Errorf("machine %q: CoreGFLOPS must be positive", c.Name)
 	case c.MemContention < 0:
@@ -66,6 +80,38 @@ func (c *Cluster) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Restrict validates the cluster and cuts it down to the whole nodes
+// holding the given number of cores, rounding up, as the paper's
+// scaling experiments restrict a target. 0 keeps every core; any other
+// value must lie in [1, Cores()].
+func (c *Cluster) Restrict(cores int) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if cores == 0 {
+		return nil
+	}
+	if cores < 0 || cores > c.Cores() {
+		return fmt.Errorf("machine %q: core restriction %d outside [1, %d] (0 = all cores)",
+			c.Name, cores, c.Cores())
+	}
+	c.Nodes = (cores + c.CoresPerNode - 1) / c.CoresPerNode
+	return nil
+}
+
+// Deploy lays ranks out block-wise on the named Table 2 preset,
+// restricted to the given number of cores (see Restrict; 0 = all).
+func Deploy(name string, cores, ranks int) (*Deployment, error) {
+	c := ByName(name)
+	if c == nil {
+		return nil, fmt.Errorf("unknown cluster %q (use A, B, C or D)", name)
+	}
+	if err := c.Restrict(cores); err != nil {
+		return nil, err
+	}
+	return NewDeployment(c, ranks, MapBlock)
 }
 
 // MappingPolicy selects how ranks are laid out over nodes and cores.
@@ -118,8 +164,8 @@ func NewDeployment(c *Cluster, ranks int, policy MappingPolicy) (*Deployment, er
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if ranks <= 0 {
-		return nil, fmt.Errorf("deployment on %q: rank count %d invalid", c.Name, ranks)
+	if ranks <= 0 || ranks > MaxRanks {
+		return nil, fmt.Errorf("deployment on %q: rank count %d outside [1, %d]", c.Name, ranks, MaxRanks)
 	}
 	d := &Deployment{Cluster: c, Ranks: ranks, Policy: policy}
 	d.layout()

@@ -40,7 +40,7 @@ func (op ReduceOp) apply(acc, x []float64) {
 
 // collective runs one synchronising operation and records its event.
 func (c *Comm) collective(op network.CollectiveOp, root, size int, payload any) sim.CollInfo {
-	idx := c.before(trace.Collective)
+	idx := c.before()
 	rootWorld := 0
 	if root >= 0 {
 		rootWorld = c.worldPeer(root)

@@ -39,12 +39,11 @@ type App struct {
 
 // Interceptor observes every communication operation of one rank; the
 // signature executor implements it to drive checkpoint/skip/measure
-// modes. Init runs on the rank before any application code, Before
-// runs prior to each operation (eventIndex is the index the event will
-// get), and After runs once it completed.
+// modes. Init runs on the rank before any application code, and After
+// runs once each operation completed (eventIndex is the index of its
+// event).
 type Interceptor interface {
 	Init(c *Comm)
-	Before(c *Comm, kind trace.Kind, eventIndex int64)
 	After(c *Comm, kind trace.Kind, eventIndex int64)
 }
 
@@ -257,11 +256,8 @@ func (c *Comm) commRank(world int) int {
 	return -1
 }
 
-func (c *Comm) before(kind trace.Kind) int64 {
+func (c *Comm) before() int64 {
 	idx := c.st.eventIndex
-	if c.st.icept != nil {
-		c.st.icept.Before(c, kind, idx)
-	}
 	if c.st.rec != nil && c.st.overhead > 0 {
 		c.p.Advance(c.st.overhead)
 	}
@@ -312,7 +308,7 @@ func (c *Comm) recordColl(info sim.CollInfo) {
 // Send transmits data to dst (communicator rank) and blocks per MPI
 // semantics (eager completes locally; large messages rendezvous).
 func (c *Comm) Send(dst, tag int, data []float64) {
-	idx := c.before(trace.Send)
+	idx := c.before()
 	payload := append([]float64(nil), data...)
 	info := c.p.Send(c.worldPeer(dst), tag, 8*len(data), payload)
 	c.recordPtP(info)
@@ -321,7 +317,7 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 
 // SendN transmits size bytes of pattern-only payload.
 func (c *Comm) SendN(dst, tag, size int) {
-	idx := c.before(trace.Send)
+	idx := c.before()
 	info := c.p.Send(c.worldPeer(dst), tag, size, nil)
 	c.recordPtP(info)
 	c.after(trace.Send, idx)
@@ -330,7 +326,7 @@ func (c *Comm) SendN(dst, tag, size int) {
 // Recv blocks for a matching message and returns its data and source
 // (communicator rank).
 func (c *Comm) Recv(src, tag int) ([]float64, int) {
-	idx := c.before(trace.Recv)
+	idx := c.before()
 	info := c.p.Recv(c.worldPeer(src), tag)
 	c.recordPtP(info)
 	c.after(trace.Recv, idx)
@@ -341,7 +337,7 @@ func (c *Comm) Recv(src, tag int) ([]float64, int) {
 // RecvN blocks for a matching pattern-only message, returning its size
 // and source.
 func (c *Comm) RecvN(src, tag int) (int, int) {
-	idx := c.before(trace.Recv)
+	idx := c.before()
 	info := c.p.Recv(c.worldPeer(src), tag)
 	c.recordPtP(info)
 	c.after(trace.Recv, idx)
@@ -357,7 +353,7 @@ type Request struct {
 
 // Isend starts a nonblocking send.
 func (c *Comm) Isend(dst, tag int, data []float64) Request {
-	idx := c.before(trace.Send)
+	idx := c.before()
 	payload := append([]float64(nil), data...)
 	id := c.p.Isend(c.worldPeer(dst), tag, 8*len(data), payload)
 	c.after(trace.Send, idx)
@@ -366,7 +362,7 @@ func (c *Comm) Isend(dst, tag int, data []float64) Request {
 
 // IsendN starts a nonblocking pattern-only send.
 func (c *Comm) IsendN(dst, tag, size int) Request {
-	idx := c.before(trace.Send)
+	idx := c.before()
 	id := c.p.Isend(c.worldPeer(dst), tag, size, nil)
 	c.after(trace.Send, idx)
 	return Request{id: id, kind: trace.Send, idx: idx}
@@ -374,7 +370,7 @@ func (c *Comm) IsendN(dst, tag, size int) Request {
 
 // Irecv posts a nonblocking receive.
 func (c *Comm) Irecv(src, tag int) Request {
-	idx := c.before(trace.Recv)
+	idx := c.before()
 	id := c.p.Irecv(c.worldPeer(src), tag)
 	c.after(trace.Recv, idx)
 	return Request{id: id, kind: trace.Recv, idx: idx}

@@ -368,18 +368,17 @@ func TestEventAndSendCounters(t *testing.T) {
 }
 
 type countingInterceptor struct {
-	inited        bool
-	before, after int
-	kinds         []trace.Kind
+	inited bool
+	after  int
+	kinds  []trace.Kind
 }
 
 func (ci *countingInterceptor) Init(c *Comm) { ci.inited = true }
 
-func (ci *countingInterceptor) Before(c *Comm, k trace.Kind, idx int64) {
-	ci.before++
+func (ci *countingInterceptor) After(c *Comm, k trace.Kind, idx int64) {
+	ci.after++
 	ci.kinds = append(ci.kinds, k)
 }
-func (ci *countingInterceptor) After(c *Comm, k trace.Kind, idx int64) { ci.after++ }
 
 func TestInterceptorSeesEveryOp(t *testing.T) {
 	icepts := make([]*countingInterceptor, 2)
@@ -400,8 +399,8 @@ func TestInterceptorSeesEveryOp(t *testing.T) {
 		if !ci.inited {
 			t.Errorf("rank %d interceptor never initialised", r)
 		}
-		if ci.before != 3 || ci.after != 3 {
-			t.Errorf("rank %d interceptor saw %d/%d ops, want 3/3", r, ci.before, ci.after)
+		if ci.after != 3 {
+			t.Errorf("rank %d interceptor saw %d ops, want 3", r, ci.after)
 		}
 	}
 	if icepts[0].kinds[0] != trace.Send || icepts[1].kinds[0] != trace.Recv {

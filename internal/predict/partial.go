@@ -96,8 +96,6 @@ type partialMark struct {
 
 func (x *partialInterceptor) Init(c *mpi.Comm) {}
 
-func (x *partialInterceptor) Before(c *mpi.Comm, kind trace.Kind, idx int64) {}
-
 func (x *partialInterceptor) After(c *mpi.Comm, kind trace.Kind, idx int64) {
 	pos := idx + 1
 	m := &x.marks[x.rank]

@@ -96,15 +96,14 @@ func runPredTable(w io.Writer, title string, specs []predSpec,
 }
 
 // shrinkToCores restricts a cluster to roughly the requested cores,
-// rounding up to whole nodes.
+// rounding up to whole nodes (at least one), and names the result
+// after the cores it keeps.
 func shrinkToCores(c *clusterT, cores int) (*clusterT, error) {
-	nodes := (cores + c.CoresPerNode - 1) / c.CoresPerNode
-	if nodes < 1 {
-		nodes = 1
-	}
 	cc := *c
-	cc.Nodes = nodes
-	cc.Name = fmt.Sprintf("%s[%d cores]", c.Name, nodes*c.CoresPerNode)
+	if err := cc.Restrict(max(cores, 1)); err != nil {
+		return nil, err
+	}
+	cc.Name = fmt.Sprintf("%s[%d cores]", c.Name, cc.Cores())
 	return &cc, nil
 }
 

@@ -51,7 +51,7 @@ func mustParse(t *testing.T, doc string) *Scenario {
 // observer sees the campaign counters.
 func TestCampaignPasses(t *testing.T) {
 	o := obs.New()
-	doc, err := Run([]*Scenario{mustParse(t, fastScenario)}, Options{Workers: 1, Observer: o})
+	doc, err := Run([]*Scenario{mustParse(t, fastScenario)}, Options{Observer: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCampaignPasses(t *testing.T) {
 // intentionally violated bound fails the campaign, and the report
 // names the scenario, the assertion, and the measured value.
 func TestCampaignViolatedAssertion(t *testing.T) {
-	doc, err := Run([]*Scenario{mustParse(t, violatedScenario)}, Options{Workers: 1})
+	doc, err := Run([]*Scenario{mustParse(t, violatedScenario)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +122,8 @@ assert:
   determinism: true
 `
 	render := func(workers int) string {
-		doc, err := Run([]*Scenario{mustParse(t, chaos), mustParse(t, fastScenario)},
-			Options{Workers: workers})
+		doc, err := run([]*Scenario{mustParse(t, chaos), mustParse(t, fastScenario)},
+			Options{}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,8 +161,7 @@ func TestCampaignPanicIsolation(t *testing.T) {
 	}
 	ok := strings.Replace(strings.Replace(fastScenario, "name: fast", "name: ok", 1),
 		"pete_bound: 5.0", "pete_bound: 99", 1)
-	doc, err := Run([]*Scenario{mustParse(t, fastScenario), mustParse(t, ok)},
-		Options{Workers: 2})
+	doc, err := Run([]*Scenario{mustParse(t, fastScenario), mustParse(t, ok)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +193,7 @@ func TestCampaignTimeout(t *testing.T) {
 		return orig(c, o)
 	}
 	doc, err := Run([]*Scenario{mustParse(t, fastScenario)},
-		Options{Workers: 1, Timeout: 50 * time.Millisecond})
+		Options{Timeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +206,7 @@ func TestCampaignTimeout(t *testing.T) {
 	}
 	// The scenario's own timeout overrides the campaign default.
 	slow := mustParse(t, fastScenario+"timeout: 40ms\n")
-	doc, err = Run([]*Scenario{slow}, Options{Workers: 1, Timeout: time.Hour})
+	doc, err = Run([]*Scenario{slow}, Options{Timeout: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +220,7 @@ func TestCampaignTimeout(t *testing.T) {
 func TestWriteJUnit(t *testing.T) {
 	doc, err := Run([]*Scenario{mustParse(t, violatedScenario), mustParse(t,
 		strings.Replace(fastScenario, "name: fast", "name: good", 1))},
-		Options{Workers: 1})
+		Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,6 @@ timeout: 90s
 assert:
   pete_bound: 6.5
   recovery_invariant: true
-  max_alloc: 2GiB
 `))
 	f.Add([]byte("---\n# comment\nname: 'quo''ted'\n"))
 	f.Add([]byte("a: [1, 2, 3]\nb: \"x\\ny\"\n"))

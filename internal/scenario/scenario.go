@@ -85,14 +85,7 @@ func (m *MachineSpec) cluster() (*machine.Cluster, error) {
 	default:
 		return nil, fmt.Errorf("unknown interconnect %q (gigabit or infiniband)", m.Interconnect)
 	}
-	if m.Cores > 0 {
-		nodes := (m.Cores + cl.CoresPerNode - 1) / cl.CoresPerNode
-		if nodes < 1 {
-			nodes = 1
-		}
-		cl.Nodes = nodes
-	}
-	if err := cl.Validate(); err != nil {
+	if err := cl.Restrict(m.Cores); err != nil {
 		return nil, err
 	}
 	return cl, nil
@@ -144,10 +137,8 @@ type Assertions struct {
 	// identical prediction, signature time, phase counts and fault
 	// report.
 	Determinism bool
-	// MaxWall bounds the case's wall-clock time; MaxAllocBytes its heap
-	// allocation (process-wide deltas — meaningful at -workers 1).
-	MaxWall       time.Duration
-	MaxAllocBytes int64
+	// MaxWall bounds the case's wall-clock time.
+	MaxWall time.Duration
 }
 
 // count returns how many assertions are configured.
@@ -156,7 +147,7 @@ func (a *Assertions) count() int {
 	for _, has := range []bool{
 		a.HasPETEBound, a.HasPhasesMin, a.HasPhasesMax, a.HasRelevantMin,
 		a.HasCoverageMin, a.RecoveryInvariant, a.Determinism,
-		a.MaxWall > 0, a.MaxAllocBytes > 0,
+		a.MaxWall > 0,
 	} {
 		if has {
 			n++
@@ -348,34 +339,6 @@ func (d *decoder) duration(n *node, what string) time.Duration {
 		return 0
 	}
 	return v
-}
-
-// size parses byte sizes: a bare integer, or with a KB/MB/GB/KiB/MiB/
-// GiB suffix.
-func (d *decoder) size(n *node, what string) int64 {
-	s := d.scalar(n, what)
-	if d.err != nil {
-		return 0
-	}
-	mult := int64(1)
-	for _, suf := range []struct {
-		tag string
-		m   int64
-	}{
-		{"KiB", 1 << 10}, {"MiB", 1 << 20}, {"GiB", 1 << 30},
-		{"KB", 1e3}, {"MB", 1e6}, {"GB", 1e9},
-	} {
-		if strings.HasSuffix(s, suf.tag) {
-			s, mult = strings.TrimSpace(strings.TrimSuffix(s, suf.tag)), suf.m
-			break
-		}
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || v <= 0 {
-		d.fail(n.line, "%s: %q is not a positive byte size (e.g. 64MiB, 2GB)", what, s)
-		return 0
-	}
-	return v * mult
 }
 
 func (d *decoder) seeds(n *node) []int64 {
@@ -672,7 +635,7 @@ func (d *decoder) assertions(n *node) Assertions {
 	}
 	d.checkKeys(n, "assertion", "pete_bound", "phases_min", "phases_max",
 		"relevant_min", "coverage_min", "recovery_invariant", "determinism",
-		"max_wall", "max_alloc")
+		"max_wall")
 	var a Assertions
 	if c := n.get("pete_bound"); c != nil {
 		a.PETEBound, a.HasPETEBound = d.float(c, "pete_bound"), true
@@ -715,9 +678,6 @@ func (d *decoder) assertions(n *node) Assertions {
 	}
 	if c := n.get("max_wall"); c != nil {
 		a.MaxWall = d.duration(c, "max_wall")
-	}
-	if c := n.get("max_alloc"); c != nil {
-		a.MaxAllocBytes = d.size(c, "max_alloc")
 	}
 	return a
 }

@@ -45,7 +45,6 @@ assert:
   recovery_invariant: true
   determinism: true
   max_wall: 30s
-  max_alloc: 2GiB
 `
 	s, err := Parse("full.yaml", []byte(doc))
 	if err != nil {
@@ -71,11 +70,11 @@ assert:
 	if !a.HasPETEBound || a.PETEBound != 6.5 || !a.HasPhasesMin || a.PhasesMin != 2 ||
 		!a.HasPhasesMax || a.PhasesMax != 12 || !a.HasRelevantMin || a.RelevantMin != 1 ||
 		!a.HasCoverageMin || a.CoverageMin != 0.8 || !a.RecoveryInvariant || !a.Determinism ||
-		a.MaxWall != 30*time.Second || a.MaxAllocBytes != 2<<30 {
+		a.MaxWall != 30*time.Second {
 		t.Errorf("assertions decoded wrong: %+v", a)
 	}
-	if n := a.count(); n != 9 {
-		t.Errorf("assertion count = %d, want 9", n)
+	if n := a.count(); n != 8 {
+		t.Errorf("assertion count = %d, want 8", n)
 	}
 	// The matrix: 2 targets x 3 seeds.
 	cases := s.Cases()
@@ -139,7 +138,7 @@ func TestScenarioRejects(t *testing.T) {
 		{"phases_min over max", mutate(8, "  phases_min: 5", "  phases_max: 2"), "exceeds phases_max"},
 		{"bad boolean", mutate(8, "  determinism: maybe"), "not a boolean"},
 		{"bad max_wall", mutate(8, "  max_wall: fast"), "not a positive duration"},
-		{"bad max_alloc", mutate(8, "  max_alloc: -5"), "not a positive byte size"},
+		{"bad max_alloc", mutate(8, "  max_alloc: 2GiB"), `unknown assertion key "max_alloc"`},
 		{"recovery without faults", mutate(8, "  recovery_invariant: true"), "requires a faults block"},
 		{"bad fault spec key", validDoc + "faults:\n  spec: explosions=0.5\n", "unknown key"},
 		{"empty fault spec", validDoc + "faults:\n  spec: \"\"\n", "enables no fault class"},

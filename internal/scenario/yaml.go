@@ -1,9 +1,9 @@
 // Package scenario turns the repository's hand-chained CLI experiments
-// (trace → analyze → predict → chaos) into a declarative, asserting
+// (trace → analyze → predict, with and without faults) into a declarative, asserting
 // test suite: a scenario file names an application, a base and one or
 // more target machine models, an optional fault specification, and a
 // set of assertions (prediction-error bound, expected phase counts,
-// recovery invariant, determinism, wall/alloc budgets); a campaign runs
+// recovery invariant, determinism, wall budget); a campaign runs
 // a directory of scenarios as a sweep matrix (apps × machine models ×
 // fault seeds) on a bounded worker pool and reports pass/fail as a
 // table, a JSON results document, and JUnit XML for CI.

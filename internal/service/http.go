@@ -21,10 +21,10 @@ import (
 	"pas2p"
 	"pas2p/internal/apps"
 	"pas2p/internal/machine"
-	"pas2p/internal/mpi"
 	"pas2p/internal/obs"
 	"pas2p/internal/obs/obshttp"
 	"pas2p/internal/phase"
+	"pas2p/internal/predict"
 	"pas2p/internal/signature"
 	"pas2p/internal/sigrepo"
 	"pas2p/internal/trace"
@@ -439,24 +439,6 @@ func payloadSHA256(sv *signature.Saved) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// deployFor resolves a named cluster, optionally restricted to a core
-// count (whole nodes, as the paper's §5 scaling experiments do), and
-// lays ranks out block-wise — the same resolution the CLI uses.
-func deployFor(name string, cores, ranks int) (*machine.Deployment, error) {
-	cl := machine.ByName(name)
-	if cl == nil {
-		return nil, fmt.Errorf("unknown cluster %q", name)
-	}
-	if cores > 0 {
-		nodes := (cores + cl.CoresPerNode - 1) / cl.CoresPerNode
-		if nodes < 1 {
-			nodes = 1
-		}
-		cl.Nodes = nodes
-	}
-	return machine.NewDeployment(cl, ranks, machine.MapBlock)
-}
-
 // --- endpoint handlers ---
 
 func (s *Service) handleAnalyze(ctx context.Context, r *http.Request) (*handlerResult, *APIError) {
@@ -723,33 +705,22 @@ func (s *Service) handleSign(ctx context.Context, r *http.Request) (*handlerResu
 	if err != nil {
 		return nil, errBadRequest("%v", err)
 	}
-	bd, err := deployFor(req.Base, 0, req.Procs)
+	bd, err := machine.Deploy(req.Base, 0, req.Procs)
 	if err != nil {
 		return nil, errBadRequest("%v", err)
 	}
 	v, err := s.runWork(ctx, "sign", func() (any, error) {
 		// Chaos mode: the configured injector rides the traced run, so
 		// message faults fire inside served pipelines.
-		traced, err := mpi.Run(a, mpi.RunConfig{Deployment: bd, Trace: true, Faults: s.cfg.Faults})
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		_, tb, err := phase.AnalyzeTrace(ctx, traced.Trace, phase.DefaultConfig(), 1)
-		if err != nil {
-			return nil, err
-		}
 		opts := signature.DefaultOptions()
 		opts.AllPhases = req.AllPhases
-		br, err := signature.Build(a, tb, bd, opts)
+		signed, err := predict.Sign(ctx, predict.Experiment{
+			App: a, Base: bd, Signature: opts, Faults: s.cfg.Faults,
+		})
 		if err != nil {
 			return nil, err
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+		tb, br := signed.Table, signed.Build
 		if _, err := s.repo.Add(br.Signature, req.Workload, bd.Cluster.Name); err != nil {
 			return nil, err
 		}
@@ -841,7 +812,7 @@ func (s *Service) handlePredict(ctx context.Context, r *http.Request) (*handlerR
 	if req.Target == "" {
 		req.Target = "B"
 	}
-	td, err := deployFor(req.Target, req.Cores, req.Procs)
+	td, err := machine.Deploy(req.Target, req.Cores, req.Procs)
 	if err != nil {
 		return nil, errBadRequest("%v", err)
 	}

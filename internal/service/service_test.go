@@ -297,6 +297,32 @@ func TestRequestDecodeErrorsAreTyped(t *testing.T) {
 	wantTyped(t, resp, http.StatusRequestEntityTooLarge, CodeBodyTooLarge)
 }
 
+// TestHugeCountsAreTyped: rank and core counts far beyond any machine
+// model are refused with a typed 400 before a deployment is laid out
+// (laying one out allocates per rank and per core, so the daemon would
+// otherwise die of an out-of-memory fatal error no recover can stop),
+// and the daemon keeps serving.
+func TestHugeCountsAreTyped(t *testing.T) {
+	_, ts := newTestService(t, nil)
+	for _, req := range []struct{ path, body string }{
+		{"/v1/predict", `{"app":"cg","procs":8,"cores":1099511627776}`},
+		{"/v1/predict", `{"app":"cg","procs":1099511627776}`},
+		{"/v1/predict", `{"app":"cg","procs":8,"cores":-1}`},
+		{"/v1/sign", `{"app":"cg","procs":1099511627776}`},
+	} {
+		resp := postBytes(t, ts.URL+req.path, []byte(req.body), nil)
+		wantTyped(t, resp, http.StatusBadRequest, CodeBadRequest)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after huge requests: status %d", resp.StatusCode)
+	}
+}
+
 // TestRequestPathsAndHeadersAreTyped: requests ServeMux would
 // answer with an untyped 301 path-clean redirect, and deadlines that
 // overflow time.Duration, get typed errors. The client does not follow

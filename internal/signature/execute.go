@@ -312,8 +312,6 @@ func (x *executorInterceptor) failuresAt() int {
 	return x.failures[x.seg]
 }
 
-func (x *executorInterceptor) Before(c *mpi.Comm, kind trace.Kind, idx int64) {}
-
 func (x *executorInterceptor) After(c *mpi.Comm, kind trace.Kind, idx int64) {
 	x.at(c, idx+1)
 }

@@ -279,8 +279,6 @@ func newBuilderInterceptor(rank int, segs []segment, snapCost vtime.Duration) *b
 
 func (b *builderInterceptor) Init(c *mpi.Comm) { b.at(c, 0) }
 
-func (b *builderInterceptor) Before(c *mpi.Comm, kind trace.Kind, idx int64) {}
-
 func (b *builderInterceptor) After(c *mpi.Comm, kind trace.Kind, idx int64) {
 	b.at(c, idx+1)
 }
