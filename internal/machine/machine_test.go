@@ -52,6 +52,8 @@ func TestValidateRejectsBadModels(t *testing.T) {
 		func(c *Cluster) { c.MemContention = -0.1 },
 		func(c *Cluster) { c.Interconnect.Bandwidth = 0 },
 		func(c *Cluster) { c.IntraNode.Latency = -1 },
+		func(c *Cluster) { c.Nodes = MaxCores },                     // above the core cap
+		func(c *Cluster) { c.Nodes, c.CoresPerNode = 1<<40, 1<<40 }, // product overflows
 	}
 	for i, mutate := range cases {
 		c := ClusterA()
@@ -68,6 +70,42 @@ func TestNewDeploymentRejectsBadRanks(t *testing.T) {
 	}
 	if _, err := NewDeployment(ClusterA(), -4, MapBlock); err == nil {
 		t.Error("negative ranks should be rejected")
+	}
+	for _, ranks := range []int{MaxRanks + 1, 1 << 40} {
+		if _, err := NewDeployment(ClusterA(), ranks, MapBlock); err == nil {
+			t.Errorf("%d ranks, above the cap, should be rejected", ranks)
+		}
+	}
+}
+
+// TestRestrict: a core restriction keeps whole nodes, rounding up, and
+// accepts only 0 (all cores) or 1 up to the cluster's core count.
+func TestRestrict(t *testing.T) {
+	for _, tc := range []struct{ cores, nodes int }{
+		{0, 8}, {1, 1}, {8, 1}, {9, 2}, {64, 8},
+	} {
+		c := ClusterB() // 8 nodes x 8 cores
+		if err := c.Restrict(tc.cores); err != nil {
+			t.Fatalf("Restrict(%d): %v", tc.cores, err)
+		}
+		if c.Nodes != tc.nodes {
+			t.Errorf("Restrict(%d): %d nodes, want %d", tc.cores, c.Nodes, tc.nodes)
+		}
+	}
+	for _, cores := range []int{-1, 65, 1 << 40} {
+		if err := ClusterB().Restrict(cores); err == nil {
+			t.Errorf("Restrict(%d) on 64 cores should fail", cores)
+		}
+	}
+	d, err := Deploy("B", 16, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Cluster.Nodes != 2 || d.Oversubscription() != 2 {
+		t.Errorf("Deploy(B, 16 cores, 32 ranks) = %s", d)
+	}
+	if _, err := Deploy("Z", 0, 4); err == nil || !strings.Contains(err.Error(), `unknown cluster "Z"`) {
+		t.Errorf("Deploy of an unknown preset: %v", err)
 	}
 }
 
