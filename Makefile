@@ -67,5 +67,4 @@ check: build
 	$(GO) vet ./...
 	cd perfbench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -shuffle=on ./...
-	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'PartialExec' ./internal/predict
+	$(MAKE) race

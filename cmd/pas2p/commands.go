@@ -372,7 +372,8 @@ func cmdAET(args []string) error {
 
 // cmdPredict runs the full Fig. 12 loop: signature construction on the
 // base cluster, its execution on the target, and (unless
-// -no-ground-truth) the full target run PETE is measured against. With
+// -no-ground-truth) the full target run PETE is measured against, which
+// for a target equal to the base is the plain base run itself. With
 // -faults the pipeline runs under deterministic fault injection; every
 // fault decision is a pure function of the seed, so -verify re-runs it
 // with a fresh injector and requires the identical outcome.

@@ -218,6 +218,21 @@ func (d *Deployment) layout() {
 	}
 }
 
+// Equal reports whether two deployments are the same machine with the
+// same layout: equal cluster models, rank counts and mapping policies.
+// The layout is a pure function of these three, so the simulator runs
+// any application identically on equal deployments. A NaN field never
+// compares equal, so it makes the deployments unequal.
+func (d *Deployment) Equal(o *Deployment) bool {
+	if d == o {
+		return true
+	}
+	if d == nil || o == nil || d.Cluster == nil || o.Cluster == nil {
+		return false
+	}
+	return *d.Cluster == *o.Cluster && d.Ranks == o.Ranks && d.Policy == o.Policy
+}
+
 // Place returns the node/core assignment of a rank.
 func (d *Deployment) Place(rank int) Placement { return d.place[rank] }
 

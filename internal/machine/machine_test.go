@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -368,5 +369,45 @@ func TestTopologyChangesAppTiming(t *testing.T) {
 	// different pods in a radix-4 tree.
 	if dTree.Path(0, 8).Latency <= dFlat.Path(0, 8).Latency {
 		t.Error("tree path should be slower for distant nodes")
+	}
+}
+
+// TestDeploymentEqual: separately built deployments of the same preset
+// are equal; a different cluster name, network parameter, rank count or
+// mapping policy, or a NaN field, makes them unequal.
+func TestDeploymentEqual(t *testing.T) {
+	mk := func(mutate func(*Cluster), ranks int, policy MappingPolicy) *Deployment {
+		t.Helper()
+		c := ClusterC()
+		mutate(c)
+		d, err := NewDeployment(c, ranks, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	keep := func(*Cluster) {}
+	d := mk(keep, 16, MapBlock)
+	if !d.Equal(d) {
+		t.Error("a deployment must equal itself")
+	}
+	if twin := mk(keep, 16, MapBlock); !d.Equal(twin) || !twin.Equal(d) {
+		t.Error("separately built equal deployments compare unequal")
+	}
+	for name, other := range map[string]*Deployment{
+		"name":      mk(func(c *Cluster) { c.Name = "Cluster C'" }, 16, MapBlock),
+		"latency":   mk(func(c *Cluster) { c.Interconnect.Latency++ }, 16, MapBlock),
+		"eager":     mk(func(c *Cluster) { c.IntraNode.EagerLimit++ }, 16, MapBlock),
+		"ranks":     mk(keep, 32, MapBlock),
+		"policy":    mk(keep, 16, MapCyclic),
+		"NaN taper": mk(func(c *Cluster) { c.Topology.HopBandwidthTaper = math.NaN() }, 16, MapBlock),
+	} {
+		if d.Equal(other) || other.Equal(d) {
+			t.Errorf("deployments differing in %s compare equal", name)
+		}
+	}
+	var none *Deployment
+	if d.Equal(none) || none.Equal(d) {
+		t.Error("a deployment must not equal nil")
 	}
 }

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pas2p/internal/machine"
@@ -322,6 +323,24 @@ func TestNonblockingWaitPayloads(t *testing.T) {
 			}
 		}
 	}, RunConfig{})
+}
+
+// TestWaitRepeatedRequest: a request passed twice to Wait fails the
+// run with an error naming the waiting rank, not a panic on its peer.
+func TestWaitRepeatedRequest(t *testing.T) {
+	app := App{Name: "twice", Procs: 2, Body: func(c *Comm) {
+		if c.Rank() == 0 {
+			r := c.Irecv(1, 0)
+			c.Wait(r, r)
+		} else {
+			c.Compute(1e6)
+			c.Send(0, 0, []float64{1})
+		}
+	}}
+	_, err := Run(app, RunConfig{Deployment: deploy(t, 2)})
+	if err == nil || !strings.Contains(err.Error(), "rank 0: wait on request 1 more than once") {
+		t.Errorf("err = %v", err)
+	}
 }
 
 func TestTraceMonotoneWithNonblocking(t *testing.T) {

@@ -2,7 +2,8 @@
 // (Fig. 12): instrument the application on a base machine, analyse the
 // trace into phases, construct the signature, execute it on a target
 // machine to obtain the predicted execution time (PET), run the full
-// application on the target for the ground-truth AET, and report the
+// application on the target for the ground-truth AET (on the base
+// machine itself, the base run is that run), and report the
 // prediction error (PETE) together with every tool-performance metric
 // of Tables 8 and 9 (tracefile size, analysis time, construction time,
 // signature execution time, instrumentation overhead). Sign is stage A
@@ -46,8 +47,9 @@ type Experiment struct {
 	// WarmOccurrence designates which phase occurrence is
 	// checkpointed (default 1, the second).
 	WarmOccurrence int
-	// SkipTargetAET skips the ground-truth full run on the target
-	// (PETE is then reported as NaN); used when only SET/PET matter.
+	// SkipTargetAET skips the ground truth on the target, simulated or
+	// taken from the base run: AETTarget, PETEPercent and
+	// SETvsAETPercent are then left zero. Used when only SET/PET matter.
 	SkipTargetAET bool
 	// NICContention enables per-node NIC serialisation in every run of
 	// the experiment (base, target, signature).
@@ -59,7 +61,9 @@ type Experiment struct {
 	// sim counters, and — when it carries a timeline — rank tracks for
 	// the traced base run (with phase-boundary instants added after
 	// extraction) and the signature execution. Auxiliary runs (base,
-	// construction, target ground truth) report metrics only.
+	// construction, target ground truth) report metrics only. A target
+	// equal to the base is not simulated again, so it adds no
+	// predict.target_run span and no sim.runs count.
 	Observer *obs.Observer
 	// Faults, when non-nil, injects deterministic faults into the
 	// instrumented base run and the signature pipeline (construction and
@@ -86,8 +90,11 @@ type Outcome struct {
 	Signature *signature.Signature
 
 	// Prediction-side metrics (target machine).
-	SET       vtime.Duration
-	PET       vtime.Duration
+	SET vtime.Duration
+	PET vtime.Duration
+	// AETTarget is the application's execution time on the target: the
+	// base run's AETBase when the target equals the base deployment
+	// (machine.Deployment.Equal), a full run on the target otherwise.
 	AETTarget vtime.Duration
 	Phases    []signature.PhaseMeasurement
 
@@ -196,7 +203,8 @@ func Sign(ctx context.Context, e Experiment) (*Signed, error) {
 
 // Run executes the full Fig. 12 loop: an uninstrumented base run, stage
 // A (Sign), the signature's execution on the target, and the target
-// ground-truth run.
+// ground-truth run, which on a target equal to the base is the base run
+// itself.
 func Run(e Experiment) (*Outcome, error) {
 	if e.App.Body == nil {
 		return nil, fmt.Errorf("predict: experiment has no application")
@@ -252,17 +260,22 @@ func Run(e Experiment) (*Outcome, error) {
 	out.Degraded = res.Degraded
 	out.LostPhases = res.LostPhases
 
-	// 6. Ground truth on the target.
+	// 6. Ground truth on the target. The simulator is deterministic and
+	//    the target run is configured like the base run, so on a target
+	//    equal to the base the base run already is the target's run.
 	if !e.SkipTargetAET {
-		sp = o.StartSpan("predict.target_run")
-		full, err := mpi.Run(e.App, mpi.RunConfig{Deployment: e.Target,
-			NICContention: e.NICContention, AlgorithmicCollectives: e.AlgorithmicCollectives,
-			Observer: o.MetricsOnly()})
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("predict: target run: %w", err)
+		out.AETTarget = out.AETBase
+		if !e.Target.Equal(e.Base) {
+			sp = o.StartSpan("predict.target_run")
+			full, err := mpi.Run(e.App, mpi.RunConfig{Deployment: e.Target,
+				NICContention: e.NICContention, AlgorithmicCollectives: e.AlgorithmicCollectives,
+				Observer: o.MetricsOnly()})
+			sp.End()
+			if err != nil {
+				return nil, fmt.Errorf("predict: target run: %w", err)
+			}
+			out.AETTarget = full.Elapsed
 		}
-		out.AETTarget = full.Elapsed
 		out.PETEPercent = PETE(out.PET, out.AETTarget)
 		out.SETvsAETPercent = 100 * out.SET.Seconds() / out.AETTarget.Seconds()
 	}

@@ -9,6 +9,7 @@ import (
 	"pas2p/internal/faults"
 	"pas2p/internal/machine"
 	"pas2p/internal/mpi"
+	"pas2p/internal/obs"
 	"pas2p/internal/signature"
 	"pas2p/internal/vtime"
 )
@@ -277,6 +278,51 @@ func TestOutcomeDiff(t *testing.T) {
 		mutate(&rerun)
 		if d := base.Diff(&rerun); len(d) != 1 || !strings.HasPrefix(d[0], name) {
 			t.Errorf("%s changed: diff %v", name, d)
+		}
+	}
+}
+
+// TestSameMachineTargetSkipsTargetRun counts the simulator runs a
+// prediction makes: the base run, the traced run, the construction run
+// and the signature's execution, plus the target's ground-truth run
+// only when the target differs from the base. On the base machine the
+// base run already is the target's run.
+func TestSameMachineTargetSkipsTargetRun(t *testing.T) {
+	cases := []struct {
+		base, target string
+		// samePointer passes the base deployment itself as the target.
+		samePointer bool
+		want        int64
+		targetSpan  bool
+	}{
+		{"A", "B", false, 5, true},
+		{"C", "C", false, 4, false},
+		{"C", "C", true, 4, false},
+	}
+	for _, c := range cases {
+		base, err := machine.Deploy(c.base, 0, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target, err := machine.Deploy(c.target, 0, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.samePointer {
+			target = base
+		}
+		o := obs.New()
+		if _, err := Run(Experiment{App: mkApp(t, "cg", 8, "classA"), Base: base, Target: target,
+			Signature: lightSig(), Observer: o}); err != nil {
+			t.Fatal(err)
+		}
+		snap := o.Reg().Snapshot()
+		if got := snap.Counters["sim.runs"]; got != c.want {
+			t.Errorf("%s->%s: sim.runs = %d, want %d", c.base, c.target, got, c.want)
+		}
+		_, recorded := snap.SpanStats["predict.target_run"]
+		if recorded != c.targetSpan {
+			t.Errorf("%s->%s: predict.target_run recorded = %v, want %v", c.base, c.target, recorded, c.targetSpan)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"pas2p/internal/faults"
@@ -274,11 +275,16 @@ func (e *Engine) handleRecv(ps *procState, req *request) (blocked bool) {
 }
 
 // handleWait parks the rank on the request ids Proc.Wait put in its
-// wait buffer.
+// wait buffer. An unknown or repeated id is an engine error, raised
+// before any request is taken or freed.
 func (e *Engine) handleWait(ps *procState) (blocked bool) {
-	for _, id := range ps.waitBuf {
+	for i, id := range ps.waitBuf {
 		if ps.findReq(id) == nil {
 			e.err = fmt.Errorf("rank %d: wait on unknown request %d", ps.rank, id)
+			return true
+		}
+		if slices.Contains(ps.waitBuf[:i], id) {
+			e.err = fmt.Errorf("rank %d: wait on request %d more than once", ps.rank, id)
 			return true
 		}
 	}

@@ -252,6 +252,38 @@ func TestWaitEmptyAndUnknown(t *testing.T) {
 	}
 }
 
+// TestWaitRepeatedRequest: passing one request id twice to Wait is an
+// engine error that names the waiting rank and the id, both for a send
+// that completed inline and for a receive whose message arrives while
+// the rank would be parked.
+func TestWaitRepeatedRequest(t *testing.T) {
+	cases := map[string]func(p *Proc){
+		"isend": func(p *Proc) {
+			if p.Rank() == 0 {
+				r := p.Isend(1, 0, 8, nil)
+				p.Wait(r, r)
+			} else {
+				p.Recv(0, 0)
+			}
+		},
+		"irecv": func(p *Proc) {
+			if p.Rank() == 0 {
+				r := p.Irecv(1, 0)
+				p.Wait(r, r)
+			} else {
+				p.Advance(vtime.Millisecond)
+				p.Send(0, 0, 8, nil)
+			}
+		},
+	}
+	for name, body := range cases {
+		_, err := Run(Config{Deployment: testDeployment(t, 2), Name: "twice", Body: body})
+		if err == nil || !strings.Contains(err.Error(), "rank 0: wait on request 1 more than once") {
+			t.Errorf("%s: err = %v", name, err)
+		}
+	}
+}
+
 func TestCollectiveBarrierSynchronises(t *testing.T) {
 	ends := make([]vtime.Time, 4)
 	run(t, 4, func(p *Proc) {
