@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 # Packages whose concurrency runs under the race detector: phase and
 # logical run stage A once per concurrent service request, so any
@@ -18,10 +19,15 @@ GO ?= go
 # detector.
 RACE_PKGS = ./internal/phase/... ./internal/logical/... ./internal/obs/... ./internal/faults/... ./internal/sigrepo/... ./internal/fsx/... ./internal/trace/... ./internal/sim/... ./internal/signature/... ./internal/mpi/... ./internal/scenario/... ./internal/service/... ./cmd/pas2pd/... ./cmd/pas2p-loadgen/...
 
-.PHONY: build test race bench soak-100m check cover fuzz scenarios
+.PHONY: build fmt test race bench soak-100m check cover fuzz scenarios
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite
+# any Go file in the tree (perfbench included).
+fmt:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -64,6 +70,7 @@ scenarios: build
 	$(GO) run ./cmd/pas2p scenario run examples/scenarios -junit scenario-results.xml
 
 check: build
+	$(MAKE) fmt
 	$(GO) vet ./...
 	cd perfbench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -shuffle=on ./...

@@ -19,11 +19,10 @@ import (
 	"pas2p/internal/report"
 	"pas2p/internal/signature"
 	"pas2p/internal/simpoint"
-	"pas2p/internal/vtime"
 )
 
 func benchOpts() report.Options {
-	return report.Options{ProcScale: 2, EventOverhead: 8 * vtime.Microsecond}
+	return report.Options{ProcScale: 2}
 }
 
 // BenchmarkTable3 regenerates Table 3: the Moldy analysis on cluster C
@@ -493,12 +492,12 @@ func BenchmarkAblationNICContention(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	base := ablateDeploy(b, pas2p.ClusterA(), 16)
-	target := ablateDeploy(b, pas2p.ClusterB(), 16)
 	for i := 0; i < b.N; i++ {
 		for _, contend := range []bool{false, true} {
+			base, target := pas2p.ClusterA(), pas2p.ClusterB()
+			base.NICContention, target.NICContention = contend, contend
 			out, err := predict.Run(predict.Experiment{
-				App: app, Base: base, Target: target, NICContention: contend,
+				App: app, Base: ablateDeploy(b, base, 16), Target: ablateDeploy(b, target, 16),
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -521,12 +520,12 @@ func BenchmarkAblationCollectiveModel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	base := ablateDeploy(b, pas2p.ClusterA(), 16)
-	target := ablateDeploy(b, pas2p.ClusterB(), 16)
 	for i := 0; i < b.N; i++ {
 		for _, algo := range []bool{false, true} {
+			base, target := pas2p.ClusterA(), pas2p.ClusterB()
+			base.AlgorithmicCollectives, target.AlgorithmicCollectives = algo, algo
 			out, err := predict.Run(predict.Experiment{
-				App: app, Base: base, Target: target, AlgorithmicCollectives: algo,
+				App: app, Base: ablateDeploy(b, base, 16), Target: ablateDeploy(b, target, 16),
 			})
 			if err != nil {
 				b.Fatal(err)

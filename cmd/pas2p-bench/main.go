@@ -22,13 +22,11 @@ import (
 	"pas2p/internal/obs"
 	"pas2p/internal/obs/obshttp"
 	"pas2p/internal/report"
-	"pas2p/internal/vtime"
 )
 
 func main() {
 	table := flag.String("table", "all", "which table to regenerate: 2, 3, 5, 7, 8, 9, D, E or all")
 	scale := flag.Int("scale", 1, "divide process counts by this factor (1 = paper scale)")
-	overhead := flag.Duration("overhead", 8*time.Microsecond, "per-event instrumentation overhead")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit")
 	serve := flag.String("serve", "", "serve live telemetry while the tables regenerate, e.g. 127.0.0.1:9090 (port 0 picks one)")
@@ -47,10 +45,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	opts := report.Options{
-		ProcScale:     *scale,
-		EventOverhead: vtime.FromSeconds(overhead.Seconds()),
-	}
+	opts := report.Options{ProcScale: *scale}
 	if *serve != "" {
 		o := obs.New()
 		o.Flight = obs.NewFlightRecorder(0)

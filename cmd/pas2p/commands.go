@@ -22,7 +22,6 @@ import (
 	"pas2p/internal/report"
 	"pas2p/internal/signature"
 	"pas2p/internal/trace"
-	"pas2p/internal/vtime"
 )
 
 func cmdApps(args []string) error {
@@ -87,7 +86,6 @@ func cmdTrace(args []string) error {
 	out := fs.String("o", "", "output tracefile (default <app>.pas2p)")
 	asJSON := fs.Bool("json", false, "write JSON instead of the binary format")
 	compress := fs.Bool("z", false, "write the compressed tracefile format")
-	overhead := fs.Duration("overhead", 0, "per-event instrumentation overhead (virtual), e.g. 8us")
 	if err := parseArgs(fs, args); err != nil {
 		return err
 	}
@@ -103,8 +101,7 @@ func cmdTrace(args []string) error {
 		return err
 	}
 	res, err := mpi.Run(a, mpi.RunConfig{
-		Deployment: d, Trace: true,
-		EventOverhead: vtime.FromSeconds(overhead.Seconds()),
+		Deployment: d, Trace: true, EventOverhead: mpi.PAS2PEventOverhead,
 	})
 	if err != nil {
 		return err
@@ -430,7 +427,7 @@ func cmdPredict(args []string) error {
 		}
 		return predict.Run(predict.Experiment{
 			App: a, Base: bd, Target: td,
-			EventOverhead: 8 * vtime.Microsecond,
+			EventOverhead: mpi.PAS2PEventOverhead,
 			SkipTargetAET: *noTruth,
 			Signature:     sig,
 			Observer:      o,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pas2p/internal/apps"
+	"pas2p/internal/mpi"
 	"pas2p/internal/predict"
 	"pas2p/internal/sigrepo"
 )
@@ -59,7 +60,9 @@ func cmdRepo(args []string) error {
 		if err != nil {
 			return err
 		}
-		signed, err := predict.Sign(context.Background(), predict.Experiment{App: a, Base: bd})
+		signed, err := predict.Sign(context.Background(), predict.Experiment{
+			App: a, Base: bd, EventOverhead: mpi.PAS2PEventOverhead,
+		})
 		if err != nil {
 			return err
 		}

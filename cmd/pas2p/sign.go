@@ -41,7 +41,9 @@ func cmdSign(args []string) error {
 	}
 	opts := signature.DefaultOptions()
 	opts.AllPhases = *allPhases
-	signed, err := predict.Sign(context.Background(), predict.Experiment{App: a, Base: bd, Signature: opts})
+	signed, err := predict.Sign(context.Background(), predict.Experiment{
+		App: a, Base: bd, EventOverhead: mpi.PAS2PEventOverhead, Signature: opts,
+	})
 	if err != nil {
 		return err
 	}

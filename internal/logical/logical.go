@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"pas2p/internal/trace"
-	"pas2p/internal/vtime"
 )
 
 // Slot locates one event inside a tick.
@@ -383,15 +382,4 @@ func (l *Logical) Validate() error {
 		return fmt.Errorf("logical: tick table covers %d of %d events", count, len(l.Trace.Events))
 	}
 	return nil
-}
-
-// MeanTickDuration estimates the physical duration of one tick: the
-// application execution time divided by the tick count. Phase
-// execution-time estimates derive from per-event physical times
-// instead; this is only used for reporting.
-func (l *Logical) MeanTickDuration() vtime.Duration {
-	if len(l.Ticks) == 0 {
-		return 0
-	}
-	return l.Trace.AET / vtime.Duration(len(l.Ticks))
 }

@@ -265,17 +265,6 @@ func TestLamportVsPAS2PDiffer(t *testing.T) {
 	}
 }
 
-func TestMeanTickDuration(t *testing.T) {
-	tr := traceOf(t, machine.ClusterA(), 2, pingBody(5))
-	l, err := Order(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.MeanTickDuration() <= 0 {
-		t.Error("mean tick duration should be positive")
-	}
-}
-
 func TestPermuteRecvRunsNormalisesOrder(t *testing.T) {
 	// Hand-build a trace where two receives were recorded in the
 	// "wrong" (arrival) order; after ordering, the run must ascend by

@@ -52,6 +52,18 @@ type Cluster struct {
 	// Topology optionally makes inter-node paths distance-dependent
 	// (fat tree or torus); the zero value is a flat fabric.
 	Topology Topology
+	// NICContention serialises inter-node messages on each node's
+	// network interface: a message cannot begin injection before the
+	// sender node's NIC finished the previous one, and cannot start
+	// landing before the receiver node's NIC is free. Off, links have
+	// infinite capacity (the classic LogGP assumption).
+	NICContention bool
+	// AlgorithmicCollectives costs collectives by walking the standard
+	// algorithms' rounds over the actual member paths (binomial trees,
+	// recursive doubling, rings), so members complete at individually
+	// skewed instants. Off, every member completes at one analytic
+	// instant.
+	AlgorithmicCollectives bool
 }
 
 // Cores returns the total core count of the cluster.

@@ -252,6 +252,7 @@ func TestQuickPlacementBounds(t *testing.T) {
 func TestClusterJSONRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	orig := ClusterC()
+	orig.NICContention, orig.AlgorithmicCollectives = true, true
 	if err := SaveCluster(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
@@ -401,6 +402,8 @@ func TestDeploymentEqual(t *testing.T) {
 		"ranks":     mk(keep, 32, MapBlock),
 		"policy":    mk(keep, 16, MapCyclic),
 		"NaN taper": mk(func(c *Cluster) { c.Topology.HopBandwidthTaper = math.NaN() }, 16, MapBlock),
+		"NIC":       mk(func(c *Cluster) { c.NICContention = true }, 16, MapBlock),
+		"algcoll":   mk(func(c *Cluster) { c.AlgorithmicCollectives = true }, 16, MapBlock),
 	} {
 		if d.Equal(other) || other.Equal(d) {
 			t.Errorf("deployments differing in %s compare equal", name)

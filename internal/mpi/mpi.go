@@ -47,6 +47,12 @@ type Interceptor interface {
 	After(c *Comm, kind trace.Kind, eventIndex int64)
 }
 
+// PAS2PEventOverhead is the virtual CPU cost PAS2P's instrumentation
+// adds per recorded event, which the paper's Table 9 charges to
+// AETPAS2P. Every front door that traces an application to build a
+// signature charges it, so they all build the same signature.
+const PAS2PEventOverhead = 8 * vtime.Microsecond
+
 // RunConfig configures one execution of an App.
 type RunConfig struct {
 	// Deployment places the app's ranks on a modelled cluster.
@@ -54,16 +60,11 @@ type RunConfig struct {
 	// Trace enables event recording on every rank.
 	Trace bool
 	// EventOverhead is the virtual CPU cost the instrumentation adds
-	// per recorded event (zero when Trace is false).
+	// per recorded event (zero when Trace is false). Zero charges
+	// nothing; PAS2PEventOverhead is the paper's cost.
 	EventOverhead vtime.Duration
 	// NewInterceptor, if non-nil, supplies a per-rank interceptor.
 	NewInterceptor func(rank int) Interceptor
-	// NICContention serialises inter-node messages on each node's NIC
-	// (see sim.Config.NICContention).
-	NICContention bool
-	// AlgorithmicCollectives walks real collective algorithms for
-	// per-member completion skew (see sim.Config).
-	AlgorithmicCollectives bool
 	// Observer, when non-nil, forwards run metrics and (optionally) a
 	// per-rank virtual-time timeline to the observability layer (see
 	// sim.Config.Observer).
@@ -125,12 +126,10 @@ func Run(app App, cfg RunConfig) (*RunResult, error) {
 	}
 	res, err := sim.Run(sim.Config{
 		Deployment: cfg.Deployment, Body: body, Name: app.Name,
-		NICContention:          cfg.NICContention,
-		AlgorithmicCollectives: cfg.AlgorithmicCollectives,
-		Observer:               cfg.Observer,
-		Faults:                 cfg.Faults,
-		TimelinePID:            cfg.TimelinePID,
-		TimelineName:           cfg.TimelineLabel,
+		Observer:     cfg.Observer,
+		Faults:       cfg.Faults,
+		TimelinePID:  cfg.TimelinePID,
+		TimelineName: cfg.TimelineLabel,
 	})
 	if err != nil {
 		return nil, err

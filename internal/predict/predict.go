@@ -51,12 +51,6 @@ type Experiment struct {
 	// taken from the base run: AETTarget, PETEPercent and
 	// SETvsAETPercent are then left zero. Used when only SET/PET matter.
 	SkipTargetAET bool
-	// NICContention enables per-node NIC serialisation in every run of
-	// the experiment (base, target, signature).
-	NICContention bool
-	// AlgorithmicCollectives costs collectives by their real algorithm
-	// rounds in every run of the experiment.
-	AlgorithmicCollectives bool
 	// Observer, when non-nil, records a span per pipeline stage plus
 	// sim counters, and — when it carries a timeline — rank tracks for
 	// the traced base run (with phase-boundary instants added after
@@ -132,8 +126,6 @@ func (e *Experiment) withDefaults() {
 	if e.Signature == (signature.Options{}) {
 		e.Signature = signature.DefaultOptions()
 	}
-	e.Signature.NICContention = e.Signature.NICContention || e.NICContention
-	e.Signature.AlgorithmicCollectives = e.Signature.AlgorithmicCollectives || e.AlgorithmicCollectives
 	e.PhaseConfig.Observer = e.Observer
 	e.Signature.Observer = e.Observer
 	if e.WarmOccurrence == 0 {
@@ -165,7 +157,6 @@ func Sign(ctx context.Context, e Experiment) (*Signed, error) {
 	sp := o.StartSpan("predict.traced_run")
 	traced, err := mpi.Run(e.App, mpi.RunConfig{
 		Deployment: e.Base, Trace: true, EventOverhead: e.EventOverhead,
-		NICContention: e.NICContention, AlgorithmicCollectives: e.AlgorithmicCollectives,
 		Observer: o, TimelinePID: tracedPID,
 		Faults: e.Faults,
 	})
@@ -225,9 +216,7 @@ func Run(e Experiment) (*Outcome, error) {
 	// 1. Uninstrumented base run: the AET reference for relevance and
 	//    overhead accounting.
 	sp := o.StartSpan("predict.base_run")
-	plain, err := mpi.Run(e.App, mpi.RunConfig{Deployment: e.Base,
-		NICContention: e.NICContention, AlgorithmicCollectives: e.AlgorithmicCollectives,
-		Observer: o.MetricsOnly()})
+	plain, err := mpi.Run(e.App, mpi.RunConfig{Deployment: e.Base, Observer: o.MetricsOnly()})
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("predict: base run: %w", err)
@@ -267,9 +256,7 @@ func Run(e Experiment) (*Outcome, error) {
 		out.AETTarget = out.AETBase
 		if !e.Target.Equal(e.Base) {
 			sp = o.StartSpan("predict.target_run")
-			full, err := mpi.Run(e.App, mpi.RunConfig{Deployment: e.Target,
-				NICContention: e.NICContention, AlgorithmicCollectives: e.AlgorithmicCollectives,
-				Observer: o.MetricsOnly()})
+			full, err := mpi.Run(e.App, mpi.RunConfig{Deployment: e.Target, Observer: o.MetricsOnly()})
 			sp.End()
 			if err != nil {
 				return nil, fmt.Errorf("predict: target run: %w", err)

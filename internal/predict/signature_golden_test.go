@@ -43,10 +43,23 @@ var signatureGoldenConfigs = []struct {
 		}
 		e.Faults = inj
 	}},
-	{"nic+algcoll", func(_ *testing.T, e *Experiment) {
-		e.NICContention = true
-		e.AlgorithmicCollectives = true
+	{"nic+algcoll", func(t *testing.T, e *Experiment) {
+		e.Base = realistic(t, e.Base)
+		e.Target = realistic(t, e.Target)
 	}},
+}
+
+// realistic lays d's ranks out again on a copy of its cluster with NIC
+// contention and algorithmic collectives switched on.
+func realistic(t *testing.T, d *machine.Deployment) *machine.Deployment {
+	t.Helper()
+	cl := *d.Cluster
+	cl.NICContention, cl.AlgorithmicCollectives = true, true
+	nd, err := machine.NewDeployment(&cl, d.Ranks, d.Policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nd
 }
 
 // signatureGoldenLine renders the timings the golden file pins.

@@ -12,6 +12,7 @@ import (
 
 	"pas2p/internal/apps"
 	"pas2p/internal/machine"
+	"pas2p/internal/mpi"
 	"pas2p/internal/obs"
 	"pas2p/internal/predict"
 	"pas2p/internal/vtime"
@@ -23,8 +24,6 @@ type Options struct {
 	// paper's scale; tests use 4 or 8 to stay fast). Process counts
 	// are kept >= 4.
 	ProcScale int
-	// EventOverhead is the instrumentation cost per event.
-	EventOverhead vtime.Duration
 	// Observer, when non-nil, instruments every experiment's pipeline
 	// (stage spans, counters) — pas2p-bench -serve exposes it live.
 	Observer *obs.Observer
@@ -32,7 +31,7 @@ type Options struct {
 
 // DefaultOptions runs at the paper's process counts.
 func DefaultOptions() Options {
-	return Options{ProcScale: 1, EventOverhead: 8 * vtime.Microsecond}
+	return Options{ProcScale: 1}
 }
 
 func (o Options) scale(procs int) int {
@@ -76,7 +75,7 @@ func runExperiment(name string, procs int, workload string,
 		App:           app,
 		Base:          base,
 		Target:        target,
-		EventOverhead: opts.EventOverhead,
+		EventOverhead: mpi.PAS2PEventOverhead,
 		Observer:      opts.Observer,
 	})
 }

@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"pas2p/internal/vtime"
 )
 
 // fastOpts shrinks every experiment to 1/16 of the paper's process
 // counts so the whole table set runs in test time.
 func fastOpts() Options {
-	return Options{ProcScale: 16, EventOverhead: 8 * vtime.Microsecond}
+	return Options{ProcScale: 16}
 }
 
 func TestOptionsScale(t *testing.T) {

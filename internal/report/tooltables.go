@@ -7,6 +7,7 @@ import (
 
 	"pas2p/internal/apps"
 	"pas2p/internal/machine"
+	"pas2p/internal/mpi"
 	"pas2p/internal/predict"
 )
 
@@ -47,7 +48,7 @@ func Table3(w io.Writer, opts Options) (*T3Result, error) {
 		return nil, err
 	}
 	out, err := predict.Run(predict.Experiment{
-		App: app, Base: d, Target: d, EventOverhead: opts.EventOverhead,
+		App: app, Base: d, Target: d, EventOverhead: mpi.PAS2PEventOverhead,
 		Observer: opts.Observer,
 	})
 	if err != nil {

@@ -9,16 +9,11 @@ import (
 	"time"
 
 	"pas2p/internal/faults"
+	"pas2p/internal/mpi"
 	"pas2p/internal/obs"
 	"pas2p/internal/phase"
 	"pas2p/internal/predict"
-	"pas2p/internal/vtime"
 )
-
-// eventOverhead is the per-event instrumentation cost charged during
-// traced runs, matching `pas2p predict` so scenario bounds calibrated
-// against the CLI hold in campaigns.
-const eventOverhead = 8 * vtime.Microsecond
 
 // defaultTimeout bounds a case that sets no scenario timeout.
 const defaultTimeout = 2 * time.Minute
@@ -303,7 +298,7 @@ func (c Case) execute(o *obs.Observer, withFaults, skipAET bool) (*predict.Outco
 	}
 	return predict.Run(predict.Experiment{
 		App: app, Base: base, Target: target,
-		EventOverhead: eventOverhead,
+		EventOverhead: mpi.PAS2PEventOverhead,
 		SkipTargetAET: skipAET,
 		Faults:        inj,
 		Observer:      o,

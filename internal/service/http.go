@@ -21,6 +21,7 @@ import (
 	"pas2p"
 	"pas2p/internal/apps"
 	"pas2p/internal/machine"
+	"pas2p/internal/mpi"
 	"pas2p/internal/obs"
 	"pas2p/internal/obs/obshttp"
 	"pas2p/internal/phase"
@@ -481,13 +482,24 @@ func (s *Service) handleAnalyze(ctx context.Context, r *http.Request) (*handlerR
 	}
 
 	k := cacheKey{sum: sha256.Sum256(data), warm: warm}
+	return s.cachedAnalyze(ctx, k, "in-core", func() (*AnalyzeResponse, *APIError) {
+		return s.analyzeWork(ctx, data, crc, warm)
+	})
+}
+
+// cachedAnalyze answers an analyze upload from the LRU when its key is
+// cached; otherwise it runs work once for all concurrent requests with
+// the same key (single-flight) and caches the answer. mode names the
+// lane for the response header.
+func (s *Service) cachedAnalyze(ctx context.Context, k cacheKey, mode string,
+	work func() (*AnalyzeResponse, *APIError)) (*handlerResult, *APIError) {
 	if v, ok := s.cache.get(k); ok {
 		s.mCacheHit.Inc()
-		return &handlerResult{v: v, header: analyzeHeaders("hit", "in-core")}, nil
+		return &handlerResult{v: v, header: analyzeHeaders("hit", mode)}, nil
 	}
 	s.mCacheMiss.Inc()
 	v, err, leader := s.group.do(ctx, k, func() (*AnalyzeResponse, error) {
-		resp, aerr := s.analyzeWork(ctx, data, crc, warm)
+		resp, aerr := work()
 		if aerr != nil {
 			return nil, aerr
 		}
@@ -502,11 +514,37 @@ func (s *Service) handleAnalyze(ctx context.Context, r *http.Request) (*handlerR
 		s.mDedup.Inc()
 		how = "dedup"
 	}
-	return &handlerResult{v: v, header: analyzeHeaders(how, "in-core")}, nil
+	return &handlerResult{v: v, header: analyzeHeaders(how, mode)}, nil
 }
 
 func analyzeHeaders(cache, mode string) map[string]string {
 	return map[string]string{CacheHeader: cache, AnalyzeModeHeader: mode}
+}
+
+// analyzeResponse summarises a phase table as the analyze endpoint's
+// answer: the table's totals and its relevant phases.
+func analyzeResponse(app string, procs, events int, crc uint32, warm int, tb *phase.Table) *AnalyzeResponse {
+	rel := tb.RelevantRows()
+	resp := &AnalyzeResponse{
+		App:            app,
+		Procs:          procs,
+		Events:         events,
+		TraceCRC32C:    crc,
+		Warm:           warm,
+		BaseAETNS:      int64(tb.BaseAET),
+		TotalPhases:    tb.TotalPhases,
+		Relevant:       len(rel),
+		PredictedAETNS: int64(tb.PredictedAET(true)),
+		Phases:         make([]PhaseSummary, 0, len(rel)),
+	}
+	for _, row := range rel {
+		resp.Phases = append(resp.Phases, PhaseSummary{
+			PhaseID:   row.PhaseID,
+			Weight:    row.Weight,
+			PhaseETNS: int64(row.PhaseET),
+		})
+	}
+	return resp
 }
 
 // handleAnalyzeStream serves a large analyze upload out-of-core: the
@@ -557,28 +595,9 @@ func (s *Service) handleAnalyzeStream(ctx context.Context, r *http.Request, warm
 
 	k := cacheKey{warm: warm}
 	digest.Sum(k.sum[:0])
-	if v, ok := s.cache.get(k); ok {
-		s.mCacheHit.Inc()
-		return &handlerResult{v: v, header: analyzeHeaders("hit", "stream")}, nil
-	}
-	s.mCacheMiss.Inc()
-	v, err, leader := s.group.do(ctx, k, func() (*AnalyzeResponse, error) {
-		resp, aerr := s.analyzeStreamWork(ctx, spool, crc, warm)
-		if aerr != nil {
-			return nil, aerr
-		}
-		s.cache.put(k, resp)
-		return resp, nil
+	return s.cachedAnalyze(ctx, k, "stream", func() (*AnalyzeResponse, *APIError) {
+		return s.analyzeStreamWork(ctx, spool, crc, warm)
 	})
-	if err != nil {
-		return nil, asAPIError(err, "analyze")
-	}
-	how := "miss"
-	if !leader {
-		s.mDedup.Inc()
-		how = "dedup"
-	}
-	return &handlerResult{v: v, header: analyzeHeaders(how, "stream")}, nil
 }
 
 // analyzeStreamWork runs the bounded-memory pipeline over a spooled
@@ -611,28 +630,7 @@ func (s *Service) analyzeStreamWork(ctx context.Context, spool *os.File, crc uin
 		}
 		defer res.Close()
 		meta := br.Meta()
-		tb := res.Table
-		rel := tb.RelevantRows()
-		resp := &AnalyzeResponse{
-			App:            meta.AppName,
-			Procs:          meta.Procs,
-			Events:         int(meta.Events),
-			TraceCRC32C:    crc,
-			Warm:           warm,
-			BaseAETNS:      int64(tb.BaseAET),
-			TotalPhases:    tb.TotalPhases,
-			Relevant:       len(rel),
-			PredictedAETNS: int64(tb.PredictedAET(true)),
-			Phases:         make([]PhaseSummary, 0, len(rel)),
-		}
-		for _, row := range rel {
-			resp.Phases = append(resp.Phases, PhaseSummary{
-				PhaseID:   row.PhaseID,
-				Weight:    row.Weight,
-				PhaseETNS: int64(row.PhaseET),
-			})
-		}
-		return resp, nil
+		return analyzeResponse(meta.AppName, meta.Procs, int(meta.Events), crc, warm, res.Table), nil
 	})
 	if err != nil {
 		return nil, asAPIError(err, "analyze")
@@ -653,27 +651,7 @@ func (s *Service) analyzeWork(ctx context.Context, data []byte, crc uint32, warm
 		if err != nil {
 			return nil, err
 		}
-		rel := tb.RelevantRows()
-		resp := &AnalyzeResponse{
-			App:            tr.AppName,
-			Procs:          tr.Procs,
-			Events:         len(tr.Events),
-			TraceCRC32C:    crc,
-			Warm:           warm,
-			BaseAETNS:      int64(tb.BaseAET),
-			TotalPhases:    tb.TotalPhases,
-			Relevant:       len(rel),
-			PredictedAETNS: int64(tb.PredictedAET(true)),
-			Phases:         make([]PhaseSummary, 0, len(rel)),
-		}
-		for _, row := range rel {
-			resp.Phases = append(resp.Phases, PhaseSummary{
-				PhaseID:   row.PhaseID,
-				Weight:    row.Weight,
-				PhaseETNS: int64(row.PhaseET),
-			})
-		}
-		return resp, nil
+		return analyzeResponse(tr.AppName, tr.Procs, len(tr.Events), crc, warm, tb), nil
 	})
 	if err != nil {
 		return nil, asAPIError(err, "analyze")
@@ -715,7 +693,8 @@ func (s *Service) handleSign(ctx context.Context, r *http.Request) (*handlerResu
 		opts := signature.DefaultOptions()
 		opts.AllPhases = req.AllPhases
 		signed, err := predict.Sign(ctx, predict.Experiment{
-			App: a, Base: bd, Signature: opts, Faults: s.cfg.Faults,
+			App: a, Base: bd, EventOverhead: mpi.PAS2PEventOverhead,
+			Signature: opts, Faults: s.cfg.Faults,
 		})
 		if err != nil {
 			return nil, err

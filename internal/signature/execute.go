@@ -119,12 +119,10 @@ func (s *Signature) Execute(target *machine.Deployment) (*ExecResult, error) {
 
 	sp := s.Options.Observer.StartSpan("signature.execute")
 	res, err := mpi.Run(s.App, mpi.RunConfig{
-		Deployment:             target,
-		NICContention:          s.Options.NICContention,
-		AlgorithmicCollectives: s.Options.AlgorithmicCollectives,
-		Observer:               s.Options.Observer,
-		Faults:                 inj,
-		TimelineLabel:          fmt.Sprintf("sig:%s (%d ranks)", s.App.Name, s.App.Procs),
+		Deployment:    target,
+		Observer:      s.Options.Observer,
+		Faults:        inj,
+		TimelineLabel: fmt.Sprintf("sig:%s (%d ranks)", s.App.Name, s.App.Procs),
 		NewInterceptor: func(rank int) mpi.Interceptor {
 			x := &executorInterceptor{
 				rank: rank, segs: s.segments, restart: restartCost,

@@ -55,12 +55,6 @@ type Options struct {
 	// Estimator selects how the per-phase execution time is derived
 	// from the per-rank measurements (see ETEstimator).
 	Estimator ETEstimator
-	// NICContention runs the construction and execution under per-node
-	// NIC serialisation, matching how the application itself is run.
-	NICContention bool
-	// AlgorithmicCollectives matches the application runs' collective
-	// costing during construction and execution.
-	AlgorithmicCollectives bool
 	// Observer, when non-nil, records construction/execution spans,
 	// checkpoint counters and — if it carries a timeline — rank tracks
 	// with restart/measure annotations during Execute. A pointer keeps
@@ -203,9 +197,7 @@ func Build(app mpi.App, tb *phase.Table, base *machine.Deployment, opts Options)
 	sp := opts.Observer.StartSpan("signature.build")
 	snapCost := opts.Checkpoint.SnapshotTime(opts.StateBytesPerRank)
 	res, err := mpi.Run(app, mpi.RunConfig{
-		Deployment:             base,
-		NICContention:          opts.NICContention,
-		AlgorithmicCollectives: opts.AlgorithmicCollectives,
+		Deployment: base,
 		// Metrics only: the construction run's per-event tracks would
 		// bloat the timeline without aiding prediction analysis.
 		Observer: opts.Observer.MetricsOnly(),

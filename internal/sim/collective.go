@@ -80,7 +80,7 @@ func (e *Engine) handleCollective(ps *procState, req *request) (blocked bool) {
 		for i := range ends {
 			ends[i] = cs.tmax
 		}
-	} else if e.cfg.AlgorithmicCollectives {
+	} else if e.algColl {
 		rootIdx := 0
 		for i, m := range members {
 			if m == cs.root {

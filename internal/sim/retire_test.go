@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pas2p/internal/faults"
+	"pas2p/internal/machine"
 	"pas2p/internal/network"
 	"pas2p/internal/vtime"
 )
@@ -157,12 +158,14 @@ func TestRetireMatchesFreeMode(t *testing.T) {
 			run(t, b.ranks, func(p *Proc) { b.body(p, func() { ops[p.Rank()]++ }) })
 			stopped := 0
 			for trial := 0; trial < 150; trial++ {
-				cfg := Config{
-					Deployment:             testDeployment(t, b.ranks),
-					Name:                   b.name,
-					NICContention:          trial%2 == 1,
-					AlgorithmicCollectives: trial%3 == 1,
+				cl := machine.ClusterA()
+				cl.NICContention = trial%2 == 1
+				cl.AlgorithmicCollectives = trial%3 == 1
+				d, err := machine.NewDeployment(cl, b.ranks, machine.MapBlock)
+				if err != nil {
+					t.Fatal(err)
 				}
+				cfg := Config{Deployment: d, Name: b.name}
 				at := make([]int, b.ranks)
 				for r := range at {
 					at[r] = rng.Intn(ops[r] + 1) // ops[r]: never retires

@@ -53,23 +53,14 @@ const (
 
 // Config describes one simulated run.
 type Config struct {
-	// Deployment maps ranks onto a modelled cluster.
+	// Deployment maps ranks onto a modelled cluster, whose
+	// NICContention and AlgorithmicCollectives switches decide how
+	// messages and collectives are costed.
 	Deployment *machine.Deployment
 	// Body is the program executed by every rank.
 	Body func(p *Proc)
 	// Name labels the run in error messages.
 	Name string
-	// NICContention serialises inter-node messages on each node's
-	// network interface: a message cannot begin injection before the
-	// sender node's NIC finished the previous one, and cannot start
-	// landing before the receiver node's NIC is free. Off by default
-	// (infinite link capacity, the classic LogGP assumption).
-	NICContention bool
-	// AlgorithmicCollectives costs collectives by walking the standard
-	// algorithms' rounds over the actual member paths (binomial trees,
-	// recursive doubling, rings), so members complete at individually
-	// skewed instants instead of one analytic completion time.
-	AlgorithmicCollectives bool
 	// Observer, when non-nil, receives run counters (messages, bytes,
 	// collectives, a message-size histogram) and — if it carries a
 	// timeline — one track per rank with compute/send/recv/collective
@@ -285,8 +276,10 @@ type Engine struct {
 	reqFree []*reqState
 
 	// Per-node NIC availability (transmit / receive sides), used when
-	// Config.NICContention is set.
+	// the cluster's NICContention is set.
 	nicTx, nicRx []vtime.Time
+	// algColl caches the cluster's AlgorithmicCollectives switch.
+	algColl bool
 
 	// anyStuck lists ranks stuck on a wildcard-source receive; they
 	// are re-examined whenever clocks advance.
@@ -345,17 +338,18 @@ func newEngine(cfg Config) (*Engine, error) {
 	if cfg.Body == nil {
 		return nil, fmt.Errorf("sim %q: nil body", cfg.Name)
 	}
+	cl := cfg.Deployment.Cluster
 	e := &Engine{
 		cfg:     cfg,
 		n:       cfg.Deployment.Ranks,
 		yieldCh: make(chan struct{}),
 		colls:   make(map[collKey]*collState),
+		algColl: cl.AlgorithmicCollectives,
 	}
 	e.channels = make([]msgQueue, e.n*e.n)
-	if cfg.NICContention {
-		nodes := cfg.Deployment.Cluster.Nodes
-		e.nicTx = make([]vtime.Time, nodes)
-		e.nicRx = make([]vtime.Time, nodes)
+	if cl.NICContention {
+		e.nicTx = make([]vtime.Time, cl.Nodes)
+		e.nicRx = make([]vtime.Time, cl.Nodes)
 	}
 	if reg := cfg.Observer.Reg(); reg != nil {
 		e.msgBytes = reg.Histogram("sim.msg_bytes",

@@ -663,11 +663,13 @@ func TestNICContentionSerialisesFanIn(t *testing.T) {
 	// Cluster A has 2 cores/node: place senders on distinct nodes by
 	// using ranks 2,4,6,... — simpler: cyclic mapping spreads them.
 	dep := func(contend bool) Result {
-		d, err := machine.NewDeployment(machine.ClusterA(), n, machine.MapCyclic)
+		cl := machine.ClusterA()
+		cl.NICContention = contend
+		d, err := machine.NewDeployment(cl, n, machine.MapCyclic)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(Config{Deployment: d, Body: body, Name: "nic", NICContention: contend})
+		res, err := Run(Config{Deployment: d, Body: body, Name: "nic"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -687,7 +689,9 @@ func TestNICContentionSerialisesFanIn(t *testing.T) {
 }
 
 func TestNICContentionDeterministic(t *testing.T) {
-	d, err := machine.NewDeployment(machine.ClusterA(), 8, machine.MapCyclic)
+	cl := machine.ClusterA()
+	cl.NICContention = true
+	d, err := machine.NewDeployment(cl, 8, machine.MapCyclic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,11 +703,11 @@ func TestNICContentionDeterministic(t *testing.T) {
 			p.Wait(r, s)
 		}
 	}
-	r1, err := Run(Config{Deployment: d, Body: body, Name: "nicdet", NICContention: true})
+	r1, err := Run(Config{Deployment: d, Body: body, Name: "nicdet"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(Config{Deployment: d, Body: body, Name: "nicdet", NICContention: true})
+	r2, err := Run(Config{Deployment: d, Body: body, Name: "nicdet"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -723,8 +727,10 @@ func TestNICContentionIgnoresIntraNode(t *testing.T) {
 		}
 	}
 	run := func(contend bool) Result {
-		d, _ := machine.NewDeployment(machine.ClusterA(), 2, machine.MapBlock)
-		res, err := Run(Config{Deployment: d, Body: body, Name: "intra", NICContention: contend})
+		cl := machine.ClusterA()
+		cl.NICContention = contend
+		d, _ := machine.NewDeployment(cl, 2, machine.MapBlock)
+		res, err := Run(Config{Deployment: d, Body: body, Name: "intra"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -745,11 +751,13 @@ func TestAlgorithmicCollectivesSkew(t *testing.T) {
 		info := p.Collective(network.Bcast, 0, members(n), 0, 4096, nil)
 		ends[p.Rank()] = info.End
 	}
-	d, err := machine.NewDeployment(machine.ClusterA(), n, machine.MapCyclic)
+	cl := machine.ClusterA()
+	cl.AlgorithmicCollectives = true
+	d, err := machine.NewDeployment(cl, n, machine.MapCyclic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(Config{Deployment: d, Body: body, Name: "algo", AlgorithmicCollectives: true}); err != nil {
+	if _, err := Run(Config{Deployment: d, Body: body, Name: "algo"}); err != nil {
 		t.Fatal(err)
 	}
 	if ends[0] != 0 {
@@ -765,7 +773,9 @@ func TestAlgorithmicCollectivesSkew(t *testing.T) {
 }
 
 func TestAlgorithmicCollectivesDeterministic(t *testing.T) {
-	d, err := machine.NewDeployment(machine.ClusterB(), 12, machine.MapBlock)
+	cl := machine.ClusterB()
+	cl.AlgorithmicCollectives = true
+	d, err := machine.NewDeployment(cl, 12, machine.MapBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -776,11 +786,11 @@ func TestAlgorithmicCollectivesDeterministic(t *testing.T) {
 			p.Collective(network.Alltoall, 0, members(12), 0, 1024, nil)
 		}
 	}
-	r1, err := Run(Config{Deployment: d, Body: body, Name: "algodet", AlgorithmicCollectives: true})
+	r1, err := Run(Config{Deployment: d, Body: body, Name: "algodet"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(Config{Deployment: d, Body: body, Name: "algodet", AlgorithmicCollectives: true})
+	r2, err := Run(Config{Deployment: d, Body: body, Name: "algodet"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,14 +69,6 @@ func Min(a, b Time) Time {
 	return b
 }
 
-// MaxDur returns the longer of two spans.
-func MaxDur(a, b Duration) Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // String formats an instant using the same unit auto-scaling as
 // Duration.String.
 func (t Time) String() string { return Duration(t).String() }

@@ -50,9 +50,6 @@ func TestMaxMin(t *testing.T) {
 	if Min(1, 2) != 1 || Min(2, 1) != 1 {
 		t.Error("Min wrong")
 	}
-	if MaxDur(3, 4) != 4 || MaxDur(4, 3) != 4 {
-		t.Error("MaxDur wrong")
-	}
 }
 
 func TestString(t *testing.T) {

@@ -196,19 +196,16 @@ func TestPipelineWithRealismFlags(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			procs := 8
 			app := genApp(seed, procs)
-			dA, err := pas2p.NewDeployment(pas2p.ClusterA(), procs, pas2p.MapBlock)
-			if err != nil {
-				t.Fatal(err)
+			var deps [2]*pas2p.Deployment
+			for i, cl := range []*pas2p.Cluster{pas2p.ClusterA(), pas2p.ClusterB()} {
+				cl.NICContention, cl.AlgorithmicCollectives = true, true
+				d, err := pas2p.NewDeployment(cl, procs, pas2p.MapBlock)
+				if err != nil {
+					t.Fatal(err)
+				}
+				deps[i] = d
 			}
-			dB, err := pas2p.NewDeployment(pas2p.ClusterB(), procs, pas2p.MapBlock)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := pas2p.Predict(pas2p.Experiment{
-				App: app, Base: dA, Target: dB,
-				NICContention:          true,
-				AlgorithmicCollectives: true,
-			})
+			out, err := pas2p.Predict(pas2p.Experiment{App: app, Base: deps[0], Target: deps[1]})
 			if err != nil {
 				t.Fatal(err)
 			}
