@@ -54,7 +54,8 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Native fuzz smoke: one -fuzz target per invocation.
+# Native fuzz smoke: one -fuzz target per invocation. This is the one
+# list of fuzz targets; CI runs it as is.
 fuzz:
 	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzDecodeTracefile -fuzztime=10s ./internal/trace

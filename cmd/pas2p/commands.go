@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"pas2p"
 	"pas2p/internal/apps"
 	"pas2p/internal/faults"
 	"pas2p/internal/fsx"
@@ -230,22 +229,9 @@ func cmdAnalyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("application: %s, %d processes, %d events, %d ticks\n",
-		tr.AppName, tr.Procs, len(tr.Events), an.Ticks)
-	fmt.Println(an.Summary())
-	tb.Print(os.Stdout)
-	if *out != "" {
-		g, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer g.Close()
-		enc := json.NewEncoder(g)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(tb); err != nil {
-			return err
-		}
-		fmt.Printf("phase table written to %s\n", *out)
+	meta := trace.Meta{AppName: tr.AppName, Procs: tr.Procs, Events: uint64(len(tr.Events))}
+	if err := printAnalysis(meta, an, tb, "", "", *out); err != nil {
+		return err
 	}
 	if *timelineOut != "" {
 		predict.MarkPhases(o.Timeline, timelineFromTrace(o.Timeline, tr), an)
@@ -258,7 +244,7 @@ func cmdAnalyze(args []string) error {
 	return nil
 }
 
-// analyzeStreamFile runs the out-of-core pipeline (pas2p.AnalyzeStream)
+// analyzeStreamFile runs the out-of-core pipeline (phase.AnalyzeStream)
 // over an open v2 tracefile. Memory stays bounded regardless of trace
 // size.
 func analyzeStreamFile(f *os.File, outPath string, warm int, budgetStr string, cfg phase.Config) error {
@@ -270,43 +256,43 @@ func analyzeStreamFile(f *os.File, outPath string, warm int, budgetStr string, c
 	if err != nil {
 		return err
 	}
-	defer br.Close()
-	var spillDir string
-	if budget > 0 {
-		spillDir, err = os.MkdirTemp("", "pas2p-spill-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(spillDir)
-	}
-	res, err := pas2p.AnalyzeStream(context.Background(), br, cfg, warm,
-		pas2p.AnalyzeStreamOptions{MemBudgetBytes: budget, SpillDir: spillDir})
+	res, err := phase.AnalyzeStream(context.Background(), br,
+		phase.StreamConfig{Config: cfg, MemBudgetBytes: budget}, warm)
 	if err != nil {
 		return err
 	}
 	defer res.Close()
-	meta := br.Meta()
-	fmt.Printf("application: %s, %d processes, %d events, %d ticks (streamed)\n",
-		meta.AppName, meta.Procs, meta.Events, res.Stats.Ticks)
-	fmt.Println(res.Analysis.Summary())
+	detail := ""
 	if budget > 0 {
-		fmt.Printf("out-of-core: budget %s, %d phase matrices spilled (%d bytes), %d reloads\n",
+		detail = fmt.Sprintf("out-of-core: budget %s, %d phase matrices spilled (%d bytes), %d reloads\n",
 			budgetStr, res.Stats.SpilledPhases, res.Stats.SpillBytes, res.Stats.SpillLoads)
 	}
-	res.Table.Print(os.Stdout)
-	if outPath != "" {
-		g, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer g.Close()
-		enc := json.NewEncoder(g)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(res.Table); err != nil {
-			return err
-		}
-		fmt.Printf("phase table written to %s\n", outPath)
+	return printAnalysis(br.Meta(), res.Analysis, res.Table, " (streamed)", detail, outPath)
+}
+
+// printAnalysis reports an analysis as `pas2p analyze` does: the
+// application line (ending in note), the phase summary, detail, and
+// the phase table, which it also writes as JSON to outPath when set.
+func printAnalysis(meta trace.Meta, an *phase.Analysis, tb *phase.Table, note, detail, outPath string) error {
+	fmt.Printf("application: %s, %d processes, %d events, %d ticks%s\n",
+		meta.AppName, meta.Procs, meta.Events, an.Ticks, note)
+	fmt.Println(an.Summary())
+	fmt.Print(detail)
+	tb.Print(os.Stdout)
+	if outPath == "" {
+		return nil
 	}
+	g, err := os.Create(outPath)
+	if err != nil {
+		return err
+	}
+	defer g.Close()
+	enc := json.NewEncoder(g)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(tb); err != nil {
+		return err
+	}
+	fmt.Printf("phase table written to %s\n", outPath)
 	return nil
 }
 

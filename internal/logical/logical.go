@@ -123,10 +123,10 @@ func Order(tr *trace.Trace) (*Logical, error) {
 // Order makes on the trace's shape. The trace is not modified.
 func StreamTrace(tr *trace.Trace) (*TickReader, error) {
 	if tr == nil || len(tr.Events) == 0 {
-		return nil, fmt.Errorf("logical: empty trace")
+		return nil, noOrderf("logical: empty trace")
 	}
 	if tr.Procs <= 0 {
-		return nil, fmt.Errorf("logical: trace %q declares %d processes", tr.AppName, tr.Procs)
+		return nil, noOrderf("logical: trace %q declares %d processes", tr.AppName, tr.Procs)
 	}
 	return StreamOrder(newTraceSource(tr))
 }
@@ -140,7 +140,7 @@ func OrderLamport(tr *trace.Trace) (*Logical, error) {
 
 func buildLogical(tr *trace.Trace, assign func(*trace.Trace, [][]trace.Event) error) (*Logical, error) {
 	if tr == nil || len(tr.Events) == 0 {
-		return nil, fmt.Errorf("logical: empty trace")
+		return nil, noOrderf("logical: empty trace")
 	}
 	cp := &trace.Trace{AppName: tr.AppName, Procs: tr.Procs, AET: tr.AET,
 		Events: append([]trace.Event(nil), tr.Events...)}
@@ -198,7 +198,7 @@ func assignLamport(tr *trace.Trace, per [][]trace.Event) error {
 		case trace.Recv:
 			slt, ok := sendLT[[2]int64{e.RelA, e.RelB}]
 			if !ok {
-				return fmt.Errorf("logical: lamport: receive before its send in physical order (proc %d #%d)", r.p, r.i)
+				return noOrderf("logical: lamport: receive before its send in physical order (proc %d #%d)", r.p, r.i)
 			}
 			lt := cur[r.p] + 1
 			if slt+1 > lt {

@@ -38,6 +38,7 @@ package logical
 // independent of I/O interleaving.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -46,6 +47,24 @@ import (
 	"pas2p/internal/trace"
 	"pas2p/internal/vtime"
 )
+
+// ErrNoOrder is matched (errors.Is) by every error the order returns
+// because the trace has no PAS2P logical order: it is empty, its
+// streams disagree with its header, or its relations never resolve (a
+// receive whose send never comes, a collective a process never
+// reaches, an unknown event kind).
+var ErrNoOrder = errors.New("trace has no logical order")
+
+// noOrderError carries an order failure's message and matches
+// ErrNoOrder without adding it to the text.
+type noOrderError struct{ error }
+
+func (e noOrderError) Is(target error) bool { return target == ErrNoOrder }
+func (e noOrderError) Unwrap() error        { return e.error }
+
+func noOrderf(format string, args ...any) error {
+	return noOrderError{fmt.Errorf(format, args...)}
+}
 
 // EventSource feeds per-process event streams to StreamOrder. Process
 // streams must be in per-process program order (what PerProcess or a
@@ -191,7 +210,7 @@ type collWait struct {
 func StreamOrder(src EventSource) (*TickReader, error) {
 	meta := src.Meta()
 	if meta.Events == 0 {
-		return nil, fmt.Errorf("logical: empty trace")
+		return nil, noOrderf("logical: empty trace")
 	}
 	procs := meta.Procs
 	r := &TickReader{
@@ -227,7 +246,7 @@ func StreamOrder(src EventSource) (*TickReader, error) {
 		}
 	}
 	if counted != meta.Events {
-		return nil, fmt.Errorf("logical: source counts %d events across processes, header declares %d",
+		return nil, noOrderf("logical: source counts %d events across processes, header declares %d",
 			counted, meta.Events)
 	}
 	return r, nil
@@ -266,7 +285,7 @@ func (r *TickReader) loadHead(p int32) (bool, error) {
 		return false, err
 	}
 	if !ok {
-		return false, fmt.Errorf("logical: trace %q: process %d stream ended early after %d events",
+		return false, noOrderf("logical: trace %q: process %d stream ended early after %d events",
 			r.src.AppName, p, r.next[p])
 	}
 	r.remaining[p]--
@@ -277,7 +296,7 @@ func (r *TickReader) loadHead(p int32) (bool, error) {
 // step runs one iteration of the queue algorithm (one queue pop).
 func (r *TickReader) step() error {
 	if r.qlen() == 0 {
-		return fmt.Errorf("logical: trace %q stalls with %d/%d events assigned (inconsistent relations)",
+		return noOrderf("logical: trace %q stalls with %d/%d events assigned (inconsistent relations)",
 			r.src.AppName, r.assigned, r.total)
 	}
 	p := r.qpop()
@@ -304,7 +323,7 @@ func (r *TickReader) step() error {
 			r.qpush(p)
 			r.visits++
 			if r.visits > r.qlen() {
-				return fmt.Errorf("logical: trace %q: full pass over %d pending procs made no progress; receive on proc %d references send (%d,%d) that never resolves",
+				return noOrderf("logical: trace %q: full pass over %d pending procs made no progress; receive on proc %d references send (%d,%d) that never resolves",
 					r.src.AppName, r.qlen(), p, e.RelA, e.RelB)
 			}
 			return nil
@@ -351,7 +370,7 @@ func (r *TickReader) step() error {
 		r.visits = 0
 		return nil
 	default:
-		return fmt.Errorf("logical: trace %q: unknown event kind %d", r.src.AppName, e.Kind)
+		return noOrderf("logical: trace %q: unknown event kind %d", r.src.AppName, e.Kind)
 	}
 	r.consume(p)
 	if r.remaining[p] > 0 {
@@ -418,7 +437,7 @@ func (r *TickReader) finalize(p int32, pe pendEvent) {
 func (r *TickReader) finishAssign() error {
 	for p, pk := range r.parked {
 		if pk {
-			return fmt.Errorf("logical: trace %q: proc %d parked at a collective forever", r.src.AppName, p)
+			return noOrderf("logical: trace %q: proc %d parked at a collective forever", r.src.AppName, p)
 		}
 	}
 	r.assignDone = true

@@ -2,6 +2,7 @@ package logical
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -164,7 +165,7 @@ func TestStreamOrderDeepRecvChain(t *testing.T) {
 }
 
 // TestStreamOrderDetectsStall: genuinely inconsistent relations fail
-// with the oracle's exact error text.
+// with the oracle's exact error text, matching ErrNoOrder.
 func TestStreamOrderDetectsStall(t *testing.T) {
 	mk := func(me, peer int32) []trace.Event {
 		return []trace.Event{
@@ -201,6 +202,9 @@ func TestStreamOrderDetectsStall(t *testing.T) {
 	}
 	if streamErr.Error() != inCoreErr.Error() {
 		t.Fatalf("stall errors diverge:\n  in-core: %v\n  stream:  %v", inCoreErr, streamErr)
+	}
+	if !errors.Is(streamErr, ErrNoOrder) {
+		t.Fatalf("stall error %v does not match ErrNoOrder", streamErr)
 	}
 	// A failed reader keeps returning its error.
 	if _, err := r.Next(); err == nil || err.Error() != streamErr.Error() {

@@ -316,8 +316,16 @@ func (d *Deployment) Oversubscription() int {
 	return max
 }
 
-// String summarises the deployment for reports.
+// String summarises the deployment for reports, naming the cluster's
+// run-model switches when they are on.
 func (d *Deployment) String() string {
-	return fmt.Sprintf("%s: %d ranks on %d nodes x %d cores (%s mapping, %dx oversubscribed)",
-		d.Cluster.Name, d.Ranks, d.Cluster.Nodes, d.Cluster.CoresPerNode, d.Policy, d.Oversubscription())
+	var on string
+	if d.Cluster.NICContention {
+		on += ", NIC contention"
+	}
+	if d.Cluster.AlgorithmicCollectives {
+		on += ", algorithmic collectives"
+	}
+	return fmt.Sprintf("%s: %d ranks on %d nodes x %d cores (%s mapping, %dx oversubscribed%s)",
+		d.Cluster.Name, d.Ranks, d.Cluster.Nodes, d.Cluster.CoresPerNode, d.Policy, d.Oversubscription(), on)
 }

@@ -414,3 +414,35 @@ func TestDeploymentEqual(t *testing.T) {
 		t.Error("a deployment must not equal nil")
 	}
 }
+
+// TestDeploymentStringNamesSwitches: the report line of a deployment
+// whose cluster turns on NIC contention or algorithmic collectives
+// names each switch, so it never reads like the preset's line.
+func TestDeploymentStringNamesSwitches(t *testing.T) {
+	mk := func(nic, alg bool) string {
+		t.Helper()
+		c := ClusterA()
+		c.NICContention, c.AlgorithmicCollectives = nic, alg
+		d, err := NewDeployment(c, 16, MapBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.String()
+	}
+	const preset = "Cluster A: 16 ranks on 64 nodes x 2 cores (block mapping, 1x oversubscribed)"
+	if got := mk(false, false); got != preset {
+		t.Fatalf("preset line = %q, want %q", got, preset)
+	}
+	for _, c := range []struct {
+		nic, alg bool
+		want     string
+	}{
+		{true, false, "(block mapping, 1x oversubscribed, NIC contention)"},
+		{false, true, "(block mapping, 1x oversubscribed, algorithmic collectives)"},
+		{true, true, "(block mapping, 1x oversubscribed, NIC contention, algorithmic collectives)"},
+	} {
+		if got := mk(c.nic, c.alg); !strings.HasSuffix(got, c.want) {
+			t.Errorf("nic=%v alg=%v: line %q, want suffix %q", c.nic, c.alg, got, c.want)
+		}
+	}
+}

@@ -64,3 +64,36 @@ func AnalyzeTraceWithLog(ctx context.Context, tr *trace.Trace, cfg Config, warmO
 	sp.End()
 	return x.an, tb, nil
 }
+
+// AnalyzeStream runs PAS2P stage A over an open v2 tracefile without
+// decoding it into memory: the reader's per-rank streams feed the
+// streaming logical order, whose ticks feed ExtractStreamTable. The
+// reader's source must be random-access (a file or a byte slice).
+// Memory stays O(window + budget) whatever the trace length, and the
+// phase set and table are bit-identical to AnalyzeTrace's on the
+// decoded trace. The context is checked throughout the tick loop; a
+// cancelled analysis returns ctx.Err(). Through cfg.Observer it
+// records the analyze.stream span around the whole pass.
+func AnalyzeStream(ctx context.Context, br *trace.BlockReader, cfg StreamConfig, warmOccurrence int) (*StreamResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sp := cfg.Observer.StartSpan("analyze.stream")
+	defer sp.End()
+	rs, err := br.RankStreams()
+	if err != nil {
+		return nil, err
+	}
+	tick, err := logical.StreamOrder(rs)
+	if err != nil {
+		return nil, err
+	}
+	res, err := ExtractStreamTable(ctx, tick, tick.Meta(), warmOccurrence, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sp.SetCounter("events", int64(rs.Meta().Events))
+	sp.SetCounter("ticks", int64(res.Stats.Ticks))
+	sp.SetCounter("spilled_phases", int64(res.Stats.SpilledPhases))
+	return res, nil
+}

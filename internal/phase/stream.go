@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 	"path/filepath"
 	"slices"
 
@@ -56,8 +57,9 @@ type StreamConfig struct {
 	// in-core, like Extract).
 	MemBudgetBytes int64
 	// FS and SpillDir locate the spill files. FS defaults to the real
-	// filesystem; SpillDir is required when MemBudgetBytes > 0 and is
-	// created if missing.
+	// filesystem; SpillDir is created if missing. With the default FS
+	// an empty SpillDir gets a fresh temporary directory, which
+	// StreamResult.Close removes; a custom FS needs a SpillDir.
 	FS       fsx.FS
 	SpillDir string
 }
@@ -96,8 +98,10 @@ func (r *StreamResult) MaterializeCells() error {
 	return r.store.materialize()
 }
 
-// Close deletes the spill files. The analysis and table stay valid;
-// un-materialised Cells do not.
+// Close deletes the spill files, then the spill directory if that
+// leaves it empty, as it always leaves a directory ExtractStreamTable
+// made. The analysis and table stay valid; un-materialised Cells do
+// not.
 func (r *StreamResult) Close() error {
 	if r.store == nil {
 		return nil
@@ -125,22 +129,32 @@ func ExtractStreamTable(ctx context.Context, src TickSource, meta trace.Meta, wa
 	}
 	var store *spillStore
 	if cfg.MemBudgetBytes > 0 {
-		fs := cfg.FS
+		fs, dir := cfg.FS, cfg.SpillDir
 		if fs == nil {
 			fs = fsx.OS{}
 		}
-		if cfg.SpillDir == "" {
-			return nil, fmt.Errorf("phase: memory budget set but no spill directory")
+		var err error
+		switch {
+		case dir != "":
+			err = fs.MkdirAll(dir, 0o755)
+		case cfg.FS == nil:
+			dir, err = os.MkdirTemp("", "pas2p-spill-*")
+		default:
+			return nil, fmt.Errorf("phase: memory budget set on a custom filesystem but no spill directory")
 		}
-		if err := fs.MkdirAll(cfg.SpillDir, 0o755); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("phase: creating spill dir: %w", err)
 		}
-		store = &spillStore{fs: fs, dir: cfg.SpillDir, budget: cfg.MemBudgetBytes,
+		store = &spillStore{fs: fs, dir: dir, budget: cfg.MemBudgetBytes,
 			procs: meta.Procs, entries: map[int]*spillEntry{}}
 	}
 	sp := cfg.Observer.StartSpan("phase.extract.stream")
 	x := newStreamExtractor(cfg.Config, meta.Procs, meta.AET, store, warmOccurrence)
 	if err := x.scan(ctx, src); err != nil {
+		sp.End()
+		if store != nil {
+			store.close()
+		}
 		return nil, err
 	}
 	tb := x.finishTable(meta)

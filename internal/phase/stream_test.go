@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -324,5 +325,55 @@ func TestStreamSpillEngages(t *testing.T) {
 	}
 	if err := res.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestStreamSpillTempDir: with a budget and no SpillDir the extraction
+// spills into a temporary directory of its own, which Close removes,
+// and which a failed extraction removes before returning.
+func TestStreamSpillTempDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	tr := genTrace(t, 1, 8)
+	extract := func(ctx context.Context) (*StreamResult, error) {
+		r, err := logical.StreamOrder(logical.SourceFromTrace(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ExtractStreamTable(ctx, r, r.Meta(), 2, StreamConfig{Config: DefaultConfig(), MemBudgetBytes: 1})
+	}
+	left := func() []string {
+		t.Helper()
+		m, err := filepath.Glob(filepath.Join(tmp, "pas2p-spill-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	res, err := extract(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dirs := left(); len(dirs) != 1 {
+		t.Fatalf("spill dirs during the result's life: %v, want one", dirs)
+	}
+	if len(res.Analysis.Phases) > 1 && res.Stats.SpilledPhases == 0 {
+		t.Fatal("budget 1 spilled no phases")
+	}
+	if err := res.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if dirs := left(); len(dirs) != 0 {
+		t.Fatalf("Close left %v", dirs)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := extract(ctx); err != context.Canceled {
+		t.Fatalf("cancelled extraction returned %v, want context.Canceled", err)
+	}
+	if dirs := left(); len(dirs) != 0 {
+		t.Fatalf("failed extraction left %v", dirs)
 	}
 }

@@ -18,8 +18,8 @@ import (
 	"strings"
 	"time"
 
-	"pas2p"
 	"pas2p/internal/apps"
+	"pas2p/internal/logical"
 	"pas2p/internal/machine"
 	"pas2p/internal/mpi"
 	"pas2p/internal/obs"
@@ -550,9 +550,9 @@ func analyzeResponse(app string, procs, events int, crc uint32, warm int, tb *ph
 // handleAnalyzeStream serves a large analyze upload out-of-core: the
 // body is spooled to a scratch file (never held on the heap) and
 // hashed on the way, its digest keys the same LRU/single-flight as the
-// in-core path, and the bounded-memory AnalyzeStream pipeline produces
-// the answer — bit-identical to the in-core one, so cache entries are
-// interchangeable between lanes. A spooled upload that turns out not
+// in-core path, and the bounded-memory phase.AnalyzeStream pipeline
+// produces the answer — bit-identical to the in-core one, so cache
+// entries are interchangeable between lanes. A spooled upload that turns out not
 // to be v2 falls back in-core when it fits under MaxBodyBytes, else it is refused:
 // only the checksummed block format supports random access.
 func (s *Service) handleAnalyzeStream(ctx context.Context, r *http.Request, warm int) (*handlerResult, *APIError) {
@@ -602,31 +602,19 @@ func (s *Service) handleAnalyzeStream(ctx context.Context, r *http.Request, warm
 
 // analyzeStreamWork runs the bounded-memory pipeline over a spooled
 // upload under the request context (stage-boundary cancellation inside
-// AnalyzeStream, worker abandonment via runWork).
+// phase.AnalyzeStream, worker abandonment via runWork).
 func (s *Service) analyzeStreamWork(ctx context.Context, spool *os.File, crc uint32, warm int) (*AnalyzeResponse, *APIError) {
 	v, err := s.runWork(ctx, "analyze", func() (any, error) {
 		br, err := trace.NewBlockReader(io.NewSectionReader(spool, 0, 1<<62))
 		if err != nil {
 			return nil, errCorruptTrace(err)
 		}
-		defer br.Close()
-		spill, err := os.MkdirTemp("", "pas2p-spill-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(spill)
-		res, err := pas2p.AnalyzeStream(ctx, br, phase.DefaultConfig(), warm, pas2p.AnalyzeStreamOptions{
-			MemBudgetBytes: s.cfg.StreamMemBudget,
-			SpillDir:       spill,
-		})
+		res, err := phase.AnalyzeStream(ctx, br, phase.StreamConfig{
+			Config: phase.DefaultConfig(), MemBudgetBytes: s.cfg.StreamMemBudget}, warm)
 		if err != nil {
 			// Corruption discovered mid-stream (a block CRC deep in the
-			// spool) surfaces here rather than at decode time; map it to
-			// the same typed rejection the in-core decoder produces.
-			if strings.HasPrefix(err.Error(), "trace:") {
-				return nil, errCorruptTrace(err)
-			}
-			return nil, err
+			// spool) surfaces here rather than at decode time.
+			return nil, analyzeError(err)
 		}
 		defer res.Close()
 		meta := br.Meta()
@@ -638,18 +626,29 @@ func (s *Service) analyzeStreamWork(ctx context.Context, spool *os.File, crc uin
 	return v.(*AnalyzeResponse), nil
 }
 
+// analyzeError gives an analysis failure that condemns the uploaded
+// trace — damaged bytes, or relations with no logical order — the
+// same typed rejection a failed decode gets. Anything else (a spill
+// I/O failure, cancellation) passes through to asAPIError.
+func analyzeError(err error) error {
+	if errors.Is(err, trace.ErrCorrupt) || errors.Is(err, logical.ErrNoOrder) {
+		return errCorruptTrace(err)
+	}
+	return err
+}
+
 // analyzeWork decodes and analyses one uploaded tracefile under the
-// request context (stage-boundary cancellation via AnalyzeCtx, worker
-// abandonment via runWork).
+// request context (stage-boundary cancellation via phase.AnalyzeTrace,
+// worker abandonment via runWork).
 func (s *Service) analyzeWork(ctx context.Context, data []byte, crc uint32, warm int) (*AnalyzeResponse, *APIError) {
 	v, err := s.runWork(ctx, "analyze", func() (any, error) {
 		tr, err := trace.DecodeAny(bytes.NewReader(data))
 		if err != nil {
 			return nil, errCorruptTrace(err)
 		}
-		_, tb, err := pas2p.AnalyzeCtx(ctx, tr, phase.DefaultConfig(), warm)
+		_, tb, err := phase.AnalyzeTrace(ctx, tr, phase.DefaultConfig(), warm)
 		if err != nil {
-			return nil, err
+			return nil, analyzeError(err)
 		}
 		return analyzeResponse(tr.AppName, tr.Procs, len(tr.Events), crc, warm, tb), nil
 	})

@@ -377,11 +377,11 @@ type workResult struct {
 
 // runWork executes fn on its own goroutine and waits for it or for
 // the context, whichever ends first. The pipeline stages fn calls are
-// context-aware where possible (AnalyzeCtx), but simulator runs are
-// not interruptible mid-run — runWork is what guarantees the *request*
-// still honours its deadline: the HTTP response returns typed and on
-// time, the orphaned computation finishes in the background and is
-// counted under service.abandoned_workers. A panic inside fn fails
+// context-aware where possible (phase.AnalyzeTrace), but simulator
+// runs are not interruptible mid-run — runWork is what guarantees the
+// *request* still honours its deadline: the HTTP response returns
+// typed and on time, the orphaned computation finishes in the
+// background and is counted under service.abandoned_workers. A panic inside fn fails
 // the request, never the server.
 func (s *Service) runWork(ctx context.Context, op string, fn func() (any, error)) (any, error) {
 	ch := make(chan workResult, 1)

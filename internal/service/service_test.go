@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -1023,4 +1024,46 @@ func TestAnalyzeStreamLaneErrors(t *testing.T) {
 	// trace decoding, typed.
 	resp = postBytes(t, ts.URL+"/v1/analyze", []byte("small junk"), nil)
 	wantTyped(t, resp, http.StatusUnprocessableEntity, CodeCorruptTrace)
+}
+
+// TestAnalyzeNoOrderTraceTyped: a trace whose checksums are valid but
+// whose relations have no logical order (two receives of one send) is
+// the client's input error on both lanes, a typed 422 corrupt_trace,
+// while a spill I/O failure stays an internal error.
+func TestAnalyzeNoOrderTraceTyped(t *testing.T) {
+	p0 := []trace.Event{
+		{Process: 0, Number: 0, Kind: trace.Send, Involved: 2, CollOp: -1, Peer: 1, Exit: 1},
+	}
+	p1 := []trace.Event{
+		{Process: 1, Number: 0, Kind: trace.Recv, Involved: 2, CollOp: -1, Peer: 0, Exit: 2},
+		{Process: 1, Number: 1, Kind: trace.Recv, Involved: 2, CollOp: -1, Peer: 0, Enter: 3, Exit: 4},
+	}
+	tr, err := trace.NewTrace("dup-recv", 2, [][]trace.Event{p0, p1}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, lane := range []struct {
+		name      string
+		threshold int64
+		streamed  int
+	}{{"in-core", -1, 0}, {"stream", 1, 1}} {
+		svc, ts := newTestService(t, func(c *Config) { c.StreamThresholdBytes = lane.threshold })
+		resp := postBytes(t, ts.URL+"/v1/analyze", buf.Bytes(), nil)
+		e := wantTyped(t, resp, http.StatusUnprocessableEntity, CodeCorruptTrace)
+		if !strings.Contains(e.Error.Message, "never resolves") {
+			t.Errorf("%s lane: message %q does not name the stall", lane.name, e.Error.Message)
+		}
+		if got := svc.reg.Counter("service.stream.admitted").Value(); int(got) != lane.streamed {
+			t.Errorf("%s lane: stream.admitted = %d, want %d", lane.name, got, lane.streamed)
+		}
+	}
+
+	spillErr := fmt.Errorf("phase: creating spill file: %w", os.ErrPermission)
+	if ae := asAPIError(analyzeError(spillErr), "analyze"); ae.Code != CodeInternal {
+		t.Fatalf("spill failure mapped to %q, want %q", ae.Code, CodeInternal)
+	}
 }

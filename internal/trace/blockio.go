@@ -1,29 +1,20 @@
 package trace
 
-// The block engine behind the v2 tracefile codec, plus the streaming
-// block API.
+// The block engine behind the v2 tracefile codec.
 //
 // The v2 layout (see codec.go) splits the event stream into
 // independent fixed-size record blocks, each carrying its own CRC32C:
 // records are exactly recordSize bytes, so every block's byte extent
-// is computable up front. Encode writes the blocks serially. Decode
-// reads block bytes serially, in file order, and verifies and
-// deserialises them on a pool of GOMAXPROCS workers into disjoint
-// regions of the events slice; the whole-file CRC stays serial, a
-// single hardware-accelerated crc32.Update per ~45 KiB block.
-//
-// Three entry layers share the machinery:
-//
-//   - Encode/Decode (codec.go) delegate here with CodecOptions{};
-//   - EncodeWith/DecodeWith take an optional obs.Registry for the
-//     codec.* counters;
-//   - BlockWriter/BlockReader/VerifyStream stream traces block by
-//     block, so consumers (analyze, repo fsck) can verify or fold over
-//     a tracefile without materialising the whole []Event twice.
-//
-// Decode and BlockReader parse the prefix and the trailer through the
-// same two functions (readPrefix, readTrailer in codec.go); only the
-// block loop between them differs.
+// is computable up front. BlockWriter writes the blocks serially
+// (Encode and EncodeWith delegate to it). Decode reads block bytes
+// serially, in file order, and verifies and deserialises them on a
+// pool of GOMAXPROCS workers into disjoint regions of the events
+// slice; the whole-file CRC stays serial, a single
+// hardware-accelerated crc32.Update per ~45 KiB block. VerifyStream
+// (repo fsck) runs the same loop serially with decoding turned off, so
+// it holds one block at a time and reports exactly Decode's errors.
+// The other reader, BlockReader.RankStreams (rankio.go), reads blocks
+// by rank for the out-of-core analysis.
 //
 // Corruption reporting does not depend on the worker count: decode
 // reads block bytes in file order and resolves errors to the
@@ -326,9 +317,9 @@ func readBlock(cr *crcReader, buf []byte, ext blockExtent, total uint64) error {
 	return corruptf(cr.off, "reading event %d of %d: %v", failing, total, err)
 }
 
-// verifyAndDecodeBlock checks the block CRC and, unless verifyOnly,
+// verifyAndDecodeBlock checks the block CRC and, unless dst is nil,
 // deserialises the records into dst (dst[i] receives record i).
-func verifyAndDecodeBlock(buf []byte, ext blockExtent, dst []Event, verifyOnly bool, m *codecMetrics) error {
+func verifyAndDecodeBlock(buf []byte, ext blockExtent, dst []Event, m *codecMetrics) error {
 	recBytes := int(ext.end-ext.start) * recordSize
 	var t0 time.Time
 	if m != nil {
@@ -341,10 +332,8 @@ func verifyAndDecodeBlock(buf []byte, ext blockExtent, dst []Event, verifyOnly b
 			"event block %d-%d checksum mismatch (stored %08x, computed %08x)",
 			ext.start, ext.end-1, got, bcrc)
 	}
-	if !verifyOnly {
-		for i := 0; i < int(ext.end-ext.start); i++ {
-			getRecord(buf[i*recordSize:], &dst[i])
-		}
+	for i := range dst {
+		getRecord(buf[i*recordSize:], &dst[i])
 	}
 	return nil
 }
@@ -391,7 +380,7 @@ func (e *decEngine) worker() {
 		if e.m != nil {
 			t0 = time.Now()
 		}
-		if err := verifyAndDecodeBlock(j.buf, j.ext, j.dst, false, e.m); err != nil {
+		if err := verifyAndDecodeBlock(j.buf, j.ext, j.dst, e.m); err != nil {
 			e.record(j.ext.start, err)
 		}
 		if e.m != nil {
@@ -434,17 +423,43 @@ func DecodeWith(r io.Reader, opts CodecOptions) (*Trace, error) {
 // at every worker count; traces under four blocks always take the
 // serial path, where pool spin-up would cost more than it saves.
 func decode(r io.Reader, opts CodecOptions, workers int) (*Trace, error) {
-	cr := &crcReader{br: bufio.NewReaderSize(r, 1<<16)}
-	meta, err := readPrefix(cr)
+	meta, events, err := readBlocks(r, opts, workers, true)
 	if err != nil {
 		return nil, err
 	}
+	return &Trace{AppName: meta.AppName, Procs: meta.Procs, AET: meta.AET, Events: events}, nil
+}
+
+// VerifyStream reads a binary tracefile to the end, verifying every
+// checksum (header, per-block, whole-file) without decoding a single
+// event, and returns the header metadata. It is Decode's serial block
+// loop with decoding turned off, so it holds one block at a time and a
+// damaged file fails with exactly the error text and offset Decode
+// reports. This is what `repo fsck` runs over stored tracefiles.
+func VerifyStream(r io.Reader) (Meta, error) {
+	meta, _, err := readBlocks(r, CodecOptions{}, 1, false)
+	return meta, err
+}
+
+// readBlocks reads the prefix, every block and the trailer. With
+// decodeEvents it deserialises the blocks, on workers goroutines, into
+// the returned events; without, it only verifies them on the serial
+// path and returns no events.
+func readBlocks(r io.Reader, opts CodecOptions, workers int, decodeEvents bool) (Meta, []Event, error) {
+	cr := &crcReader{br: bufio.NewReaderSize(r, 1<<16)}
+	meta, err := readPrefix(cr)
+	if err != nil {
+		return meta, nil, err
+	}
 	count := meta.Events
-	if count < 4*blockEvents {
+	if count < 4*blockEvents || !decodeEvents {
 		workers = 1
 	}
 	m := newCodecMetrics(opts.Reg, "decode", workers)
-	t := &Trace{AppName: meta.AppName, Procs: meta.Procs, AET: meta.AET, Events: make([]Event, 0)}
+	var events []Event
+	if decodeEvents {
+		events = make([]Event, 0)
+	}
 
 	var eng *decEngine
 	if workers > 1 {
@@ -473,10 +488,12 @@ func decode(r io.Reader, opts CodecOptions, workers int) (*Trace, error) {
 		if batch > maxBatchBlocks*blockEvents {
 			batch = maxBatchBlocks * blockEvents
 		}
-		for uint64(cap(t.Events)) < next+batch {
-			t.Events = growEvents(t.Events, count, trusted)
+		if decodeEvents {
+			for uint64(cap(events)) < next+batch {
+				events = growEvents(events, count, trusted)
+			}
+			events = events[:next+batch]
 		}
-		t.Events = t.Events[:next+batch]
 
 		var readErr error
 		readErrStart := uint64(0)
@@ -487,6 +504,10 @@ func decode(r io.Reader, opts CodecOptions, workers int) (*Trace, error) {
 			}
 			ext := blockExtent{start: bs, end: be, off: cr.off}
 			n := int(be-bs)*recordSize + 4
+			var dst []Event
+			if decodeEvents {
+				dst = events[bs:be]
+			}
 			if eng != nil {
 				j := decJobPool.Get().(*decJob)
 				if cap(j.buf) < n {
@@ -498,7 +519,7 @@ func decode(r io.Reader, opts CodecOptions, workers int) (*Trace, error) {
 					readErr, readErrStart = err, bs
 					break
 				}
-				j.ext, j.dst, j.wg = ext, t.Events[bs:be], &wg
+				j.ext, j.dst, j.wg = ext, dst, &wg
 				wg.Add(1)
 				eng.jobs <- j
 				continue
@@ -508,7 +529,7 @@ func decode(r io.Reader, opts CodecOptions, workers int) (*Trace, error) {
 				readErr, readErrStart = err, bs
 				break
 			}
-			if err := verifyAndDecodeBlock(serialBuf, ext, t.Events[bs:be], false, m); err != nil {
+			if err := verifyAndDecodeBlock(serialBuf, ext, dst, m); err != nil {
 				readErr, readErrStart = err, bs
 				break
 			}
@@ -516,161 +537,19 @@ func decode(r io.Reader, opts CodecOptions, workers int) (*Trace, error) {
 		if eng != nil {
 			wg.Wait()
 			if start, err := eng.firstError(); err != nil && (readErr == nil || start < readErrStart) {
-				return nil, err
+				return meta, nil, err
 			}
 		}
 		if readErr != nil {
-			return nil, readErr
+			return meta, nil, readErr
 		}
 		trusted = true
 		next += batch
 	}
 
 	if err := readTrailer(cr); err != nil {
-		return nil, err
+		return meta, nil, err
 	}
 	m.publish()
-	return t, nil
-}
-
-// ---------------------------------------------------------------------
-// Streaming reader.
-
-// BlockReader streams a binary tracefile one block at a time: the
-// header is surfaced through Meta before any event is materialised,
-// Next yields up to blockEvents events per call into a reused scratch
-// slice, and the trailer and whole-file CRC are verified before the
-// final io.EOF. Corruption errors carry the same text and byte offsets
-// as Decode.
-type BlockReader struct {
-	cr         *crcReader
-	meta       Meta
-	verifyOnly bool
-	next       uint64
-	buf        []byte
-	scratch    []Event
-	sc         *brScratch // pooled backing for buf/scratch; nil after Close
-	finished   bool
-	// ra and bodyOff enable RankStreams: the source, when it supports
-	// random access, and the byte offset of the first event block.
-	ra      io.ReaderAt
-	bodyOff int64
-}
-
-// brScratch is a BlockReader's pooled working set: the block byte
-// buffer and the decoded-event scratch slice. Readers that are Closed
-// return it for reuse; readers that are simply dropped leave it to the
-// GC (Get without Put is safe).
-type brScratch struct {
-	buf []byte
-	evs []Event
-}
-
-var brScratchPool = sync.Pool{New: func() any {
-	return &brScratch{buf: make([]byte, 0, blockBytes+4)}
-}}
-
-// NewBlockReader reads the tracefile prefix (magic, header, name and
-// header checksum) and positions the stream at the first block.
-func NewBlockReader(r io.Reader) (*BlockReader, error) {
-	cr := &crcReader{br: bufio.NewReaderSize(r, 1<<16)}
-	meta, err := readPrefix(cr)
-	if err != nil {
-		return nil, err
-	}
-	sc := brScratchPool.Get().(*brScratch)
-	ra, _ := r.(io.ReaderAt)
-	return &BlockReader{
-		cr:      cr,
-		meta:    meta,
-		sc:      sc,
-		buf:     sc.buf[:0],
-		scratch: sc.evs,
-		ra:      ra,
-		bodyOff: cr.off,
-	}, nil
-}
-
-// Close releases the reader's pooled buffers and marks the stream
-// finished: subsequent Next calls return io.EOF without reading.
-// Event slices previously returned by Next must not be used after
-// Close. Close is idempotent, never fails, and does not close the
-// underlying reader (the caller owns it). Readers that are read to
-// io.EOF and then dropped without Close are also fine — their buffers
-// simply fall to the GC instead of the pool.
-func (br *BlockReader) Close() error {
-	if br.sc != nil {
-		br.sc.buf = br.buf[:0]
-		br.sc.evs = br.scratch
-		brScratchPool.Put(br.sc)
-		br.sc = nil
-	}
-	br.buf = nil
-	br.scratch = nil
-	br.finished = true
-	return nil
-}
-
-// Meta returns the tracefile's header.
-func (br *BlockReader) Meta() Meta { return br.meta }
-
-// Next returns the next block of events (up to blockEvents of them),
-// verifying the block checksum on the way. The returned slice is
-// scratch reused by the following Next call. After the last block the
-// trailer and whole-file checksum are verified and io.EOF is returned.
-func (br *BlockReader) Next() ([]Event, error) {
-	if br.finished {
-		return nil, io.EOF
-	}
-	if br.next >= br.meta.Events {
-		br.finished = true
-		if err := readTrailer(br.cr); err != nil {
-			return nil, err
-		}
-		return nil, io.EOF
-	}
-	start := br.next
-	end := start + blockEvents
-	if end > br.meta.Events {
-		end = br.meta.Events
-	}
-	ext := blockExtent{start: start, end: end, off: br.cr.off}
-	br.buf = br.buf[:int(end-start)*recordSize+4]
-	if err := readBlock(br.cr, br.buf, ext, br.meta.Events); err != nil {
-		br.finished = true
-		return nil, err
-	}
-	var dst []Event
-	if !br.verifyOnly {
-		if br.scratch == nil {
-			br.scratch = make([]Event, blockEvents)
-		}
-		dst = br.scratch[:end-start]
-	}
-	if err := verifyAndDecodeBlock(br.buf, ext, dst, br.verifyOnly, nil); err != nil {
-		br.finished = true
-		return nil, err
-	}
-	br.next = end
-	return dst, nil
-}
-
-// VerifyStream reads a binary tracefile to the end, verifying every
-// checksum (header, per-block, whole-file) without materialising a
-// single event, and returns the header metadata. This is what `repo
-// fsck` runs over stored tracefiles: detection strength of a full
-// Decode at a fraction of the memory and time.
-func VerifyStream(r io.Reader) (Meta, error) {
-	br, err := NewBlockReader(r)
-	if err != nil {
-		return Meta{}, err
-	}
-	br.verifyOnly = true
-	for {
-		if _, err := br.Next(); err == io.EOF {
-			return br.meta, nil
-		} else if err != nil {
-			return br.meta, err
-		}
-	}
+	return meta, events, nil
 }

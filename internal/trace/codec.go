@@ -226,10 +226,23 @@ func (cr *crcReader) readFull(p []byte) error {
 	return err
 }
 
+// ErrCorrupt is matched (errors.Is) by every error that locates damage
+// in a file by byte offset: a bad magic (retired layouts included), a
+// failed checksum, a truncation, an implausible v2 header, a v2 file
+// not grouped by process.
+var ErrCorrupt = errors.New("corrupt tracefile")
+
+// corruptError carries a corruption message and matches ErrCorrupt
+// without adding it to the text.
+type corruptError struct{ error }
+
+func (e corruptError) Is(target error) bool { return target == ErrCorrupt }
+func (e corruptError) Unwrap() error        { return e.error }
+
 // corruptf builds a corruption error carrying the detection offset;
-// format may wrap a sentinel with %w.
+// format may wrap a further sentinel with %w.
 func corruptf(off int64, format string, args ...any) error {
-	return fmt.Errorf("trace: "+format+" (at byte offset %d)", append(args, off)...)
+	return corruptError{fmt.Errorf("trace: "+format+" (at byte offset %d)", append(args, off)...)}
 }
 
 // Decode reads the binary tracefile format, verifying every checksum.

@@ -73,10 +73,7 @@ func TestMagicDowngradeRejected(t *testing.T) {
 	}{
 		{"Decode", func(r io.Reader) error { _, err := Decode(r); return err }},
 		{"DecodeAny", func(r io.Reader) error { _, err := DecodeAny(r); return err }},
-		{"BlockReader", func(r io.Reader) error {
-			_, err := streamEvents(r.(*bytes.Reader))
-			return err
-		}},
+		{"NewBlockReader", func(r io.Reader) error { _, err := NewBlockReader(r); return err }},
 		{"VerifyStream", func(r io.Reader) error { _, err := VerifyStream(r); return err }},
 		{"Decompress", func(r io.Reader) error { _, err := Decompress(r); return err }},
 	}

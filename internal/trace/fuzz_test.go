@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
-	"io"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -164,32 +166,56 @@ func FuzzDecodeTracefile(f *testing.F) {
 	})
 }
 
-// streamEvents folds a BlockReader to completion, returning the
-// concatenated events or the first error.
-func streamEvents(r *bytes.Reader) ([]Event, error) {
-	br, err := NewBlockReader(r)
+// rankEvents reads every process's stream of a tracefile through
+// BlockReader.RankStreams, returning the per-process events or the
+// first error.
+func rankEvents(raw []byte) ([][]Event, error) {
+	br, err := NewBlockReader(bytes.NewReader(raw))
 	if err != nil {
 		return nil, err
 	}
-	var evs []Event
-	for {
-		blk, err := br.Next()
-		if err == io.EOF {
-			return evs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		evs = append(evs, blk...)
+	rs, err := br.RankStreams()
+	if err != nil {
+		return nil, err
 	}
+	per := make([][]Event, br.Meta().Procs)
+	for p := range per {
+		for {
+			var e Event
+			ok, err := rs.NextEvent(p, &e)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			per[p] = append(per[p], e)
+		}
+	}
+	return per, nil
 }
 
-// FuzzBlockReader drives the streaming reader over mutated block
-// boundaries: on a clean file it must yield exactly what Decode
-// materialises; with a byte flipped or the tail torn near a
-// seed-chosen block edge it must fail with an offset-carrying error —
-// never panic, never hand back silently wrong events. VerifyStream
-// (the repo-fsck path) must agree with Decode on validity.
+// samePerProcess compares per-process event lists, an empty list
+// equal to a missing one.
+func samePerProcess(a, b [][]Event) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for p := range a {
+		if !slices.Equal(a[p], b[p]) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzBlockReader drives the two v2 readers besides Decode over
+// mutated block boundaries. On a clean file the rank streams must
+// yield exactly Decode's per-process events. With a byte flipped or
+// the tail torn near a seed-chosen block edge, VerifyStream (the
+// repo-fsck path) must fail exactly as Decode does, error text and
+// offset included, and the rank streams must fail or hand back the
+// clean events — never panic, never silently wrong events.
 func FuzzBlockReader(f *testing.F) {
 	f.Add(int64(7), 3, 40, uint16(0), int8(0), byte(0x41))
 	f.Add(int64(1), 1, 1, uint16(1), int8(-1), byte(0xff))
@@ -208,19 +234,40 @@ func FuzzBlockReader(f *testing.F) {
 		}
 		raw := buf.Bytes()
 
-		got, err := streamEvents(bytes.NewReader(raw))
+		dec, err := Decode(bytes.NewReader(raw))
 		if err != nil {
-			t.Fatalf("stream clean file: %v", err)
+			t.Fatalf("decode clean file: %v", err)
 		}
-		want := tr.Events
-		if len(want) == 0 {
-			want = nil
+		want := dec.PerProcess()
+		got, err := rankEvents(raw)
+		if err != nil {
+			t.Fatalf("rank streams over clean file: %v", err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatal("streamed events diverge from the encoded trace")
+		if !samePerProcess(got, want) {
+			t.Fatal("rank streams diverge from the decoded trace")
 		}
 		if _, err := VerifyStream(bytes.NewReader(raw)); err != nil {
 			t.Fatalf("verify clean file: %v", err)
+		}
+
+		// damaged checks one mutated file against every reader.
+		damaged := func(what string, data []byte) {
+			t.Helper()
+			_, derr := Decode(bytes.NewReader(data))
+			if derr == nil {
+				// CRC32C guarantees single-byte flips are caught inside
+				// checksummed extents; the only silent region would be a bug.
+				t.Fatalf("%s went undetected", what)
+			}
+			if !strings.Contains(derr.Error(), "offset") || !errors.Is(derr, ErrCorrupt) {
+				t.Fatalf("%s: error lacks offset or ErrCorrupt: %v", what, derr)
+			}
+			if _, verr := VerifyStream(bytes.NewReader(data)); verr == nil || verr.Error() != derr.Error() {
+				t.Fatalf("%s: VerifyStream diverges from Decode:\n  decode: %v\n  verify: %v", what, derr, verr)
+			}
+			if per, err := rankEvents(data); err == nil && !samePerProcess(per, want) {
+				t.Fatalf("%s: rank streams handed back wrong events", what)
+			}
 		}
 
 		// Mutate at (or near) a block boundary: the byte at offset
@@ -236,27 +283,13 @@ func FuzzBlockReader(f *testing.F) {
 		}
 		corrupted := append([]byte(nil), raw...)
 		corrupted[pos] ^= flip | 1
-		sgot, serr := streamEvents(bytes.NewReader(corrupted))
-		if serr == nil {
-			// CRC32C guarantees single-byte flips are caught inside
-			// checksummed extents; the only silent region would be a bug.
-			t.Fatalf("flip at %d streamed cleanly (%d events)", pos, len(sgot))
-		} else if !strings.Contains(serr.Error(), "offset") {
-			t.Fatalf("flip at %d: error lacks offset: %v", pos, serr)
-		}
-		if _, err := VerifyStream(bytes.NewReader(corrupted)); err == nil {
-			t.Fatalf("flip at %d passed VerifyStream", pos)
-		}
+		damaged(fmt.Sprintf("flip at %d", pos), corrupted)
 
 		// Torn tail ending inside the seed-chosen block.
 		cut := pos
 		if cut < headerEnd {
 			cut = headerEnd
 		}
-		if _, err := streamEvents(bytes.NewReader(raw[:cut])); err == nil {
-			t.Fatalf("truncation at %d streamed cleanly", cut)
-		} else if !strings.Contains(err.Error(), "offset") {
-			t.Fatalf("truncation at %d: error lacks offset: %v", cut, err)
-		}
+		damaged(fmt.Sprintf("truncation at %d", cut), raw[:cut])
 	})
 }

@@ -26,12 +26,39 @@ package trace
 // is detected rather than silently misread.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 )
+
+// BlockReader opens a v2 tracefile for out-of-core analysis: it reads
+// and verifies the prefix, surfaces the header through Meta before any
+// event is read, and hands out per-rank streams over the blocks that
+// follow.
+type BlockReader struct {
+	meta Meta
+	// ra and bodyOff enable RankStreams: the source, when it supports
+	// random access, and the byte offset of the first event block.
+	ra      io.ReaderAt
+	bodyOff int64
+}
+
+// NewBlockReader reads the tracefile prefix (magic, header, name and
+// header checksum).
+func NewBlockReader(r io.Reader) (*BlockReader, error) {
+	cr := &crcReader{br: bufio.NewReaderSize(r, 1<<16)}
+	meta, err := readPrefix(cr)
+	if err != nil {
+		return nil, err
+	}
+	ra, _ := r.(io.ReaderAt)
+	return &BlockReader{meta: meta, ra: ra, bodyOff: cr.off}, nil
+}
+
+// Meta returns the tracefile's header.
+func (br *BlockReader) Meta() Meta { return br.meta }
 
 // procFieldOff is the byte offset of the Process field inside a record
 // (see putRecord/getRecord in codec.go).
@@ -48,14 +75,12 @@ type RankStreams struct {
 	// bounds[p]..bounds[p+1] is process p's record index range.
 	bounds []uint64
 	// cursors backs NextEvent; created lazily per process.
-	cursors []*RankCursor
+	cursors []*rankCursor
 }
 
 // RankStreams returns a per-process random-access view of the reader's
 // tracefile. It requires a source that implements io.ReaderAt (an
 // *os.File or *bytes.Reader does; a pipe does not).
-// The view is independent of the reader's sequential position and
-// stays valid after Close.
 func (br *BlockReader) RankStreams() (*RankStreams, error) {
 	if br.ra == nil {
 		return nil, fmt.Errorf("trace: rank streams need a random-access source (io.ReaderAt)")
@@ -66,7 +91,7 @@ func (br *BlockReader) RankStreams() (*RankStreams, error) {
 func newRankStreams(ra io.ReaderAt, meta Meta, bodyOff int64) (*RankStreams, error) {
 	rs := &RankStreams{ra: ra, meta: meta, bodyOff: bodyOff,
 		bounds:  make([]uint64, meta.Procs+1),
-		cursors: make([]*RankCursor, meta.Procs),
+		cursors: make([]*rankCursor, meta.Procs),
 	}
 	// The trailer magic sits at a computable offset; checking it up
 	// front catches a truncated file before any cursor runs.
@@ -138,17 +163,17 @@ func (rs *RankStreams) Count(p int) uint64 { return rs.bounds[p+1] - rs.bounds[p
 func (rs *RankStreams) NextEvent(p int, dst *Event) (bool, error) {
 	c := rs.cursors[p]
 	if c == nil {
-		c = rs.Cursor(p)
+		c = rs.cursor(p)
 		rs.cursors[p] = c
 	}
 	return c.Next(dst)
 }
 
-// Cursor returns a fresh independent cursor over process p's events.
+// cursor returns a fresh independent cursor over process p's events.
 // Each cursor owns one block-sized buffer (~46 KiB), so memory is
 // O(procs), not O(events).
-func (rs *RankStreams) Cursor(p int) *RankCursor {
-	return &RankCursor{
+func (rs *RankStreams) cursor(p int) *rankCursor {
+	return &rankCursor{
 		rs:       rs,
 		proc:     int32(p),
 		next:     rs.bounds[p],
@@ -158,9 +183,9 @@ func (rs *RankStreams) Cursor(p int) *RankCursor {
 	}
 }
 
-// RankCursor iterates one process's events in per-process order,
+// rankCursor iterates one process's events in per-process order,
 // decoding lazily out of whole CRC-verified blocks.
-type RankCursor struct {
+type rankCursor struct {
 	rs        *RankStreams
 	proc      int32
 	next, end uint64
@@ -169,12 +194,9 @@ type RankCursor struct {
 	bufStart  uint64
 }
 
-// Remaining returns how many events the cursor has not yielded yet.
-func (c *RankCursor) Remaining() uint64 { return c.end - c.next }
-
 // Next copies the cursor's next event into dst; false with a nil error
 // means the process's section is exhausted.
-func (c *RankCursor) Next(dst *Event) (bool, error) {
+func (c *rankCursor) Next(dst *Event) (bool, error) {
 	if c.next >= c.end {
 		return false, nil
 	}
@@ -199,22 +221,19 @@ func (c *RankCursor) Next(dst *Event) (bool, error) {
 // straddle a section boundary are verified by both adjacent cursors —
 // a negligible double cost that keeps every yielded record covered by
 // a checksum.
-func (c *RankCursor) loadBlock(b int64) error {
+func (c *rankCursor) loadBlock(b int64) error {
 	start := uint64(b) * blockEvents
 	end := start + blockEvents
 	if end > c.rs.meta.Events {
 		end = c.rs.meta.Events
 	}
-	recBytes := int(end-start) * recordSize
-	off := c.rs.bodyOff + int64(start)*recordSize + b*4
-	if _, err := c.rs.ra.ReadAt(c.buf[:recBytes+4], off); err != nil {
-		return corruptf(off, "rank stream: reading event block %d-%d: %v", start, end-1, err)
+	buf := c.buf[:int(end-start)*recordSize+4]
+	ext := blockExtent{start: start, end: end, off: c.rs.recordOff(start)}
+	if _, err := c.rs.ra.ReadAt(buf, ext.off); err != nil {
+		return corruptf(ext.off, "rank stream: reading event block %d-%d: %v", start, end-1, err)
 	}
-	crc := crc32.Update(0, crcTable, c.buf[:recBytes])
-	if got := binary.LittleEndian.Uint32(c.buf[recBytes : recBytes+4]); got != crc {
-		return corruptf(off,
-			"event block %d-%d checksum mismatch (stored %08x, computed %08x)",
-			start, end-1, got, crc)
+	if err := verifyAndDecodeBlock(buf, ext, nil, nil); err != nil {
+		return err
 	}
 	c.bufBlock, c.bufStart = b, start
 	return nil

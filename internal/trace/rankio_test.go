@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"reflect"
 	"strings"
@@ -116,9 +117,9 @@ func TestRankStreamsFuzzTraces(t *testing.T) {
 		rs, _ := rankStreamsFor(t, tr)
 		per := tr.PerProcess()
 		for p := 0; p < tr.Procs; p++ {
-			c := rs.Cursor(p)
-			if c.Remaining() != uint64(len(per[p])) {
-				t.Fatalf("shape %+v: proc %d Remaining = %d, want %d", s, p, c.Remaining(), len(per[p]))
+			c := rs.cursor(p)
+			if got := rs.Count(p); got != uint64(len(per[p])) {
+				t.Fatalf("shape %+v: proc %d Count = %d, want %d", s, p, got, len(per[p]))
 			}
 			for i := range per[p] {
 				var e Event
@@ -158,8 +159,8 @@ func TestRankStreamsDetectCorruption(t *testing.T) {
 	}
 	var e Event
 	_, err = rs.NextEvent(0, &e)
-	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("corrupt block read error = %v, want checksum mismatch", err)
+	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt block read error = %v, want checksum mismatch matching ErrCorrupt", err)
 	}
 	// The undamaged section still reads cleanly.
 	if ok, err := rs.NextEvent(1, &e); !ok || err != nil {
@@ -256,70 +257,4 @@ func TestRankStreamsUngroupedFile(t *testing.T) {
 		}
 	}
 	t.Fatal("ungrouped file streamed without complaint")
-}
-
-// TestBlockReaderClose: Close mid-stream releases the reader and
-// subsequent Next calls return io.EOF; Close is idempotent and also
-// fine after natural EOF.
-func TestBlockReaderClose(t *testing.T) {
-	tr := unevenTrace(t, []int{900, 900}) // several blocks
-	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-
-	br, err := NewBlockReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := br.Next(); err != nil {
-		t.Fatalf("first block: %v", err)
-	}
-	if err := br.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if _, err := br.Next(); err != io.EOF {
-		t.Fatalf("Next after Close = %v, want io.EOF", err)
-	}
-	if err := br.Close(); err != nil {
-		t.Fatalf("second close: %v", err)
-	}
-
-	// Close after reading to EOF.
-	br2, err := NewBlockReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := br2.Next(); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := br2.Close(); err != nil {
-		t.Fatalf("close after EOF: %v", err)
-	}
-
-	// A closed-then-reopened reader still decodes correctly (pool reuse
-	// must not leak state between readers).
-	br3, err := NewBlockReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int
-	for {
-		blk, err := br3.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(blk)
-	}
-	if total != len(tr.Events) {
-		t.Fatalf("reopened reader yielded %d events, want %d", total, len(tr.Events))
-	}
-	br3.Close()
 }

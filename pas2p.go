@@ -169,20 +169,14 @@ type (
 // Trace I/O. The binary tracefile is a run of fixed-size checksummed
 // record blocks: encode serialises them one after another, decode
 // CRC-verifies and deserialises them on GOMAXPROCS workers with the
-// same result at every worker count, and the streaming reader/writer
-// let callers fold over a tracefile block-by-block without
-// materialising the full event slice.
+// same result at every worker count, and the block reader opens a
+// tracefile for AnalyzeStream without decoding it.
 type (
 	// TraceMeta is a tracefile's header (app, procs, event count, AET).
 	TraceMeta = trace.Meta
 	// TraceCodecOptions carries the block engine's optional metrics
 	// registry; the zero value records no metrics.
 	TraceCodecOptions = trace.CodecOptions
-	// TraceBlockReader streams a tracefile one checksummed block at a
-	// time.
-	TraceBlockReader = trace.BlockReader
-	// TraceBlockWriter streams a tracefile out block by block.
-	TraceBlockWriter = trace.BlockWriter
 )
 
 // EncodeTrace writes the checksummed binary tracefile format.
@@ -202,23 +196,23 @@ func DecodeAnyTrace(r io.Reader, opts TraceCodecOptions) (*Trace, error) {
 	return trace.DecodeAnyWith(r, opts)
 }
 
-// VerifyTraceStream checks every checksum of a binary tracefile
-// block-by-block without materialising any events, returning its
-// header metadata.
-func VerifyTraceStream(r io.Reader) (TraceMeta, error) { return trace.VerifyStream(r) }
+// TraceBlockReader holds a binary tracefile's verified header (Meta)
+// and hands out its per-rank streams (RankStreams), which is what
+// AnalyzeStream reads.
+type TraceBlockReader struct{ *trace.BlockReader }
 
-// NewTraceBlockReader opens a streaming reader over a binary
-// tracefile.
-func NewTraceBlockReader(r io.Reader) (*TraceBlockReader, error) { return trace.NewBlockReader(r) }
-
-// NewTraceBlockWriter opens a streaming writer; meta.Events must
-// declare the total event count up front (the header is written
-// first), and Close fails if the appended events do not match it.
-// Append retains no event after it returns, so one buffer can be
-// reused for the whole stream.
-func NewTraceBlockWriter(w io.Writer, meta TraceMeta, opts TraceCodecOptions) (*TraceBlockWriter, error) {
-	return trace.NewBlockWriter(w, meta, opts)
+// NewTraceBlockReader reads and verifies a binary tracefile's header.
+func NewTraceBlockReader(r io.Reader) (*TraceBlockReader, error) {
+	br, err := trace.NewBlockReader(r)
+	if err != nil {
+		return nil, err
+	}
+	return &TraceBlockReader{br}, nil
 }
+
+// Close always returns nil: the reader holds no buffers and does not
+// own its source, which the caller closes.
+func (*TraceBlockReader) Close() error { return nil }
 
 // DefaultPhaseConfig returns the paper's thresholds (80% event
 // similarity, 85% compute similarity, 1% relevance).
@@ -290,42 +284,21 @@ type AnalyzeStreamOptions struct {
 	// matrices; beyond it cold matrices spill to SpillDir and reload on
 	// demand. 0 keeps everything in memory.
 	MemBudgetBytes int64
-	// SpillDir hosts the spill files; required when MemBudgetBytes > 0,
-	// created if missing.
+	// SpillDir hosts the spill files and is created if missing; empty
+	// means a fresh temporary directory, which the result's Close
+	// removes.
 	SpillDir string
 }
 
 // AnalyzeStream runs stage A over an open tracefile without decoding
-// it into memory: the reader's source must be random-access (a file or
-// byte slice) and in the v2 format. Memory stays O(window + budget)
-// regardless of trace length. The context is checked throughout the
-// tick loop; a cancelled analysis returns ctx.Err().
+// it into memory (phase.AnalyzeStream): the reader's source must be
+// random-access (a file or byte slice) and in the v2 format. Memory
+// stays O(window + budget) regardless of trace length. The context is
+// checked throughout the tick loop; a cancelled analysis returns
+// ctx.Err().
 func AnalyzeStream(ctx context.Context, r *TraceBlockReader, cfg PhaseConfig, warmOccurrence int, opts AnalyzeStreamOptions) (*StreamAnalysis, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sp := cfg.Observer.StartSpan("analyze.stream")
-	defer sp.End()
-	rs, err := r.RankStreams()
-	if err != nil {
-		return nil, err
-	}
-	tick, err := logical.StreamOrder(rs)
-	if err != nil {
-		return nil, err
-	}
-	res, err := phase.ExtractStreamTable(ctx, tick, tick.Meta(), warmOccurrence, phase.StreamConfig{
-		Config:         cfg,
-		MemBudgetBytes: opts.MemBudgetBytes,
-		SpillDir:       opts.SpillDir,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sp.SetCounter("events", int64(rs.Meta().Events))
-	sp.SetCounter("ticks", int64(res.Stats.Ticks))
-	sp.SetCounter("spilled_phases", int64(res.Stats.SpilledPhases))
-	return res, nil
+	return phase.AnalyzeStream(ctx, r.BlockReader, phase.StreamConfig{
+		Config: cfg, MemBudgetBytes: opts.MemBudgetBytes, SpillDir: opts.SpillDir}, warmOccurrence)
 }
 
 // BuildSignature constructs the signature on the base machine,
