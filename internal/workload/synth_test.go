@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -125,5 +127,19 @@ func TestSynthSpecValidation(t *testing.T) {
 	}
 	if _, err := Synthesize(nil, SynthSpec{Procs: 8, TargetEvents: 3}); err == nil {
 		t.Fatal("accepted target below one iteration")
+	}
+}
+
+// TestSynthesizeBytesPinned pins the SHA-256 of one synthesized
+// tracefile, ID column included, so a change to the streaming writer
+// that moves a byte of what Synthesize writes fails here.
+func TestSynthesizeBytesPinned(t *testing.T) {
+	h := sha256.New()
+	if _, err := Synthesize(h, SynthSpec{Procs: 8, TargetEvents: 20_000, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	const want = "d92f75add8a005e3a801d69a5ca57b5452860cd2fca2e0f4a13f01943e6d6732"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("synthesized tracefile sha256 %s, want %s", got, want)
 	}
 }
