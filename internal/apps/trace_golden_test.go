@@ -83,9 +83,8 @@ func TestAppTraceGolden(t *testing.T) {
 
 // TestRecordedTraceMatchesNewTrace checks the trace a traced run
 // assembles from its recorders against NewTrace over copies of the
-// same per-process streams, IDs included (the golden digest above
-// leaves IDs out). The copies start with every ID zeroed, so NewTrace
-// must assign them all.
+// same per-process streams, every field included (the golden digest
+// above leaves Number, LT and ComputeBefore out).
 func TestRecordedTraceMatchesNewTrace(t *testing.T) {
 	for _, name := range Names() {
 		for _, procs := range []int{8, 16} {
@@ -94,9 +93,6 @@ func TestRecordedTraceMatchesNewTrace(t *testing.T) {
 			streams := make([][]trace.Event, len(per))
 			for p, evs := range per {
 				streams[p] = append([]trace.Event(nil), evs...)
-				for i := range streams[p] {
-					streams[p][i].ID = 0
-				}
 			}
 			rebuilt, err := trace.NewTrace(res.Trace.AppName, res.Trace.Procs, streams, res.Trace.AET)
 			if err != nil {

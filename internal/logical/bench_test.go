@@ -1,6 +1,7 @@
 package logical
 
 import (
+	"fmt"
 	"testing"
 
 	"pas2p/internal/machine"
@@ -28,18 +29,23 @@ func benchTrace(b *testing.B, procs, iters int) *trace.Trace {
 	return res.Trace
 }
 
-// BenchmarkOrderPAS2P measures the §3.2 ordering over a 32-rank,
-// ~16k-event trace.
+// BenchmarkOrderPAS2P measures the §3.2 ordering over ring-plus-
+// allreduce traces of 32 ranks (~10k events) and 128 ranks (~38k
+// events), the width perfbench's predict workload orders at.
 func BenchmarkOrderPAS2P(b *testing.B) {
-	tr := benchTrace(b, 32, 100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Order(tr); err != nil {
-			b.Fatal(err)
-		}
+	for _, procs := range []int{32, 128} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			tr := benchTrace(b, procs, 100)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Order(tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(tr.Events)), "events")
+		})
 	}
-	b.ReportMetric(float64(len(tr.Events)), "events")
 }
 
 // BenchmarkOrderLamport measures the baseline ordering on the same

@@ -185,18 +185,16 @@ func assignLamport(tr *trace.Trace, per [][]trace.Event) error {
 	for p := range cur {
 		cur[p] = -1
 	}
-	sendLT := map[[2]int64]int64{}
-	sendSeq := make([]int64, tr.Procs)
+	sends := newSendTable(tr.Procs)
 	collLT := map[[2]int64]int64{}
 	for _, r := range order {
 		e := &per[r.p][r.i]
 		switch e.Kind {
 		case trace.Send:
 			e.LT = cur[r.p] + 1
-			sendLT[[2]int64{int64(r.p), sendSeq[r.p]}] = e.LT
-			sendSeq[r.p]++
+			sends.put(r.p, e.LT)
 		case trace.Recv:
-			slt, ok := sendLT[[2]int64{e.RelA, e.RelB}]
+			slt, ok := sends.lookup(e.RelA, e.RelB)
 			if !ok {
 				return noOrderf("logical: lamport: receive before its send in physical order (proc %d #%d)", r.p, r.i)
 			}

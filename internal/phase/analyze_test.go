@@ -1,6 +1,7 @@
 package phase
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -186,4 +187,37 @@ func FuzzAnalyzeTrace(f *testing.F) {
 			t.Fatalf("tables differ:\n got %+v\nwant %+v", tb, wantTb)
 		}
 	})
+}
+
+// TestAnalyzeBadRelationKeys: a receive naming a send that cannot
+// exist (a sender out of range, a sequence before the first or past
+// the last send) or that an earlier receive took is logical.ErrNoOrder
+// from both stage-A paths, the streamed one over a v2 file whose
+// checksums are valid, never an index panic.
+func TestAnalyzeBadRelationKeys(t *testing.T) {
+	for _, k := range [][2]int64{{-1, 0}, {2, 0}, {1 << 40, 0}, {0, -1}, {0, 2}, {0, 0}} {
+		tr, err := trace.NewTrace("bad-rel", 2, [][]trace.Event{
+			{{Number: 0, Kind: trace.Send, Involved: 2, CollOp: -1, Peer: 1, Exit: 1, RelA: 0, RelB: 0},
+				{Number: 1, Kind: trace.Send, Involved: 2, CollOp: -1, Peer: 1, Enter: 2, Exit: 3, RelA: 0, RelB: 1}},
+			{{Process: 1, Number: 0, Kind: trace.Recv, Involved: 2, CollOp: -1, Exit: 4, RelA: 0, RelB: 0},
+				{Process: 1, Number: 1, Kind: trace.Recv, Involved: 2, CollOp: -1, Enter: 5, Exit: 6, RelA: k[0], RelB: k[1]}},
+		}, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := AnalyzeTrace(context.Background(), tr, DefaultConfig(), 0); !errors.Is(err, logical.ErrNoOrder) {
+			t.Errorf("key %v: AnalyzeTrace error %v, want ErrNoOrder", k, err)
+		}
+		var buf bytes.Buffer
+		if err := trace.Encode(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		br, err := trace.NewBlockReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := AnalyzeStream(context.Background(), br, StreamConfig{Config: DefaultConfig()}, 0); !errors.Is(err, logical.ErrNoOrder) {
+			t.Errorf("key %v: AnalyzeStream error %v, want ErrNoOrder", k, err)
+		}
+	}
 }

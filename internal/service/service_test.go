@@ -1067,3 +1067,31 @@ func TestAnalyzeNoOrderTraceTyped(t *testing.T) {
 		t.Fatalf("spill failure mapped to %q, want %q", ae.Code, CodeInternal)
 	}
 }
+
+// TestAnalyzeBadRelationKeyTyped: a receive whose relation names no
+// send that can exist (a sender out of range, a sequence before the
+// first or past the last send) is, on both lanes, the same typed 422
+// corrupt_trace as any trace with no logical order.
+func TestAnalyzeBadRelationKeyTyped(t *testing.T) {
+	for _, k := range [][2]int64{{-1, 0}, {2, 0}, {1 << 40, 0}, {0, -1}, {0, 1}} {
+		tr, err := trace.NewTrace("bad-rel", 2, [][]trace.Event{
+			{{Process: 0, Number: 0, Kind: trace.Send, Involved: 2, CollOp: -1, Peer: 1, Exit: 1}},
+			{{Process: 1, Number: 0, Kind: trace.Recv, Involved: 2, CollOp: -1, Peer: 0, Exit: 2, RelA: k[0], RelB: k[1]}},
+		}, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := trace.Encode(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		for _, threshold := range []int64{-1, 1} { // in-core, stream
+			_, ts := newTestService(t, func(c *Config) { c.StreamThresholdBytes = threshold })
+			resp := postBytes(t, ts.URL+"/v1/analyze", buf.Bytes(), nil)
+			e := wantTyped(t, resp, http.StatusUnprocessableEntity, CodeCorruptTrace)
+			if !strings.Contains(e.Error.Message, "never resolves") {
+				t.Errorf("key %v, threshold %d: message %q does not name the stall", k, threshold, e.Error.Message)
+			}
+		}
+	}
+}

@@ -32,6 +32,54 @@ func syntheticTrace(events int) *Trace {
 	return tr
 }
 
+// benchRecorders records 128 ranks of 1000 ring sends each, the width
+// perfbench's predict workload traces at.
+func benchRecorders() []*Recorder {
+	recs := make([]*Recorder, 128)
+	for p := range recs {
+		recs[p] = NewRecorder(p)
+		var tphys vtime.Time
+		for i := 0; i < 1000; i++ {
+			tphys += vtime.Time(1000 + (p*7+i*13)%97)
+			recs[p].Record(Event{Kind: Send, Involved: 2, CollOp: -1, Peer: int32((p + 1) % 128),
+				Size: 4096, Enter: tphys, Exit: tphys + 500, RelA: int64(p), RelB: int64(i)})
+		}
+	}
+	return recs
+}
+
+// BenchmarkFromRecorders measures assembling a traced run's trace from
+// its recorders: 128 ranks of 1000 events each, copied once into the
+// trace.
+func BenchmarkFromRecorders(b *testing.B) {
+	recs := benchRecorders()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FromRecorders("bench", recs, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(128*1000, "events")
+}
+
+// BenchmarkEncodeRanks measures writing the 128-rank recorded trace,
+// whose ID column takes the P-way occurrence merge.
+func BenchmarkEncodeRanks(b *testing.B) {
+	tr, err := FromRecorders("bench", benchRecorders(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(EncodedSize(tr))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Encode(io.Discard, tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEncode measures binary tracefile writing throughput.
 func BenchmarkEncode(b *testing.B) {
 	tr := syntheticTrace(10000)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strings"
@@ -203,27 +204,21 @@ func TestTrustedDecodeAllocs(t *testing.T) {
 }
 
 // TestBlockWriterReaderRoundTrip drives the streaming writer directly:
-// arbitrary Append chunkings must produce the byte-identical file that
-// Encode produces, whose header BlockReader and VerifyStream read back.
+// arbitrary Append chunkings must produce one byte-identical file,
+// whose ID column numbers records in append order and whose events
+// are the ones Encode writes, and whose header BlockReader and
+// VerifyStream read back. Where append order is occurrence order (one
+// process), the file is Encode's byte for byte.
 func TestBlockWriterReaderRoundTrip(t *testing.T) {
-	tr := fuzzTrace(t, 31, 3, 1200) // 3600 events
-	var want bytes.Buffer
-	if err := Encode(&want, tr); err != nil {
-		t.Fatal(err)
-	}
-	meta := Meta{AppName: tr.AppName, Procs: tr.Procs, Events: uint64(len(tr.Events)), AET: tr.AET}
-
-	for _, chunk := range []int{1, 100, blockEvents, blockEvents + 1, 997, len(tr.Events)} {
+	stream := func(tr *Trace, chunk int) []byte {
+		meta := Meta{AppName: tr.AppName, Procs: tr.Procs, Events: uint64(len(tr.Events)), AET: tr.AET}
 		var got bytes.Buffer
 		bw, err := NewBlockWriter(&got, meta, CodecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for off := 0; off < len(tr.Events); off += chunk {
-			end := off + chunk
-			if end > len(tr.Events) {
-				end = len(tr.Events)
-			}
+			end := min(off+chunk, len(tr.Events))
 			if err := bw.Append(tr.Events[off:end]); err != nil {
 				t.Fatalf("chunk=%d: append: %v", chunk, err)
 			}
@@ -231,19 +226,57 @@ func TestBlockWriterReaderRoundTrip(t *testing.T) {
 		if err := bw.Close(); err != nil {
 			t.Fatalf("chunk=%d: close: %v", chunk, err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("chunk=%d: streamed bytes diverge from Encode", chunk)
-		}
+		return got.Bytes()
 	}
 
-	br, err := NewBlockReader(bytes.NewReader(want.Bytes()))
+	one := fuzzTrace(t, 29, 1, 1500)
+	var enc bytes.Buffer
+	if err := Encode(&enc, one); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stream(one, 700), enc.Bytes()) {
+		t.Fatal("one-process trace: streamed bytes diverge from Encode")
+	}
+
+	tr := fuzzTrace(t, 31, 3, 1200) // 3600 events
+	want := stream(tr, len(tr.Events))
+	meta := Meta{AppName: tr.AppName, Procs: tr.Procs, Events: uint64(len(tr.Events)), AET: tr.AET}
+	for _, chunk := range []int{1, 100, blockEvents, blockEvents + 1, 997} {
+		if !bytes.Equal(stream(tr, chunk), want) {
+			t.Fatalf("chunk=%d: streamed bytes depend on the chunking", chunk)
+		}
+	}
+	first := len(magicV2) + 24 + len(tr.AppName) + 4
+	for i := range tr.Events {
+		off := first + i/blockEvents*(blockBytes+4) + i%blockEvents*recordSize
+		if id := binary.LittleEndian.Uint64(want[off:]); id != uint64(i) {
+			t.Fatalf("record %d: ID column %d, want its append position", i, id)
+		}
+	}
+	got, err := Decode(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc.Reset()
+	if err := Encode(&enc, tr); err != nil {
+		t.Fatal(err)
+	}
+	encoded, err := Decode(bytes.NewReader(enc.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, encoded) {
+		t.Fatal("streamed file decodes to other events than Encode's")
+	}
+
+	br, err := NewBlockReader(bytes.NewReader(want))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if br.Meta() != meta {
 		t.Fatalf("BlockReader meta %+v, want %+v", br.Meta(), meta)
 	}
-	meta2, err := VerifyStream(bytes.NewReader(want.Bytes()))
+	meta2, err := VerifyStream(bytes.NewReader(want))
 	if err != nil {
 		t.Fatalf("verify stream: %v", err)
 	}

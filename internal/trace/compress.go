@@ -36,8 +36,8 @@ import (
 // decoded trace are the same at every worker count. The index-less
 // PAS2PTZ1 layout is retired and rejected with ErrRetiredFormat.
 //
-// Decompression reproduces the trace bit-for-bit (including global
-// IDs, which are reassigned by the same deterministic rule).
+// Decompression reproduces the trace bit-for-bit. Like the in-memory
+// trace, the archive stores no event ID.
 
 var magicZ2 = [8]byte{'P', 'A', 'S', '2', 'P', 'T', 'Z', '2'}
 

@@ -171,7 +171,6 @@ func Synthesize(w io.Writer, spec SynthSpec) (trace.Meta, error) {
 		return nil
 	}
 
-	var id int64
 	for p := 0; p < spec.Procs; p++ {
 		p32 := int32(p)
 		prev := int32((p - 1 + spec.Procs) % spec.Procs)
@@ -179,11 +178,9 @@ func Synthesize(w io.Writer, spec SynthSpec) (trace.Meta, error) {
 		var clock vtime.Time
 		var num int64
 		emit := func(e trace.Event) error {
-			e.ID = id
 			e.Process = p32
 			e.Number = num
 			e.LT = trace.NoLT
-			id++
 			num++
 			buf = append(buf, e)
 			if len(buf) == chunk {
