@@ -40,10 +40,13 @@ race:
 # scan (seed) against the production scan (indexed); medians over
 # -count 3 are what README quotes. Then the per-event costs of the
 # stage-A input: the logical order at 32 and 128 ranks, assembling a
-# traced run from its recorders, and writing it (the ID merge).
+# traced run from its recorders, and writing it (the ID merge). Last,
+# the per-operation cost of a traced 128-rank run: one SendrecvN and
+# one Allreduce on every rank, with their allocations.
 bench:
 	$(GO) test ./internal/phase -run xxx -bench ExtractApps -benchtime 5x -count 3
 	$(GO) test ./internal/logical ./internal/trace -run xxx -bench 'OrderPAS2P|FromRecorders|EncodeRanks' -benchtime 20x -count 3
+	$(GO) test ./internal/mpi -run xxx -bench 'TracedSendrecv|TracedAllreduce' -benchtime 2000x -count 3
 
 # Out-of-core soak at full scale: 100M synthetic events streamed under
 # a memory budget, peak heap asserted < 10% of the in-core event

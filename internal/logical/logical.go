@@ -194,8 +194,11 @@ func assignLamport(tr *trace.Trace, per [][]trace.Event) error {
 			e.LT = cur[r.p] + 1
 			sends.put(r.p, e.LT)
 		case trace.Recv:
-			slt, ok := sends.lookup(e.RelA, e.RelB)
+			slt, ok := sends.take(e.RelA, e.RelB)
 			if !ok {
+				if sends.sent(e.RelA, e.RelB) {
+					return noOrderf("logical: lamport: send (%d,%d) received twice (proc %d #%d)", e.RelA, e.RelB, r.p, r.i)
+				}
 				return noOrderf("logical: lamport: receive before its send in physical order (proc %d #%d)", r.p, r.i)
 			}
 			lt := cur[r.p] + 1

@@ -43,12 +43,9 @@ func (t *sendTable) slot(src, seq int64) *int64 {
 	return &w[i]
 }
 
-// lookup returns the LT of send (src, seq), leaving it in the table.
-func (t *sendTable) lookup(src, seq int64) (int64, bool) {
-	if s := t.slot(src, seq); s != nil {
-		return *s, true
-	}
-	return 0, false
+// sent reports whether send (src, seq) has been put, taken or not.
+func (t *sendTable) sent(src, seq int64) bool {
+	return uint64(src) < uint64(len(t.win)) && seq >= 0 && seq < t.base[src]+int64(len(t.win[src]))
 }
 
 // take returns the LT of send (src, seq) and marks it taken, so a

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pas2p/internal/trace"
@@ -11,9 +12,10 @@ import (
 )
 
 // TestSendTableMatchesMap drives the send table and a map keyed on
-// (sender, send sequence) through the same random puts, takes and
-// lookups, with keys in and out of every window; they must answer
-// alike at every step, across front trims and compactions.
+// (sender, send sequence) through the same random puts and takes, with
+// keys in and out of every window; they must answer alike at every
+// step, across front trims and compactions, and the table must know
+// which sends were put.
 func TestSendTableMatchesMap(t *testing.T) {
 	const procs = 3
 	rng := rand.New(rand.NewSource(1))
@@ -39,16 +41,13 @@ func TestSendTableMatchesMap(t *testing.T) {
 				s = []int64{-1, seq[p], math.MaxInt64, math.MinInt64}[rng.Intn(4)]
 			}
 			want, wantOK := ref[[2]int64{src, s}]
-			got, ok := tab.lookup(src, s)
-			if ok != wantOK || got != want {
-				t.Fatalf("step %d: lookup(%d,%d) = %d,%v, want %d,%v", step, src, s, got, ok, want, wantOK)
-			}
-			if rng.Intn(2) == 0 {
-				continue
-			}
 			delete(ref, [2]int64{src, s})
-			if got, ok = tab.take(src, s); ok != wantOK || got != want {
+			if got, ok := tab.take(src, s); ok != wantOK || got != want {
 				t.Fatalf("step %d: take(%d,%d) = %d,%v, want %d,%v", step, src, s, got, ok, want, wantOK)
+			}
+			wantSent := src >= 0 && src < procs && s >= 0 && s < seq[src]
+			if got := tab.sent(src, s); got != wantSent {
+				t.Fatalf("step %d: sent(%d,%d) = %v, want %v", step, src, s, got, wantSent)
 			}
 		}
 	}
@@ -107,10 +106,10 @@ func badRelationTraces(t *testing.T) map[string]*trace.Trace {
 
 // TestOrderBadRelationKeys: a receive naming a send outside the table
 // is a typed ErrNoOrder stall with the oracle's exact text, never an
-// index panic; the Lamport order rejects the out-of-range keys too.
-// The oracle and the Lamport order pair a receive with its send
-// without taking it, so a second receive of one send is Order's alone
-// to refuse.
+// index panic, and the Lamport order rejects every such key too. The
+// oracle pairs a receive with its send without taking it, so for a
+// second receive of one send Order's text is checked on its own, and
+// the Lamport order names the send received twice.
 func TestOrderBadRelationKeys(t *testing.T) {
 	for name, tr := range badRelationTraces(t) {
 		_, err := Order(tr)
@@ -122,13 +121,15 @@ func TestOrderBadRelationKeys(t *testing.T) {
 			if err.Error() != want {
 				t.Fatalf("%s: Order error %q, want %q", name, err, want)
 			}
-			continue
-		}
-		if _, want := orderOracle(tr); want == nil || err.Error() != want.Error() {
+		} else if _, want := orderOracle(tr); want == nil || err.Error() != want.Error() {
 			t.Fatalf("%s: Order error %q, oracle's %v", name, err, want)
 		}
-		if _, err := OrderLamport(tr); !errors.Is(err, ErrNoOrder) {
+		_, err = OrderLamport(tr)
+		if !errors.Is(err, ErrNoOrder) {
 			t.Fatalf("%s: OrderLamport error %v, want ErrNoOrder", name, err)
+		}
+		if twice := strings.Contains(err.Error(), "send (0,0) received twice"); twice != (name == "seq=already-got") {
+			t.Fatalf("%s: OrderLamport error %q", name, err)
 		}
 	}
 }

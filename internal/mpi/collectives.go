@@ -46,7 +46,7 @@ func (c *Comm) collective(op network.CollectiveOp, root, size int, payload any) 
 		rootWorld = c.worldPeer(root)
 	}
 	info := c.p.Collective(op, c.ctx, c.members, rootWorld, size, payload)
-	c.recordColl(info)
+	c.recordColl(&info)
 	c.after(trace.Collective, idx)
 	return info
 }
@@ -62,7 +62,7 @@ func (c *Comm) Bcast(root int, data []float64) []float64 {
 	var payload any
 	if c.rank == root {
 		size = 8 * len(data)
-		payload = append([]float64(nil), data...)
+		payload = payloadOf(data)
 	}
 	info := c.collective(network.Bcast, root, size, payload)
 	res, _ := info.Payloads[c.memberIdx(root)].([]float64)
@@ -72,7 +72,7 @@ func (c *Comm) Bcast(root int, data []float64) []float64 {
 // Reduce combines every member's data elementwise; the result is
 // returned on root (nil elsewhere).
 func (c *Comm) Reduce(root int, data []float64, op ReduceOp) []float64 {
-	info := c.collective(network.Reduce, root, 8*len(data), append([]float64(nil), data...))
+	info := c.collective(network.Reduce, root, 8*len(data), payloadOf(data))
 	if c.rank != root {
 		return nil
 	}
@@ -80,10 +80,56 @@ func (c *Comm) Reduce(root int, data []float64, op ReduceOp) []float64 {
 }
 
 // Allreduce combines every member's data elementwise; every member
-// gets the result.
+// gets its own copy of the result, which is computed once per
+// operation (see sameOnAll).
 func (c *Comm) Allreduce(data []float64, op ReduceOp) []float64 {
-	info := c.collective(network.Allreduce, 0, 8*len(data), append([]float64(nil), data...))
-	return combine(info.Payloads, op)
+	info := c.collective(network.Allreduce, 0, 8*len(data), payloadOf(data))
+	return c.sameOnAll(&info, func(payloads []any) []float64 { return combine(payloads, op) })
+}
+
+// payloadOf is the payload a member contributes to a collective: a
+// copy of data, or no payload at all when data is empty.
+func payloadOf(data []float64) any {
+	if len(data) == 0 {
+		return nil
+	}
+	return append([]float64(nil), data...)
+}
+
+// collResults holds the result of each Allreduce or Allgather until
+// every member has taken it. These results are the same on every
+// member, so the first member to return from the operation computes it
+// once, in member order, which gives every member the bits it would
+// have computed itself; each later member copies it, and the last
+// takes it and deletes the entry. One table serves all the
+// run's ranks, which needs no lock: only one rank runs at a time, and
+// control passes between them over the engine's channels.
+type collResults map[collKey]collResult
+
+// collKey names one collective operation: its communicator context
+// and its sequence number there.
+type collKey struct{ ctx, seq int }
+
+type collResult struct {
+	data []float64
+	left int // members that have yet to take the result
+}
+
+// sameOnAll returns this member's own copy of the result of a
+// collective whose result is the same on every member, computing it
+// from the payloads only on the first member to return.
+func (c *Comm) sameOnAll(info *sim.CollInfo, compute func(payloads []any) []float64) []float64 {
+	k := collKey{ctx: info.Ctx, seq: info.Seq}
+	r, ok := c.st.shared[k]
+	if !ok {
+		r = collResult{data: compute(info.Payloads), left: len(info.Members)}
+	}
+	if r.left--; r.left == 0 {
+		delete(c.st.shared, k)
+		return r.data
+	}
+	c.st.shared[k] = r
+	return append([]float64(nil), r.data...)
 }
 
 func combine(payloads []any, op ReduceOp) []float64 {
@@ -119,7 +165,7 @@ func (c *Comm) AlltoallSized(send []float64, blockBytes int) []float64 {
 		panic(fmt.Sprintf("mpi: alltoall buffer %d not divisible by %d ranks", len(send), c.size))
 	}
 	block := len(send) / c.size
-	info := c.collective(network.Alltoall, 0, blockBytes, append([]float64(nil), send...))
+	info := c.collective(network.Alltoall, 0, blockBytes, payloadOf(send))
 	out := make([]float64, len(send))
 	for i := range info.Payloads {
 		src, _ := info.Payloads[i].([]float64)
@@ -131,26 +177,28 @@ func (c *Comm) AlltoallSized(send []float64, blockBytes int) []float64 {
 	return out
 }
 
-// Allgather concatenates every member's contribution in rank order.
+// Allgather concatenates every member's contribution in rank order;
+// every member gets its own copy, built once per operation (see
+// sameOnAll).
 func (c *Comm) Allgather(data []float64) []float64 {
-	info := c.collective(network.Allgather, 0, 8*len(data), append([]float64(nil), data...))
-	var out []float64
-	for _, p := range info.Payloads {
-		x, _ := p.([]float64)
-		out = append(out, x...)
-	}
-	return out
+	info := c.collective(network.Allgather, 0, 8*len(data), payloadOf(data))
+	return c.sameOnAll(&info, concat)
 }
 
 // Gather concatenates every member's contribution on root (nil
 // elsewhere).
 func (c *Comm) Gather(root int, data []float64) []float64 {
-	info := c.collective(network.Gather, root, 8*len(data), append([]float64(nil), data...))
+	info := c.collective(network.Gather, root, 8*len(data), payloadOf(data))
 	if c.rank != root {
 		return nil
 	}
+	return concat(info.Payloads)
+}
+
+// concat joins the members' contributions in member order.
+func concat(payloads []any) []float64 {
 	var out []float64
-	for _, p := range info.Payloads {
+	for _, p := range payloads {
 		x, _ := p.([]float64)
 		out = append(out, x...)
 	}
@@ -167,7 +215,7 @@ func (c *Comm) Scatter(root int, data []float64) []float64 {
 			panic(fmt.Sprintf("mpi: scatter buffer %d not divisible by %d ranks", len(data), c.size))
 		}
 		size = 8 * len(data) / c.size
-		payload = append([]float64(nil), data...)
+		payload = payloadOf(data)
 	}
 	info := c.collective(network.Scatter, root, size, payload)
 	full, _ := info.Payloads[c.memberIdx(root)].([]float64)
@@ -232,7 +280,7 @@ func (c *Comm) Split(color int) *Comm {
 // elementwise combination of members 0..i. The cost model treats it
 // like a reduction (its communication volume matches).
 func (c *Comm) Scan(data []float64, op ReduceOp) []float64 {
-	info := c.collective(network.Reduce, 0, 8*len(data), append([]float64(nil), data...))
+	info := c.collective(network.Reduce, 0, 8*len(data), payloadOf(data))
 	var acc []float64
 	for i := 0; i <= c.rank; i++ {
 		x, _ := info.Payloads[i].([]float64)
@@ -258,7 +306,7 @@ func (c *Comm) ReduceScatter(data []float64, op ReduceOp) []float64 {
 	if len(data)%c.size != 0 {
 		panic(fmt.Sprintf("mpi: reduce_scatter buffer %d not divisible by %d ranks", len(data), c.size))
 	}
-	info := c.collective(network.Allreduce, 0, 8*len(data)/c.size, append([]float64(nil), data...))
+	info := c.collective(network.Allreduce, 0, 8*len(data)/c.size, payloadOf(data))
 	acc := combine(info.Payloads, op)
 	block := len(acc) / c.size
 	return append([]float64(nil), acc[c.rank*block:(c.rank+1)*block]...)

@@ -104,6 +104,7 @@ func Run(app App, cfg RunConfig) (*RunResult, error) {
 	}
 	recorders := make([]*trace.Recorder, app.Procs)
 	world := worldMembers(app.Procs)
+	shared := collResults{}
 	body := func(p *sim.Proc) {
 		c := &Comm{
 			p:    p,
@@ -111,7 +112,7 @@ func Run(app App, cfg RunConfig) (*RunResult, error) {
 			ctx:  0,
 			rank: p.Rank(), size: p.Size(),
 			members: world,
-			st:      &rankState{overhead: cfg.EventOverhead},
+			st:      &rankState{overhead: cfg.EventOverhead, shared: shared},
 		}
 		if cfg.Trace {
 			rec := trace.NewRecorder(p.Rank())
@@ -177,6 +178,11 @@ type rankState struct {
 	icept      Interceptor
 	eventIndex int64
 	sends      int64
+	// waitIDs is the request-id scratch every wait of the rank reuses.
+	waitIDs []int
+	// shared is the run's table of collective results, the same map
+	// on every rank.
+	shared collResults
 }
 
 // Rank returns the caller's rank within this communicator.
@@ -273,7 +279,7 @@ func (c *Comm) after(kind trace.Kind, idx int64) {
 	}
 }
 
-func (c *Comm) recordPtP(info sim.PtPInfo) {
+func (c *Comm) recordPtP(info *sim.PtPInfo) {
 	if c.st.rec == nil {
 		return
 	}
@@ -283,7 +289,7 @@ func (c *Comm) recordPtP(info sim.PtPInfo) {
 		kind = trace.Send
 		peer = info.Dst
 	}
-	c.st.rec.Record(trace.Event{
+	c.st.rec.Record(&trace.Event{
 		Kind: kind, Involved: 2, CollOp: -1,
 		Peer: int32(peer), Tag: int32(info.Tag), Size: int64(info.Size),
 		Enter: info.Start, Exit: info.End,
@@ -291,11 +297,11 @@ func (c *Comm) recordPtP(info sim.PtPInfo) {
 	})
 }
 
-func (c *Comm) recordColl(info sim.CollInfo) {
+func (c *Comm) recordColl(info *sim.CollInfo) {
 	if c.st.rec == nil {
 		return
 	}
-	c.st.rec.Record(trace.Event{
+	c.st.rec.Record(&trace.Event{
 		Kind: trace.Collective, Involved: int32(len(info.Members)),
 		CollOp: int8(info.Op), Peer: -1, Tag: int32(info.Ctx),
 		Size:  int64(info.Size),
@@ -310,7 +316,7 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	idx := c.before()
 	payload := append([]float64(nil), data...)
 	info := c.p.Send(c.worldPeer(dst), tag, 8*len(data), payload)
-	c.recordPtP(info)
+	c.recordPtP(&info)
 	c.after(trace.Send, idx)
 }
 
@@ -318,7 +324,7 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 func (c *Comm) SendN(dst, tag, size int) {
 	idx := c.before()
 	info := c.p.Send(c.worldPeer(dst), tag, size, nil)
-	c.recordPtP(info)
+	c.recordPtP(&info)
 	c.after(trace.Send, idx)
 }
 
@@ -327,7 +333,7 @@ func (c *Comm) SendN(dst, tag, size int) {
 func (c *Comm) Recv(src, tag int) ([]float64, int) {
 	idx := c.before()
 	info := c.p.Recv(c.worldPeer(src), tag)
-	c.recordPtP(info)
+	c.recordPtP(&info)
 	c.after(trace.Recv, idx)
 	data, _ := info.Payload.([]float64)
 	return data, c.commRank(info.Src)
@@ -338,16 +344,14 @@ func (c *Comm) Recv(src, tag int) ([]float64, int) {
 func (c *Comm) RecvN(src, tag int) (int, int) {
 	idx := c.before()
 	info := c.p.Recv(c.worldPeer(src), tag)
-	c.recordPtP(info)
+	c.recordPtP(&info)
 	c.after(trace.Recv, idx)
 	return info.Size, c.commRank(info.Src)
 }
 
 // Request identifies an outstanding nonblocking operation.
 type Request struct {
-	id   int
-	kind trace.Kind
-	idx  int64
+	id int
 }
 
 // Isend starts a nonblocking send.
@@ -356,7 +360,7 @@ func (c *Comm) Isend(dst, tag int, data []float64) Request {
 	payload := append([]float64(nil), data...)
 	id := c.p.Isend(c.worldPeer(dst), tag, 8*len(data), payload)
 	c.after(trace.Send, idx)
-	return Request{id: id, kind: trace.Send, idx: idx}
+	return Request{id: id}
 }
 
 // IsendN starts a nonblocking pattern-only send.
@@ -364,7 +368,7 @@ func (c *Comm) IsendN(dst, tag, size int) Request {
 	idx := c.before()
 	id := c.p.Isend(c.worldPeer(dst), tag, size, nil)
 	c.after(trace.Send, idx)
-	return Request{id: id, kind: trace.Send, idx: idx}
+	return Request{id: id}
 }
 
 // Irecv posts a nonblocking receive.
@@ -372,7 +376,7 @@ func (c *Comm) Irecv(src, tag int) Request {
 	idx := c.before()
 	id := c.p.Irecv(c.worldPeer(src), tag)
 	c.after(trace.Recv, idx)
-	return Request{id: id, kind: trace.Recv, idx: idx}
+	return Request{id: id}
 }
 
 // Wait completes the given requests and returns the received payloads
@@ -381,10 +385,25 @@ func (c *Comm) Wait(reqs ...Request) [][]float64 {
 	if len(reqs) == 0 {
 		return nil
 	}
-	ids := make([]int, len(reqs))
-	for i, r := range reqs {
-		ids[i] = r.id
+	infos := c.wait(reqs...)
+	out := make([][]float64, len(infos))
+	for i := range infos {
+		if !infos[i].IsSend {
+			out[i], _ = infos[i].Payload.([]float64)
+		}
 	}
+	return out
+}
+
+// wait completes the given requests, records them, and returns their
+// infos in argument order. The slice is the rank's sim wait buffer
+// (see sim.Proc.Wait), so wait allocates nothing.
+func (c *Comm) wait(reqs ...Request) []sim.PtPInfo {
+	ids := c.st.waitIDs[:0]
+	for _, r := range reqs {
+		ids = append(ids, r.id)
+	}
+	c.st.waitIDs = ids
 	infos := c.p.Wait(ids...)
 	// Record the batch in canonical order — sends first, then
 	// receives, each in request order. Completion order would be
@@ -392,28 +411,17 @@ func (c *Comm) Wait(reqs ...Request) [][]float64 {
 	// remove), and recording a receive ahead of the batch's sends can
 	// create cycles in the logical-ordering traversal when the peer
 	// does the same.
-	order := make([]int, 0, len(infos))
 	for i := range infos {
 		if infos[i].IsSend {
-			order = append(order, i)
+			c.recordPtP(&infos[i])
 		}
 	}
 	for i := range infos {
 		if !infos[i].IsSend {
-			order = append(order, i)
+			c.recordPtP(&infos[i])
 		}
 	}
-	for _, i := range order {
-		c.recordPtP(infos[i])
-	}
-	out := make([][]float64, len(infos))
-	for i, info := range infos {
-		if !info.IsSend {
-			data, _ := info.Payload.([]float64)
-			out[i] = data
-		}
-	}
-	return out
+	return infos
 }
 
 // Sendrecv posts a receive, sends, and waits for both — the safe
@@ -421,13 +429,13 @@ func (c *Comm) Wait(reqs ...Request) [][]float64 {
 func (c *Comm) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) []float64 {
 	r := c.Irecv(src, recvTag)
 	s := c.Isend(dst, sendTag, data)
-	res := c.Wait(r, s)
-	return res[0]
+	got, _ := c.wait(r, s)[0].Payload.([]float64)
+	return got
 }
 
 // SendrecvN is the pattern-only variant of Sendrecv.
 func (c *Comm) SendrecvN(dst, sendTag, sendSize, src, recvTag int) {
 	r := c.Irecv(src, recvTag)
 	s := c.IsendN(dst, sendTag, sendSize)
-	c.Wait(r, s)
+	c.wait(r, s)
 }

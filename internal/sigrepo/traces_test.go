@@ -27,7 +27,7 @@ func synthTrace(t *testing.T, app string, procs, events int) *trace.Trace {
 		var tp vtime.Time
 		for i := 0; i < events; i++ {
 			tp += vtime.Time(rng.Intn(900) + 1)
-			rec.Record(trace.Event{
+			rec.Record(&trace.Event{
 				Kind: trace.Collective, Involved: int32(procs), CollOp: 1, Peer: -1,
 				Size: int64(rng.Intn(4096)), Enter: tp, Exit: tp + vtime.Time(rng.Intn(90)),
 			})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pas2p/internal/network"
-	"pas2p/internal/vtime"
 )
 
 // handleCollective implements synchronising collectives. Every member
@@ -34,15 +33,8 @@ func (e *Engine) handleCollective(ps *procState, req *request) (blocked bool) {
 
 	cs := e.colls[key]
 	if cs == nil {
-		cs = &collState{
-			op:       int(req.collOp),
-			members:  members,
-			root:     req.collRoot,
-			size:     req.size,
-			arrivals: make([]vtime.Time, len(members)),
-			payloads: make([]any, len(members)),
-			freeAll:  true,
-		}
+		cs = e.newCollState(len(members))
+		cs.op, cs.members, cs.root, cs.size = int(req.collOp), members, req.collRoot, req.size
 		e.colls[key] = cs
 	} else {
 		if cs.op != int(req.collOp) || cs.root != req.collRoot ||
@@ -58,7 +50,12 @@ func (e *Engine) handleCollective(ps *procState, req *request) (blocked bool) {
 
 	cs.arrived++
 	cs.arrivals[idx] = ps.clock
-	cs.payloads[idx] = req.payload
+	if req.payload != nil {
+		if cs.payloads == nil {
+			cs.payloads = make([]any, len(members))
+		}
+		cs.payloads[idx] = req.payload
+	}
 	if ps.clock > cs.tmax {
 		cs.tmax = ps.clock
 	}
@@ -75,7 +72,7 @@ func (e *Engine) handleCollective(ps *procState, req *request) (blocked bool) {
 	// Last arrival: cost the operation and release everyone.
 	delete(e.colls, key)
 	e.stats.Collectives++
-	ends := make([]vtime.Time, len(members))
+	ends := cs.ends
 	if cs.freeAll {
 		for i := range ends {
 			ends[i] = cs.tmax
@@ -107,6 +104,13 @@ func (e *Engine) handleCollective(ps *procState, req *request) (blocked bool) {
 		}
 	}
 
+	payloads := cs.payloads
+	if payloads == nil {
+		if e.noPayloads == nil {
+			e.noPayloads = make([]any, e.n)
+		}
+		payloads = e.noPayloads[:len(members)]
+	}
 	// Every member's outcome goes straight into its pending slot: the
 	// caller's for its inline return, the parked members' before they
 	// are made ready.
@@ -116,7 +120,7 @@ func (e *Engine) handleCollective(ps *procState, req *request) (blocked bool) {
 			Op: req.collOp, Ctx: req.collCtx, Seq: seq,
 			Start: cs.arrivals[i], End: ends[i],
 			Root: cs.root, Size: cs.size,
-			Members: members, Payloads: cs.payloads,
+			Members: members, Payloads: payloads,
 		}
 		mp.clock = ends[i]
 		if mp == ps {
@@ -127,5 +131,6 @@ func (e *Engine) handleCollective(ps *procState, req *request) (blocked bool) {
 		mp.block = blockInfo{}
 		e.pushReady(mp)
 	}
+	e.freeCollState(cs)
 	return false
 }

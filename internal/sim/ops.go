@@ -63,6 +63,7 @@ type CollInfo struct {
 	Members    []int
 	// Payloads holds every member's contribution, indexed like
 	// Members; the caller computes the operation's data semantics.
+	// The members share it, so it is read-only.
 	Payloads []any
 }
 
@@ -70,15 +71,15 @@ type CollInfo struct {
 // writes its outcome there in place, whether it completes inline or a
 // later event completes it while the rank is parked, and the Proc
 // method reads back only the field it needs. Fields are overwritten,
-// never reset, between operations. Proc.Wait reads ptps == nil as a
-// singleton wait, so ptps is non-nil only from a multi-request
-// completion until that Wait consumes it; the Proc methods also drop
-// the payload references they hand out, so the slot keeps no payload
-// alive.
+// never reset, between operations. A blocking Send or Recv leaves its
+// outcome in ptp; a Wait, on one request or several, leaves ptps
+// pointing at the rank's wait buffer (procState.waitOut). The Proc
+// methods drop the payload and buffer references they hand out, so
+// the slot keeps no payload alive.
 type result struct {
 	aborted bool
-	ptp     PtPInfo
-	ptps    []PtPInfo // wait on several requests; nil for singletons
+	ptp     PtPInfo   // blocking send/recv
+	ptps    []PtPInfo // wait
 	coll    CollInfo
 	reqID   int // isend/irecv
 }
@@ -305,19 +306,23 @@ func (e *Engine) blockOnReq1(ps *procState, id int, kind blockKind, peer, tag, s
 func (e *Engine) blockOnWait(ps *procState, kind blockKind, peer, tag, size int) (blocked bool) {
 	ps.waitSet = ps.waitBuf
 	ps.waitPost = ps.clock
+	// Set before completeWait, which reads the kind to tell a Wait
+	// from a blocking Send or Recv.
+	ps.block = blockInfo{kind: kind, peer: peer, tag: tag, size: size}
 	if e.completeWait(ps) {
+		ps.block = blockInfo{}
 		return false
 	}
 	ps.status = stStuck
-	ps.block = blockInfo{kind: kind, peer: peer, tag: tag, size: size}
 	return true
 }
 
 // completeWait checks a rank's wait set; when every request is done it
 // writes the wait result into ps.pending, advances the clock, clears
-// the set and recycles the consumed requests. Singleton waits leave
-// their info in pending.ptp with pending.ptps nil, so the hot blocking
-// path allocates nothing.
+// the set and recycles the consumed requests. A blocking Send or Recv
+// (one request) gets its info in pending.ptp; a Wait gets its infos,
+// in wait-set order, in the rank's next wait buffer, however many
+// requests it names. Neither allocates.
 func (e *Engine) completeWait(ps *procState) bool {
 	if ps.waitSet == nil {
 		return false
@@ -333,21 +338,41 @@ func (e *Engine) completeWait(ps *procState) bool {
 		}
 	}
 	res := &ps.pending
-	if len(ps.waitSet) == 1 {
+	if ps.block.kind != bkWait {
 		rs := ps.takeReq(ps.waitSet[0])
 		res.ptp = rs.info
 		e.freeReq(rs)
 	} else {
-		res.ptps = make([]PtPInfo, len(ps.waitSet))
+		out := ps.nextWaitOut(len(ps.waitSet))
 		for i, id := range ps.waitSet {
 			rs := ps.takeReq(id)
-			res.ptps[i] = rs.info
+			out[i] = rs.info
 			e.freeReq(rs)
 		}
+		res.ptps = out
 	}
 	ps.clock = end
 	ps.waitSet = nil
 	return true
+}
+
+// nextWaitOut returns the rank's next wait buffer, n entries long. The
+// two buffers alternate, so the one returned by the previous Wait is
+// left intact. The caller overwrites all n entries; whatever the
+// buffer's last use left past n is cleared here, so a buffer keeps no
+// payload alive beyond the result it holds.
+func (ps *procState) nextWaitOut(n int) []PtPInfo {
+	ps.waitFlip ^= 1
+	buf := ps.waitOut[ps.waitFlip]
+	if n < len(buf) {
+		clear(buf[n:])
+	}
+	if cap(buf) < n {
+		buf = make([]PtPInfo, n)
+	}
+	buf = buf[:n]
+	ps.waitOut[ps.waitFlip] = buf
+	return buf
 }
 
 // findReq returns the live request with the given id, or nil.

@@ -107,7 +107,11 @@ func (p *Proc) Irecv(src, tag int) int {
 }
 
 // Wait blocks until all given requests complete and returns their
-// timings in argument order.
+// timings in argument order. The returned slice is one of the rank's
+// own wait buffers, so Wait allocates nothing; callers may rely on it
+// until the rank's next Wait. The two buffers alternate, so that Wait
+// leaves it intact and the one after overwrites it, payloads
+// included.
 func (p *Proc) Wait(ids ...int) []PtPInfo {
 	if len(ids) == 0 {
 		return nil
@@ -116,15 +120,9 @@ func (p *Proc) Wait(ids ...int) []PtPInfo {
 	// so the caller's slice never escapes.
 	p.st.waitBuf = append(p.st.waitBuf[:0], ids...)
 	res := p.call(&request{kind: opWait})
-	if ptps := res.ptps; ptps != nil {
-		res.ptps = nil // consumed: a later singleton must read nil
-		return ptps
-	}
-	// Singleton waits travel in res.ptp so the engine's hot path
-	// never allocates; materialise the slice client-side.
-	info := res.ptp
-	res.ptp.Payload = nil
-	return []PtPInfo{info}
+	ptps := res.ptps
+	res.ptps = nil // the slot keeps no reference to the buffer
+	return ptps
 }
 
 // TimelineOn reports whether this run records a timeline, so callers

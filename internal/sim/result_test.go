@@ -159,11 +159,35 @@ func TestParkedRecvWokenInPlace(t *testing.T) {
 	})
 }
 
+// TestWaitBuffersDropOldPayloads: a Wait result stays in its buffer
+// only until the buffer's next use, even when that use is shorter.
+func TestWaitBuffersDropOldPayloads(t *testing.T) {
+	run(t, 2, func(p *Proc) {
+		if p.Rank() == 1 {
+			for i, v := range []string{"a", "b", "c", "d"} {
+				p.Send(0, i, 64, v)
+			}
+			return
+		}
+		p.Wait(p.Irecv(1, 0), p.Irecv(1, 1))
+		p.Wait(p.Irecv(1, 2))
+		p.Wait(p.Irecv(1, 3))
+		for i, buf := range p.st.waitOut {
+			for j, info := range buf[:cap(buf)] {
+				if info.Payload == "a" || info.Payload == "b" {
+					t.Errorf("wait buffer %d slot %d still holds payload %v", i, j, info.Payload)
+				}
+			}
+		}
+	})
+}
+
 // TestHotPathAllocs guards the per-operation path: a blocking
-// Send/Recv round trip allocates nothing, and a singleton Wait
-// allocates only the one-element slice Proc.Wait returns.
+// Send/Recv round trip, a Wait on one request or two, and a collective
+// without payloads allocate nothing.
 func TestHotPathAllocs(t *testing.T) {
 	const runs = 200
+	pair := members(2)
 	cases := []struct {
 		name     string
 		max      float64
@@ -177,10 +201,20 @@ func TestHotPathAllocs(t *testing.T) {
 			p.Recv(0, 0)
 			p.Send(0, 1, 64, nil)
 		}},
-		{"singleton-wait", 1, func(p *Proc) {
+		{"singleton-wait", 0, func(p *Proc) {
 			p.Wait(p.Irecv(1, 0))
 		}, func(p *Proc) {
 			p.Send(0, 0, 64, nil)
+		}},
+		{"pair-wait", 0, func(p *Proc) {
+			p.Wait(p.Irecv(1, 0), p.Isend(1, 1, 64, nil))
+		}, func(p *Proc) {
+			p.Wait(p.Irecv(0, 1), p.Isend(0, 0, 64, nil))
+		}},
+		{"collective", 0, func(p *Proc) {
+			p.Collective(network.Allreduce, 0, pair, 0, 8, nil)
+		}, func(p *Proc) {
+			p.Collective(network.Allreduce, 0, pair, 0, 8, nil)
 		}},
 	}
 	for _, tc := range cases {

@@ -8,7 +8,11 @@
 // goes to the engine by pointer, and its outcome is written in place
 // into the rank's own result slot, inline or, for an operation that
 // blocked, before the rank is resumed, so the per-operation path
-// copies no request or result.
+// copies no request or result. A Wait's results go into one of two
+// per-rank buffers that alternate, and a collective's state is
+// recycled when it completes, so the per-operation path allocates
+// only for payloads (and for timeline records or an algorithmic
+// collective's schedule, when those are on).
 //
 // Exactly one goroutine (either the scheduler or a single rank) runs
 // at any instant, and every scheduling decision uses deterministic
@@ -158,6 +162,11 @@ type procState struct {
 	waitSet  []int
 	waitBuf  []int
 	waitPost vtime.Time
+	// waitOut holds the two buffers Wait results alternate between,
+	// and waitFlip the index of the one written last, so a Wait
+	// allocates no result and its result survives the next Wait.
+	waitOut  [2][]PtPInfo
+	waitFlip uint8
 
 	// postedRecvs in post order, matched entries pruned lazily.
 	postedRecvs []*postedRecv
@@ -237,8 +246,12 @@ type collState struct {
 	size    int
 	arrived int
 	tmax    vtime.Time
-	// arrivals and payloads are indexed by position in members.
+	// arrivals, ends and payloads are indexed by position in members.
+	// arrivals and ends are reused when the state is recycled;
+	// payloads stays nil until a member contributes one, and is handed
+	// to the members when the operation completes.
 	arrivals []vtime.Time
+	ends     []vtime.Time
 	payloads []any
 	freeAll  bool
 }
@@ -269,11 +282,17 @@ type Engine struct {
 
 	// Freelists recycle the per-operation records across the run:
 	// messages (recycled when their queue compacts), posted receives
-	// (recycled when matched entries are pruned) and requests
-	// (recycled when a wait consumes them).
-	msgFree []*message
-	prFree  []*postedRecv
-	reqFree []*reqState
+	// (recycled when matched entries are pruned), requests (recycled
+	// when a wait consumes them) and collective states (recycled when
+	// the operation completes).
+	msgFree  []*message
+	prFree   []*postedRecv
+	reqFree  []*reqState
+	collFree []*collState
+	// noPayloads is the Payloads every member of a collective without
+	// payloads reads: e.n nil entries, allocated on first use and never
+	// written.
+	noPayloads []any
 
 	// Per-node NIC availability (transmit / receive sides), used when
 	// the cluster's NICContention is set.
@@ -667,6 +686,32 @@ func (e *Engine) newMessage() *message {
 		return m
 	}
 	return &message{}
+}
+
+// newCollState takes a collective state for n members from the
+// freelist, or allocates one.
+func (e *Engine) newCollState(n int) *collState {
+	var cs *collState
+	if k := len(e.collFree); k > 0 {
+		cs = e.collFree[k-1]
+		e.collFree = e.collFree[:k-1]
+	} else {
+		cs = &collState{}
+	}
+	if cap(cs.arrivals) < n {
+		cs.arrivals = make([]vtime.Time, n)
+		cs.ends = make([]vtime.Time, n)
+	}
+	cs.arrivals, cs.ends = cs.arrivals[:n], cs.ends[:n]
+	cs.arrived, cs.tmax, cs.freeAll = 0, 0, true
+	return cs
+}
+
+// freeCollState recycles a completed collective's state. Its payloads
+// now belong to the members' CollInfo, so the state lets go of them.
+func (e *Engine) freeCollState(cs *collState) {
+	cs.members, cs.payloads = nil, nil
+	e.collFree = append(e.collFree, cs)
 }
 
 // newPostedRecv takes a posted-receive record from the freelist, or

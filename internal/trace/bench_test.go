@@ -41,7 +41,7 @@ func benchRecorders() []*Recorder {
 		var tphys vtime.Time
 		for i := 0; i < 1000; i++ {
 			tphys += vtime.Time(1000 + (p*7+i*13)%97)
-			recs[p].Record(Event{Kind: Send, Involved: 2, CollOp: -1, Peer: int32((p + 1) % 128),
+			recs[p].Record(&Event{Kind: Send, Involved: 2, CollOp: -1, Peer: int32((p + 1) % 128),
 				Size: 4096, Enter: tphys, Exit: tphys + 500, RelA: int64(p), RelB: int64(i)})
 		}
 	}

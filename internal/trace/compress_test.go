@@ -16,15 +16,15 @@ func iterativeStream(proc, iters int) []Event {
 	var tphys vtime.Time
 	for i := 0; i < iters; i++ {
 		tphys += 1000
-		rec.Record(Event{Kind: Send, Involved: 2, CollOp: -1, Peer: int32(proc) + 1,
+		rec.Record(&Event{Kind: Send, Involved: 2, CollOp: -1, Peer: int32(proc) + 1,
 			Tag: 0, Size: 2048, Enter: tphys, Exit: tphys + 200,
 			RelA: int64(proc), RelB: int64(i)})
 		tphys += 500
-		rec.Record(Event{Kind: Recv, Involved: 2, CollOp: -1, Peer: int32(proc) + 1,
+		rec.Record(&Event{Kind: Recv, Involved: 2, CollOp: -1, Peer: int32(proc) + 1,
 			Tag: 0, Size: 2048, Enter: tphys, Exit: tphys + 300,
 			RelA: int64(proc) + 1, RelB: int64(i)})
 		tphys += 800
-		rec.Record(Event{Kind: Collective, Involved: 4, CollOp: 3, Peer: -1,
+		rec.Record(&Event{Kind: Collective, Involved: 4, CollOp: 3, Peer: -1,
 			Tag: 0, Size: 8, Enter: tphys, Exit: tphys + 100,
 			RelA: 0, RelB: int64(i)})
 	}
@@ -135,7 +135,7 @@ func TestCompressRoundTripRandom(t *testing.T) {
 				if kind == Collective {
 					peer = -1
 				}
-				rec.Record(Event{
+				rec.Record(&Event{
 					Kind: kind, Involved: int32(rng.Intn(8) + 2),
 					CollOp: int8(rng.Intn(8)) - 1, Peer: peer,
 					Tag: int32(rng.Intn(16)), Size: int64(rng.Intn(1 << 16)),

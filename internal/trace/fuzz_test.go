@@ -33,7 +33,7 @@ func fuzzTrace(t *testing.T, seed int64, procs, events int) *Trace {
 			if kind == Collective {
 				peer = -1
 			}
-			rec.Record(Event{
+			rec.Record(&Event{
 				Kind: kind, Involved: int32(rng.Intn(8) + 2),
 				CollOp: int8(rng.Intn(8)) - 1, Peer: peer,
 				Tag: int32(rng.Intn(16)), Size: int64(rng.Intn(1 << 16)),

@@ -22,7 +22,7 @@ func unevenTrace(t *testing.T, counts []int) *Trace {
 		var tphys vtime.Time
 		for i := 0; i < n; i++ {
 			tphys += vtime.Time(100 + i%37)
-			rec.Record(Event{
+			rec.Record(&Event{
 				Kind: Collective, Involved: int32(len(counts)), CollOp: 1,
 				Peer: -1, Tag: 0, Size: int64(64 + i%128),
 				Enter: tphys, Exit: tphys + 50,

@@ -31,30 +31,34 @@ func NewRecorder(proc int) *Recorder {
 	return &Recorder{proc: int32(proc)}
 }
 
-// Record appends one event, deriving Number and ComputeBefore. The
-// caller fills the communication fields and physical times.
-func (r *Recorder) Record(e Event) {
-	e.Process = r.proc
-	e.Number = int64(r.n)
-	e.LT = NoLT
-	e.ComputeBefore = e.Enter.Sub(r.lastExit)
-	if e.ComputeBefore < 0 {
-		// Overlapping nonblocking operations: project them onto a
-		// sequential event stream by clamping to the previous exit.
-		e.ComputeBefore = 0
-		e.Enter = r.lastExit
-		if e.Exit < e.Enter {
-			e.Exit = e.Enter
-		}
-	}
-	r.lastExit = e.Exit
+// Record appends a copy of *e, written once, straight into the
+// current chunk, and derives the copy's Process, Number, LT and
+// ComputeBefore; *e itself is not modified. The caller fills the
+// communication fields and physical times.
+func (r *Recorder) Record(e *Event) {
 	if len(r.cur) == cap(r.cur) {
 		if r.cur != nil {
 			r.full = append(r.full, r.cur)
 		}
 		r.cur = make([]Event, 0, min(max(2*cap(r.cur), firstChunk), recorderChunk))
 	}
-	r.cur = append(r.cur, e)
+	r.cur = r.cur[:len(r.cur)+1]
+	s := &r.cur[len(r.cur)-1]
+	*s = *e
+	s.Process = r.proc
+	s.Number = int64(r.n)
+	s.LT = NoLT
+	s.ComputeBefore = s.Enter.Sub(r.lastExit)
+	if s.ComputeBefore < 0 {
+		// Overlapping nonblocking operations: project them onto a
+		// sequential event stream by clamping to the previous exit.
+		s.ComputeBefore = 0
+		s.Enter = r.lastExit
+		if s.Exit < s.Enter {
+			s.Exit = s.Enter
+		}
+	}
+	r.lastExit = s.Exit
 	r.n++
 }
 

@@ -50,9 +50,10 @@ const NoLT = int64(-1)
 // tracefile writers compute it into the record's ID column (codec.go).
 //
 // The fields are ordered by size, widest first, so the struct has no
-// interior padding (88 bytes). Every recorded event is copied by
-// Record, by FromRecorders and by the logical order's head slot, and
-// Trace.Events holds one per event, so TestEventSize pins the size.
+// interior padding (88 bytes). Every recorded event is written into
+// its Recorder chunk once and copied by FromRecorders and by the
+// logical order's head slot, and Trace.Events holds one per event, so
+// TestEventSize pins the size.
 type Event struct {
 	// Number is the event's index within its process (0-based).
 	Number int64

@@ -138,8 +138,8 @@ func TestCommSignature(t *testing.T) {
 
 func TestRecorderDerivesFields(t *testing.T) {
 	r := NewRecorder(3)
-	r.Record(Event{Kind: Send, Enter: 100, Exit: 120})
-	r.Record(Event{Kind: Recv, Enter: 150, Exit: 160})
+	r.Record(&Event{Kind: Send, Enter: 100, Exit: 120})
+	r.Record(&Event{Kind: Recv, Enter: 150, Exit: 160})
 	evs := r.Events()
 	if len(evs) != 2 {
 		t.Fatalf("len = %d", len(evs))
@@ -167,7 +167,7 @@ func TestFromRecordersSpansChunks(t *testing.T) {
 	for p, r := range recs {
 		for i := 0; i < 2*recorderChunk+p+3; i++ {
 			at := vtime.Time(10 * i)
-			r.Record(Event{Kind: Collective, Peer: -1, Enter: at + vtime.Time(p), Exit: at + 5})
+			r.Record(&Event{Kind: Collective, Peer: -1, Enter: at + vtime.Time(p), Exit: at + 5})
 		}
 	}
 	streams := [][]Event{recs[0].Events(), recs[1].Events()}
