@@ -39,10 +39,12 @@ race:
 # Extraction over the six largest registered workloads: the reference
 # scan (seed) against the production scan (indexed); medians over
 # -count 3 are what README quotes. Then the per-event costs of the
-# stage-A input: the logical order at 32 and 128 ranks, assembling a
-# traced run from its recorders, and writing it (the ID merge). Last,
-# the per-operation cost of a traced 128-rank run: one SendrecvN and
-# one Allreduce on every rank, with their allocations.
+# stage-A input: the logical order over ring traces at 32 and 128
+# ranks and over lu classA at 128 ranks (a wavefront with sparse
+# ticks), in memory and from the rank streams of its v2 bytes;
+# assembling a traced run from its recorders; and writing it (the ID
+# merge). Last, the per-operation cost of a traced 128-rank run: one
+# SendrecvN and one Allreduce on every rank, with their allocations.
 bench:
 	$(GO) test ./internal/phase -run xxx -bench ExtractApps -benchtime 5x -count 3
 	$(GO) test ./internal/logical ./internal/trace -run xxx -bench 'OrderPAS2P|FromRecorders|EncodeRanks' -benchtime 20x -count 3

@@ -81,6 +81,39 @@ func TestOrderMatchesOracleApps(t *testing.T) {
 	}
 }
 
+// appTrace traces a registered application on cluster A.
+func appTrace(t testing.TB, name string, procs int, workload string) *trace.Trace {
+	t.Helper()
+	d, err := machine.NewDeployment(machine.ClusterA(), procs, machine.MapBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := apps.Make(name, procs, workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mpi.Run(app, mpi.RunConfig{Deployment: d, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Trace
+}
+
+// TestStreamOrderMatchesOracleWide holds the order to the oracle on
+// the two wavefront apps at 64 ranks, in memory and over a v2 file's
+// rank streams. Their ticks are sparse and their receives retry many
+// times, so assignment runs end early and each tick gathers few of
+// the merge's leaves.
+func TestStreamOrderMatchesOracleWide(t *testing.T) {
+	for _, c := range []struct{ app, workload string }{{"lu", "classA"}, {"sweep3d", "sweep.150"}} {
+		c := c
+		t.Run(c.app, func(t *testing.T) {
+			t.Parallel()
+			assertStreamMatchesOrder(t, c.app, appTrace(t, c.app, 64, c.workload))
+		})
+	}
+}
+
 // TestOrderRejectsBadShape: inputs the engine cannot stream fail with
 // an error instead of a panic.
 func TestOrderRejectsBadShape(t *testing.T) {

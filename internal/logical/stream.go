@@ -12,9 +12,14 @@ package logical
 // tick sequence without ever holding more than O(procs + frontier)
 // events:
 //
-//   - events are pulled lazily, one per process at a time, from an
-//     EventSource (trace.RankStreams over a v2 file, or an in-memory
-//     adapter);
+//   - events are pulled lazily from an EventSource (trace.RankStreams
+//     over a v2 file, or an in-memory adapter); each queue pop assigns
+//     one process a run of events, until a receive whose send is not
+//     yet known, a collective, the end of its stream or runBound, so
+//     consecutive reads stay in one process's stream. LTs do not depend
+//     on visit order (a send gets hw+1, a receive LT(send)+1, a
+//     collective max(member hw)+1), so runs leave every LT as the
+//     one-event-per-pop queue algorithm assigns it;
 //   - a process's current event lives in a one-slot head buffer, and
 //     each matched send's LT is taken from the send table once its
 //     receive consumes it (valid traces pair them 1:1, so the table
@@ -22,21 +27,23 @@ package logical
 //     send stalls);
 //   - the permutation + clamp + sub-numbering passes are per-process
 //     local, so they run incrementally as events are assigned: receives
-//     buffer into the current run, any non-receive (or end of stream)
-//     flushes the run with a stable sort by LT, and the running clamp
-//     and collision counter finalise each event's (LT, sub) key;
-//   - finalised events feed per-process FIFO queues merged by a k-way
-//     minimum. Per process the key sequence is strictly increasing, so
-//     the global minimum visits every distinct key exactly once in
-//     sorted order — which is precisely a sort-and-rank of the keys — and
-//     each pop emits one tick, numbered by pop count, with slots
-//     gathered in process order.
+//     append to the process's queue past its finalised mark, any
+//     non-receive (or end of stream) flushes that run with an in-place
+//     stable sort by LT, and the running clamp and collision counter
+//     finalise each event's (LT, sub) key;
+//   - finalised events feed per-process FIFO queues merged through a
+//     winner tree. Per process the key sequence is strictly increasing,
+//     so the global minimum visits every distinct key exactly once in
+//     sorted order — which is precisely a sort-and-rank of the keys —
+//     and each tick gathers every process whose head holds the minimum,
+//     in process order.
 //
 // A process with no finalised event bounds the merge with (lastLT,
-// lastSub+1): the clamp guarantees its next key cannot be smaller, so a
-// candidate tick is emitted only when every silent process provably
-// cannot join it. That is what makes the output deterministic and
-// independent of I/O interleaving.
+// lastSub+1): the clamp guarantees its next key cannot be smaller, so
+// its tree leaf holds that bound, ordered before an equal head, and a
+// tick is emitted only when the tree's minimum is a head, that is when
+// every silent process provably cannot join it. That is what makes the
+// output deterministic and independent of I/O interleaving.
 
 import (
 	"cmp"
@@ -148,19 +155,34 @@ type pendEvent struct {
 	exit    vtime.Time
 }
 
-// mergeKey orders finalised events; per process it is strictly
-// increasing.
-func keyLess(aLT int64, aSub int32, bLT int64, bSub int32) bool {
-	if aLT != bLT {
-		return aLT < bLT
-	}
-	return aSub < bSub
+// mergeKey is one winner-tree entry: the least key a process can still
+// emit. It is the process's finalised head (lt, sub), or, while it has
+// none, its clamp bound (lastLT, lastSub+1), which sorts before an
+// equal head because that head may yet arrive; a finished process
+// holds finished. The low bit of sk tells a head (1) from a bound (0).
+type mergeKey struct {
+	lt int64
+	sk int64 // sub<<1 | 1 for a head, sub<<1 for a bound
 }
 
-// assignChunk is how many queue-algorithm steps run between merge
-// attempts: large enough to amortise the O(procs) pop scan, small
-// enough to keep the finalised queues shallow.
-const assignChunk = 64
+// finished sorts after every key and is never a head, so a process
+// holding it neither pops nor blocks.
+var finished = mergeKey{math.MaxInt64, math.MaxInt64 - 1}
+
+func (k mergeKey) head() bool { return k.sk&1 == 1 }
+
+func minKey(a, b mergeKey) mergeKey {
+	if b.lt < a.lt || b.lt == a.lt && b.sk < a.sk {
+		return b
+	}
+	return a
+}
+
+// runBound caps how many events one queue pop assigns to a process, so
+// one process cannot run arbitrarily far ahead of the merge. Over lu
+// classD at 128 ranks, phase.AnalyzeTrace took the same time with
+// bounds of 16, 64 and 1024, and about a third longer with 4.
+const runBound = 64
 
 // TickReader streams the PAS2P logical order tick by tick. Obtain one
 // from StreamOrder; Next returns io.EOF after the last tick. The
@@ -189,12 +211,21 @@ type TickReader struct {
 	assignDone bool
 
 	// --- finalisation pipeline ---
-	run      [][]pendEvent // open receive run per process
-	lastLT   []int64
-	lastSub  []int32
-	mq       [][]pendEvent // finalised FIFO per process
+	lastLT  []int64
+	lastSub []int32
+	// mq[p][mqHead[p]:fin[p]] is process p's finalised FIFO;
+	// mq[p][fin[p]:] is its open receive run, not yet finalised.
+	mq       [][]pendEvent
 	mqHead   []int
+	fin      []int
 	procDone []bool
+
+	// --- merge: a winner tree over the processes' mergeKeys ---
+	// tree[leaves+p] is process p's key (padding leaves hold finished);
+	// tree[i] is the minimum of tree[2i] and tree[2i+1]; tree[1] is the
+	// root.
+	tree   []mergeKey
+	leaves int
 
 	// --- output ---
 	tickNo int
@@ -214,6 +245,10 @@ func StreamOrder(src EventSource) (*TickReader, error) {
 		return nil, noOrderf("logical: empty trace")
 	}
 	procs := meta.Procs
+	leaves := 1
+	for leaves < procs {
+		leaves *= 2
+	}
 	r := &TickReader{
 		src: meta, source: src, procs: procs, total: meta.Events,
 		next:      make([]uint64, procs),
@@ -224,12 +259,14 @@ func StreamOrder(src EventSource) (*TickReader, error) {
 		sends:     newSendTable(procs),
 		collWaits: map[[2]int64]*collWait{},
 		parked:    make([]bool, procs),
-		run:       make([][]pendEvent, procs),
 		lastLT:    make([]int64, procs),
 		lastSub:   make([]int32, procs),
 		mq:        make([][]pendEvent, procs),
 		mqHead:    make([]int, procs),
+		fin:       make([]int, procs),
 		procDone:  make([]bool, procs),
+		tree:      make([]mergeKey, 2*leaves),
+		leaves:    leaves,
 	}
 	var counted uint64
 	for p := 0; p < procs; p++ {
@@ -248,6 +285,15 @@ func StreamOrder(src EventSource) (*TickReader, error) {
 	if counted != meta.Events {
 		return nil, noOrderf("logical: source counts %d events across processes, header declares %d",
 			counted, meta.Events)
+	}
+	for i := leaves; i < 2*leaves; i++ {
+		r.tree[i] = finished
+		if p := i - leaves; p < procs {
+			r.tree[i] = r.leafKey(p)
+		}
+	}
+	for i := leaves - 1; i >= 1; i-- {
+		r.tree[i] = minKey(r.tree[2*i], r.tree[2*i+1])
 	}
 	return r, nil
 }
@@ -293,141 +339,178 @@ func (r *TickReader) loadHead(p int32) (bool, error) {
 	return true, nil
 }
 
-// step runs one iteration of the queue algorithm (one queue pop).
+// step runs one queue pop: it assigns the popped process's events
+// until a receive's send is not yet known (the process is requeued), a
+// collective arrives (the process parks, or the collective completes
+// and every member is requeued), the stream ends, or runBound events
+// are assigned (requeued).
 func (r *TickReader) step() error {
 	if r.qlen() == 0 {
 		return noOrderf("logical: trace %q stalls with %d/%d events assigned (inconsistent relations)",
 			r.src.AppName, r.assigned, r.total)
 	}
 	p := r.qpop()
-	ok, err := r.loadHead(p)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
-	e := &r.head[p]
-	switch e.Kind {
-	case trace.Send:
-		lt := r.hw[p] + 1
-		e.LT = lt
-		r.hw[p] = lt
-		r.sends.put(p, lt)
-		r.visits = 0
-	case trace.Recv:
-		slt, ok := r.sends.take(e.RelA, e.RelB)
-		if !ok {
-			r.qpush(p)
-			r.visits++
-			if r.visits > r.qlen() {
-				return noOrderf("logical: trace %q: full pass over %d pending procs made no progress; receive on proc %d references send (%d,%d) that never resolves",
-					r.src.AppName, r.qlen(), p, e.RelA, e.RelB)
-			}
-			return nil
+	for n := 0; n < runBound; n++ {
+		ok, err := r.loadHead(p)
+		if err != nil || !ok {
+			return err
 		}
-		lt := slt + 1
-		e.LT = lt
-		if lt > r.hw[p] {
+		e := &r.head[p]
+		switch e.Kind {
+		case trace.Send:
+			lt := r.hw[p] + 1
 			r.hw[p] = lt
-		}
-		r.visits = 0
-	case trace.Collective:
-		key := [2]int64{e.RelA, e.RelB}
-		cw := r.collWaits[key]
-		if cw == nil {
-			cw = &collWait{}
-			r.collWaits[key] = cw
-		}
-		cw.arrived++
-		cw.procs = append(cw.procs, p)
-		if cw.arrived < int(e.Involved) {
-			r.parked[p] = true // head stays loaded until the last arrival
+			r.sends.put(p, lt)
 			r.visits = 0
+			r.consume(p, lt)
+		case trace.Recv:
+			slt, ok := r.sends.take(e.RelA, e.RelB)
+			if !ok {
+				r.qpush(p)
+				r.visits++
+				if r.visits > r.qlen() {
+					return noOrderf("logical: trace %q: full pass over %d pending procs made no progress; receive on proc %d references send (%d,%d) that never resolves",
+						r.src.AppName, r.qlen(), p, e.RelA, e.RelB)
+				}
+				return nil
+			}
+			lt := slt + 1
+			if lt > r.hw[p] {
+				r.hw[p] = lt
+			}
+			r.visits = 0
+			r.consume(p, lt)
+		case trace.Collective:
+			r.arrive(p, e)
 			return nil
+		default:
+			return noOrderf("logical: trace %q: unknown event kind %d", r.src.AppName, e.Kind)
 		}
-		var maxLT int64 = -1
-		for _, m := range cw.procs {
-			if r.hw[m] > maxLT {
-				maxLT = r.hw[m]
-			}
-		}
-		lt := maxLT + 1
-		for _, m := range cw.procs {
-			me := &r.head[m]
-			me.LT = lt
-			r.hw[m] = lt
-			r.parked[m] = false
-			r.consume(m)
-			if r.remaining[m] > 0 {
-				r.qpush(m)
-			}
-		}
-		delete(r.collWaits, key)
-		r.visits = 0
-		return nil
-	default:
-		return noOrderf("logical: trace %q: unknown event kind %d", r.src.AppName, e.Kind)
 	}
-	r.consume(p)
 	if r.remaining[p] > 0 {
 		r.qpush(p)
 	}
 	return nil
 }
 
-// consume hands process p's assigned head event to the finalisation
-// pipeline and frees the head slot.
-func (r *TickReader) consume(p int32) {
-	e := &r.head[p]
-	pe := pendEvent{lt: e.LT, pos: int(r.next[p]), sig: e.CommSignature(), size: e.Size,
-		compute: e.ComputeBefore, exit: e.Exit}
-	if e.Kind == trace.Recv {
-		r.run[p] = append(r.run[p], pe)
-	} else {
-		r.flushRun(p)
-		r.finalize(p, pe)
+// arrive records process p's arrival at the collective in its head
+// slot. Before the last arrival p parks, its head loaded; the last one
+// assigns every member max(member hw)+1 and requeues the members with
+// events left.
+func (r *TickReader) arrive(p int32, e *trace.Event) {
+	r.visits = 0
+	key := [2]int64{e.RelA, e.RelB}
+	cw := r.collWaits[key]
+	if cw == nil {
+		cw = &collWait{}
+		r.collWaits[key] = cw
 	}
+	cw.arrived++
+	cw.procs = append(cw.procs, p)
+	if cw.arrived < int(e.Involved) {
+		r.parked[p] = true
+		return
+	}
+	var maxLT int64 = -1
+	for _, m := range cw.procs {
+		if r.hw[m] > maxLT {
+			maxLT = r.hw[m]
+		}
+	}
+	lt := maxLT + 1
+	for _, m := range cw.procs {
+		r.hw[m] = lt
+		r.parked[m] = false
+		r.consume(m, lt)
+		if r.remaining[m] > 0 {
+			r.qpush(m)
+		}
+	}
+	delete(r.collWaits, key)
+}
+
+// consume hands process p's head event, assigned LT lt, to the
+// finalisation pipeline and frees the head slot. A receive joins the
+// open run; anything else closes it and is finalised behind it.
+func (r *TickReader) consume(p int32, lt int64) {
+	e := &r.head[p]
+	recv := e.Kind == trace.Recv
+	if !recv {
+		r.flushRun(p)
+	}
+	r.mq[p] = append(r.mq[p], pendEvent{lt: lt, pos: int(r.next[p]), sig: e.CommSignature(),
+		size: e.Size, compute: e.ComputeBefore, exit: e.Exit})
 	r.headOK[p] = false
 	r.next[p]++
 	r.assigned++
 	if r.remaining[p] == 0 {
-		r.flushRun(p)
 		r.procDone[p] = true
 	}
+	if !recv || r.procDone[p] {
+		r.flushRun(p)
+	}
 }
 
-// flushRun closes process p's open receive run: the paper's
+// flushRun finalises process p's open run, mq[p][fin[p]:]: the paper's
 // permutation inside the LTRecvs (a stable sort by LT, as
-// permuteRecvRuns does for the Lamport order), then finalisation in
-// that order.
+// permuteRecvRuns does for the Lamport order), then the running
+// monotone clamp and collision numbering (what clampMonotone and
+// buildTicks do for the Lamport order), in place.
 func (r *TickReader) flushRun(p int32) {
-	rn := r.run[p]
-	if len(rn) == 0 {
+	q, f := r.mq[p], r.fin[p]
+	if f == len(q) {
 		return
 	}
-	slices.SortStableFunc(rn, func(a, b pendEvent) int { return cmp.Compare(a.lt, b.lt) })
-	for i := range rn {
-		r.finalize(p, rn[i])
+	run := q[f:]
+	if len(run) > 1 {
+		slices.SortStableFunc(run, func(a, b pendEvent) int { return cmp.Compare(a.lt, b.lt) })
 	}
-	r.run[p] = rn[:0]
+	lastLT, lastSub := r.lastLT[p], r.lastSub[p]
+	for i := range run {
+		pe := &run[i]
+		if pe.lt < lastLT {
+			pe.lt = lastLT
+		}
+		if pe.lt == lastLT {
+			pe.sub = lastSub + 1
+		} else {
+			pe.sub = 0
+		}
+		lastLT, lastSub = pe.lt, pe.sub
+	}
+	r.lastLT[p], r.lastSub[p] = lastLT, lastSub
+	r.fin[p] = len(q)
+	if r.mqHead[p] == f {
+		r.updateLeaf(int(p)) // a head appeared
+	}
 }
 
-// finalize applies the running monotone clamp and collision numbering
-// (what clampMonotone and buildTicks do for the Lamport order) and
-// queues the event for the merge.
-func (r *TickReader) finalize(p int32, pe pendEvent) {
-	if pe.lt < r.lastLT[p] {
-		pe.lt = r.lastLT[p]
+// leafKey is process p's current mergeKey.
+func (r *TickReader) leafKey(p int) mergeKey {
+	switch {
+	case r.mqHead[p] < r.fin[p]:
+		h := &r.mq[p][r.mqHead[p]]
+		return mergeKey{h.lt, int64(h.sub)<<1 | 1}
+	case r.procDone[p]:
+		return finished
+	default:
+		return mergeKey{r.lastLT[p], int64(r.lastSub[p]+1) << 1}
 	}
-	if pe.lt == r.lastLT[p] {
-		pe.sub = r.lastSub[p] + 1
-	} else {
-		pe.sub = 0
+}
+
+// updateLeaf refreshes process p's leaf and the minima above it,
+// stopping at the first that does not change.
+func (r *TickReader) updateLeaf(p int) {
+	i := r.leaves + p
+	r.tree[i] = r.leafKey(p)
+	for i > 1 {
+		i >>= 1
+		m := minKey(r.tree[2*i], r.tree[2*i+1])
+		if m == r.tree[i] {
+			return
+		}
+		r.tree[i] = m
 	}
-	r.lastLT[p] = pe.lt
-	r.lastSub[p] = pe.sub
-	r.mq[p] = append(r.mq[p], pe)
 }
 
 // finishAssign runs the post-loop checks once every event is assigned.
@@ -441,71 +524,65 @@ func (r *TickReader) finishAssign() error {
 	return nil
 }
 
-// tryPop emits the next tick if the merge can prove no process will
-// ever contribute a smaller key. It gathers every process whose head
-// equals the global minimum, in process order.
+// tryPop emits the next tick when the tree's minimum is a finalised
+// head: then no process, silent ones included, can still produce a
+// smaller or equal key. The tick holds every process whose head equals
+// that minimum, in process order.
 func (r *TickReader) tryPop() (*Tick, bool) {
-	minLT := int64(math.MaxInt64)
-	var minSub int32 = math.MaxInt32
-	found := false
-	for p := 0; p < r.procs; p++ {
-		if r.mqHead[p] < len(r.mq[p]) {
-			h := &r.mq[p][r.mqHead[p]]
-			if !found || keyLess(h.lt, h.sub, minLT, minSub) {
-				minLT, minSub, found = h.lt, h.sub, true
-			}
-		}
-	}
-	if !found {
+	k := r.tree[1]
+	if !k.head() {
 		return nil, false
-	}
-	// A headless, unfinished process blocks the pop unless its clamp
-	// bound proves its next key must exceed the candidate.
-	for p := 0; p < r.procs; p++ {
-		if r.mqHead[p] < len(r.mq[p]) || r.procDone[p] {
-			continue
-		}
-		if !keyLess(minLT, minSub, r.lastLT[p], r.lastSub[p]+1) {
-			return nil, false
-		}
 	}
 	r.tick.Index = r.tickNo
 	r.tick.Slots = r.tick.Slots[:0]
-	for p := 0; p < r.procs; p++ {
-		if r.mqHead[p] >= len(r.mq[p]) {
-			continue
-		}
-		h := &r.mq[p][r.mqHead[p]]
-		if h.lt == minLT && h.sub == minSub {
-			r.tick.Slots = append(r.tick.Slots, TickEvent{
-				Proc: int32(p), Sig: h.sig, Size: h.size,
-				Compute: h.compute, Exit: h.exit, Pos: h.pos,
-			})
-			r.mqHead[p]++
-			if r.mqHead[p] == len(r.mq[p]) {
-				// Drained: refill from the front, where the cache is warm.
-				r.mq[p] = r.mq[p][:0]
-				r.mqHead[p] = 0
-			} else if r.mqHead[p] > 1024 && r.mqHead[p]*2 >= len(r.mq[p]) {
-				n := copy(r.mq[p], r.mq[p][r.mqHead[p]:])
-				r.mq[p] = r.mq[p][:n]
-				r.mqHead[p] = 0
-			}
-		}
-	}
+	r.gather(1, k)
 	r.tickNo++
 	return &r.tick, true
 }
 
-// drained reports whether every finalised queue is empty.
-func (r *TickReader) drained() bool {
-	for p := 0; p < r.procs; p++ {
-		if r.mqHead[p] < len(r.mq[p]) {
-			return false
-		}
+// gather pops the heads equal to k under tree node i, left to right,
+// descending only into subtrees whose minimum is k, and recomputes the
+// nodes it visited on the way back.
+func (r *TickReader) gather(i int, k mergeKey) {
+	if r.tree[i] != k {
+		return
 	}
-	return true
+	if i >= r.leaves {
+		p := i - r.leaves
+		r.popHead(p)
+		r.tree[i] = r.leafKey(p)
+		return
+	}
+	r.gather(2*i, k)
+	r.gather(2*i+1, k)
+	r.tree[i] = minKey(r.tree[2*i], r.tree[2*i+1])
 }
+
+// popHead moves process p's finalised head into the tick.
+func (r *TickReader) popHead(p int) {
+	q, h := r.mq[p], r.mqHead[p]
+	e := &q[h]
+	r.tick.Slots = append(r.tick.Slots, TickEvent{
+		Proc: int32(p), Sig: e.sig, Size: e.size,
+		Compute: e.compute, Exit: e.exit, Pos: e.pos,
+	})
+	h++
+	if h == r.fin[p] || h > 16 && h*2 >= len(q) {
+		// Drained, or mostly consumed: move what is left (the open run,
+		// when drained) to the front, where the cache is warm. A process
+		// that runs ahead of the merge may never drain, so the second
+		// rule keeps its queue within twice its live length; it copies
+		// at most one entry per pop.
+		n := copy(q, q[h:])
+		r.mq[p] = q[:n]
+		r.fin[p] -= h
+		h = 0
+	}
+	r.mqHead[p] = h
+}
+
+// drained reports whether every finalised queue is empty.
+func (r *TickReader) drained() bool { return r.tree[1] == finished }
 
 // Next returns the next tick, or io.EOF after the last one. The
 // returned Tick is scratch valid until the following call.
@@ -527,11 +604,12 @@ func (r *TickReader) Next() (*Tick, error) {
 			r.err = fmt.Errorf("logical: trace %q: internal: merge stalled with undrained queues", r.src.AppName)
 			return nil, r.err
 		}
-		for i := 0; i < assignChunk && r.assigned < r.total; i++ {
-			if err := r.step(); err != nil {
-				r.err = err
-				return nil, err
-			}
+		// A failed merge attempt only reads the tree's root, so one
+		// queue pop between attempts costs nothing extra and keeps the
+		// finalised queues shallow.
+		if err := r.step(); err != nil {
+			r.err = err
+			return nil, err
 		}
 		if r.assigned >= r.total {
 			if err := r.finishAssign(); err != nil {

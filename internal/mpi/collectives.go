@@ -56,7 +56,8 @@ func (c *Comm) Barrier() {
 	c.collective(network.Barrier, 0, 0, nil)
 }
 
-// Bcast distributes root's data to every member and returns it.
+// Bcast distributes root's data to every member and returns it; each
+// member, root included, gets its own copy.
 func (c *Comm) Bcast(root int, data []float64) []float64 {
 	size := 0
 	var payload any
@@ -66,7 +67,7 @@ func (c *Comm) Bcast(root int, data []float64) []float64 {
 	}
 	info := c.collective(network.Bcast, root, size, payload)
 	res, _ := info.Payloads[c.memberIdx(root)].([]float64)
-	return res
+	return append([]float64(nil), res...)
 }
 
 // Reduce combines every member's data elementwise; the result is

@@ -83,3 +83,22 @@ func TestSharedResultsMatchOracle(t *testing.T) {
 		t.Errorf("%d results left in the shared table after the run", len(table))
 	}
 }
+
+// TestBcastResultsAreOwned: every Bcast member gets its own slice, so
+// a member writing into its result leaves the others' unchanged.
+func TestBcastResultsAreOwned(t *testing.T) {
+	runApp(t, 3, func(c *Comm) {
+		var data []float64
+		if c.Rank() == 0 {
+			data = []float64{1}
+		}
+		got := c.Bcast(0, data)
+		if c.Rank() == 1 {
+			got[0] = 99
+		}
+		c.Barrier()
+		if c.Rank() == 2 && got[0] != 1 {
+			t.Errorf("rank 2 Bcast result = %v after rank 1 wrote into its own, want [1]", got)
+		}
+	}, RunConfig{})
+}
