@@ -41,13 +41,14 @@ race:
 # -count 3 are what README quotes. Then the per-event costs of the
 # stage-A input: the logical order over ring traces at 32 and 128
 # ranks and over lu classA at 128 ranks (a wavefront with sparse
-# ticks), in memory and from the rank streams of its v2 bytes;
-# assembling a traced run from its recorders; and writing it (the ID
-# merge). Last, the per-operation cost of a traced 128-rank run: one
-# SendrecvN and one Allreduce on every rank, with their allocations.
+# ticks), in memory and from the rank streams of its v2 bytes; a
+# traced run's recording, assembled into a trace and drained in place
+# through its streams; and writing it (the ID merge). Last, the
+# per-operation cost of a traced 128-rank run: one SendrecvN and one
+# Allreduce on every rank, with their allocations.
 bench:
 	$(GO) test ./internal/phase -run xxx -bench ExtractApps -benchtime 5x -count 3
-	$(GO) test ./internal/logical ./internal/trace -run xxx -bench 'OrderPAS2P|FromRecorders|EncodeRanks' -benchtime 20x -count 3
+	$(GO) test ./internal/logical ./internal/trace -run xxx -bench 'OrderPAS2P|Recording|EncodeRanks' -benchtime 20x -count 3
 	$(GO) test ./internal/mpi -run xxx -bench 'TracedSendrecv|TracedAllreduce' -benchtime 2000x -count 3
 
 # Out-of-core soak at full scale: 100M synthetic events streamed under

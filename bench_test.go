@@ -319,7 +319,7 @@ func BenchmarkAblationPartialExec(b *testing.B) {
 			b.Fatal(err)
 		}
 		totals := make([]int64, shifting.Procs)
-		for p, evs := range traced.Trace.PerProcess() {
+		for p, evs := range traced.Recording.Trace().PerProcess() {
 			totals[p] = int64(len(evs))
 		}
 		pres, err := predict.DefaultPartialExec().Predict(shifting, target, totals)

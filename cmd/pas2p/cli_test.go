@@ -6,8 +6,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"pas2p/internal/sigrepo"
+	"pas2p/internal/trace"
 )
 
 // TestRejectBadArgs drives every subcommand through its flag parser
@@ -114,6 +118,46 @@ func TestRepoCLIAddVerifyFsck(t *testing.T) {
 	}
 	if err := cmdRepo([]string{"predict", "-dir", dir, "-app", "cg", "-procs", "8", "-workload", "classA", "-target", "B"}); err != nil {
 		t.Fatalf("repo predict after fsck: %v", err)
+	}
+}
+
+// TestRepoAddKeepTraceMatchesTrace: repo add -keep-trace -verify
+// stores the signed run's tracefile, and it must decode to the same
+// trace as the one pas2p trace writes for the same app, cluster and
+// ranks (both charge mpi.PAS2PEventOverhead per event).
+func TestRepoAddKeepTraceMatchesTrace(t *testing.T) {
+	dir := t.TempDir()
+	repoDir := filepath.Join(dir, "repo")
+	run := []string{"-app", "cg", "-procs", "8", "-workload", "classA"}
+	mustCapture(t, func() error {
+		return cmdRepo(append([]string{"add", "-dir", repoDir, "-base", "A", "-keep-trace", "-verify"}, run...))
+	})
+	path := filepath.Join(dir, "cg.pas2p")
+	mustCapture(t, func() error { return cmdTrace(append([]string{"-cluster", "A", "-o", path}, run...)) })
+
+	repo, err := sigrepo.Open(repoDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := repo.ReadTrace("cg", 8, "classA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	written, err := trace.DecodeAny(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stored.Events) == 0 {
+		t.Fatal("stored tracefile has no events")
+	}
+	if !reflect.DeepEqual(stored, written) {
+		t.Errorf("repo add -keep-trace stored %d events of %s/%d, pas2p trace wrote %d: the traces differ",
+			len(stored.Events), stored.AppName, stored.Procs, len(written.Events))
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"pas2p/internal/apps"
 	"pas2p/internal/faults"
 	"pas2p/internal/fsx"
+	"pas2p/internal/logical"
 	"pas2p/internal/machine"
 	"pas2p/internal/mpi"
 	"pas2p/internal/obs"
@@ -105,6 +106,7 @@ func cmdTrace(args []string) error {
 	if err != nil {
 		return err
 	}
+	tr := res.Recording.Trace()
 	path := *out
 	if path == "" {
 		path = *app + ".pas2p"
@@ -112,21 +114,21 @@ func cmdTrace(args []string) error {
 	err = fsx.WriteFileAtomic(fsx.OS{}, path, func(w io.Writer) error {
 		switch {
 		case *asJSON:
-			return trace.EncodeJSON(w, res.Trace)
+			return trace.EncodeJSON(w, tr)
 		case *compress:
-			return trace.Compress(w, res.Trace)
+			return trace.Compress(w, tr)
 		default:
-			return trace.Encode(w, res.Trace)
+			return trace.Encode(w, tr)
 		}
 	})
 	if err != nil {
 		return err
 	}
-	st := res.Trace.Stats()
+	st := tr.Stats()
 	fmt.Printf("traced %s on %s: %d events (%d sends, %d recvs, %d collectives)\n",
 		*app, d, st.Events, st.Sends, st.Recvs, st.Collectives)
 	fmt.Printf("virtual AET (instrumented): %.2fs\n", res.Elapsed.Seconds())
-	fmt.Printf("tracefile: %s (%d bytes)\n", path, trace.EncodedSize(res.Trace))
+	fmt.Printf("tracefile: %s (%d bytes)\n", path, trace.EncodedSize(tr.Meta()))
 	return nil
 }
 
@@ -225,12 +227,11 @@ func cmdAnalyze(args []string) error {
 			fmt.Printf("  "+format+"\n", args...)
 		}
 	}
-	an, tb, err := phase.AnalyzeTraceWithLog(context.Background(), tr, cfg, *warm, logf)
+	an, tb, err := phase.AnalyzeTraceWithLog(context.Background(), logical.SourceFromTrace(tr), cfg, *warm, logf)
 	if err != nil {
 		return err
 	}
-	meta := trace.Meta{AppName: tr.AppName, Procs: tr.Procs, Events: uint64(len(tr.Events))}
-	if err := printAnalysis(meta, an, tb, "", "", *out); err != nil {
+	if err := printAnalysis(tr.Meta(), an, tb, "", "", *out); err != nil {
 		return err
 	}
 	if *timelineOut != "" {

@@ -85,7 +85,7 @@ func cmdInspect(args []string) error {
 	}
 
 	if *phases {
-		an, _, err := phase.AnalyzeTrace(context.Background(), tr, phase.DefaultConfig(), *warm)
+		an, _, err := phase.AnalyzeTrace(context.Background(), logical.SourceFromTrace(tr), phase.DefaultConfig(), *warm)
 		if err != nil {
 			return err
 		}

@@ -74,11 +74,11 @@ func cmdRepo(args []string) error {
 		fmt.Printf("added %s (%d relevant phases, SCT %.2fs) -> %s\n",
 			*app, len(tb.RelevantRows()), br.SCT.Seconds(), path)
 		if *keepTrace {
-			tpath, err := repo.AddTrace(traced.Trace, wl)
+			tpath, err := repo.AddTrace(traced.Recording.Trace(), wl)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("stored tracefile (%d events) -> %s\n", len(traced.Trace.Events), tpath)
+			fmt.Printf("stored tracefile (%d events) -> %s\n", traced.Recording.Meta().Events, tpath)
 		}
 		if *verify {
 			if _, err := repo.Lookup(*app, *procs, wl); err != nil {

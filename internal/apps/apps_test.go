@@ -92,10 +92,11 @@ func TestEveryAppRunsAndTraces(t *testing.T) {
 			if res.Elapsed <= 0 {
 				t.Fatal("zero elapsed time")
 			}
-			if err := res.Trace.Validate(); err != nil {
+			tr := res.Recording.Trace()
+			if err := tr.Validate(); err != nil {
 				t.Fatalf("trace invalid: %v", err)
 			}
-			l, err := logical.Order(res.Trace)
+			l, err := logical.Order(tr)
 			if err != nil {
 				t.Fatalf("ordering failed: %v", err)
 			}
@@ -130,7 +131,7 @@ func TestAppsDeterministic(t *testing.T) {
 		if r1.Elapsed != r2.Elapsed {
 			t.Errorf("%s: elapsed differs across runs: %v vs %v", name, r1.Elapsed, r2.Elapsed)
 		}
-		if len(r1.Trace.Events) != len(r2.Trace.Events) {
+		if r1.Recording.Meta().Events != r2.Recording.Meta().Events {
 			t.Errorf("%s: event counts differ", name)
 		}
 	}
@@ -141,7 +142,7 @@ func TestMoldyWeightRatios(t *testing.T) {
 	// 20 : 10 : 9 : 1 (per-step reductions fire twice, the thermostat
 	// 9 of 10 steps, the rebuild once per 10 steps).
 	res, _ := runTraced(t, "moldy", 8, "tip4p-short")
-	l, err := logical.Order(res.Trace)
+	l, err := logical.Order(res.Recording.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestFTLowRepetitiveness(t *testing.T) {
 	// §6: FT's largest weight is small (~20), reflecting little
 	// repetitiveness.
 	res, _ := runTraced(t, "ft", 8, "classA")
-	l, _ := logical.Order(res.Trace)
+	l, _ := logical.Order(res.Recording.Trace())
 	a, err := phase.Extract(l, phase.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +196,7 @@ func TestFTLowRepetitiveness(t *testing.T) {
 func TestMasterWorkerDegenerate(t *testing.T) {
 	// §6: one job round gives a dominant phase of weight 1.
 	res, _ := runTraced(t, "masterworker", 8, "rounds1")
-	l, _ := logical.Order(res.Trace)
+	l, _ := logical.Order(res.Recording.Trace())
 	a, err := phase.Extract(l, phase.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +212,8 @@ func TestLUHasMostEvents(t *testing.T) {
 	// events (and so the biggest tracefile) than FT's few transposes.
 	lu, _ := runTraced(t, "lu", 8, "classA")
 	ft, _ := runTraced(t, "ft", 8, "classA")
-	if len(lu.Trace.Events) < 5*len(ft.Trace.Events) {
-		t.Errorf("lu events %d vs ft %d: LU should dwarf FT", len(lu.Trace.Events), len(ft.Trace.Events))
+	if luN, ftN := lu.Recording.Meta().Events, ft.Recording.Meta().Events; luN < 5*ftN {
+		t.Errorf("lu events %d vs ft %d: LU should dwarf FT", luN, ftN)
 	}
 }
 
@@ -311,14 +312,14 @@ func TestEPFewEvents(t *testing.T) {
 	// to CG's at the same class/procs.
 	ep, _ := runTraced(t, "ep", 8, "classA")
 	cg, _ := runTraced(t, "cg", 8, "classA")
-	if len(ep.Trace.Events)*5 > len(cg.Trace.Events) {
-		t.Errorf("ep events %d vs cg %d: EP should be nearly silent", len(ep.Trace.Events), len(cg.Trace.Events))
+	if epN, cgN := ep.Recording.Meta().Events, cg.Recording.Meta().Events; epN*5 > cgN {
+		t.Errorf("ep events %d vs cg %d: EP should be nearly silent", epN, cgN)
 	}
 }
 
 func TestISAlltoallDominated(t *testing.T) {
 	res, _ := runTraced(t, "is", 8, "classA")
-	st := res.Trace.Stats()
+	st := res.Recording.Trace().Stats()
 	if st.Collectives < st.Sends {
 		t.Errorf("is should be collective-dominated: %d colls vs %d sends", st.Collectives, st.Sends)
 	}

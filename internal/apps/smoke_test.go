@@ -39,7 +39,7 @@ func TestMinimalRankSmoke(t *testing.T) {
 			if app.Procs != procs {
 				t.Fatalf("app reports %d procs, want %d", app.Procs, procs)
 			}
-			st := res.Trace.Stats()
+			st := res.Recording.Trace().Stats()
 			if st.Events == 0 {
 				t.Fatal("trace has no events")
 			}
@@ -54,7 +54,7 @@ func TestMinimalRankSmoke(t *testing.T) {
 			}
 
 			again, _ := runTraced(t, name, procs, smallWorkload[name])
-			if got := again.Trace.Stats(); !reflect.DeepEqual(st, got) {
+			if got := again.Recording.Trace().Stats(); !reflect.DeepEqual(st, got) {
 				t.Errorf("event counts unstable across identical runs:\n%+v\nvs\n%+v", st, got)
 			}
 			if again.Elapsed != res.Elapsed {

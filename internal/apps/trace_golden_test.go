@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"pas2p/internal/logical"
+	"pas2p/internal/phase"
 	"pas2p/internal/trace"
 )
 
@@ -50,9 +53,10 @@ func traceGoldenLines(t *testing.T) []string {
 	for _, name := range Names() {
 		for _, procs := range []int{8, 16} {
 			res, _ := runTraced(t, name, procs, smallWorkload[name])
+			tr := res.Recording.Trace()
 			var b strings.Builder
-			fmt.Fprintf(&b, "%s/%d elapsed=%d events=%d", name, procs, int64(res.Elapsed), len(res.Trace.Events))
-			for r, evs := range res.Trace.PerProcess() {
+			fmt.Fprintf(&b, "%s/%d elapsed=%d events=%d", name, procs, int64(res.Elapsed), len(tr.Events))
+			for r, evs := range tr.PerProcess() {
 				fmt.Fprintf(&b, " r%d=%016x", r, rankDigest(evs))
 			}
 			lines = append(lines, b.String())
@@ -81,26 +85,88 @@ func TestAppTraceGolden(t *testing.T) {
 	}
 }
 
-// TestRecordedTraceMatchesNewTrace checks the trace a traced run
-// assembles from its recorders against NewTrace over copies of the
-// same per-process streams, every field included (the golden digest
-// above leaves Number, LT and ComputeBefore out).
+// TestRecordedTraceMatchesNewTrace checks a traced run's recording
+// against NewTrace over copies of the same per-process streams, every
+// field included (the golden digest above leaves Number, LT and
+// ComputeBefore out): the trace it assembles, and each process stream
+// as Streams reads it in place, twice over, with Count and Meta.
 func TestRecordedTraceMatchesNewTrace(t *testing.T) {
 	for _, name := range Names() {
 		for _, procs := range []int{8, 16} {
 			res, _ := runTraced(t, name, procs, smallWorkload[name])
-			per := res.Trace.PerProcess()
+			rec := res.Recording
+			tr := rec.Trace()
+			per := tr.PerProcess()
 			streams := make([][]trace.Event, len(per))
 			for p, evs := range per {
 				streams[p] = append([]trace.Event(nil), evs...)
 			}
-			rebuilt, err := trace.NewTrace(res.Trace.AppName, res.Trace.Procs, streams, res.Trace.AET)
+			rebuilt, err := trace.NewTrace(tr.AppName, tr.Procs, streams, tr.AET)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", name, procs, err)
 			}
-			if !reflect.DeepEqual(rebuilt, res.Trace) {
+			if !reflect.DeepEqual(rebuilt, tr) {
 				t.Errorf("%s/%d: recorded trace differs from NewTrace over its streams", name, procs)
 			}
+			if rec.Meta() != rebuilt.Meta() {
+				t.Errorf("%s/%d: recording Meta %+v, NewTrace's %+v", name, procs, rec.Meta(), rebuilt.Meta())
+			}
+			for pass := 0; pass < 2; pass++ {
+				src := rec.Streams()
+				if src.Meta() != rebuilt.Meta() {
+					t.Errorf("%s/%d: Streams Meta %+v, NewTrace's %+v", name, procs, src.Meta(), rebuilt.Meta())
+				}
+				for p, want := range streams {
+					if got := src.Count(p); got != uint64(len(want)) {
+						t.Errorf("%s/%d pass %d: Count(%d) = %d, want %d", name, procs, pass, p, got, len(want))
+					}
+					if got := drainStream(t, src, p); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s/%d pass %d: process %d streams %d events differing from NewTrace's %d",
+							name, procs, pass, p, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// drainStream reads process p's stream from src to its end.
+func drainStream(t *testing.T, src logical.EventSource, p int) []trace.Event {
+	t.Helper()
+	var out []trace.Event
+	var e trace.Event
+	for {
+		ok, err := src.NextEvent(p, &e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		out = append(out, e)
+	}
+}
+
+// TestRecordingAnalysisMatchesTrace holds stage A over a traced run's
+// recording, read in place, to stage A over the trace it assembles,
+// for every app: the same analysis and the same table.
+func TestRecordingAnalysisMatchesTrace(t *testing.T) {
+	for _, name := range Names() {
+		res, _ := runTraced(t, name, 8, smallWorkload[name])
+		wantAn, wantTb, err := phase.AnalyzeTrace(context.Background(),
+			logical.SourceFromTrace(res.Recording.Trace()), phase.DefaultConfig(), 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		an, tb, err := phase.AnalyzeTrace(context.Background(), res.Recording.Streams(), phase.DefaultConfig(), 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(an, wantAn) {
+			t.Errorf("%s: analysis of the recording differs from the assembled trace's", name)
+		}
+		if !reflect.DeepEqual(tb, wantTb) {
+			t.Errorf("%s: table of the recording differs from the assembled trace's:\n got %+v\nwant %+v", name, tb, wantTb)
 		}
 	}
 }

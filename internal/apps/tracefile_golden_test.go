@@ -31,7 +31,7 @@ func TestTracefileBytesGolden(t *testing.T) {
 		for _, procs := range []int{8, 16} {
 			res, _ := runTraced(t, name, procs, smallWorkload[name])
 			h := sha256.New()
-			if err := trace.Encode(h, res.Trace); err != nil {
+			if err := trace.Encode(h, res.Recording.Trace()); err != nil {
 				t.Fatalf("%s/%d: %v", name, procs, err)
 			}
 			got = append(got, fmt.Sprintf("%s/%d %s", name, procs, hex.EncodeToString(h.Sum(nil))))

@@ -28,7 +28,7 @@ func benchTrace(b *testing.B, procs, iters int) *trace.Trace {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res.Trace
+	return res.Recording.Trace()
 }
 
 // BenchmarkOrderPAS2P measures the §3.2 ordering over ring-plus-

@@ -83,15 +83,16 @@ func FuzzLogicalOrder(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l, err := Order(res.Trace)
+			tr := res.Recording.Trace()
+			l, err := Order(tr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := l.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			for i := range res.Trace.Events {
-				if res.Trace.Events[i].LT != trace.NoLT {
+			for i := range tr.Events {
+				if tr.Events[i].LT != trace.NoLT {
 					t.Fatal("Order mutated its input trace")
 				}
 			}

@@ -77,11 +77,11 @@ func (l *Logical) EachSig(t int, yield func(proc int32, sig uint64)) {
 // source position, so the copy takes the receive-run permutation's
 // new order, LT = tick, and receives renumbered to their new place.
 func Order(tr *trace.Trace) (*Logical, error) {
-	r, err := StreamTrace(tr)
+	src := newTraceSource(tr)
+	r, err := StreamOrder(src)
 	if err != nil {
 		return nil, err
 	}
-	src := r.source.(*traceSource)
 	base := make([]int, tr.Procs) // index of process p's first event
 	n := make([]int, tr.Procs)    // events of process p collected so far
 	for p := 1; p < tr.Procs; p++ {
@@ -116,19 +116,6 @@ func Order(tr *trace.Trace) (*Logical, error) {
 	}
 	cp := &trace.Trace{AppName: tr.AppName, Procs: tr.Procs, AET: tr.AET, Events: events}
 	return &Logical{Trace: cp, Ticks: ticks}, nil
-}
-
-// StreamTrace begins streaming the PAS2P logical order over an
-// in-memory trace: StreamOrder over SourceFromTrace, after the checks
-// Order makes on the trace's shape. The trace is not modified.
-func StreamTrace(tr *trace.Trace) (*TickReader, error) {
-	if tr == nil || len(tr.Events) == 0 {
-		return nil, noOrderf("logical: empty trace")
-	}
-	if tr.Procs <= 0 {
-		return nil, noOrderf("logical: trace %q declares %d processes", tr.AppName, tr.Procs)
-	}
-	return StreamOrder(newTraceSource(tr))
 }
 
 // OrderLamport assigns classic Lamport logical times driven by the

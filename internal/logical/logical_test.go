@@ -21,10 +21,11 @@ func traceOf(t testing.TB, cluster *machine.Cluster, procs int, body func(c *mpi
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Trace.Validate(); err != nil {
+	tr := res.Recording.Trace()
+	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return res.Trace
+	return tr
 }
 
 func pingBody(iters int) func(c *mpi.Comm) {

@@ -76,7 +76,7 @@ func TestOrderMatchesOracleApps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertOrderMatchesOracle(t, name, res.Trace)
+			assertOrderMatchesOracle(t, name, res.Recording.Trace())
 		})
 	}
 }
@@ -96,7 +96,7 @@ func appTrace(t testing.TB, name string, procs int, workload string) *trace.Trac
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Trace
+	return res.Recording.Trace()
 }
 
 // TestStreamOrderMatchesOracleWide holds the order to the oracle on

@@ -2,9 +2,9 @@ package logical
 
 // Streaming logical order: the one PAS2P ordering engine. Order
 // drains it over an in-memory trace into a Logical; the in-core
-// analysis (phase.AnalyzeTrace) feeds it straight into the phase scan
-// through StreamTrace; AnalyzeStream runs it over a v2 tracefile's
-// rank streams.
+// analysis (phase.AnalyzeTrace) feeds it straight into the phase scan,
+// from a traced run's recording or a decoded trace; AnalyzeStream runs
+// it over a v2 tracefile's rank streams.
 //
 // The paper's order assigns LTs with the Table 1 queue algorithm,
 // normalises them (receive-run permutation, monotone clamp) and ranks
@@ -13,7 +13,8 @@ package logical
 // events:
 //
 //   - events are pulled lazily from an EventSource (trace.RankStreams
-//     over a v2 file, or an in-memory adapter); each queue pop assigns
+//     over a v2 file, trace.RecordingStreams over a traced run's
+//     recording, or SourceFromTrace); each queue pop assigns
 //     one process a run of events, until a receive whose send is not
 //     yet known, a collective, the end of its stream or runBound, so
 //     consecutive reads stay in one process's stream. LTs do not depend
@@ -78,7 +79,7 @@ func noOrderf(format string, args ...any) error {
 // EventSource feeds per-process event streams to StreamOrder. Process
 // streams must be in per-process program order (what PerProcess or a
 // rank cursor yields). trace.RankStreams implements it over a v2
-// tracefile.
+// tracefile, trace.RecordingStreams over a traced run's recording.
 type EventSource interface {
 	Meta() trace.Meta
 	// Count returns how many events process p will yield in total.
@@ -97,16 +98,20 @@ type traceSource struct {
 }
 
 // SourceFromTrace wraps an in-memory trace as an EventSource. The
-// trace is not modified.
+// trace is not modified. A nil or empty trace, or one declaring no
+// processes, yields a source StreamOrder rejects.
 func SourceFromTrace(tr *trace.Trace) EventSource { return newTraceSource(tr) }
 
 func newTraceSource(tr *trace.Trace) *traceSource {
-	return &traceSource{
-		meta: trace.Meta{AppName: tr.AppName, Procs: tr.Procs,
-			Events: uint64(len(tr.Events)), AET: tr.AET},
-		per: tr.PerProcess(),
-		pos: make([]int, tr.Procs),
+	if tr == nil {
+		return &traceSource{}
 	}
+	s := &traceSource{meta: tr.Meta()}
+	if tr.Procs > 0 {
+		s.per = tr.PerProcess()
+		s.pos = make([]int, tr.Procs)
+	}
+	return s
 }
 
 func (s *traceSource) Meta() trace.Meta   { return s.meta }
@@ -243,6 +248,9 @@ func StreamOrder(src EventSource) (*TickReader, error) {
 	meta := src.Meta()
 	if meta.Events == 0 {
 		return nil, noOrderf("logical: empty trace")
+	}
+	if meta.Procs <= 0 {
+		return nil, noOrderf("logical: trace %q declares %d processes", meta.AppName, meta.Procs)
 	}
 	procs := meta.Procs
 	leaves := 1

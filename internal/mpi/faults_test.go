@@ -35,11 +35,12 @@ func TestZeroConfigInjectorIsInert(t *testing.T) {
 	if clean.Elapsed != inert.Elapsed {
 		t.Fatalf("zero-config injector changed Elapsed: %v vs %v", inert.Elapsed, clean.Elapsed)
 	}
-	if len(clean.Trace.Events) != len(inert.Trace.Events) {
+	cleanEvs, inertEvs := clean.Recording.Trace().Events, inert.Recording.Trace().Events
+	if len(cleanEvs) != len(inertEvs) {
 		t.Fatal("zero-config injector changed the trace")
 	}
-	for i := range clean.Trace.Events {
-		if clean.Trace.Events[i] != inert.Trace.Events[i] {
+	for i := range cleanEvs {
+		if cleanEvs[i] != inertEvs[i] {
 			t.Fatalf("event %d differs under zero-config injector", i)
 		}
 	}
@@ -96,11 +97,12 @@ func TestFaultsPreserveLogicalStructure(t *testing.T) {
 	if inj.Report().Injected == 0 {
 		t.Fatal("schedule injected nothing")
 	}
-	if len(clean.Trace.Events) != len(faulted.Trace.Events) {
-		t.Fatalf("event counts differ: %d vs %d", len(clean.Trace.Events), len(faulted.Trace.Events))
+	cleanEvs, faultedEvs := clean.Recording.Trace().Events, faulted.Recording.Trace().Events
+	if len(cleanEvs) != len(faultedEvs) {
+		t.Fatalf("event counts differ: %d vs %d", len(cleanEvs), len(faultedEvs))
 	}
-	for i := range clean.Trace.Events {
-		a, b := clean.Trace.Events[i], faulted.Trace.Events[i]
+	for i := range cleanEvs {
+		a, b := cleanEvs[i], faultedEvs[i]
 		if a.Kind != b.Kind || a.Process != b.Process || a.Peer != b.Peer ||
 			a.Tag != b.Tag || a.Size != b.Size || a.RelA != b.RelA || a.RelB != b.RelB {
 			t.Fatalf("event %d structure differs under faults:\n%+v\n%+v", i, a, b)

@@ -57,7 +57,8 @@ const PAS2PEventOverhead = 8 * vtime.Microsecond
 type RunConfig struct {
 	// Deployment places the app's ranks on a modelled cluster.
 	Deployment *machine.Deployment
-	// Trace enables event recording on every rank.
+	// Trace enables event recording on every rank, handed back as
+	// RunResult.Recording.
 	Trace bool
 	// EventOverhead is the virtual CPU cost the instrumentation adds
 	// per recorded event (zero when Trace is false). Zero charges
@@ -84,8 +85,10 @@ type RunResult struct {
 	// Elapsed is the run's virtual makespan (the AET when
 	// uninstrumented, the AETPAS2P when traced).
 	Elapsed vtime.Duration
-	// Trace is the merged event trace (nil unless RunConfig.Trace).
-	Trace *trace.Trace
+	// Recording holds every rank's recorded events, where they were
+	// recorded (nil unless RunConfig.Trace). Stage A reads its
+	// Streams; a tracefile writer assembles its Trace.
+	Recording *trace.Recording
 	// Stats are the simulator's traffic counters.
 	Stats sim.Result
 }
@@ -137,11 +140,11 @@ func Run(app App, cfg RunConfig) (*RunResult, error) {
 	}
 	out := &RunResult{Elapsed: vtime.Duration(res.Finish), Stats: res}
 	if cfg.Trace {
-		tr, err := trace.FromRecorders(app.Name, recorders, out.Elapsed)
+		rec, err := trace.NewRecording(app.Name, recorders, out.Elapsed)
 		if err != nil {
 			return nil, err
 		}
-		out.Trace = tr
+		out.Recording = rec
 	}
 	return out, nil
 }

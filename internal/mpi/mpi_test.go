@@ -255,7 +255,7 @@ func TestTraceProduced(t *testing.T) {
 		}
 		c.Barrier()
 	}, RunConfig{Trace: true})
-	tr := res.Trace
+	tr := res.Recording.Trace()
 	if tr == nil {
 		t.Fatal("no trace")
 	}
@@ -355,7 +355,7 @@ func TestTraceMonotoneWithNonblocking(t *testing.T) {
 			c.Compute(1e4)
 		}
 	}, RunConfig{Trace: true})
-	if err := res.Trace.Validate(); err != nil {
+	if err := res.Recording.Trace().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

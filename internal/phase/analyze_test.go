@@ -55,7 +55,7 @@ func assertAnalyzeMatchesStaged(t *testing.T, label string, tr *trace.Trace, war
 	if err != nil {
 		t.Fatalf("%s: staged: %v", label, err)
 	}
-	an, tb, err := AnalyzeTrace(context.Background(), tr, cfg, warm)
+	an, tb, err := AnalyzeTrace(context.Background(), logical.SourceFromTrace(tr), cfg, warm)
 	if err != nil {
 		t.Fatalf("%s: AnalyzeTrace: %v", label, err)
 	}
@@ -92,7 +92,7 @@ func TestAnalyzeTraceMatchesStaged(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, warm := range []int{0, 1, 2, 50} {
-					assertAnalyzeMatchesStaged(t, fmt.Sprintf("%s/%d/warm%d", name, procs, warm), res.Trace, warm)
+					assertAnalyzeMatchesStaged(t, fmt.Sprintf("%s/%d/warm%d", name, procs, warm), res.Recording.Trace(), warm)
 				}
 			}
 		})
@@ -109,7 +109,7 @@ func TestAnalysisWithoutLogical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, _, err := AnalyzeTrace(context.Background(), tr, DefaultConfig(), 1)
+	an, _, err := AnalyzeTrace(context.Background(), logical.SourceFromTrace(tr), DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAnalysisWithoutLogical(t *testing.T) {
 		}
 	}
 	_, _, wantErr := stagedAnalysis(tr, DefaultConfig(), -1)
-	if _, _, err := AnalyzeTrace(context.Background(), tr, DefaultConfig(), -1); err == nil || wantErr == nil ||
+	if _, _, err := AnalyzeTrace(context.Background(), logical.SourceFromTrace(tr), DefaultConfig(), -1); err == nil || wantErr == nil ||
 		err.Error() != wantErr.Error() {
 		t.Errorf("negative warm index: AnalyzeTrace error %v, staged error %v", err, wantErr)
 	}
@@ -175,7 +175,7 @@ func FuzzAnalyzeTrace(f *testing.F) {
 		}
 		cfg := DefaultConfig()
 		wantAn, wantTb, wantErr := stagedAnalysis(tr, cfg, warm)
-		an, tb, err := AnalyzeTrace(context.Background(), tr, cfg, warm)
+		an, tb, err := AnalyzeTrace(context.Background(), logical.SourceFromTrace(tr), cfg, warm)
 		if err != nil || wantErr != nil {
 			if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
 				t.Fatalf("AnalyzeTrace error %v, staged error %v", err, wantErr)
@@ -205,7 +205,7 @@ func TestAnalyzeBadRelationKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := AnalyzeTrace(context.Background(), tr, DefaultConfig(), 0); !errors.Is(err, logical.ErrNoOrder) {
+		if _, _, err := AnalyzeTrace(context.Background(), logical.SourceFromTrace(tr), DefaultConfig(), 0); !errors.Is(err, logical.ErrNoOrder) {
 			t.Errorf("key %v: AnalyzeTrace error %v, want ErrNoOrder", k, err)
 		}
 		var buf bytes.Buffer

@@ -35,7 +35,7 @@ func benchLogical(b *testing.B, procs, iters int) *logical.Logical {
 	if err != nil {
 		b.Fatal(err)
 	}
-	l, err := logical.Order(res.Trace)
+	l, err := logical.Order(res.Recording.Trace())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func benchAppLogical(b *testing.B, name, wl string, procs int) *logical.Logical 
 	if err != nil {
 		b.Fatal(err)
 	}
-	l, err := logical.Order(res.Trace)
+	l, err := logical.Order(res.Recording.Trace())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestGoldenIndexedMatchesSeed(t *testing.T) {
 			for ord, order := range map[string]func(*trace.Trace) (*logical.Logical, error){
 				"pas2p": logical.Order, "lamport": logical.OrderLamport,
 			} {
-				l, err := order(res.Trace)
+				l, err := order(res.Recording.Trace())
 				if err != nil {
 					t.Fatalf("%s ordering: %v", ord, err)
 				}
@@ -164,7 +164,7 @@ func genTrace(t *testing.T, seed int64, procs int) *trace.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Trace
+	return res.Recording.Trace()
 }
 
 // TestGoldenRandomTraces is the fuzz-style property test: across

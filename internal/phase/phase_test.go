@@ -26,7 +26,7 @@ func analyzeApp(t testing.TB, cluster *machine.Cluster, procs int, body func(c *
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := logical.Order(res.Trace)
+	l, err := logical.Order(res.Recording.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestAnalyzeTraceWithLogNarration(t *testing.T) {
 	}
 	var got []string
 	logf := func(format string, args ...any) { got = append(got, fmt.Sprintf(format, args...)) }
-	if _, _, err := AnalyzeTraceWithLog(context.Background(), res.Trace, DefaultConfig(), 1, logf); err != nil {
+	if _, _, err := AnalyzeTraceWithLog(context.Background(), res.Recording.Streams(), DefaultConfig(), 1, logf); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{

@@ -116,7 +116,7 @@ func TestStreamExtractGoldenApps(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, warm := range []int{0, 2, 50} {
-				assertStreamMatchesInCore(t, fmt.Sprintf("%s/warm%d", name, warm), res.Trace, warm)
+				assertStreamMatchesInCore(t, fmt.Sprintf("%s/warm%d", name, warm), res.Recording.Trace(), warm)
 			}
 		})
 	}
@@ -161,7 +161,7 @@ func TestStreamExtractBoundaryShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Trace
+		return res.Recording.Trace()
 	}
 
 	// One collective: a single tick, handled entirely by the trailing

@@ -18,7 +18,7 @@ func partialTotals(t *testing.T, app mpi.App, d *machine.Deployment) []int64 {
 		t.Fatal(err)
 	}
 	totals := make([]int64, app.Procs)
-	for p, evs := range traced.Trace.PerProcess() {
+	for p, evs := range traced.Recording.Trace().PerProcess() {
 		totals[p] = int64(len(evs))
 	}
 	return totals

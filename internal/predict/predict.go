@@ -107,8 +107,8 @@ type Outcome struct {
 }
 
 // Signed is stage A's product: the instrumented base run with its
-// trace, the phase table analysed from it, and the signature built from
-// that table.
+// recording, the phase table analysed from it, and the signature built
+// from that table.
 type Signed struct {
 	Traced *mpi.RunResult
 	Table  *phase.Table
@@ -170,9 +170,10 @@ func Sign(ctx context.Context, e Experiment) (*Signed, error) {
 
 	// Logical ordering, phase extraction and the phase table record the
 	// analyze.order, phase.extract and analyze.table spans through
-	// PhaseConfig.Observer; TFAT is the real tool time they take.
+	// PhaseConfig.Observer; TFAT is the real tool time they take. They
+	// read the recording where the run wrote it: no trace is assembled.
 	t0 := time.Now()
-	an, tb, err := phase.AnalyzeTrace(ctx, traced.Trace, e.PhaseConfig, e.WarmOccurrence)
+	an, tb, err := phase.AnalyzeTrace(ctx, traced.Recording.Streams(), e.PhaseConfig, e.WarmOccurrence)
 	if err != nil {
 		return nil, fmt.Errorf("predict: analysis: %w", err)
 	}
@@ -229,7 +230,7 @@ func Run(e Experiment) (*Outcome, error) {
 		return nil, err
 	}
 	out.AETPAS2P = signed.Traced.Elapsed
-	out.TFSize = trace.EncodedSize(signed.Traced.Trace)
+	out.TFSize = trace.EncodedSize(signed.Traced.Recording.Meta())
 	out.TFAT = signed.TFAT
 	out.Table = signed.Table
 	out.Total = signed.Table.TotalPhases

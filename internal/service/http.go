@@ -646,7 +646,7 @@ func (s *Service) analyzeWork(ctx context.Context, data []byte, crc uint32, warm
 		if err != nil {
 			return nil, errCorruptTrace(err)
 		}
-		_, tb, err := phase.AnalyzeTrace(ctx, tr, phase.DefaultConfig(), warm)
+		_, tb, err := phase.AnalyzeTrace(ctx, logical.SourceFromTrace(tr), phase.DefaultConfig(), warm)
 		if err != nil {
 			return nil, analyzeError(err)
 		}

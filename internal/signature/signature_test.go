@@ -68,7 +68,7 @@ func analyze(t testing.TB, app mpi.App, base *machine.Deployment) (*phase.Table,
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := logical.Order(res.Trace)
+	l, err := logical.Order(res.Recording.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func buildSig(t testing.TB, name string, procs int, workload string) *signature.
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := logical.Order(res.Trace)
+	l, err := logical.Order(res.Recording.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,24 +21,23 @@ import (
 func synthTrace(t *testing.T, app string, procs, events int) *trace.Trace {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(procs)*1e6 + int64(events)))
-	streams := make([][]trace.Event, procs)
-	for p := 0; p < procs; p++ {
-		rec := trace.NewRecorder(p)
+	recs := make([]*trace.Recorder, procs)
+	for p := range recs {
+		recs[p] = trace.NewRecorder(p)
 		var tp vtime.Time
 		for i := 0; i < events; i++ {
 			tp += vtime.Time(rng.Intn(900) + 1)
-			rec.Record(&trace.Event{
+			recs[p].Record(&trace.Event{
 				Kind: trace.Collective, Involved: int32(procs), CollOp: 1, Peer: -1,
 				Size: int64(rng.Intn(4096)), Enter: tp, Exit: tp + vtime.Time(rng.Intn(90)),
 			})
 		}
-		streams[p] = rec.Events()
 	}
-	tr, err := trace.NewTrace(app, procs, streams, vtime.Duration(rng.Intn(1e9)))
+	rec, err := trace.NewRecording(app, recs, vtime.Duration(rng.Intn(1e9)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return rec.Trace()
 }
 
 func TestTraceAddLookupReadList(t *testing.T) {

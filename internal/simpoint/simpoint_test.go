@@ -24,7 +24,7 @@ func logicalOf(t testing.TB, name string, procs int, wl string) (*logical.Logica
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := logical.Order(res.Trace)
+	l, err := logical.Order(res.Recording.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,30 +48,56 @@ func benchRecorders() []*Recorder {
 	return recs
 }
 
-// BenchmarkFromRecorders measures assembling a traced run's trace from
-// its recorders: 128 ranks of 1000 events each, copied once into the
-// trace.
-func BenchmarkFromRecorders(b *testing.B) {
-	recs := benchRecorders()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FromRecorders("bench", recs, 0); err != nil {
-			b.Fatal(err)
-		}
+// benchTrace keeps BenchmarkRecording's assembled traces reachable.
+var benchTrace *Trace
+
+// BenchmarkRecording measures the two ways out of a traced run's
+// recording, 128 ranks of 1000 events each: Trace, which assembles the
+// contiguous trace a tracefile writer needs (every event copied once),
+// and Streams, which stage A reads, each stream drained in place.
+func BenchmarkRecording(b *testing.B) {
+	rec, err := NewRecording("bench", benchRecorders(), 0)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(128*1000, "events")
+	b.Run("Trace", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchTrace = rec.Trace()
+		}
+		b.ReportMetric(128*1000, "events")
+	})
+	b.Run("Streams", func(b *testing.B) {
+		b.ReportAllocs()
+		var e Event
+		for i := 0; i < b.N; i++ {
+			s := rec.Streams()
+			for p := 0; p < 128; p++ {
+				for {
+					ok, err := s.NextEvent(p, &e)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+				}
+			}
+		}
+		b.ReportMetric(128*1000, "events")
+	})
 }
 
 // BenchmarkEncodeRanks measures writing the 128-rank recorded trace,
 // whose ID column takes the P-way occurrence merge.
 func BenchmarkEncodeRanks(b *testing.B) {
-	tr, err := FromRecorders("bench", benchRecorders(), 0)
+	rec, err := NewRecording("bench", benchRecorders(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
+	tr := rec.Trace()
 	b.ReportAllocs()
-	b.SetBytes(EncodedSize(tr))
+	b.SetBytes(EncodedSize(tr.Meta()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := Encode(io.Discard, tr); err != nil {
@@ -85,7 +111,7 @@ func BenchmarkEncode(b *testing.B) {
 	tr := syntheticTrace(10000)
 	var buf bytes.Buffer
 	b.ReportAllocs()
-	b.SetBytes(EncodedSize(tr))
+	b.SetBytes(EncodedSize(tr.Meta()))
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
 		if err := Encode(&buf, tr); err != nil {

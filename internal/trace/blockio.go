@@ -277,10 +277,7 @@ func (bw *BlockWriter) Close() error {
 // to opts.Reg when it is set. The ID column holds each event's global
 // occurrence number (occurrenceIDs); the trace is not modified.
 func EncodeWith(w io.Writer, t *Trace, opts CodecOptions) error {
-	bw, err := NewBlockWriter(w, Meta{
-		AppName: t.AppName, Procs: t.Procs,
-		Events: uint64(len(t.Events)), AET: t.AET,
-	}, opts)
+	bw, err := NewBlockWriter(w, t.Meta(), opts)
 	if err != nil {
 		return err
 	}

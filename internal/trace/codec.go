@@ -143,12 +143,12 @@ func FileCRCAt(ra io.ReaderAt, size int64) (uint32, bool) {
 	return binary.LittleEndian.Uint32(tail[8:]), true
 }
 
-// EncodedSize returns the exact tracefile size in bytes for a trace
-// in the current (v2) format.
-func EncodedSize(t *Trace) int64 {
-	n := int64(len(t.Events))
+// EncodedSize returns the exact size in bytes of the current (v2)
+// tracefile of a trace with header m.
+func EncodedSize(m Meta) int64 {
+	n := int64(m.Events)
 	blocks := (n + blockEvents - 1) / blockEvents
-	return 8 + 24 + int64(len(t.AppName)) + 4 + // magic, header, name, headerCRC
+	return 8 + 24 + int64(len(m.AppName)) + 4 + // magic, header, name, headerCRC
 		n*recordSize + blocks*4 + // records + per-block CRCs
 		8 + 4 // trailer magic + fileCRC
 }

@@ -189,8 +189,8 @@ func TestEncodedSizeMatchesV2(t *testing.T) {
 		if err := Encode(&buf, tr); err != nil {
 			t.Fatal(err)
 		}
-		if int64(buf.Len()) != EncodedSize(tr) {
-			t.Errorf("%d events: EncodedSize = %d, actual %d", events, EncodedSize(tr), buf.Len())
+		if int64(buf.Len()) != EncodedSize(tr.Meta()) {
+			t.Errorf("%d events: EncodedSize = %d, actual %d", events, EncodedSize(tr.Meta()), buf.Len())
 		}
 	}
 }

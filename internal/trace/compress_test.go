@@ -28,7 +28,7 @@ func iterativeStream(proc, iters int) []Event {
 			Tag: 0, Size: 8, Enter: tphys, Exit: tphys + 100,
 			RelA: 0, RelB: int64(i)})
 	}
-	return rec.Events()
+	return recorded(rec)
 }
 
 func repetitiveTrace(t testing.TB, procs, iters int) *Trace {
@@ -143,7 +143,7 @@ func TestCompressRoundTripRandom(t *testing.T) {
 					RelA: int64(rng.Intn(procs)), RelB: int64(rng.Intn(100)),
 				})
 			}
-			streams[p] = rec.Events()
+			streams[p] = recorded(rec)
 		}
 		// Make receive relations resolvable: point them at existing
 		// sends or flip them to sends.

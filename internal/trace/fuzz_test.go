@@ -41,7 +41,7 @@ func fuzzTrace(t *testing.T, seed int64, procs, events int) *Trace {
 				RelA: int64(rng.Intn(procs)), RelB: int64(rng.Intn(100)),
 			})
 		}
-		streams[p] = rec.Events()
+		streams[p] = recorded(rec)
 	}
 	type key struct{ a, b int64 }
 	sends := map[key]bool{}

@@ -29,7 +29,7 @@ func unevenTrace(t *testing.T, counts []int) *Trace {
 				RelA: 0, RelB: int64(i),
 			})
 		}
-		streams[p] = rec.Events()
+		streams[p] = recorded(rec)
 	}
 	tr, err := NewTrace("uneven", len(counts), streams, 12345)
 	if err != nil {

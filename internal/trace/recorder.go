@@ -1,13 +1,16 @@
 package trace
 
 import (
+	"fmt"
+
 	"pas2p/internal/vtime"
 )
 
 // A Recorder's first chunk holds firstChunk events; each later chunk
 // doubles the previous one, up to recorderChunk. Chunks are never
-// regrown, so a recorded event is copied once more only, when
-// FromRecorders assembles the trace, and a short stream does not pay
+// regrown, so a recorded event stays where it was written: stage A
+// reads it there (Recording.Streams), and only a tracefile writer
+// copies it once more (Recording.Trace). A short stream does not pay
 // for a full-size chunk.
 const (
 	firstChunk    = 64
@@ -16,8 +19,7 @@ const (
 
 // Recorder accumulates the event stream of a single process during an
 // instrumented run. One Recorder belongs to one rank goroutine, so no
-// locking is needed; recorders are combined with FromRecorders
-// afterwards.
+// locking is needed; NewRecording takes the recorders over afterwards.
 type Recorder struct {
 	proc     int32
 	full     [][]Event // filled chunks, in recording order
@@ -62,13 +64,98 @@ func (r *Recorder) Record(e *Event) {
 	r.n++
 }
 
-// Events returns a copy of the recorded stream.
-func (r *Recorder) Events() []Event { return r.appendTo(make([]Event, 0, r.n)) }
+// Recording is an instrumented run's trace as its recorders wrote it:
+// each process's events stay in the chunks they were recorded into.
+// Streams reads them in place, which is all stage A needs; Trace
+// assembles the contiguous Trace a tracefile writer needs, copying
+// every event once.
+type Recording struct {
+	meta   Meta
+	chunks [][][]Event // chunks[p] holds process p's chunks, in recording order
+	counts []uint64    // counts[p] is process p's event count
+}
 
-// appendTo appends the recorded stream to dst.
-func (r *Recorder) appendTo(dst []Event) []Event {
-	for _, c := range r.full {
-		dst = append(dst, c...)
+// NewRecording takes over the recorders of an instrumented run, one
+// per process in process order; they must record nothing more. A
+// recorder stamps its own process and numbers its events, so unlike
+// NewTrace there are no streams to check.
+func NewRecording(app string, recs []*Recorder, aet vtime.Duration) (*Recording, error) {
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("trace %q: no process recorders", app)
 	}
-	return append(dst, r.cur...)
+	r := &Recording{
+		meta:   Meta{AppName: app, Procs: len(recs), AET: aet},
+		chunks: make([][][]Event, len(recs)),
+		counts: make([]uint64, len(recs)),
+	}
+	for p, rec := range recs {
+		if rec == nil || int(rec.proc) != p {
+			return nil, fmt.Errorf("trace %q: no recorder for process %d", app, p)
+		}
+		r.chunks[p] = append(rec.full, rec.cur)
+		r.counts[p] = uint64(rec.n)
+		r.meta.Events += uint64(rec.n)
+	}
+	return r, nil
+}
+
+// Meta returns the recording's app name, process count, event count
+// and AET.
+func (r *Recording) Meta() Meta { return r.meta }
+
+// Streams returns a new reader positioned at the start of every
+// process stream. It implements the logical order's EventSource, as
+// RankStreams does over a tracefile.
+func (r *Recording) Streams() *RecordingStreams {
+	return &RecordingStreams{rec: r, cur: make([]recordingCursor, r.meta.Procs)}
+}
+
+// Trace assembles a new Trace from the recording, grouped by process
+// as NewTrace groups it.
+func (r *Recording) Trace() *Trace {
+	t := &Trace{AppName: r.meta.AppName, Procs: r.meta.Procs, AET: r.meta.AET,
+		Events: make([]Event, 0, r.meta.Events)}
+	for _, chunks := range r.chunks {
+		for _, c := range chunks {
+			t.Events = append(t.Events, c...)
+		}
+	}
+	return t
+}
+
+// RecordingStreams reads a Recording's process streams where they
+// were recorded. Obtain one from Recording.Streams.
+type RecordingStreams struct {
+	rec *Recording
+	cur []recordingCursor
+}
+
+// recordingCursor is one process's read position: the unread rest of
+// its current chunk and the index of its next chunk.
+type recordingCursor struct {
+	rest []Event
+	next int
+}
+
+// Meta returns the recording's header.
+func (s *RecordingStreams) Meta() Meta { return s.rec.meta }
+
+// Count returns how many events process p recorded.
+func (s *RecordingStreams) Count(p int) uint64 { return s.rec.counts[p] }
+
+// NextEvent copies process p's next event into dst; false means the
+// stream is exhausted. It never fails.
+func (s *RecordingStreams) NextEvent(p int, dst *Event) (bool, error) {
+	c := &s.cur[p]
+	for len(c.rest) == 0 {
+		chunks := s.rec.chunks[p]
+		if c.next == len(chunks) {
+			return false, nil
+		}
+		c.rest = chunks[c.next]
+		c.next++
+	}
+	*dst = c.rest[0]
+	c.rest = c.rest[1:]
+	return true, nil
 }

@@ -51,9 +51,9 @@ const NoLT = int64(-1)
 //
 // The fields are ordered by size, widest first, so the struct has no
 // interior padding (88 bytes). Every recorded event is written into
-// its Recorder chunk once and copied by FromRecorders and by the
-// logical order's head slot, and Trace.Events holds one per event, so
-// TestEventSize pins the size.
+// its Recorder chunk once and copied by the logical order's head slot
+// (and by Recording.Trace for a tracefile writer), and Trace.Events
+// holds one per event, so TestEventSize pins the size.
 type Event struct {
 	// Number is the event's index within its process (0-based).
 	Number int64
@@ -128,7 +128,7 @@ type Trace struct {
 	// Procs is the number of processes in the run.
 	Procs int
 	// Events holds every process's events. After NewTrace or
-	// FromRecorders they are sorted by (Process, Number).
+	// Recording.Trace they are sorted by (Process, Number).
 	Events []Event
 	// AET is the uninstrumented-equivalent application execution time
 	// observed during tracing (the run's virtual finish time).
@@ -160,27 +160,10 @@ func NewTrace(app string, procs int, perProc [][]Event, aet vtime.Duration) (*Tr
 	return t, nil
 }
 
-// FromRecorders assembles the trace of an instrumented run from its
-// recorders, one per process in process order: each recorder's chunks
-// are copied once into Events, grouped as NewTrace groups them. A
-// recorder stamps its own process and numbers its events, so unlike
-// NewTrace there are no streams to check.
-func FromRecorders(app string, recs []*Recorder, aet vtime.Duration) (*Trace, error) {
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("trace %q: no process recorders", app)
-	}
-	total := 0
-	for p, r := range recs {
-		if r == nil || int(r.proc) != p {
-			return nil, fmt.Errorf("trace %q: no recorder for process %d", app, p)
-		}
-		total += r.n
-	}
-	t := &Trace{AppName: app, Procs: len(recs), Events: make([]Event, 0, total), AET: aet}
-	for _, r := range recs {
-		t.Events = r.appendTo(t.Events)
-	}
-	return t, nil
+// Meta returns the trace's header: app name, process count, event
+// count and AET.
+func (t *Trace) Meta() Meta {
+	return Meta{AppName: t.AppName, Procs: t.Procs, Events: uint64(len(t.Events)), AET: t.AET}
 }
 
 // PerProcess returns the trace's events grouped by process, in

@@ -140,7 +140,7 @@ func TestRecorderDerivesFields(t *testing.T) {
 	r := NewRecorder(3)
 	r.Record(&Event{Kind: Send, Enter: 100, Exit: 120})
 	r.Record(&Event{Kind: Recv, Enter: 150, Exit: 160})
-	evs := r.Events()
+	evs := recorded(r)
 	if len(evs) != 2 {
 		t.Fatalf("len = %d", len(evs))
 	}
@@ -158,41 +158,80 @@ func TestRecorderDerivesFields(t *testing.T) {
 	}
 }
 
-// TestFromRecordersSpansChunks records streams longer than one chunk
-// and checks FromRecorders against NewTrace over the recorders'
-// flattened streams, and its rejection of a missing or misplaced
-// recorder.
-func TestFromRecordersSpansChunks(t *testing.T) {
-	recs := []*Recorder{NewRecorder(0), NewRecorder(1)}
-	for p, r := range recs {
+// recorded returns a copy of r's recorded stream.
+func recorded(r *Recorder) []Event {
+	var evs []Event
+	for _, c := range r.full {
+		evs = append(evs, c...)
+	}
+	return append(evs, r.cur...)
+}
+
+// TestRecordingSpansChunks records streams longer than one chunk and
+// checks the recording against NewTrace over the recorders' flattened
+// streams, both assembled (Trace) and read in place (Streams), and its
+// rejection of a missing or misplaced recorder.
+func TestRecordingSpansChunks(t *testing.T) {
+	recs := []*Recorder{NewRecorder(0), NewRecorder(1), NewRecorder(2)}
+	for p, r := range recs[:2] {
 		for i := 0; i < 2*recorderChunk+p+3; i++ {
 			at := vtime.Time(10 * i)
 			r.Record(&Event{Kind: Collective, Peer: -1, Enter: at + vtime.Time(p), Exit: at + 5})
 		}
 	}
-	streams := [][]Event{recs[0].Events(), recs[1].Events()}
+	// Process 2 records nothing.
+	streams := [][]Event{recorded(recs[0]), recorded(recs[1]), nil}
 	if got, want := len(streams[1]), 2*recorderChunk+4; got != want {
 		t.Fatalf("recorded %d events, want %d", got, want)
 	}
 	// NewTrace rejects streams with a wrong process or number.
-	want, err := NewTrace("chunks", 2, streams, 1000)
+	want, err := NewTrace("chunks", 3, streams, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := FromRecorders("chunks", recs, 1000)
+	rec, err := NewRecording("chunks", recs, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("FromRecorders differs from NewTrace over the same streams")
+	if !reflect.DeepEqual(rec.Trace(), want) {
+		t.Fatal("Recording.Trace differs from NewTrace over the same streams")
 	}
-	if _, err := FromRecorders("gap", []*Recorder{recs[0], nil}, 0); err == nil {
+	if rec.Meta() != want.Meta() {
+		t.Fatalf("Meta %+v, want %+v", rec.Meta(), want.Meta())
+	}
+	for pass := 0; pass < 2; pass++ { // each Streams reads from the start
+		s := rec.Streams()
+		if s.Meta() != want.Meta() {
+			t.Fatalf("Streams().Meta %+v, want %+v", s.Meta(), want.Meta())
+		}
+		for p, evs := range streams {
+			if s.Count(p) != uint64(len(evs)) {
+				t.Fatalf("pass %d: Count(%d) = %d, want %d", pass, p, s.Count(p), len(evs))
+			}
+			var got []Event
+			var e Event
+			for {
+				ok, err := s.NextEvent(p, &e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				got = append(got, e)
+			}
+			if !reflect.DeepEqual(got, evs) {
+				t.Fatalf("pass %d: process %d streams %d events, not its recorded %d", pass, p, len(got), len(evs))
+			}
+		}
+	}
+	if _, err := NewRecording("gap", []*Recorder{recs[0], nil}, 0); err == nil {
 		t.Error("nil recorder accepted")
 	}
-	if _, err := FromRecorders("swapped", []*Recorder{recs[1], recs[0]}, 0); err == nil {
+	if _, err := NewRecording("swapped", []*Recorder{recs[1], recs[0]}, 0); err == nil {
 		t.Error("recorder of process 1 accepted in slot 0")
 	}
-	if _, err := FromRecorders("none", nil, 0); err == nil {
+	if _, err := NewRecording("none", nil, 0); err == nil {
 		t.Error("empty recorder list accepted")
 	}
 }
@@ -214,8 +253,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := Encode(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	if int64(buf.Len()) != EncodedSize(tr) {
-		t.Errorf("EncodedSize = %d, actual %d", EncodedSize(tr), buf.Len())
+	if int64(buf.Len()) != EncodedSize(tr.Meta()) {
+		t.Errorf("EncodedSize = %d, actual %d", EncodedSize(tr.Meta()), buf.Len())
 	}
 	got, err := Decode(&buf)
 	if err != nil {

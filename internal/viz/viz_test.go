@@ -28,7 +28,7 @@ func sampleTrace(t testing.TB) *trace.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Trace
+	return res.Recording.Trace()
 }
 
 func TestRenderTraceProducesSVG(t *testing.T) {

@@ -28,7 +28,7 @@ func analyzeAt(t testing.TB, name string, procs int, wl string) (*phase.Analysis
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := logical.Order(res.Trace)
+	l, err := logical.Order(res.Recording.Trace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSyntheticPowerLaw(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := logical.Order(res.Trace)
+		l, err := logical.Order(res.Recording.Trace())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,6 +40,7 @@ import (
 	"pas2p/internal/predict"
 	"pas2p/internal/scheduler"
 	"pas2p/internal/signature"
+	"pas2p/internal/sim"
 	"pas2p/internal/trace"
 	"pas2p/internal/vtime"
 	"pas2p/internal/workload"
@@ -55,10 +56,23 @@ type (
 	Comm = mpi.Comm
 	// Request identifies an outstanding nonblocking operation.
 	Request = mpi.Request
-	// RunConfig and RunResult configure and report one execution.
+	// RunConfig configures one execution: its deployment, whether to
+	// trace it, the per-event instrumentation cost, interceptors,
+	// telemetry and fault injection.
 	RunConfig = mpi.RunConfig
-	RunResult = mpi.RunResult
 )
+
+// RunResult reports one execution of RunApp.
+type RunResult struct {
+	// Elapsed is the run's virtual makespan (the AET when
+	// uninstrumented, the AETPAS2P when traced).
+	Elapsed VDuration
+	// Trace is the run's event trace, grouped by process (nil unless
+	// RunConfig.Trace).
+	Trace *Trace
+	// Stats are the simulator's traffic counters.
+	Stats sim.Result
+}
 
 // Reduction operators for Reduce/Allreduce.
 const (
@@ -118,8 +132,19 @@ func NewDeployment(c *Cluster, ranks int, policy MappingPolicy) (*Deployment, er
 	return machine.NewDeployment(c, ranks, policy)
 }
 
-// RunApp executes an application on a deployment (optionally tracing).
-func RunApp(app App, cfg RunConfig) (*RunResult, error) { return mpi.Run(app, cfg) }
+// RunApp executes an application on a deployment (optionally tracing,
+// in which case it assembles the run's recording into one Trace).
+func RunApp(app App, cfg RunConfig) (*RunResult, error) {
+	res, err := mpi.Run(app, cfg)
+	if err != nil {
+		return nil, err
+	}
+	out := &RunResult{Elapsed: res.Elapsed, Stats: res.Stats}
+	if res.Recording != nil {
+		out.Trace = res.Recording.Trace()
+	}
+	return out, nil
+}
 
 // Workload registry: the paper's applications (NPB CG/BT/SP/LU/FT,
 // Sweep3D, SMG2000, POP, Moldy, a GROMACS-like MD, and the §6
@@ -257,7 +282,7 @@ func Analyze(tr *Trace, cfg PhaseConfig, warmOccurrence int) (*PhaseAnalysis, *P
 // A cancelled analysis returns ctx.Err() and nil outputs; it never
 // returns a partial analysis.
 func AnalyzeCtx(ctx context.Context, tr *Trace, cfg PhaseConfig, warmOccurrence int) (*PhaseAnalysis, *PhaseTable, error) {
-	return phase.AnalyzeTrace(ctx, tr, cfg, warmOccurrence)
+	return phase.AnalyzeTrace(ctx, logical.SourceFromTrace(tr), cfg, warmOccurrence)
 }
 
 // Out-of-core analysis. AnalyzeStream is stage A over a tracefile that
