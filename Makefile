@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzBlockReader -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzLogicalOrder -fuzztime=10s ./internal/logical
 	$(GO) test -fuzz=FuzzAnalyzeTrace -fuzztime=10s ./internal/phase
+	$(GO) test -fuzz=FuzzAnalyzeStream -fuzztime=10s ./internal/phase
 	$(GO) test -fuzz=FuzzScenarioParse -fuzztime=10s ./internal/scenario
 	$(GO) test -fuzz=FuzzServiceRequest -fuzztime=10s ./internal/service
 

@@ -147,22 +147,16 @@ func cmdAnalyze(args []string) error {
 	faultSpec := fs.String("faults", "", "perturb the trace's clocks before analysis, e.g. skew=5ms,drift=0.001")
 	seed := fs.Int64("seed", 1, "fault-injection seed (with -faults)")
 	serve := fs.String("serve", "", "serve live telemetry on this address while analyzing, e.g. 127.0.0.1:9090 (port 0 picks one)")
-	stream := fs.Bool("stream", false, "analyze out-of-core: stream the tracefile without decoding it into memory (v2 binary tracefiles only)")
-	memBudget := fs.String("mem-budget", "256MiB", "with -stream: resident-memory budget for phase matrices, e.g. 64MiB, 1GiB (0 = unlimited)")
+	memBudget := fs.String("mem-budget", "256MiB", "resident-memory budget for phase matrices, e.g. 64MiB, 1GiB (0 = unlimited)")
 	if err := parseArgs(fs, args); err != nil {
 		return err
 	}
 	if *in == "" {
 		return fmt.Errorf("analyze: -trace is required")
 	}
-	if *stream {
-		for name, set := range map[string]bool{
-			"-explain": *explain, "-faults": *faultSpec != "", "-timeline": *timelineOut != "",
-		} {
-			if set {
-				return fmt.Errorf("analyze: %s needs the in-core trace and is incompatible with -stream", name)
-			}
-		}
+	budget, err := parseBytes(*memBudget)
+	if err != nil {
+		return fmt.Errorf("analyze: -mem-budget: %w", err)
 	}
 	inj, err := faults.ParseSpec(*seed, *faultSpec)
 	if err != nil {
@@ -191,18 +185,7 @@ func cmdAnalyze(args []string) error {
 		return err
 	}
 	defer f.Close()
-	if *stream {
-		if err := analyzeStreamFile(f, *out, *warm, *memBudget, cfg); err != nil {
-			return err
-		}
-		if o != nil {
-			if _, err := writeTelemetry(o, *metricsOut, *promOut, ""); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	tr, err := trace.DecodeAnyWith(f, trace.CodecOptions{Reg: o.Reg()})
+	src, tr, err := analyzeSource(f, *faultSpec != "" || *timelineOut != "", trace.CodecOptions{Reg: o.Reg()})
 	if err != nil {
 		return err
 	}
@@ -219,6 +202,7 @@ func cmdAnalyze(args []string) error {
 				rep.ProcsSkewed, *seed)
 		}
 		tr = skewed
+		src = logical.SourceFromTrace(tr)
 		inj.Publish(o.Reg())
 	}
 	var logf func(string, ...any)
@@ -227,15 +211,36 @@ func cmdAnalyze(args []string) error {
 			fmt.Printf("  "+format+"\n", args...)
 		}
 	}
-	an, tb, err := phase.AnalyzeTraceWithLog(context.Background(), logical.SourceFromTrace(tr), cfg, *warm, logf)
+	res, err := phase.Analyze(context.Background(), src,
+		phase.StreamConfig{Config: cfg, MemBudgetBytes: budget}, *warm, logf)
 	if err != nil {
 		return err
 	}
-	if err := printAnalysis(tr.Meta(), an, tb, "", "", *out); err != nil {
-		return err
+	defer res.Close()
+	meta := src.Meta()
+	fmt.Printf("application: %s, %d processes, %d events, %d ticks\n",
+		meta.AppName, meta.Procs, meta.Events, res.Analysis.Ticks)
+	fmt.Println(res.Analysis.Summary())
+	if st := res.Stats; st.SpilledPhases > 0 {
+		fmt.Printf("out-of-core: budget %s, %d phase matrices spilled (%d bytes), %d reloads\n",
+			*memBudget, st.SpilledPhases, st.SpillBytes, st.SpillLoads)
+	}
+	res.Table.Print(os.Stdout)
+	if *out != "" {
+		g, err := os.Create(*out)
+		if err != nil {
+			return err
+		}
+		defer g.Close()
+		enc := json.NewEncoder(g)
+		enc.SetIndent("", " ")
+		if err := enc.Encode(res.Table); err != nil {
+			return err
+		}
+		fmt.Printf("phase table written to %s\n", *out)
 	}
 	if *timelineOut != "" {
-		predict.MarkPhases(o.Timeline, timelineFromTrace(o.Timeline, tr), an)
+		predict.MarkPhases(o.Timeline, timelineFromTrace(o.Timeline, tr), res.Analysis)
 	}
 	if o != nil {
 		if _, err := writeTelemetry(o, *metricsOut, *promOut, *timelineOut); err != nil {
@@ -245,56 +250,29 @@ func cmdAnalyze(args []string) error {
 	return nil
 }
 
-// analyzeStreamFile runs the out-of-core pipeline (phase.AnalyzeStream)
-// over an open v2 tracefile. Memory stays bounded regardless of trace
-// size.
-func analyzeStreamFile(f *os.File, outPath string, warm int, budgetStr string, cfg phase.Config) error {
-	budget, err := parseBytes(budgetStr)
+// analyzeSource opens stage A's event source on f. A v2 tracefile on a
+// regular file is read in place through its rank streams, block by
+// block, and tr is nil. Any other input (a compressed or JSON
+// tracefile, a pipe), or any input when decode asks for the events
+// themselves, is decoded whole and tr is the decoded trace.
+func analyzeSource(f *os.File, decode bool, opts trace.CodecOptions) (logical.EventSource, *trace.Trace, error) {
+	if st, err := f.Stat(); err == nil && st.Mode().IsRegular() && !decode {
+		if br, err := trace.NewBlockReaderWith(f, opts); err == nil {
+			rs, err := br.RankStreams()
+			if err != nil {
+				return nil, nil, err
+			}
+			return rs, nil, nil
+		}
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return nil, nil, err
+		}
+	}
+	tr, err := trace.DecodeAnyWith(f, opts)
 	if err != nil {
-		return fmt.Errorf("analyze: -mem-budget: %w", err)
+		return nil, nil, err
 	}
-	br, err := trace.NewBlockReader(f)
-	if err != nil {
-		return err
-	}
-	res, err := phase.AnalyzeStream(context.Background(), br,
-		phase.StreamConfig{Config: cfg, MemBudgetBytes: budget}, warm)
-	if err != nil {
-		return err
-	}
-	defer res.Close()
-	detail := ""
-	if budget > 0 {
-		detail = fmt.Sprintf("out-of-core: budget %s, %d phase matrices spilled (%d bytes), %d reloads\n",
-			budgetStr, res.Stats.SpilledPhases, res.Stats.SpillBytes, res.Stats.SpillLoads)
-	}
-	return printAnalysis(br.Meta(), res.Analysis, res.Table, " (streamed)", detail, outPath)
-}
-
-// printAnalysis reports an analysis as `pas2p analyze` does: the
-// application line (ending in note), the phase summary, detail, and
-// the phase table, which it also writes as JSON to outPath when set.
-func printAnalysis(meta trace.Meta, an *phase.Analysis, tb *phase.Table, note, detail, outPath string) error {
-	fmt.Printf("application: %s, %d processes, %d events, %d ticks%s\n",
-		meta.AppName, meta.Procs, meta.Events, an.Ticks, note)
-	fmt.Println(an.Summary())
-	fmt.Print(detail)
-	tb.Print(os.Stdout)
-	if outPath == "" {
-		return nil
-	}
-	g, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	defer g.Close()
-	enc := json.NewEncoder(g)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(tb); err != nil {
-		return err
-	}
-	fmt.Printf("phase table written to %s\n", outPath)
-	return nil
+	return logical.SourceFromTrace(tr), tr, nil
 }
 
 // parseBytes parses a human byte size: plain bytes, or a decimal with

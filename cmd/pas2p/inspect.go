@@ -85,10 +85,12 @@ func cmdInspect(args []string) error {
 	}
 
 	if *phases {
-		an, _, err := phase.AnalyzeTrace(context.Background(), logical.SourceFromTrace(tr), phase.DefaultConfig(), *warm)
+		res, err := phase.Analyze(context.Background(), logical.SourceFromTrace(tr),
+			phase.StreamConfig{Config: phase.DefaultConfig()}, *warm, nil)
 		if err != nil {
 			return err
 		}
+		an := res.Analysis
 		fmt.Printf("\n%s\n", an.Summary())
 		fmt.Printf("per-phase attribution (warm occurrence %d):\n", *warm)
 		phase.PrintAttribution(os.Stdout, an.Attribution(*warm))

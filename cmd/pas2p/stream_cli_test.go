@@ -10,13 +10,16 @@ import (
 	"testing"
 
 	"pas2p/internal/logical"
+	"pas2p/internal/machine"
+	"pas2p/internal/mpi"
 	"pas2p/internal/trace"
 	"pas2p/internal/workload"
 )
 
-// TestAnalyzeStreamCLI drives `analyze -stream` end to end over a
-// synthetic v2 tracefile and requires the emitted phase-table JSON to
-// be byte-identical to the in-core run's.
+// TestAnalyzeStreamCLI drives `analyze` end to end over a synthetic
+// v2 tracefile, read in place, and requires the phase-table JSON
+// written under a 1-byte memory budget, which spills every phase
+// matrix, to be byte-identical to the default budget's.
 func TestAnalyzeStreamCLI(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "synth.pas2p")
@@ -31,42 +34,39 @@ func TestAnalyzeStreamCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inCore := filepath.Join(dir, "incore.json")
-	streamed := filepath.Join(dir, "streamed.json")
-	if err := cmdAnalyze([]string{"-trace", path, "-o", inCore}); err != nil {
-		t.Fatalf("analyze (in-core): %v", err)
+	resident := filepath.Join(dir, "resident.json")
+	spilled := filepath.Join(dir, "spilled.json")
+	if err := cmdAnalyze([]string{"-trace", path, "-o", resident}); err != nil {
+		t.Fatalf("analyze: %v", err)
 	}
-	// A 1-byte budget forces every phase matrix through the spill path.
-	if err := cmdAnalyze([]string{"-trace", path, "-stream", "-mem-budget", "1B", "-o", streamed}); err != nil {
-		t.Fatalf("analyze -stream: %v", err)
+	out, err := captureStdout(t, func() error {
+		return cmdAnalyze([]string{"-trace", path, "-mem-budget", "1B", "-o", spilled})
+	})
+	if err != nil {
+		t.Fatalf("analyze -mem-budget 1B: %v", err)
 	}
-	a, err := os.ReadFile(inCore)
+	if !strings.Contains(out, "out-of-core: budget 1B, ") {
+		t.Errorf("analyze -mem-budget 1B reports no spill:\n%s", out)
+	}
+	a, err := os.ReadFile(resident)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(streamed)
+	b, err := os.ReadFile(spilled)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatalf("streamed phase table differs from in-core:\n%s\n---\n%s", a, b)
+		t.Fatalf("spilled phase table differs from the default budget's:\n%s\n---\n%s", a, b)
 	}
 }
 
-// TestAnalyzeStreamFlagGuards: options that require the in-core trace
-// must be rejected with -stream rather than silently ignored.
+// TestAnalyzeStreamFlagGuards: a memory budget that does not parse is
+// rejected before the tracefile is opened.
 func TestAnalyzeStreamFlagGuards(t *testing.T) {
-	for _, args := range [][]string{
-		{"-trace", "f", "-stream", "-explain"},
-		{"-trace", "f", "-stream", "-faults", "skew=1ms"},
-		{"-trace", "f", "-stream", "-timeline", "t.json"},
-	} {
-		if err := cmdAnalyze(args); err == nil {
-			t.Errorf("%v: want incompatibility error, got nil", args)
-		}
-	}
-	if err := cmdAnalyze([]string{"-trace", "missing", "-stream", "-mem-budget", "wat"}); err == nil {
-		t.Error("bogus -mem-budget accepted")
+	err := cmdAnalyze([]string{"-trace", "missing", "-mem-budget", "wat"})
+	if err == nil || !strings.Contains(err.Error(), "-mem-budget") {
+		t.Errorf("bogus -mem-budget: error %v, want a -mem-budget rejection", err)
 	}
 }
 
@@ -182,5 +182,64 @@ func TestAnalyzeExplainCLI(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("analyze -explain changed the phase table:\n%s\n---\n%s", a, b)
+	}
+}
+
+// TestAnalyzeExplainNarrationV2: `analyze -explain` on a v2 tracefile,
+// read in place through its rank streams, prints the Fig. 6 narration
+// the phase package pins for the same small iterative run, line for
+// line.
+func TestAnalyzeExplainNarrationV2(t *testing.T) {
+	d, err := machine.NewDeployment(machine.ClusterA(), 2, machine.MapBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := func(c *mpi.Comm) {
+		n := c.Size()
+		if c.Rank() == 0 {
+			for s := 1; s < n; s++ {
+				c.SendN(s, 99, 1<<12)
+			}
+		} else {
+			c.RecvN(0, 99)
+		}
+		c.Barrier()
+		for i := 0; i < 4; i++ {
+			c.Compute(2e5)
+			c.SendrecvN((c.Rank()+1)%n, 0, 2048, (c.Rank()+n-1)%n, 0)
+			c.Allreduce([]float64{1}, mpi.Sum)
+		}
+	}
+	res, err := mpi.Run(mpi.App{Name: "t", Procs: 2, Body: body}, mpi.RunConfig{Deployment: d, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, res.Recording.Trace()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.pas2p")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := captureStdout(t, func() error { return cmdAnalyze([]string{"-trace", path, "-explain"}) })
+	if err != nil {
+		t.Fatalf("analyze -explain: %v", err)
+	}
+	want := strings.Join([]string{
+		"  tick 6: repeat of tick-3 event -> step 4b, partition into [0,3) and [3,6)",
+		"    window [0,3) is new -> phase 1 (4 events)",
+		"    window [3,6) is new -> phase 2 (6 events)",
+		"  tick 6: new startpoint (step 6)",
+		"  tick 9: repeat of the startpoint event -> step 4a, close phase [6,9)",
+		"    window [6,9) similar to phase 2 -> weight 2 (step 5)",
+		"  tick 9: new startpoint (step 6)",
+		"  tick 12: repeat of the startpoint event -> step 4a, close phase [9,12)",
+		"    window [9,12) similar to phase 2 -> weight 3 (step 5)",
+		"  tick 12: new startpoint (step 6)",
+		"    window [12,15) similar to phase 2 -> weight 4 (step 5)",
+	}, "\n") + "\n"
+	if !strings.HasPrefix(out, want) {
+		t.Fatalf("analyze -explain narration diverges:\n got:\n%s\nwant prefix:\n%s", out, want)
 	}
 }

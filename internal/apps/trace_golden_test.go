@@ -153,15 +153,16 @@ func drainStream(t *testing.T, src logical.EventSource, p int) []trace.Event {
 func TestRecordingAnalysisMatchesTrace(t *testing.T) {
 	for _, name := range Names() {
 		res, _ := runTraced(t, name, 8, smallWorkload[name])
-		wantAn, wantTb, err := phase.AnalyzeTrace(context.Background(),
-			logical.SourceFromTrace(res.Recording.Trace()), phase.DefaultConfig(), 1)
+		cfg := phase.StreamConfig{Config: phase.DefaultConfig()}
+		want, err := phase.Analyze(context.Background(), logical.SourceFromTrace(res.Recording.Trace()), cfg, 1, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		an, tb, err := phase.AnalyzeTrace(context.Background(), res.Recording.Streams(), phase.DefaultConfig(), 1)
+		got, err := phase.Analyze(context.Background(), res.Recording.Streams(), cfg, 1, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		an, tb, wantAn, wantTb := got.Analysis, got.Table, want.Analysis, want.Table
 		if !reflect.DeepEqual(an, wantAn) {
 			t.Errorf("%s: analysis of the recording differs from the assembled trace's", name)
 		}

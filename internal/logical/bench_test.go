@@ -37,7 +37,7 @@ func benchTrace(b *testing.B, procs, iters int) *trace.Trace {
 // every tick is full width. lu classA at 128 ranks is a wavefront with
 // sparse ticks and many retried receives; it is ordered in memory, as
 // Order does, and over the rank streams of its v2 encoding, as
-// AnalyzeStream does.
+// phase.Analyze reads a v2 tracefile.
 func BenchmarkOrderPAS2P(b *testing.B) {
 	for _, procs := range []int{32, 128} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {

@@ -1,10 +1,10 @@
 package logical
 
 // Streaming logical order: the one PAS2P ordering engine. Order
-// drains it over an in-memory trace into a Logical; the in-core
-// analysis (phase.AnalyzeTrace) feeds it straight into the phase scan,
-// from a traced run's recording or a decoded trace; AnalyzeStream runs
-// it over a v2 tracefile's rank streams.
+// drains it over an in-memory trace into a Logical; stage A
+// (phase.Analyze) feeds it straight into the phase scan, over any
+// event source: a traced run's recording, a v2 tracefile's rank
+// streams read in place, or a decoded trace.
 //
 // The paper's order assigns LTs with the Table 1 queue algorithm,
 // normalises them (receive-run permutation, monotone clamp) and ranks
@@ -185,7 +185,7 @@ func minKey(a, b mergeKey) mergeKey {
 
 // runBound caps how many events one queue pop assigns to a process, so
 // one process cannot run arbitrarily far ahead of the merge. Over lu
-// classD at 128 ranks, phase.AnalyzeTrace took the same time with
+// classD at 128 ranks, stage A (phase.Analyze) took the same time with
 // bounds of 16, 64 and 1024, and about a third longer with 4.
 const runBound = 64
 

@@ -107,7 +107,7 @@ func TestGoldenIndexedMatchesSeed(t *testing.T) {
 // construction: symmetric exchanges, collectives and master gathers)
 // and returns its trace. The program is generated before the run so
 // every rank replays the same deterministic op list.
-func genTrace(t *testing.T, seed int64, procs int) *trace.Trace {
+func genTrace(t testing.TB, seed int64, procs int) *trace.Trace {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	type op struct {

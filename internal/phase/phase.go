@@ -126,8 +126,8 @@ func (p *Phase) MeanET() vtime.Duration {
 // Analysis is the result of phase extraction over one logical trace.
 type Analysis struct {
 	// Logical is the logical trace the phases were cut from. Only
-	// Extract sets it; AnalyzeTrace and the streaming extraction never
-	// build one, and leave it nil.
+	// Extract sets it; Analyze and ExtractStreamTable never build one,
+	// and leave it nil.
 	Logical *logical.Logical
 	// Ticks is the logical trace's length in ticks.
 	Ticks  int
@@ -152,8 +152,8 @@ func (a *Analysis) Relevant() []*Phase {
 }
 
 // Extract runs the §3.3 algorithm over a logical trace. It is the
-// scan AnalyzeTrace and ExtractStreamTable run, fed from l's tick
-// table, with every behaviour matrix resident and no phase table.
+// scan Analyze runs, fed from l's tick table, with every behaviour
+// matrix resident and no phase table.
 func Extract(l *logical.Logical, cfg Config) (*Analysis, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

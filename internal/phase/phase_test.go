@@ -5,12 +5,15 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"pas2p/internal/logical"
 	"pas2p/internal/machine"
 	"pas2p/internal/mpi"
+	"pas2p/internal/trace"
 	"pas2p/internal/vtime"
 )
 
@@ -349,7 +352,8 @@ func TestValidateCatchesOverlap(t *testing.T) {
 // `pas2p analyze -explain` prints: on a small iterative run the scan
 // must report the step 4b split of the init segment, the step 4a
 // period closes, the step 5 folds, the step 6 restarts and the
-// trailing window, line for line.
+// trailing window, line for line, whether Analyze reads the run's
+// recording or the rank streams of its v2 tracefile.
 func TestAnalyzeTraceWithLogNarration(t *testing.T) {
 	d, err := machine.NewDeployment(machine.ClusterA(), 2, machine.MapBlock)
 	if err != nil {
@@ -359,9 +363,25 @@ func TestAnalyzeTraceWithLogNarration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	logf := func(format string, args ...any) { got = append(got, fmt.Sprintf(format, args...)) }
-	if _, _, err := AnalyzeTraceWithLog(context.Background(), res.Recording.Streams(), DefaultConfig(), 1, logf); err != nil {
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, res.Recording.Trace()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.pas2p")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	br, err := trace.NewBlockReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := br.RankStreams()
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{
@@ -377,7 +397,14 @@ func TestAnalyzeTraceWithLogNarration(t *testing.T) {
 		"tick 12: new startpoint (step 6)",
 		"  window [12,15) similar to phase 2 -> weight 4 (step 5)",
 	}
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("narration diverges:\n got:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	for label, src := range map[string]logical.EventSource{"recording": res.Recording.Streams(), "v2 file": rs} {
+		var got []string
+		logf := func(format string, args ...any) { got = append(got, fmt.Sprintf(format, args...)) }
+		if _, err := Analyze(context.Background(), src, StreamConfig{Config: DefaultConfig()}, 1, logf); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("%s: narration diverges:\n got:\n%s\nwant:\n%s", label, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }

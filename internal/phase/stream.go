@@ -1,7 +1,7 @@
 // The §3.3 scan over a stream of logically-ordered ticks: the one
-// phase-extraction engine. AnalyzeTrace and ExtractStreamTable feed it
-// from the streaming logical order; Extract feeds it from a Logical's
-// tick table.
+// phase-extraction engine. Analyze feeds it from the streaming logical
+// order over any event source (ExtractStreamTable from ticks already
+// ordered); Extract feeds it from a Logical's tick table.
 //
 // The extractor keeps only the rows of the *open* window — the span
 // since the last startpoint — because every decision the scan makes is
@@ -112,12 +112,20 @@ func (r *StreamResult) Close() error {
 // ctxCheckEvery is how many ticks pass between context checks.
 const ctxCheckEvery = 1024
 
-// ExtractStreamTable runs the §3.3 extraction and the phase-table
-// derivation over a tick stream in one bounded-memory pass. meta is
-// the source tracefile's header (app name, process count, base AET);
+// ExtractStreamTable is Analyze's extraction and table derivation
+// over a tick stream that is already logically ordered. meta is the
+// source tracefile's header (app name, process count, base AET);
 // warmOccurrence selects the designated occurrence exactly as
 // BuildTable does.
 func ExtractStreamTable(ctx context.Context, src TickSource, meta trace.Meta, warmOccurrence int, cfg StreamConfig) (*StreamResult, error) {
+	return extractTable(ctx, src, meta, warmOccurrence, cfg, nil)
+}
+
+// extractTable runs the §3.3 extraction and the phase-table derivation
+// over a tick stream in one bounded-memory pass, recording the
+// phase.extract and analyze.table spans; logf narrates as in Analyze.
+func extractTable(ctx context.Context, src TickSource, meta trace.Meta, warmOccurrence int, cfg StreamConfig,
+	logf func(format string, args ...any)) (*StreamResult, error) {
 	if err := cfg.Config.validate(); err != nil {
 		return nil, err
 	}
@@ -148,8 +156,9 @@ func ExtractStreamTable(ctx context.Context, src TickSource, meta trace.Meta, wa
 		store = &spillStore{fs: fs, dir: dir, budget: cfg.MemBudgetBytes,
 			procs: meta.Procs, entries: map[int]*spillEntry{}}
 	}
-	sp := cfg.Observer.StartSpan("phase.extract.stream")
+	sp := cfg.Observer.StartSpan("phase.extract")
 	x := newStreamExtractor(cfg.Config, meta.Procs, meta.AET, store, warmOccurrence)
+	x.logf = logf
 	if err := x.scan(ctx, src); err != nil {
 		sp.End()
 		if store != nil {
@@ -157,8 +166,7 @@ func ExtractStreamTable(ctx context.Context, src TickSource, meta trace.Meta, wa
 		}
 		return nil, err
 	}
-	tb := x.finishTable(meta)
-	res := &StreamResult{Analysis: x.an, Table: tb, store: store}
+	res := &StreamResult{Analysis: x.an, store: store}
 	res.Stats.Ticks = x.nTicks
 	if store != nil {
 		res.Stats.SpilledPhases, res.Stats.SpillLoads, res.Stats.SpillBytes = store.spilled, store.loads, store.spillBytes
@@ -166,6 +174,13 @@ func ExtractStreamTable(ctx context.Context, src TickSource, meta trace.Meta, wa
 	x.setCounters(sp)
 	sp.SetCounter("spilled_phases", int64(res.Stats.SpilledPhases))
 	sp.SetCounter("spill_loads", res.Stats.SpillLoads)
+	sp.End()
+	sp = cfg.Observer.StartSpan("analyze.table")
+	res.Table = x.finishTable(meta)
+	if sp != nil {
+		// RelevantRows allocates; keep it off the nil-observer path.
+		sp.SetCounter("relevant_phases", int64(len(res.Table.RelevantRows())))
+	}
 	sp.End()
 	return res, nil
 }

@@ -3,13 +3,17 @@ package phase
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 
 	"pas2p/internal/apps"
+	"pas2p/internal/fsx"
 	"pas2p/internal/logical"
 	"pas2p/internal/machine"
 	"pas2p/internal/mpi"
@@ -375,5 +379,26 @@ func TestStreamSpillTempDir(t *testing.T) {
 	}
 	if dirs := left(); len(dirs) != 0 {
 		t.Fatalf("failed extraction left %v", dirs)
+	}
+}
+
+// devFullFS is the real filesystem except that every file it creates
+// is /dev/full, where each write fails with ENOSPC.
+type devFullFS struct{ fsx.OS }
+
+func (devFullFS) Create(string) (fsx.File, error) { return os.OpenFile("/dev/full", os.O_WRONLY, 0) }
+
+// TestAnalyzeSpillENOSPC: a spill store whose disk is full fails the
+// analysis with an error that still matches syscall.ENOSPC, so front
+// doors can tell a full disk from other failures.
+func TestAnalyzeSpillENOSPC(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	tr := genTrace(t, 1, 8)
+	_, err := Analyze(context.Background(), logical.SourceFromTrace(tr), StreamConfig{Config: DefaultConfig(),
+		MemBudgetBytes: 1, FS: devFullFS{}, SpillDir: t.TempDir()}, 1, nil)
+	if !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Analyze with a full spill disk: error %v, want one matching ENOSPC", err)
 	}
 }

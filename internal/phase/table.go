@@ -92,7 +92,7 @@ func (t *Table) PredictedAET(relevantOnly bool) vtime.Duration {
 }
 
 // ErrNoLogical is BuildTable's error on an analysis without a Logical:
-// AnalyzeTrace and ExtractStreamTable return their table alongside the
+// Analyze and ExtractStreamTable return their table alongside the
 // analysis instead.
 var ErrNoLogical = errors.New("phase: analysis has no logical trace to build a table from")
 

@@ -173,10 +173,11 @@ func Sign(ctx context.Context, e Experiment) (*Signed, error) {
 	// PhaseConfig.Observer; TFAT is the real tool time they take. They
 	// read the recording where the run wrote it: no trace is assembled.
 	t0 := time.Now()
-	an, tb, err := phase.AnalyzeTrace(ctx, traced.Recording.Streams(), e.PhaseConfig, e.WarmOccurrence)
+	res, err := phase.Analyze(ctx, traced.Recording.Streams(), phase.StreamConfig{Config: e.PhaseConfig}, e.WarmOccurrence, nil)
 	if err != nil {
 		return nil, fmt.Errorf("predict: analysis: %w", err)
 	}
+	an, tb := res.Analysis, res.Table
 	tfat := time.Since(t0)
 	if tracedPID != 0 {
 		MarkPhases(o.TL(), tracedPID, an)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"syscall"
 	"time"
 )
 
@@ -42,6 +43,10 @@ const (
 	// CodePanic: the handler panicked; the request died but the server
 	// lives (the panic and stack are on the flight recorder).
 	CodePanic Code = "internal_panic"
+	// CodeInsufficientStorage: the server's disk filled (ENOSPC) while
+	// spooling an upload or spilling phase matrices; retry once space
+	// is freed.
+	CodeInsufficientStorage Code = "insufficient_storage"
 	// CodeInternal: any other server-side failure.
 	CodeInternal Code = "internal"
 )
@@ -137,8 +142,9 @@ func errInternal(err error) *APIError {
 }
 
 // asAPIError coerces any handler error into a typed one: APIErrors
-// pass through, context errors become the deadline/shed taxonomy, and
-// everything else is an internal error.
+// pass through, context errors become the deadline/shed taxonomy, a
+// full disk (ENOSPC, from the upload spool or the spill store) is
+// insufficient_storage, and everything else is an internal error.
 func asAPIError(err error, op string) *APIError {
 	var ae *APIError
 	if errors.As(err, &ae) {
@@ -154,6 +160,10 @@ func asAPIError(err error, op string) *APIError {
 		// was produced and the caller should go elsewhere.
 		return &APIError{Status: http.StatusServiceUnavailable, Code: CodeDraining,
 			Message: op + " abandoned: request cancelled", RetryAfter: time.Second}
+	}
+	if errors.Is(err, syscall.ENOSPC) {
+		return &APIError{Status: http.StatusInsufficientStorage, Code: CodeInsufficientStorage,
+			Message: fmt.Sprintf("%s abandoned: out of disk space: %v", op, err), RetryAfter: 5 * time.Second}
 	}
 	return errInternal(err)
 }

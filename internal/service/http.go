@@ -474,7 +474,7 @@ func (s *Service) handleAnalyze(ctx context.Context, r *http.Request) (*handlerR
 		// Compressed or JSON tracefile (or bytes no decoder accepts):
 		// analysed fresh, outside the cache; a rejected upload is a
 		// typed corrupt_trace.
-		resp, aerr := s.analyzeWork(ctx, data, 0, warm)
+		resp, aerr := s.analyzeWork(ctx, 0, warm, 0, decodedSource(data))
 		if aerr != nil {
 			return nil, aerr
 		}
@@ -483,7 +483,7 @@ func (s *Service) handleAnalyze(ctx context.Context, r *http.Request) (*handlerR
 
 	k := cacheKey{sum: sha256.Sum256(data), warm: warm}
 	return s.cachedAnalyze(ctx, k, "in-core", func() (*AnalyzeResponse, *APIError) {
-		return s.analyzeWork(ctx, data, crc, warm)
+		return s.analyzeWork(ctx, crc, warm, 0, decodedSource(data))
 	})
 }
 
@@ -550,22 +550,35 @@ func analyzeResponse(app string, procs, events int, crc uint32, warm int, tb *ph
 // handleAnalyzeStream serves a large analyze upload out-of-core: the
 // body is spooled to a scratch file (never held on the heap) and
 // hashed on the way, its digest keys the same LRU/single-flight as the
-// in-core path, and the bounded-memory phase.AnalyzeStream pipeline
-// produces the answer — bit-identical to the in-core one, so cache
-// entries are interchangeable between lanes. A spooled upload that turns out not
-// to be v2 falls back in-core when it fits under MaxBodyBytes, else it is refused:
-// only the checksummed block format supports random access.
+// in-core path, and phase.Analyze reads the spool's rank streams in
+// place under the stream memory budget — bit-identical to the in-core
+// answer, so cache entries are interchangeable between lanes. A
+// spooled upload that turns out not to be v2 falls back in-core when
+// it fits under MaxBodyBytes, else it is refused: only the checksummed
+// block format supports random access. A failed body read is the
+// client's 400; a spool the disk cannot hold (ENOSPC) is a retryable
+// insufficient_storage, any other spool failure internal.
 func (s *Service) handleAnalyzeStream(ctx context.Context, r *http.Request, warm int) (*handlerResult, *APIError) {
-	spool, err := os.CreateTemp("", "pas2p-upload-*.pas2p")
+	createSpool := s.createSpool
+	if createSpool == nil {
+		createSpool = func() (*os.File, error) { return os.CreateTemp("", "pas2p-upload-*.pas2p") }
+	}
+	spool, err := createSpool()
 	if err != nil {
-		return nil, errInternal(err)
+		return nil, asAPIError(fmt.Errorf("creating upload spool: %w", err), "analyze")
 	}
 	defer func() {
 		spool.Close()
-		os.Remove(spool.Name())
+		if s.createSpool == nil {
+			os.Remove(spool.Name())
+		}
 	}()
 	digest := sha256.New()
 	size, err := io.Copy(io.MultiWriter(spool, digest), r.Body)
+	if pe := (*os.PathError)(nil); errors.As(err, &pe) && pe.Path == spool.Name() {
+		// The spool's own write failed, not the body's read.
+		return nil, asAPIError(fmt.Errorf("spooling upload: %w", err), "analyze")
+	}
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -586,7 +599,7 @@ func (s *Service) handleAnalyzeStream(ctx context.Context, r *http.Request, warm
 		if _, err := spool.ReadAt(data, 0); err != nil {
 			return nil, errInternal(err)
 		}
-		resp, aerr := s.analyzeWork(ctx, data, 0, warm)
+		resp, aerr := s.analyzeWork(ctx, 0, warm, 0, decodedSource(data))
 		if aerr != nil {
 			return nil, aerr
 		}
@@ -596,28 +609,49 @@ func (s *Service) handleAnalyzeStream(ctx context.Context, r *http.Request, warm
 	k := cacheKey{warm: warm}
 	digest.Sum(k.sum[:0])
 	return s.cachedAnalyze(ctx, k, "stream", func() (*AnalyzeResponse, *APIError) {
-		return s.analyzeStreamWork(ctx, spool, crc, warm)
+		return s.analyzeWork(ctx, crc, warm, s.cfg.StreamMemBudget, func() (logical.EventSource, error) {
+			br, err := trace.NewBlockReader(io.NewSectionReader(spool, 0, 1<<62))
+			if err != nil {
+				return nil, err
+			}
+			return br.RankStreams()
+		})
 	})
 }
 
-// analyzeStreamWork runs the bounded-memory pipeline over a spooled
-// upload under the request context (stage-boundary cancellation inside
-// phase.AnalyzeStream, worker abandonment via runWork).
-func (s *Service) analyzeStreamWork(ctx context.Context, spool *os.File, crc uint32, warm int) (*AnalyzeResponse, *APIError) {
+// decodedSource opens an upload held in memory: the whole tracefile
+// decoded, in any format, and read through its per-process streams.
+func decodedSource(data []byte) func() (logical.EventSource, error) {
+	return func() (logical.EventSource, error) {
+		tr, err := trace.DecodeAny(bytes.NewReader(data))
+		if err != nil {
+			return nil, err
+		}
+		return logical.SourceFromTrace(tr), nil
+	}
+}
+
+// analyzeWork analyses one upload under the request context
+// (cancellation inside phase.Analyze's tick loop, worker abandonment
+// via runWork). open, run on the worker, gives the upload's event
+// source, and its failure rejects the upload as corrupt; budget is the
+// lane's phase-matrix memory budget (0 keeps every matrix resident).
+func (s *Service) analyzeWork(ctx context.Context, crc uint32, warm int, budget int64,
+	open func() (logical.EventSource, error)) (*AnalyzeResponse, *APIError) {
 	v, err := s.runWork(ctx, "analyze", func() (any, error) {
-		br, err := trace.NewBlockReader(io.NewSectionReader(spool, 0, 1<<62))
+		src, err := open()
 		if err != nil {
 			return nil, errCorruptTrace(err)
 		}
-		res, err := phase.AnalyzeStream(ctx, br, phase.StreamConfig{
-			Config: phase.DefaultConfig(), MemBudgetBytes: s.cfg.StreamMemBudget}, warm)
+		res, err := phase.Analyze(ctx, src, phase.StreamConfig{
+			Config: phase.DefaultConfig(), MemBudgetBytes: budget}, warm, nil)
 		if err != nil {
 			// Corruption discovered mid-stream (a block CRC deep in the
-			// spool) surfaces here rather than at decode time.
+			// spool) surfaces here rather than when the source opens.
 			return nil, analyzeError(err)
 		}
 		defer res.Close()
-		meta := br.Meta()
+		meta := src.Meta()
 		return analyzeResponse(meta.AppName, meta.Procs, int(meta.Events), crc, warm, res.Table), nil
 	})
 	if err != nil {
@@ -635,27 +669,6 @@ func analyzeError(err error) error {
 		return errCorruptTrace(err)
 	}
 	return err
-}
-
-// analyzeWork decodes and analyses one uploaded tracefile under the
-// request context (stage-boundary cancellation via phase.AnalyzeTrace,
-// worker abandonment via runWork).
-func (s *Service) analyzeWork(ctx context.Context, data []byte, crc uint32, warm int) (*AnalyzeResponse, *APIError) {
-	v, err := s.runWork(ctx, "analyze", func() (any, error) {
-		tr, err := trace.DecodeAny(bytes.NewReader(data))
-		if err != nil {
-			return nil, errCorruptTrace(err)
-		}
-		_, tb, err := phase.AnalyzeTrace(ctx, logical.SourceFromTrace(tr), phase.DefaultConfig(), warm)
-		if err != nil {
-			return nil, analyzeError(err)
-		}
-		return analyzeResponse(tr.AppName, tr.Procs, len(tr.Events), crc, warm, tb), nil
-	})
-	if err != nil {
-		return nil, asAPIError(err, "analyze")
-	}
-	return v.(*AnalyzeResponse), nil
 }
 
 func (s *Service) handleSign(ctx context.Context, r *http.Request) (*handlerResult, *APIError) {

@@ -32,6 +32,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"os"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -81,8 +82,9 @@ type Config struct {
 
 	// The stream lane: analyze uploads whose declared Content-Length is
 	// at least StreamThresholdBytes are spooled to disk and analysed
-	// out-of-core (AnalyzeStream), so the body cap for them can sit far
-	// above MaxBodyBytes without heap risk. The lane has its own
+	// out-of-core (phase.Analyze over the spool's rank streams), so the
+	// body cap for them can sit far above MaxBodyBytes without heap
+	// risk. The lane has its own
 	// admission class ("stream") — slots, queue and EWMA cost model —
 	// because a multi-gigabyte analysis would otherwise poison the heavy
 	// class's service-time estimate and shed ordinary requests.
@@ -215,6 +217,10 @@ type Service struct {
 	// request, with the request context (panic isolation tests throw
 	// from here; drain tests block here until cancelled).
 	afterAdmit func(ctx context.Context, op string)
+	// createSpool is a test seam: when set, it opens the file a
+	// streamed upload is spooled to in place of a fresh temporary file,
+	// and the handler closes that file but does not remove it.
+	createSpool func() (*os.File, error)
 }
 
 // latencyBounds: 100µs .. 50s in a 1-2-5 series (seconds).
@@ -377,7 +383,7 @@ type workResult struct {
 
 // runWork executes fn on its own goroutine and waits for it or for
 // the context, whichever ends first. The pipeline stages fn calls are
-// context-aware where possible (phase.AnalyzeTrace), but simulator
+// context-aware where possible (phase.Analyze), but simulator
 // runs are not interruptible mid-run — runWork is what guarantees the
 // *request* still honours its deadline: the HTTP response returns
 // typed and on time, the orphaned computation finishes in the

@@ -1,22 +1,28 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"pas2p"
+	"pas2p/internal/fsx"
+	"pas2p/internal/logical"
 	"pas2p/internal/obs"
+	"pas2p/internal/phase"
 	"pas2p/internal/trace"
 )
 
@@ -1024,6 +1030,89 @@ func TestAnalyzeStreamLaneErrors(t *testing.T) {
 	// trace decoding, typed.
 	resp = postBytes(t, ts.URL+"/v1/analyze", []byte("small junk"), nil)
 	wantTyped(t, resp, http.StatusUnprocessableEntity, CodeCorruptTrace)
+}
+
+// TestAnalyzeStreamSpoolErrors pins who is blamed when spooling a
+// streamed upload fails: a spool the disk cannot hold (writes to
+// /dev/full fail with a real ENOSPC; so can the create) is a retryable
+// 507 insufficient_storage, any other spool failure internal, and a
+// body that ends before its declared length stays the client's 400.
+func TestAnalyzeStreamSpoolErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	data := tracefileBytes(t, "cg", 4)
+	for _, tc := range []struct {
+		name   string
+		create func() (*os.File, error)
+		status int
+		code   Code
+	}{
+		{"write ENOSPC", func() (*os.File, error) { return os.OpenFile("/dev/full", os.O_RDWR, 0) },
+			http.StatusInsufficientStorage, CodeInsufficientStorage},
+		{"create ENOSPC", func() (*os.File, error) {
+			return nil, &os.PathError{Op: "open", Path: "spool", Err: syscall.ENOSPC}
+		}, http.StatusInsufficientStorage, CodeInsufficientStorage},
+		{"create EACCES", func() (*os.File, error) {
+			return nil, &os.PathError{Op: "open", Path: "spool", Err: syscall.EACCES}
+		}, http.StatusInternalServerError, CodeInternal},
+	} {
+		svc, ts := newTestService(t, func(c *Config) { c.StreamThresholdBytes = 1 })
+		svc.createSpool = tc.create
+		resp := postBytes(t, ts.URL+"/v1/analyze", data, nil)
+		if tc.code == CodeInsufficientStorage && resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s: no Retry-After on a retryable error", tc.name)
+		}
+		wantTyped(t, resp, tc.status, tc.code)
+	}
+
+	_, ts := newTestService(t, func(c *Config) { c.StreamThresholdBytes = 1 })
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	head := fmt.Sprintf("POST /v1/analyze HTTP/1.1\r\nHost: pas2p\r\nContent-Length: %d\r\n\r\n", len(data))
+	if _, err := conn.Write(append([]byte(head), data[:len(data)/2]...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTyped(t, resp, http.StatusBadRequest, CodeBadRequest)
+}
+
+// devFullFS is the real filesystem except that every file it creates
+// is /dev/full, where each write fails with ENOSPC.
+type devFullFS struct{ fsx.OS }
+
+func (devFullFS) Create(string) (fsx.File, error) { return os.OpenFile("/dev/full", os.O_WRONLY, 0) }
+
+// TestAnalyzeSpillENOSPCTyped: stage A whose spill store sits on a
+// full disk fails with an error the service types as the spool's
+// retryable 507 insufficient_storage, not as an internal error.
+func TestAnalyzeSpillENOSPCTyped(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	tr, err := trace.DecodeAny(bytes.NewReader(tracefileBytes(t, "cg", 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = phase.Analyze(context.Background(), logical.SourceFromTrace(tr), phase.StreamConfig{
+		Config: phase.DefaultConfig(), MemBudgetBytes: 1, FS: devFullFS{}, SpillDir: t.TempDir()}, 1, nil)
+	if err == nil {
+		t.Fatal("Analyze with a full spill disk succeeded")
+	}
+	ae := asAPIError(analyzeError(err), "analyze")
+	if ae.Status != http.StatusInsufficientStorage || ae.Code != CodeInsufficientStorage || ae.RetryAfter <= 0 {
+		t.Fatalf("spill ENOSPC mapped to %d %q (Retry-After %v), want a retryable 507 %q",
+			ae.Status, ae.Code, ae.RetryAfter, CodeInsufficientStorage)
+	}
 }
 
 // TestAnalyzeNoOrderTraceTyped: a trace whose checksums are valid but

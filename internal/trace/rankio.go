@@ -31,6 +31,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"pas2p/internal/obs"
 )
 
 // BlockReader opens a v2 tracefile for out-of-core analysis: it reads
@@ -43,18 +45,26 @@ type BlockReader struct {
 	// random access, and the byte offset of the first event block.
 	ra      io.ReaderAt
 	bodyOff int64
+	reg     *obs.Registry
 }
 
 // NewBlockReader reads the tracefile prefix (magic, header, name and
 // header checksum).
 func NewBlockReader(r io.Reader) (*BlockReader, error) {
+	return NewBlockReaderWith(r, CodecOptions{})
+}
+
+// NewBlockReaderWith is NewBlockReader with codec options: when
+// opts.Reg is set, the rank streams count every block they verify into
+// its codec.decode.blocks and codec.decode.bytes counters.
+func NewBlockReaderWith(r io.Reader, opts CodecOptions) (*BlockReader, error) {
 	cr := &crcReader{br: bufio.NewReaderSize(r, 1<<16)}
 	meta, err := readPrefix(cr)
 	if err != nil {
 		return nil, err
 	}
 	ra, _ := r.(io.ReaderAt)
-	return &BlockReader{meta: meta, ra: ra, bodyOff: cr.off}, nil
+	return &BlockReader{meta: meta, ra: ra, bodyOff: cr.off, reg: opts.Reg}, nil
 }
 
 // Meta returns the tracefile's header.
@@ -76,6 +86,9 @@ type RankStreams struct {
 	bounds []uint64
 	// cursors backs NextEvent; created lazily per process.
 	cursors []*rankCursor
+	// blocks and bytes count the verified blocks; nil when not
+	// measuring.
+	blocks, bytes *obs.Counter
 }
 
 // RankStreams returns a per-process random-access view of the reader's
@@ -85,13 +98,16 @@ func (br *BlockReader) RankStreams() (*RankStreams, error) {
 	if br.ra == nil {
 		return nil, fmt.Errorf("trace: rank streams need a random-access source (io.ReaderAt)")
 	}
-	return newRankStreams(br.ra, br.meta, br.bodyOff)
+	return newRankStreams(br.ra, br.meta, br.bodyOff, br.reg)
 }
 
-func newRankStreams(ra io.ReaderAt, meta Meta, bodyOff int64) (*RankStreams, error) {
+func newRankStreams(ra io.ReaderAt, meta Meta, bodyOff int64, reg *obs.Registry) (*RankStreams, error) {
 	rs := &RankStreams{ra: ra, meta: meta, bodyOff: bodyOff,
 		bounds:  make([]uint64, meta.Procs+1),
 		cursors: make([]*rankCursor, meta.Procs),
+	}
+	if reg != nil {
+		rs.blocks, rs.bytes = reg.Counter("codec.decode.blocks"), reg.Counter("codec.decode.bytes")
 	}
 	// The trailer magic sits at a computable offset; checking it up
 	// front catches a truncated file before any cursor runs.
@@ -234,6 +250,10 @@ func (c *rankCursor) loadBlock(b int64) error {
 	}
 	if err := verifyAndDecodeBlock(buf, ext, nil, nil); err != nil {
 		return err
+	}
+	if c.rs.blocks != nil {
+		c.rs.blocks.Inc()
+		c.rs.bytes.Add(int64(len(buf)))
 	}
 	c.bufBlock, c.bufStart = b, start
 	return nil

@@ -262,10 +262,11 @@ func ExtractPhases(l *Logical, cfg PhaseConfig) (*PhaseAnalysis, error) {
 	return phase.Extract(l, cfg)
 }
 
-// Analyze performs PAS2P stage A on a traced run: logical ordering,
-// phase extraction and phase-table construction. warmOccurrence
-// selects which occurrence of each phase the signature will
-// checkpoint (1 = the second, leaving one occurrence to warm up).
+// Analyze performs PAS2P stage A on a decoded trace (phase.Analyze
+// over its per-process streams): logical ordering, phase extraction
+// and phase-table construction. warmOccurrence selects which
+// occurrence of each phase the signature will checkpoint (1 = the
+// second, leaving one occurrence to warm up).
 //
 // The logical order streams straight into phase extraction, so the
 // returned analysis's Logical is nil and its BuildTable returns an
@@ -282,7 +283,11 @@ func Analyze(tr *Trace, cfg PhaseConfig, warmOccurrence int) (*PhaseAnalysis, *P
 // A cancelled analysis returns ctx.Err() and nil outputs; it never
 // returns a partial analysis.
 func AnalyzeCtx(ctx context.Context, tr *Trace, cfg PhaseConfig, warmOccurrence int) (*PhaseAnalysis, *PhaseTable, error) {
-	return phase.AnalyzeTrace(ctx, logical.SourceFromTrace(tr), cfg, warmOccurrence)
+	res, err := phase.Analyze(ctx, logical.SourceFromTrace(tr), phase.StreamConfig{Config: cfg}, warmOccurrence, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Analysis, res.Table, nil
 }
 
 // Out-of-core analysis. AnalyzeStream is stage A over a tracefile that
@@ -316,14 +321,18 @@ type AnalyzeStreamOptions struct {
 }
 
 // AnalyzeStream runs stage A over an open tracefile without decoding
-// it into memory (phase.AnalyzeStream): the reader's source must be
-// random-access (a file or byte slice) and in the v2 format. Memory
-// stays O(window + budget) regardless of trace length. The context is
-// checked throughout the tick loop; a cancelled analysis returns
-// ctx.Err().
+// it into memory (phase.Analyze over the reader's rank streams): the
+// reader's source must be random-access (a file or byte slice) and in
+// the v2 format. Memory stays O(window + budget) regardless of trace
+// length. The context is checked throughout the tick loop; a cancelled
+// analysis returns ctx.Err().
 func AnalyzeStream(ctx context.Context, r *TraceBlockReader, cfg PhaseConfig, warmOccurrence int, opts AnalyzeStreamOptions) (*StreamAnalysis, error) {
-	return phase.AnalyzeStream(ctx, r.BlockReader, phase.StreamConfig{
-		Config: cfg, MemBudgetBytes: opts.MemBudgetBytes, SpillDir: opts.SpillDir}, warmOccurrence)
+	rs, err := r.RankStreams()
+	if err != nil {
+		return nil, err
+	}
+	return phase.Analyze(ctx, rs, phase.StreamConfig{
+		Config: cfg, MemBudgetBytes: opts.MemBudgetBytes, SpillDir: opts.SpillDir}, warmOccurrence, nil)
 }
 
 // BuildSignature constructs the signature on the base machine,
