@@ -139,7 +139,16 @@ func TestRepoAddKeepTraceMatchesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, err := repo.ReadTrace("cg", 8, "classA")
+	te, err := repo.LookupTrace("cg", 8, "classA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, err := os.Open(te.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.Close()
+	stored, err := trace.Decode(sf)
 	if err != nil {
 		t.Fatal(err)
 	}

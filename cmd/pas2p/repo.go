@@ -38,6 +38,11 @@ func cmdRepo(args []string) error {
 	if err := parseArgs(fs, rest); err != nil {
 		return err
 	}
+	switch sub {
+	case "add", "list", "fsck", "predict":
+	default:
+		return fmt.Errorf("repo: unknown subcommand %q (add, list, predict, fsck)", sub)
+	}
 	repo, err := sigrepo.Open(*dir)
 	if err != nil {
 		return err
@@ -96,24 +101,9 @@ func cmdRepo(args []string) error {
 		return nil
 
 	case "list":
-		entries, problems, err := repo.List()
+		entries, traces, problems, err := repo.List()
 		if err != nil {
 			return err
-		}
-		traces, tProblems, err := repo.ListTraces()
-		if err != nil {
-			return err
-		}
-		// Manifest-level problems surface from both scans identically;
-		// report each once.
-		seen := make(map[string]bool, len(problems))
-		for _, p := range problems {
-			seen[p.String()] = true
-		}
-		for _, p := range tProblems {
-			if !seen[p.String()] {
-				problems = append(problems, p)
-			}
 		}
 		if len(entries) == 0 && len(traces) == 0 && len(problems) == 0 {
 			fmt.Println("repository is empty")
@@ -178,9 +168,6 @@ func cmdRepo(args []string) error {
 		}
 		fmt.Printf("%s/p%d/%q on %s: SET %.2fs, PET %.2fs\n",
 			*app, *procs, wl, td, res.SET.Seconds(), res.PET.Seconds())
-		return nil
-
-	default:
-		return fmt.Errorf("repo: unknown subcommand %q (add, list, predict, fsck)", sub)
 	}
+	return nil
 }

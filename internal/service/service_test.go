@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -274,6 +275,48 @@ func TestLookupNotFoundTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantTyped(t, resp, http.StatusBadRequest, CodeBadRequest)
+}
+
+// TestFsckReportsProblemReasons: /v1/fsck serves each problem's
+// reason as text, so a client sees why an entry was quarantined.
+func TestFsckReportsProblemReasons(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestService(t, func(c *Config) { c.RepoDir = dir })
+	for name, body := range map[string]string{
+		"cg_p4_classA.sig.json":    "garbage",
+		"cg_p4_classA.trace.pas2p": "PAS2PTR2 truncated",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp := postBytes(t, ts.URL+"/v1/fsck", nil, nil)
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, b)
+	}
+	var rep struct {
+		Problems []struct{ Path, Kind, Err string }
+	}
+	if err := json.Unmarshal(b, &rep); err != nil {
+		t.Fatalf("decoding %s: %v", b, err)
+	}
+	reasons := map[string]string{}
+	for _, p := range rep.Problems {
+		if p.Kind == "corrupt" {
+			reasons[filepath.Base(p.Path)] = p.Err
+		}
+	}
+	if r := reasons["cg_p4_classA.sig.json"]; !strings.Contains(r, "signature: decoding") {
+		t.Errorf("signature problem reason = %q, want the decode failure (body %s)", r, b)
+	}
+	if r := reasons["cg_p4_classA.trace.pas2p"]; !strings.Contains(r, "trace:") {
+		t.Errorf("tracefile problem reason = %q, want the decode failure (body %s)", r, b)
+	}
 }
 
 func TestRequestDecodeErrorsAreTyped(t *testing.T) {

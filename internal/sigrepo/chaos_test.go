@@ -100,7 +100,7 @@ func TestChaosFsckRepairsSeededCorruption(t *testing.T) {
 		}
 
 		// Graceful degradation: a corrupted repository still lists.
-		if _, _, err := repo.List(); err != nil {
+		if _, _, _, err := repo.List(); err != nil {
 			t.Fatalf("seed %d: List failed on corrupted repo: %v", seed, err)
 		}
 
@@ -132,7 +132,7 @@ func TestChaosFsckRepairsSeededCorruption(t *testing.T) {
 			var id *chaosIdentity
 			for i := range chaosIdentities {
 				c := chaosIdentities[i]
-				if filepath.Base(key(c.app, c.procs, c.workload)) == base {
+				if filepath.Base(sigKind.key(c.app, c.procs, c.workload)) == base {
 					id = &c
 				}
 			}
@@ -148,7 +148,7 @@ func TestChaosFsckRepairsSeededCorruption(t *testing.T) {
 		}
 
 		// After repair, the repository is internally consistent...
-		entries, problems, err := repo.List()
+		entries, _, problems, err := repo.List()
 		if err != nil {
 			t.Fatalf("seed %d: post-fsck List: %v", seed, err)
 		}

@@ -56,8 +56,17 @@ func (rep *FsckReport) String() string {
 	return b.String()
 }
 
+// tally returns the report's scanned, verified and corrupt counters
+// for one artefact kind.
+func (rep *FsckReport) tally(k *kind) (scanned, verified, corrupt *int) {
+	if k == traceKind {
+		return &rep.TracesScanned, &rep.TracesVerified, &rep.TracesCorrupt
+	}
+	return &rep.Scanned, &rep.Verified, &rep.Corrupt
+}
+
 // Fsck scans the repository, verifies every entry against its
-// embedded checksum and the manifest, quarantines corrupt files under
+// embedded checksums and the manifest, quarantines corrupt files under
 // quarantine/, removes temp files left by crashed writers, and
 // rebuilds the manifest to journal exactly the verified survivors.
 // It takes the repo lock, so it is safe alongside concurrent Adds.
@@ -68,131 +77,61 @@ func (r *Repo) Fsck() (*FsckReport, error) {
 	}
 	defer unlock()
 
-	rep := &FsckReport{}
-	names, traces, temps, err := r.scanNames()
+	s, err := r.survey()
 	if err != nil {
 		return nil, err
 	}
-	m, mProblem := r.loadManifestChecked()
-	if mProblem != nil {
+	rep := &FsckReport{}
+	if s.mProblem != nil {
 		rep.ManifestRebuilt = true
-		rep.Problems = append(rep.Problems, *mProblem)
+		rep.Problems = append(rep.Problems, *s.mProblem)
 	}
-
 	// Orphaned temp files are debris from crashed writers: the
 	// rename never happened, so they hold no published data.
-	for _, t := range temps {
-		path := filepath.Join(r.dir, t)
-		rep.Problems = append(rep.Problems, Problem{Path: path, Kind: "stray-temp"})
-		if err := r.fs.Remove(path); err == nil {
+	for _, t := range s.temps {
+		rep.Problems = append(rep.Problems, Problem{Path: t, Kind: "stray-temp"})
+		if err := r.fs.Remove(t); err == nil {
 			rep.TempsRemoved++
 		}
 	}
 
 	rebuilt := newManifest()
-	for _, name := range names {
-		rep.Scanned++
-		e, p := r.verifyEntry(name, m)
-		if p != nil {
-			rep.Problems = append(rep.Problems, *p)
+	for _, f := range s.found {
+		scanned, verified, corrupt := rep.tally(f.kind)
+		*scanned++
+		if f.problem != nil {
+			rep.Problems = append(rep.Problems, *f.problem)
 		}
-		if e == nil {
-			rep.Corrupt++
-			r.bump("repo.corrupt", 1)
-			qpath, qerr := r.quarantine(name)
+		if f.val == nil {
+			*corrupt++
+			qpath, qerr := r.quarantine(f.name)
 			if qerr != nil {
 				return nil, qerr
 			}
 			rep.Quarantined = append(rep.Quarantined, qpath)
 			r.bump("repo.quarantined", 1)
-			r.event("repo.quarantine", "corrupt signature quarantined: "+qpath)
+			r.event("repo.quarantine", "corrupt "+f.kind.noun+" quarantined: "+qpath)
 			continue
 		}
-		rep.Verified++
-		r.bump("repo.verified", 1)
-		// Re-journal from the file itself: the entry's bytes are the
-		// authority for the rebuilt manifest.
-		data, err := r.fs.ReadFile(filepath.Join(r.dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("sigrepo: rereading %s: %w", name, err)
-		}
-		rebuilt.Entries[name] = manifestEntry{
-			App:      e.Saved.AppName,
-			Procs:    e.Saved.Procs,
-			Workload: e.Saved.Workload,
-			SHA256:   contentSHA256(data),
-			Size:     int64(len(data)),
-		}
-		if m != nil {
-			if _, ok := m.Entries[name]; !ok {
+		*verified++
+		// Re-journal from the file itself: the hash and size streamed
+		// while checking it are the authority for the rebuilt manifest.
+		rebuilt.Entries[f.name] = f.id
+		if s.m != nil {
+			if _, ok := s.m.Entries[f.name]; !ok {
 				rep.ManifestAdopted++
 				rep.Problems = append(rep.Problems, Problem{
-					Path: filepath.Join(r.dir, name), Kind: "unmanifested"})
+					Path: filepath.Join(r.dir, f.name), Kind: "unmanifested"})
 			}
-		} else if mProblem == nil {
+		} else if s.mProblem == nil {
 			// Legacy repository without a journal: everything valid
 			// is adopted silently.
 			rep.ManifestAdopted++
 		}
 	}
-	// Stored tracefiles: the same verify-or-quarantine pass, with
-	// verification streamed through every checksum instead of loading
-	// the events. The hash and size observed during the stream are the
-	// authority for the rebuilt journal.
-	for _, name := range traces {
-		rep.TracesScanned++
-		te, sha, size, p := r.verifyTrace(name, m)
-		if p != nil {
-			rep.Problems = append(rep.Problems, *p)
-		}
-		if te == nil {
-			rep.TracesCorrupt++
-			r.bump("repo.trace_corrupt", 1)
-			qpath, qerr := r.quarantine(name)
-			if qerr != nil {
-				return nil, qerr
-			}
-			rep.Quarantined = append(rep.Quarantined, qpath)
-			r.bump("repo.quarantined", 1)
-			r.event("repo.quarantine", "corrupt tracefile quarantined: "+qpath)
-			continue
-		}
-		rep.TracesVerified++
-		r.bump("repo.trace_verified", 1)
-		rebuilt.Entries[name] = manifestEntry{
-			App:      te.Meta.AppName,
-			Procs:    te.Meta.Procs,
-			Workload: te.Workload,
-			SHA256:   sha,
-			Size:     size,
-			Kind:     "trace",
-		}
-		if m != nil {
-			if _, ok := m.Entries[name]; !ok {
-				rep.ManifestAdopted++
-				rep.Problems = append(rep.Problems, Problem{
-					Path: filepath.Join(r.dir, name), Kind: "unmanifested"})
-			}
-		} else if mProblem == nil {
-			rep.ManifestAdopted++
-		}
-	}
-
-	if m != nil {
-		have := make(map[string]bool, len(names)+len(traces))
-		for _, n := range names {
-			have[n] = true
-		}
-		for _, n := range traces {
-			have[n] = true
-		}
-		for _, n := range sortedKeys(m.Entries) {
-			if !have[n] {
-				rep.ManifestDropped++
-				rep.Problems = append(rep.Problems, Problem{
-					Path: filepath.Join(r.dir, n), Kind: "manifest-orphan"})
-			}
-		}
+	for _, o := range s.orphans {
+		rep.ManifestDropped++
+		rep.Problems = append(rep.Problems, Problem{Path: o, Kind: "manifest-orphan"})
 	}
 	if err := r.storeManifest(rebuilt); err != nil {
 		return nil, err

@@ -1,8 +1,6 @@
 package sigrepo
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -13,7 +11,7 @@ import (
 // manifestVersion is the journal format; bump on layout changes.
 const manifestVersion = 1
 
-// manifestEntry journals one stored signature: its identity, the
+// manifestEntry journals one stored artefact: its identity, the
 // SHA-256 of the file's bytes, and its size. Size is a cheap first
 // filter; the hash is the cross-check against swapped or rotted
 // files whose embedded checksum still holds.
@@ -42,10 +40,14 @@ func newManifest() *manifest {
 	return &manifest{FormatVersion: manifestVersion, Entries: map[string]manifestEntry{}}
 }
 
-// contentSHA256 hashes a file's bytes for the journal.
-func contentSHA256(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+// entry returns the journal's record of name; a nil manifest (missing
+// or unreadable journal) records nothing.
+func (m *manifest) entry(name string) (manifestEntry, bool) {
+	if m == nil {
+		return manifestEntry{}, false
+	}
+	me, ok := m.Entries[name]
+	return me, ok
 }
 
 // loadManifestChecked reads the journal; a missing manifest returns

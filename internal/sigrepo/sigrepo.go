@@ -3,7 +3,9 @@
 // proposes: the site keeps one signature per (application, process
 // count, workload), and schedulers or users look execution-time
 // predictions up by executing the stored signature on the machine at
-// hand instead of re-running applications.
+// hand instead of re-running applications. The tracefile a signature
+// came from can be stored next to it; signatures and tracefiles are
+// two artefact kinds on one write, check, lookup, list and Fsck path.
 //
 // Because the stored artefacts, not live runs, are the system of
 // record, the repository is built for crash safety and corruption
@@ -17,17 +19,23 @@
 //     payload checksum and the manifest, skip corrupt files instead
 //     of failing wholesale, and Fsck quarantines them and rebuilds
 //     the manifest;
-//   - concurrent writers serialize on a lock file with stale-lock
-//     takeover, and transient I/O errors are retried with bounded
-//     backoff.
+//   - concurrent writers serialize on a lock file, taken over at once
+//     from a dead writer on the same host and otherwise once stale,
+//     and transient I/O errors are retried with bounded backoff.
 //
 // Operational counters are published to an optional obs.Registry
 // under repo.* names (verified, corrupt, quarantined, retries, …).
 package sigrepo
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -47,9 +55,9 @@ import (
 // re-added, so "try again later" is the truthful answer.
 var (
 	// ErrNotFound marks a lookup of an identity with no stored entry.
-	ErrNotFound = errors.New("signature not found")
+	ErrNotFound = errors.New("entry not found")
 	// ErrCorrupt marks an entry that exists but fails verification.
-	ErrCorrupt = errors.New("signature corrupt")
+	ErrCorrupt = errors.New("entry corrupt")
 )
 
 const (
@@ -62,8 +70,8 @@ const (
 )
 
 // Repo is a signature store rooted at a directory; each signature is
-// one checksummed JSON file produced by signature.Save, journalled in
-// the manifest.
+// one checksummed JSON file produced by signature.Save, each stored
+// tracefile one checksummed v2 tracefile, journalled in the manifest.
 type Repo struct {
 	dir string
 	fs  fsx.FS
@@ -181,51 +189,111 @@ func escapeComponent(s string) string {
 	return b.String()
 }
 
-// key builds the canonical filename for an entry. The escaped
-// components contain '_' only as an escape prefix, so the _p<procs>_
-// separators stay unambiguous and the mapping is injective.
-func key(appName string, procs int, workload string) string {
-	return fmt.Sprintf("%s_p%d_%s%s", escapeComponent(appName), procs, escapeComponent(workload), sigSuffix)
+// kind is one type of stored artefact. A kind names its files and its
+// repo.* counters and knows how to verify one file; everything else
+// (write, check, look up, list, fsck) has one implementation over
+// kinds.
+type kind struct {
+	suffix string // filename suffix after the identity
+	tag    string // manifest Kind: "" for signatures, the original format
+	noun   string // in messages
+	// repo.* counters for writes, verified reads and corrupt reads.
+	writes, verified, corrupt string
+	// verify reads one whole stored file, checking the file's own
+	// checksums as it streams, and returns its entry (*Entry or
+	// *TraceEntry, carrying path) and the identity to journal.
+	verify func(path string, r io.Reader) (any, manifestEntry, error)
 }
 
-// Add stores a signature under its application identity: the entry is
-// serialised in memory, written atomically (temp → fsync → rename →
-// dir fsync), and journalled in the manifest, all under the repo
-// lock. A failed Add never leaves a partial entry visible.
-func (r *Repo) Add(sig *signature.Signature, workload, baseCluster string) (string, error) {
-	var buf strings.Builder
-	if err := sig.Save(&buf, workload, baseCluster); err != nil {
-		return "", err
-	}
-	data := []byte(buf.String())
+var (
+	sigKind = &kind{suffix: sigSuffix, noun: "signature",
+		writes: "repo.writes", verified: "repo.verified", corrupt: "repo.corrupt",
+		verify: verifySignature}
+	traceKind = &kind{suffix: traceSuffix, tag: "trace", noun: "tracefile",
+		writes: "repo.trace_writes", verified: "repo.trace_verified", corrupt: "repo.trace_corrupt",
+		verify: verifyTracefile}
+	// kinds is the scan order: signatures, then tracefiles.
+	kinds = []*kind{sigKind, traceKind}
+)
 
+// key builds the canonical filename for an identity. The escaped
+// components contain '_' only as an escape prefix, so the _p<procs>_
+// separators stay unambiguous and the mapping is injective.
+func (k *kind) key(appName string, procs int, workload string) string {
+	return fmt.Sprintf("%s_p%d_%s%s", escapeComponent(appName), procs, escapeComponent(workload), k.suffix)
+}
+
+func verifySignature(path string, r io.Reader) (any, manifestEntry, error) {
+	saved, err := signature.LoadSaved(r)
+	if err != nil {
+		return nil, manifestEntry{}, err
+	}
+	return &Entry{Path: path, Saved: saved},
+		manifestEntry{App: saved.AppName, Procs: saved.Procs, Workload: saved.Workload}, nil
+}
+
+// hashCounter hashes and counts the bytes written to it.
+type hashCounter struct {
+	h hash.Hash
+	n int64
+}
+
+func newHashCounter() *hashCounter { return &hashCounter{h: sha256.New()} }
+
+func (c *hashCounter) Write(p []byte) (int, error) {
+	c.h.Write(p)
+	c.n += int64(len(p))
+	return len(p), nil
+}
+
+func (c *hashCounter) sum() string { return hex.EncodeToString(c.h.Sum(nil)) }
+
+// put stores one artefact under its identity: under the repo lock, it
+// streams the bytes write produces into an atomic temp file (temp →
+// fsync → rename → dir fsync) with bounded retry, hashing and counting
+// them on the way, and journals the entry in the manifest. A failed
+// put never leaves a partial entry visible.
+func (r *Repo) put(k *kind, id manifestEntry, write func(io.Writer) error) (string, error) {
 	unlock, err := r.acquireLock()
 	if err != nil {
 		return "", err
 	}
 	defer unlock()
 
-	name := key(sig.App.Name, sig.App.Procs, workload)
+	name := k.key(id.App, id.Procs, id.Workload)
 	path := filepath.Join(r.dir, name)
+	var hc *hashCounter
 	if err := r.withRetry(func() error {
-		return fsx.WriteBytesAtomic(r.fs, path, data)
+		hc = newHashCounter()
+		return fsx.WriteFileAtomic(r.fs, path, func(w io.Writer) error {
+			return write(io.MultiWriter(w, hc))
+		})
 	}); err != nil {
 		return "", fmt.Errorf("sigrepo: writing %s: %w", path, err)
 	}
-	r.bump("repo.writes", 1)
+	r.bump(k.writes, 1)
 
 	m := r.loadManifestTolerant()
-	m.Entries[name] = manifestEntry{
-		App:      sig.App.Name,
-		Procs:    sig.App.Procs,
-		Workload: workload,
-		SHA256:   contentSHA256(data),
-		Size:     int64(len(data)),
-	}
+	id.SHA256, id.Size, id.Kind = hc.sum(), hc.n, k.tag
+	m.Entries[name] = id
 	if err := r.storeManifest(m); err != nil {
 		return "", err
 	}
 	return path, nil
+}
+
+// Add stores a signature under its application identity. The entry is
+// serialised in memory before the lock is taken, then stored by put.
+func (r *Repo) Add(sig *signature.Signature, workload, baseCluster string) (string, error) {
+	var buf bytes.Buffer
+	if err := sig.Save(&buf, workload, baseCluster); err != nil {
+		return "", err
+	}
+	id := manifestEntry{App: sig.App.Name, Procs: sig.App.Procs, Workload: workload}
+	return r.put(sigKind, id, func(w io.Writer) error {
+		_, err := w.Write(buf.Bytes())
+		return err
+	})
 }
 
 // Entry describes one stored signature.
@@ -243,7 +311,8 @@ type Problem struct {
 	// Kind classifies the problem: "corrupt" (entry fails its
 	// checksum), "manifest-mismatch" (valid entry disagreeing with
 	// the journal), "manifest-orphan" (journal entry with no file),
-	// "manifest-corrupt" (unreadable journal), or "stray-temp".
+	// "manifest-corrupt" (unreadable journal), "stray-temp", or, from
+	// Fsck, "unmanifested" (valid entry the journal lacked).
 	Kind string
 	// Err is the underlying error, when there is one.
 	Err error
@@ -256,128 +325,190 @@ func (p Problem) String() string {
 	return fmt.Sprintf("%s: %s", p.Kind, p.Path)
 }
 
-// scanNames lists the repository's signature, tracefile and stray
-// temp filenames, each sorted.
-func (r *Repo) scanNames() ([]string, []string, []string, error) {
+// MarshalJSON serves Err as its text under the same key (null when
+// there is none): an error value marshals as {} and would drop the
+// reason /v1/fsck reports.
+func (p Problem) MarshalJSON() ([]byte, error) {
+	var msg *string
+	if p.Err != nil {
+		s := p.Err.Error()
+		msg = &s
+	}
+	return json.Marshal(struct {
+		Path, Kind string
+		Err        *string
+	}{p.Path, p.Kind, msg})
+}
+
+// check streams one stored artefact through its kind's verify,
+// hashing and counting the bytes as they pass, and cross-checks the
+// manifest; it counts the outcome under the kind's verified or
+// corrupt counter. A nil value means the file is corrupt. A non-nil
+// value may still carry a manifest-mismatch problem: the file's own
+// checksums are the authority, so it is served anyway. The returned
+// identity, with the streamed hash and size, is what Fsck journals.
+func (r *Repo) check(k *kind, name string, m *manifest) (any, manifestEntry, *Problem) {
+	path := filepath.Join(r.dir, name)
+	v, id, err := r.stream(k, path)
+	if err != nil {
+		r.bump(k.corrupt, 1)
+		return nil, id, &Problem{Path: path, Kind: "corrupt", Err: err}
+	}
+	r.bump(k.verified, 1)
+	if me, ok := m.entry(name); ok && (me.Size != id.Size || me.SHA256 != id.SHA256) {
+		// Internally consistent but disagreeing with the journal
+		// (stale manifest or swapped file).
+		return v, id, &Problem{Path: path, Kind: "manifest-mismatch"}
+	}
+	return v, id, nil
+}
+
+// stream opens one file through the fsx seam and runs the kind's
+// verify over it, then drains past what verify consumed so the hash
+// and size cover the whole file, trailing bytes included, as the
+// manifest journalled it.
+func (r *Repo) stream(k *kind, path string) (any, manifestEntry, error) {
+	f, err := r.fs.Open(path)
+	if err != nil {
+		return nil, manifestEntry{}, err
+	}
+	defer f.Close()
+	hc := newHashCounter()
+	tee := io.TeeReader(f, hc)
+	v, id, err := k.verify(path, tee)
+	if err == nil {
+		_, err = io.Copy(io.Discard, tee)
+	}
+	if err != nil {
+		return nil, manifestEntry{}, err
+	}
+	id.SHA256, id.Size, id.Kind = hc.sum(), hc.n, k.tag
+	return v, id, nil
+}
+
+// lookup finds and verifies the stored artefact of kind k for an
+// identity. A missing file fails with ErrNotFound; a corrupt one with
+// ErrCorrupt and a description of the corruption, never a wrong value.
+func (r *Repo) lookup(k *kind, appName string, procs int, workload string) (any, error) {
+	name := k.key(appName, procs, workload)
+	if _, err := r.fs.Stat(filepath.Join(r.dir, name)); err != nil {
+		return nil, fmt.Errorf("sigrepo: no %s for %s/p%d/%q (%v): %w", k.noun, appName, procs, workload, err, ErrNotFound)
+	}
+	m, _ := r.loadManifestChecked()
+	v, _, p := r.check(k, name, m)
+	if v == nil {
+		return nil, fmt.Errorf("sigrepo: %s for %s/p%d/%q is corrupt (%v); run fsck to quarantine it: %w",
+			k.noun, appName, procs, workload, p.Err, ErrCorrupt)
+	}
+	return v, nil
+}
+
+// Lookup finds the stored signature for an application identity.
+func (r *Repo) Lookup(appName string, procs int, workload string) (*Entry, error) {
+	v, err := r.lookup(sigKind, appName, procs, workload)
+	if err != nil {
+		return nil, err
+	}
+	return v.(*Entry), nil
+}
+
+// found is one artefact file as check saw it.
+type found struct {
+	kind    *kind
+	name    string
+	val     any           // *Entry or *TraceEntry; nil when corrupt
+	id      manifestEntry // identity, hash and size to journal
+	problem *Problem
+}
+
+// survey is one pass over the repository directory: the journal, the
+// stray temp files, every artefact of every kind checked against the
+// journal, and the journal entries with no file.
+type survey struct {
+	m        *manifest // nil when missing or unreadable
+	mProblem *Problem  // why the journal is unreadable
+	temps    []string  // paths
+	found    []found   // in kind order, names sorted
+	orphans  []string  // paths
+}
+
+func (r *Repo) survey() (*survey, error) {
 	ents, err := r.fs.ReadDir(r.dir)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("sigrepo: scanning %s: %w", r.dir, err)
+		return nil, fmt.Errorf("sigrepo: scanning %s: %w", r.dir, err)
 	}
-	var names, traces, temps []string
+	s := &survey{}
+	s.m, s.mProblem = r.loadManifestChecked()
+	names := make([][]string, len(kinds))
+	have := make(map[string]bool, len(ents))
 	for _, e := range ents {
+		n := e.Name()
 		if e.IsDir() {
 			continue
 		}
-		n := e.Name()
-		switch {
-		case strings.HasPrefix(n, tmpPrefix):
-			temps = append(temps, n)
-		case strings.HasSuffix(n, sigSuffix):
-			names = append(names, n)
-		case strings.HasSuffix(n, traceSuffix):
-			traces = append(traces, n)
+		if strings.HasPrefix(n, tmpPrefix) {
+			s.temps = append(s.temps, filepath.Join(r.dir, n))
+			continue
 		}
-	}
-	sort.Strings(names)
-	sort.Strings(traces)
-	sort.Strings(temps)
-	return names, traces, temps, nil
-}
-
-// verifyEntry reads and fully verifies one entry: the embedded
-// payload checksum must hold, and, when the manifest journals the
-// entry, the file's size and content hash must match the journal.
-func (r *Repo) verifyEntry(name string, m *manifest) (*Entry, *Problem) {
-	path := filepath.Join(r.dir, name)
-	data, err := r.fs.ReadFile(path)
-	if err != nil {
-		return nil, &Problem{Path: path, Kind: "corrupt", Err: err}
-	}
-	saved, err := signature.LoadSaved(strings.NewReader(string(data)))
-	if err != nil {
-		return nil, &Problem{Path: path, Kind: "corrupt", Err: err}
-	}
-	if m != nil {
-		if me, ok := m.Entries[name]; ok {
-			if me.Size != int64(len(data)) || me.SHA256 != contentSHA256(data) {
-				// The file is internally consistent but disagrees
-				// with the journal (stale manifest or swapped file):
-				// surface it, but serve the file — its own checksum
-				// is the authority.
-				return &Entry{Path: path, Saved: saved},
-					&Problem{Path: path, Kind: "manifest-mismatch"}
+		for i, k := range kinds {
+			if strings.HasSuffix(n, k.suffix) {
+				names[i] = append(names[i], n)
+				have[n] = true
+				break
 			}
 		}
 	}
-	return &Entry{Path: path, Saved: saved}, nil
+	sort.Strings(s.temps)
+	for i, k := range kinds {
+		sort.Strings(names[i])
+		for _, n := range names[i] {
+			v, id, p := r.check(k, n, s.m)
+			s.found = append(s.found, found{kind: k, name: n, val: v, id: id, problem: p})
+		}
+	}
+	if s.m != nil {
+		for _, n := range sortedKeys(s.m.Entries) {
+			if !have[n] {
+				s.orphans = append(s.orphans, filepath.Join(r.dir, n))
+			}
+		}
+	}
+	return s, nil
 }
 
-// List returns every verifiable stored signature, sorted by filename,
-// plus a report of entries it had to skip or flag. Corrupt entries
+// List returns every verifiable stored signature and tracefile, each
+// sorted by filename, plus every problem found, once. Corrupt entries
 // degrade gracefully: they are reported, never returned, and never
 // fail the listing.
-func (r *Repo) List() ([]Entry, []Problem, error) {
-	names, traces, temps, err := r.scanNames()
+func (r *Repo) List() ([]Entry, []TraceEntry, []Problem, error) {
+	s, err := r.survey()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	m, mProblem := r.loadManifestChecked()
-	var out []Entry
+	var sigs []Entry
+	var traces []TraceEntry
 	var problems []Problem
-	if mProblem != nil {
-		problems = append(problems, *mProblem)
+	if s.mProblem != nil {
+		problems = append(problems, *s.mProblem)
 	}
-	for _, t := range temps {
-		problems = append(problems, Problem{Path: filepath.Join(r.dir, t), Kind: "stray-temp"})
+	for _, t := range s.temps {
+		problems = append(problems, Problem{Path: t, Kind: "stray-temp"})
 	}
-	for _, name := range names {
-		e, p := r.verifyEntry(name, m)
-		if p != nil {
-			problems = append(problems, *p)
+	for _, f := range s.found {
+		if f.problem != nil {
+			problems = append(problems, *f.problem)
 		}
-		if e != nil {
-			out = append(out, *e)
-			r.bump("repo.verified", 1)
-		} else {
-			r.bump("repo.corrupt", 1)
-		}
-	}
-	if m != nil {
-		have := make(map[string]bool, len(names)+len(traces))
-		for _, n := range names {
-			have[n] = true
-		}
-		// Trace entries share the journal; their files are verified by
-		// ListTraces, but their presence matters for orphan detection.
-		for _, n := range traces {
-			have[n] = true
-		}
-		for _, n := range sortedKeys(m.Entries) {
-			if !have[n] {
-				problems = append(problems, Problem{Path: filepath.Join(r.dir, n), Kind: "manifest-orphan"})
-			}
+		switch v := f.val.(type) {
+		case *Entry:
+			sigs = append(sigs, *v)
+		case *TraceEntry:
+			traces = append(traces, *v)
 		}
 	}
-	return out, problems, nil
-}
-
-// Lookup finds the stored signature for an application identity. A
-// corrupt entry fails the lookup with a description of the corruption
-// rather than decoding into a wrong signature.
-func (r *Repo) Lookup(appName string, procs int, workload string) (*Entry, error) {
-	name := key(appName, procs, workload)
-	if _, err := r.fs.Stat(filepath.Join(r.dir, name)); err != nil {
-		return nil, fmt.Errorf("sigrepo: no signature for %s/p%d/%q (%v): %w", appName, procs, workload, err, ErrNotFound)
+	for _, o := range s.orphans {
+		problems = append(problems, Problem{Path: o, Kind: "manifest-orphan"})
 	}
-	m, _ := r.loadManifestChecked()
-	e, p := r.verifyEntry(name, m)
-	if e == nil {
-		r.bump("repo.corrupt", 1)
-		return nil, fmt.Errorf("sigrepo: signature for %s/p%d/%q is corrupt (%v); run fsck to quarantine it: %w",
-			appName, procs, workload, p.Err, ErrCorrupt)
-	}
-	r.bump("repo.verified", 1)
-	return e, nil
+	return sigs, traces, problems, nil
 }
 
 // Predict reattaches the application code (via makeApp) to a stored

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -83,7 +84,7 @@ func TestRepoAddListLookupPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entries, problems, err := repo.List()
+	entries, _, problems, err := repo.List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +136,12 @@ func TestRepoOpenValidation(t *testing.T) {
 }
 
 func TestRepoKeyEscaping(t *testing.T) {
-	k := key("smg2000", 64, "-n 200 solver 3")
+	k := sigKind.key("smg2000", 64, "-n 200 solver 3")
 	if k != "smg2000_p64_-n_20200_20solver_203.sig.json" {
 		t.Errorf("key = %q", k)
 	}
 	// Safe characters pass through untouched.
-	if got := key("cg.v2", 8, "classA"); got != "cg.v2_p8_classA.sig.json" {
+	if got := sigKind.key("cg.v2", 8, "classA"); got != "cg.v2_p8_classA.sig.json" {
 		t.Errorf("key = %q", got)
 	}
 }
@@ -153,7 +154,7 @@ func TestRepoKeyCollisionRegression(t *testing.T) {
 	workloads := []string{"a/b", "a_b", "a b", "a_2fb", "a__b"}
 	seen := map[string]string{}
 	for _, wl := range workloads {
-		k := key("app", 8, wl)
+		k := sigKind.key("app", 8, wl)
 		if prev, dup := seen[k]; dup {
 			t.Errorf("workloads %q and %q collide on key %q", prev, wl, k)
 		}
@@ -161,7 +162,7 @@ func TestRepoKeyCollisionRegression(t *testing.T) {
 	}
 	// Same property across the app-name/workload boundary: the
 	// separator must not be forgeable from inside a component.
-	if key("app_p8_x", 8, "y") == key("app", 8, "x_p8_y") {
+	if sigKind.key("app_p8_x", 8, "y") == sigKind.key("app", 8, "x_p8_y") {
 		t.Error("separator forgery collides keys")
 	}
 }
@@ -243,7 +244,7 @@ func TestListSkipsAndReportsCorruptEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entries, problems, err := repo.List()
+	entries, _, problems, err := repo.List()
 	if err != nil {
 		t.Fatalf("List must not fail on corrupt entries: %v", err)
 	}
@@ -330,7 +331,7 @@ func TestFsckQuarantinesAndRebuilds(t *testing.T) {
 	}
 
 	// After repair the repo lists clean.
-	entries, problems, err := repo.List()
+	entries, _, problems, err := repo.List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestFsckRebuildsCorruptManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// List degrades (reports the journal, serves the data)...
-	entries, problems, err := repo.List()
+	entries, _, problems, err := repo.List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +383,7 @@ func TestFsckRebuildsCorruptManifest(t *testing.T) {
 	if !rep.ManifestRebuilt || rep.Verified != 1 {
 		t.Fatalf("fsck report: %+v", rep)
 	}
-	if _, problems, _ := repo.List(); len(problems) != 0 {
+	if _, _, problems, _ := repo.List(); len(problems) != 0 {
 		t.Fatalf("problems after manifest rebuild: %v", problems)
 	}
 }
@@ -449,6 +450,58 @@ func TestLockContentionAndStaleTakeover(t *testing.T) {
 	}
 }
 
+// TestLockOfDeadProcessTakenOver: a LOCK left by a killed writer
+// names this host and a pid that no longer exists, and Fsck takes it
+// over at once instead of waiting out staleLockAge. A fresh lock that
+// names another host, or a live pid, still blocks.
+func TestLockOfDeadProcessTakenOver(t *testing.T) {
+	host, err := os.Hostname()
+	if err != nil {
+		t.Skipf("no hostname: %v", err)
+	}
+	child := exec.Command(os.Args[0], "-test.run=^$")
+	if err := child.Run(); err != nil {
+		t.Fatal(err)
+	}
+	dead := child.Process.Pid
+
+	for _, tc := range []struct {
+		name, lock string
+		takeover   bool
+	}{
+		{"dead-pid-this-host", fmt.Sprintf("pid %d\nhost %s\nacquired x\n", dead, host), true},
+		{"dead-pid-other-host", fmt.Sprintf("pid %d\nhost %s-elsewhere\n", dead, host), false},
+		{"live-pid-this-host", fmt.Sprintf("pid %d\nhost %s\n", os.Getpid(), host), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			reg := obs.NewRegistry()
+			repo, err := OpenFS(dir, nil, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fastKnobs(repo) // a 50 ms wait, so only a takeover lets Fsck in
+			if err := os.WriteFile(filepath.Join(dir, lockName), []byte(tc.lock), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = repo.Fsck()
+			if tc.takeover && err != nil {
+				t.Fatalf("Fsck waited on a dead writer's lock: %v", err)
+			}
+			if !tc.takeover && (err == nil || !strings.Contains(err.Error(), "locked")) {
+				t.Fatalf("Fsck broke a lock it must respect: %v", err)
+			}
+			want := int64(0)
+			if tc.takeover {
+				want = 1
+			}
+			if got := reg.Counter("repo.lock_takeovers").Value(); got != want {
+				t.Errorf("repo.lock_takeovers = %d, want %d", got, want)
+			}
+		})
+	}
+}
+
 // TestConcurrentAddsSerialize races several writers against one
 // repository: the lock file must serialize them so every entry and a
 // consistent manifest survive.
@@ -477,7 +530,7 @@ func TestConcurrentAddsSerialize(t *testing.T) {
 			t.Fatalf("concurrent add %s: %v", ids[i].app, err)
 		}
 	}
-	entries, problems, err := repo.List()
+	entries, _, problems, err := repo.List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,7 +666,7 @@ func TestConcurrentLookupAddFsckRace(t *testing.T) {
 		t.Error(err)
 	}
 
-	entries, problems, err := repo.List()
+	entries, _, problems, err := repo.List()
 	if err != nil {
 		t.Fatal(err)
 	}

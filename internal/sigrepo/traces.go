@@ -2,11 +2,9 @@ package sigrepo
 
 // Stored tracefiles. A site that keeps signatures usually wants the
 // traced run they came from — to re-extract phases with different
-// knobs, or to audit a prediction — so the repository can journal
-// binary tracefiles next to the signatures under the same identity
-// scheme, with the same durability contract: atomic locked writes,
-// manifest journalling, checksum-verified lookups, and Fsck
-// quarantine.
+// knobs, or to audit a prediction — so the repository journals binary
+// tracefiles next to the signatures as a second artefact kind: same
+// identity scheme, same write, check, lookup, list and Fsck paths.
 //
 // Tracefiles are orders of magnitude larger than signatures, so the
 // verification path never slurps them: reads go through the fsx Open
@@ -15,25 +13,16 @@ package sigrepo
 // single event.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"path/filepath"
 	"strconv"
 	"strings"
 
-	"pas2p/internal/fsx"
 	"pas2p/internal/trace"
 )
 
 const traceSuffix = ".trace.pas2p"
-
-// traceKey builds the canonical filename for a stored tracefile; the
-// scheme mirrors key() and is injective for the same reason.
-func traceKey(appName string, procs int, workload string) string {
-	return fmt.Sprintf("%s_p%d_%s%s", escapeComponent(appName), procs, escapeComponent(workload), traceSuffix)
-}
 
 // unescapeComponent inverts escapeComponent.
 func unescapeComponent(s string) (string, error) {
@@ -95,167 +84,33 @@ type TraceEntry struct {
 // AddTrace stores a tracefile under its application identity. The
 // trace is encoded straight into the atomic temp file through the
 // parallel block codec — it is never serialised to memory first — and
-// journalled in the manifest with the SHA-256 of the streamed bytes.
+// journalled with the SHA-256 of the streamed bytes.
 func (r *Repo) AddTrace(t *trace.Trace, workload string) (string, error) {
-	unlock, err := r.acquireLock()
+	id := manifestEntry{App: t.AppName, Procs: t.Procs, Workload: workload}
+	return r.put(traceKind, id, func(w io.Writer) error {
+		return trace.EncodeWith(w, t, trace.CodecOptions{Reg: r.reg})
+	})
+}
+
+// verifyTracefile streams a stored tracefile through every checksum
+// (header, per-block, whole-file) without materialising an event. The
+// file does not carry its workload; the filename does.
+func verifyTracefile(path string, r io.Reader) (any, manifestEntry, error) {
+	meta, err := trace.VerifyStream(r)
 	if err != nil {
-		return "", err
+		return nil, manifestEntry{}, err
 	}
-	defer unlock()
-
-	name := traceKey(t.AppName, t.Procs, workload)
-	path := filepath.Join(r.dir, name)
-	h := sha256.New()
-	var size int64
-	if err := r.withRetry(func() error {
-		h.Reset()
-		size = 0
-		return fsx.WriteFileAtomic(r.fs, path, func(w io.Writer) error {
-			cw := &countWriter{w: io.MultiWriter(w, h), n: &size}
-			return trace.EncodeWith(cw, t, trace.CodecOptions{Reg: r.reg})
-		})
-	}); err != nil {
-		return "", fmt.Errorf("sigrepo: writing %s: %w", path, err)
-	}
-	r.bump("repo.trace_writes", 1)
-
-	m := r.loadManifestTolerant()
-	m.Entries[name] = manifestEntry{
-		App:      t.AppName,
-		Procs:    t.Procs,
-		Workload: workload,
-		SHA256:   hex.EncodeToString(h.Sum(nil)),
-		Size:     size,
-		Kind:     "trace",
-	}
-	if err := r.storeManifest(m); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-type countWriter struct {
-	w io.Writer
-	n *int64
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	*cw.n += int64(n)
-	return n, err
-}
-
-// verifyTrace streams one stored tracefile through every checksum and
-// cross-checks the manifest, returning the verified entry plus the
-// streamed hash and size for re-journalling. The shape mirrors
-// verifyEntry: a non-nil entry may still carry a manifest-mismatch
-// problem.
-func (r *Repo) verifyTrace(name string, m *manifest) (*TraceEntry, string, int64, *Problem) {
-	path := filepath.Join(r.dir, name)
-	f, err := r.fs.Open(path)
-	if err != nil {
-		return nil, "", 0, &Problem{Path: path, Kind: "corrupt", Err: err}
-	}
-	defer f.Close()
-	h := sha256.New()
-	var size int64
-	tee := io.TeeReader(&countReader{r: f, n: &size}, h)
-	meta, err := trace.VerifyStream(tee)
-	if err != nil {
-		return nil, "", 0, &Problem{Path: path, Kind: "corrupt", Err: err}
-	}
-	// Drain past the trailer so the hash and size cover the whole
-	// file, trailing junk included, as the manifest journalled it.
-	if _, err := io.Copy(io.Discard, tee); err != nil {
-		return nil, "", 0, &Problem{Path: path, Kind: "corrupt", Err: err}
-	}
-	sha := hex.EncodeToString(h.Sum(nil))
-
-	workload := ""
-	if _, _, wl, err := parseTraceKey(name); err == nil {
-		workload = wl
-	}
-	te := &TraceEntry{Path: path, Workload: workload, Meta: meta}
-	if m != nil {
-		if me, ok := m.Entries[name]; ok {
-			te.Workload = me.Workload
-			if me.Size != size || me.SHA256 != sha {
-				return te, sha, size, &Problem{Path: path, Kind: "manifest-mismatch"}
-			}
-		}
-	}
-	return te, sha, size, nil
-}
-
-type countReader struct {
-	r io.Reader
-	n *int64
-}
-
-func (cr *countReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	*cr.n += int64(n)
-	return n, err
+	_, _, workload, _ := parseTraceKey(filepath.Base(path))
+	return &TraceEntry{Path: path, Workload: workload, Meta: meta},
+		manifestEntry{App: meta.AppName, Procs: meta.Procs, Workload: workload}, nil
 }
 
 // LookupTrace finds and fully verifies the stored tracefile for an
 // application identity without materialising its events.
 func (r *Repo) LookupTrace(appName string, procs int, workload string) (*TraceEntry, error) {
-	name := traceKey(appName, procs, workload)
-	if _, err := r.fs.Stat(filepath.Join(r.dir, name)); err != nil {
-		return nil, fmt.Errorf("sigrepo: no trace for %s/p%d/%q: %w", appName, procs, workload, err)
-	}
-	m, _ := r.loadManifestChecked()
-	te, _, _, p := r.verifyTrace(name, m)
-	if te == nil {
-		r.bump("repo.trace_corrupt", 1)
-		return nil, fmt.Errorf("sigrepo: trace for %s/p%d/%q is corrupt (%v); run fsck to quarantine it",
-			appName, procs, workload, p.Err)
-	}
-	r.bump("repo.trace_verified", 1)
-	return te, nil
-}
-
-// ReadTrace decodes a stored tracefile in full (checksum-verified,
-// parallel decode). Use LookupTrace when only the metadata is needed.
-func (r *Repo) ReadTrace(appName string, procs int, workload string) (*trace.Trace, error) {
-	if _, err := r.LookupTrace(appName, procs, workload); err != nil {
+	v, err := r.lookup(traceKind, appName, procs, workload)
+	if err != nil {
 		return nil, err
 	}
-	name := traceKey(appName, procs, workload)
-	f, err := r.fs.Open(filepath.Join(r.dir, name))
-	if err != nil {
-		return nil, fmt.Errorf("sigrepo: opening trace: %w", err)
-	}
-	defer f.Close()
-	return trace.DecodeWith(f, trace.CodecOptions{Reg: r.reg})
-}
-
-// ListTraces returns every verifiable stored tracefile, sorted by
-// filename, plus the problems found; like List, corrupt entries are
-// reported and skipped, never fatal.
-func (r *Repo) ListTraces() ([]TraceEntry, []Problem, error) {
-	_, traces, _, err := r.scanNames()
-	if err != nil {
-		return nil, nil, err
-	}
-	m, mProblem := r.loadManifestChecked()
-	var out []TraceEntry
-	var problems []Problem
-	if mProblem != nil {
-		problems = append(problems, *mProblem)
-	}
-	for _, name := range traces {
-		te, _, _, p := r.verifyTrace(name, m)
-		if p != nil {
-			problems = append(problems, *p)
-		}
-		if te != nil {
-			out = append(out, *te)
-			r.bump("repo.trace_verified", 1)
-		} else {
-			r.bump("repo.trace_corrupt", 1)
-		}
-	}
-	return out, problems, nil
+	return v.(*TraceEntry), nil
 }

@@ -1,6 +1,7 @@
 package sigrepo
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -40,6 +41,20 @@ func synthTrace(t *testing.T, app string, procs, events int) *trace.Trace {
 	return rec.Trace()
 }
 
+// readStored decodes the stored tracefile LookupTrace verifies.
+func readStored(repo *Repo, app string, procs int, workload string) (*trace.Trace, error) {
+	te, err := repo.LookupTrace(app, procs, workload)
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Open(te.Path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return trace.Decode(f)
+}
+
 func TestTraceAddLookupReadList(t *testing.T) {
 	repo, err := OpenFS(t.TempDir(), nil, obs.NewRegistry())
 	if err != nil {
@@ -50,7 +65,7 @@ func TestTraceAddLookupReadList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if filepath.Base(path) != traceKey("cg/dev_run", 4, "class A") {
+	if filepath.Base(path) != traceKind.key("cg/dev_run", 4, "class A") {
 		t.Fatalf("unexpected path %s", path)
 	}
 
@@ -63,7 +78,7 @@ func TestTraceAddLookupReadList(t *testing.T) {
 		t.Fatalf("lookup meta mismatch: %+v", te)
 	}
 
-	got, err := repo.ReadTrace("cg/dev_run", 4, "class A")
+	got, err := readStored(repo, "cg/dev_run", 4, "class A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,17 +86,17 @@ func TestTraceAddLookupReadList(t *testing.T) {
 		t.Fatal("stored trace does not round-trip")
 	}
 
-	entries, problems, err := repo.ListTraces()
+	sigs, entries, problems, err := repo.List()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(problems) != 0 || len(entries) != 1 {
-		t.Fatalf("ListTraces: %d entries, problems %v", len(entries), problems)
+		t.Fatalf("List: %d trace entries, problems %v", len(entries), problems)
 	}
 
 	// The trace entry must not confuse the signature listing or fsck.
-	if _, problems, err = repo.List(); err != nil || len(problems) != 0 {
-		t.Fatalf("List with trace present: problems %v, err %v", problems, err)
+	if len(sigs) != 0 {
+		t.Fatalf("List with trace present: %d signatures", len(sigs))
 	}
 	rep, err := repo.Fsck()
 	if err != nil {
@@ -170,7 +185,7 @@ func TestParseTraceKeyRoundTrip(t *testing.T) {
 		{"x", 1048576, "y.z-0"},  // max procs, safe punctuation
 	}
 	for _, c := range cases {
-		name := traceKey(c.app, c.procs, c.workload)
+		name := traceKind.key(c.app, c.procs, c.workload)
 		app, procs, wl, err := parseTraceKey(name)
 		if err != nil {
 			t.Fatalf("parse %q: %v", name, err)
@@ -230,7 +245,7 @@ func TestTraceChaosFsck(t *testing.T) {
 			if quarantined[base] {
 				continue
 			}
-			got, err := repo.ReadTrace("lu", 4, "classC")
+			got, err := readStored(repo, "lu", 4, "classC")
 			if err != nil {
 				t.Fatalf("seed %d: %s neither quarantined nor readable: %v", seed, base, err)
 			}
@@ -241,5 +256,38 @@ func TestTraceChaosFsck(t *testing.T) {
 	}
 	if injected == 0 {
 		t.Fatal("fault schedule injected nothing; rates too low to prove anything")
+	}
+}
+
+// TestLookupErrorsTyped: both kinds' lookups fail with the sentinels
+// the service maps to 404 and 503.
+func TestLookupErrorsTyped(t *testing.T) {
+	dir := t.TempDir()
+	repo, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.LookupTrace("ep", 2, "classB"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("missing trace: %v, want ErrNotFound", err)
+	}
+	if _, err := repo.Lookup("ep", 2, "classB"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("missing signature: %v, want ErrNotFound", err)
+	}
+	path, err := repo.AddTrace(synthTrace(t, "ep", 2, 300), "classB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.LookupTrace("ep", 2, "classB"); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("truncated trace: %v, want ErrCorrupt", err)
+	}
+	sigPath := filepath.Join(dir, sigKind.key("ep", 2, "classB"))
+	if err := os.WriteFile(sigPath, []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.Lookup("ep", 2, "classB"); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("torn signature: %v, want ErrCorrupt", err)
 	}
 }
