@@ -43,12 +43,13 @@ race:
 # ranks and over lu classA at 128 ranks (a wavefront with sparse
 # ticks), in memory and from the rank streams of its v2 bytes; a
 # traced run's recording, assembled into a trace and drained in place
-# through its streams; and writing it (the ID merge). Last, the
+# through its streams; writing it (the ID merge); and decoding a
+# tracefile of 10k and of 1M events back into a trace. Last, the
 # per-operation cost of a traced 128-rank run: one SendrecvN and one
 # Allreduce on every rank, with their allocations.
 bench:
 	$(GO) test ./internal/phase -run xxx -bench ExtractApps -benchtime 5x -count 3
-	$(GO) test ./internal/logical ./internal/trace -run xxx -bench 'OrderPAS2P|Recording|EncodeRanks' -benchtime 20x -count 3
+	$(GO) test ./internal/logical ./internal/trace -run xxx -bench 'OrderPAS2P|Recording|EncodeRanks|Decode' -benchtime 20x -count 3
 	$(GO) test ./internal/mpi -run xxx -bench 'TracedSendrecv|TracedAllreduce' -benchtime 2000x -count 3
 
 # Out-of-core soak at full scale: 100M synthetic events streamed under
@@ -69,6 +70,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzDecodeTracefile -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzBlockReader -fuzztime=10s ./internal/trace
+	$(GO) test -fuzz=FuzzRecordingRoundTrip -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzLogicalOrder -fuzztime=10s ./internal/logical
 	$(GO) test -fuzz=FuzzAnalyzeTrace -fuzztime=10s ./internal/phase
 	$(GO) test -fuzz=FuzzAnalyzeStream -fuzztime=10s ./internal/phase

@@ -37,10 +37,14 @@ type FsckReport struct {
 	Problems []Problem
 }
 
+// String reports the pass. Its first line counts every artefact,
+// signatures and tracefiles alike, as its quarantine count does; the
+// traces line then gives the tracefiles' share.
 func (rep *FsckReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "fsck: %d scanned, %d verified, %d corrupt (%d quarantined)",
-		rep.Scanned, rep.Verified, rep.Corrupt, len(rep.Quarantined))
+		rep.Scanned+rep.TracesScanned, rep.Verified+rep.TracesVerified,
+		rep.Corrupt+rep.TracesCorrupt, len(rep.Quarantined))
 	if rep.TracesScanned > 0 {
 		fmt.Fprintf(&b, "\n  traces   : %d scanned, %d verified, %d corrupt",
 			rep.TracesScanned, rep.TracesVerified, rep.TracesCorrupt)

@@ -172,6 +172,52 @@ func TestTraceCorruptionQuarantined(t *testing.T) {
 	}
 }
 
+// TestFsckReportCountsEveryArtefact: on a repository with one bad
+// signature beside a good one and one bad tracefile, every count on
+// the report's first line covers both kinds, so its corrupt count
+// matches its quarantine count.
+func TestFsckReportCountsEveryArtefact(t *testing.T) {
+	repo, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.Add(buildSig(t, "cg", 8, "classA"), "classA", "Cluster A"); err != nil {
+		t.Fatal(err)
+	}
+	badSig, err := repo.Add(buildSig(t, "moldy", 8, "tip4p-short"), "tip4p-short", "Cluster A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(badSig, []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	badTrace, err := repo.AddTrace(synthTrace(t, "ep", 2, 1200), "classB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(badTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x10
+	if err := os.WriteFile(badTrace, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := repo.Fsck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(rep.String(), "\n")
+	want := []string{
+		"fsck: 3 scanned, 1 verified, 2 corrupt (2 quarantined)",
+		"  traces   : 1 scanned, 0 verified, 1 corrupt",
+	}
+	if len(lines) < 2 || !reflect.DeepEqual(lines[:2], want) {
+		t.Fatalf("report opens\n%s\nwant\n%s", rep, strings.Join(want, "\n"))
+	}
+}
+
 func TestParseTraceKeyRoundTrip(t *testing.T) {
 	cases := []struct {
 		app      string

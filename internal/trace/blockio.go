@@ -486,26 +486,35 @@ func readBlocks(r io.Reader, opts CodecOptions, workers int, decodeEvents bool) 
 
 	// Blocks are consumed in batches: bytes are read serially in file
 	// order (accumulating the whole-file CRC and error offsets), then
-	// verified and deserialised concurrently into disjoint regions of
-	// the events slice. The first batch is a single block, so the
-	// header-declared count starts funding larger reservations only
-	// after one checksum has actually verified; before that, growth is
-	// bounded exactly as for a malicious header.
-	trusted := false
+	// verified and deserialised concurrently into disjoint parts of
+	// region, the unfilled rest of the reservation eventReservation
+	// sized. Until it reserves the final slice, each reservation is a
+	// chunk that is copied once, into that slice. Chunk k > 0 is
+	// reserved only while count > eventChunk<<k, and maxEventCount is
+	// eventChunk<<20, so the list of at most 20 chunks fits on the
+	// stack (TestEventReservationPolicy).
+	var chunkList [20][]Event
+	chunks := chunkList[:0]
+	var region []Event
 	var wg sync.WaitGroup
 	for next := uint64(0); next < count; {
-		batch := count - next
-		if !trusted && batch > blockEvents {
-			batch = blockEvents
-		}
-		if batch > maxBatchBlocks*blockEvents {
-			batch = maxBatchBlocks * blockEvents
-		}
-		if decodeEvents {
-			for uint64(cap(events)) < next+batch {
-				events = growEvents(events, count, trusted)
+		if decodeEvents && len(region) == 0 {
+			n, final := eventReservation(next, count)
+			region = make([]Event, n)
+			if final {
+				off := 0
+				for _, c := range chunks {
+					off += copy(region[off:], c)
+				}
+				clear(chunks) // the stack list must not keep them alive
+				events, region = region, region[off:]
+			} else {
+				chunks = append(chunks, region)
 			}
-			events = events[:next+batch]
+		}
+		batch := min(count-next, maxBatchBlocks*blockEvents)
+		if decodeEvents {
+			batch = min(batch, uint64(len(region)))
 		}
 
 		var readErr error
@@ -519,7 +528,7 @@ func readBlocks(r io.Reader, opts CodecOptions, workers int, decodeEvents bool) 
 			n := int(be-bs)*recordSize + 4
 			var dst []Event
 			if decodeEvents {
-				dst = events[bs:be]
+				dst = region[bs-next : be-next]
 			}
 			if eng != nil {
 				j := decJobPool.Get().(*decJob)
@@ -556,7 +565,9 @@ func readBlocks(r io.Reader, opts CodecOptions, workers int, decodeEvents bool) 
 		if readErr != nil {
 			return meta, nil, readErr
 		}
-		trusted = true
+		if decodeEvents {
+			region = region[batch:]
+		}
 		next += batch
 	}
 

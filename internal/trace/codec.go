@@ -90,9 +90,9 @@ const blockEvents = 512
 // is rejected as implausible before any reading happens.
 const maxEventCount = 1 << 36
 
-// eventChunk bounds slice growth while decoding: the events slice is
-// grown at most this many entries at a time, so a malicious count
-// cannot force a huge up-front allocation.
+// eventChunk is the most a decode reserves before any event has
+// verified (eventReservation), so a malicious count cannot force a
+// huge up-front allocation.
 const eventChunk = 1 << 16
 
 // FileCRC extracts the whole-file CRC32-C a v2 tracefile declares in
@@ -433,26 +433,21 @@ func readCRC(cr *crcReader, what string, want uint32) error {
 	return nil
 }
 
-// growEvents extends evs towards total. Until trusted, growth is
-// bounded to eventChunk-sized steps: the header count is never trusted
-// for a single large allocation, so a 32-byte malicious header cannot
-// demand terabytes. Once the caller has verified real data against a
-// checksum (trusted=true), capacity doubles toward total so a large
-// decode performs O(log n) copies instead of O(n/chunk).
-func growEvents(evs []Event, total uint64, trusted bool) []Event {
-	want := cap(evs) + eventChunk
-	if trusted {
-		want = cap(evs) * 2
-		if want < eventChunk {
-			want = eventChunk
-		}
+// eventReservation sizes the next region a decode of count events
+// reserves once verified of them have verified against their
+// checksums. A reservation never exceeds max(2*verified, eventChunk),
+// so a forged header count buys at most eventChunk events before real
+// data backs it. Until the count is within that bound, the region is a
+// chunk as large as everything verified so far (O(log n) chunks, each
+// copied once); then final is true and the region is the exact count,
+// the decode's one events slice. Every chunk is a multiple of
+// eventChunk, itself a whole number of blocks, so no block straddles
+// two regions.
+func eventReservation(verified, count uint64) (n uint64, final bool) {
+	if count <= max(2*verified, eventChunk) {
+		return count, true
 	}
-	if uint64(want) > total {
-		want = int(total)
-	}
-	grown := make([]Event, len(evs), want)
-	copy(grown, evs)
-	return grown
+	return max(verified, eventChunk), false
 }
 
 // EncodeJSON writes a human-readable trace, mainly for debugging and

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -140,37 +142,82 @@ func TestCompressDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestGrowEventsPolicy pins the reservation policy directly: untrusted
-// counts grow by fixed eventChunk steps (a malicious header can never
-// make one allocation bigger than ~6 MiB of events), while a trusted
-// count doubles, reaching N events in O(log N) allocations.
-func TestGrowEventsPolicy(t *testing.T) {
-	grows := func(total uint64, trusted bool) int {
-		evs := make([]Event, 0)
-		n := 0
-		for uint64(cap(evs)) < total {
-			before := cap(evs)
-			evs = growEvents(evs, total, trusted)
-			if cap(evs) <= before {
-				t.Fatalf("growEvents(total=%d, trusted=%v) did not grow past cap %d", total, trusted, before)
+// TestEventReservationPolicy pins the reservation policy directly:
+// no reservation exceeds max(2*verified, eventChunk), so before any
+// event has verified a header count buys at most eventChunk events,
+// while a decode of N events reserves O(log N) chunks, copies each
+// once, and ends in one slice of exactly N.
+func TestEventReservationPolicy(t *testing.T) {
+	// reserve walks a decode of total events whose data all verifies,
+	// returning its reservations and how many events it copied.
+	reserve := func(total uint64) (sizes []uint64, copied uint64) {
+		for verified := uint64(0); verified < total; {
+			n, final := eventReservation(verified, total)
+			if n > max(2*verified, eventChunk) {
+				t.Fatalf("total %d: reserved %d after %d verified, past the bound", total, n, verified)
 			}
-			if uint64(cap(evs)) > total {
-				t.Fatalf("growEvents(total=%d, trusted=%v) over-reserved cap %d", total, trusted, cap(evs))
+			sizes = append(sizes, n)
+			if final {
+				if n != total {
+					t.Fatalf("total %d: final reservation %d", total, n)
+				}
+				return sizes, verified
 			}
-			n++
+			verified += n
 		}
-		return n
+		t.Fatalf("total %d: decode ended in chunks, without its final slice", total)
+		return nil, 0
 	}
 	const million = 1_000_000
-	if got := grows(million, false); got != (million+eventChunk-1)/eventChunk {
-		t.Fatalf("untrusted growth to 1M: %d allocations, want %d", got, (million+eventChunk-1)/eventChunk)
+	// Chunks of 64Ki, 64Ki, 128Ki, 256Ki, then the exact slice.
+	sizes, copied := reserve(million)
+	if want := []uint64{eventChunk, eventChunk, 2 * eventChunk, 4 * eventChunk, million}; !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("reservations for 1M: %v, want %v", sizes, want)
 	}
-	// Doubling from eventChunk: 65536, 131072, 262144, 524288, 1000000.
-	if got := grows(million, true); got != 5 {
-		t.Fatalf("trusted growth to 1M: %d allocations, want 5", got)
+	if copied != 8*eventChunk {
+		t.Fatalf("1M decode copied %d events, want %d", copied, 8*eventChunk)
 	}
-	if got := grows(100, true); got != 1 {
-		t.Fatalf("trusted growth to 100: %d allocations, want 1", got)
+	for _, total := range []uint64{1, 100, eventChunk} {
+		if sizes, copied := reserve(total); len(sizes) != 1 || copied != 0 {
+			t.Fatalf("total %d: reservations %v, copied %d; want one exact slice", total, sizes, copied)
+		}
+	}
+	// The largest plausible count takes 20 chunks, as many as
+	// readBlocks keeps on the stack.
+	if sizes, _ := reserve(maxEventCount); len(sizes) != 20+1 {
+		t.Fatalf("maxEventCount: %d reservations, want 20 chunks and the final slice", len(sizes))
+	}
+	// One verified block never funds a forged count.
+	if n, final := eventReservation(blockEvents, 1<<35); final || n != eventChunk {
+		t.Fatalf("2^35 events after one block: reserved %d (final %v), want a %d-event chunk", n, final, eventChunk)
+	}
+}
+
+// TestDecodeBoundsForgedCount gives a real one-block tracefile a
+// header, checksum-valid, that claims 2^35 events: the block verifies,
+// yet Decode must fail on the missing rest, at every worker count,
+// without an allocation the verified block cannot back.
+func TestDecodeBoundsForgedCount(t *testing.T) {
+	tr := syntheticTrace(blockEvents)
+	var buf bytes.Buffer
+	if err := Encode(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint64(raw[len(magicV2)+8:], 1<<35)
+	h := len(magicV2) + 24 + len(tr.AppName)
+	binary.LittleEndian.PutUint32(raw[h:], crc32.Checksum(raw[:h], crcTable))
+	for _, workers := range []int{1, 4} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decode(bytes.NewReader(raw), CodecOptions{}, workers)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "offset") {
+			t.Fatalf("workers=%d: forged count decoded, or failed without an offset: %v", workers, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+			t.Errorf("workers=%d: forged count cost %d MiB of allocation", workers, alloc>>20)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -291,5 +292,154 @@ func FuzzBlockReader(f *testing.F) {
 			cut = headerEnd
 		}
 		damaged(fmt.Sprintf("truncation at %d", cut), raw[:cut])
+	})
+}
+
+// fuzzBytes reads fuzz input cyclically, so a short input still
+// drives a long recording, and an empty one reads zeros.
+type fuzzBytes struct {
+	data []byte
+	off  int
+}
+
+func (b *fuzzBytes) byte() byte {
+	if len(b.data) == 0 {
+		return 0
+	}
+	v := b.data[b.off%len(b.data)]
+	b.off++
+	return v
+}
+
+func (b *fuzzBytes) int64() int64 {
+	var v uint64
+	for i := 0; i < 8; i++ {
+		v = v<<8 | uint64(b.byte())
+	}
+	return int64(v)
+}
+
+// fuzzTime picks an instant near prev (before it, for an overlapping
+// operation, or after it), a raw int64, or an int64 extreme.
+func fuzzTime(b *fuzzBytes, prev vtime.Time) vtime.Time {
+	switch m := b.byte(); m % 4 {
+	case 0:
+		return prev + vtime.Time(int8(b.byte()))
+	case 1:
+		return vtime.Time(b.int64())
+	case 2:
+		if m&4 == 0 {
+			return math.MaxInt64
+		}
+		return math.MinInt64
+	default:
+		return prev + vtime.Time(b.byte())<<8 + vtime.Time(b.byte())
+	}
+}
+
+// deriveFields is what Record derives for process proc's stream, as an
+// oracle independent of the recorder's stored form: the process, the
+// numbering, no logical time, and the compute time since the previous
+// exit, with overlapping operations clamped onto that exit.
+func deriveFields(proc int, in []Event) []Event {
+	out := make([]Event, len(in))
+	var lastExit vtime.Time
+	for i, e := range in {
+		e.Process, e.Number, e.LT = int32(proc), int64(i), NoLT
+		e.ComputeBefore = e.Enter.Sub(lastExit)
+		if e.ComputeBefore < 0 {
+			e.ComputeBefore = 0
+			e.Enter = lastExit
+			if e.Exit < e.Enter {
+				e.Exit = e.Enter
+			}
+		}
+		lastExit = e.Exit
+		out[i] = e
+	}
+	return out
+}
+
+// FuzzRecordingRoundTrip records arbitrary events, overlapping and at
+// extreme int64 times included, with junk in the fields Record
+// derives. Recording.Trace and two drains of Recording.Streams must
+// each give exactly NewTrace over the oracle's derived streams, and
+// Record must leave its argument as it was.
+func FuzzRecordingRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 200, 1, 0, 10, 0, 5})
+	f.Add([]byte{3, 255, 2, 6, 2, 2, 0, 0x80, 1, 0x7f, 0xff})
+	f.Add([]byte{1, 250, 9, 1, 0x80, 0, 0, 0, 0, 0, 0, 1, 0, 0xfe, 3, 0, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := &fuzzBytes{data: data}
+		procs := 1 + int(b.byte()%4)
+		events := 8 * int(b.byte()) // up to 2040: several chunks per process
+		recs := make([]*Recorder, procs)
+		inputs := make([][]Event, procs)
+		prev := make([]vtime.Time, procs)
+		for p := range recs {
+			recs[p] = NewRecorder(p)
+		}
+		for i := 0; i < events; i++ {
+			sel := b.byte()
+			p := int(sel) % procs
+			e := Event{
+				Kind: Kind(sel / 4 % 3), Size: b.int64(),
+				RelA: b.int64(), RelB: b.int64(),
+				Involved: int32(b.int64()), Peer: int32(b.int64()),
+				Tag: int32(b.int64()), CollOp: int8(b.byte()),
+				// Record derives these; what the caller leaves in
+				// them must not show.
+				Process: int32(b.int64()), Number: b.int64(),
+				LT: b.int64(), ComputeBefore: vtime.Duration(b.int64()),
+			}
+			e.Enter = fuzzTime(b, prev[p])
+			e.Exit = fuzzTime(b, e.Enter)
+			prev[p] = e.Exit
+			in := e
+			recs[p].Record(&e)
+			if e != in {
+				t.Fatalf("Record modified its argument: %+v, was %+v", e, in)
+			}
+			inputs[p] = append(inputs[p], in)
+		}
+		streams := make([][]Event, procs)
+		for p := range streams {
+			streams[p] = deriveFields(p, inputs[p])
+		}
+		want, err := NewTrace("fuzz", procs, streams, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := NewRecording("fuzz", recs, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Meta() != want.Meta() {
+			t.Fatalf("Meta %+v, want %+v", rec.Meta(), want.Meta())
+		}
+		if got := rec.Trace(); !reflect.DeepEqual(got, want) {
+			t.Fatal("Recording.Trace differs from NewTrace over the derived streams")
+		}
+		for pass := 0; pass < 2; pass++ {
+			s := rec.Streams()
+			for p, evs := range streams {
+				if s.Count(p) != uint64(len(evs)) {
+					t.Fatalf("pass %d: Count(%d) = %d, want %d", pass, p, s.Count(p), len(evs))
+				}
+				var e Event
+				for i := range evs {
+					if ok, err := s.NextEvent(p, &e); !ok || err != nil {
+						t.Fatalf("pass %d: process %d ended at event %d of %d (%v)", pass, p, i, len(evs), err)
+					}
+					if e != evs[i] {
+						t.Fatalf("pass %d: process %d event %d = %+v, want %+v", pass, p, i, e, evs[i])
+					}
+				}
+				if ok, _ := s.NextEvent(p, &e); ok {
+					t.Fatalf("pass %d: process %d streams past its %d events", pass, p, len(evs))
+				}
+			}
+		}
 	})
 }

@@ -17,13 +17,33 @@ const (
 	recorderChunk = 1024
 )
 
+// storedEvent is what a Recorder keeps of one event: the Event less
+// the four fields it derives and can rebuild exactly. Process is the
+// recorder's own, Number the event's position in the stream, LT
+// always NoLT, and Enter the previous event's Exit (0 for the first)
+// plus ComputeBefore. That last identity holds after Record's overlap
+// clamp, under wrapping int64 arithmetic. The fields keep Event's
+// widest-first order, so the struct is 56 bytes against Event's 88
+// (TestStoredEventSize).
+type storedEvent struct {
+	Size          int64
+	Exit          vtime.Time
+	RelA, RelB    int64
+	ComputeBefore vtime.Duration
+	Involved      int32
+	Peer          int32
+	Tag           int32
+	Kind          Kind
+	CollOp        int8
+}
+
 // Recorder accumulates the event stream of a single process during an
 // instrumented run. One Recorder belongs to one rank goroutine, so no
 // locking is needed; NewRecording takes the recorders over afterwards.
 type Recorder struct {
 	proc     int32
-	full     [][]Event // filled chunks, in recording order
-	cur      []Event   // the chunk being filled
+	full     [][]storedEvent // filled chunks, in recording order
+	cur      []storedEvent   // the chunk being filled
 	n        int
 	lastExit vtime.Time
 }
@@ -33,46 +53,55 @@ func NewRecorder(proc int) *Recorder {
 	return &Recorder{proc: int32(proc)}
 }
 
-// Record appends a copy of *e, written once, straight into the
-// current chunk, and derives the copy's Process, Number, LT and
-// ComputeBefore; *e itself is not modified. The caller fills the
-// communication fields and physical times.
+// Record stores *e, written once, straight into the current chunk;
+// *e itself is not modified. The caller fills the communication
+// fields and physical times; the recorder derives Process, Number, LT
+// and ComputeBefore, as the rebuilt Event shows them.
 func (r *Recorder) Record(e *Event) {
 	if len(r.cur) == cap(r.cur) {
 		if r.cur != nil {
 			r.full = append(r.full, r.cur)
 		}
-		r.cur = make([]Event, 0, min(max(2*cap(r.cur), firstChunk), recorderChunk))
+		r.cur = make([]storedEvent, 0, min(max(2*cap(r.cur), firstChunk), recorderChunk))
+	}
+	compute, exit := e.Enter.Sub(r.lastExit), e.Exit
+	if compute < 0 {
+		// Overlapping nonblocking operations: project them onto a
+		// sequential event stream by clamping to the previous exit,
+		// where the rebuilt Enter then lies.
+		compute = 0
+		exit = max(exit, r.lastExit)
 	}
 	r.cur = r.cur[:len(r.cur)+1]
 	s := &r.cur[len(r.cur)-1]
-	*s = *e
-	s.Process = r.proc
-	s.Number = int64(r.n)
-	s.LT = NoLT
-	s.ComputeBefore = s.Enter.Sub(r.lastExit)
-	if s.ComputeBefore < 0 {
-		// Overlapping nonblocking operations: project them onto a
-		// sequential event stream by clamping to the previous exit.
-		s.ComputeBefore = 0
-		s.Enter = r.lastExit
-		if s.Exit < s.Enter {
-			s.Exit = s.Enter
-		}
-	}
-	r.lastExit = s.Exit
+	s.Size = e.Size
+	s.Exit = exit
+	s.RelA = e.RelA
+	s.RelB = e.RelB
+	s.ComputeBefore = compute
+	s.Involved = e.Involved
+	s.Peer = e.Peer
+	s.Tag = e.Tag
+	s.Kind = e.Kind
+	s.CollOp = e.CollOp
+	r.lastExit = exit
 	r.n++
+}
+
+// chunks returns the recorder's chunks in recording order.
+func (r *Recorder) chunks() [][]storedEvent {
+	return append(r.full[:len(r.full):len(r.full)], r.cur)
 }
 
 // Recording is an instrumented run's trace as its recorders wrote it:
 // each process's events stay in the chunks they were recorded into.
 // Streams reads them in place, which is all stage A needs; Trace
-// assembles the contiguous Trace a tracefile writer needs, copying
-// every event once.
+// assembles the contiguous Trace a tracefile writer needs. Both
+// rebuild every Event from its stored form as they read it.
 type Recording struct {
 	meta   Meta
-	chunks [][][]Event // chunks[p] holds process p's chunks, in recording order
-	counts []uint64    // counts[p] is process p's event count
+	chunks [][][]storedEvent // chunks[p] holds process p's chunks, in recording order
+	counts []uint64          // counts[p] is process p's event count
 }
 
 // NewRecording takes over the recorders of an instrumented run, one
@@ -85,14 +114,14 @@ func NewRecording(app string, recs []*Recorder, aet vtime.Duration) (*Recording,
 	}
 	r := &Recording{
 		meta:   Meta{AppName: app, Procs: len(recs), AET: aet},
-		chunks: make([][][]Event, len(recs)),
+		chunks: make([][][]storedEvent, len(recs)),
 		counts: make([]uint64, len(recs)),
 	}
 	for p, rec := range recs {
 		if rec == nil || int(rec.proc) != p {
 			return nil, fmt.Errorf("trace %q: no recorder for process %d", app, p)
 		}
-		r.chunks[p] = append(rec.full, rec.cur)
+		r.chunks[p] = rec.chunks()
 		r.counts[p] = uint64(rec.n)
 		r.meta.Events += uint64(rec.n)
 	}
@@ -107,17 +136,29 @@ func (r *Recording) Meta() Meta { return r.meta }
 // process stream. It implements the logical order's EventSource, as
 // RankStreams does over a tracefile.
 func (r *Recording) Streams() *RecordingStreams {
-	return &RecordingStreams{rec: r, cur: make([]recordingCursor, r.meta.Procs)}
+	s := &RecordingStreams{rec: r, cur: make([]recordingCursor, r.meta.Procs)}
+	for p := range s.cur {
+		s.cur[p] = recordingCursor{chunks: r.chunks[p], proc: int32(p)}
+	}
+	return s
 }
 
 // Trace assembles a new Trace from the recording, grouped by process
 // as NewTrace groups it.
 func (r *Recording) Trace() *Trace {
 	t := &Trace{AppName: r.meta.AppName, Procs: r.meta.Procs, AET: r.meta.AET,
-		Events: make([]Event, 0, r.meta.Events)}
-	for _, chunks := range r.chunks {
+		Events: make([]Event, r.meta.Events)}
+	dst := t.Events
+	for p, chunks := range r.chunks {
+		var number int64
+		var lastExit vtime.Time
 		for _, c := range chunks {
-			t.Events = append(t.Events, c...)
+			for k := range c {
+				c[k].rebuild(&dst[k], int32(p), number, lastExit)
+				number++
+				lastExit = c[k].Exit
+			}
+			dst = dst[len(c):]
 		}
 	}
 	return t
@@ -131,10 +172,53 @@ type RecordingStreams struct {
 }
 
 // recordingCursor is one process's read position: the unread rest of
-// its current chunk and the index of its next chunk.
+// its current chunk, its chunks after that, and what rebuilding its
+// next event needs (its number and the previous event's exit).
 type recordingCursor struct {
-	rest []Event
-	next int
+	rest     []storedEvent
+	chunks   [][]storedEvent
+	proc     int32
+	n        int64
+	lastExit vtime.Time
+}
+
+// next rebuilds the process's next event into dst; false means the
+// stream is exhausted and dst is untouched.
+func (c *recordingCursor) next(dst *Event) bool {
+	for len(c.rest) == 0 {
+		if len(c.chunks) == 0 {
+			return false
+		}
+		c.rest, c.chunks = c.chunks[0], c.chunks[1:]
+	}
+	s := &c.rest[0]
+	c.rest = c.rest[1:]
+	s.rebuild(dst, c.proc, c.n, c.lastExit)
+	c.n++
+	c.lastExit = s.Exit
+	return true
+}
+
+// rebuild writes the Event s stores into dst, given the recorder's
+// process, the event's number and the previous event's exit. Fields
+// are stored one by one: assigning a composite literal to *dst builds
+// the Event on the stack first, which made draining a recording
+// several times slower.
+func (s *storedEvent) rebuild(dst *Event, proc int32, number int64, prevExit vtime.Time) {
+	dst.Number = number
+	dst.Size = s.Size
+	dst.Enter = prevExit.Add(s.ComputeBefore)
+	dst.Exit = s.Exit
+	dst.LT = NoLT
+	dst.RelA = s.RelA
+	dst.RelB = s.RelB
+	dst.ComputeBefore = s.ComputeBefore
+	dst.Process = proc
+	dst.Involved = s.Involved
+	dst.Peer = s.Peer
+	dst.Tag = s.Tag
+	dst.Kind = s.Kind
+	dst.CollOp = s.CollOp
 }
 
 // Meta returns the recording's header.
@@ -143,19 +227,8 @@ func (s *RecordingStreams) Meta() Meta { return s.rec.meta }
 // Count returns how many events process p recorded.
 func (s *RecordingStreams) Count(p int) uint64 { return s.rec.counts[p] }
 
-// NextEvent copies process p's next event into dst; false means the
+// NextEvent rebuilds process p's next event into dst; false means the
 // stream is exhausted. It never fails.
 func (s *RecordingStreams) NextEvent(p int, dst *Event) (bool, error) {
-	c := &s.cur[p]
-	for len(c.rest) == 0 {
-		chunks := s.rec.chunks[p]
-		if c.next == len(chunks) {
-			return false, nil
-		}
-		c.rest = chunks[c.next]
-		c.next++
-	}
-	*dst = c.rest[0]
-	c.rest = c.rest[1:]
-	return true, nil
+	return s.cur[p].next(dst), nil
 }

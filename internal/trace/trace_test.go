@@ -74,6 +74,15 @@ func TestEventSize(t *testing.T) {
 	}
 }
 
+// TestStoredEventSize pins what a Recorder keeps per event: Event
+// less the four fields it derives. Every event of a traced run is
+// held in this form until the run's analysis ends.
+func TestStoredEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(storedEvent{}); got > 56 {
+		t.Fatalf("unsafe.Sizeof(storedEvent{}) = %d, want <= 56", got)
+	}
+}
+
 func TestNewTraceRejectsBadStreams(t *testing.T) {
 	if _, err := NewTrace("x", 2, [][]Event{{}}, 0); err == nil {
 		t.Error("stream count mismatch should fail")
@@ -158,13 +167,18 @@ func TestRecorderDerivesFields(t *testing.T) {
 	}
 }
 
-// recorded returns a copy of r's recorded stream.
+// recorded returns r's recorded stream, each event rebuilt from its
+// stored form by the cursor Recording.Streams and Trace read through.
 func recorded(r *Recorder) []Event {
 	var evs []Event
-	for _, c := range r.full {
-		evs = append(evs, c...)
+	c := recordingCursor{chunks: r.chunks(), proc: r.proc}
+	for {
+		var e Event
+		if !c.next(&e) {
+			return evs
+		}
+		evs = append(evs, e)
 	}
-	return append(evs, r.cur...)
 }
 
 // TestRecordingSpansChunks records streams longer than one chunk and
