@@ -51,11 +51,33 @@ func benchRecorders() []*Recorder {
 // benchTrace keeps BenchmarkRecording's assembled traces reachable.
 var benchTrace *Trace
 
-// BenchmarkRecording measures the two ways out of a traced run's
-// recording, 128 ranks of 1000 events each: Trace, which assembles the
-// contiguous trace a tracefile writer needs (every event copied once),
-// and Streams, which stage A reads, each stream drained in place.
+// BenchmarkRecording measures a traced run's recording, 128 ranks of
+// 1000 events each: Record, which packs every event into 128 fresh
+// recorders (reporting the packed and the chunk bytes per event); and
+// the two ways out of it, Trace, which assembles the contiguous trace a
+// tracefile writer needs (every event rebuilt once), and Streams, which
+// stage A reads, each stream drained in place.
 func BenchmarkRecording(b *testing.B) {
+	b.Run("Record", func(b *testing.B) {
+		b.ReportAllocs()
+		var recs []*Recorder
+		for i := 0; i < b.N; i++ {
+			recs = benchRecorders()
+		}
+		packed := 0
+		for _, r := range recs {
+			for _, c := range r.chunks() {
+				packed += len(c)
+			}
+		}
+		rec, err := NewRecording("bench", recs, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(packed)/(128*1000), "bytes/event")
+		b.ReportMetric(float64(rec.ChunkBytes())/(128*1000), "chunk-bytes/event")
+		b.ReportMetric(128*1000, "events")
+	})
 	rec, err := NewRecording("bench", benchRecorders(), 0)
 	if err != nil {
 		b.Fatal(err)
@@ -202,6 +224,7 @@ func BenchmarkDecodeParallel(b *testing.B) {
 	_, enc := largeBenchTrace(b)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(enc)))
+	b.ResetTimer() // time the decode, not building and encoding the trace
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(bytes.NewReader(enc)); err != nil {
 			b.Fatal(err)
@@ -215,6 +238,7 @@ func BenchmarkVerifyStream(b *testing.B) {
 	_, enc := largeBenchTrace(b)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(enc)))
+	b.ResetTimer() // time the verification, not building and encoding the trace
 	for i := 0; i < b.N; i++ {
 		if _, err := VerifyStream(bytes.NewReader(enc)); err != nil {
 			b.Fatal(err)

@@ -222,10 +222,11 @@ func TestDecodeBoundsForgedCount(t *testing.T) {
 }
 
 // TestTrustedDecodeAllocs pins the end-to-end allocation count of a
-// large serial decode: once the first block's checksum verifies, the
-// header-declared count funds doubling reservations, so the whole
-// decode stays within a small constant number of allocations rather
-// than one per 64Ki-event chunk.
+// large serial decode: eventReservation sizes each chunk as large as
+// everything verified so far and, once half the header-declared count
+// has verified, reserves the one exact events slice, so the decode
+// makes O(log n) event allocations rather than one per 64Ki-event
+// chunk.
 func TestTrustedDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -242,9 +243,11 @@ func TestTrustedDecodeAllocs(t *testing.T) {
 			t.Fatalf("decode: %v", err)
 		}
 	})
-	// Measured ~11: reader plumbing + name + trace + scratch block buffer
-	// + 5 doubling grows (64Ki..600k). The old chunked growth alone took
-	// 10 grows; anything past 20 means the trusted path regressed.
+	// Measured 18: the reader plumbing (name, trace, scratch block
+	// buffer and the rest), 4 chunks (64Ki, 64Ki, 128Ki and 256Ki
+	// events) and the final 600k-event slice. One chunk per 64Ki
+	// events alone would take 10; anything past 20 means the trusted
+	// path regressed.
 	if allocs > 20 {
 		t.Fatalf("trusted 600k-event decode did %.0f allocations, want <= 20", allocs)
 	}

@@ -1,50 +1,61 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"pas2p/internal/vtime"
 )
 
-// A Recorder's first chunk holds firstChunk events; each later chunk
-// doubles the previous one, up to recorderChunk. Chunks are never
-// regrown, so a recorded event stays where it was written: stage A
-// reads it there (Recording.Streams), and only a tracefile writer
-// copies it once more (Recording.Trace). A short stream does not pay
-// for a full-size chunk.
+// A Recorder packs each event into a chunk of bytes. Its first chunk
+// holds firstChunk bytes; each later chunk doubles the previous one,
+// up to recorderChunk. A record never straddles chunks: a new chunk
+// starts once the space left could not hold a maximal record. Chunks
+// are never regrown, so a recorded event stays where it was written:
+// stage A reads it there (Recording.Streams), and only a tracefile
+// writer rebuilds it once more into a contiguous trace
+// (Recording.Trace). A short stream does not pay for a full-size
+// chunk.
 const (
-	firstChunk    = 64
-	recorderChunk = 1024
+	firstChunk    = 1 << 10
+	recorderChunk = 32 << 10
 )
 
-// storedEvent is what a Recorder keeps of one event: the Event less
-// the four fields it derives and can rebuild exactly. Process is the
-// recorder's own, Number the event's position in the stream, LT
-// always NoLT, and Enter the previous event's Exit (0 for the first)
-// plus ComputeBefore. That last identity holds after Record's overlap
-// clamp, under wrapping int64 arithmetic. The fields keep Event's
-// widest-first order, so the struct is 56 bytes against Event's 88
-// (TestStoredEventSize).
-type storedEvent struct {
-	Size          int64
-	Exit          vtime.Time
-	RelA, RelB    int64
-	ComputeBefore vtime.Duration
-	Involved      int32
-	Peer          int32
-	Tag           int32
-	Kind          Kind
-	CollOp        int8
-}
+// A packed record is what a Recorder keeps of one event: the Event
+// less the four fields it derives and can rebuild exactly. Process is
+// the recorder's own, Number the event's position in the stream and LT
+// always NoLT. The record holds, in this order:
+//
+//	Kind, CollOp                    one byte each
+//	Involved, Peer, Tag, RelA, RelB  zigzag varints
+//	ComputeBefore                   uvarint (≥ 0 after Record's clamp)
+//	Exit − Enter                    zigzag varint
+//	Size                            zigzag varint
+//
+// Enter is the previous event's Exit (0 for the first) plus
+// ComputeBefore, and Exit is Enter plus the stored service time. Both
+// identities hold after Record's overlap clamp under wrapping int64
+// arithmetic, so the times round-trip exactly at the extremes. As the
+// Z2 codec does, a point-to-point event stores its Peer and RelA less
+// its process and its RelB less the sends recorded before it (see
+// bases): its peer is mostly a neighbour, and its relation names a
+// send of its own or a neighbour's, numbered close to that count. So
+// most fields take one byte: lu and cg classD at 128 ranks pack 13.7
+// and 15.6 bytes an event, against Event's 88
+// (TestRecordingBytesPerEvent). No record exceeds
+// maxRecord bytes: a Peer less the process can pass int32's range, so
+// only Involved and Tag count as 32-bit varints.
+const maxRecord = 2 + 6*binary.MaxVarintLen64 + 2*binary.MaxVarintLen32
 
 // Recorder accumulates the event stream of a single process during an
 // instrumented run. One Recorder belongs to one rank goroutine, so no
 // locking is needed; NewRecording takes the recorders over afterwards.
 type Recorder struct {
 	proc     int32
-	full     [][]storedEvent // filled chunks, in recording order
-	cur      []storedEvent   // the chunk being filled
+	full     [][]byte // filled chunks, in recording order
+	cur      []byte   // the chunk being filled
 	n        int
+	sends    int64
 	lastExit vtime.Time
 }
 
@@ -53,16 +64,16 @@ func NewRecorder(proc int) *Recorder {
 	return &Recorder{proc: int32(proc)}
 }
 
-// Record stores *e, written once, straight into the current chunk;
-// *e itself is not modified. The caller fills the communication
-// fields and physical times; the recorder derives Process, Number, LT
-// and ComputeBefore, as the rebuilt Event shows them.
+// Record packs *e, written once, straight into the current chunk; *e
+// itself is not modified. The caller fills the communication fields
+// and physical times; the recorder derives Process, Number, LT and
+// ComputeBefore, as the rebuilt Event shows them.
 func (r *Recorder) Record(e *Event) {
-	if len(r.cur) == cap(r.cur) {
+	if cap(r.cur)-len(r.cur) < maxRecord {
 		if r.cur != nil {
 			r.full = append(r.full, r.cur)
 		}
-		r.cur = make([]storedEvent, 0, min(max(2*cap(r.cur), firstChunk), recorderChunk))
+		r.cur = make([]byte, 0, min(max(2*cap(r.cur), firstChunk), recorderChunk))
 	}
 	compute, exit := e.Enter.Sub(r.lastExit), e.Exit
 	if compute < 0 {
@@ -72,24 +83,39 @@ func (r *Recorder) Record(e *Event) {
 		compute = 0
 		exit = max(exit, r.lastExit)
 	}
-	r.cur = r.cur[:len(r.cur)+1]
-	s := &r.cur[len(r.cur)-1]
-	s.Size = e.Size
-	s.Exit = exit
-	s.RelA = e.RelA
-	s.RelB = e.RelB
-	s.ComputeBefore = compute
-	s.Involved = e.Involved
-	s.Peer = e.Peer
-	s.Tag = e.Tag
-	s.Kind = e.Kind
-	s.CollOp = e.CollOp
+	self, seq := bases(e.Kind, r.proc, r.sends)
+	b := append(r.cur, byte(e.Kind), byte(e.CollOp))
+	b = binary.AppendVarint(b, int64(e.Involved))
+	b = binary.AppendVarint(b, int64(e.Peer)-self)
+	b = binary.AppendVarint(b, int64(e.Tag))
+	b = binary.AppendVarint(b, e.RelA-self)
+	b = binary.AppendVarint(b, e.RelB-seq)
+	b = binary.AppendUvarint(b, uint64(compute))
+	b = binary.AppendVarint(b, int64(exit.Sub(r.lastExit.Add(compute))))
+	b = binary.AppendVarint(b, e.Size)
+	r.cur = b
+	if e.Kind == Send {
+		r.sends++
+	}
 	r.lastExit = exit
 	r.n++
 }
 
+// bases returns what a record of kind k stores its Peer and RelA
+// (self) and its RelB (seq) relative to, given its process and the
+// sends it recorded before: the process and that count for a
+// point-to-point event, zero for a collective (or any other kind),
+// whose fields are small as they are. Arithmetic wraps, so every
+// value round-trips.
+func bases(k Kind, proc int32, sends int64) (self, seq int64) {
+	if k == Send || k == Recv {
+		return int64(proc), sends
+	}
+	return 0, 0
+}
+
 // chunks returns the recorder's chunks in recording order.
-func (r *Recorder) chunks() [][]storedEvent {
+func (r *Recorder) chunks() [][]byte {
 	return append(r.full[:len(r.full):len(r.full)], r.cur)
 }
 
@@ -97,11 +123,11 @@ func (r *Recorder) chunks() [][]storedEvent {
 // each process's events stay in the chunks they were recorded into.
 // Streams reads them in place, which is all stage A needs; Trace
 // assembles the contiguous Trace a tracefile writer needs. Both
-// rebuild every Event from its stored form as they read it.
+// rebuild every Event from its packed record as they read it.
 type Recording struct {
 	meta   Meta
-	chunks [][][]storedEvent // chunks[p] holds process p's chunks, in recording order
-	counts []uint64          // counts[p] is process p's event count
+	chunks [][][]byte // chunks[p] holds process p's chunks, in recording order
+	counts []uint64   // counts[p] is process p's event count
 }
 
 // NewRecording takes over the recorders of an instrumented run, one
@@ -114,7 +140,7 @@ func NewRecording(app string, recs []*Recorder, aet vtime.Duration) (*Recording,
 	}
 	r := &Recording{
 		meta:   Meta{AppName: app, Procs: len(recs), AET: aet},
-		chunks: make([][][]storedEvent, len(recs)),
+		chunks: make([][][]byte, len(recs)),
 		counts: make([]uint64, len(recs)),
 	}
 	for p, rec := range recs {
@@ -150,16 +176,11 @@ func (r *Recording) Trace() *Trace {
 		Events: make([]Event, r.meta.Events)}
 	dst := t.Events
 	for p, chunks := range r.chunks {
-		var number int64
-		var lastExit vtime.Time
-		for _, c := range chunks {
-			for k := range c {
-				c[k].rebuild(&dst[k], int32(p), number, lastExit)
-				number++
-				lastExit = c[k].Exit
-			}
-			dst = dst[len(c):]
+		c := recordingCursor{chunks: chunks, proc: int32(p)}
+		for k := range dst[:r.counts[p]] {
+			c.next(&dst[k])
 		}
+		dst = dst[r.counts[p]:]
 	}
 	return t
 }
@@ -173,17 +194,22 @@ type RecordingStreams struct {
 
 // recordingCursor is one process's read position: the unread rest of
 // its current chunk, its chunks after that, and what rebuilding its
-// next event needs (its number and the previous event's exit).
+// next event needs (its number, the sends before it and the previous
+// event's exit).
 type recordingCursor struct {
-	rest     []storedEvent
-	chunks   [][]storedEvent
+	rest     []byte
+	chunks   [][]byte
 	proc     int32
 	n        int64
+	sends    int64
 	lastExit vtime.Time
 }
 
 // next rebuilds the process's next event into dst; false means the
-// stream is exhausted and dst is untouched.
+// stream is exhausted and dst is untouched. It decodes the packed
+// record field by field, straight into dst: assigning a composite
+// literal to *dst builds the Event on the stack first, which made
+// draining a recording several times slower.
 func (c *recordingCursor) next(dst *Event) bool {
 	for len(c.rest) == 0 {
 		if len(c.chunks) == 0 {
@@ -191,35 +217,57 @@ func (c *recordingCursor) next(dst *Event) bool {
 		}
 		c.rest, c.chunks = c.chunks[0], c.chunks[1:]
 	}
-	s := &c.rest[0]
-	c.rest = c.rest[1:]
-	s.rebuild(dst, c.proc, c.n, c.lastExit)
+	b := c.rest
+	var v [8]uint64
+	c.rest = b[uvarints(b, 2, v[:]):]
+	kind := Kind(b[0])
+	self, seq := bases(kind, c.proc, c.sends)
+	if kind == Send {
+		c.sends++
+	}
+	dst.Kind = kind
+	dst.CollOp = int8(b[1])
+	dst.Involved = int32(unzigzag(v[0]))
+	dst.Peer = int32(unzigzag(v[1]) + self)
+	dst.Tag = int32(unzigzag(v[2]))
+	dst.RelA = unzigzag(v[3]) + self
+	dst.RelB = unzigzag(v[4]) + seq
+	dst.ComputeBefore = vtime.Duration(v[5])
+	dst.Enter = c.lastExit.Add(dst.ComputeBefore)
+	dst.Exit = dst.Enter.Add(vtime.Duration(unzigzag(v[6])))
+	dst.Size = unzigzag(v[7])
+	dst.Number = c.n
+	dst.LT = NoLT
+	dst.Process = c.proc
 	c.n++
-	c.lastExit = s.Exit
+	c.lastExit = dst.Exit
 	return true
 }
 
-// rebuild writes the Event s stores into dst, given the recorder's
-// process, the event's number and the previous event's exit. Fields
-// are stored one by one: assigning a composite literal to *dst builds
-// the Event on the stack first, which made draining a recording
-// several times slower.
-func (s *storedEvent) rebuild(dst *Event, proc int32, number int64, prevExit vtime.Time) {
-	dst.Number = number
-	dst.Size = s.Size
-	dst.Enter = prevExit.Add(s.ComputeBefore)
-	dst.Exit = s.Exit
-	dst.LT = NoLT
-	dst.RelA = s.RelA
-	dst.RelB = s.RelB
-	dst.ComputeBefore = s.ComputeBefore
-	dst.Process = proc
-	dst.Involved = s.Involved
-	dst.Peer = s.Peer
-	dst.Tag = s.Tag
-	dst.Kind = s.Kind
-	dst.CollOp = s.CollOp
+// uvarints decodes len(v) consecutive uvarints that Record wrote from
+// b[i:] into v and returns the index just past them.
+func uvarints(b []byte, i int, v []uint64) int {
+	for k := range v {
+		x := uint64(b[i])
+		i++
+		if x >= 0x80 {
+			x &= 0x7f
+			for shift := 7; ; shift += 7 {
+				c := b[i]
+				i++
+				x |= uint64(c&0x7f) << shift
+				if c < 0x80 {
+					break
+				}
+			}
+		}
+		v[k] = x
+	}
+	return i
 }
+
+// unzigzag inverts binary.AppendVarint's zigzag encoding.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Meta returns the recording's header.
 func (s *RecordingStreams) Meta() Meta { return s.rec.meta }

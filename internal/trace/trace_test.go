@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -74,12 +75,96 @@ func TestEventSize(t *testing.T) {
 	}
 }
 
-// TestStoredEventSize pins what a Recorder keeps per event: Event
-// less the four fields it derives. Every event of a traced run is
-// held in this form until the run's analysis ends.
-func TestStoredEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(storedEvent{}); got > 56 {
-		t.Fatalf("unsafe.Sizeof(storedEvent{}) = %d, want <= 56", got)
+// TestRecordingVarintBoundaries records values on either side of the
+// packed record's varint boundaries, at the int32 and int64 extremes,
+// negative where the field allows it, and across the overlap clamp, on
+// processes 0 and 1 (where Peer, RelA and RelB less their bases wrap).
+// Each recording, assembled and drained, must be exactly NewTrace over
+// the streams as written out by hand.
+func TestRecordingVarintBoundaries(t *testing.T) {
+	const maxI, minI = math.MaxInt64, math.MinInt64
+	cases := []struct {
+		name string
+		in   []Event
+		want []Event // the rebuilt stream, less Process, Number and LT
+	}{
+		{"one byte and two", []Event{
+			{Kind: Send, Size: 63, RelA: -64, RelB: 0x7f, Involved: 2, Peer: 63, Tag: -64, Enter: 0x7f, Exit: 0x7f + 63},
+			{Kind: Recv, Size: 64, RelA: -65, RelB: 0x80, Involved: 64, Peer: 64, Tag: -65, Enter: 0x7f + 63 + 0x80, Exit: 0x7f + 63 + 0x80 + 64},
+		}, []Event{
+			{Kind: Send, Size: 63, RelA: -64, RelB: 0x7f, Involved: 2, Peer: 63, Tag: -64, Enter: 0x7f, Exit: 0x7f + 63, ComputeBefore: 0x7f},
+			{Kind: Recv, Size: 64, RelA: -65, RelB: 0x80, Involved: 64, Peer: 64, Tag: -65, Enter: 0x7f + 63 + 0x80, Exit: 0x7f + 63 + 0x80 + 64, ComputeBefore: 0x80},
+		}},
+		{"2^31", []Event{
+			{Kind: Send, Size: 1 << 31, RelA: -1 << 31, RelB: 1<<31 - 1, Involved: math.MaxInt32, Peer: math.MinInt32, Tag: math.MaxInt32, Enter: 1 << 31, Exit: 1<<32 - 1},
+			{Kind: Recv, Size: -1<<31 - 1, RelA: 1<<31 + 1, RelB: -1 << 31, Involved: math.MinInt32, Peer: math.MaxInt32, Tag: math.MinInt32, Enter: 1 << 32, Exit: 1<<32 - 1<<31},
+			{Kind: Collective, CollOp: 127, Peer: math.MinInt32, Tag: math.MaxInt32, RelB: 1 << 31, Enter: 1 << 32, Exit: 1 << 32},
+		}, []Event{
+			{Kind: Send, Size: 1 << 31, RelA: -1 << 31, RelB: 1<<31 - 1, Involved: math.MaxInt32, Peer: math.MinInt32, Tag: math.MaxInt32, Enter: 1 << 31, Exit: 1<<32 - 1, ComputeBefore: 1 << 31},
+			{Kind: Recv, Size: -1<<31 - 1, RelA: 1<<31 + 1, RelB: -1 << 31, Involved: math.MinInt32, Peer: math.MaxInt32, Tag: math.MinInt32, Enter: 1 << 32, Exit: 1<<32 - 1<<31, ComputeBefore: 1},
+			{Kind: Collective, CollOp: 127, Peer: math.MinInt32, Tag: math.MaxInt32, RelB: 1 << 31, Enter: 1 << 32, Exit: 1 << 32, ComputeBefore: 1 << 31},
+		}},
+		{"int64 extremes", []Event{
+			// Exit − Enter wraps to 1. The second Enter less the first
+			// Exit (MinInt64) wraps to −1, so Record clamps it. The
+			// third starts at the second's Exit and wraps past it.
+			{Kind: Send, Size: maxI, RelA: minI, RelB: maxI, Enter: maxI, Exit: minI},
+			{Kind: Recv, Size: minI, RelA: maxI, RelB: minI, Enter: maxI, Exit: maxI},
+			{Kind: Send, Size: -1, RelA: maxI, RelB: minI, Enter: maxI, Exit: minI},
+		}, []Event{
+			{Kind: Send, Size: maxI, RelA: minI, RelB: maxI, Enter: maxI, Exit: minI, ComputeBefore: maxI},
+			{Kind: Recv, Size: minI, RelA: maxI, RelB: minI, Enter: minI, Exit: maxI},
+			{Kind: Send, Size: -1, RelA: maxI, RelB: minI, Enter: maxI, Exit: minI},
+		}},
+		{"negative size, tag and peer", []Event{
+			{Kind: Collective, CollOp: -1, Size: -4096, Involved: -3, Peer: -1, Tag: -7, Enter: 10, Exit: 5},
+		}, []Event{
+			{Kind: Collective, CollOp: -1, Size: -4096, Involved: -3, Peer: -1, Tag: -7, Enter: 10, Exit: 5, ComputeBefore: 10},
+		}},
+		{"overlap clamp", []Event{
+			{Kind: Send, Enter: 500, Exit: 1000},
+			{Kind: Recv, Enter: 900, Exit: 950},  // ends before the previous exit
+			{Kind: Recv, Enter: 900, Exit: 1200}, // ends after it
+			{Kind: Send, Enter: 1300, Exit: 1300},
+		}, []Event{
+			{Kind: Send, Enter: 500, Exit: 1000, ComputeBefore: 500},
+			{Kind: Recv, Enter: 1000, Exit: 1000},
+			{Kind: Recv, Enter: 1000, Exit: 1200},
+			{Kind: Send, Enter: 1300, Exit: 1300, ComputeBefore: 100},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			recs := []*Recorder{NewRecorder(0), NewRecorder(1)}
+			streams := make([][]Event, len(recs))
+			for p, r := range recs {
+				in := append([]Event(nil), tc.in...)
+				for i := range in {
+					r.Record(&in[i])
+				}
+				streams[p] = append([]Event(nil), tc.want...)
+				for i := range streams[p] {
+					streams[p][i].Process, streams[p][i].Number, streams[p][i].LT = int32(p), int64(i), NoLT
+				}
+			}
+			want, err := NewTrace("bounds", len(recs), streams, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := NewRecording("bounds", recs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// %#v: vtime's String methods recurse forever at MinInt64.
+			if got := rec.Trace(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Trace events %#v, want %#v", got.Events, want.Events)
+			}
+			for p, r := range recs {
+				if got := recorded(r); !reflect.DeepEqual(got, streams[p]) {
+					t.Fatalf("process %d streamed %#v, want %#v", p, got, streams[p])
+				}
+			}
+		})
 	}
 }
 
@@ -178,6 +263,46 @@ func recorded(r *Recorder) []Event {
 			return evs
 		}
 		evs = append(evs, e)
+	}
+}
+
+// TestRecorderChunksHoldMaximalRecords records events whose every field
+// takes its widest varint. Each chunk must keep the capacity it was
+// made with (firstChunk, doubling up to recorderChunk): a record longer
+// than maxRecord would make Record's append regrow it. Each chunk but
+// the last must also be closed only once it could not hold another
+// maximal record.
+func TestRecorderChunksHoldMaximalRecords(t *testing.T) {
+	r := NewRecorder(0)
+	var in []Event
+	var last vtime.Time
+	for i := 0; i < 3000; i++ {
+		// ComputeBefore is MaxInt64 and Exit − Enter MinInt64, both
+		// wrapping, so each event ends just before the previous one.
+		e := Event{Kind: Send, CollOp: -128, Size: math.MinInt64, RelA: math.MinInt64, RelB: math.MinInt64,
+			Involved: math.MinInt32, Peer: math.MinInt32, Tag: math.MinInt32,
+			Enter: last + math.MaxInt64, Exit: last - 1}
+		r.Record(&e)
+		in = append(in, e)
+		last = e.Exit
+	}
+	chunks := r.chunks()
+	packed := 0
+	for k, c := range chunks {
+		if want := min(firstChunk<<k, recorderChunk); cap(c) != want {
+			t.Fatalf("chunk %d has capacity %d, want %d", k, cap(c), want)
+		}
+		if k < len(chunks)-1 && cap(c)-len(c) >= maxRecord {
+			t.Errorf("chunk %d closed with %d of %d bytes free", k, cap(c)-len(c), cap(c))
+		}
+		packed += len(c)
+	}
+	if perEvent := packed / len(in); perEvent < 60 {
+		t.Fatalf("%d bytes per record: the events are not maximal", perEvent)
+	}
+	// %#v: vtime's String methods recurse forever at MinInt64.
+	if got, want := recorded(r), deriveFields(0, in); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recorded %#v, want %#v", got[:2], want[:2])
 	}
 }
 
