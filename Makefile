@@ -14,9 +14,11 @@ GOFMT ?= gofmt
 # HTTP traffic over shared admission, cache, and drain state —
 # including the chaos serving proof. signature and mpi end their runs
 # early by unwinding the parked rank goroutines while the caller
-# carries on; so does the partial-execution baseline in predict, whose
-# tests are the only part of that (slow) package run under the
-# detector.
+# carries on; so does the partial-execution baseline in predict. And
+# predict.Sign analyses the traced run while its ranks record it: the
+# recorders hand their chunks to the analysis and take them back. The
+# partial-execution and live-Sign tests (small apps) are the only part
+# of that (slow) package run under the detector.
 RACE_PKGS = ./internal/phase/... ./internal/logical/... ./internal/obs/... ./internal/faults/... ./internal/sigrepo/... ./internal/fsx/... ./internal/trace/... ./internal/sim/... ./internal/signature/... ./internal/mpi/... ./internal/scenario/... ./internal/service/... ./cmd/pas2pd/... ./cmd/pas2p-loadgen/...
 
 .PHONY: build fmt test race bench soak-100m check cover fuzz scenarios
@@ -34,7 +36,7 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'PartialExec' ./internal/predict
+	$(GO) test -race -run 'PartialExec|LiveSign' ./internal/predict
 
 # Extraction over the six largest registered workloads: the reference
 # scan (seed) against the production scan (indexed); medians over

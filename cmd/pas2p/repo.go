@@ -71,7 +71,7 @@ func cmdRepo(args []string) error {
 		if err != nil {
 			return err
 		}
-		tb, br, traced := signed.Table, signed.Build, signed.Traced
+		tb, br := signed.Table, signed.Build
 		path, err := repo.Add(br.Signature, wl, bd.Cluster.Name)
 		if err != nil {
 			return err
@@ -79,6 +79,14 @@ func cmdRepo(args []string) error {
 		fmt.Printf("added %s (%d relevant phases, SCT %.2fs) -> %s\n",
 			*app, len(tb.RelevantRows()), br.SCT.Seconds(), path)
 		if *keepTrace {
+			// Sign analysed its recording as the run wrote it and kept
+			// none of it, so the tracefile comes from a second traced
+			// run, configured as Sign's: the simulator is deterministic,
+			// so it records the same events.
+			traced, err := mpi.Run(a, mpi.RunConfig{Deployment: bd, Trace: true, EventOverhead: mpi.PAS2PEventOverhead})
+			if err != nil {
+				return err
+			}
 			tpath, err := repo.AddTrace(traced.Recording.Trace(), wl)
 			if err != nil {
 				return err

@@ -14,7 +14,9 @@ package logical
 //
 //   - events are pulled lazily from an EventSource (trace.RankStreams
 //     over a v2 file, trace.RecordingStreams over a traced run's
-//     recording, or SourceFromTrace); each queue pop assigns
+//     recording, trace.RecordingDrain over a run still recording, or
+//     SourceFromTrace), which need not know its event count before
+//     its streams end; each queue pop assigns
 //     one process a run of events, until a receive whose send is not
 //     yet known, a collective, the end of its stream or runBound, so
 //     consecutive reads stay in one process's stream. LTs do not depend
@@ -79,11 +81,13 @@ func noOrderf(format string, args ...any) error {
 // EventSource feeds per-process event streams to StreamOrder. Process
 // streams must be in per-process program order (what PerProcess or a
 // rank cursor yields). trace.RankStreams implements it over a v2
-// tracefile, trace.RecordingStreams over a traced run's recording.
+// tracefile, trace.RecordingStreams over a traced run's recording and
+// trace.RecordingDrain over a run still recording it.
 type EventSource interface {
+	// Meta returns the source's header. Its process count is read
+	// first; its event count and AET only once every stream has
+	// ended, so a source may fix them as late as that.
 	Meta() trace.Meta
-	// Count returns how many events process p will yield in total.
-	Count(p int) uint64
 	// NextEvent copies process p's next event into dst; false with nil
 	// error means the stream is exhausted.
 	NextEvent(p int, dst *trace.Event) (bool, error)
@@ -114,8 +118,7 @@ func newTraceSource(tr *trace.Trace) *traceSource {
 	return s
 }
 
-func (s *traceSource) Meta() trace.Meta   { return s.meta }
-func (s *traceSource) Count(p int) uint64 { return uint64(len(s.per[p])) }
+func (s *traceSource) Meta() trace.Meta { return s.meta }
 func (s *traceSource) NextEvent(p int, dst *trace.Event) (bool, error) {
 	if s.pos[p] >= len(s.per[p]) {
 		return false, nil
@@ -197,14 +200,15 @@ type TickReader struct {
 	src    trace.Meta
 	source EventSource
 	procs  int
-	total  uint64
 	err    error
 
 	// --- Table 1 queue-algorithm state ---
-	queue      []int32
-	qHead      int
-	next       []uint64 // events pulled AND consumed per process
-	remaining  []uint64 // events not yet pulled into head
+	queue []int32
+	qHead int
+	next  []uint64 // events consumed per process
+	// head[p] holds process p's next event while headOK[p]; a read
+	// that finds p's stream ended sets procDone[p], and ended counts
+	// those.
 	head       []trace.Event
 	headOK     []bool
 	hw         []int64
@@ -213,6 +217,7 @@ type TickReader struct {
 	parked     []bool
 	visits     int
 	assigned   uint64
+	ended      int
 	assignDone bool
 
 	// --- finalisation pipeline ---
@@ -243,12 +248,11 @@ type collWait struct {
 }
 
 // StreamOrder begins streaming the PAS2P logical order over src. It
-// performs no I/O beyond what Next demands; errors surface from Next.
+// reads each process's first event; later reads, and their errors,
+// come from Next. The source's event count is checked once every
+// stream has ended.
 func StreamOrder(src EventSource) (*TickReader, error) {
 	meta := src.Meta()
-	if meta.Events == 0 {
-		return nil, noOrderf("logical: empty trace")
-	}
 	if meta.Procs <= 0 {
 		return nil, noOrderf("logical: trace %q declares %d processes", meta.AppName, meta.Procs)
 	}
@@ -258,9 +262,8 @@ func StreamOrder(src EventSource) (*TickReader, error) {
 		leaves *= 2
 	}
 	r := &TickReader{
-		src: meta, source: src, procs: procs, total: meta.Events,
+		src: meta, source: src, procs: procs,
 		next:      make([]uint64, procs),
-		remaining: make([]uint64, procs),
 		head:      make([]trace.Event, procs),
 		headOK:    make([]bool, procs),
 		hw:        make([]int64, procs),
@@ -276,23 +279,22 @@ func StreamOrder(src EventSource) (*TickReader, error) {
 		tree:      make([]mergeKey, 2*leaves),
 		leaves:    leaves,
 	}
-	var counted uint64
 	for p := 0; p < procs; p++ {
 		r.hw[p] = -1
 		r.lastLT[p] = -1
 		r.lastSub[p] = -1
-		n := src.Count(p)
-		r.remaining[p] = n
-		counted += n
-		if n > 0 {
+		ok, err := r.loadHead(int32(p))
+		if err != nil {
+			return nil, err
+		}
+		if ok {
 			r.queue = append(r.queue, int32(p))
-		} else {
-			r.procDone[p] = true
 		}
 	}
-	if counted != meta.Events {
-		return nil, noOrderf("logical: source counts %d events across processes, header declares %d",
-			counted, meta.Events)
+	if r.ended == procs {
+		if err := r.finishAssign(); err != nil {
+			return nil, err
+		}
 	}
 	for i := leaves; i < 2*leaves; i++ {
 		r.tree[i] = finished
@@ -306,7 +308,8 @@ func StreamOrder(src EventSource) (*TickReader, error) {
 	return r, nil
 }
 
-// Meta returns the source tracefile's header.
+// Meta returns the source's header: as StreamOrder read it, and the
+// source's final one once every stream has ended.
 func (r *TickReader) Meta() trace.Meta { return r.src }
 
 // qlen is the number of pending queue entries.
@@ -325,24 +328,23 @@ func (r *TickReader) qpop() int32 {
 
 func (r *TickReader) qpush(p int32) { r.queue = append(r.queue, p) }
 
-// loadHead ensures process p's current event is in its head slot.
-// Returns false when the process has no further events.
+// loadHead ensures process p's next event is in its head slot.
+// Returns false when p's stream has ended: p is then done, and its
+// open receive run is finalised.
 func (r *TickReader) loadHead(p int32) (bool, error) {
 	if r.headOK[p] {
 		return true, nil
 	}
-	if r.remaining[p] == 0 {
-		return false, nil
-	}
 	ok, err := r.source.NextEvent(int(p), &r.head[p])
-	if err != nil {
+	if err != nil || !ok {
+		if err == nil {
+			r.procDone[p] = true
+			r.ended++
+			r.flushRun(p)
+			r.updateLeaf(int(p))
+		}
 		return false, err
 	}
-	if !ok {
-		return false, noOrderf("logical: trace %q: process %d stream ended early after %d events",
-			r.src.AppName, p, r.next[p])
-	}
-	r.remaining[p]--
 	r.headOK[p] = true
 	return true, nil
 }
@@ -355,7 +357,7 @@ func (r *TickReader) loadHead(p int32) (bool, error) {
 func (r *TickReader) step() error {
 	if r.qlen() == 0 {
 		return noOrderf("logical: trace %q stalls with %d/%d events assigned (inconsistent relations)",
-			r.src.AppName, r.assigned, r.total)
+			r.src.AppName, r.assigned, r.source.Meta().Events)
 	}
 	p := r.qpop()
 	for n := 0; n < runBound; n++ {
@@ -395,9 +397,7 @@ func (r *TickReader) step() error {
 			return noOrderf("logical: trace %q: unknown event kind %d", r.src.AppName, e.Kind)
 		}
 	}
-	if r.remaining[p] > 0 {
-		r.qpush(p)
-	}
+	r.qpush(p)
 	return nil
 }
 
@@ -426,15 +426,13 @@ func (r *TickReader) arrive(p int32, e *trace.Event) {
 		}
 	}
 	lt := maxLT + 1
+	delete(r.collWaits, key)
 	for _, m := range cw.procs {
 		r.hw[m] = lt
 		r.parked[m] = false
 		r.consume(m, lt)
-		if r.remaining[m] > 0 {
-			r.qpush(m)
-		}
+		r.qpush(m)
 	}
-	delete(r.collWaits, key)
 }
 
 // consume hands process p's head event, assigned LT lt, to the
@@ -451,10 +449,7 @@ func (r *TickReader) consume(p int32, lt int64) {
 	r.headOK[p] = false
 	r.next[p]++
 	r.assigned++
-	if r.remaining[p] == 0 {
-		r.procDone[p] = true
-	}
-	if !recv || r.procDone[p] {
+	if !recv {
 		r.flushRun(p)
 	}
 }
@@ -521,12 +516,22 @@ func (r *TickReader) updateLeaf(p int) {
 	}
 }
 
-// finishAssign runs the post-loop checks once every event is assigned.
+// finishAssign runs the post-loop checks once every stream has ended
+// and every event is assigned: the source's final header must count
+// those events.
 func (r *TickReader) finishAssign() error {
 	for p, pk := range r.parked {
 		if pk {
 			return noOrderf("logical: trace %q: proc %d parked at a collective forever", r.src.AppName, p)
 		}
+	}
+	r.src = r.source.Meta()
+	if r.assigned == 0 {
+		return noOrderf("logical: empty trace")
+	}
+	if r.assigned != r.src.Events {
+		return noOrderf("logical: source counts %d events across processes, header declares %d",
+			r.assigned, r.src.Events)
 	}
 	r.assignDone = true
 	return nil
@@ -619,7 +624,7 @@ func (r *TickReader) Next() (*Tick, error) {
 			r.err = err
 			return nil, err
 		}
-		if r.assigned >= r.total {
+		if r.ended == r.procs {
 			if err := r.finishAssign(); err != nil {
 				r.err = err
 				return nil, err

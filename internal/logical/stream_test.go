@@ -3,9 +3,11 @@ package logical
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
+	"pas2p/internal/apps"
 	"pas2p/internal/machine"
 	"pas2p/internal/mpi"
 	"pas2p/internal/trace"
@@ -276,4 +278,93 @@ func TestStreamOrderBoundedQueues(t *testing.T) {
 				tc.name, maxPend, len(tc.tr.Events))
 		}
 	}
+}
+
+// lateMeta hides its source's event count and AET until every stream
+// has ended, as a traced run's recording does while the run goes on.
+type lateMeta struct {
+	EventSource
+	ended []bool
+	open  int // streams not yet ended
+}
+
+func newLateMeta(src EventSource) *lateMeta {
+	n := src.Meta().Procs
+	return &lateMeta{EventSource: src, ended: make([]bool, n), open: n}
+}
+
+func (s *lateMeta) Meta() trace.Meta {
+	m := s.EventSource.Meta()
+	if s.open > 0 {
+		m.Events, m.AET = 0, 0
+	}
+	return m
+}
+
+func (s *lateMeta) NextEvent(p int, dst *trace.Event) (bool, error) {
+	ok, err := s.EventSource.NextEvent(p, dst)
+	if !ok && err == nil && !s.ended[p] {
+		s.ended[p] = true
+		s.open--
+	}
+	return ok, err
+}
+
+// TestStreamOrderLateEventCount: StreamOrder needs no event count up
+// front. Over sources that give none until their streams end, it
+// yields Order's ticks for several apps, and its Meta is then the
+// source's final header.
+func TestStreamOrderLateEventCount(t *testing.T) {
+	for _, name := range []string{"cg", "lu", "sweep3d", "smg2000", "masterworker", "ep"} {
+		app, err := apps.Make(name, 8, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := traceOf(t, machine.ClusterA(), 8, app.Body)
+		l, err := Order(tr)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		src := newLateMeta(SourceFromTrace(tr))
+		r, err := StreamOrder(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := r.Meta().Events; got != 0 {
+			t.Fatalf("%s: Meta reports %d events before the streams ended", name, got)
+		}
+		assertSameTicks(t, name, inCoreTicks(l), collectTicks(t, r))
+		if got, want := r.Meta(), tr.Meta(); got != want {
+			t.Errorf("%s: final Meta %+v, want %+v", name, got, want)
+		}
+	}
+}
+
+// TestStreamOrderChecksFinalCount: a source whose final header counts
+// other than the events its streams held fails with the header-count
+// error, once the streams have ended.
+func TestStreamOrderChecksFinalCount(t *testing.T) {
+	tr := traceOf(t, machine.ClusterA(), 2, pingBody(3))
+	src := &countOff{EventSource: SourceFromTrace(tr)}
+	r, err := StreamOrder(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for err == nil {
+		_, err = r.Next()
+	}
+	want := fmt.Sprintf("logical: source counts %d events across processes, header declares %d",
+		len(tr.Events), len(tr.Events)+1)
+	if !errors.Is(err, ErrNoOrder) || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
+// countOff's header declares one event more than its streams hold.
+type countOff struct{ EventSource }
+
+func (s *countOff) Meta() trace.Meta {
+	m := s.EventSource.Meta()
+	m.Events++
+	return m
 }

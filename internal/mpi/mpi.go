@@ -57,8 +57,8 @@ const PAS2PEventOverhead = 8 * vtime.Microsecond
 type RunConfig struct {
 	// Deployment places the app's ranks on a modelled cluster.
 	Deployment *machine.Deployment
-	// Trace enables event recording on every rank, handed back as
-	// RunResult.Recording.
+	// Trace enables event recording on every rank, into the
+	// recording Start hands out and RunResult.Recording hands back.
 	Trace bool
 	// EventOverhead is the virtual CPU cost the instrumentation adds
 	// per recorded event (zero when Trace is false). Zero charges
@@ -86,8 +86,9 @@ type RunResult struct {
 	// uninstrumented, the AETPAS2P when traced).
 	Elapsed vtime.Duration
 	// Recording holds every rank's recorded events, where they were
-	// recorded (nil unless RunConfig.Trace). Stage A reads its
-	// Streams; a tracefile writer assembles its Trace.
+	// recorded (nil unless RunConfig.Trace). It is closed; unless
+	// it was drained while the run went on (Start), stage A reads its
+	// Streams and a tracefile writer assembles its Trace.
 	Recording *trace.Recording
 	// Stats are the simulator's traffic counters.
 	Stats sim.Result
@@ -95,6 +96,30 @@ type RunResult struct {
 
 // Run executes the application to completion.
 func Run(app App, cfg RunConfig) (*RunResult, error) {
+	run, err := Start(app, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return run.Wait()
+}
+
+// Running is an execution in flight. Its Recording (nil unless
+// RunConfig.Trace) is live while the run goes on: a Drain reader reads
+// it as the ranks record it. The run never waits for that reader, and
+// the recording is closed however the run ends.
+type Running struct {
+	Recording *trace.Recording
+
+	done  chan struct{}
+	res   *RunResult
+	err   error
+	panic any
+}
+
+// Start begins executing the application on a goroutine of its own,
+// which ends with the run; the caller must Wait for it, which returns
+// its result.
+func Start(app App, cfg RunConfig) (*Running, error) {
 	if app.Procs <= 0 {
 		return nil, fmt.Errorf("mpi: app %q has %d procs", app.Name, app.Procs)
 	}
@@ -105,7 +130,10 @@ func Run(app App, cfg RunConfig) (*RunResult, error) {
 		return nil, fmt.Errorf("mpi: app %q wants %d procs but deployment has %d ranks",
 			app.Name, app.Procs, cfg.Deployment.Ranks)
 	}
-	recorders := make([]*trace.Recorder, app.Procs)
+	run := &Running{done: make(chan struct{})}
+	if cfg.Trace {
+		run.Recording = trace.StartRecording(app.Name, app.Procs)
+	}
 	world := worldMembers(app.Procs)
 	shared := collResults{}
 	body := func(p *sim.Proc) {
@@ -118,35 +146,53 @@ func Run(app App, cfg RunConfig) (*RunResult, error) {
 			st:      &rankState{overhead: cfg.EventOverhead, shared: shared},
 		}
 		if cfg.Trace {
-			rec := trace.NewRecorder(p.Rank())
-			recorders[p.Rank()] = rec
-			c.st.rec = rec
+			c.st.rec = run.Recording.Recorder(p.Rank())
 		}
 		if cfg.NewInterceptor != nil {
 			c.st.icept = cfg.NewInterceptor(p.Rank())
 			c.st.icept.Init(c)
 		}
 		app.Body(c)
-	}
-	res, err := sim.Run(sim.Config{
-		Deployment: cfg.Deployment, Body: body, Name: app.Name,
-		Observer:     cfg.Observer,
-		Faults:       cfg.Faults,
-		TimelinePID:  cfg.TimelinePID,
-		TimelineName: cfg.TimelineLabel,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &RunResult{Elapsed: vtime.Duration(res.Finish), Stats: res}
-	if cfg.Trace {
-		rec, err := trace.NewRecording(app.Name, recorders, out.Elapsed)
-		if err != nil {
-			return nil, err
+		if cfg.Trace {
+			// The rank records nothing more: a reader of its stream
+			// need not wait for the other ranks to learn that.
+			c.st.rec.End()
 		}
-		out.Recording = rec
 	}
-	return out, nil
+	go func() {
+		var elapsed vtime.Duration
+		defer func() {
+			// A panic of the engine itself resurfaces on Wait's caller.
+			run.panic = recover()
+			if run.Recording != nil {
+				run.Recording.Close(elapsed)
+			}
+			close(run.done)
+		}()
+		res, err := sim.Run(sim.Config{
+			Deployment: cfg.Deployment, Body: body, Name: app.Name,
+			Observer:     cfg.Observer,
+			Faults:       cfg.Faults,
+			TimelinePID:  cfg.TimelinePID,
+			TimelineName: cfg.TimelineLabel,
+		})
+		if err != nil {
+			run.err = err
+			return
+		}
+		elapsed = vtime.Duration(res.Finish)
+		run.res = &RunResult{Elapsed: elapsed, Recording: run.Recording, Stats: res}
+	}()
+	return run, nil
+}
+
+// Wait waits for the run to end and returns its result.
+func (run *Running) Wait() (*RunResult, error) {
+	<-run.done
+	if run.panic != nil {
+		panic(run.panic)
+	}
+	return run.res, run.err
 }
 
 func worldMembers(n int) []int {

@@ -163,7 +163,8 @@ func Extract(l *logical.Logical, cfg Config) (*Analysis, error) {
 	}
 	sp := cfg.Observer.StartSpan("phase.extract")
 	defer sp.End()
-	x := newStreamExtractor(cfg, l.Trace.Procs, l.Trace.AET, nil, -1)
+	x := newStreamExtractor(cfg, l.Trace.Procs, nil, -1)
+	x.an.AET = l.Trace.AET
 	if err := x.scan(nil, newLogicalTicks(l)); err != nil {
 		return nil, err
 	}

@@ -118,14 +118,17 @@ const ctxCheckEvery = 1024
 // warmOccurrence selects the designated occurrence exactly as
 // BuildTable does.
 func ExtractStreamTable(ctx context.Context, src TickSource, meta trace.Meta, warmOccurrence int, cfg StreamConfig) (*StreamResult, error) {
-	return extractTable(ctx, src, meta, warmOccurrence, cfg, nil)
+	return extractTable(ctx, src, func() trace.Meta { return meta }, warmOccurrence, cfg, nil)
 }
 
 // extractTable runs the §3.3 extraction and the phase-table derivation
 // over a tick stream in one bounded-memory pass, recording the
 // phase.extract and analyze.table spans; logf narrates as in Analyze.
-func extractTable(ctx context.Context, src TickSource, meta trace.Meta, warmOccurrence int, cfg StreamConfig,
+// header returns the source's header: its process count is read
+// before the scan, its app name and AET after it.
+func extractTable(ctx context.Context, src TickSource, header func() trace.Meta, warmOccurrence int, cfg StreamConfig,
 	logf func(format string, args ...any)) (*StreamResult, error) {
+	meta := header()
 	if err := cfg.Config.validate(); err != nil {
 		return nil, err
 	}
@@ -157,7 +160,7 @@ func extractTable(ctx context.Context, src TickSource, meta trace.Meta, warmOccu
 			procs: meta.Procs, entries: map[int]*spillEntry{}}
 	}
 	sp := cfg.Observer.StartSpan("phase.extract")
-	x := newStreamExtractor(cfg.Config, meta.Procs, meta.AET, store, warmOccurrence)
+	x := newStreamExtractor(cfg.Config, meta.Procs, store, warmOccurrence)
 	x.logf = logf
 	if err := x.scan(ctx, src); err != nil {
 		sp.End()
@@ -166,6 +169,8 @@ func extractTable(ctx context.Context, src TickSource, meta trace.Meta, warmOccu
 		}
 		return nil, err
 	}
+	meta = header()
+	x.an.AET = meta.AET
 	res := &StreamResult{Analysis: x.an, store: store}
 	res.Stats.Ticks = x.nTicks
 	if store != nil {
@@ -324,13 +329,13 @@ type streamExtractor struct {
 // newStreamExtractor prepares a scan over procs processes. A nil store
 // keeps every behaviour matrix resident; a negative warm skips the
 // phase-table bookkeeping.
-func newStreamExtractor(cfg Config, procs int, aet vtime.Duration, store *spillStore, warm int) *streamExtractor {
+func newStreamExtractor(cfg Config, procs int, store *spillStore, warm int) *streamExtractor {
 	x := &streamExtractor{
 		cfg:        cfg,
 		procs:      procs,
 		m:          newMatcher(cfg),
 		store:      store,
-		an:         &Analysis{Config: cfg, AET: aet},
+		an:         &Analysis{Config: cfg},
 		warm:       warm,
 		baseCounts: make([]int64, procs),
 		cum:        make([]int64, procs),

@@ -76,7 +76,7 @@ type Outcome struct {
 	AETBase   vtime.Duration // uninstrumented base run
 	AETPAS2P  vtime.Duration // instrumented base run
 	TFSize    int64          // tracefile size in bytes
-	TFAT      time.Duration  // wall-clock tracefile analysis time
+	TFAT      time.Duration  // wall-clock tracefile analysis time (Signed.TFAT)
 	Total     int            // total phases found
 	Relevant  int            // relevant phases
 	SCT       vtime.Duration // signature construction time
@@ -106,14 +106,19 @@ type Outcome struct {
 	Faults faults.Report
 }
 
-// Signed is stage A's product: the instrumented base run with its
-// recording, the phase table analysed from it, and the signature built
-// from that table.
+// Signed is stage A's product: the instrumented base run, the phase
+// table analysed from its recording, and the signature built from that
+// table. The recording was drained as the run wrote it: its Meta
+// stands, but it holds no events.
 type Signed struct {
 	Traced *mpi.RunResult
 	Table  *phase.Table
 	Build  *signature.BuildResult
-	// TFAT is the wall-clock time of the trace analysis.
+	// TFAT is the wall-clock time of the trace analysis (Table 9):
+	// stage A's own tool time, logical ordering, phase extraction and
+	// the phase table. The analysis reads the recording while the
+	// traced run writes it, so the time it spent waiting for the run
+	// to publish events is the run's, and is left out.
 	TFAT time.Duration
 }
 
@@ -137,7 +142,9 @@ func (e *Experiment) withDefaults() {
 // (charged EventOverhead per event and perturbed by Faults), logical
 // ordering and phase extraction into the phase table, and signature
 // construction under the Signature options (whose own Faults, if any,
-// perturb construction). ctx is checked between the stages.
+// perturb construction). The analysis runs while the instrumented run
+// records. ctx is checked before the run, through the analysis, and
+// before returning; a run already started is waited for.
 func Sign(ctx context.Context, e Experiment) (*Signed, error) {
 	if e.App.Body == nil {
 		return nil, fmt.Errorf("predict: experiment has no application")
@@ -154,31 +161,45 @@ func Sign(ctx context.Context, e Experiment) (*Signed, error) {
 	if tl := o.TL(); tl != nil {
 		tracedPID = tl.NewProcess(fmt.Sprintf("trace:%s (%d ranks)", e.App.Name, e.App.Procs))
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	sp := o.StartSpan("predict.traced_run")
-	traced, err := mpi.Run(e.App, mpi.RunConfig{
+	run, err := mpi.Start(e.App, mpi.RunConfig{
 		Deployment: e.Base, Trace: true, EventOverhead: e.EventOverhead,
 		Observer: o, TimelinePID: tracedPID,
 		Faults: e.Faults,
 	})
-	sp.End()
 	if err != nil {
+		sp.End()
 		return nil, fmt.Errorf("predict: instrumented run: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 
 	// Logical ordering, phase extraction and the phase table record the
 	// analyze.order, phase.extract and analyze.table spans through
-	// PhaseConfig.Observer; TFAT is the real tool time they take. They
-	// read the recording where the run wrote it: no trace is assembled.
+	// PhaseConfig.Observer, inside predict.traced_run. They read the
+	// recording on this goroutine while the run writes it, each chunk
+	// once, and hand every chunk back for the run to fill again: no
+	// trace is assembled, and the run holds only what the analysis has
+	// not read yet. TFAT is the analysis time less its waits for the
+	// run. A failed analysis stops reading, and the run still ends
+	// before Sign returns; the run's own failure is the one reported.
+	src := run.Recording.Drain()
 	t0 := time.Now()
-	res, err := phase.Analyze(ctx, traced.Recording.Streams(), phase.StreamConfig{Config: e.PhaseConfig}, e.WarmOccurrence, nil)
+	res, aerr := phase.Analyze(ctx, src, phase.StreamConfig{Config: e.PhaseConfig}, e.WarmOccurrence, nil)
+	tfat := time.Since(t0) - src.Waited()
+	if aerr != nil {
+		src.Stop()
+	}
+	traced, err := run.Wait()
+	sp.End()
 	if err != nil {
-		return nil, fmt.Errorf("predict: analysis: %w", err)
+		return nil, fmt.Errorf("predict: instrumented run: %w", err)
+	}
+	if aerr != nil {
+		return nil, fmt.Errorf("predict: analysis: %w", aerr)
 	}
 	an, tb := res.Analysis, res.Table
-	tfat := time.Since(t0)
 	if tracedPID != 0 {
 		MarkPhases(o.TL(), tracedPID, an)
 	}

@@ -38,6 +38,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -337,9 +338,16 @@ type msgQueue struct {
 	head int
 }
 
+// ErrDeadlock and ErrRankPanic are matched (errors.Is) by the error of
+// a run whose live ranks all blocked and of one whose rank panicked.
+var (
+	ErrDeadlock  = errors.New("deadlock")
+	ErrRankPanic = errors.New("panicked")
+)
+
 // Run executes the configured program to completion and returns the
-// timing result. It returns an error on deadlock, on inconsistent
-// collective calls, or if any rank panics.
+// timing result. It returns an error on deadlock (ErrDeadlock), on
+// inconsistent collective calls, or if any rank panics (ErrRankPanic).
 func Run(cfg Config) (Result, error) {
 	e, err := newEngine(cfg)
 	if err != nil {
@@ -461,7 +469,7 @@ func rankMain(p *Proc, body func(*Proc)) {
 				return // engine is shutting down
 			}
 			p.st.status = stDone
-			e.err = fmt.Errorf("rank %d panicked: %v", p.st.rank, r)
+			e.err = fmt.Errorf("rank %d %w: %v", p.st.rank, ErrRankPanic, r)
 			e.yieldCh <- struct{}{}
 		}
 	}()
@@ -650,7 +658,7 @@ func (e *Engine) blockedDesc(ps *procState) string {
 
 func (e *Engine) deadlockError() error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "deadlock: %d of %d ranks blocked", e.n-e.doneCount, e.n)
+	fmt.Fprintf(&b, "%d of %d ranks blocked", e.n-e.doneCount, e.n)
 	var ranks []int
 	for _, ps := range e.procs {
 		if ps.status != stDone {
@@ -662,7 +670,7 @@ func (e *Engine) deadlockError() error {
 		ps := e.procs[r]
 		fmt.Fprintf(&b, "\n  rank %d @ %v: %s", r, ps.clock, e.blockedDesc(ps))
 	}
-	return fmt.Errorf("%s", b.String())
+	return fmt.Errorf("%w: %s", ErrDeadlock, b.String())
 }
 
 // effTime is a lower bound on the virtual time at which a rank could

@@ -4,10 +4,19 @@ package trace
 // traced run's events take while its recording lives.
 func (r *Recording) ChunkBytes() int {
 	n := 0
-	for _, chunks := range r.chunks {
+	for _, chunks := range r.kept() {
 		for _, c := range chunks {
 			n += cap(c)
 		}
 	}
 	return n
+}
+
+// HeldStats returns the most chunk bytes the recording held at once,
+// published and not yet read back, and how many full-size chunks its
+// recorders made and took back from its reader.
+func (r *Recording) HeldStats() (peak, made, reused int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.peak, r.made, r.reused
 }

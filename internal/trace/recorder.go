@@ -3,6 +3,9 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"pas2p/internal/vtime"
 )
@@ -11,14 +14,25 @@ import (
 // holds firstChunk bytes; each later chunk doubles the previous one,
 // up to recorderChunk. A record never straddles chunks: a new chunk
 // starts once the space left could not hold a maximal record. Chunks
-// are never regrown, so a recorded event stays where it was written:
-// stage A reads it there (Recording.Streams), and only a tracefile
-// writer rebuilds it once more into a contiguous trace
-// (Recording.Trace). A short stream does not pay for a full-size
-// chunk.
+// are never regrown, so a recorded event stays where it was written,
+// and stage A reads it there. A short stream does not pay for a
+// full-size chunk.
+//
+// A recorder of a live recording (StartRecording) publishes each
+// chunk it fills to the recording, where a Drain reader may read it
+// while the run goes on and give it back for reuse. It also seals a
+// chunk a quarter full or more early, once the reader waits on its
+// process, so the reader does not stall on the rest of the chunk
+// while the other processes record on. The cap bounds what such a
+// recording holds: what the reader has not read yet is mostly a chunk
+// or two a process, the one it reads and those sealed behind it, so a
+// smaller cap holds less. Replaying the order the merge pulls events
+// in against the order lu classD at 128 ranks records them, the bytes
+// held peaked at 12.5 MB with a 32 KiB cap, 3.1 MB at 8 KiB and 1.9 MB
+// at 4 KiB, of 27.5 MB recorded (DESIGN §5j).
 const (
 	firstChunk    = 1 << 10
-	recorderChunk = 32 << 10
+	recorderChunk = 8 << 10
 )
 
 // A packed record is what a Recorder keeps of one event: the Event
@@ -48,18 +62,21 @@ const (
 const maxRecord = 2 + 6*binary.MaxVarintLen64 + 2*binary.MaxVarintLen32
 
 // Recorder accumulates the event stream of a single process during an
-// instrumented run. One Recorder belongs to one rank goroutine, so no
-// locking is needed; NewRecording takes the recorders over afterwards.
+// instrumented run. One Recorder belongs to one rank goroutine, so
+// recording needs no lock; only handing a filled chunk to a live
+// recording takes the recording's.
 type Recorder struct {
 	proc     int32
-	full     [][]byte // filled chunks, in recording order
-	cur      []byte   // the chunk being filled
+	out      *Recording // the live recording it publishes to; nil keeps full
+	full     [][]byte   // filled chunks, in recording order (out == nil)
+	cur      []byte     // the chunk being filled
 	n        int
 	sends    int64
 	lastExit vtime.Time
 }
 
-// NewRecorder creates a recorder for one process.
+// NewRecorder creates a recorder for one process that keeps its own
+// chunks until NewRecording takes them over.
 func NewRecorder(proc int) *Recorder {
 	return &Recorder{proc: int32(proc)}
 }
@@ -67,13 +84,11 @@ func NewRecorder(proc int) *Recorder {
 // Record packs *e, written once, straight into the current chunk; *e
 // itself is not modified. The caller fills the communication fields
 // and physical times; the recorder derives Process, Number, LT and
-// ComputeBefore, as the rebuilt Event shows them.
+// ComputeBefore, as the rebuilt Event shows them. A live recorder
+// never waits for the reader.
 func (r *Recorder) Record(e *Event) {
 	if cap(r.cur)-len(r.cur) < maxRecord {
-		if r.cur != nil {
-			r.full = append(r.full, r.cur)
-		}
-		r.cur = make([]byte, 0, min(max(2*cap(r.cur), firstChunk), recorderChunk))
+		r.cur = r.newChunk()
 	}
 	compute, exit := e.Enter.Sub(r.lastExit), e.Exit
 	if compute < 0 {
@@ -99,6 +114,40 @@ func (r *Recorder) Record(e *Event) {
 	}
 	r.lastExit = exit
 	r.n++
+	if r.out != nil && len(b) >= recorderChunk/4 && r.out.waitFor.Load() == r.proc {
+		r.cur = r.newChunk()
+	}
+}
+
+// newChunk seals the current chunk, if any, and returns the next one,
+// twice its size up to recorderChunk. A live recorder publishes the
+// sealed chunk and takes a full-size one from the recording's free
+// list when it can.
+func (r *Recorder) newChunk() []byte {
+	size := min(max(2*cap(r.cur), firstChunk), recorderChunk)
+	switch {
+	case r.cur == nil:
+	case r.out != nil:
+		if c := r.out.publish(r.proc, r.cur, size); c != nil {
+			return c
+		}
+	default:
+		r.full = append(r.full, r.cur)
+	}
+	return make([]byte, 0, size)
+}
+
+// End ends the process's stream in a live recording: it publishes the
+// last chunk, so a reader at the end of the stream learns that it
+// ended without waiting for the run to close the recording. The
+// recorder must record nothing more. End does nothing to a recorder
+// of NewRecorder's.
+func (r *Recorder) End() {
+	if out := r.out; out != nil {
+		out.mu.Lock()
+		defer out.mu.Unlock()
+		out.end(r)
+	}
 }
 
 // bases returns what a record of kind k stores its Peer and RelA
@@ -120,63 +169,208 @@ func (r *Recorder) chunks() [][]byte {
 }
 
 // Recording is an instrumented run's trace as its recorders wrote it:
-// each process's events stay in the chunks they were recorded into.
-// Streams reads them in place, which is all stage A needs; Trace
-// assembles the contiguous Trace a tracefile writer needs. Both
-// rebuild every Event from its packed record as they read it.
+// each process's events stay in the chunks they were recorded into,
+// and every Event is rebuilt from its packed record as it is read.
+//
+// A recording from StartRecording is live: while the run goes on, its
+// recorders publish each chunk they fill, and a Drain reader reads
+// the streams from those chunks, handing each one back for the
+// recorders to fill again. So a traced run holds only what the reader
+// has not read yet. Close ends the recording on every exit path of
+// the run. A closed recording that nobody drained keeps every chunk:
+// Streams reads it in place as often as asked, and Trace assembles
+// the contiguous Trace a tracefile writer needs.
 type Recording struct {
-	meta   Meta
-	chunks [][][]byte // chunks[p] holds process p's chunks, in recording order
-	counts []uint64   // counts[p] is process p's event count
+	recs []*Recorder // a live recording's recorders, until Close
+
+	mu     sync.Mutex
+	ready  sync.Cond  // the reader waits on it for waitFor's next chunk or the close
+	meta   Meta       // Events and AET are fixed by Close
+	queued [][][]byte // queued[p]: process p's published chunks, not yet read
+	counts []uint64   // counts[p] is process p's event count, once closed
+	ended  []bool     // ended[p]: process p's recorder has published its last chunk
+	open   int        // streams not yet ended
+	// free holds full-size chunks the reader gave back; recorders take
+	// them before making new ones.
+	free    [][]byte
+	waitFor atomic.Int32 // the process the reader waits on, or -1
+	closed  bool
+	drained bool // Drain was called
+	discard bool // the reader stopped: chunks are recycled unread
+	// held is the bytes of published chunks not yet given back, peak
+	// its maximum; made and reused count the full-size chunks the
+	// recorders made and took from free.
+	held, peak   int
+	made, reused int
 }
+
+func newRecording(app string, procs int) *Recording {
+	r := &Recording{
+		meta:   Meta{AppName: app, Procs: procs},
+		queued: make([][][]byte, procs),
+		counts: make([]uint64, procs),
+		ended:  make([]bool, procs),
+		open:   procs,
+	}
+	r.waitFor.Store(-1)
+	r.ready.L = &r.mu
+	return r
+}
+
+// StartRecording opens the live recording of an instrumented run of
+// procs processes (procs > 0): Recorder(p) hands out each process's
+// recorder, and the run must Close the recording however it ends.
+func StartRecording(app string, procs int) *Recording {
+	r := newRecording(app, procs)
+	r.recs = make([]*Recorder, procs)
+	for p := range r.recs {
+		r.recs[p] = &Recorder{proc: int32(p), out: r}
+	}
+	return r
+}
+
+// Recorder returns process p's recorder of a live recording.
+func (r *Recording) Recorder(p int) *Recorder { return r.recs[p] }
 
 // NewRecording takes over the recorders of an instrumented run, one
 // per process in process order; they must record nothing more. A
 // recorder stamps its own process and numbers its events, so unlike
-// NewTrace there are no streams to check.
+// NewTrace there are no streams to check. The recording is closed.
 func NewRecording(app string, recs []*Recorder, aet vtime.Duration) (*Recording, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("trace %q: no process recorders", app)
 	}
-	r := &Recording{
-		meta:   Meta{AppName: app, Procs: len(recs), AET: aet},
-		chunks: make([][][]byte, len(recs)),
-		counts: make([]uint64, len(recs)),
-	}
+	r := newRecording(app, len(recs))
 	for p, rec := range recs {
-		if rec == nil || int(rec.proc) != p {
+		if rec == nil || int(rec.proc) != p || rec.out != nil {
 			return nil, fmt.Errorf("trace %q: no recorder for process %d", app, p)
 		}
-		r.chunks[p] = rec.chunks()
+		r.queued[p] = rec.chunks()
 		r.counts[p] = uint64(rec.n)
+		r.ended[p] = true
 		r.meta.Events += uint64(rec.n)
 	}
+	r.open = 0
+	r.meta.AET = aet
+	r.closed = true
 	return r, nil
 }
 
+// publish queues process p's sealed chunk c and returns a recycled
+// chunk of the given size, or nil when the recorder must make one.
+func (r *Recording) publish(p int32, c []byte, size int) []byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.discard {
+		r.recycle(c)
+	} else {
+		r.queued[p] = append(r.queued[p], c)
+		r.held += cap(c)
+		r.peak = max(r.peak, r.held)
+		if r.waitFor.Load() == p {
+			r.ready.Signal()
+		}
+	}
+	if size != recorderChunk {
+		return nil
+	}
+	if n := len(r.free); n > 0 {
+		c = r.free[n-1]
+		r.free = r.free[:n-1]
+		r.reused++
+		return c
+	}
+	r.made++
+	return nil
+}
+
+// recycle puts a full-size chunk on the free list while recorders can
+// still take it. The caller holds mu.
+func (r *Recording) recycle(c []byte) {
+	if !r.closed && cap(c) == recorderChunk {
+		r.free = append(r.free, c[:0])
+	}
+}
+
+// end publishes rec's last chunk and ends its stream. The caller
+// holds mu.
+func (r *Recording) end(rec *Recorder) {
+	p := rec.proc
+	if len(rec.cur) > 0 && !r.discard {
+		r.queued[p] = append(r.queued[p], rec.cur)
+		r.held += cap(rec.cur)
+		r.peak = max(r.peak, r.held)
+	}
+	rec.cur, rec.out = nil, nil
+	r.ended[p] = true
+	r.open--
+	if r.waitFor.Load() == p {
+		r.ready.Signal()
+	}
+}
+
+// Close ends a live recording, whether the run finished, failed or
+// stopped early: it ends every stream not yet ended (End) and fixes
+// Meta's event count and the AET (zero for a failed run). The
+// recorders must record nothing more.
+func (r *Recording) Close(aet vtime.Duration) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for p, rec := range r.recs {
+		if !r.ended[p] {
+			r.end(rec)
+		}
+		r.counts[p] = uint64(rec.n)
+		r.meta.Events += uint64(rec.n)
+	}
+	r.meta.AET = aet
+	r.recs, r.free = nil, nil
+	r.closed = true
+	r.ready.Broadcast()
+}
+
 // Meta returns the recording's app name, process count, event count
-// and AET.
-func (r *Recording) Meta() Meta { return r.meta }
+// and AET. Until a live recording closes, its event count and AET are
+// zero.
+func (r *Recording) Meta() Meta {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.meta
+}
+
+// kept returns the chunks of a closed recording that nobody drained,
+// for its re-readable readers.
+func (r *Recording) kept() [][][]byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.closed || r.drained {
+		panic("trace: re-reading a recording that is open or drained")
+	}
+	return r.queued
+}
 
 // Streams returns a new reader positioned at the start of every
-// process stream. It implements the logical order's EventSource, as
-// RankStreams does over a tracefile.
+// process stream of a closed recording that nobody drained. It
+// implements the logical order's EventSource, as RankStreams does
+// over a tracefile.
 func (r *Recording) Streams() *RecordingStreams {
-	s := &RecordingStreams{rec: r, cur: make([]recordingCursor, r.meta.Procs)}
+	chunks := r.kept()
+	s := &RecordingStreams{rec: r, cur: make([]recordingCursor, len(chunks))}
 	for p := range s.cur {
-		s.cur[p] = recordingCursor{chunks: r.chunks[p], proc: int32(p)}
+		s.cur[p] = recordingCursor{chunks: chunks[p], proc: int32(p)}
 	}
 	return s
 }
 
-// Trace assembles a new Trace from the recording, grouped by process
-// as NewTrace groups it.
+// Trace assembles a new Trace from a closed recording that nobody
+// drained, grouped by process as NewTrace groups it.
 func (r *Recording) Trace() *Trace {
+	chunks := r.kept()
 	t := &Trace{AppName: r.meta.AppName, Procs: r.meta.Procs, AET: r.meta.AET,
 		Events: make([]Event, r.meta.Events)}
 	dst := t.Events
-	for p, chunks := range r.chunks {
-		c := recordingCursor{chunks: chunks, proc: int32(p)}
+	for p := range chunks {
+		c := recordingCursor{chunks: chunks[p], proc: int32(p)}
 		for k := range dst[:r.counts[p]] {
 			c.next(&dst[k])
 		}
@@ -185,11 +379,42 @@ func (r *Recording) Trace() *Trace {
 	return t
 }
 
-// RecordingStreams reads a Recording's process streams where they
-// were recorded. Obtain one from Recording.Streams.
+// Drain returns the recording's one-shot reader, which reads a live
+// recording while the run writes it. It may be called once; Streams
+// and Trace may not be called after it.
+func (r *Recording) Drain() *RecordingDrain {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.drained {
+		panic("trace: recording drained twice")
+	}
+	r.drained = true
+	d := &RecordingDrain{rec: r, cur: make([]recordingCursor, len(r.queued)),
+		chunk: make([][]byte, len(r.queued))}
+	for p := range d.cur {
+		d.cur[p].proc = int32(p)
+	}
+	return d
+}
+
+// RecordingStreams reads a closed Recording's process streams where
+// they were recorded. Obtain one from Recording.Streams.
 type RecordingStreams struct {
 	rec *Recording
 	cur []recordingCursor
+}
+
+// RecordingDrain reads a Recording's process streams once, as the
+// recorders publish them: a read that reaches the end of the chunks
+// published so far waits for the process's next chunk, or for the end
+// of its stream, and each chunk read is given back to the recorders. It
+// implements the logical order's EventSource; its Meta is final once
+// every stream has ended. Obtain one from Recording.Drain.
+type RecordingDrain struct {
+	rec    *Recording
+	cur    []recordingCursor
+	chunk  [][]byte // chunk[p] is the chunk cur[p] reads
+	waited time.Duration
 }
 
 // recordingCursor is one process's read position: the unread rest of
@@ -279,4 +504,86 @@ func (s *RecordingStreams) Count(p int) uint64 { return s.rec.counts[p] }
 // stream is exhausted. It never fails.
 func (s *RecordingStreams) NextEvent(p int, dst *Event) (bool, error) {
 	return s.cur[p].next(dst), nil
+}
+
+// Meta returns the recording's header. While a stream is open, its
+// event count and AET are zero; once every stream has ended, Meta
+// waits the moment until the run closes the recording and returns the
+// final header.
+func (s *RecordingDrain) Meta() Meta {
+	r := s.rec
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.open == 0 && !r.closed {
+		t0 := time.Now()
+		for !r.closed {
+			r.ready.Wait()
+		}
+		s.waited += time.Since(t0)
+	}
+	return r.meta
+}
+
+// NextEvent rebuilds process p's next event into dst, first waiting
+// for p's next published chunk when the one it reads is spent; false
+// means the stream has ended. It never fails.
+func (s *RecordingDrain) NextEvent(p int, dst *Event) (bool, error) {
+	c := &s.cur[p]
+	if len(c.rest) == 0 {
+		s.chunk[p] = s.rec.take(p, s.chunk[p], &s.waited)
+		c.rest = s.chunk[p]
+	}
+	return c.next(dst), nil
+}
+
+// Waited returns how long the reader has waited for the run to
+// publish chunks.
+func (s *RecordingDrain) Waited() time.Duration { return s.waited }
+
+// Stop ends the reading early: the chunks not yet read are dropped,
+// and those the run fills from now on go straight back to its
+// recorders, so a run whose analysis failed holds no more than its
+// unsealed chunks while it finishes.
+func (s *RecordingDrain) Stop() {
+	r := s.rec
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.discard = true
+	for p, q := range r.queued {
+		for _, c := range q {
+			r.recycle(c)
+		}
+		r.queued[p] = nil
+	}
+	r.held = 0
+}
+
+// take gives back spent, process p's chunk just read (nil at the
+// start), and returns p's next published chunk, waiting for it if
+// need be and adding the wait to *waited; nil means p's stream has
+// ended.
+func (r *Recording) take(p int, spent []byte, waited *time.Duration) []byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if spent != nil {
+		r.held -= cap(spent)
+		r.recycle(spent)
+	}
+	if len(r.queued[p]) == 0 && !r.ended[p] {
+		t0 := time.Now()
+		r.waitFor.Store(int32(p))
+		for len(r.queued[p]) == 0 && !r.ended[p] {
+			r.ready.Wait()
+		}
+		r.waitFor.Store(-1)
+		*waited += time.Since(t0)
+	}
+	q := r.queued[p]
+	if len(q) == 0 {
+		return nil
+	}
+	c := q[0]
+	q[0] = nil
+	r.queued[p] = q[1:]
+	return c
 }

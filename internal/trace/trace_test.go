@@ -155,7 +155,6 @@ func TestRecordingVarintBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// %#v: vtime's String methods recurse forever at MinInt64.
 			if got := rec.Trace(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Trace events %#v, want %#v", got.Events, want.Events)
 			}
@@ -300,7 +299,6 @@ func TestRecorderChunksHoldMaximalRecords(t *testing.T) {
 	if perEvent := packed / len(in); perEvent < 60 {
 		t.Fatalf("%d bytes per record: the events are not maximal", perEvent)
 	}
-	// %#v: vtime's String methods recurse forever at MinInt64.
 	if got, want := recorded(r), deriveFields(0, in); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recorded %#v, want %#v", got[:2], want[:2])
 	}

@@ -76,6 +76,9 @@ func (t Time) String() string { return Duration(t).String() }
 // String renders a span with an auto-scaled unit, e.g. "1.5ms".
 func (d Duration) String() string {
 	switch {
+	case d == math.MinInt64:
+		// -d is d again: render it through float64 instead.
+		return fmt.Sprintf("%.6gs", float64(d)/float64(Second))
 	case d < 0:
 		return fmt.Sprintf("-%s", -d)
 	case d < Microsecond:

@@ -61,6 +61,11 @@ func TestString(t *testing.T) {
 		{1500, "1.5us"},
 		{2 * Millisecond, "2ms"},
 		{3 * Second, "3s"},
+		{-1, "-1ns"},
+		{math.MaxInt64, "9.22337e+09s"},
+		// -MinInt64 overflows back to MinInt64: String must not
+		// recurse on it.
+		{math.MinInt64, "-9.22337e+09s"},
 	}
 	for _, c := range cases {
 		if got := c.d.String(); got != c.want {
@@ -69,6 +74,9 @@ func TestString(t *testing.T) {
 	}
 	if got := (-Duration(500)).String(); got != "-500ns" {
 		t.Errorf("negative: got %q", got)
+	}
+	if got := Time(math.MinInt64).String(); got != "-9.22337e+09s" {
+		t.Errorf("Time(MinInt64).String() = %q", got)
 	}
 }
 
