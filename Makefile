@@ -9,9 +9,8 @@ GOFMT ?= gofmt
 # events are recorded), faults counters are bumped from rank
 # goroutines, sigrepo serializes concurrent writers on a lock file,
 # trace runs the codec pools (decode blocks, compress and decompress
-# sections), scenario runs campaign cases on a bounded worker pool,
-# and service (plus its daemon and load generator) serves concurrent
-# HTTP traffic over shared admission, cache, and drain state —
+# sections), and service (plus its daemon and load generator) serves
+# concurrent HTTP traffic over shared admission, cache, and drain state —
 # including the chaos serving proof. signature and mpi end their runs
 # early by unwinding the parked rank goroutines while the caller
 # carries on; so does the partial-execution baseline in predict. And
@@ -19,9 +18,9 @@ GOFMT ?= gofmt
 # recorders hand their chunks to the analysis and take them back. The
 # partial-execution and live-Sign tests (small apps) are the only part
 # of that (slow) package run under the detector.
-RACE_PKGS = ./internal/phase/... ./internal/logical/... ./internal/obs/... ./internal/faults/... ./internal/sigrepo/... ./internal/fsx/... ./internal/trace/... ./internal/sim/... ./internal/signature/... ./internal/mpi/... ./internal/scenario/... ./internal/service/... ./cmd/pas2pd/... ./cmd/pas2p-loadgen/...
+RACE_PKGS = ./internal/phase/... ./internal/logical/... ./internal/obs/... ./internal/faults/... ./internal/sigrepo/... ./internal/fsx/... ./internal/trace/... ./internal/sim/... ./internal/signature/... ./internal/mpi/... ./internal/service/... ./cmd/pas2pd/... ./cmd/pas2p-loadgen/...
 
-.PHONY: build fmt test race bench soak-100m check cover fuzz scenarios
+.PHONY: build fmt test race bench soak-100m check cover fuzz
 
 build:
 	$(GO) build ./...
@@ -76,13 +75,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLogicalOrder -fuzztime=10s ./internal/logical
 	$(GO) test -fuzz=FuzzAnalyzeTrace -fuzztime=10s ./internal/phase
 	$(GO) test -fuzz=FuzzAnalyzeStream -fuzztime=10s ./internal/phase
-	$(GO) test -fuzz=FuzzScenarioParse -fuzztime=10s ./internal/scenario
 	$(GO) test -fuzz=FuzzServiceRequest -fuzztime=10s ./internal/service
-
-# Execute the starter scenario suite end to end (the declarative
-# chaos/predict campaign; see examples/scenarios/).
-scenarios: build
-	$(GO) run ./cmd/pas2p scenario run examples/scenarios -junit scenario-results.xml
 
 check: build
 	$(MAKE) fmt

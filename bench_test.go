@@ -8,6 +8,7 @@
 package pas2p_test
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
@@ -190,14 +191,15 @@ func BenchmarkAblationOrdering(b *testing.B) {
 	}
 }
 
-// tickShape fingerprints a tick table's structure: per tick, which
-// processes act and how.
+// tickShape fingerprints a tick table's structure: per tick, each
+// slot's process, kind, peer, size and event number, ticks ending in
+// '|'.
 func tickShape(l *pas2p.Logical) string {
 	var sb []byte
 	for t := range l.Ticks {
 		for _, s := range l.Ticks[t] {
 			e := &l.Trace.Events[s.Event]
-			sb = append(sb, byte('0'+e.Kind), byte('a'+e.Process%26), byte('A'+(e.Peer+1)%26))
+			sb = fmt.Appendf(sb, "%d:%d:%d:%d:%d ", e.Process, e.Kind, e.Peer, e.Size, e.Number)
 		}
 		sb = append(sb, '|')
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"pas2p"
+	"pas2p/internal/mpi"
 	"pas2p/internal/vtime"
 )
 
@@ -147,6 +148,106 @@ func TestChaosRecoveryInvariant(t *testing.T) {
 			}
 		})
 	}
+}
+
+// chaosAppCases hold registered apps to the recovery invariant with
+// the whole prediction — traced run, signature build and execution —
+// under injection, from cluster A to B at 8 ranks.
+var chaosAppCases = []struct {
+	app, spec string
+	seeds     []int64
+	phases    int
+}{
+	// Restart costs land in SET, never in PET.
+	{"pop", "crash=0.3,attempts=10", []int64{3, 4}, 8},
+	{"cg", "loss=0.05,dup=0.03,delay=0.1,jitter=0.01", []int64{1, 2}, 7},
+}
+
+// TestChaosRecoveryApps: a fully recovered schedule leaves the
+// prediction's phase table in the fault-free shape, and its PET
+// bit-identical when nothing physical was perturbed and no row carries
+// an ETScale correction, else within 5%: message faults and jitter are
+// live during the signature's own execution too, so they wobble its
+// measured phase times. A rerun under the same seed reproduces the
+// outcome.
+func TestChaosRecoveryApps(t *testing.T) {
+	for _, tc := range chaosAppCases {
+		for _, seed := range tc.seeds {
+			tc, seed := tc, seed
+			t.Run(fmt.Sprintf("%s-seed%d", tc.app, seed), func(t *testing.T) {
+				const procs = 8
+				app, err := pas2p.MakeApp(tc.app, procs, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				dA, err := pas2p.NewDeployment(pas2p.ClusterA(), procs, pas2p.MapBlock)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dB, err := pas2p.NewDeployment(pas2p.ClusterB(), procs, pas2p.MapBlock)
+				if err != nil {
+					t.Fatal(err)
+				}
+				predict := func(inj *pas2p.FaultInjector) *pas2p.Outcome {
+					out, err := pas2p.Predict(pas2p.Experiment{
+						App: app, Base: dA, Target: dB,
+						EventOverhead: mpi.PAS2PEventOverhead,
+						SkipTargetAET: true,
+						Faults:        inj,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return out
+				}
+				faulted := func() *pas2p.Outcome {
+					inj, err := pas2p.ParseFaultSpec(seed, tc.spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return predict(inj)
+				}
+				out, ref := faulted(), predict(nil)
+
+				rep := out.Faults
+				if rep.Injected == 0 && rep.ClockPerturbations == 0 {
+					t.Fatal("fault schedule injected nothing; property vacuous")
+				}
+				if rep.Unrecovered != 0 {
+					t.Fatalf("faults must all recover, %d did not", rep.Unrecovered)
+				}
+				if out.Total != tc.phases {
+					t.Errorf("%d phases, want %d", out.Total, tc.phases)
+				}
+				if got, want := tableShape(out.Table), tableShape(ref.Table); got != want {
+					t.Fatalf("fault schedule changed the phase table:\nfault-free: %s\nfaulted:    %s", want, got)
+				}
+				physical := rep.MsgLost+rep.MsgDuplicated+rep.MsgDelayed+
+					rep.ClockPerturbations+rep.ProcsSkewed > 0
+				if !physical && scaledRows(out.Table)+scaledRows(ref.Table) == 0 {
+					if out.PET != ref.PET {
+						t.Errorf("recovered crashes changed the prediction: PET %v vs fault-free %v", out.PET, ref.PET)
+					}
+				} else if drift := absP(out.PET.Seconds()-ref.PET.Seconds()) / ref.PET.Seconds(); drift > 0.05 {
+					t.Errorf("prediction drifted %.2f%% under recovered faults: PET %v vs fault-free %v",
+						100*drift, out.PET, ref.PET)
+				}
+				if diffs := out.Diff(faulted()); len(diffs) > 0 {
+					t.Errorf("same-seed rerun diverged: %v", diffs)
+				}
+			})
+		}
+	}
+}
+
+// tableShape renders a phase table's logical content: the phase count
+// and each row's phase ID, weight and relevance.
+func tableShape(tb *pas2p.PhaseTable) string {
+	s := fmt.Sprintf("%d phases:", tb.TotalPhases)
+	for _, r := range tb.Rows {
+		s += fmt.Sprintf(" %d:w%d:%v", r.PhaseID, r.Weight, r.Relevant)
+	}
+	return s
 }
 
 // TestChaosSeedDeterminism: the same (seed, config) must reproduce the

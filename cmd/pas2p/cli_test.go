@@ -48,11 +48,6 @@ func TestRejectBadArgs(t *testing.T) {
 		{"repo/trailing", cmdRepo, []string{"list", "extra"}, "unexpected argument"},
 		{"repo/unknown-sub", cmdRepo, []string{"frobnicate"}, "unknown subcommand"},
 		{"repo/fsck-trailing", cmdRepo, []string{"fsck", "extra"}, "unexpected argument"},
-		{"scenario/no-verb", cmdScenario, nil, "usage"},
-		{"scenario/unknown-verb", cmdScenario, []string{"frobnicate"}, "unknown action"},
-		{"scenario/run-no-path", cmdScenario, []string{"run"}, "usage"},
-		{"scenario/run-unknown-flag", cmdScenario, []string{"run", "dir", "-bogus"}, "not defined"},
-		{"scenario/validate-trailing", cmdScenario, []string{"validate", "dir", "extra"}, "unexpected argument"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

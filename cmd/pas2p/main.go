@@ -59,8 +59,6 @@ func main() {
 		err = cmdExecSig(os.Args[2:])
 	case "repo":
 		err = cmdRepo(os.Args[2:])
-	case "scenario":
-		err = cmdScenario(os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -124,14 +122,5 @@ commands:
                                 add -verify re-reads the entry after writing,
                                 fsck quarantines corrupt entries and rebuilds
                                 the manifest
-  scenario run|validate PATH [-timeout D] [-json FILE]
-           [-junit FILE] [-serve ADDR] [-v]
-                                execute (or just validate) a declarative
-                                scenario suite: each *.yaml describes an app,
-                                machine models, optional faults and
-                                assertions (PETE bound, phase counts,
-                                recovery invariant, determinism, wall budget);
-                                run sweeps targets x fault seeds and exits
-                                non-zero on any violated assertion
 `)
 }

@@ -20,8 +20,8 @@ func minRanks(t *testing.T, name string) int {
 }
 
 // TestMinimalRankSmoke: every registered application must produce a
-// usable trace at its smallest supported rank count — the floor
-// scenario authors and the campaign matrix rely on. Each trace must
+// usable trace at its smallest supported rank count, the floor any
+// test that sweeps the registry relies on. Each trace must
 // contain real communication (not just compute segments), and a rerun
 // under the same configuration must reproduce the event counts
 // exactly: the simulator is seeded virtual time, so any drift here is

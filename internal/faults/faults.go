@@ -538,20 +538,7 @@ func (i *Injector) Publish(reg *obs.Registry) {
 // retrans, attempts (integer retry bounds). delay also accepts the
 // rate:maxduration shorthand delay=0.1:2ms.
 func ParseSpec(seed int64, spec string) (*Injector, error) {
-	cfg, err := ParseConfig(spec)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Seed = seed
-	return New(cfg)
-}
-
-// ParseConfig parses the ParseSpec grammar into a Config (Seed unset).
-func ParseConfig(spec string) (Config, error) {
-	var cfg Config
-	if strings.TrimSpace(spec) == "" {
-		return cfg, nil
-	}
+	cfg := Config{Seed: seed}
 	for _, term := range strings.Split(spec, ",") {
 		term = strings.TrimSpace(term)
 		if term == "" {
@@ -559,7 +546,7 @@ func ParseConfig(spec string) (Config, error) {
 		}
 		k, v, ok := strings.Cut(term, "=")
 		if !ok {
-			return cfg, fmt.Errorf("faults: term %q is not key=value", term)
+			return nil, fmt.Errorf("faults: term %q is not key=value", term)
 		}
 		var err error
 		switch k {
@@ -594,13 +581,13 @@ func ParseConfig(spec string) (Config, error) {
 		case "attempts":
 			cfg.MaxRestartAttempts, err = strconv.Atoi(v)
 		default:
-			return cfg, fmt.Errorf("faults: unknown key %q (loss, dup, delay, crash, jitter, drift, rto, maxdelay, backoff, skew, retrans, attempts)", k)
+			return nil, fmt.Errorf("faults: unknown key %q (loss, dup, delay, crash, jitter, drift, rto, maxdelay, backoff, skew, retrans, attempts)", k)
 		}
 		if err != nil {
-			return cfg, fmt.Errorf("faults: term %q: %v", term, err)
+			return nil, fmt.Errorf("faults: term %q: %v", term, err)
 		}
 	}
-	return cfg, nil
+	return New(cfg)
 }
 
 func parseRate(s string) (float64, error) {

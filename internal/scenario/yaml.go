@@ -1,15 +1,12 @@
-// Package scenario turns the repository's hand-chained CLI experiments
-// (trace → analyze → predict, with and without faults) into a declarative, asserting
-// test suite: a scenario file names an application, a base and one or
-// more target machine models, an optional fault specification, and a
-// set of assertions (prediction-error bound, expected phase counts,
-// recovery invariant, determinism, wall budget); a campaign runs
-// a directory of scenarios as a sweep matrix (apps × machine models ×
-// fault seeds) on a bounded worker pool and reports pass/fail as a
-// table, a JSON results document, and JUnit XML for CI.
+// Package scenario is what remains of the repository's scenario DSL:
+// the minimal YAML-subset parser its files were written in. The DSL's
+// schema, campaign runner, reports and CLI verb are gone; the bounds its
+// cases asserted are Go tests (TestPETECeilings in internal/predict,
+// TestChaosRecoveryApps at the root). Nothing outside this package's
+// tests calls the parser, and ROADMAP lists its removal.
 //
-// Scenario files use a minimal YAML subset parsed by this file with no
-// external dependency (the repository is zero-dep by policy):
+// The subset, parsed with no external dependency (the repository is
+// zero-dep by policy):
 //
 //   - mappings (`key: value`, or `key:` introducing an indented block),
 //   - sequences of scalars (`- item` lines, or inline `[a, b, c]`),
@@ -17,9 +14,7 @@
 //   - `#` comments and blank lines.
 //
 // Anchors, aliases, multi-document streams, tabs, nested sequences and
-// block scalars are rejected with positioned errors. Unknown keys are
-// always errors — a typo like `pete_boundd:` fails validation instead
-// of silently weakening a campaign.
+// block scalars are rejected with positioned errors.
 package scenario
 
 import (
@@ -29,9 +24,8 @@ import (
 )
 
 // ParseError is a positioned scenario-file error. Every failure of the
-// parser and of the strict decoder carries the file name and 1-based
-// line so tooling (and humans) can jump straight to the offending
-// entry.
+// parser carries the file name and 1-based line so tooling (and
+// humans) can jump straight to the offending entry.
 type ParseError struct {
 	File string
 	Line int

@@ -43,6 +43,11 @@ const EnvelopeVersion = 2
 // returns for a document in a retired format.
 var ErrRetiredFormat = errors.New("retired signature format")
 
+// ErrInconsistent is matched (errors.Is) by the error LoadSaved returns
+// for a payload whose parts each pass their own checks but disagree
+// with one another.
+var ErrInconsistent = errors.New("inconsistent signature")
+
 // envelope is the on-disk wrapper of a persisted signature. The
 // SHA-256 is computed over the compacted payload bytes, so pretty-
 // printing or re-indenting the file does not invalidate it — only
@@ -127,6 +132,10 @@ func loadPayload(data []byte) (*Saved, error) {
 	}
 	if s.Table == nil || s.Catalog == nil {
 		return nil, fmt.Errorf("signature: persisted form missing table or catalog")
+	}
+	if s.Table.Procs != s.Procs || s.Catalog.Procs != s.Procs {
+		return nil, fmt.Errorf("signature: %w: %d processes, table %d, catalog %d",
+			ErrInconsistent, s.Procs, s.Table.Procs, s.Catalog.Procs)
 	}
 	if err := s.Table.Validate(); err != nil {
 		return nil, err

@@ -2,6 +2,8 @@ package signature
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
@@ -9,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"pas2p/internal/apps"
 	"pas2p/internal/machine"
 )
 
@@ -144,6 +147,59 @@ func TestLoadSavedRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadSaved(strings.NewReader(`{"AppName":"x"}`)); err == nil {
 		t.Error("missing table/catalog should fail")
+	}
+}
+
+// TestLoadSavedRejectsProcsMismatch: a cg/8 payload whose table is cut
+// to 4 processes, re-checksummed, passes the table's and the catalog's
+// own checks. Executed, it would fail in a rank's out-of-range index;
+// LoadSaved must refuse it with ErrInconsistent instead.
+func TestLoadSavedRejectsProcsMismatch(t *testing.T) {
+	app, err := apps.Make("cg", 8, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := deployOn(t, machine.ClusterA(), 8)
+	tb, _ := analyze(t, app, base)
+	br, err := Build(app, tb, base, lightOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := br.Signature.Save(&buf, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := LoadSaved(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cut = 4
+	saved.Table.Procs = cut
+	for i := range saved.Table.Rows {
+		r := &saved.Table.Rows[i]
+		r.StartEvents, r.EndEvents = r.StartEvents[:cut], r.EndEvents[:cut]
+		if r.HasPair {
+			r.End2Events = r.End2Events[:cut]
+		}
+	}
+	if err := saved.Table.Validate(); err != nil {
+		t.Fatalf("edited table fails its own check, so the case tests nothing: %v", err)
+	}
+	payload, err := json.Marshal(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload)
+	doc, err := json.Marshal(envelope{
+		FormatVersion: EnvelopeVersion,
+		PayloadSHA256: hex.EncodeToString(sum[:]),
+		Payload:       payload,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSaved(bytes.NewReader(doc)); !errors.Is(err, ErrInconsistent) {
+		t.Fatalf("LoadSaved = %v, want ErrInconsistent", err)
 	}
 }
 
