@@ -9,8 +9,9 @@ GOFMT ?= gofmt
 # events are recorded), faults counters are bumped from rank
 # goroutines, sigrepo serializes concurrent writers on a lock file,
 # trace runs the codec pools (decode blocks, compress and decompress
-# sections), and service (plus its daemon and load generator) serves
-# concurrent HTTP traffic over shared admission, cache, and drain state —
+# sections), and service (plus its daemon, whose test runs the real
+# pas2pd process under mixed traffic and a SIGTERM) serves concurrent
+# HTTP traffic over shared admission, cache, and drain state —
 # including the chaos serving proof. signature and mpi end their runs
 # early by unwinding the parked rank goroutines while the caller
 # carries on; so does the partial-execution baseline in predict. And
@@ -18,7 +19,7 @@ GOFMT ?= gofmt
 # recorders hand their chunks to the analysis and take them back. The
 # partial-execution and live-Sign tests (small apps) are the only part
 # of that (slow) package run under the detector.
-RACE_PKGS = ./internal/phase/... ./internal/logical/... ./internal/obs/... ./internal/faults/... ./internal/sigrepo/... ./internal/fsx/... ./internal/trace/... ./internal/sim/... ./internal/signature/... ./internal/mpi/... ./internal/service/... ./cmd/pas2pd/... ./cmd/pas2p-loadgen/...
+RACE_PKGS = ./internal/phase/... ./internal/logical/... ./internal/obs/... ./internal/faults/... ./internal/sigrepo/... ./internal/fsx/... ./internal/trace/... ./internal/sim/... ./internal/signature/... ./internal/mpi/... ./internal/service/... ./cmd/pas2pd/...
 
 .PHONY: build fmt test race bench soak-100m check cover fuzz
 

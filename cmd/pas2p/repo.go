@@ -57,10 +57,6 @@ func cmdRepo(args []string) error {
 		if err != nil {
 			return err
 		}
-		wl := *workload
-		if wl == "" {
-			wl = apps.Lookup(*app).DefaultWorkload
-		}
 		bd, err := deployFor(*base, 0, *procs)
 		if err != nil {
 			return err
@@ -72,7 +68,7 @@ func cmdRepo(args []string) error {
 			return err
 		}
 		tb, br := signed.Table, signed.Build
-		path, err := repo.Add(br.Signature, wl, bd.Cluster.Name)
+		path, err := repo.Add(br.Signature, *workload, bd.Cluster.Name)
 		if err != nil {
 			return err
 		}
@@ -87,20 +83,20 @@ func cmdRepo(args []string) error {
 			if err != nil {
 				return err
 			}
-			tpath, err := repo.AddTrace(traced.Recording.Trace(), wl)
+			tpath, err := repo.AddTrace(traced.Recording.Trace(), *workload)
 			if err != nil {
 				return err
 			}
 			fmt.Printf("stored tracefile (%d events) -> %s\n", traced.Recording.Meta().Events, tpath)
 		}
 		if *verify {
-			if _, err := repo.Lookup(*app, *procs, wl); err != nil {
+			if _, err := repo.Lookup(*app, *procs, *workload); err != nil {
 				return fmt.Errorf("repo add -verify: %w", err)
 			}
 			if *keepTrace {
 				// Streaming verification: every block CRC and the file
 				// CRC are checked without materialising the events.
-				if _, err := repo.LookupTrace(*app, *procs, wl); err != nil {
+				if _, err := repo.LookupTrace(*app, *procs, *workload); err != nil {
 					return fmt.Errorf("repo add -verify: %w", err)
 				}
 			}
@@ -156,13 +152,7 @@ func cmdRepo(args []string) error {
 		if *app == "" {
 			return fmt.Errorf("repo predict: -app is required")
 		}
-		wl := *workload
-		if wl == "" {
-			if s := apps.Lookup(*app); s != nil {
-				wl = s.DefaultWorkload
-			}
-		}
-		entry, err := repo.Lookup(*app, *procs, wl)
+		entry, err := repo.Lookup(*app, *procs, *workload)
 		if err != nil {
 			return err
 		}
@@ -175,7 +165,7 @@ func cmdRepo(args []string) error {
 			return err
 		}
 		fmt.Printf("%s/p%d/%q on %s: SET %.2fs, PET %.2fs\n",
-			*app, *procs, wl, td, res.SET.Seconds(), res.PET.Seconds())
+			*app, *procs, entry.Saved.Workload, td, res.SET.Seconds(), res.PET.Seconds())
 	}
 	return nil
 }

@@ -53,7 +53,7 @@ func cmdSign(args []string) error {
 		path = *app + ".sig.json"
 	}
 	err = fsx.WriteFileAtomic(fsx.OS{}, path, func(w io.Writer) error {
-		return br.Signature.Save(w, *workload, bd.Cluster.Name)
+		return br.Signature.Save(w, apps.Workload(*app, *workload), bd.Cluster.Name)
 	})
 	if err != nil {
 		return err

@@ -67,10 +67,18 @@ func Make(name string, procs int, workload string) (mpi.App, error) {
 	if s == nil {
 		return mpi.App{}, fmt.Errorf("apps: unknown application %q (have %v)", name, Names())
 	}
-	if workload == "" {
-		workload = s.DefaultWorkload
+	return s.Make(procs, Workload(name, workload))
+}
+
+// Workload resolves the workload an application runs: "" names the
+// registered app's default, anything else (and every workload of an
+// unregistered name) is itself. The signature repository keys entries
+// by it, so "" and the default name the same signature.
+func Workload(name, workload string) string {
+	if s := registry[name]; s != nil && workload == "" {
+		return s.DefaultWorkload
 	}
-	return s.Make(procs, workload)
+	return workload
 }
 
 // pickWorkload resolves a workload name against a parameter map.

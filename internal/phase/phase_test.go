@@ -292,6 +292,22 @@ func TestBuildTableBoundaries(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesNonFiniteETScale: JSON cannot carry these, so
+// the signature loader's table test cannot reach them.
+func TestValidateRefusesNonFiniteETScale(t *testing.T) {
+	a := analyzeApp(t, machine.ClusterA(), 4, iterativeBody(10), DefaultConfig())
+	for _, sc := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		tb, err := a.BuildTable(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.Rows[0].ETScale = sc
+		if err := tb.Validate(); err == nil {
+			t.Errorf("Validate accepted ETScale %v", sc)
+		}
+	}
+}
+
 func TestTablePrint(t *testing.T) {
 	a := analyzeApp(t, machine.ClusterA(), 4, iterativeBody(10), DefaultConfig())
 	tb, err := a.BuildTable(1)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"pas2p/internal/vtime"
@@ -241,23 +242,47 @@ func etScaleFor(meanET, pairDur vtime.Duration) float64 {
 }
 
 // Validate checks table invariants: boundaries are per-process
-// monotone within each row and weights are positive.
+// monotone within each row (a pair's second end included), weights
+// are positive, times and scales are non-negative and finite, and
+// Equation (1) over every row fits in int64.
 func (t *Table) Validate() error {
 	if t.Procs <= 0 {
 		return fmt.Errorf("phase table: no processes")
 	}
+	if t.BaseAET < 0 {
+		return fmt.Errorf("phase table: negative base AET %d", t.BaseAET)
+	}
+	var eq1 vtime.Duration
 	for _, r := range t.Rows {
 		if r.Weight < 1 {
 			return fmt.Errorf("phase table: phase %d weight %d", r.PhaseID, r.Weight)
 		}
+		if r.PhaseET < 0 {
+			return fmt.Errorf("phase table: phase %d negative PhaseET %d", r.PhaseID, r.PhaseET)
+		}
+		if r.ETScale < 0 || math.IsNaN(r.ETScale) || math.IsInf(r.ETScale, 0) {
+			return fmt.Errorf("phase table: phase %d ETScale %v", r.PhaseID, r.ETScale)
+		}
+		var ok bool
+		if eq1, ok = vtime.AddWeighted(eq1, r.PhaseET, r.Weight); !ok {
+			return fmt.Errorf("phase table: phase %d: Σ weight·PhaseET overflows int64", r.PhaseID)
+		}
 		if len(r.StartEvents) != t.Procs || len(r.EndEvents) != t.Procs {
 			return fmt.Errorf("phase table: phase %d boundary width", r.PhaseID)
+		}
+		pair := r.HasPair || r.End2Events != nil
+		if pair && len(r.End2Events) != t.Procs {
+			return fmt.Errorf("phase table: phase %d pair boundary width %d", r.PhaseID, len(r.End2Events))
 		}
 		any := false
 		for p := 0; p < t.Procs; p++ {
 			if r.StartEvents[p] > r.EndEvents[p] {
 				return fmt.Errorf("phase table: phase %d proc %d start %d > end %d",
 					r.PhaseID, p, r.StartEvents[p], r.EndEvents[p])
+			}
+			if pair && r.End2Events[p] < r.EndEvents[p] {
+				return fmt.Errorf("phase table: phase %d proc %d pair end %d < end %d",
+					r.PhaseID, p, r.End2Events[p], r.EndEvents[p])
 			}
 			if r.EndEvents[p] > r.StartEvents[p] {
 				any = true

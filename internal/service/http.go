@@ -46,8 +46,8 @@ const CacheHeader = "X-Cache"
 // out-of-core bounded-memory pipeline over a disk spool).
 const AnalyzeModeHeader = "X-Analyze-Mode"
 
-// Wire types. The loadgen imports these, so requests and responses
-// stay structurally in sync between client and server.
+// Wire types. perfbench's serve workload imports these, so requests
+// and responses stay structurally in sync between client and server.
 
 // PhaseSummary is one relevant phase-table row in an analyze answer.
 type PhaseSummary struct {
@@ -730,7 +730,7 @@ func (s *Service) handleSign(ctx context.Context, r *http.Request) (*handlerResu
 		return &SignResponse{
 			App:           req.App,
 			Procs:         req.Procs,
-			Workload:      req.Workload,
+			Workload:      e.Saved.Workload,
 			BaseCluster:   bd.Cluster.Name,
 			TotalPhases:   tb.TotalPhases,
 			Relevant:      len(tb.RelevantRows()),

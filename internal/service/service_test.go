@@ -24,6 +24,7 @@ import (
 	"pas2p/internal/logical"
 	"pas2p/internal/obs"
 	"pas2p/internal/phase"
+	"pas2p/internal/sigrepo"
 	"pas2p/internal/trace"
 )
 
@@ -260,6 +261,78 @@ func TestSignLookupPredictRoundTrip(t *testing.T) {
 	if int64(res.PET) != pr.PETNS {
 		t.Fatalf("served PET %d != local PET %d", pr.PETNS, int64(res.PET))
 	}
+}
+
+// TestOmittedWorkloadIsTheDefault: a request that omits the workload
+// names the app's default one. A daemon sign without one is found by a
+// repository lookup of the default by name (what `pas2p repo predict`
+// makes), and an entry stored under the default by name (what `pas2p
+// repo add` stores) answers a lookup and a predict without one.
+func TestOmittedWorkloadIsTheDefault(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestService(t, func(c *Config) { c.RepoDir = dir })
+	def := pas2p.AppSpec("cg").DefaultWorkload
+	repo, err := sigrepo.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp := postJSON(t, ts.URL+"/v1/sign", SignRequest{App: "cg", Procs: 4})
+	var sr SignResponse
+	decode200(t, resp, &sr)
+	if sr.Workload != def {
+		t.Errorf("sign answered workload %q, want %q", sr.Workload, def)
+	}
+	if _, err := repo.Lookup("cg", 4, def); err != nil {
+		t.Fatalf("the daemon's signature is not stored under %q: %v", def, err)
+	}
+
+	app, err := pas2p.MakeApp("cg", 2, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dA, _ := pas2p.NewDeployment(pas2p.ClusterA(), 2, pas2p.MapBlock)
+	r, err := pas2p.RunApp(app, pas2p.RunConfig{Deployment: dA, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tb, err := pas2p.Analyze(r.Trace, pas2p.DefaultPhaseConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, _, err := pas2p.BuildSignature(app, tb, dA, pas2p.DefaultSignatureOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.Add(sig, def, "Cluster A"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get(ts.URL + "/v1/lookup?app=cg&procs=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lr LookupResponse
+	decode200(t, resp, &lr)
+	if lr.Workload != def {
+		t.Errorf("lookup answered workload %q, want %q", lr.Workload, def)
+	}
+	resp = postJSON(t, ts.URL+"/v1/predict", PredictRequest{App: "cg", Procs: 2})
+	var pr PredictResponse
+	decode200(t, resp, &pr)
+	if pr.PETNS <= 0 {
+		t.Errorf("implausible prediction: %+v", pr)
+	}
+}
+
+// decode200 decodes a 200 answer into v; any other status fails.
+func decode200(t *testing.T, resp *http.Response, v any) {
+	t.Helper()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("%s: %d %q", resp.Request.URL.Path, resp.StatusCode, b)
+	}
+	decodeInto(t, resp, v)
 }
 
 func TestLookupNotFoundTyped(t *testing.T) {

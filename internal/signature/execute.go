@@ -219,7 +219,12 @@ func (s *Signature) Execute(target *machine.Deployment) (*ExecResult, error) {
 			// scale the target-side delta by the same ratio. Tables
 			// persisted before the correction carry 0 here, meaning 1.
 			if sc := seg.row.ETScale; paired && sc > 0 && sc != 1 {
-				et = vtime.Duration(math.Round(float64(et) * sc))
+				scaled := math.Round(float64(et) * sc)
+				if !(scaled < math.MaxInt64) {
+					sp.End()
+					return nil, fmt.Errorf("signature: phase %d: ET %v scaled by %v overflows", seg.row.PhaseID, et, sc)
+				}
+				et = vtime.Duration(scaled)
 			}
 		}
 		m := PhaseMeasurement{
@@ -230,7 +235,13 @@ func (s *Signature) Execute(target *machine.Deployment) (*ExecResult, error) {
 			Warmup:  warm,
 		}
 		out.Phases = append(out.Phases, m)
-		out.PET += m.Contribution()
+		pet, ok := vtime.AddWeighted(out.PET, m.ET, m.Weight)
+		if !ok {
+			sp.End()
+			return nil, fmt.Errorf("signature: phase %d: Equation (1) overflows: PET so far %d + ET %d × weight %d",
+				m.PhaseID, out.PET, m.ET, m.Weight)
+		}
+		out.PET = pet
 	}
 	out.Degraded = len(out.LostPhases) > 0
 	sp.SetCounter("phases_measured", int64(len(out.Phases)))

@@ -13,6 +13,7 @@ import (
 
 	"pas2p/internal/apps"
 	"pas2p/internal/machine"
+	"pas2p/internal/phase"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -155,6 +156,99 @@ func TestLoadSavedRejectsGarbage(t *testing.T) {
 // own checks. Executed, it would fail in a rank's out-of-range index;
 // LoadSaved must refuse it with ErrInconsistent instead.
 func TestLoadSavedRejectsProcsMismatch(t *testing.T) {
+	saved := savedCG8(t)
+	const cut = 4
+	saved.Table.Procs = cut
+	for i := range saved.Table.Rows {
+		r := &saved.Table.Rows[i]
+		r.StartEvents, r.EndEvents = r.StartEvents[:cut], r.EndEvents[:cut]
+		if r.HasPair {
+			r.End2Events = r.End2Events[:cut]
+		}
+	}
+	if err := saved.Table.Validate(); err != nil {
+		t.Fatalf("edited table fails its own check, so the case tests nothing: %v", err)
+	}
+	if _, err := LoadSaved(bytes.NewReader(resave(t, saved))); !errors.Is(err, ErrInconsistent) {
+		t.Fatalf("LoadSaved = %v, want ErrInconsistent", err)
+	}
+}
+
+// TestLoadSavedRejectsEq1Hazards: each case edits a cg/8 payload and
+// re-checksums it. Before the table checked its times, scales and pair
+// boundaries, LoadSaved accepted every one; executed, the weights case
+// printed a PET of -8150005704.75 s.
+func TestLoadSavedRejectsEq1Hazards(t *testing.T) {
+	pairRow := func(s *Saved) *phase.TableRow {
+		for i := range s.Table.Rows {
+			if s.Table.Rows[i].HasPair {
+				return &s.Table.Rows[i]
+			}
+		}
+		t.Fatal("cg/8 table has no paired row")
+		return nil
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(s *Saved)
+		want string
+	}{
+		{"relevant weights 9e18", func(s *Saved) {
+			for i := range s.Table.Rows {
+				if s.Table.Rows[i].Relevant {
+					s.Table.Rows[i].Weight = 9e18
+				}
+			}
+		}, "overflows"},
+		{"negative PhaseET", func(s *Saved) { s.Table.Rows[0].PhaseET = -1 }, "negative PhaseET"},
+		{"negative ETScale", func(s *Saved) { s.Table.Rows[0].ETScale = -0.5 }, "ETScale"},
+		{"negative BaseAET", func(s *Saved) { s.Table.BaseAET = -1 }, "negative base AET"},
+		{"End2Events before EndEvents", func(s *Saved) {
+			r := pairRow(s)
+			r.End2Events[0] = r.EndEvents[0] - 1
+		}, "pair end"},
+		{"End2Events too short", func(s *Saved) {
+			r := pairRow(s)
+			r.End2Events = r.End2Events[:len(r.End2Events)-1]
+		}, "pair boundary width"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			saved := savedCG8(t)
+			tc.edit(saved)
+			_, err := LoadSaved(bytes.NewReader(resave(t, saved)))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadSaved = %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestExecuteRefusesEq1Overflow: a signature whose weights make
+// Equation (1) overflow, edited past LoadSaved's check, must fail to
+// execute rather than report a negative PET.
+func TestExecuteRefusesEq1Overflow(t *testing.T) {
+	saved := savedCG8(t)
+	for i := range saved.Table.Rows {
+		saved.Table.Rows[i].Weight = 9e18
+	}
+	app, err := apps.Make("cg", 8, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, err := saved.Reassemble(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sig.Execute(deployOn(t, machine.ClusterB(), 8))
+	if err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("Execute = %+v, %v; want an overflow error", res, err)
+	}
+}
+
+// savedCG8 builds a cg/8 signature on cluster A and returns it as
+// LoadSaved reads it back.
+func savedCG8(t *testing.T) *Saved {
+	t.Helper()
 	app, err := apps.Make("cg", 8, "")
 	if err != nil {
 		t.Fatal(err)
@@ -173,19 +267,14 @@ func TestLoadSavedRejectsProcsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const cut = 4
-	saved.Table.Procs = cut
-	for i := range saved.Table.Rows {
-		r := &saved.Table.Rows[i]
-		r.StartEvents, r.EndEvents = r.StartEvents[:cut], r.EndEvents[:cut]
-		if r.HasPair {
-			r.End2Events = r.End2Events[:cut]
-		}
-	}
-	if err := saved.Table.Validate(); err != nil {
-		t.Fatalf("edited table fails its own check, so the case tests nothing: %v", err)
-	}
-	payload, err := json.Marshal(saved)
+	return saved
+}
+
+// resave wraps an edited payload in a fresh envelope with a matching
+// checksum, so only the payload's own checks can refuse it.
+func resave(t *testing.T, s *Saved) []byte {
+	t.Helper()
+	payload, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +287,7 @@ func TestLoadSavedRejectsProcsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSaved(bytes.NewReader(doc)); !errors.Is(err, ErrInconsistent) {
-		t.Fatalf("LoadSaved = %v, want ErrInconsistent", err)
-	}
+	return doc
 }
 
 func TestReassembleMismatch(t *testing.T) {

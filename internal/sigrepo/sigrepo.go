@@ -42,6 +42,7 @@ import (
 	"strings"
 	"time"
 
+	"pas2p/internal/apps"
 	"pas2p/internal/fsx"
 	"pas2p/internal/machine"
 	"pas2p/internal/mpi"
@@ -282,14 +283,22 @@ func (r *Repo) put(k *kind, id manifestEntry, write func(io.Writer) error) (stri
 	return path, nil
 }
 
+// identity is the key an artefact is stored and looked up under, with
+// the workload resolved by apps.Workload: every front door that omits
+// the workload names the app's default one. Entries stored under ""
+// before that resolution still list and fsck, but no lookup finds them.
+func identity(appName string, procs int, workload string) manifestEntry {
+	return manifestEntry{App: appName, Procs: procs, Workload: apps.Workload(appName, workload)}
+}
+
 // Add stores a signature under its application identity. The entry is
 // serialised in memory before the lock is taken, then stored by put.
 func (r *Repo) Add(sig *signature.Signature, workload, baseCluster string) (string, error) {
+	id := identity(sig.App.Name, sig.App.Procs, workload)
 	var buf bytes.Buffer
-	if err := sig.Save(&buf, workload, baseCluster); err != nil {
+	if err := sig.Save(&buf, id.Workload, baseCluster); err != nil {
 		return "", err
 	}
-	id := manifestEntry{App: sig.App.Name, Procs: sig.App.Procs, Workload: workload}
 	return r.put(sigKind, id, func(w io.Writer) error {
 		_, err := w.Write(buf.Bytes())
 		return err
@@ -390,6 +399,7 @@ func (r *Repo) stream(k *kind, path string) (any, manifestEntry, error) {
 // identity. A missing file fails with ErrNotFound; a corrupt one with
 // ErrCorrupt and a description of the corruption, never a wrong value.
 func (r *Repo) lookup(k *kind, appName string, procs int, workload string) (any, error) {
+	workload = apps.Workload(appName, workload)
 	name := k.key(appName, procs, workload)
 	if _, err := r.fs.Stat(filepath.Join(r.dir, name)); err != nil {
 		return nil, fmt.Errorf("sigrepo: no %s for %s/p%d/%q (%v): %w", k.noun, appName, procs, workload, err, ErrNotFound)
@@ -403,7 +413,8 @@ func (r *Repo) lookup(k *kind, appName string, procs int, workload string) (any,
 	return v, nil
 }
 
-// Lookup finds the stored signature for an application identity.
+// Lookup finds the stored signature for an application identity; ""
+// names the app's default workload.
 func (r *Repo) Lookup(appName string, procs int, workload string) (*Entry, error) {
 	v, err := r.lookup(sigKind, appName, procs, workload)
 	if err != nil {

@@ -1,6 +1,7 @@
 package sigrepo
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -411,6 +412,65 @@ func TestFsckAdoptsUnmanifestedEntries(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
 		t.Fatalf("manifest not recreated: %v", err)
+	}
+}
+
+// TestEmptyWorkloadIsTheDefault: "" names the app's default workload
+// on every Add and Lookup, so one signature answers both names. An
+// entry stored under "" before that resolution still lists and fscks,
+// but no lookup reaches it.
+func TestEmptyWorkloadIsTheDefault(t *testing.T) {
+	dir := t.TempDir()
+	repo, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := apps.Lookup("cg").DefaultWorkload
+	path, err := repo.Add(buildSig(t, "cg", 4, ""), "", "Cluster A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "cg_p4_" + def + sigSuffix; filepath.Base(path) != want {
+		t.Errorf("stored as %s, want %s", filepath.Base(path), want)
+	}
+	e, err := repo.Lookup("cg", 4, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Saved.Workload != def {
+		t.Errorf("stored workload %q, want %q", e.Saved.Workload, def)
+	}
+	if _, err := repo.Add(buildSig(t, "cg", 8, def), def, "Cluster A"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.Lookup("cg", 8, ""); err != nil {
+		t.Fatalf("lookup without a workload misses the default's entry: %v", err)
+	}
+
+	// An entry an older build stored under "".
+	var buf bytes.Buffer
+	if err := buildSig(t, "cg", 2, "").Save(&buf, "", "Cluster A"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "cg_p2_"+sigSuffix), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.Lookup("cg", 2, ""); !errors.Is(err, ErrNotFound) {
+		t.Errorf("lookup of cg/2 = %v, want ErrNotFound", err)
+	}
+	entries, _, problems, err := repo.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 3 || len(problems) != 0 {
+		t.Errorf("list: %d entries, problems %v; want 3 and none", len(entries), problems)
+	}
+	rep, err := repo.Fsck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Verified != 3 || rep.ManifestAdopted != 1 || len(rep.Quarantined) != 0 {
+		t.Errorf("fsck: %+v", rep)
 	}
 }
 

@@ -86,8 +86,7 @@ type TraceEntry struct {
 // parallel block codec — it is never serialised to memory first — and
 // journalled with the SHA-256 of the streamed bytes.
 func (r *Repo) AddTrace(t *trace.Trace, workload string) (string, error) {
-	id := manifestEntry{App: t.AppName, Procs: t.Procs, Workload: workload}
-	return r.put(traceKind, id, func(w io.Writer) error {
+	return r.put(traceKind, identity(t.AppName, t.Procs, workload), func(w io.Writer) error {
 		return trace.EncodeWith(w, t, trace.CodecOptions{Reg: r.reg})
 	})
 }

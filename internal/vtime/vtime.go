@@ -8,6 +8,7 @@ package vtime
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is an instant in virtual time, in nanoseconds since run start.
@@ -51,6 +52,20 @@ func FromSeconds(s float64) Duration {
 		return Duration(math.MaxInt64)
 	}
 	return Duration(math.Round(ns))
+}
+
+// AddWeighted returns acc + d·w, one term of Equation (1)'s sum
+// PET = Σ ETᵢ·Wᵢ. It reports false, with no sum, when an operand is
+// negative or the result overflows int64.
+func AddWeighted(acc, d Duration, w int) (Duration, bool) {
+	if acc < 0 || d < 0 || w < 0 {
+		return 0, false
+	}
+	hi, lo := bits.Mul64(uint64(d), uint64(w))
+	if hi != 0 || lo > uint64(math.MaxInt64-acc) {
+		return 0, false
+	}
+	return acc + Duration(lo), true
 }
 
 // Max returns the later of two instants.

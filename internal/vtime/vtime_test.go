@@ -17,6 +17,29 @@ func TestAddSub(t *testing.T) {
 	}
 }
 
+func TestAddWeighted(t *testing.T) {
+	for _, tc := range []struct {
+		acc, d Duration
+		w      int
+		want   Duration
+		ok     bool
+	}{
+		{10, 3, 4, 22, true},
+		{0, math.MaxInt64, 1, math.MaxInt64, true},
+		{1, math.MaxInt64, 1, 0, false},
+		{0, 2, 9e18, 0, false},
+		{0, 1 << 32, 1 << 32, 0, false},
+		{-1, 1, 1, 0, false},
+		{0, -1, 1, 0, false},
+		{0, 1, -1, 0, false},
+	} {
+		got, ok := AddWeighted(tc.acc, tc.d, tc.w)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("AddWeighted(%d, %d, %d) = %d, %v; want %d, %v", tc.acc, tc.d, tc.w, got, ok, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestSecondsRoundTrip(t *testing.T) {
 	cases := []float64{0, 1e-9, 1e-6, 0.001, 1, 1234.567}
 	for _, s := range cases {
