@@ -8,10 +8,10 @@ GOFMT ?= gofmt
 # obshttp, whose tests scrape a live server while spans and flight
 # events are recorded), faults counters are bumped from rank
 # goroutines, sigrepo serializes concurrent writers on a lock file,
-# trace runs the codec pools (decode blocks, compress and decompress
-# sections), and service (plus its daemon, whose test runs the real
-# pas2pd process under mixed traffic and a SIGTERM) serves concurrent
-# HTTP traffic over shared admission, cache, and drain state —
+# trace runs the decode pool (blocks verified and deserialised on
+# GOMAXPROCS workers), and service (plus its daemon, whose test runs
+# the real pas2pd process under mixed traffic and a SIGTERM) serves
+# concurrent HTTP traffic over shared admission, cache, and drain state —
 # including the chaos serving proof. signature and mpi end their runs
 # early by unwinding the parked rank goroutines while the caller
 # carries on; so does the partial-execution baseline in predict. And
@@ -69,7 +69,6 @@ cover:
 # Native fuzz smoke: one -fuzz target per invocation. This is the one
 # list of fuzz targets; CI runs it as is.
 fuzz:
-	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzDecodeTracefile -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzBlockReader -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzRecordingRoundTrip -fuzztime=10s ./internal/trace
@@ -77,6 +76,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzAnalyzeTrace -fuzztime=10s ./internal/phase
 	$(GO) test -fuzz=FuzzAnalyzeStream -fuzztime=10s ./internal/phase
 	$(GO) test -fuzz=FuzzServiceRequest -fuzztime=10s ./internal/service
+	$(GO) test -fuzz=FuzzLoadSaved -fuzztime=10s ./internal/signature
 
 check: build
 	$(MAKE) fmt

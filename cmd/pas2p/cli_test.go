@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -119,7 +120,8 @@ func TestRepoCLIAddVerifyFsck(t *testing.T) {
 // TestRepoAddKeepTraceMatchesTrace: repo add -keep-trace -verify
 // stores the signed run's tracefile, and it must decode to the same
 // trace as the one pas2p trace writes for the same app, cluster and
-// ranks (both charge mpi.PAS2PEventOverhead per event).
+// ranks (both charge mpi.PAS2PEventOverhead per event). pas2p trace
+// must print the size of the file it wrote.
 func TestRepoAddKeepTraceMatchesTrace(t *testing.T) {
 	dir := t.TempDir()
 	repoDir := filepath.Join(dir, "repo")
@@ -128,7 +130,14 @@ func TestRepoAddKeepTraceMatchesTrace(t *testing.T) {
 		return cmdRepo(append([]string{"add", "-dir", repoDir, "-base", "A", "-keep-trace", "-verify"}, run...))
 	})
 	path := filepath.Join(dir, "cg.pas2p")
-	mustCapture(t, func() error { return cmdTrace(append([]string{"-cluster", "A", "-o", path}, run...)) })
+	out := mustCapture(t, func() error { return cmdTrace(append([]string{"-cluster", "A", "-o", path}, run...)) })
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("tracefile: %s (%d bytes)\n", path, st.Size()); !strings.Contains(out, want) {
+		t.Errorf("pas2p trace printed\n%s\nwant the line %q", out, want)
+	}
 
 	repo, err := sigrepo.Open(repoDir)
 	if err != nil {
@@ -152,7 +161,7 @@ func TestRepoAddKeepTraceMatchesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	written, err := trace.DecodeAny(f)
+	written, err := trace.Decode(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +171,21 @@ func TestRepoAddKeepTraceMatchesTrace(t *testing.T) {
 	if !reflect.DeepEqual(stored, written) {
 		t.Errorf("repo add -keep-trace stored %d events of %s/%d, pas2p trace wrote %d: the traces differ",
 			len(stored.Events), stored.AppName, stored.Procs, len(written.Events))
+	}
+}
+
+// TestRetiredTracefileRefused: every command that reads a tracefile
+// refuses the committed compressed (Z2) one with ErrRetiredFormat,
+// analyze on the in-place path included.
+func TestRetiredTracefileRefused(t *testing.T) {
+	const z2 = "../../internal/trace/testdata/golden_z2.pas2p"
+	for name, cmd := range map[string]func([]string) error{
+		"analyze": cmdAnalyze, "inspect": cmdInspect, "render": cmdRender,
+	} {
+		_, err := captureStdout(t, func() error { return cmd([]string{"-trace", z2}) })
+		if !errors.Is(err, trace.ErrRetiredFormat) {
+			t.Errorf("%s: err = %v, want ErrRetiredFormat", name, err)
+		}
 	}
 }
 

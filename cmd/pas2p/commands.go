@@ -84,8 +84,6 @@ func cmdTrace(args []string) error {
 	workload := fs.String("workload", "", "workload name (default: app's default)")
 	cluster := fs.String("cluster", "A", "base cluster (A..D)")
 	out := fs.String("o", "", "output tracefile (default <app>.pas2p)")
-	asJSON := fs.Bool("json", false, "write JSON instead of the binary format")
-	compress := fs.Bool("z", false, "write the compressed tracefile format")
 	if err := parseArgs(fs, args); err != nil {
 		return err
 	}
@@ -111,16 +109,11 @@ func cmdTrace(args []string) error {
 	if path == "" {
 		path = *app + ".pas2p"
 	}
-	err = fsx.WriteFileAtomic(fsx.OS{}, path, func(w io.Writer) error {
-		switch {
-		case *asJSON:
-			return trace.EncodeJSON(w, tr)
-		case *compress:
-			return trace.Compress(w, tr)
-		default:
-			return trace.Encode(w, tr)
-		}
-	})
+	err = fsx.WriteFileAtomic(fsx.OS{}, path, func(w io.Writer) error { return trace.Encode(w, tr) })
+	if err != nil {
+		return err
+	}
+	written, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
@@ -128,7 +121,7 @@ func cmdTrace(args []string) error {
 	fmt.Printf("traced %s on %s: %d events (%d sends, %d recvs, %d collectives)\n",
 		*app, d, st.Events, st.Sends, st.Recvs, st.Collectives)
 	fmt.Printf("virtual AET (instrumented): %.2fs\n", res.Elapsed.Seconds())
-	fmt.Printf("tracefile: %s (%d bytes)\n", path, trace.EncodedSize(tr.Meta()))
+	fmt.Printf("tracefile: %s (%d bytes)\n", path, written.Size())
 	return nil
 }
 
@@ -250,25 +243,23 @@ func cmdAnalyze(args []string) error {
 	return nil
 }
 
-// analyzeSource opens stage A's event source on f. A v2 tracefile on a
+// analyzeSource opens stage A's event source on f. A tracefile on a
 // regular file is read in place through its rank streams, block by
-// block, and tr is nil. Any other input (a compressed or JSON
-// tracefile, a pipe), or any input when decode asks for the events
-// themselves, is decoded whole and tr is the decoded trace.
+// block, and tr is nil. A pipe, or any input when decode asks for the
+// events themselves, is decoded whole and tr is the decoded trace.
 func analyzeSource(f *os.File, decode bool, opts trace.CodecOptions) (logical.EventSource, *trace.Trace, error) {
 	if st, err := f.Stat(); err == nil && st.Mode().IsRegular() && !decode {
-		if br, err := trace.NewBlockReaderWith(f, opts); err == nil {
-			rs, err := br.RankStreams()
-			if err != nil {
-				return nil, nil, err
-			}
-			return rs, nil, nil
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
+		br, err := trace.NewBlockReaderWith(f, opts)
+		if err != nil {
 			return nil, nil, err
 		}
+		rs, err := br.RankStreams()
+		if err != nil {
+			return nil, nil, err
+		}
+		return rs, nil, nil
 	}
-	tr, err := trace.DecodeAnyWith(f, opts)
+	tr, err := trace.DecodeWith(f, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -36,7 +36,7 @@ func cmdInspect(args []string) error {
 		return err
 	}
 	defer f.Close()
-	tr, err := trace.DecodeAny(f)
+	tr, err := trace.Decode(f)
 	if err != nil {
 		return err
 	}

@@ -82,7 +82,7 @@ func usage() {
 commands:
   apps                          list registered applications and workloads
   clusters                      print the modelled clusters (paper Table 2)
-  trace    -app A -procs N [-workload W] [-cluster C] [-o FILE] [-json]
+  trace    -app A -procs N [-workload W] [-cluster C] [-o FILE]
                                 instrument a run and write the tracefile
   analyze  -trace FILE [-o TABLE.json] [-metrics FILE]
            [-timeline FILE] [-prom FILE] [-faults skew=...,drift=...]

@@ -31,7 +31,7 @@ func cmdRender(args []string) error {
 		return err
 	}
 	defer f.Close()
-	tr, err := trace.DecodeAny(f)
+	tr, err := trace.Decode(f)
 	if err != nil {
 		return err
 	}

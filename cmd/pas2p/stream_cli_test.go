@@ -143,7 +143,7 @@ func TestAnalyzeExplainCLI(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.DecodeAny(bytes.NewReader(buf.Bytes()))
+	tr, err := trace.Decode(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,9 +35,8 @@ import (
 const DeadlineHeader = "X-Deadline-Ms"
 
 // CacheHeader reports how an analyze request was satisfied: "hit"
-// (LRU), "dedup" (shared a concurrent identical submission), "miss"
-// (computed fresh), or "bypass" (non-v2 upload — no whole-file CRC to
-// key on).
+// (LRU), "dedup" (shared a concurrent identical submission) or "miss"
+// (computed fresh).
 const CacheHeader = "X-Cache"
 
 // AnalyzeModeHeader reports which pipeline served an analyze request:
@@ -62,8 +60,8 @@ type AnalyzeResponse struct {
 	Procs  int    `json:"procs"`
 	Events int    `json:"events"`
 	// TraceCRC32C echoes the uploaded tracefile's trailer CRC-32C
-	// (trace.FileCRC; zero for non-v2 uploads). It identifies the
-	// file's block layout, not its content.
+	// (trace.FileCRC). It identifies the file's block layout, not its
+	// content.
 	TraceCRC32C uint32 `json:"trace_crc32c"`
 	Warm        int    `json:"warm_occurrence"`
 	BaseAETNS   int64  `json:"base_aet_ns"`
@@ -428,18 +426,6 @@ func repoAPIError(err error, op string) *APIError {
 	return asAPIError(err, op)
 }
 
-// payloadSHA256 recomputes the persisted payload checksum of a loaded
-// signature — the same bytes signature.Save hashes into its envelope,
-// so a client can compare answers against the stored artefact.
-func payloadSHA256(sv *signature.Saved) (string, error) {
-	b, err := json.Marshal(sv)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
-}
-
 // --- endpoint handlers ---
 
 func (s *Service) handleAnalyze(ctx context.Context, r *http.Request) (*handlerResult, *APIError) {
@@ -471,20 +457,30 @@ func (s *Service) handleAnalyze(ctx context.Context, r *http.Request) (*handlerR
 
 	crc, isV2 := trace.FileCRC(data)
 	if !isV2 {
-		// Compressed or JSON tracefile (or bytes no decoder accepts):
-		// analysed fresh, outside the cache; a rejected upload is a
-		// typed corrupt_trace.
-		resp, aerr := s.analyzeWork(ctx, 0, warm, 0, decodedSource(data))
-		if aerr != nil {
-			return nil, aerr
-		}
-		return &handlerResult{v: resp, header: analyzeHeaders("bypass", "in-core")}, nil
+		return nil, errNotV2(bytes.NewReader(data))
 	}
 
 	k := cacheKey{sum: sha256.Sum256(data), warm: warm}
 	return s.cachedAnalyze(ctx, k, "in-core", func() (*AnalyzeResponse, *APIError) {
-		return s.analyzeWork(ctx, crc, warm, 0, decodedSource(data))
+		return s.analyzeWork(ctx, crc, warm, 0, func() (logical.EventSource, error) {
+			tr, err := trace.Decode(bytes.NewReader(data))
+			if err != nil {
+				return nil, err
+			}
+			return logical.SourceFromTrace(tr), nil
+		})
 	})
+}
+
+// errNotV2 rejects an upload that is not one whole v2 tracefile, first
+// byte to trailer. The reader's own error names what the upload's
+// leading bytes are (a retired layout, or a bad magic); an upload
+// whose prefix is sound has bytes missing or past its trailer.
+func errNotV2(upload io.Reader) *APIError {
+	if _, err := trace.NewBlockReader(upload); err != nil {
+		return errCorruptTrace(err)
+	}
+	return errCorruptTrace(errors.New("trace: upload does not end in a v2 trailer"))
 }
 
 // cachedAnalyze answers an analyze upload from the LRU when its key is
@@ -553,11 +549,10 @@ func analyzeResponse(app string, procs, events int, crc uint32, warm int, tb *ph
 // in-core path, and phase.Analyze reads the spool's rank streams in
 // place under the stream memory budget — bit-identical to the in-core
 // answer, so cache entries are interchangeable between lanes. A
-// spooled upload that turns out not to be v2 falls back in-core when
-// it fits under MaxBodyBytes, else it is refused: only the checksummed
-// block format supports random access. A failed body read is the
-// client's 400; a spool the disk cannot hold (ENOSPC) is a retryable
-// insufficient_storage, any other spool failure internal.
+// spooled upload that is not v2 is refused as the in-core lane refuses
+// it. A failed body read is the client's 400; a spool the disk cannot
+// hold (ENOSPC) is a retryable insufficient_storage, any other spool
+// failure internal.
 func (s *Service) handleAnalyzeStream(ctx context.Context, r *http.Request, warm int) (*handlerResult, *APIError) {
 	createSpool := s.createSpool
 	if createSpool == nil {
@@ -592,18 +587,7 @@ func (s *Service) handleAnalyzeStream(ctx context.Context, r *http.Request, warm
 
 	crc, isV2 := trace.FileCRCAt(spool, size)
 	if !isV2 {
-		if size > s.cfg.MaxBodyBytes {
-			return nil, errBodyTooLarge(s.cfg.MaxBodyBytes)
-		}
-		data := make([]byte, size)
-		if _, err := spool.ReadAt(data, 0); err != nil {
-			return nil, errInternal(err)
-		}
-		resp, aerr := s.analyzeWork(ctx, 0, warm, 0, decodedSource(data))
-		if aerr != nil {
-			return nil, aerr
-		}
-		return &handlerResult{v: resp, header: analyzeHeaders("bypass", "in-core")}, nil
+		return nil, errNotV2(io.NewSectionReader(spool, 0, size))
 	}
 
 	k := cacheKey{warm: warm}
@@ -617,18 +601,6 @@ func (s *Service) handleAnalyzeStream(ctx context.Context, r *http.Request, warm
 			return br.RankStreams()
 		})
 	})
-}
-
-// decodedSource opens an upload held in memory: the whole tracefile
-// decoded, in any format, and read through its per-process streams.
-func decodedSource(data []byte) func() (logical.EventSource, error) {
-	return func() (logical.EventSource, error) {
-		tr, err := trace.DecodeAny(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		return logical.SourceFromTrace(tr), nil
-	}
 }
 
 // analyzeWork analyses one upload under the request context
@@ -723,10 +695,6 @@ func (s *Service) handleSign(ctx context.Context, r *http.Request) (*handlerResu
 		if err != nil {
 			return nil, err
 		}
-		sha, err := payloadSHA256(e.Saved)
-		if err != nil {
-			return nil, err
-		}
 		return &SignResponse{
 			App:           req.App,
 			Procs:         req.Procs,
@@ -737,7 +705,7 @@ func (s *Service) handleSign(ctx context.Context, r *http.Request) (*handlerResu
 			Checkpoints:   br.Checkpoints,
 			SCTNS:         int64(br.SCT),
 			Path:          e.Path,
-			PayloadSHA256: sha,
+			PayloadSHA256: e.Saved.PayloadSHA256(),
 		}, nil
 	})
 	if err != nil {
@@ -766,10 +734,6 @@ func (s *Service) handleLookup(ctx context.Context, r *http.Request) (*handlerRe
 	if err != nil {
 		return nil, repoAPIError(err, "lookup")
 	}
-	sha, err := payloadSHA256(e.Saved)
-	if err != nil {
-		return nil, errInternal(err)
-	}
 	return &handlerResult{v: &LookupResponse{
 		App:           e.Saved.AppName,
 		Procs:         e.Saved.Procs,
@@ -779,7 +743,7 @@ func (s *Service) handleLookup(ctx context.Context, r *http.Request) (*handlerRe
 		TotalPhases:   e.Saved.Table.TotalPhases,
 		Relevant:      len(e.Saved.Table.RelevantRows()),
 		Path:          e.Path,
-		PayloadSHA256: sha,
+		PayloadSHA256: e.Saved.PayloadSHA256(),
 	}}, nil
 }
 
@@ -811,10 +775,6 @@ func (s *Service) handlePredict(ctx context.Context, r *http.Request) (*handlerR
 	if err != nil {
 		return nil, repoAPIError(err, "predict")
 	}
-	sha, err := payloadSHA256(e.Saved)
-	if err != nil {
-		return nil, errInternal(err)
-	}
 	v, err := s.runWork(ctx, "predict", func() (any, error) {
 		return e.Predict(td, apps.Make)
 	})
@@ -836,7 +796,7 @@ func (s *Service) handlePredict(ctx context.Context, r *http.Request) (*handlerR
 		PETNS:         int64(res.PET),
 		Degraded:      res.Degraded,
 		LostPhases:    res.LostPhases,
-		PayloadSHA256: sha,
+		PayloadSHA256: e.Saved.PayloadSHA256(),
 	}}, nil
 }
 

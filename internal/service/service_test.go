@@ -350,6 +350,41 @@ func TestLookupNotFoundTyped(t *testing.T) {
 	wantTyped(t, resp, http.StatusBadRequest, CodeBadRequest)
 }
 
+// TestServedPayloadSHAIsStored: lookup and predict answer with the
+// payload checksum the stored envelope carries, also for an entry
+// written when payloads still stored the checkpoint catalog, which
+// this build no longer writes.
+func TestServedPayloadSHAIsStored(t *testing.T) {
+	raw, err := os.ReadFile("../signature/testdata/cg8_catalog_v2.sig.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env struct{ PayloadSHA256 string }
+	if err := json.Unmarshal(raw, &env); err != nil || len(env.PayloadSHA256) != 64 {
+		t.Fatalf("stored envelope: %v, sha %q", err, env.PayloadSHA256)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "cg_p8_classC.sig.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestService(t, func(c *Config) { c.RepoDir = dir })
+	resp, err := http.Get(ts.URL + "/v1/lookup?app=cg&procs=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lr LookupResponse
+	decodeInto(t, resp, &lr)
+	if lr.PayloadSHA256 != env.PayloadSHA256 {
+		t.Errorf("lookup sha %s, stored %s", lr.PayloadSHA256, env.PayloadSHA256)
+	}
+	resp = postJSON(t, ts.URL+"/v1/predict", PredictRequest{App: "cg", Procs: 8, Target: "B"})
+	var pr PredictResponse
+	decodeInto(t, resp, &pr)
+	if pr.PayloadSHA256 != env.PayloadSHA256 || pr.PETNS <= 0 {
+		t.Errorf("predict answered sha %s PET %d, want sha %s", pr.PayloadSHA256, pr.PETNS, env.PayloadSHA256)
+	}
+}
+
 // TestFsckReportsProblemReasons: /v1/fsck serves each problem's
 // reason as text, so a client sees why an entry was quarantined.
 func TestFsckReportsProblemReasons(t *testing.T) {
@@ -1117,10 +1152,9 @@ func TestAnalyzeStreamLane(t *testing.T) {
 }
 
 // TestAnalyzeStreamLaneErrors pins the stream lane's failure taxonomy:
-// corruption deep in a spooled v2 body is a typed corrupt_trace, and a
-// non-v2 body over the in-core cap is a typed 413 (it cannot be
-// random-accessed, so falling back in-core would be the heap risk the
-// lane exists to avoid).
+// corruption deep in a spooled v2 body is a typed corrupt_trace, and so
+// is a non-v2 body of any size, over the in-core cap or under it: the
+// lane never loads a spool whole.
 func TestAnalyzeStreamLaneErrors(t *testing.T) {
 	_, ts := newTestService(t, func(c *Config) {
 		c.StreamThresholdBytes = 1
@@ -1136,16 +1170,15 @@ func TestAnalyzeStreamLaneErrors(t *testing.T) {
 	resp := postBytes(t, ts.URL+"/v1/analyze", bad, nil)
 	wantTyped(t, resp, http.StatusUnprocessableEntity, CodeCorruptTrace)
 
-	// Non-v2 garbage above MaxBodyBytes but under StreamBodyBytes: the
-	// spool cannot fall back in-core, typed 413.
-	junk := bytes.Repeat([]byte("j"), 4<<10)
-	resp = postBytes(t, ts.URL+"/v1/analyze", junk, nil)
-	wantTyped(t, resp, http.StatusRequestEntityTooLarge, CodeBodyTooLarge)
-
-	// Non-v2 garbage under MaxBodyBytes falls back in-core and fails
-	// trace decoding, typed.
-	resp = postBytes(t, ts.URL+"/v1/analyze", []byte("small junk"), nil)
-	wantTyped(t, resp, http.StatusUnprocessableEntity, CodeCorruptTrace)
+	// Non-v2 garbage above MaxBodyBytes but under StreamBodyBytes, and
+	// under MaxBodyBytes: a bad magic, typed.
+	for _, junk := range [][]byte{bytes.Repeat([]byte("j"), 4<<10), []byte("small junk")} {
+		resp = postBytes(t, ts.URL+"/v1/analyze", junk, nil)
+		e := wantTyped(t, resp, http.StatusUnprocessableEntity, CodeCorruptTrace)
+		if !strings.Contains(e.Error.Message, "bad magic") {
+			t.Errorf("%d junk bytes: message %q does not name the bad magic", len(junk), e.Error.Message)
+		}
+	}
 }
 
 // TestAnalyzeStreamSpoolErrors pins who is blamed when spooling a
@@ -1215,7 +1248,7 @@ func TestAnalyzeSpillENOSPCTyped(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this system")
 	}
-	tr, err := trace.DecodeAny(bytes.NewReader(tracefileBytes(t, "cg", 4)))
+	tr, err := trace.Decode(bytes.NewReader(tracefileBytes(t, "cg", 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1296,6 +1329,52 @@ func TestAnalyzeBadRelationKeyTyped(t *testing.T) {
 			e := wantTyped(t, resp, http.StatusUnprocessableEntity, CodeCorruptTrace)
 			if !strings.Contains(e.Error.Message, "never resolves") {
 				t.Errorf("key %v, threshold %d: message %q does not name the stall", k, threshold, e.Error.Message)
+			}
+		}
+	}
+}
+
+// TestAnalyzeRejectsNonV2Uploads: an upload that is not one whole v2
+// tracefile is never analysed, on either lane. The committed
+// compressed tracefile (a retired, unchecksummed layout) gets a typed
+// 422 corrupt_trace naming the retired format; a JSON trace and a v2
+// file with bytes past its trailer get the same typed rejection.
+func TestAnalyzeRejectsNonV2Uploads(t *testing.T) {
+	z2, err := os.ReadFile("../trace/testdata/golden_z2.pas2p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := tracefileBytes(t, "cg", 4)
+	tr, err := trace.Decode(bytes.NewReader(v2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, up := range []struct {
+		name string
+		data []byte
+		want string // in the error message
+	}{
+		{"compressed", z2, "retired tracefile format"},
+		{"json", js, "bad magic"},
+		{"trailing bytes", append(bytes.Clone(v2), 0), "does not end in a v2 trailer"},
+	} {
+		for _, lane := range []struct {
+			name      string
+			threshold int64
+			streamed  int
+		}{{"in-core", -1, 0}, {"stream", 1, 1}} {
+			svc, ts := newTestService(t, func(c *Config) { c.StreamThresholdBytes = lane.threshold })
+			resp := postBytes(t, ts.URL+"/v1/analyze", up.data, nil)
+			e := wantTyped(t, resp, http.StatusUnprocessableEntity, CodeCorruptTrace)
+			if !strings.Contains(e.Error.Message, up.want) {
+				t.Errorf("%s upload, %s lane: message %q lacks %q", up.name, lane.name, e.Error.Message, up.want)
+			}
+			if got := svc.reg.Counter("service.stream.admitted").Value(); int(got) != lane.streamed {
+				t.Errorf("%s upload, %s lane: stream.admitted = %d, want %d", up.name, lane.name, got, lane.streamed)
 			}
 		}
 	}

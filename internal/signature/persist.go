@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 
-	"pas2p/internal/checkpoint"
 	"pas2p/internal/mpi"
 	"pas2p/internal/phase"
 )
@@ -17,7 +16,10 @@ import (
 // Saved is the on-disk form of a signature: everything except the
 // application code itself, which is referenced by registry name (the
 // paper's signature carries the real binaries; here the runnable code
-// is reattached at load time).
+// is reattached at load time), and except the checkpoint catalog,
+// which Reassemble derives from the table, the options and BaseISA as
+// Build does. A payload that still carries a catalog loads; the field
+// is ignored.
 type Saved struct {
 	// AppName/Workload/Procs identify the application in the registry.
 	AppName  string
@@ -30,8 +32,16 @@ type Saved struct {
 	BaseCluster string
 	Options     Options
 	Table       *phase.Table
-	Catalog     *checkpoint.Catalog
+
+	// sha is the payload checksum of the envelope LoadSaved read.
+	sha string
 }
+
+// PayloadSHA256 returns the hex SHA-256 of the payload s was loaded
+// from, as its envelope stores it and LoadSaved verified it: a client
+// can compare it against the stored artefact. It is empty for a Saved
+// that LoadSaved did not return.
+func (s *Saved) PayloadSHA256() string { return s.sha }
 
 // EnvelopeVersion is the persisted-signature format LoadSaved reads:
 // the Saved payload wrapped in an integrity envelope. Version 1, the
@@ -70,7 +80,6 @@ func (s *Signature) Save(w io.Writer, workload, baseCluster string) error {
 		BaseCluster: baseCluster,
 		Options:     s.Options,
 		Table:       s.Table,
-		Catalog:     s.Catalog,
 	}
 	payload, err := json.Marshal(&saved)
 	if err != nil {
@@ -121,7 +130,12 @@ func LoadSaved(r io.Reader) (*Saved, error) {
 		return nil, fmt.Errorf("signature: payload checksum mismatch (stored %.12s…, computed %.12s…)",
 			env.PayloadSHA256, got)
 	}
-	return loadPayload(env.Payload)
+	s, err := loadPayload(env.Payload)
+	if err != nil {
+		return nil, err
+	}
+	s.sha = env.PayloadSHA256
+	return s, nil
 }
 
 // loadPayload decodes and validates the Saved payload itself.
@@ -130,25 +144,22 @@ func loadPayload(data []byte) (*Saved, error) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("signature: decoding: %w", err)
 	}
-	if s.Table == nil || s.Catalog == nil {
-		return nil, fmt.Errorf("signature: persisted form missing table or catalog")
+	if s.Table == nil {
+		return nil, fmt.Errorf("signature: persisted form missing table")
 	}
-	if s.Table.Procs != s.Procs || s.Catalog.Procs != s.Procs {
-		return nil, fmt.Errorf("signature: %w: %d processes, table %d, catalog %d",
-			ErrInconsistent, s.Procs, s.Table.Procs, s.Catalog.Procs)
+	if s.Table.Procs != s.Procs {
+		return nil, fmt.Errorf("signature: %w: %d processes, table %d",
+			ErrInconsistent, s.Procs, s.Table.Procs)
 	}
 	if err := s.Table.Validate(); err != nil {
-		return nil, err
-	}
-	if err := s.Catalog.Validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
 }
 
 // Reassemble reattaches the application code to a persisted signature,
-// rebuilding the executable segments without re-running construction
-// (the checkpoints are already in the catalogue).
+// rebuilding the executable segments and the checkpoint catalog
+// without re-running construction.
 func (s *Saved) Reassemble(app mpi.App) (*Signature, error) {
 	if app.Procs != s.Procs {
 		return nil, fmt.Errorf("signature: app has %d procs, saved signature %d", app.Procs, s.Procs)
@@ -159,16 +170,5 @@ func (s *Saved) Reassemble(app mpi.App) (*Signature, error) {
 	if err := s.Options.validate(); err != nil {
 		return nil, err
 	}
-	segs := selectSegments(s.Table, s.Options)
-	if len(segs) == 0 {
-		return nil, fmt.Errorf("signature: saved table has no phases to execute")
-	}
-	return &Signature{
-		App:      app,
-		Table:    s.Table,
-		Catalog:  s.Catalog,
-		BaseISA:  s.BaseISA,
-		Options:  s.Options,
-		segments: segs,
-	}, nil
+	return assemble(app, s.Table, s.BaseISA, s.Options)
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"pas2p/internal/apps"
+	"pas2p/internal/checkpoint"
 	"pas2p/internal/machine"
 	"pas2p/internal/phase"
 )
@@ -142,18 +143,73 @@ func TestEnvelopeDetectsEveryByteFlip(t *testing.T) {
 	}
 }
 
+// TestLoadSavedCatalogPayload: a version-2 cg/8 signature written
+// when the payload still stored the checkpoint catalog (built on
+// cluster A with lightOptions) loads under its original checksum, and
+// executes on cluster B to the SET and PET it gave then, which a fresh
+// build gives too. The catalog Reassemble derives is the one stored.
+func TestLoadSavedCatalogPayload(t *testing.T) {
+	raw, err := os.ReadFile("testdata/cg8_catalog_v2.sig.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"Catalog"`)) || !bytes.Contains(raw, []byte(`"formatVersion": 2`)) {
+		t.Fatal("golden file is not a version-2 payload carrying a catalog")
+	}
+	saved, err := LoadSaved(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := apps.Make("cg", 8, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, err := saved.Reassemble(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := deployOn(t, machine.ClusterB(), 8)
+	got, err := sig.Execute(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantSET, wantPET = 332904293223, 11318542302280
+	if got.SET != wantSET || got.PET != wantPET {
+		t.Errorf("stored signature: SET %d PET %d, want %d %d", got.SET, got.PET, wantSET, wantPET)
+	}
+	var stored struct {
+		Payload struct{ Catalog *checkpoint.Catalog } `json:"payload"`
+	}
+	if err := json.Unmarshal(raw, &stored); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sig.Catalog, stored.Payload.Catalog) {
+		t.Errorf("reassembled catalog %+v, stored %+v", sig.Catalog, stored.Payload.Catalog)
+	}
+	fresh, err := Build(app, saved.Table, deployOn(t, machine.ClusterA(), 8), lightOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Signature.Execute(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.SET != want.SET || got.PET != want.PET {
+		t.Errorf("stored signature: SET %d PET %d, fresh build %d %d", got.SET, got.PET, want.SET, want.PET)
+	}
+}
+
 func TestLoadSavedRejectsGarbage(t *testing.T) {
 	if _, err := LoadSaved(strings.NewReader("not json")); err == nil {
 		t.Error("garbage should fail")
 	}
 	if _, err := LoadSaved(strings.NewReader(`{"AppName":"x"}`)); err == nil {
-		t.Error("missing table/catalog should fail")
+		t.Error("missing table should fail")
 	}
 }
 
 // TestLoadSavedRejectsProcsMismatch: a cg/8 payload whose table is cut
-// to 4 processes, re-checksummed, passes the table's and the catalog's
-// own checks. Executed, it would fail in a rank's out-of-range index;
+// to 4 processes, re-checksummed, passes the table's own checks. Executed, it would fail in a rank's out-of-range index;
 // LoadSaved must refuse it with ErrInconsistent instead.
 func TestLoadSavedRejectsProcsMismatch(t *testing.T) {
 	saved := savedCG8(t)
@@ -247,7 +303,7 @@ func TestExecuteRefusesEq1Overflow(t *testing.T) {
 
 // savedCG8 builds a cg/8 signature on cluster A and returns it as
 // LoadSaved reads it back.
-func savedCG8(t *testing.T) *Saved {
+func savedCG8(t testing.TB) *Saved {
 	t.Helper()
 	app, err := apps.Make("cg", 8, "")
 	if err != nil {
@@ -272,12 +328,18 @@ func savedCG8(t *testing.T) *Saved {
 
 // resave wraps an edited payload in a fresh envelope with a matching
 // checksum, so only the payload's own checks can refuse it.
-func resave(t *testing.T, s *Saved) []byte {
+func resave(t testing.TB, s *Saved) []byte {
 	t.Helper()
 	payload, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return seal(t, payload)
+}
+
+// seal wraps a compact payload in an envelope with a matching checksum.
+func seal(t testing.TB, payload []byte) []byte {
+	t.Helper()
 	sum := sha256.Sum256(payload)
 	doc, err := json.Marshal(envelope{
 		FormatVersion: EnvelopeVersion,

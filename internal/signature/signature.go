@@ -167,27 +167,11 @@ func Build(app mpi.App, tb *phase.Table, base *machine.Deployment, opts Options)
 	if base.Ranks != app.Procs {
 		return nil, fmt.Errorf("signature: base deployment has %d ranks, app %d", base.Ranks, app.Procs)
 	}
-	segs := selectSegments(tb, opts)
-	if len(segs) == 0 {
-		return nil, fmt.Errorf("signature: %s has no phases to capture", app.Name)
-	}
-	sig := &Signature{
-		App: app, Table: tb, BaseISA: base.Cluster.ISA, Options: opts,
-		segments: segs,
-	}
-	sig.Catalog = &checkpoint.Catalog{
-		AppName: app.Name, Procs: tb.Procs, ISA: base.Cluster.ISA,
-	}
-	for _, s := range segs {
-		sig.Catalog.Snapshots = append(sig.Catalog.Snapshots, checkpoint.Snapshot{
-			PhaseID:    s.row.PhaseID,
-			Position:   s.ckpt,
-			StateBytes: opts.StateBytesPerRank,
-		})
-	}
-	if err := sig.Catalog.Validate(); err != nil {
+	sig, err := assemble(app, tb, base.Cluster.ISA, opts)
+	if err != nil {
 		return nil, err
 	}
+	segs := sig.segments
 
 	// Construction run: execute normally, charging a snapshot at each
 	// checkpoint position; after the last snapshot the remainder of
@@ -216,6 +200,30 @@ func Build(app mpi.App, tb *phase.Table, base *machine.Deployment, opts Options)
 		reg.Counter("signature.checkpoints").Add(int64(len(segs)))
 	}
 	return &BuildResult{Signature: sig, SCT: res.Elapsed, Checkpoints: len(segs)}, nil
+}
+
+// assemble selects the phases of tb that opts asks for and builds the
+// signature's checkpoint catalog from them: one snapshot per segment,
+// at its checkpoint position, of opts' state size, on a machine of
+// instruction set isa. Build and Reassemble both derive the catalog
+// here, so a loaded signature needs none stored.
+func assemble(app mpi.App, tb *phase.Table, isa string, opts Options) (*Signature, error) {
+	segs := selectSegments(tb, opts)
+	if len(segs) == 0 {
+		return nil, fmt.Errorf("signature: the table of %s selects no phases", app.Name)
+	}
+	cat := &checkpoint.Catalog{AppName: app.Name, Procs: tb.Procs, ISA: isa}
+	for _, s := range segs {
+		cat.Snapshots = append(cat.Snapshots, checkpoint.Snapshot{
+			PhaseID:    s.row.PhaseID,
+			Position:   s.ckpt,
+			StateBytes: opts.StateBytesPerRank,
+		})
+	}
+	if err := cat.Validate(); err != nil {
+		return nil, err
+	}
+	return &Signature{App: app, Table: tb, Catalog: cat, BaseISA: isa, Options: opts, segments: segs}, nil
 }
 
 // selectSegments orders the chosen phases by their occurrence position

@@ -159,38 +159,6 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkCompress measures the ScalaTrace-style codec's throughput
-// and reports the achieved ratio on a repetitive stream.
-func BenchmarkCompress(b *testing.B) {
-	streams := make([][]Event, 4)
-	for p := 0; p < 4; p++ {
-		streams[p] = iterativeStream(p, 2500)
-		for i := range streams[p] {
-			if streams[p][i].Kind == Recv {
-				streams[p][i].RelA = int64(p)
-			}
-		}
-	}
-	tr, err := NewTrace("zbench", 4, streams, 1e9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var flat bytes.Buffer
-	if err := Encode(&flat, tr); err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.SetBytes(int64(flat.Len()))
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := Compress(&buf, tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(flat.Len())/float64(buf.Len()), "ratio")
-}
-
 // largeBenchTrace lazily builds the shared 1M-event trace (and its
 // encoding) the large benchmarks measure against. Building it once
 // keeps `go test -bench` setup time flat across benchmarks.
@@ -213,13 +181,11 @@ func largeBenchTrace(b *testing.B) (*Trace, []byte) {
 	return largeBench.tr, largeBench.enc
 }
 
-// The *Parallel benchmarks measure the codec pools, which run on
-// GOMAXPROCS workers; sweep them with the -cpu flag, e.g.
-//
-//	go test ./internal/trace -run xxx -cpu 1,2 -bench 'Decode|Compress'
-
 // BenchmarkDecodeParallel measures block verification +
-// deserialisation throughput on the 1M-event tracefile.
+// deserialisation throughput on the 1M-event tracefile. The decode
+// pool runs on GOMAXPROCS workers; sweep it with the -cpu flag, e.g.
+//
+//	go test ./internal/trace -run xxx -cpu 1,2 -bench DecodeParallel
 func BenchmarkDecodeParallel(b *testing.B) {
 	_, enc := largeBenchTrace(b)
 	b.ReportAllocs()
@@ -244,61 +210,4 @@ func BenchmarkVerifyStream(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkCompressParallel measures the ScalaTrace-style codec on a
-// wide repetitive trace (per-process sections are the parallel unit,
-// so procs bounds the useful worker count).
-func BenchmarkCompressParallel(b *testing.B) {
-	tr := repetitiveTrace(b, 8, 500)
-	var flat bytes.Buffer
-	if err := Encode(&flat, tr); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(flat.Len()))
-	for i := 0; i < b.N; i++ {
-		if err := Compress(io.Discard, tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecompressParallel measures section decoding on a 64-process
-// archive, wide enough that every worker has sections to take.
-func BenchmarkDecompressParallel(b *testing.B) {
-	tr := repetitiveTrace(b, 64, 500)
-	var z bytes.Buffer
-	if err := Compress(&z, tr); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decompress(bytes.NewReader(z.Bytes())); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCompressionRatio reports the achieved ratio on the
-// 8-process, 500-iteration repetitive trace the compression tests
-// assert on, as a benchmark metric rather than a log line — so the
-// ratio shows up in `go test -bench` output and can be tracked.
-func BenchmarkCompressionRatio(b *testing.B) {
-	tr := repetitiveTrace(b, 8, 500)
-	var flat bytes.Buffer
-	if err := Encode(&flat, tr); err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.SetBytes(int64(flat.Len()))
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := Compress(&buf, tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(flat.Len())/float64(buf.Len()), "ratio")
-	b.ReportMetric(float64(buf.Len()), "compressed_bytes")
 }

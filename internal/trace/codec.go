@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -31,24 +30,27 @@ import (
 //	trailer[8] "PAS2PEND"
 //	fileCRC u32             over every preceding byte of the file
 //
-// It is the only flat layout read: the unchecksummed PAS2PTR1 layout
-// is retired and rejected with ErrRetiredFormat. Decode never trusts
-// header-declared sizes for allocation and reports corruption with the
-// byte offset at which it was detected.
+// It is the only tracefile layout read or written: the unchecksummed
+// layouts (flat PAS2PTR1, compressed PAS2PTZ1 and PAS2PTZ2) are
+// retired and rejected with ErrRetiredFormat, and any other leading
+// bytes (a JSON document included) with a bad-magic error. Decode
+// never trusts header-declared sizes for allocation and reports
+// corruption with the byte offset at which it was detected.
 
 var (
 	magicV2 = [8]byte{'P', 'A', 'S', '2', 'P', 'T', 'R', '2'}
 	trailer = [8]byte{'P', 'A', 'S', '2', 'P', 'E', 'N', 'D'}
 )
 
-// retiredMagics are the leading bytes of the layouts no longer read:
-// the unchecksummed flat PAS2PTR1 and the index-less compressed
-// PAS2PTZ1. Each is two bits of byte 7 away from its successor, so a
-// damaged current file can carry one; naming them gives that case a
-// typed error.
+// retiredMagics are the leading bytes of the layouts no longer read,
+// none of which carries a checksum: the flat PAS2PTR1 and the
+// compressed PAS2PTZ1 and PAS2PTZ2. PAS2PTR1 is two bits of byte 7
+// away from the current magic, so a damaged current file can carry
+// it; naming them all gives that case, and an old file, a typed error.
 var retiredMagics = [...][8]byte{
 	{'P', 'A', 'S', '2', 'P', 'T', 'R', '1'},
 	{'P', 'A', 'S', '2', 'P', 'T', 'Z', '1'},
+	{'P', 'A', 'S', '2', 'P', 'T', 'Z', '2'},
 }
 
 // ErrRetiredFormat is matched (errors.Is) by the error every reader
@@ -448,21 +450,4 @@ func eventReservation(verified, count uint64) (n uint64, final bool) {
 		return count, true
 	}
 	return max(verified, eventChunk), false
-}
-
-// EncodeJSON writes a human-readable trace, mainly for debugging and
-// the examples.
-func EncodeJSON(w io.Writer, t *Trace) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(t)
-}
-
-// DecodeJSON reads a trace written by EncodeJSON.
-func DecodeJSON(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("trace: decoding JSON: %w", err)
-	}
-	return &t, nil
 }

@@ -104,44 +104,6 @@ func TestDecodeCorruptionDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCompressDeterministicAcrossWorkers: the parallel template scan
-// and per-process section encoding must reproduce the serial archive
-// bit for bit (the template dictionary merge preserves first-seen
-// order), and the archive must still decompress to the original.
-func TestCompressDeterministicAcrossWorkers(t *testing.T) {
-	for _, shape := range []struct {
-		seed   int64
-		procs  int
-		events int
-	}{
-		{21, 4, 800}, // 3200 events: pooled path
-		{22, 8, 400}, // wider than workers
-		{23, 2, 100}, // small: serial fallback
-	} {
-		tr := fuzzTrace(t, shape.seed, shape.procs, shape.events)
-		var serial bytes.Buffer
-		if err := compress(&serial, tr, 1); err != nil {
-			t.Fatalf("shape %+v: serial compress: %v", shape, err)
-		}
-		for _, workers := range []int{2, 8} {
-			var par bytes.Buffer
-			if err := compress(&par, tr, workers); err != nil {
-				t.Fatalf("shape %+v workers=%d: compress: %v", shape, workers, err)
-			}
-			if !bytes.Equal(par.Bytes(), serial.Bytes()) {
-				t.Fatalf("shape %+v workers=%d: archive diverges from serial", shape, workers)
-			}
-		}
-		got, err := Decompress(bytes.NewReader(serial.Bytes()))
-		if err != nil {
-			t.Fatalf("shape %+v: decompress: %v", shape, err)
-		}
-		if !reflect.DeepEqual(got, tr) {
-			t.Fatalf("shape %+v: compress round trip mismatch", shape)
-		}
-	}
-}
-
 // TestEventReservationPolicy pins the reservation policy directly:
 // no reservation exceeds max(2*verified, eventChunk), so before any
 // event has verified a header count buys at most eventChunk events,

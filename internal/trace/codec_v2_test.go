@@ -14,45 +14,58 @@ import (
 	"testing"
 )
 
-// TestGoldenV1Migration pins the rejection of the retired flat
-// layout: the committed golden file, written by the unchecksummed
-// PAS2PTR1 encoder before checksums existed, must be refused with
-// ErrRetiredFormat (and a byte offset) by every flat reader, never
-// decoded.
+// TestGoldenV1Migration pins the rejection of the retired layouts:
+// each committed golden file, written by a retired encoder that
+// stored no checksum (the flat PAS2PTR1, and the compressed PAS2PTZ2
+// of a sweep3d run on 4 ranks), must be refused with ErrRetiredFormat
+// (and a byte offset) by every reader, never decoded.
 func TestGoldenV1Migration(t *testing.T) {
-	raw, err := os.ReadFile("testdata/golden_v1.pas2p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(raw, []byte("PAS2PTR1")) {
-		t.Fatal("golden file is not in the retired PAS2PTR1 layout")
-	}
-	for name, read := range map[string]func(io.Reader) error{
-		"Decode":       func(r io.Reader) error { _, err := Decode(r); return err },
-		"DecodeAny":    func(r io.Reader) error { _, err := DecodeAny(r); return err },
-		"VerifyStream": func(r io.Reader) error { _, err := VerifyStream(r); return err },
+	for _, golden := range []struct{ file, magic string }{
+		{"golden_v1.pas2p", "PAS2PTR1"},
+		{"golden_z2.pas2p", "PAS2PTZ2"},
 	} {
-		err := read(bytes.NewReader(raw))
-		if !errors.Is(err, ErrRetiredFormat) {
-			t.Errorf("%s(golden_v1.pas2p) = %v, want ErrRetiredFormat", name, err)
-		} else if !strings.Contains(err.Error(), "offset") {
-			t.Errorf("%s: error lacks offset: %v", name, err)
+		raw, err := os.ReadFile("testdata/" + golden.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(raw, []byte(golden.magic)) {
+			t.Fatalf("%s is not in the retired %s layout", golden.file, golden.magic)
+		}
+		for _, rd := range retiredReaders {
+			err := rd.read(bytes.NewReader(raw))
+			if !errors.Is(err, ErrRetiredFormat) {
+				t.Errorf("%s(%s) = %v, want ErrRetiredFormat", rd.name, golden.file, err)
+			} else if !strings.Contains(err.Error(), "offset") {
+				t.Errorf("%s(%s): error lacks offset: %v", rd.name, golden.file, err)
+			}
 		}
 	}
 }
 
+// retiredReaders are the readers that check a tracefile's magic.
+var retiredReaders = []struct {
+	name string
+	read func(io.Reader) error
+}{
+	{"Decode", func(r io.Reader) error { _, err := Decode(r); return err }},
+	{"NewBlockReader", func(r io.Reader) error { _, err := NewBlockReader(r); return err }},
+	{"VerifyStream", func(r io.Reader) error { _, err := VerifyStream(r); return err }},
+}
+
 // TestMagicDowngradeRejected flips two bits of byte 7 of a current
-// flat file (PAS2PTR2 → PAS2PTR1) and of a compressed archive
-// (PAS2PTZ2 → PAS2PTZ1). The result carries a retired layout's magic;
-// every reader must answer it with ErrRetiredFormat rather than decode
-// the bytes under the retired layout's (unchecksummed) rules.
+// flat file (PAS2PTR2 → PAS2PTR1) and of the golden compressed
+// archive (PAS2PTZ2 → PAS2PTZ1). The result carries another retired
+// layout's magic; every reader must answer it with ErrRetiredFormat
+// rather than decode the bytes under that layout's (unchecksummed)
+// rules.
 func TestMagicDowngradeRejected(t *testing.T) {
 	tr := fuzzTrace(t, 7, 3, 40)
-	var flat, z bytes.Buffer
+	var flat bytes.Buffer
 	if err := Encode(&flat, tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := Compress(&z, tr); err != nil {
+	z, err := os.ReadFile("testdata/golden_z2.pas2p")
+	if err != nil {
 		t.Fatal(err)
 	}
 	downgrade := func(b []byte) []byte {
@@ -65,23 +78,13 @@ func TestMagicDowngradeRejected(t *testing.T) {
 		data        []byte
 	}{
 		{"flat", "PAS2PTR1", downgrade(flat.Bytes())},
-		{"compressed", "PAS2PTZ1", downgrade(z.Bytes())},
-	}
-	readers := []struct {
-		name string
-		read func(io.Reader) error
-	}{
-		{"Decode", func(r io.Reader) error { _, err := Decode(r); return err }},
-		{"DecodeAny", func(r io.Reader) error { _, err := DecodeAny(r); return err }},
-		{"NewBlockReader", func(r io.Reader) error { _, err := NewBlockReader(r); return err }},
-		{"VerifyStream", func(r io.Reader) error { _, err := VerifyStream(r); return err }},
-		{"Decompress", func(r io.Reader) error { _, err := Decompress(r); return err }},
+		{"compressed", "PAS2PTZ1", downgrade(z)},
 	}
 	for _, f := range files {
 		if string(f.data[:8]) != f.magic {
 			t.Fatalf("%s: downgraded magic %q, want %q", f.name, f.data[:8], f.magic)
 		}
-		for _, rd := range readers {
+		for _, rd := range retiredReaders {
 			err := rd.read(bytes.NewReader(f.data))
 			if !errors.Is(err, ErrRetiredFormat) {
 				t.Errorf("%s/%s: err = %v, want ErrRetiredFormat", f.name, rd.name, err)
@@ -195,50 +198,36 @@ func TestEncodedSizeMatchesV2(t *testing.T) {
 	}
 }
 
-// TestEncodeOutputPinned pins the SHA-256 of Encode and Compress
-// output for fixed traces, so any change to the writers (how blocks
-// are produced, in which order, by which code path) that alters a
-// single byte of the on-disk format fails here first.
+// TestEncodeOutputPinned pins the SHA-256 of Encode output for fixed
+// traces, so any change to the writer (how blocks are produced, in
+// which order, by which code path) that alters a single byte of the
+// on-disk format fails here first.
 func TestEncodeOutputPinned(t *testing.T) {
 	shapes := []struct {
 		seed          int64
 		procs, events int // events per process
 		encode        string
-		compress      string
 	}{
 		{1, 1, 0,
-			"e0890a0377e3e18ff6500434dba9e3bbd078688046574f29a8ea5c2a3f96c509",
-			"075873d019e3474a3434ab5b67e91c1afb7871348bb53db57c95b10bf4b39710"},
+			"e0890a0377e3e18ff6500434dba9e3bbd078688046574f29a8ea5c2a3f96c509"},
 		{3, 2, 255,
-			"f6df4a48ab8230f7839fb44ee2ed7a08da4c5a5189ef71c2e29d040acbacf33b",
-			"10f36fad7f3e1827369301ea7b5d40a452ed0c02d64aa5ff702c3790c8648596"},
+			"f6df4a48ab8230f7839fb44ee2ed7a08da4c5a5189ef71c2e29d040acbacf33b"},
 		{5, 2, 256,
-			"f2d470eba384fbae3963584e8dec4101dc10515c9ccd3371b645574cc0ee2d17",
-			"42ea153f6c1090fef37cfa40af15a33118df7437fedd9aed2d32222ddeecbdd8"},
+			"f2d470eba384fbae3963584e8dec4101dc10515c9ccd3371b645574cc0ee2d17"},
 		{6, 4, 1500,
-			"e87819429005b7748d6765940c8e79f3a7d1af20302659e326ee0072cd96d579",
-			"cac2146e9384e7c887f2319932380df136363e2336595ac9c32f85f031ae0a8c"},
+			"e87819429005b7748d6765940c8e79f3a7d1af20302659e326ee0072cd96d579"},
 		{7, 3, 2048,
-			"5bebef5a503ade8faa410b88b946302e991d545514dec4af1dd8088b2300860d",
-			"a55b8fc4188c6c144b262999ce95b02a9fd11fd30d3002e5e468069cbef8a624"},
+			"5bebef5a503ade8faa410b88b946302e991d545514dec4af1dd8088b2300860d"},
 		{8, 1, 40000,
-			"dade7b78fa178b2201365e9f846c525ffcf47bb4f853d7252f9c32371b710d27",
-			"c8a53fef0832e4c836eb2779b6a598e6555259d9e0b2c57fca75a85f46a9e795"},
-	}
-	sum := func(write func(io.Writer, *Trace) error, tr *Trace) string {
-		h := sha256.New()
-		if err := write(h, tr); err != nil {
-			t.Fatal(err)
-		}
-		return hex.EncodeToString(h.Sum(nil))
+			"dade7b78fa178b2201365e9f846c525ffcf47bb4f853d7252f9c32371b710d27"},
 	}
 	for _, s := range shapes {
-		tr := fuzzTrace(t, s.seed, s.procs, s.events)
-		if got := sum(Encode, tr); got != s.encode {
-			t.Errorf("seed %d: Encode sha256 %s, want %s", s.seed, got, s.encode)
+		h := sha256.New()
+		if err := Encode(h, fuzzTrace(t, s.seed, s.procs, s.events)); err != nil {
+			t.Fatal(err)
 		}
-		if got := sum(Compress, tr); got != s.compress {
-			t.Errorf("seed %d: Compress sha256 %s, want %s", s.seed, got, s.compress)
+		if got := hex.EncodeToString(h.Sum(nil)); got != s.encode {
+			t.Errorf("seed %d: Encode sha256 %s, want %s", s.seed, got, s.encode)
 		}
 	}
 }

@@ -69,52 +69,6 @@ func fuzzTrace(t *testing.T, seed int64, procs, events int) *Trace {
 	return tr
 }
 
-// FuzzCompressRoundTrip asserts Compress∘Decompress is the identity on
-// any generated trace, and that Decompress never panics on a corrupted
-// archive (it must fail cleanly or produce some trace — silently
-// "repairing" bytes into the original is fine, crashing is not).
-func FuzzCompressRoundTrip(f *testing.F) {
-	// Seeds cover the shapes the property test explored: single rank,
-	// several ranks, empty streams, LT-carrying events, and a byte to
-	// corrupt at a seed-chosen offset.
-	f.Add(int64(7), 3, 40, false, byte(0))
-	f.Add(int64(1), 1, 1, false, byte(0xff))
-	f.Add(int64(2), 4, 0, false, byte(1))
-	f.Add(int64(3), 2, 25, true, byte(0x80))
-	f.Add(int64(99), 6, 10, true, byte(7))
-	f.Fuzz(func(t *testing.T, seed int64, procs, events int, withLT bool, flip byte) {
-		if procs < 1 || procs > 8 || events < 0 || events > 200 {
-			t.Skip("out of modelled range")
-		}
-		tr := fuzzTrace(t, seed, procs, events)
-		if withLT {
-			for i := range tr.Events {
-				tr.Events[i].LT = int64(i)
-			}
-		}
-		var buf bytes.Buffer
-		if err := Compress(&buf, tr); err != nil {
-			t.Fatalf("compress: %v", err)
-		}
-		got, err := Decompress(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("decompress: %v", err)
-		}
-		if !reflect.DeepEqual(got, tr) {
-			t.Fatal("round trip mismatch")
-		}
-
-		// Corruption must never panic the decoder.
-		if buf.Len() > 0 {
-			raw := append([]byte(nil), buf.Bytes()...)
-			pos := int(uint64(seed)%uint64(len(raw))+uint64(flip)) % len(raw)
-			raw[pos] ^= flip | 1
-			_, _ = Decompress(bytes.NewReader(raw)) // errors allowed, panics not
-			_, _ = DecodeAny(bytes.NewReader(raw))
-		}
-	})
-}
-
 // FuzzDecodeTracefile drives the v2 checksummed codec: any generated
 // trace must round-trip exactly, and any single corrupted byte or
 // torn tail must produce an error that names a byte offset — never a

@@ -49,10 +49,9 @@ const (
 // Enter is the previous event's Exit (0 for the first) plus
 // ComputeBefore, and Exit is Enter plus the stored service time. Both
 // identities hold after Record's overlap clamp under wrapping int64
-// arithmetic, so the times round-trip exactly at the extremes. As the
-// Z2 codec does, a point-to-point event stores its Peer and RelA less
-// its process and its RelB less the sends recorded before it (see
-// bases): its peer is mostly a neighbour, and its relation names a
+// arithmetic, so the times round-trip exactly at the extremes. A
+// point-to-point event stores its Peer and RelA less its process and
+// its RelB less the sends recorded before it (see bases): its peer is mostly a neighbour, and its relation names a
 // send of its own or a neighbour's, numbered close to that count. So
 // most fields take one byte: lu and cg classD at 128 ranks pack 13.7
 // and 15.6 bytes an event, against Event's 88

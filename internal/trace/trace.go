@@ -2,8 +2,8 @@
 // message-passing application (the paper's §3.1 "data collection"
 // stage, played by libpas2p in the original tool) and the trace
 // container consumed by the logical-ordering and phase-extraction
-// stages. It also provides binary and JSON codecs so tracefile sizes
-// and analysis times can be reported as in Table 8.
+// stages. It also provides the checksummed binary tracefile codec, so
+// tracefile sizes and analysis times can be reported as in Table 8.
 package trace
 
 import (

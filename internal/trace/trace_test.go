@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -402,38 +404,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	tr := buildTestTrace(t)
-	var buf bytes.Buffer
-	if err := EncodeJSON(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Error("JSON round trip mismatch")
-	}
-}
-
-// TestDecodeJSONWithIDs: a JSON trace written while events carried an
-// "ID" key still decodes, to the same events.
-func TestDecodeJSONWithIDs(t *testing.T) {
-	const old = `{"AppName":"old","Procs":1,"AET":9,"Events":[
-	 {"ID":0,"Process":0,"Number":0,"Kind":0,"Involved":2,"CollOp":-1,"Peer":0,"Tag":7,"Size":100,
-	  "Enter":1,"Exit":2,"LT":-1,"RelA":0,"RelB":0,"ComputeBefore":1}]}`
-	got, err := DecodeJSON(strings.NewReader(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := &Trace{AppName: "old", Procs: 1, AET: 9, Events: []Event{{Kind: Send, Involved: 2, CollOp: -1,
-		Tag: 7, Size: 100, Enter: 1, Exit: 2, LT: NoLT, ComputeBefore: 1}}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("decoded %+v, want %+v", got, want)
-	}
-}
-
 func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := Decode(bytes.NewReader([]byte("not a trace at all......."))); err == nil {
 		t.Error("garbage should fail to decode")
@@ -450,6 +420,15 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-10]
 	if _, err := Decode(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated trace should fail to decode")
+	}
+	// A JSON trace is no tracefile: its leading brace is a bad magic.
+	js, err := json.Marshal(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(bytes.NewReader(js)); !errors.Is(err, ErrCorrupt) ||
+		errors.Is(err, ErrRetiredFormat) || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("JSON trace: Decode error %v, want a bad-magic ErrCorrupt", err)
 	}
 }
 

@@ -215,12 +215,6 @@ func DecodeTrace(r io.Reader, opts TraceCodecOptions) (*Trace, error) {
 	return trace.DecodeWith(r, opts)
 }
 
-// DecodeAnyTrace sniffs the tracefile format (binary, compressed or
-// JSON) and decodes it.
-func DecodeAnyTrace(r io.Reader, opts TraceCodecOptions) (*Trace, error) {
-	return trace.DecodeAnyWith(r, opts)
-}
-
 // TraceBlockReader holds a binary tracefile's verified header (Meta)
 // and hands out its per-rank streams (RankStreams), which is what
 // AnalyzeStream reads.
