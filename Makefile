@@ -72,6 +72,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeTracefile -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzBlockReader -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzRecordingRoundTrip -fuzztime=10s ./internal/trace
+	$(GO) test -fuzz=FuzzPackRoundTrip -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzLogicalOrder -fuzztime=10s ./internal/logical
 	$(GO) test -fuzz=FuzzAnalyzeTrace -fuzztime=10s ./internal/phase
 	$(GO) test -fuzz=FuzzAnalyzeStream -fuzztime=10s ./internal/phase

@@ -9,8 +9,9 @@ package trace
 // (Encode and EncodeWith delegate to it). Decode reads block bytes
 // serially, in file order, and verifies and deserialises them on a
 // pool of GOMAXPROCS workers into disjoint regions of the events
-// slice; the whole-file CRC stays serial, a single
-// hardware-accelerated crc32.Update per ~45 KiB block. VerifyStream
+// slice, or, before that slice is reserved, packs them (packed.go);
+// the whole-file CRC stays serial, a single hardware-accelerated
+// crc32.Update per ~45 KiB block. VerifyStream
 // (repo fsck) runs the same loop serially with decoding turned off, so
 // it holds one block at a time and reports exactly Decode's errors.
 // The other reader, BlockReader.RankStreams (rankio.go), reads blocks
@@ -330,9 +331,8 @@ func readBlock(cr *crcReader, buf []byte, ext blockExtent, total uint64) error {
 	return corruptf(cr.off, "reading event %d of %d: %v", failing, total, err)
 }
 
-// verifyAndDecodeBlock checks the block CRC and, unless dst is nil,
-// deserialises the records into dst (dst[i] receives record i).
-func verifyAndDecodeBlock(buf []byte, ext blockExtent, dst []Event, m *codecMetrics) error {
+// verifyBlock checks a block's CRC.
+func verifyBlock(buf []byte, ext blockExtent, m *codecMetrics) error {
 	recBytes := int(ext.end-ext.start) * recordSize
 	var t0 time.Time
 	if m != nil {
@@ -345,33 +345,47 @@ func verifyAndDecodeBlock(buf []byte, ext blockExtent, dst []Event, m *codecMetr
 			"event block %d-%d checksum mismatch (stored %08x, computed %08x)",
 			ext.start, ext.end-1, got, bcrc)
 	}
-	for i := range dst {
-		getRecord(buf[i*recordSize:], &dst[i])
-	}
 	return nil
 }
 
-// decJob carries one read block to the deserialising workers. The job
-// owns its scratch buffer for life, so a recycled job allocates
-// nothing.
+// decodeRecords deserialises a verified block's records into dst (dst[i]
+// receives record i).
+func decodeRecords(buf []byte, dst []Event) {
+	for i := range dst {
+		getRecord(buf[i*recordSize:], &dst[i])
+	}
+}
+
+// decJob carries one read block to the decode workers. The job owns
+// its buffers for life, so a recycled job allocates nothing.
 type decJob struct {
-	buf []byte
-	ext blockExtent
-	dst []Event
-	wg  *sync.WaitGroup
+	buf    []byte // the block's records, then its CRC
+	packed []byte // the records packed, when they are not decoded
+	ext    blockExtent
 }
 
 var decJobPool = sync.Pool{New: func() any {
 	return &decJob{buf: make([]byte, 0, blockBytes+4)}
 }}
 
-// decEngine fans block verification + deserialisation out. Destination
-// regions are disjoint slices of the final events array, so workers
-// never contend; errors are resolved to the lowest block start, which
-// is exactly the error the serial path reports first.
+// decTask is one unit of a pooled decode's work. With job set, the
+// worker verifies the block read and deserialises it into dst or, with
+// dst nil, packs it into job.packed; with job nil, it unpacks packed
+// into dst.
+type decTask struct {
+	job    *decJob
+	packed []byte
+	dst    []Event
+}
+
+// decEngine fans the block work out. Destination regions are disjoint
+// slices of the final events array, so workers never contend; errors
+// are resolved to the lowest block start, which is exactly the error
+// the serial path reports first.
 type decEngine struct {
-	jobs chan *decJob
-	m    *codecMetrics
+	tasks chan decTask
+	wg    sync.WaitGroup // the tasks run and not yet done
+	m     *codecMetrics
 
 	errMu    sync.Mutex
 	errStart uint64
@@ -379,29 +393,42 @@ type decEngine struct {
 }
 
 func newDecEngine(workers int, m *codecMetrics) *decEngine {
-	e := &decEngine{jobs: make(chan *decJob, maxBatchBlocks), m: m}
+	e := &decEngine{tasks: make(chan decTask, maxBatchBlocks), m: m}
 	for w := 0; w < workers; w++ {
 		go e.worker()
 	}
 	return e
 }
 
+// run hands t to a worker; wg.Wait returns once it is done.
+func (e *decEngine) run(t decTask) {
+	e.wg.Add(1)
+	e.tasks <- t
+}
+
 func (e *decEngine) worker() {
 	var busy time.Duration
-	for j := range e.jobs {
+	for t := range e.tasks {
 		var t0 time.Time
 		if e.m != nil {
 			t0 = time.Now()
 		}
-		if err := verifyAndDecodeBlock(j.buf, j.ext, j.dst, e.m); err != nil {
+		if j := t.job; j == nil {
+			unpackRecords(t.packed, t.dst)
+		} else if err := verifyBlock(j.buf, j.ext, e.m); err != nil {
 			e.record(j.ext.start, err)
+		} else if t.dst != nil {
+			decodeRecords(j.buf, t.dst)
+		} else {
+			if j.packed == nil {
+				j.packed = make([]byte, 0, blockEvents*packGuess)
+			}
+			j.packed = packRecords(j.packed[:0], j.buf, int(j.ext.end-j.ext.start))
 		}
 		if e.m != nil {
 			busy += time.Since(t0)
 		}
-		j.wg.Done()
-		j.dst = nil
-		decJobPool.Put(j)
+		e.wg.Done()
 	}
 	if e.m != nil {
 		e.m.busyNS.Add(busy.Nanoseconds())
@@ -469,15 +496,11 @@ func readBlocks(r io.Reader, opts CodecOptions, workers int, decodeEvents bool) 
 		workers = 1
 	}
 	m := newCodecMetrics(opts.Reg, "decode", workers)
-	var events []Event
-	if decodeEvents {
-		events = make([]Event, 0)
-	}
 
 	var eng *decEngine
 	if workers > 1 {
 		eng = newDecEngine(workers, m)
-		defer close(eng.jobs)
+		defer close(eng.tasks)
 	}
 	serialBuf := []byte(nil)
 	if eng == nil && count > 0 {
@@ -486,48 +509,50 @@ func readBlocks(r io.Reader, opts CodecOptions, workers int, decodeEvents bool) 
 
 	// Blocks are consumed in batches: bytes are read serially in file
 	// order (accumulating the whole-file CRC and error offsets), then
-	// verified and deserialised concurrently into disjoint parts of
-	// region, the unfilled rest of the reservation eventReservation
-	// sized. Until it reserves the final slice, each reservation is a
-	// chunk that is copied once, into that slice. Chunk k > 0 is
-	// reserved only while count > eventChunk<<k, and maxEventCount is
-	// eventChunk<<20, so the list of at most 20 chunks fits on the
-	// stack (TestEventReservationPolicy).
-	var chunkList [20][]Event
-	chunks := chunkList[:0]
-	var region []Event
-	var wg sync.WaitGroup
+	// verified concurrently. The events slice is reserved only once
+	// eventReservation allows the exact count; the blocks that verify
+	// before then are packed (packed.go), each reservation of them
+	// bounding what the store makes room for. The final reservation
+	// unpacks them straight into the slice, and every later block is
+	// deserialised into region, the slice's unfilled rest.
+	var (
+		events  []Event
+		region  []Event
+		segs    [8][]byte // packed's first segments, on the stack
+		packed  = packedBlocks{segs: segs[:0]}
+		packEnd uint64 // the end of the events reserved for packing
+		held    [maxBatchBlocks]*decJob
+	)
+	if decodeEvents && count == 0 {
+		events = []Event{}
+	}
 	for next := uint64(0); next < count; {
-		if decodeEvents && len(region) == 0 {
+		pack := decodeEvents && events == nil
+		if pack && next == packEnd {
 			n, final := eventReservation(next, count)
-			region = make([]Event, n)
 			if final {
-				off := 0
-				for _, c := range chunks {
-					off += copy(region[off:], c)
-				}
-				clear(chunks) // the stack list must not keep them alive
-				events, region = region, region[off:]
+				events = make([]Event, n)
+				packed.unpack(events, eng)
+				packed = packedBlocks{}
+				region, pack = events[next:], false
 			} else {
-				chunks = append(chunks, region)
+				packed.left, packEnd = n, next+n
 			}
 		}
 		batch := min(count-next, maxBatchBlocks*blockEvents)
-		if decodeEvents {
-			batch = min(batch, uint64(len(region)))
+		if pack {
+			batch = min(batch, packEnd-next)
 		}
 
 		var readErr error
 		readErrStart := uint64(0)
+		nheld := 0
 		for bs := next; bs < next+batch; bs += blockEvents {
-			be := bs + blockEvents
-			if be > next+batch {
-				be = next + batch
-			}
+			be := min(bs+blockEvents, next+batch)
 			ext := blockExtent{start: bs, end: be, off: cr.off}
 			n := int(be-bs)*recordSize + 4
 			var dst []Event
-			if decodeEvents {
+			if region != nil {
 				dst = region[bs-next : be-next]
 			}
 			if eng != nil {
@@ -535,15 +560,14 @@ func readBlocks(r io.Reader, opts CodecOptions, workers int, decodeEvents bool) 
 				if cap(j.buf) < n {
 					j.buf = make([]byte, 0, blockBytes+4)
 				}
-				j.buf = j.buf[:n]
+				j.buf, j.ext = j.buf[:n], ext
+				held[nheld] = j
+				nheld++
 				if err := readBlock(cr, j.buf, ext, count); err != nil {
-					decJobPool.Put(j)
 					readErr, readErrStart = err, bs
 					break
 				}
-				j.ext, j.dst, j.wg = ext, dst, &wg
-				wg.Add(1)
-				eng.jobs <- j
+				eng.run(decTask{job: j, dst: dst})
 				continue
 			}
 			serialBuf = serialBuf[:n]
@@ -551,21 +575,33 @@ func readBlocks(r io.Reader, opts CodecOptions, workers int, decodeEvents bool) 
 				readErr, readErrStart = err, bs
 				break
 			}
-			if err := verifyAndDecodeBlock(serialBuf, ext, dst, m); err != nil {
+			if err := verifyBlock(serialBuf, ext, m); err != nil {
 				readErr, readErrStart = err, bs
 				break
 			}
+			if pack {
+				packed.pack(serialBuf, int(be-bs))
+			} else {
+				decodeRecords(serialBuf, dst)
+			}
 		}
 		if eng != nil {
-			wg.Wait()
+			eng.wg.Wait()
 			if start, err := eng.firstError(); err != nil && (readErr == nil || start < readErrStart) {
-				return meta, nil, err
+				readErr = err
+			}
+			for i, j := range held[:nheld] {
+				if pack && readErr == nil {
+					packed.add(j.packed, int(j.ext.end-j.ext.start))
+				}
+				decJobPool.Put(j)
+				held[i] = nil
 			}
 		}
 		if readErr != nil {
 			return meta, nil, readErr
 		}
-		if decodeEvents {
+		if region != nil {
 			region = region[batch:]
 		}
 		next += batch

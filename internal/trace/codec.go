@@ -30,7 +30,8 @@ import (
 //	trailer[8] "PAS2PEND"
 //	fileCRC u32             over every preceding byte of the file
 //
-// It is the only tracefile layout read or written: the unchecksummed
+// Nothing may follow the file CRC: every reader refuses a byte past it.
+// This is the only tracefile layout read or written: the unchecksummed
 // layouts (flat PAS2PTR1, compressed PAS2PTZ1 and PAS2PTZ2) are
 // retired and rejected with ErrRetiredFormat, and any other leading
 // bytes (a JSON document included) with a bad-magic error. Decode
@@ -411,7 +412,8 @@ func readPrefix(cr *crcReader) (Meta, error) {
 }
 
 // readTrailer consumes and verifies the trailer magic and the
-// whole-file CRC that close the tracefile.
+// whole-file CRC that close the tracefile, and requires the input to
+// end there.
 func readTrailer(cr *crcReader) error {
 	var tm [8]byte
 	if err := cr.readFull(tm[:]); err != nil {
@@ -420,7 +422,24 @@ func readTrailer(cr *crcReader) error {
 	if tm != trailer {
 		return corruptf(cr.off-8, "bad trailer %q", tm[:])
 	}
-	return readCRC(cr, "file", cr.crc)
+	if err := readCRC(cr, "file", cr.crc); err != nil {
+		return err
+	}
+	_, err := cr.br.ReadByte()
+	return atEnd(err, cr.off)
+}
+
+// atEnd turns the error of a one-byte read at off, the end of the
+// file checksum, into nil when the input ends there, and into a
+// corruption error when it goes on or fails.
+func atEnd(err error, off int64) error {
+	switch err {
+	case io.EOF:
+		return nil
+	case nil:
+		return corruptf(off, "data after the file checksum")
+	}
+	return corruptf(off, "reading past the file checksum: %v", err)
 }
 
 // readCRC reads a stored u32 CRC and compares it with want.
@@ -440,9 +459,10 @@ func readCRC(cr *crcReader, what string, want uint32) error {
 // checksums. A reservation never exceeds max(2*verified, eventChunk),
 // so a forged header count buys at most eventChunk events before real
 // data backs it. Until the count is within that bound, the region is a
-// chunk as large as everything verified so far (O(log n) chunks, each
-// copied once); then final is true and the region is the exact count,
-// the decode's one events slice. Every chunk is a multiple of
+// chunk as large as everything verified so far (O(log n) chunks, which
+// the decode holds packed, packed.go); then final is true and the
+// region is the exact count, the decode's one events slice, into which
+// the packed chunks are unpacked. Every chunk is a multiple of
 // eventChunk, itself a whole number of blocks, so no block straddles
 // two regions.
 func eventReservation(verified, count uint64) (n uint64, final bool) {

@@ -5,12 +5,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pas2p/internal/obs"
+	"pas2p/internal/vtime"
 )
 
 // TestDecodeRoundTripAcrossWorkers: a tracefile decodes back to the
@@ -64,21 +68,41 @@ func TestDecodeCorruptionDeterministicAcrossWorkers(t *testing.T) {
 	raw := buf.Bytes()
 	headerEnd := 8 + 24 + len(tr.AppName) + 4
 
+	// Past 2*eventChunk events, the first 2*eventChunk are packed
+	// before the final reservation, on the workers or serially.
+	big := syntheticTrace(2*eventChunk + 1000)
+	buf.Reset()
+	if err := Encode(&buf, big); err != nil {
+		t.Fatal(err)
+	}
+	bigRaw := buf.Bytes()
+	bigEnd := 8 + 24 + len(big.AppName) + 4
+	block := func(k int) int { return bigEnd + k*(blockBytes+4) } // offset of block k
+
 	cases := []struct {
 		name   string
+		raw    []byte
 		mutate func([]byte) []byte
 	}{
-		{"flip-first-block", func(b []byte) []byte { b[headerEnd+10] ^= 0x40; return b }},
-		{"flip-mid-block", func(b []byte) []byte { b[headerEnd+5*(blockBytes+4)+137] ^= 0x01; return b }},
-		{"flip-last-block", func(b []byte) []byte { b[len(b)-20] ^= 0x80; return b }},
+		{"flip-first-block", raw, func(b []byte) []byte { b[headerEnd+10] ^= 0x40; return b }},
+		{"flip-mid-block", raw, func(b []byte) []byte { b[headerEnd+5*(blockBytes+4)+137] ^= 0x01; return b }},
+		{"flip-last-block", raw, func(b []byte) []byte { b[len(b)-20] ^= 0x80; return b }},
 		// Stored block CRC itself damaged.
-		{"flip-block-crc", func(b []byte) []byte { b[headerEnd+3*(blockBytes+4)-2] ^= 0xff; return b }},
-		{"truncate-mid-record", func(b []byte) []byte { return b[:headerEnd+2*(blockBytes+4)+recordSize+17] }},
-		{"truncate-record-boundary", func(b []byte) []byte { return b[:headerEnd+7*(blockBytes+4)+3*recordSize] }},
-		{"truncate-trailer", func(b []byte) []byte { return b[:len(b)-9] }},
+		{"flip-block-crc", raw, func(b []byte) []byte { b[headerEnd+3*(blockBytes+4)-2] ^= 0xff; return b }},
+		{"truncate-mid-record", raw, func(b []byte) []byte { return b[:headerEnd+2*(blockBytes+4)+recordSize+17] }},
+		{"truncate-record-boundary", raw, func(b []byte) []byte { return b[:headerEnd+7*(blockBytes+4)+3*recordSize] }},
+		{"truncate-trailer", raw, func(b []byte) []byte { return b[:len(b)-9] }},
+		// Blocks 0-127 are the first reservation, 128-255 the second,
+		// both packed; block 256 on is decoded into the final slice.
+		{"packed/flip-first-reservation", bigRaw, func(b []byte) []byte { b[block(40)+300] ^= 0x08; return b }},
+		{"packed/flip-second-reservation", bigRaw, func(b []byte) []byte { b[block(200)+5] ^= 0x02; return b }},
+		{"packed/flip-block-crc", bigRaw, func(b []byte) []byte { b[block(131)-1] ^= 0x10; return b }},
+		{"packed/two-flips", bigRaw, func(b []byte) []byte { b[block(250)+9] ^= 0x01; b[block(150)+9] ^= 0x01; return b }},
+		{"packed/truncate", bigRaw, func(b []byte) []byte { return b[:block(190)+recordSize*7+3] }},
+		{"final/flip", bigRaw, func(b []byte) []byte { b[block(257)+77] ^= 0x04; return b }},
 	}
 	for _, c := range cases {
-		data := c.mutate(append([]byte(nil), raw...))
+		data := c.mutate(append([]byte(nil), c.raw...))
 		_, serialErr := decode(bytes.NewReader(data), CodecOptions{}, 1)
 		if serialErr == nil {
 			t.Fatalf("%s: corruption went undetected", c.name)
@@ -212,6 +236,131 @@ func TestTrustedDecodeAllocs(t *testing.T) {
 	// path regressed.
 	if allocs > 20 {
 		t.Fatalf("trusted 600k-event decode did %.0f allocations, want <= 20", allocs)
+	}
+}
+
+// TestDecodeRoundTripPastPackedHalf decodes a trace of more than
+// 2*eventChunk events, so its first two reservations are packed before
+// the final slice, with every field as irregular as a record allows:
+// int64 extremes in the times, sizes and ComputeBefore, assigned
+// logical times, gaps in Number, int32 extremes in Peer and Process,
+// and processes interleaved rather than grouped. Every field must come
+// back exactly on the serial path and on the pool.
+func TestDecodeRoundTripPastPackedHalf(t *testing.T) {
+	const n = 2*eventChunk + 3*blockEvents + 77
+	if _, final := eventReservation(eventChunk, n); final {
+		t.Fatalf("%d events: decoded without a packed reservation", n)
+	}
+	rng := rand.New(rand.NewSource(37))
+	i64 := func() int64 {
+		switch rng.Intn(6) {
+		case 0:
+			return math.MinInt64
+		case 1:
+			return math.MaxInt64
+		case 2:
+			return 0
+		default:
+			return rng.Int63() - rng.Int63()
+		}
+	}
+	i32 := func() int32 {
+		switch rng.Intn(4) {
+		case 0:
+			return math.MinInt32
+		case 1:
+			return math.MaxInt32
+		default:
+			return int32(rng.Uint32())
+		}
+	}
+	evs := make([]Event, n)
+	for i := range evs {
+		e := &evs[i]
+		if i > 0 && rng.Intn(2) == 0 {
+			// A recorded event's step: the same process, the next
+			// number, times a little later. Small differences pack
+			// into a byte or two.
+			*e = evs[i-1]
+			e.Number++
+			e.Enter, e.Exit = e.Exit+vtime.Time(rng.Intn(100)), e.Exit+vtime.Time(rng.Intn(5000))
+			e.LT += int64(rng.Intn(3))
+			continue
+		}
+		*e = Event{
+			Number: int64(i)*1000 + int64(rng.Intn(1000)), Size: i64(),
+			Enter: vtime.Time(i64()), Exit: vtime.Time(i64()), LT: int64(rng.Intn(1 << 30)),
+			RelA: i64(), RelB: i64(), ComputeBefore: vtime.Duration(i64()),
+			Process: i32(), Involved: i32(), Peer: i32(), Tag: i32(),
+			Kind: Kind(rng.Intn(256) - 128), CollOp: int8(rng.Intn(256) - 128),
+		}
+	}
+	tr := &Trace{AppName: "irregular", Procs: 7, AET: math.MaxInt64, Events: evs}
+	var buf bytes.Buffer
+	if err := Encode(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		got, err := decode(bytes.NewReader(buf.Bytes()), CodecOptions{}, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got.AppName != tr.AppName || got.Procs != tr.Procs || got.AET != tr.AET || len(got.Events) != n {
+			t.Fatalf("workers=%d: header %q/%d/%d with %d events", workers, got.AppName, got.Procs, got.AET, len(got.Events))
+		}
+		for i := range evs {
+			if got.Events[i] != evs[i] {
+				t.Fatalf("workers=%d: event %d = %+v, want %+v", workers, i, got.Events[i], evs[i])
+			}
+		}
+	}
+}
+
+// TestPackedRecordBound: an event whose every field is at its minimum
+// after an all-zero start takes the most a packed record can, exactly
+// maxPacked bytes.
+func TestPackedRecordBound(t *testing.T) {
+	e := Event{Number: math.MinInt64, Size: math.MinInt64, Enter: math.MinInt64, Exit: math.MinInt64,
+		LT: math.MinInt64, RelA: math.MinInt64, RelB: math.MinInt64, ComputeBefore: math.MinInt64,
+		Process: math.MinInt32, Involved: math.MinInt32, Peer: math.MinInt32, Tag: math.MinInt32}
+	rec := make([]byte, recordSize)
+	putRecord(rec, &e, 0)
+	if n := len(packRecords(nil, rec, 1)); n != maxPacked {
+		t.Fatalf("minimal event packed into %d bytes, want maxPacked = %d", n, maxPacked)
+	}
+}
+
+// TestDecodeTotalAlloc pins what a large decode allocates in all: its
+// events slice and little more. The blocks that verify before the
+// final reservation are held packed, not as Event chunks copied into
+// the slice, so a 600k-event decode allocates at most 1.25 times its
+// events slice (1.17 measured; with Event chunks, 1.88), on the serial
+// path and on a pool whose block buffers an earlier decode has made.
+func TestDecodeTotalAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation totals are not stable under the race detector")
+	}
+	tr := syntheticTrace(600_000)
+	var buf bytes.Buffer
+	if err := Encode(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	for _, workers := range []int{1, 2} {
+		if _, err := decode(bytes.NewReader(data), CodecOptions{}, workers); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := decode(bytes.NewReader(data), CodecOptions{}, workers)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slice := float64(cap(got.Events)) * float64(unsafe.Sizeof(Event{}))
+		if ratio := float64(after.TotalAlloc-before.TotalAlloc) / slice; ratio > 1.25 {
+			t.Errorf("workers=%d: 600k-event decode allocated %.2f times its events slice, want <= 1.25", workers, ratio)
+		}
 	}
 }
 

@@ -397,3 +397,48 @@ func FuzzRecordingRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPackRoundTrip packs a pair of arbitrary events, every field at
+// any value, as a decode packs the blocks that verify before its final
+// reservation: unpacking must give both back exactly, and each may
+// take at most maxPacked bytes.
+func FuzzPackRoundTrip(f *testing.F) {
+	lo := Event{Number: math.MinInt64, Size: math.MinInt64, Enter: math.MinInt64, Exit: math.MinInt64,
+		LT: math.MinInt64, RelA: math.MinInt64, RelB: math.MinInt64, ComputeBefore: math.MinInt64,
+		Process: math.MinInt32, Involved: math.MinInt32, Peer: math.MinInt32, Tag: math.MinInt32,
+		Kind: -128, CollOp: -128}
+	hi := Event{Number: math.MaxInt64, Size: math.MaxInt64, Enter: math.MaxInt64, Exit: math.MaxInt64,
+		LT: math.MaxInt64, RelA: math.MaxInt64, RelB: math.MaxInt64, ComputeBefore: math.MaxInt64,
+		Process: math.MaxInt32, Involved: math.MaxInt32, Peer: math.MaxInt32, Tag: math.MaxInt32,
+		Kind: 127, CollOp: 127}
+	record := func(e Event) []byte {
+		b := make([]byte, recordSize)
+		putRecord(b, &e, 0)
+		return b
+	}
+	f.Add([]byte{}, []byte{})
+	f.Add(record(lo), record(hi))
+	f.Add(record(hi), record(lo))
+	f.Add(record(Event{Number: 7, Enter: 1000, Exit: 1500, LT: NoLT, Peer: -1, CollOp: -1}), record(lo))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var want, got [2]Event
+		recs := make([]byte, 2*recordSize)
+		for i, src := range [][]byte{a, b} {
+			r := recs[i*recordSize : (i+1)*recordSize]
+			copy(r, src)
+			getRecord(r, &want[i])
+		}
+		packed := packRecords(nil, recs[:recordSize], 1)
+		if len(packed) > maxPacked {
+			t.Fatalf("first event packed into %d bytes, past maxPacked %d", len(packed), maxPacked)
+		}
+		packed = packRecords(nil, recs, 2)
+		if len(packed) > 2*maxPacked {
+			t.Fatalf("pair packed into %d bytes, past 2*maxPacked", len(packed))
+		}
+		unpackRecords(packed, got[:])
+		if got != want {
+			t.Fatalf("pack round trip:\n got  %+v\n want %+v", got, want)
+		}
+	})
+}

@@ -15,11 +15,12 @@ package trace
 //
 // Integrity model: rank-stream mode verifies the header checksum (done
 // by NewBlockReader before RankStreams is reachable), every block's
-// CRC32C as the block is first touched by a cursor, and the trailer
-// magic at its computed offset. The whole-file CRC is NOT verified —
-// it is an accumulation over the serial byte order, which a random-
-// access reader by construction does not follow. Callers needing the
-// full serial guarantee run VerifyStream first (repo fsck does).
+// CRC32C as the block is first touched by a cursor, the trailer magic
+// at its computed offset, and that the file ends after the 4-byte
+// whole-file CRC that follows it. That CRC is NOT verified — it is an
+// accumulation over the serial byte order, which a random-access
+// reader by construction does not follow. Callers needing the full
+// serial guarantee run VerifyStream first (repo fsck does).
 // Bound-probe reads are positioning only; every record a cursor yields
 // comes out of a CRC-verified block, and each record's Process field
 // is checked against its section, so a file that is not proc-grouped
@@ -119,6 +120,14 @@ func newRankStreams(ra io.ReaderAt, meta Meta, bodyOff int64, reg *obs.Registry)
 	}
 	if tm != trailer {
 		return nil, corruptf(trailerOff, "bad trailer %q", tm[:])
+	}
+	var probe [1]byte
+	n, err := ra.ReadAt(probe[:], trailerOff+12)
+	if n > 0 {
+		err = nil // a byte past the file checksum
+	}
+	if err := atEnd(err, trailerOff+12); err != nil {
+		return nil, err
 	}
 	if err := rs.findBounds(); err != nil {
 		return nil, err
@@ -248,7 +257,7 @@ func (c *rankCursor) loadBlock(b int64) error {
 	if _, err := c.rs.ra.ReadAt(buf, ext.off); err != nil {
 		return corruptf(ext.off, "rank stream: reading event block %d-%d: %v", start, end-1, err)
 	}
-	if err := verifyAndDecodeBlock(buf, ext, nil, nil); err != nil {
+	if err := verifyBlock(buf, ext, nil); err != nil {
 		return err
 	}
 	if c.rs.blocks != nil {

@@ -3,6 +3,9 @@ package pas2p_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"pas2p"
@@ -59,5 +62,59 @@ func TestDuplicateReceiveStallsEveryEntrypoint(t *testing.T) {
 	if analyzeErr.Error() != orderErr.Error() || streamErr.Error() != orderErr.Error() {
 		t.Fatalf("stall errors diverge:\n  OrderLogical:  %v\n  Analyze:       %v\n  AnalyzeStream: %v",
 			orderErr, analyzeErr, streamErr)
+	}
+}
+
+// TestTracefileEndsAtFileCRC: a cg/8 tracefile with 8 junk bytes after
+// its file checksum is refused by every reader — Decode, VerifyStream
+// (which repo fsck runs) and the rank streams the in-place analysis
+// reads — with a corruption error at the first junk byte, while the
+// exact file passes all three.
+func TestTracefileEndsAtFileCRC(t *testing.T) {
+	app, err := pas2p.MakeApp("cg", 8, "classA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := pas2p.NewDeployment(pas2p.ClusterA(), 8, pas2p.MapBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := pas2p.RunApp(app, pas2p.RunConfig{Deployment: d, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := pas2p.EncodeTrace(&buf, rr.Trace, pas2p.TraceCodecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	exact := buf.Bytes()
+	readers := map[string]func([]byte) error{
+		"Decode": func(b []byte) error {
+			_, err := trace.Decode(bytes.NewReader(b))
+			return err
+		},
+		"VerifyStream": func(b []byte) error {
+			_, err := trace.VerifyStream(bytes.NewReader(b))
+			return err
+		},
+		"RankStreams": func(b []byte) error {
+			br, err := trace.NewBlockReader(bytes.NewReader(b))
+			if err != nil {
+				return err
+			}
+			_, err = br.RankStreams()
+			return err
+		},
+	}
+	junk := append(bytes.Clone(exact), "trailing"...)
+	at := fmt.Sprintf("(at byte offset %d)", len(exact))
+	for name, read := range readers {
+		if err := read(exact); err != nil {
+			t.Errorf("%s: exact file refused: %v", name, err)
+		}
+		err := read(junk)
+		if !errors.Is(err, trace.ErrCorrupt) || !strings.Contains(err.Error(), at) {
+			t.Errorf("%s: file with 8 bytes past its checksum: err = %v, want a corruption error %s", name, err, at)
+		}
 	}
 }
