@@ -44,8 +44,9 @@ race:
 # stage-A input: the logical order over ring traces at 32 and 128
 # ranks and over lu classA at 128 ranks (a wavefront with sparse
 # ticks), in memory and from the rank streams of its v2 bytes; a
-# traced run's recording, packed into fresh recorders, assembled into
-# a trace and drained in place through its streams; writing it (the ID merge); and decoding a
+# traced run's recording, packed into a fresh recording, and fresh
+# recordings assembled into a trace or drained, each read once;
+# writing the trace (the ID merge); and decoding a
 # tracefile of 10k and of 1M events back into a trace. Last, the
 # per-operation cost of a traced 128-rank run: one SendrecvN and one
 # Allreduce on every rank, with their allocations.

@@ -35,6 +35,8 @@ func TestRejectBadArgs(t *testing.T) {
 		{"analyze/trailing", cmdAnalyze, []string{"-trace", "f", "junk"}, "unexpected argument"},
 		{"analyze/bad-faults", cmdAnalyze, []string{"-trace", "f", "-faults", "bogus=1"}, "unknown key"},
 		{"inspect/unknown-flag", cmdInspect, []string{"-bogus"}, "not defined"},
+		{"inspect/negative-offset", cmdInspect, []string{"-trace", "f", "-proc", "0", "-offset=-3"}, "-offset -3 is negative"},
+		{"inspect/negative-n", cmdInspect, []string{"-trace", "f", "-proc", "0", "-n=-1"}, "-n -1 is negative"},
 		{"render/unknown-flag", cmdRender, []string{"-bogus"}, "not defined"},
 		{"aet/unknown-flag", cmdAET, []string{"-nope"}, "not defined"},
 		{"predict/trailing", cmdPredict, []string{"-app", "cg", "zzz"}, "unexpected argument"},

@@ -287,10 +287,12 @@ func parseBytes(s string) (int64, error) {
 		}
 	}
 	n, err := strconv.ParseFloat(s, 64)
-	if err != nil || n < 0 {
+	n *= float64(mult)
+	// The negated test also refuses NaN; int64 holds no size from 2^63.
+	if err != nil || !(n >= 0 && n < 1<<63) {
 		return 0, fmt.Errorf("invalid byte size %q", orig)
 	}
-	return int64(n * float64(mult)), nil
+	return int64(n), nil
 }
 
 func cmdAET(args []string) error {

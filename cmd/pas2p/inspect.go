@@ -31,6 +31,12 @@ func cmdInspect(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("inspect: -trace is required")
 	}
+	if *offset < 0 {
+		return fmt.Errorf("inspect: -offset %d is negative", *offset)
+	}
+	if *limit < 0 {
+		return fmt.Errorf("inspect: -n %d is negative", *limit)
+	}
 	f, err := os.Open(*in)
 	if err != nil {
 		return err

@@ -89,6 +89,7 @@ func TestParseBytes(t *testing.T) {
 		{"512B", 512},
 		{" 16 MiB ", 16 << 20},
 		{"1.5KiB", 1536},
+		{"9.2e18", 9_200_000_000_000_000_000},
 	}
 	for _, tc := range cases {
 		got, err := parseBytes(tc.in)
@@ -100,7 +101,7 @@ func TestParseBytes(t *testing.T) {
 			t.Errorf("parseBytes(%q) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
-	for _, bad := range []string{"", "-1", "wat", "1XiB", "KiB"} {
+	for _, bad := range []string{"", "-1", "wat", "1XiB", "KiB", "NaN", "Inf", "-Inf", "1e30GiB", "9.3e18", "9223372036854775808"} {
 		if _, err := parseBytes(bad); err == nil {
 			t.Errorf("parseBytes(%q): want error, got nil", bad)
 		}

@@ -28,6 +28,18 @@ var smallWorkload = map[string]string{
 
 func runTraced(t testing.TB, name string, procs int, workload string) (*mpi.RunResult, mpi.App) {
 	t.Helper()
+	run, app := startTraced(t, name, procs, workload)
+	res, err := run.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, app
+}
+
+// startTraced starts a traced run of the app on cluster A, whose
+// recording a reader may drain while the ranks record it.
+func startTraced(t testing.TB, name string, procs int, workload string) (*mpi.Running, mpi.App) {
+	t.Helper()
 	app, err := Make(name, procs, workload)
 	if err != nil {
 		t.Fatal(err)
@@ -36,11 +48,11 @@ func runTraced(t testing.TB, name string, procs int, workload string) (*mpi.RunR
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mpi.Run(app, mpi.RunConfig{Deployment: d, Trace: true})
+	run, err := mpi.Start(app, mpi.RunConfig{Deployment: d, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, app
+	return run, app
 }
 
 func TestRegistryComplete(t *testing.T) {

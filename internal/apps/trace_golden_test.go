@@ -89,7 +89,7 @@ func TestAppTraceGolden(t *testing.T) {
 // against NewTrace over copies of the same per-process streams, every
 // field included (the golden digest above leaves Number, LT and
 // ComputeBefore out): the trace it assembles, and each process stream
-// as Streams reads it in place, twice over, with Count and Meta.
+// of a second run's recording as Drain reads it, once, with Meta.
 func TestRecordedTraceMatchesNewTrace(t *testing.T) {
 	for _, name := range Names() {
 		for _, procs := range []int{8, 16} {
@@ -111,19 +111,15 @@ func TestRecordedTraceMatchesNewTrace(t *testing.T) {
 			if rec.Meta() != rebuilt.Meta() {
 				t.Errorf("%s/%d: recording Meta %+v, NewTrace's %+v", name, procs, rec.Meta(), rebuilt.Meta())
 			}
-			for pass := 0; pass < 2; pass++ {
-				src := rec.Streams()
-				if src.Meta() != rebuilt.Meta() {
-					t.Errorf("%s/%d: Streams Meta %+v, NewTrace's %+v", name, procs, src.Meta(), rebuilt.Meta())
-				}
-				for p, want := range streams {
-					if got := src.Count(p); got != uint64(len(want)) {
-						t.Errorf("%s/%d pass %d: Count(%d) = %d, want %d", name, procs, pass, p, got, len(want))
-					}
-					if got := drainStream(t, src, p); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s/%d pass %d: process %d streams %d events differing from NewTrace's %d",
-							name, procs, pass, p, len(got), len(want))
-					}
+			again, _ := runTraced(t, name, procs, smallWorkload[name])
+			src := again.Recording.Drain()
+			if src.Meta() != rebuilt.Meta() {
+				t.Errorf("%s/%d: Drain Meta %+v, NewTrace's %+v", name, procs, src.Meta(), rebuilt.Meta())
+			}
+			for p, want := range streams {
+				if got := drainStream(t, src, p); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%d: process %d drains %d events differing from NewTrace's %d",
+						name, procs, p, len(got), len(want))
 				}
 			}
 		}
@@ -148,7 +144,8 @@ func drainStream(t *testing.T, src logical.EventSource, p int) []trace.Event {
 }
 
 // TestRecordingAnalysisMatchesTrace holds stage A over a traced run's
-// recording, read in place, to stage A over the trace it assembles,
+// recording, drained while the ranks record it as predict.Sign drains
+// it, to stage A over the trace a second run's recording assembles,
 // for every app: the same analysis and the same table.
 func TestRecordingAnalysisMatchesTrace(t *testing.T) {
 	for _, name := range Names() {
@@ -158,16 +155,24 @@ func TestRecordingAnalysisMatchesTrace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := phase.Analyze(context.Background(), res.Recording.Streams(), cfg, 1, nil)
+		run, _ := startTraced(t, name, 8, smallWorkload[name])
+		src := run.Recording.Drain()
+		got, err := phase.Analyze(context.Background(), src, cfg, 1, nil)
+		if err != nil {
+			src.Stop()
+		}
+		if _, werr := run.Wait(); werr != nil {
+			t.Fatalf("%s: %v", name, werr)
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		an, tb, wantAn, wantTb := got.Analysis, got.Table, want.Analysis, want.Table
 		if !reflect.DeepEqual(an, wantAn) {
-			t.Errorf("%s: analysis of the recording differs from the assembled trace's", name)
+			t.Errorf("%s: analysis of the drained recording differs from the assembled trace's", name)
 		}
 		if !reflect.DeepEqual(tb, wantTb) {
-			t.Errorf("%s: table of the recording differs from the assembled trace's:\n got %+v\nwant %+v", name, tb, wantTb)
+			t.Errorf("%s: table of the drained recording differs from the assembled trace's:\n got %+v\nwant %+v", name, tb, wantTb)
 		}
 	}
 }

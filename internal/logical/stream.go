@@ -13,8 +13,8 @@ package logical
 // events:
 //
 //   - events are pulled lazily from an EventSource (trace.RankStreams
-//     over a v2 file, trace.RecordingStreams over a traced run's
-//     recording, trace.RecordingDrain over a run still recording, or
+//     over a v2 file, trace.RecordingDrain over a traced run's
+//     recording, while the run records it or after, or
 //     SourceFromTrace), which need not know its event count before
 //     its streams end; each queue pop assigns
 //     one process a run of events, until a receive whose send is not
@@ -81,8 +81,7 @@ func noOrderf(format string, args ...any) error {
 // EventSource feeds per-process event streams to StreamOrder. Process
 // streams must be in per-process program order (what PerProcess or a
 // rank cursor yields). trace.RankStreams implements it over a v2
-// tracefile, trace.RecordingStreams over a traced run's recording and
-// trace.RecordingDrain over a run still recording it.
+// tracefile and trace.RecordingDrain over a traced run's recording.
 type EventSource interface {
 	// Meta returns the source's header. Its process count is read
 	// first; its event count and AET only once every stream has

@@ -86,9 +86,9 @@ type RunResult struct {
 	// uninstrumented, the AETPAS2P when traced).
 	Elapsed vtime.Duration
 	// Recording holds every rank's recorded events, where they were
-	// recorded (nil unless RunConfig.Trace). It is closed; unless
-	// it was drained while the run went on (Start), stage A reads its
-	// Streams and a tracefile writer assembles its Trace.
+	// recorded (nil unless RunConfig.Trace). It is closed and is read
+	// once: unless it was drained while the run went on (Start),
+	// stage A drains it or a tracefile writer assembles its Trace.
 	Recording *trace.Recording
 	// Stats are the simulator's traffic counters.
 	Stats sim.Result

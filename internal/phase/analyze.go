@@ -7,8 +7,8 @@ import (
 )
 
 // Analyze runs PAS2P stage A over any event source (a traced run's
-// Recording.Streams, or its Recording.Drain while the run records it;
-// a v2 tracefile's BlockReader.RankStreams read in place;
+// Recording.Drain, while the run records it or after; a v2
+// tracefile's BlockReader.RankStreams read in place;
 // logical.SourceFromTrace over a decoded trace): it orders the events
 // logically (§3.2), extracts the phases (§3.3) and builds the phase
 // table, with warmOccurrence as in BuildTable. The table takes the

@@ -104,8 +104,9 @@ func TestAnalyzeTraceMatchesStaged(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				tr := res.Recording.Trace()
 				for _, warm := range []int{0, 1, 2, 50} {
-					assertAnalyzeMatchesStaged(t, fmt.Sprintf("%s/%d/warm%d", name, procs, warm), res.Recording.Trace(), warm)
+					assertAnalyzeMatchesStaged(t, fmt.Sprintf("%s/%d/warm%d", name, procs, warm), tr, warm)
 				}
 			}
 		})

@@ -90,10 +90,11 @@ func TestGoldenIndexedMatchesSeed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			tr := res.Recording.Trace()
 			for ord, order := range map[string]func(*trace.Trace) (*logical.Logical, error){
 				"pas2p": logical.Order, "lamport": logical.OrderLamport,
 			} {
-				l, err := order(res.Recording.Trace())
+				l, err := order(tr)
 				if err != nil {
 					t.Fatalf("%s ordering: %v", ord, err)
 				}

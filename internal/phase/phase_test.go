@@ -368,19 +368,22 @@ func TestValidateCatchesOverlap(t *testing.T) {
 // `pas2p analyze -explain` prints: on a small iterative run the scan
 // must report the step 4b split of the init segment, the step 4a
 // period closes, the step 5 folds, the step 6 restarts and the
-// trailing window, line for line, whether Analyze reads the run's
-// recording or the rank streams of its v2 tracefile.
+// trailing window, line for line, whether Analyze drains a run's
+// recording or reads the rank streams of a second run's v2 tracefile.
 func TestAnalyzeTraceWithLogNarration(t *testing.T) {
 	d, err := machine.NewDeployment(machine.ClusterA(), 2, machine.MapBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mpi.Run(mpi.App{Name: "t", Procs: 2, Body: iterativeBody(4)}, mpi.RunConfig{Deployment: d, Trace: true})
-	if err != nil {
-		t.Fatal(err)
+	run := func() *trace.Recording {
+		res, err := mpi.Run(mpi.App{Name: "t", Procs: 2, Body: iterativeBody(4)}, mpi.RunConfig{Deployment: d, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Recording
 	}
 	var buf bytes.Buffer
-	if err := trace.Encode(&buf, res.Recording.Trace()); err != nil {
+	if err := trace.Encode(&buf, run().Trace()); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "t.pas2p")
@@ -413,7 +416,7 @@ func TestAnalyzeTraceWithLogNarration(t *testing.T) {
 		"tick 12: new startpoint (step 6)",
 		"  window [12,15) similar to phase 2 -> weight 4 (step 5)",
 	}
-	for label, src := range map[string]logical.EventSource{"recording": res.Recording.Streams(), "v2 file": rs} {
+	for label, src := range map[string]logical.EventSource{"recording": run().Drain(), "v2 file": rs} {
 		var got []string
 		logf := func(format string, args ...any) { got = append(got, fmt.Sprintf(format, args...)) }
 		if _, err := Analyze(context.Background(), src, StreamConfig{Config: DefaultConfig()}, 1, logf); err != nil {

@@ -119,8 +119,9 @@ func TestStreamExtractGoldenApps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			tr := res.Recording.Trace()
 			for _, warm := range []int{0, 2, 50} {
-				assertStreamMatchesInCore(t, fmt.Sprintf("%s/warm%d", name, warm), res.Recording.Trace(), warm)
+				assertStreamMatchesInCore(t, fmt.Sprintf("%s/warm%d", name, warm), tr, warm)
 			}
 		})
 	}

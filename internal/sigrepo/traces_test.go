@@ -22,22 +22,18 @@ import (
 func synthTrace(t *testing.T, app string, procs, events int) *trace.Trace {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(procs)*1e6 + int64(events)))
-	recs := make([]*trace.Recorder, procs)
-	for p := range recs {
-		recs[p] = trace.NewRecorder(p)
+	rec := trace.StartRecording(app, procs)
+	for p := range procs {
 		var tp vtime.Time
 		for i := 0; i < events; i++ {
 			tp += vtime.Time(rng.Intn(900) + 1)
-			recs[p].Record(&trace.Event{
+			rec.Recorder(p).Record(&trace.Event{
 				Kind: trace.Collective, Involved: int32(procs), CollOp: 1, Peer: -1,
 				Size: int64(rng.Intn(4096)), Enter: tp, Exit: tp + vtime.Time(rng.Intn(90)),
 			})
 		}
 	}
-	rec, err := trace.NewRecording(app, recs, vtime.Duration(rng.Intn(1e9)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec.Close(vtime.Duration(rng.Intn(1e9)))
 	return rec.Trace()
 }
 

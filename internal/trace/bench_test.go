@@ -32,71 +32,69 @@ func syntheticTrace(events int) *Trace {
 	return tr
 }
 
-// benchRecorders records 128 ranks of 1000 ring sends each, the width
-// perfbench's predict workload traces at.
-func benchRecorders() []*Recorder {
-	recs := make([]*Recorder, 128)
-	for p := range recs {
-		recs[p] = NewRecorder(p)
+// benchRecording records 128 ranks of 1000 ring sends each, the width
+// perfbench's predict workload traces at, and closes the recording.
+func benchRecording() *Recording {
+	rec := StartRecording("bench", 128)
+	for p := range 128 {
 		var tphys vtime.Time
 		for i := 0; i < 1000; i++ {
 			tphys += vtime.Time(1000 + (p*7+i*13)%97)
-			recs[p].Record(&Event{Kind: Send, Involved: 2, CollOp: -1, Peer: int32((p + 1) % 128),
+			rec.Recorder(p).Record(&Event{Kind: Send, Involved: 2, CollOp: -1, Peer: int32((p + 1) % 128),
 				Size: 4096, Enter: tphys, Exit: tphys + 500, RelA: int64(p), RelB: int64(i)})
 		}
 	}
-	return recs
+	rec.Close(0)
+	return rec
 }
 
 // benchTrace keeps BenchmarkRecording's assembled traces reachable.
 var benchTrace *Trace
 
 // BenchmarkRecording measures a traced run's recording, 128 ranks of
-// 1000 events each: Record, which packs every event into 128 fresh
-// recorders (reporting the packed and the chunk bytes per event); and
-// the two ways out of it, Trace, which assembles the contiguous trace a
-// tracefile writer needs (every event rebuilt once), and Streams, which
-// stage A reads, each stream drained in place.
+// 1000 events each: Record, which packs every event into a fresh
+// recording (reporting the packed and the chunk bytes per event); and
+// the two ways out of it, each reading a fresh recording once: Trace,
+// which assembles the contiguous trace a tracefile writer needs, and
+// Drain, which stage A reads, every stream to its end.
 func BenchmarkRecording(b *testing.B) {
 	b.Run("Record", func(b *testing.B) {
 		b.ReportAllocs()
-		var recs []*Recorder
+		var rec *Recording
 		for i := 0; i < b.N; i++ {
-			recs = benchRecorders()
+			rec = benchRecording()
 		}
 		packed := 0
-		for _, r := range recs {
-			for _, c := range r.chunks() {
+		for _, chunks := range rec.queued {
+			for _, c := range chunks {
 				packed += len(c)
 			}
-		}
-		rec, err := NewRecording("bench", recs, 0)
-		if err != nil {
-			b.Fatal(err)
 		}
 		b.ReportMetric(float64(packed)/(128*1000), "bytes/event")
 		b.ReportMetric(float64(rec.ChunkBytes())/(128*1000), "chunk-bytes/event")
 		b.ReportMetric(128*1000, "events")
 	})
-	rec, err := NewRecording("bench", benchRecorders(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.Run("Trace", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			rec := benchRecording()
+			b.StartTimer()
 			benchTrace = rec.Trace()
 		}
 		b.ReportMetric(128*1000, "events")
 	})
-	b.Run("Streams", func(b *testing.B) {
+	b.Run("Drain", func(b *testing.B) {
 		b.ReportAllocs()
 		var e Event
 		for i := 0; i < b.N; i++ {
-			s := rec.Streams()
+			b.StopTimer()
+			rec := benchRecording()
+			b.StartTimer()
+			d := rec.Drain()
 			for p := 0; p < 128; p++ {
 				for {
-					ok, err := s.NextEvent(p, &e)
+					ok, err := d.NextEvent(p, &e)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -113,11 +111,7 @@ func BenchmarkRecording(b *testing.B) {
 // BenchmarkEncodeRanks measures writing the 128-rank recorded trace,
 // whose ID column takes the P-way occurrence merge.
 func BenchmarkEncodeRanks(b *testing.B) {
-	rec, err := NewRecording("bench", benchRecorders(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := rec.Trace()
+	tr := benchRecording().Trace()
 	b.ReportAllocs()
 	b.SetBytes(EncodedSize(tr.Meta()))
 	b.ResetTimer()

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -110,18 +111,7 @@ const eventChunk = 1 << 16
 // itself is NOT verified here — only a full Decode or VerifyStream
 // proves the bytes match it.
 func FileCRC(data []byte) (uint32, bool) {
-	// magic + trailer magic + fileCRC is the absolute minimum length.
-	if len(data) < len(magicV2)+len(trailer)+4 {
-		return 0, false
-	}
-	if string(data[:len(magicV2)]) != string(magicV2[:]) {
-		return 0, false
-	}
-	tm := data[len(data)-12 : len(data)-4]
-	if string(tm) != string(trailer[:]) {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint32(data[len(data)-4:]), true
+	return FileCRCAt(bytes.NewReader(data), int64(len(data)))
 }
 
 // FileCRCAt is FileCRC for a random-access source of known size (a

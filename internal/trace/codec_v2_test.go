@@ -231,3 +231,34 @@ func TestEncodeOutputPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestFileCRC reads the declared file CRC of a v2 tracefile from its
+// trailer, and refuses what is not one: too short to hold magic and
+// trailer, a retired or foreign magic, a cut or damaged trailer.
+func TestFileCRC(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, fuzzTrace(t, 5, 2, 8)); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	crc, ok := FileCRC(data)
+	if want := binary.LittleEndian.Uint32(data[len(data)-4:]); !ok || crc != want {
+		t.Fatalf("FileCRC = %#x, %v; want %#x, true", crc, ok, want)
+	}
+	flip := func(i int) []byte {
+		b := append([]byte(nil), data...)
+		b[i] ^= 1
+		return b
+	}
+	for name, bad := range map[string][]byte{
+		"empty":         nil,
+		"magic only":    data[:len(magicV2)+len(trailer)+3],
+		"magic":         flip(0),
+		"trailer magic": flip(len(data) - 12),
+		"cut":           data[:len(data)-1],
+	} {
+		if _, ok := FileCRC(bad); ok {
+			t.Errorf("%s: FileCRC accepted it", name)
+		}
+	}
+}

@@ -84,12 +84,40 @@ func TestRecordingDrainLive(t *testing.T) {
 	if peak, made, reused := rec.HeldStats(); peak == 0 || made == 0 {
 		t.Fatalf("held %d bytes at most, %d chunks made, %d reused", peak, made, reused)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Streams of a drained recording did not panic")
-		}
-	}()
-	rec.Streams()
+}
+
+// TestRecordingReadOnce: a recording has one reader, so a second read,
+// by Trace or Drain, panics, and so does Trace on a recording still
+// open, whose streams are not all written yet.
+func TestRecordingReadOnce(t *testing.T) {
+	closed := func() *Recording {
+		rec := StartRecording("once", 2)
+		rec.Recorder(1).Record(&Event{Kind: Collective, Enter: 1, Exit: 2})
+		rec.Close(5)
+		return rec
+	}
+	for _, tc := range []struct {
+		name        string
+		rec         func() *Recording
+		first, then func(*Recording)
+	}{
+		{"Trace after Trace", closed, func(r *Recording) { r.Trace() }, func(r *Recording) { r.Trace() }},
+		{"Trace after Drain", closed, func(r *Recording) { r.Drain() }, func(r *Recording) { r.Trace() }},
+		{"Drain after Trace", closed, func(r *Recording) { r.Trace() }, func(r *Recording) { r.Drain() }},
+		{"Trace while open", func() *Recording { return StartRecording("open", 2) },
+			func(*Recording) {}, func(r *Recording) { r.Trace() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := tc.rec()
+			tc.first(rec)
+			defer func() {
+				if recover() == nil {
+					t.Error("did not panic")
+				}
+			}()
+			tc.then(rec)
+		})
+	}
 }
 
 // TestRecordingDrainStop: once the reader stops, what the run records

@@ -1,10 +1,16 @@
 package trace
 
-// ChunkBytes returns what the recording's chunks reserve: the memory a
-// traced run's events take while its recording lives.
+// ChunkBytes returns what the chunks of a closed recording that nobody
+// has read reserve: the memory a traced run's events take while its
+// recording lives.
 func (r *Recording) ChunkBytes() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.closed || r.drained {
+		panic("trace: ChunkBytes of a recording that is open or read")
+	}
 	n := 0
-	for _, chunks := range r.kept() {
+	for _, chunks := range r.queued {
 		for _, c := range chunks {
 			n += cap(c)
 		}

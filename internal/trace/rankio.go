@@ -77,8 +77,8 @@ const procFieldOff = 8
 
 // RankStreams is a per-process random-access view over a v2 tracefile.
 // Obtain one from BlockReader.RankStreams. It implements the event-
-// source contract the streaming logical order consumes: Meta, Count
-// and NextEvent.
+// source contract the streaming logical order consumes: Meta and
+// NextEvent.
 type RankStreams struct {
 	ra      io.ReaderAt
 	meta    Meta
@@ -179,9 +179,6 @@ func (rs *RankStreams) findBounds() error {
 
 // Meta returns the tracefile's header.
 func (rs *RankStreams) Meta() Meta { return rs.meta }
-
-// Count returns how many events process p owns.
-func (rs *RankStreams) Count(p int) uint64 { return rs.bounds[p+1] - rs.bounds[p] }
 
 // NextEvent copies process p's next event into dst and advances its
 // cursor; it returns false with a nil error when the stream is done.

@@ -16,22 +16,21 @@ import (
 // with block boundaries (including empty sections).
 func unevenTrace(t *testing.T, counts []int) *Trace {
 	t.Helper()
-	streams := make([][]Event, len(counts))
+	rec := StartRecording("uneven", len(counts))
 	for p, n := range counts {
-		rec := NewRecorder(p)
 		var tphys vtime.Time
 		for i := 0; i < n; i++ {
 			tphys += vtime.Time(100 + i%37)
-			rec.Record(&Event{
+			rec.Recorder(p).Record(&Event{
 				Kind: Collective, Involved: int32(len(counts)), CollOp: 1,
 				Peer: -1, Tag: 0, Size: int64(64 + i%128),
 				Enter: tphys, Exit: tphys + 50,
 				RelA: 0, RelB: int64(i),
 			})
 		}
-		streams[p] = recorded(rec)
 	}
-	tr, err := NewTrace("uneven", len(counts), streams, 12345)
+	rec.Close(0)
+	tr, err := NewTrace("uneven", len(counts), drained(rec), 12345)
 	if err != nil {
 		t.Fatalf("building uneven trace: %v", err)
 	}
@@ -74,9 +73,6 @@ func TestRankStreamsMatchPerProcess(t *testing.T) {
 		rs, _ := rankStreamsFor(t, tr)
 		per := tr.PerProcess()
 		for p := 0; p < tr.Procs; p++ {
-			if got := rs.Count(p); got != uint64(len(per[p])) {
-				t.Fatalf("counts %v: Count(%d) = %d, want %d", counts, p, got, len(per[p]))
-			}
 			var got []Event
 			var e Event
 			for {
@@ -118,11 +114,8 @@ func TestRankStreamsFuzzTraces(t *testing.T) {
 		per := tr.PerProcess()
 		for p := 0; p < tr.Procs; p++ {
 			c := rs.cursor(p)
-			if got := rs.Count(p); got != uint64(len(per[p])) {
-				t.Fatalf("shape %+v: proc %d Count = %d, want %d", s, p, got, len(per[p]))
-			}
+			var e Event
 			for i := range per[p] {
-				var e Event
 				ok, err := c.Next(&e)
 				if err != nil || !ok {
 					t.Fatalf("shape %+v proc %d event %d: ok=%v err=%v", s, p, i, ok, err)
@@ -130,6 +123,9 @@ func TestRankStreamsFuzzTraces(t *testing.T) {
 				if e != per[p][i] {
 					t.Fatalf("shape %+v proc %d event %d diverges", s, p, i)
 				}
+			}
+			if ok, err := c.Next(&e); ok || err != nil {
+				t.Fatalf("shape %+v proc %d: streams past its %d events (%v)", s, p, len(per[p]), err)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,15 +17,14 @@ import (
 // and stage A reads it there. A short stream does not pay for a
 // full-size chunk.
 //
-// A recorder of a live recording (StartRecording) publishes each
-// chunk it fills to the recording, where a Drain reader may read it
-// while the run goes on and give it back for reuse. It also seals a
-// chunk a quarter full or more early, once the reader waits on its
-// process, so the reader does not stall on the rest of the chunk
-// while the other processes record on. The cap bounds what such a
-// recording holds: what the reader has not read yet is mostly a chunk
-// or two a process, the one it reads and those sealed behind it, so a
-// smaller cap holds less. Replaying the order the merge pulls events
+// A recorder publishes each chunk it fills to its recording, where a
+// Drain reader may read it while the run goes on and give it back for
+// reuse. It also seals a chunk a quarter full or more early, once the
+// reader waits on its process, so the reader does not stall on the
+// rest of the chunk while the other processes record on. The cap
+// bounds what a recording holds: what the reader has not read yet is
+// mostly a chunk or two a process, the one it reads and those sealed
+// behind it, so a smaller cap holds less. Replaying the order the merge pulls events
 // in against the order lu classD at 128 ranks records them, the bytes
 // held peaked at 12.5 MB with a 32 KiB cap, 3.1 MB at 8 KiB and 1.9 MB
 // at 4 KiB, of 27.5 MB recorded (DESIGN §5j).
@@ -62,29 +60,22 @@ const maxRecord = 2 + 6*binary.MaxVarintLen64 + 2*binary.MaxVarintLen32
 
 // Recorder accumulates the event stream of a single process during an
 // instrumented run. One Recorder belongs to one rank goroutine, so
-// recording needs no lock; only handing a filled chunk to a live
+// recording needs no lock; only handing a filled chunk to the
 // recording takes the recording's.
 type Recorder struct {
 	proc     int32
-	out      *Recording // the live recording it publishes to; nil keeps full
-	full     [][]byte   // filled chunks, in recording order (out == nil)
+	out      *Recording // the recording it publishes to; nil once ended
 	cur      []byte     // the chunk being filled
 	n        int
 	sends    int64
 	lastExit vtime.Time
 }
 
-// NewRecorder creates a recorder for one process that keeps its own
-// chunks until NewRecording takes them over.
-func NewRecorder(proc int) *Recorder {
-	return &Recorder{proc: int32(proc)}
-}
-
 // Record packs *e, written once, straight into the current chunk; *e
 // itself is not modified. The caller fills the communication fields
 // and physical times; the recorder derives Process, Number, LT and
-// ComputeBefore, as the rebuilt Event shows them. A live recorder
-// never waits for the reader.
+// ComputeBefore, as the rebuilt Event shows them. A recorder never
+// waits for the reader.
 func (r *Recorder) Record(e *Event) {
 	if cap(r.cur)-len(r.cur) < maxRecord {
 		r.cur = r.newChunk()
@@ -113,34 +104,29 @@ func (r *Recorder) Record(e *Event) {
 	}
 	r.lastExit = exit
 	r.n++
-	if r.out != nil && len(b) >= recorderChunk/4 && r.out.waitFor.Load() == r.proc {
+	if len(b) >= recorderChunk/4 && r.out.waitFor.Load() == r.proc {
 		r.cur = r.newChunk()
 	}
 }
 
 // newChunk seals the current chunk, if any, and returns the next one,
-// twice its size up to recorderChunk. A live recorder publishes the
-// sealed chunk and takes a full-size one from the recording's free
-// list when it can.
+// twice its size up to recorderChunk. It publishes the sealed chunk
+// and takes a full-size one from the recording's free list when it
+// can.
 func (r *Recorder) newChunk() []byte {
 	size := min(max(2*cap(r.cur), firstChunk), recorderChunk)
-	switch {
-	case r.cur == nil:
-	case r.out != nil:
+	if r.cur != nil {
 		if c := r.out.publish(r.proc, r.cur, size); c != nil {
 			return c
 		}
-	default:
-		r.full = append(r.full, r.cur)
 	}
 	return make([]byte, 0, size)
 }
 
-// End ends the process's stream in a live recording: it publishes the
-// last chunk, so a reader at the end of the stream learns that it
-// ended without waiting for the run to close the recording. The
-// recorder must record nothing more. End does nothing to a recorder
-// of NewRecorder's.
+// End ends the process's stream: it publishes the last chunk, so a
+// reader at the end of the stream learns that it ended without
+// waiting for the run to close the recording. The recorder must
+// record nothing more. End does nothing to an ended recorder.
 func (r *Recorder) End() {
 	if out := r.out; out != nil {
 		out.mu.Lock()
@@ -162,31 +148,25 @@ func bases(k Kind, proc int32, sends int64) (self, seq int64) {
 	return 0, 0
 }
 
-// chunks returns the recorder's chunks in recording order.
-func (r *Recorder) chunks() [][]byte {
-	return append(r.full[:len(r.full):len(r.full)], r.cur)
-}
-
 // Recording is an instrumented run's trace as its recorders wrote it:
 // each process's events stay in the chunks they were recorded into,
 // and every Event is rebuilt from its packed record as it is read.
 //
-// A recording from StartRecording is live: while the run goes on, its
-// recorders publish each chunk they fill, and a Drain reader reads
-// the streams from those chunks, handing each one back for the
-// recorders to fill again. So a traced run holds only what the reader
-// has not read yet. Close ends the recording on every exit path of
-// the run. A closed recording that nobody drained keeps every chunk:
-// Streams reads it in place as often as asked, and Trace assembles
-// the contiguous Trace a tracefile writer needs.
+// While the run goes on, its recorders publish each chunk they fill,
+// and a Drain reader reads the streams from those chunks, handing
+// each one back for the recorders to fill again. So a traced run
+// holds only what the reader has not read yet. Close ends the
+// recording on every exit path of the run. A recording is read once:
+// by a Drain reader, while the run goes on or after it, or by Trace,
+// which drains a closed recording into the contiguous Trace a
+// tracefile writer needs.
 type Recording struct {
-	recs []*Recorder // a live recording's recorders, until Close
+	recs []*Recorder // the recorders, until Close
 
 	mu     sync.Mutex
 	ready  sync.Cond  // the reader waits on it for waitFor's next chunk or the close
 	meta   Meta       // Events and AET are fixed by Close
 	queued [][][]byte // queued[p]: process p's published chunks, not yet read
-	counts []uint64   // counts[p] is process p's event count, once closed
 	ended  []bool     // ended[p]: process p's recorder has published its last chunk
 	open   int        // streams not yet ended
 	// free holds full-size chunks the reader gave back; recorders take
@@ -203,57 +183,27 @@ type Recording struct {
 	made, reused int
 }
 
-func newRecording(app string, procs int) *Recording {
+// StartRecording opens the recording of an instrumented run of procs
+// processes (procs > 0): Recorder(p) hands out each process's
+// recorder, and the run must Close the recording however it ends.
+func StartRecording(app string, procs int) *Recording {
 	r := &Recording{
+		recs:   make([]*Recorder, procs),
 		meta:   Meta{AppName: app, Procs: procs},
 		queued: make([][][]byte, procs),
-		counts: make([]uint64, procs),
 		ended:  make([]bool, procs),
 		open:   procs,
+	}
+	for p := range r.recs {
+		r.recs[p] = &Recorder{proc: int32(p), out: r}
 	}
 	r.waitFor.Store(-1)
 	r.ready.L = &r.mu
 	return r
 }
 
-// StartRecording opens the live recording of an instrumented run of
-// procs processes (procs > 0): Recorder(p) hands out each process's
-// recorder, and the run must Close the recording however it ends.
-func StartRecording(app string, procs int) *Recording {
-	r := newRecording(app, procs)
-	r.recs = make([]*Recorder, procs)
-	for p := range r.recs {
-		r.recs[p] = &Recorder{proc: int32(p), out: r}
-	}
-	return r
-}
-
-// Recorder returns process p's recorder of a live recording.
+// Recorder returns process p's recorder.
 func (r *Recording) Recorder(p int) *Recorder { return r.recs[p] }
-
-// NewRecording takes over the recorders of an instrumented run, one
-// per process in process order; they must record nothing more. A
-// recorder stamps its own process and numbers its events, so unlike
-// NewTrace there are no streams to check. The recording is closed.
-func NewRecording(app string, recs []*Recorder, aet vtime.Duration) (*Recording, error) {
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("trace %q: no process recorders", app)
-	}
-	r := newRecording(app, len(recs))
-	for p, rec := range recs {
-		if rec == nil || int(rec.proc) != p || rec.out != nil {
-			return nil, fmt.Errorf("trace %q: no recorder for process %d", app, p)
-		}
-		r.queued[p] = rec.chunks()
-		r.counts[p] = uint64(rec.n)
-		r.ended[p] = true
-		r.meta.Events += uint64(rec.n)
-	}
-	r.open = 0
-	r.meta.AET = aet
-	r.closed = true
-	return r, nil
-}
 
 // publish queues process p's sealed chunk c and returns a recycled
 // chunk of the given size, or nil when the recorder must make one.
@@ -308,7 +258,7 @@ func (r *Recording) end(rec *Recorder) {
 	}
 }
 
-// Close ends a live recording, whether the run finished, failed or
+// Close ends the recording, whether the run finished, failed or
 // stopped early: it ends every stream not yet ended (End) and fixes
 // Meta's event count and the AET (zero for a failed run). The
 // recorders must record nothing more.
@@ -319,7 +269,6 @@ func (r *Recording) Close(aet vtime.Duration) {
 		if !r.ended[p] {
 			r.end(rec)
 		}
-		r.counts[p] = uint64(rec.n)
 		r.meta.Events += uint64(rec.n)
 	}
 	r.meta.AET = aet
@@ -329,7 +278,7 @@ func (r *Recording) Close(aet vtime.Duration) {
 }
 
 // Meta returns the recording's app name, process count, event count
-// and AET. Until a live recording closes, its event count and AET are
+// and AET. Until the recording closes, its event count and AET are
 // zero.
 func (r *Recording) Meta() Meta {
 	r.mu.Lock()
@@ -337,55 +286,39 @@ func (r *Recording) Meta() Meta {
 	return r.meta
 }
 
-// kept returns the chunks of a closed recording that nobody drained,
-// for its re-readable readers.
-func (r *Recording) kept() [][][]byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.closed || r.drained {
-		panic("trace: re-reading a recording that is open or drained")
-	}
-	return r.queued
-}
-
-// Streams returns a new reader positioned at the start of every
-// process stream of a closed recording that nobody drained. It
-// implements the logical order's EventSource, as RankStreams does
-// over a tracefile.
-func (r *Recording) Streams() *RecordingStreams {
-	chunks := r.kept()
-	s := &RecordingStreams{rec: r, cur: make([]recordingCursor, len(chunks))}
-	for p := range s.cur {
-		s.cur[p] = recordingCursor{chunks: chunks[p], proc: int32(p)}
-	}
-	return s
-}
-
-// Trace assembles a new Trace from a closed recording that nobody
-// drained, grouped by process as NewTrace groups it.
+// Trace drains a closed recording into a new Trace, grouped by process
+// as NewTrace groups it, dropping each chunk once it is read. Like
+// Drain, it reads the recording once: neither may be called after it.
 func (r *Recording) Trace() *Trace {
-	chunks := r.kept()
+	r.mu.Lock()
+	closed := r.closed
+	r.mu.Unlock()
+	if !closed {
+		panic("trace: assembling an open recording")
+	}
+	d := r.Drain()
 	t := &Trace{AppName: r.meta.AppName, Procs: r.meta.Procs, AET: r.meta.AET,
 		Events: make([]Event, r.meta.Events)}
-	dst := t.Events
-	for p := range chunks {
-		c := recordingCursor{chunks: chunks[p], proc: int32(p)}
-		for k := range dst[:r.counts[p]] {
-			c.next(&dst[k])
+	k := 0
+	for p := range t.Procs {
+		for k < len(t.Events) {
+			if ok, _ := d.NextEvent(p, &t.Events[k]); !ok {
+				break
+			}
+			k++
 		}
-		dst = dst[r.counts[p]:]
 	}
 	return t
 }
 
 // Drain returns the recording's one-shot reader, which reads a live
-// recording while the run writes it. It may be called once; Streams
-// and Trace may not be called after it.
+// recording while the run writes it, or a closed one. It may be
+// called once, and not after Trace.
 func (r *Recording) Drain() *RecordingDrain {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.drained {
-		panic("trace: recording drained twice")
+		panic("trace: recording read twice")
 	}
 	r.drained = true
 	d := &RecordingDrain{rec: r, cur: make([]recordingCursor, len(r.queued)),
@@ -394,13 +327,6 @@ func (r *Recording) Drain() *RecordingDrain {
 		d.cur[p].proc = int32(p)
 	}
 	return d
-}
-
-// RecordingStreams reads a closed Recording's process streams where
-// they were recorded. Obtain one from Recording.Streams.
-type RecordingStreams struct {
-	rec *Recording
-	cur []recordingCursor
 }
 
 // RecordingDrain reads a Recording's process streams once, as the
@@ -417,29 +343,25 @@ type RecordingDrain struct {
 }
 
 // recordingCursor is one process's read position: the unread rest of
-// its current chunk, its chunks after that, and what rebuilding its
-// next event needs (its number, the sends before it and the previous
-// event's exit).
+// its current chunk, and what rebuilding its next event needs (its
+// number, the sends before it and the previous event's exit).
 type recordingCursor struct {
 	rest     []byte
-	chunks   [][]byte
 	proc     int32
 	n        int64
 	sends    int64
 	lastExit vtime.Time
 }
 
-// next rebuilds the process's next event into dst; false means the
-// stream is exhausted and dst is untouched. It decodes the packed
-// record field by field, straight into dst: assigning a composite
-// literal to *dst builds the Event on the stack first, which made
-// draining a recording several times slower.
+// next rebuilds the next event of the current chunk into dst; false
+// means the chunk is spent and dst is untouched. A published chunk
+// holds at least one record. It decodes the packed record field by
+// field, straight into dst: assigning a composite literal to *dst
+// builds the Event on the stack first, which made draining a
+// recording several times slower.
 func (c *recordingCursor) next(dst *Event) bool {
-	for len(c.rest) == 0 {
-		if len(c.chunks) == 0 {
-			return false
-		}
-		c.rest, c.chunks = c.chunks[0], c.chunks[1:]
+	if len(c.rest) == 0 {
+		return false
 	}
 	b := c.rest
 	var v [8]uint64
@@ -492,18 +414,6 @@ func uvarints(b []byte, i int, v []uint64) int {
 
 // unzigzag inverts binary.AppendVarint's zigzag encoding.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// Meta returns the recording's header.
-func (s *RecordingStreams) Meta() Meta { return s.rec.meta }
-
-// Count returns how many events process p recorded.
-func (s *RecordingStreams) Count(p int) uint64 { return s.rec.counts[p] }
-
-// NextEvent rebuilds process p's next event into dst; false means the
-// stream is exhausted. It never fails.
-func (s *RecordingStreams) NextEvent(p int, dst *Event) (bool, error) {
-	return s.cur[p].next(dst), nil
-}
 
 // Meta returns the recording's header. While a stream is open, its
 // event count and AET are zero; once every stream has ended, Meta

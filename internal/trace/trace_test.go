@@ -81,8 +81,8 @@ func TestEventSize(t *testing.T) {
 // packed record's varint boundaries, at the int32 and int64 extremes,
 // negative where the field allows it, and across the overlap clamp, on
 // processes 0 and 1 (where Peer, RelA and RelB less their bases wrap).
-// Each recording, assembled and drained, must be exactly NewTrace over
-// the streams as written out by hand.
+// Each recording, assembled, and a second one drained, must be exactly
+// NewTrace over the streams as written out by hand.
 func TestRecordingVarintBoundaries(t *testing.T) {
 	const maxI, minI = math.MaxInt64, math.MinInt64
 	cases := []struct {
@@ -137,31 +137,33 @@ func TestRecordingVarintBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			recs := []*Recorder{NewRecorder(0), NewRecorder(1)}
-			streams := make([][]Event, len(recs))
-			for p, r := range recs {
-				in := append([]Event(nil), tc.in...)
-				for i := range in {
-					r.Record(&in[i])
+			record := func() *Recording {
+				rec := StartRecording("bounds", 2)
+				for p := range 2 {
+					in := append([]Event(nil), tc.in...)
+					for i := range in {
+						rec.Recorder(p).Record(&in[i])
+					}
 				}
+				rec.Close(1)
+				return rec
+			}
+			streams := make([][]Event, 2)
+			for p := range streams {
 				streams[p] = append([]Event(nil), tc.want...)
 				for i := range streams[p] {
 					streams[p][i].Process, streams[p][i].Number, streams[p][i].LT = int32(p), int64(i), NoLT
 				}
 			}
-			want, err := NewTrace("bounds", len(recs), streams, 1)
+			want, err := NewTrace("bounds", 2, streams, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, err := NewRecording("bounds", recs, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := rec.Trace(); !reflect.DeepEqual(got, want) {
+			if got := record().Trace(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Trace events %#v, want %#v", got.Events, want.Events)
 			}
-			for p, r := range recs {
-				if got := recorded(r); !reflect.DeepEqual(got, streams[p]) {
+			for p, got := range drained(record()) {
+				if !reflect.DeepEqual(got, streams[p]) {
 					t.Fatalf("process %d streamed %#v, want %#v", p, got, streams[p])
 				}
 			}
@@ -232,10 +234,11 @@ func TestCommSignature(t *testing.T) {
 }
 
 func TestRecorderDerivesFields(t *testing.T) {
-	r := NewRecorder(3)
-	r.Record(&Event{Kind: Send, Enter: 100, Exit: 120})
-	r.Record(&Event{Kind: Recv, Enter: 150, Exit: 160})
-	evs := recorded(r)
+	rec := StartRecording("derive", 4)
+	rec.Recorder(3).Record(&Event{Kind: Send, Enter: 100, Exit: 120})
+	rec.Recorder(3).Record(&Event{Kind: Recv, Enter: 150, Exit: 160})
+	rec.Close(0)
+	evs := drained(rec)[3]
 	if len(evs) != 2 {
 		t.Fatalf("len = %d", len(evs))
 	}
@@ -253,18 +256,21 @@ func TestRecorderDerivesFields(t *testing.T) {
 	}
 }
 
-// recorded returns r's recorded stream, each event rebuilt from its
-// stored form by the cursor Recording.Streams and Trace read through.
-func recorded(r *Recorder) []Event {
-	var evs []Event
-	c := recordingCursor{chunks: r.chunks(), proc: r.proc}
-	for {
+// drained reads every process stream of the closed recording rec back
+// through Drain, each to its end.
+func drained(rec *Recording) [][]Event {
+	d := rec.Drain()
+	streams := make([][]Event, d.Meta().Procs)
+	for p := range streams {
 		var e Event
-		if !c.next(&e) {
-			return evs
+		for {
+			if ok, _ := d.NextEvent(p, &e); !ok {
+				break
+			}
+			streams[p] = append(streams[p], e)
 		}
-		evs = append(evs, e)
 	}
+	return streams
 }
 
 // TestRecorderChunksHoldMaximalRecords records events whose every field
@@ -274,7 +280,8 @@ func recorded(r *Recorder) []Event {
 // the last must also be closed only once it could not hold another
 // maximal record.
 func TestRecorderChunksHoldMaximalRecords(t *testing.T) {
-	r := NewRecorder(0)
+	rec := StartRecording("maximal", 1)
+	r := rec.Recorder(0)
 	var in []Event
 	var last vtime.Time
 	for i := 0; i < 3000; i++ {
@@ -287,7 +294,8 @@ func TestRecorderChunksHoldMaximalRecords(t *testing.T) {
 		in = append(in, e)
 		last = e.Exit
 	}
-	chunks := r.chunks()
+	rec.Close(0)
+	chunks := rec.queued[0] // nobody has read them
 	packed := 0
 	for k, c := range chunks {
 		if want := min(firstChunk<<k, recorderChunk); cap(c) != want {
@@ -301,77 +309,44 @@ func TestRecorderChunksHoldMaximalRecords(t *testing.T) {
 	if perEvent := packed / len(in); perEvent < 60 {
 		t.Fatalf("%d bytes per record: the events are not maximal", perEvent)
 	}
-	if got, want := recorded(r), deriveFields(0, in); !reflect.DeepEqual(got, want) {
+	if got, want := drained(rec)[0], deriveFields(0, in); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recorded %#v, want %#v", got[:2], want[:2])
 	}
 }
 
-// TestRecordingSpansChunks records streams longer than one chunk and
-// checks the recording against NewTrace over the recorders' flattened
-// streams, both assembled (Trace) and read in place (Streams), and its
-// rejection of a missing or misplaced recorder.
+// TestRecordingSpansChunks records streams longer than one chunk, and
+// one stream with no event, twice: one recording drained, the other
+// assembled (Trace), which must be NewTrace over the drained streams.
 func TestRecordingSpansChunks(t *testing.T) {
-	recs := []*Recorder{NewRecorder(0), NewRecorder(1), NewRecorder(2)}
-	for p, r := range recs[:2] {
-		for i := 0; i < 2*recorderChunk+p+3; i++ {
-			at := vtime.Time(10 * i)
-			r.Record(&Event{Kind: Collective, Peer: -1, Enter: at + vtime.Time(p), Exit: at + 5})
+	record := func() *Recording {
+		rec := StartRecording("chunks", 3)
+		for p := range 2 { // process 2 records nothing
+			for i := 0; i < 2*recorderChunk+p+3; i++ {
+				at := vtime.Time(10 * i)
+				rec.Recorder(p).Record(&Event{Kind: Collective, Peer: -1, Enter: at + vtime.Time(p), Exit: at + 5})
+			}
 		}
+		rec.Close(1000)
+		return rec
 	}
-	// Process 2 records nothing.
-	streams := [][]Event{recorded(recs[0]), recorded(recs[1]), nil}
+	streams := drained(record())
 	if got, want := len(streams[1]), 2*recorderChunk+4; got != want {
 		t.Fatalf("recorded %d events, want %d", got, want)
+	}
+	if len(streams[2]) != 0 {
+		t.Fatalf("process 2 streams %d events, want none", len(streams[2]))
 	}
 	// NewTrace rejects streams with a wrong process or number.
 	want, err := NewTrace("chunks", 3, streams, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := NewRecording("chunks", recs, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rec.Trace(), want) {
-		t.Fatal("Recording.Trace differs from NewTrace over the same streams")
-	}
+	rec := record()
 	if rec.Meta() != want.Meta() {
 		t.Fatalf("Meta %+v, want %+v", rec.Meta(), want.Meta())
 	}
-	for pass := 0; pass < 2; pass++ { // each Streams reads from the start
-		s := rec.Streams()
-		if s.Meta() != want.Meta() {
-			t.Fatalf("Streams().Meta %+v, want %+v", s.Meta(), want.Meta())
-		}
-		for p, evs := range streams {
-			if s.Count(p) != uint64(len(evs)) {
-				t.Fatalf("pass %d: Count(%d) = %d, want %d", pass, p, s.Count(p), len(evs))
-			}
-			var got []Event
-			var e Event
-			for {
-				ok, err := s.NextEvent(p, &e)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				got = append(got, e)
-			}
-			if !reflect.DeepEqual(got, evs) {
-				t.Fatalf("pass %d: process %d streams %d events, not its recorded %d", pass, p, len(got), len(evs))
-			}
-		}
-	}
-	if _, err := NewRecording("gap", []*Recorder{recs[0], nil}, 0); err == nil {
-		t.Error("nil recorder accepted")
-	}
-	if _, err := NewRecording("swapped", []*Recorder{recs[1], recs[0]}, 0); err == nil {
-		t.Error("recorder of process 1 accepted in slot 0")
-	}
-	if _, err := NewRecording("none", nil, 0); err == nil {
-		t.Error("empty recorder list accepted")
+	if !reflect.DeepEqual(rec.Trace(), want) {
+		t.Fatal("Recording.Trace differs from NewTrace over the drained streams")
 	}
 }
 
