@@ -37,6 +37,8 @@ func TestRejectBadArgs(t *testing.T) {
 		{"inspect/unknown-flag", cmdInspect, []string{"-bogus"}, "not defined"},
 		{"inspect/negative-offset", cmdInspect, []string{"-trace", "f", "-proc", "0", "-offset=-3"}, "-offset -3 is negative"},
 		{"inspect/negative-n", cmdInspect, []string{"-trace", "f", "-proc", "0", "-n=-1"}, "-n -1 is negative"},
+		{"inspect/offset-overflow", cmdInspect, []string{"-trace", "f", "-proc", "0", "-offset", "9223372036854775807", "-n", "5"},
+			"-offset 9223372036854775807 plus -n 5 overflows"},
 		{"render/unknown-flag", cmdRender, []string{"-bogus"}, "not defined"},
 		{"aet/unknown-flag", cmdAET, []string{"-nope"}, "not defined"},
 		{"predict/trailing", cmdPredict, []string{"-app", "cg", "zzz"}, "unexpected argument"},

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 
 	"pas2p/internal/logical"
@@ -36,6 +37,9 @@ func cmdInspect(args []string) error {
 	}
 	if *limit < 0 {
 		return fmt.Errorf("inspect: -n %d is negative", *limit)
+	}
+	if *offset > math.MaxInt-*limit {
+		return fmt.Errorf("inspect: -offset %d plus -n %d overflows", *offset, *limit)
 	}
 	f, err := os.Open(*in)
 	if err != nil {

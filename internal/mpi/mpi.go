@@ -105,8 +105,9 @@ func Run(app App, cfg RunConfig) (*RunResult, error) {
 
 // Running is an execution in flight. Its Recording (nil unless
 // RunConfig.Trace) is live while the run goes on: a Drain reader reads
-// it as the ranks record it. The run never waits for that reader, and
-// the recording is closed however the run ends.
+// it as the ranks record it. The run waits for that reader only when
+// the chunks it has not read reach the recording's bound, and the
+// recording is closed however the run ends.
 type Running struct {
 	Recording *trace.Recording
 

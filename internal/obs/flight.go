@@ -30,7 +30,7 @@ type FlightEvent struct {
 // post-mortem dump needs, at a bounded, known memory cost. Recording
 // takes one short mutex hold and performs no allocation after the ring
 // is first filled in (callers pass static kind strings and scalars),
-// so it is cheap enough to call from simulator rank goroutines. When
+// so it is cheap enough to call from simulator rank coroutines. When
 // the ring wraps, the oldest events are overwritten and counted as
 // dropped.
 type FlightRecorder struct {

@@ -56,7 +56,7 @@ func (o *Observer) FR() *FlightRecorder {
 
 // Event records one structured event in the flight recorder. The
 // nil path — nil Observer or no recorder — is allocation-free, so
-// instrumented code (fault decisions on simulator rank goroutines
+// instrumented code (fault decisions on simulator rank coroutines
 // included) calls it unconditionally. Rank is -1 for events that are
 // not rank-scoped; v is a kind-specific scalar.
 func (o *Observer) Event(kind, msg string, rank int, v int64) {

@@ -85,7 +85,7 @@ type result struct {
 }
 
 // handle applies one operation for the running rank ps, inline on the
-// rank's own goroutine, writing its outcome into ps.pending. It
+// rank's own coroutine, writing its outcome into ps.pending. It
 // returns false when the rank may continue, or true when the rank is
 // now stuck (or the engine failed) and must yield to the scheduler.
 func (e *Engine) handle(ps *procState, req *request) (blocked bool) {

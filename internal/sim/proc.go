@@ -5,12 +5,12 @@ import (
 	"pas2p/internal/vtime"
 )
 
-// errAborted is the panic value used to unwind rank goroutines when
+// errAborted is the panic value used to unwind rank coroutines when
 // the engine aborts a run.
 var errAborted = &struct{ s string }{"sim: run aborted"}
 
 // Proc is a rank's handle onto the simulation. All methods must be
-// called from the rank's own goroutine (the Body function); they block
+// called from the rank's own coroutine (the Body function); they block
 // in virtual time as the corresponding MPI operations would.
 type Proc struct {
 	eng *Engine
@@ -26,28 +26,21 @@ func (p *Proc) Size() int { return p.eng.n }
 // Now returns the rank's current virtual clock.
 func (p *Proc) Now() vtime.Time { return p.st.clock }
 
-// await parks the goroutine until the scheduler resumes it. The
-// operation's outcome is already in the rank's pending slot, written
-// strictly before the resume signal.
-func (p *Proc) await() {
-	<-p.st.resume
-	if p.st.pending.aborted {
-		panic(errAborted)
-	}
-}
-
-// call applies one operation directly on the rank's own goroutine —
-// legal because exactly one goroutine runs at a time, so the rank has
-// exclusive access to the engine while scheduled. Only when the
-// operation blocks does the rank hand control back to the scheduler
-// and park; non-blocking operations cost no channel handoff at all.
-// Either way the outcome lands in the rank's pending slot, which call
-// returns: nothing is copied on the way, and the caller reads back
-// only the field it needs.
+// call applies one operation directly on the rank's own coroutine —
+// legal because only one rank or the scheduler runs at a time, so the
+// rank has exclusive access to the engine while scheduled. Only when
+// the operation blocks does the rank park, by yielding to the
+// scheduler, which resumes it once the outcome is written; a
+// non-blocking operation switches to nothing at all. Either way the
+// outcome lands in the rank's pending slot, which call returns:
+// nothing is copied on the way, and the caller reads back only the
+// field it needs. A parked rank the engine aborts unwinds with
+// errAborted.
 func (p *Proc) call(req *request) *result {
 	if p.eng.handle(p.st, req) {
-		p.eng.yieldCh <- struct{}{}
-		p.await()
+		if !p.st.yield(struct{}{}) || p.st.pending.aborted {
+			panic(errAborted)
+		}
 	}
 	return &p.st.pending
 }
@@ -131,8 +124,8 @@ func (p *Proc) TimelineOn() bool { return p.eng.tl != nil }
 
 // Annotate emits an instant event on this rank's timeline track at the
 // current virtual time; a no-op when no timeline is recording. Safe to
-// call from the rank's own goroutine: the timeline is internally
-// locked and only one goroutine runs at a time anyway.
+// call from the rank's own coroutine: the timeline is internally
+// locked and only one rank runs at a time anyway.
 func (p *Proc) Annotate(name string) {
 	p.eng.instant(p.st.rank, name, p.st.clock)
 }

@@ -1,24 +1,25 @@
 // Package sim is a deterministic discrete-event simulator for
 // message-passing programs. Each rank of a parallel application runs
-// as a goroutine executing real Go code; whenever it performs a
-// communication or declares computation, the rank goroutine applies
-// the operation to the engine directly, using the machine and network
-// models of packages machine and network; it hands control to the
-// sequential scheduler only when the operation blocks. The operation
-// goes to the engine by pointer, and its outcome is written in place
-// into the rank's own result slot, inline or, for an operation that
-// blocked, before the rank is resumed, so the per-operation path
-// copies no request or result. A Wait's results go into one of two
-// per-rank buffers that alternate, and a collective's state is
-// recycled when it completes, so the per-operation path allocates
-// only for payloads (and for timeline records or an algorithmic
-// collective's schedule, when those are on).
+// as a coroutine executing real Go code; whenever it performs a
+// communication or declares computation, the rank applies the
+// operation to the engine directly, using the machine and network
+// models of packages machine and network; it hands control back to
+// the sequential scheduler only when the operation blocks. The
+// operation goes to the engine by pointer, and its outcome is written
+// in place into the rank's own result slot, inline or, for an
+// operation that blocked, before the rank is resumed, so the
+// per-operation path copies no request or result. A Wait's results
+// go into one of two per-rank buffers that alternate, and a
+// collective's state is recycled when it completes, so the
+// per-operation path allocates only for payloads (and for timeline
+// records or an algorithmic collective's schedule, when those are
+// on).
 //
-// Exactly one goroutine (either the scheduler or a single rank) runs
-// at any instant, and every scheduling decision uses deterministic
-// tie-breaking, so a given program on a given deployment always
-// produces bit-identical virtual timings. This property is what lets
-// the PAS2P checkpoint substrate replace state capture with replay.
+// Exactly one of the scheduler and the ranks runs at any instant, and
+// every scheduling decision uses deterministic tie-breaking, so a given
+// program on a given deployment always produces bit-identical virtual
+// timings. This property is what lets the PAS2P checkpoint substrate
+// replace state capture with replay.
 //
 // The blocking rules implement standard MPI point-to-point semantics:
 // eager messages complete locally, rendezvous messages wait for the
@@ -143,10 +144,15 @@ type procState struct {
 	wake   vtime.Time
 	status procStatus
 
-	// resume wakes the rank goroutine. pending is the rank's result
-	// slot: every operation writes its outcome there in place, inline
-	// or, for a parked rank, strictly before the resume signal.
-	resume  chan struct{}
+	// next runs the rank's coroutine until it parks, finishes or
+	// fails; yield, called on the coroutine, parks it, and returns
+	// false once the run is aborted; stop unwinds a parked or
+	// never-started rank. pending is the rank's result slot: every
+	// operation writes its outcome there in place, inline or, for a
+	// parked rank, strictly before next resumes it.
+	next    func() (struct{}, bool)
+	yield   func(struct{}) bool
+	stop    func()
 	pending result
 
 	mode Mode
@@ -257,17 +263,16 @@ type collState struct {
 	freeAll  bool
 }
 
-// Engine drives one run. Engine state is mutated by exactly one
-// goroutine at a time: the scheduler while picking, or the single
-// running rank while applying an operation.
+// Engine drives one run. Engine state is mutated by one party at a
+// time: the scheduler while picking, or the single running rank while
+// applying an operation. The scheduler resumes a rank's coroutine and
+// waits until it parks, finishes or fails, so the two never run at
+// once.
 type Engine struct {
 	cfg Config
 	n   int
 
 	procs []*procState
-	// yieldCh is how the running rank returns control to the scheduler
-	// when it parks, finishes or fails.
-	yieldCh chan struct{}
 
 	// ready is a binary min-heap of runnable ranks keyed on
 	// (wake time, rank) — the indexed replacement for the former
@@ -356,8 +361,8 @@ func Run(cfg Config) (Result, error) {
 	return e.run()
 }
 
-// newEngine validates the configuration and builds the run state; rank
-// goroutines start in run.
+// newEngine validates the configuration and builds the run state; the
+// rank coroutines are made in run.
 func newEngine(cfg Config) (*Engine, error) {
 	if cfg.Deployment == nil {
 		return nil, fmt.Errorf("sim %q: nil deployment", cfg.Name)
@@ -369,7 +374,6 @@ func newEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:     cfg,
 		n:       cfg.Deployment.Ranks,
-		yieldCh: make(chan struct{}),
 		colls:   make(map[collKey]*collState),
 		algColl: cl.AlgorithmicCollectives,
 	}
@@ -400,7 +404,6 @@ func newEngine(cfg Config) (*Engine, error) {
 		e.procs[i] = &procState{
 			rank:    i,
 			status:  stReady,
-			resume:  make(chan struct{}),
 			collSeq: map[int]int{},
 			mode:    NormalMode,
 		}
@@ -408,12 +411,11 @@ func newEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// run starts the rank goroutines, drives the scheduler loop, and
+// run makes the rank coroutines, drives the scheduler loop, and
 // collects the result.
 func (e *Engine) run() (Result, error) {
 	for _, ps := range e.procs {
-		p := &Proc{eng: e, st: ps}
-		go rankMain(p, e.cfg.Body)
+		e.start(ps)
 		e.pushReady(ps)
 	}
 	e.loop()
@@ -458,31 +460,6 @@ func (e *Engine) instant(rank int, name string, t vtime.Time) {
 	e.tl.Instant(e.tlPid, rank, name, usec(t))
 }
 
-// rankMain is the goroutine wrapper for one rank. Completion and
-// panics mutate engine state directly — safe because the rank is the
-// single running goroutine — and then yield to the scheduler.
-func rankMain(p *Proc, body func(*Proc)) {
-	e := p.eng
-	defer func() {
-		if r := recover(); r != nil {
-			if r == errAborted {
-				return // engine is shutting down
-			}
-			p.st.status = stDone
-			e.err = fmt.Errorf("rank %d %w: %v", p.st.rank, ErrRankPanic, r)
-			e.yieldCh <- struct{}{}
-		}
-	}()
-	p.await() // wait for the first schedule
-	body(p)
-	p.st.status = stDone
-	e.doneCount++
-	if p.st.retired {
-		e.retiredLive--
-	}
-	e.yieldCh <- struct{}{}
-}
-
 // loop is the scheduler: repeatedly run the earliest ready rank; when
 // none is ready, resolve a conservative wildcard receive; otherwise
 // report deadlock. A run whose outcome can no longer change ends early.
@@ -509,10 +486,9 @@ func (e *Engine) loop() {
 		if ps.wake > ps.clock {
 			ps.clock = ps.wake
 		}
-		ps.resume <- struct{}{}
-		// The rank now runs alone, applying its operations inline; it
-		// signals back when it parks, finishes or fails.
-		<-e.yieldCh
+		// The rank now runs alone, applying its operations inline,
+		// until it parks, finishes or fails.
+		ps.next()
 	}
 }
 
@@ -551,7 +527,7 @@ func (e *Engine) settled() bool {
 
 // stop ends a settled run: each ready rank takes its wake time as its
 // clock, exactly as when it is scheduled, and the parked rank
-// goroutines are unwound.
+// coroutines are unwound.
 func (e *Engine) stop() {
 	for _, ps := range e.procs {
 		ps.clock = e.effTime(ps)
@@ -612,26 +588,6 @@ func (e *Engine) popReady() *procState {
 	}
 	e.ready = h
 	return top
-}
-
-// abort unblocks every live rank goroutine with a poison result so the
-// process does not leak goroutines after a failed run.
-func (e *Engine) abort() {
-	for _, ps := range e.procs {
-		if ps.status == stDone {
-			continue
-		}
-		ps.pending = result{aborted: true}
-		// Stuck and ready ranks wait in await; the formerly-running
-		// rank is parked there too by the time loop exits.
-		select {
-		case ps.resume <- struct{}{}:
-		default:
-			// The rank has not reached its receive yet; deliver the
-			// poison from the side.
-			go func(c chan struct{}) { c <- struct{}{} }(ps.resume)
-		}
-	}
 }
 
 // blockedDesc renders what a stuck rank is parked on; called only from

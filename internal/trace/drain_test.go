@@ -122,13 +122,16 @@ func TestRecordingReadOnce(t *testing.T) {
 
 // TestRecordingDrainStop: once the reader stops, what the run records
 // is recycled unread, so the recording holds nothing more, and the
-// close still fixes the event count.
+// close still fixes the event count. The events recorded before the
+// first read stay within the recording's held-bytes bound, since the
+// recorder runs on the reader's goroutine and would wait for it past
+// the bound; after the stop it never waits.
 func TestRecordingDrainStop(t *testing.T) {
-	const events = 4000
-	in := liveInputs(1, 2*events)[0]
+	const head, events = 1000, 8000
+	in := liveInputs(1, events)[0]
 	rec := StartRecording("stop", 1)
 	d := rec.Drain()
-	for i := range in[:events] {
+	for i := range in[:head] {
 		rec.Recorder(0).Record(&in[i])
 	}
 	var e Event
@@ -137,8 +140,8 @@ func TestRecordingDrainStop(t *testing.T) {
 	}
 	d.Stop()
 	_, _, before := rec.HeldStats()
-	for i := range in[events:] {
-		rec.Recorder(0).Record(&in[events+i])
+	for i := range in[head:] {
+		rec.Recorder(0).Record(&in[head+i])
 	}
 	rec.Close(7)
 	if _, _, reused := rec.HeldStats(); reused == before {
@@ -147,23 +150,21 @@ func TestRecordingDrainStop(t *testing.T) {
 	if q := rec.queued[0]; len(q) != 0 || rec.held != 0 {
 		t.Errorf("the stopped recording holds %d chunks, %d bytes", len(q), rec.held)
 	}
-	if m := rec.Meta(); m.Events != 2*events || m.AET != 7 {
-		t.Errorf("Meta %+v, want %d events and AET 7", m, 2*events)
+	if m := rec.Meta(); m.Events != events || m.AET != 7 {
+		t.Errorf("Meta %+v, want %d events and AET 7", m, events)
 	}
 }
 
 // TestRecordingDrainEndedStream: a stream whose recorder has ended
 // reads to its end without waiting for the recording to close; Meta
 // stays provisional while a stream is open, and once none is, waits
-// for the close and returns the final header.
+// for the close and returns the final header. The reader starts
+// before the recorder, which would otherwise wait for it at the
+// held-bytes bound.
 func TestRecordingDrainEndedStream(t *testing.T) {
 	in := liveInputs(2, 3000)
 	rec := StartRecording("ended", 2)
 	d := rec.Drain()
-	for i := range in[0] {
-		rec.Recorder(0).Record(&in[0][i])
-	}
-	rec.Recorder(0).End()
 	read := make(chan int)
 	go func() {
 		n := 0
@@ -177,6 +178,10 @@ func TestRecordingDrainEndedStream(t *testing.T) {
 			n++
 		}
 	}()
+	for i := range in[0] {
+		rec.Recorder(0).Record(&in[0][i])
+	}
+	rec.Recorder(0).End()
 	select {
 	case n := <-read:
 		if n != len(in[0]) {
@@ -193,5 +198,94 @@ func TestRecordingDrainEndedStream(t *testing.T) {
 	go rec.Close(42)
 	if m := d.Meta(); m.Events != uint64(len(in[0])+1) || m.AET != 42 {
 		t.Fatalf("Meta %+v once every stream ended, want %d events and AET 42", m, len(in[0])+1)
+	}
+}
+
+// TestRecordingHeldBound records four processes' streams on one
+// goroutine while a Drain reader that sleeps before each chunk it
+// takes reads them on another, so the recorders outrun it: they must
+// wait at the recording's bound, which the held bytes then reach but
+// never pass, and every event must still arrive.
+func TestRecordingHeldBound(t *testing.T) {
+	const procs, events = 4, 6000
+	in := liveInputs(procs, events)
+	rec := StartRecording("bound", procs)
+	d := rec.Drain()
+	go func() {
+		for i := 0; i < events; i++ {
+			for p := range in {
+				rec.Recorder(p).Record(&in[p][i])
+			}
+		}
+		rec.Close(1)
+	}()
+	done := make(chan [][]Event, 1)
+	go func() {
+		got := make([][]Event, procs)
+		for open := procs; open > 0; {
+			open = 0
+			for p := range got {
+				if len(d.cur[p].rest) == 0 {
+					time.Sleep(200 * time.Microsecond)
+				}
+				var e Event
+				if ok, _ := d.NextEvent(p, &e); ok {
+					got[p] = append(got[p], e)
+					open++
+				}
+			}
+		}
+		done <- got
+	}()
+	var got [][]Event
+	select {
+	case got = <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("the bounded recording still runs after a minute")
+	}
+	for p := range got {
+		if !reflect.DeepEqual(got[p], deriveFields(p, in[p])) {
+			t.Fatalf("process %d drains differently from what it recorded", p)
+		}
+	}
+	peak, _, _ := rec.HeldStats()
+	if peak > rec.limit || peak < rec.limit-procs*recorderChunk {
+		t.Errorf("held at most %d bytes, want within a chunk a process below the bound %d", peak, rec.limit)
+	}
+}
+
+// TestRecordingStopReleasesRecorder: a recorder that waits at the
+// bound for a reader that reads nothing goes on once the reader
+// stops, and the recording then holds nothing.
+func TestRecordingStopReleasesRecorder(t *testing.T) {
+	const events = 8000
+	in := liveInputs(1, events)[0]
+	rec := StartRecording("release", 1)
+	d := rec.Drain()
+	done := make(chan struct{})
+	go func() {
+		for i := range in {
+			rec.Recorder(0).Record(&in[i])
+		}
+		rec.Close(3)
+		close(done)
+	}()
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case <-done:
+		t.Fatal("the recorder never waited for the reader")
+	default:
+	}
+	if peak, _, _ := rec.HeldStats(); peak > rec.limit {
+		t.Fatalf("held %d bytes before the stop, past the bound %d", peak, rec.limit)
+	}
+	d.Stop()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("the recorder still waits a minute after the reader stopped")
+	}
+	if m := rec.Meta(); m.Events != events || rec.held != 0 {
+		t.Errorf("Meta %+v and %d bytes held, want %d events and none", m, rec.held, events)
 	}
 }

@@ -18,6 +18,10 @@ func (r *Recording) ChunkBytes() int {
 	return n
 }
 
+// HeldLimit returns the most chunk bytes the recording lets a live
+// drain leave unread before its recorders wait.
+func (r *Recording) HeldLimit() int { return r.limit }
+
 // HeldStats returns the most chunk bytes the recording held at once,
 // published and not yet read back, and how many full-size chunks its
 // recorders made and took back from its reader.

@@ -33,6 +33,15 @@ const (
 	recorderChunk = 8 << 10
 )
 
+// heldChunks bounds what a live recording holds for its reader: while
+// a Drain reads it, a recorder that would take the chunks published and
+// not yet read past heldChunks full-size chunks a process waits for
+// the reader to read some first. That leaves room for the chunk the
+// reader is on and the two or three sealed behind it, which is what a
+// reader that keeps up holds; the bound binds when the run records
+// faster than the reader reads.
+const heldChunks = 4
+
 // A packed record is what a Recorder keeps of one event: the Event
 // less the four fields it derives and can rebuild exactly. Process is
 // the recorder's own, Number the event's position in the stream and LT
@@ -59,9 +68,9 @@ const (
 const maxRecord = 2 + 6*binary.MaxVarintLen64 + 2*binary.MaxVarintLen32
 
 // Recorder accumulates the event stream of a single process during an
-// instrumented run. One Recorder belongs to one rank goroutine, so
-// recording needs no lock; only handing a filled chunk to the
-// recording takes the recording's.
+// instrumented run. One Recorder belongs to one rank, so recording
+// needs no lock; only handing a filled chunk to the recording takes
+// the recording's.
 type Recorder struct {
 	proc     int32
 	out      *Recording // the recording it publishes to; nil once ended
@@ -74,8 +83,9 @@ type Recorder struct {
 // Record packs *e, written once, straight into the current chunk; *e
 // itself is not modified. The caller fills the communication fields
 // and physical times; the recorder derives Process, Number, LT and
-// ComputeBefore, as the rebuilt Event shows them. A recorder never
-// waits for the reader.
+// ComputeBefore, as the rebuilt Event shows them. A recorder waits for
+// the reader only when a chunk it seals would take a live recording
+// past its held-bytes bound (heldChunks), and so does End.
 func (r *Recorder) Record(e *Event) {
 	if cap(r.cur)-len(r.cur) < maxRecord {
 		r.cur = r.newChunk()
@@ -155,7 +165,9 @@ func bases(k Kind, proc int32, sends int64) (self, seq int64) {
 // While the run goes on, its recorders publish each chunk they fill,
 // and a Drain reader reads the streams from those chunks, handing
 // each one back for the recorders to fill again. So a traced run
-// holds only what the reader has not read yet. Close ends the
+// holds only what the reader has not read yet, and a recorder that
+// would take that past the recording's bound waits for the reader,
+// unless the reader itself waits for a chunk. Close ends the
 // recording on every exit path of the run. A recording is read once:
 // by a Drain reader, while the run goes on or after it, or by Trace,
 // which drains a closed recording into the contiguous Trace a
@@ -165,6 +177,7 @@ type Recording struct {
 
 	mu     sync.Mutex
 	ready  sync.Cond  // the reader waits on it for waitFor's next chunk or the close
+	room   sync.Cond  // a recorder waits on it for held to fall below limit
 	meta   Meta       // Events and AET are fixed by Close
 	queued [][][]byte // queued[p]: process p's published chunks, not yet read
 	ended  []bool     // ended[p]: process p's recorder has published its last chunk
@@ -177,10 +190,11 @@ type Recording struct {
 	drained bool // Drain was called
 	discard bool // the reader stopped: chunks are recycled unread
 	// held is the bytes of published chunks not yet given back, peak
-	// its maximum; made and reused count the full-size chunks the
-	// recorders made and took from free.
-	held, peak   int
-	made, reused int
+	// its maximum, and limit the most a live drain lets it reach
+	// (heldChunks full-size chunks a process); made and reused count
+	// the full-size chunks the recorders made and took from free.
+	held, peak, limit int
+	made, reused      int
 }
 
 // StartRecording opens the recording of an instrumented run of procs
@@ -193,32 +207,34 @@ func StartRecording(app string, procs int) *Recording {
 		queued: make([][][]byte, procs),
 		ended:  make([]bool, procs),
 		open:   procs,
+		limit:  procs * heldChunks * recorderChunk,
 	}
 	for p := range r.recs {
 		r.recs[p] = &Recorder{proc: int32(p), out: r}
 	}
 	r.waitFor.Store(-1)
 	r.ready.L = &r.mu
+	r.room.L = &r.mu
 	return r
 }
 
 // Recorder returns process p's recorder.
 func (r *Recording) Recorder(p int) *Recorder { return r.recs[p] }
 
-// publish queues process p's sealed chunk c and returns a recycled
-// chunk of the given size, or nil when the recorder must make one.
+// publish queues process p's sealed chunk c, once there is room for
+// it (makeRoom), and returns a recycled chunk of the given size, or
+// nil when the recorder must make one.
 func (r *Recording) publish(p int32, c []byte, size int) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.makeRoom(cap(c))
 	if r.discard {
 		r.recycle(c)
 	} else {
 		r.queued[p] = append(r.queued[p], c)
 		r.held += cap(c)
 		r.peak = max(r.peak, r.held)
-		if r.waitFor.Load() == p {
-			r.ready.Signal()
-		}
+		r.wake(p)
 	}
 	if size != recorderChunk {
 		return nil
@@ -233,6 +249,17 @@ func (r *Recording) publish(p int32, c []byte, size int) []byte {
 	return nil
 }
 
+// makeRoom waits until n more bytes fit under the limit on what the
+// recording holds, while a drain reads it and is not itself waiting for
+// a chunk, which only a recorder can publish: the reader gives chunks
+// back, or stops, or waits, and each wakes the recorder. The caller
+// holds mu.
+func (r *Recording) makeRoom(n int) {
+	for r.held+n > r.limit && r.drained && !r.discard && !r.closed && r.waitFor.Load() == -1 {
+		r.room.Wait()
+	}
+}
+
 // recycle puts a full-size chunk on the free list while recorders can
 // still take it. The caller holds mu.
 func (r *Recording) recycle(c []byte) {
@@ -241,10 +268,13 @@ func (r *Recording) recycle(c []byte) {
 	}
 }
 
-// end publishes rec's last chunk and ends its stream. The caller
-// holds mu.
+// end publishes rec's last chunk, once there is room for it, and
+// ends its stream. The caller holds mu.
 func (r *Recording) end(rec *Recorder) {
 	p := rec.proc
+	if len(rec.cur) > 0 {
+		r.makeRoom(cap(rec.cur))
+	}
 	if len(rec.cur) > 0 && !r.discard {
 		r.queued[p] = append(r.queued[p], rec.cur)
 		r.held += cap(rec.cur)
@@ -253,7 +283,16 @@ func (r *Recording) end(rec *Recorder) {
 	rec.cur, rec.out = nil, nil
 	r.ended[p] = true
 	r.open--
+	r.wake(p)
+}
+
+// wake wakes the reader if it waits for process p, and from then on
+// counts it as not waiting: p's next chunk or end is there, so a
+// recorder past the bound waits for the reader again, also before the
+// reader has run. The caller holds mu.
+func (r *Recording) wake(p int32) {
 	if r.waitFor.Load() == p {
+		r.waitFor.Store(-1)
 		r.ready.Signal()
 	}
 }
@@ -275,6 +314,7 @@ func (r *Recording) Close(aet vtime.Duration) {
 	r.recs, r.free = nil, nil
 	r.closed = true
 	r.ready.Broadcast()
+	r.room.Broadcast()
 }
 
 // Meta returns the recording's app name, process count, event count
@@ -313,7 +353,9 @@ func (r *Recording) Trace() *Trace {
 
 // Drain returns the recording's one-shot reader, which reads a live
 // recording while the run writes it, or a closed one. It may be
-// called once, and not after Trace.
+// called once, and not after Trace. A reader that gives up before
+// every stream has ended must Stop, or the run waits for it at the
+// held-bytes bound.
 func (r *Recording) Drain() *RecordingDrain {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -465,22 +507,26 @@ func (s *RecordingDrain) Stop() {
 		r.queued[p] = nil
 	}
 	r.held = 0
+	r.room.Broadcast()
 }
 
 // take gives back spent, process p's chunk just read (nil at the
 // start), and returns p's next published chunk, waiting for it if
 // need be and adding the wait to *waited; nil means p's stream has
-// ended.
+// ended. Giving a chunk back, and waiting, each wake a recorder that
+// waits for room.
 func (r *Recording) take(p int, spent []byte, waited *time.Duration) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if spent != nil {
 		r.held -= cap(spent)
 		r.recycle(spent)
+		r.room.Broadcast()
 	}
 	if len(r.queued[p]) == 0 && !r.ended[p] {
 		t0 := time.Now()
 		r.waitFor.Store(int32(p))
+		r.room.Broadcast()
 		for len(r.queued[p]) == 0 && !r.ended[p] {
 			r.ready.Wait()
 		}
