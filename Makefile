@@ -46,7 +46,7 @@ race:
 # ticks), in memory and from the rank streams of its v2 bytes; a
 # traced run's recording, packed into a fresh recording, and fresh
 # recordings assembled into a trace or drained, each read once;
-# writing the trace (the ID merge); and decoding a
+# writing the trace; and decoding a
 # tracefile of 10k and of 1M events back into a trace. Last, the
 # per-operation cost of a traced 128-rank run: one SendrecvN and one
 # Allreduce on every rank, with their allocations.

@@ -40,6 +40,10 @@ func TestRejectBadArgs(t *testing.T) {
 		{"inspect/offset-overflow", cmdInspect, []string{"-trace", "f", "-proc", "0", "-offset", "9223372036854775807", "-n", "5"},
 			"-offset 9223372036854775807 plus -n 5 overflows"},
 		{"render/unknown-flag", cmdRender, []string{"-bogus"}, "not defined"},
+		{"render/narrow-width", cmdRender, []string{"-trace", "f", "-width", "1"}, "-width 1 leaves no room"},
+		{"render/zero-width", cmdRender, []string{"-trace", "f", "-width", "0"}, "-width 0 leaves no room"},
+		{"render/zero-max-events", cmdRender, []string{"-trace", "f", "-max-events", "0"}, "-max-events 0 is not positive"},
+		{"render/negative-max-events", cmdRender, []string{"-trace", "f", "-max-events=-5"}, "-max-events -5 is not positive"},
 		{"aet/unknown-flag", cmdAET, []string{"-nope"}, "not defined"},
 		{"predict/trailing", cmdPredict, []string{"-app", "cg", "zzz"}, "unexpected argument"},
 		{"predict/bad-faults", cmdPredict, []string{"-app", "cg", "-faults", "loss=2"}, "loss"},
@@ -190,6 +194,39 @@ func TestRetiredTracefileRefused(t *testing.T) {
 		if !errors.Is(err, trace.ErrRetiredFormat) {
 			t.Errorf("%s: err = %v, want ErrRetiredFormat", name, err)
 		}
+	}
+}
+
+// TestRenderFailureWritesNothing: a render refused after the trace is
+// read (here an empty window, -from past -to) creates no SVG and
+// leaves an existing one as it was; a good render then replaces it.
+func TestRenderFailureWritesNothing(t *testing.T) {
+	const in = "../../internal/trace/testdata/golden_v2_occurrence.pas2p"
+	dir := t.TempDir()
+	fresh, kept := filepath.Join(dir, "fresh.svg"), filepath.Join(dir, "kept.svg")
+	if err := os.WriteFile(kept, []byte("earlier drawing"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []string{fresh, kept} {
+		_, err := captureStdout(t, func() error { return cmdRender([]string{"-trace", in, "-o", out, "-from", "2s", "-to", "1s"}) })
+		if err == nil || !strings.Contains(err.Error(), "empty time window") {
+			t.Fatalf("%s: err = %v, want the empty-window refusal", filepath.Base(out), err)
+		}
+	}
+	if _, err := os.Stat(fresh); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("failed render left %s behind (stat: %v)", fresh, err)
+	}
+	if b, err := os.ReadFile(kept); err != nil || string(b) != "earlier drawing" {
+		t.Errorf("failed render changed the existing SVG to %q (%v)", b, err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("failed renders left %d files in the output directory, want the one kept", len(entries))
+	}
+	if _, err := captureStdout(t, func() error { return cmdRender([]string{"-trace", in, "-o", kept}) }); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(kept); !bytes.HasPrefix(b, []byte("<svg")) {
+		t.Errorf("render wrote %.20q, want an SVG", b)
 	}
 }
 

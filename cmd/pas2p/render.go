@@ -2,9 +2,11 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
+	"pas2p/internal/fsx"
 	"pas2p/internal/trace"
 	"pas2p/internal/viz"
 	"pas2p/internal/vtime"
@@ -25,6 +27,12 @@ func cmdRender(args []string) error {
 	}
 	if *in == "" {
 		return fmt.Errorf("render: -trace is required")
+	}
+	if *width < viz.MinWidth {
+		return fmt.Errorf("render: -width %d leaves no room for the plot (minimum %d)", *width, viz.MinWidth)
+	}
+	if *maxEvents <= 0 {
+		return fmt.Errorf("render: -max-events %d is not positive", *maxEvents)
 	}
 	f, err := os.Open(*in)
 	if err != nil {
@@ -49,12 +57,8 @@ func cmdRender(args []string) error {
 	if path == "" {
 		path = *in + ".svg"
 	}
-	g, err := os.Create(path)
+	err = fsx.WriteFileAtomic(fsx.OS{}, path, func(w io.Writer) error { return viz.RenderTrace(w, tr, opts) })
 	if err != nil {
-		return err
-	}
-	defer g.Close()
-	if err := viz.RenderTrace(g, tr, opts); err != nil {
 		return err
 	}
 	fmt.Printf("rendered %d events of %s to %s\n", len(tr.Events), tr.AppName, path)

@@ -108,8 +108,7 @@ func BenchmarkRecording(b *testing.B) {
 	})
 }
 
-// BenchmarkEncodeRanks measures writing the 128-rank recorded trace,
-// whose ID column takes the P-way occurrence merge.
+// BenchmarkEncodeRanks measures writing the 128-rank recorded trace.
 func BenchmarkEncodeRanks(b *testing.B) {
 	tr := benchRecording().Trace()
 	b.ReportAllocs()

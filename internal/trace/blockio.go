@@ -116,17 +116,13 @@ func (m *codecMetrics) publish() {
 
 // encodeBlock serialises events into b (records followed by the block
 // CRC) and returns the filled prefix. b must have cap >=
-// len(events)*recordSize+4. Record i's ID column is ids[i], or
-// first+i when ids is nil.
-func encodeBlock(b []byte, events []Event, first int64, ids []int64, m *codecMetrics) []byte {
+// len(events)*recordSize+4. Record i's ID column is first+i, its
+// position in the file.
+func encodeBlock(b []byte, events []Event, first int64, m *codecMetrics) []byte {
 	n := len(events) * recordSize
 	b = b[:n+4]
 	for i := range events {
-		id := first + int64(i)
-		if ids != nil {
-			id = ids[i]
-		}
-		putRecord(b[i*recordSize:], &events[i], id)
+		putRecord(b[i*recordSize:], &events[i], first+int64(i))
 	}
 	var t0 time.Time
 	if m != nil {
@@ -141,16 +137,14 @@ func encodeBlock(b []byte, events []Event, first int64, ids []int64, m *codecMet
 // BlockWriter streams a tracefile out block by block in the exact v2
 // byte format. The header (including the event count) is written up
 // front, so the total event count must be declared in Meta; Close
-// fails if the appended events do not match it. Records are numbered
-// in the order they are appended: the ID column of the k-th appended
-// event is k.
+// fails if the appended events do not match it. The ID column of a
+// record is its position in the file: the k-th appended event gets k.
 type BlockWriter struct {
 	cw      *crcWriter
 	meta    Meta
 	m       *codecMetrics
 	scratch []byte  // block buffer
 	pend    []Event // partial trailing block
-	ids     []int64 // ID column by event index, when not append order
 	written uint64  // events appended
 	emitted uint64  // events serialised
 	closed  bool
@@ -191,11 +185,7 @@ func NewBlockWriter(w io.Writer, meta Meta, opts CodecOptions) (*BlockWriter, er
 // emit serialises and writes one complete block (the trace's final
 // block may be short).
 func (bw *BlockWriter) emit(events []Event) error {
-	var ids []int64
-	if bw.ids != nil {
-		ids = bw.ids[bw.emitted:][:len(events)]
-	}
-	bw.scratch = encodeBlock(bw.scratch[:0], events, int64(bw.emitted), ids, bw.m)
+	bw.scratch = encodeBlock(bw.scratch[:0], events, int64(bw.emitted), bw.m)
 	bw.emitted += uint64(len(events))
 	return bw.cw.write(bw.scratch)
 }
@@ -275,14 +265,13 @@ func (bw *BlockWriter) Close() error {
 
 // EncodeWith writes the current (v2, checksummed) binary tracefile
 // format through the block engine, publishing codec.encode.* metrics
-// to opts.Reg when it is set. The ID column holds each event's global
-// occurrence number (occurrenceIDs); the trace is not modified.
+// to opts.Reg when it is set. It is BlockWriter fed the whole trace at
+// once, so the ID column of each record is its position in the file.
 func EncodeWith(w io.Writer, t *Trace, opts CodecOptions) error {
 	bw, err := NewBlockWriter(w, t.Meta(), opts)
 	if err != nil {
 		return err
 	}
-	bw.ids = occurrenceIDs(t.Events)
 	if err := bw.Append(t.Events); err != nil {
 		return err
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 
 	"pas2p/internal/vtime"
 )
@@ -185,117 +184,6 @@ func getRecord(b []byte, e *Event) {
 	e.RelA = int64(le.Uint64(b[66:]))
 	e.RelB = int64(le.Uint64(b[74:]))
 	e.ComputeBefore = vtime.Duration(le.Uint64(b[82:]))
-}
-
-// occurrenceIDs returns the ID column EncodeWith writes: ids[i] is
-// events[i]'s global occurrence number (physical enter time, ties
-// broken by process then per-process number), the paper's "Id: given
-// in order of occurrence". The events are not modified.
-//
-// Events arrive grouped per process in per-process order, and each
-// stream produced by Recorder is Enter-monotone (Record clamps Enter
-// to the previous exit), so a P-way merge of the stream heads keyed
-// (Enter, Process) yields exactly the order of the stable sort by
-// (Enter, Process, Number) in O(E log P) instead of O(E log E): ties
-// within a stream follow stream order (ascending Number), ties across
-// streams are broken by Process. Hand-built streams that are not
-// Enter-monotone fall back to the sort.
-func occurrenceIDs(events []Event) []int64 {
-	// ids first holds each event's Enter, copied in one sequential
-	// pass: the merge reads P streams at once, and reading them from
-	// the events would miss the cache on every step. A heap entry
-	// caches its head's key, so the merge overwrites an entry with its
-	// ID only after the key has been read.
-	ids := make([]int64, len(events))
-	type stream struct {
-		enter     int64
-		proc      int32
-		next, end int
-	}
-	var streams []stream
-	start := 0
-	for start < len(events) {
-		p := events[start].Process
-		end := start
-		last := events[start].Enter
-		for end < len(events) && events[end].Process == p {
-			if events[end].Enter < last {
-				return occurrenceIDsSort(events, ids)
-			}
-			last = events[end].Enter
-			ids[end] = int64(last)
-			end++
-		}
-		streams = append(streams, stream{enter: ids[start], proc: p, next: start, end: end})
-		start = end
-	}
-	less := func(a, b *stream) bool {
-		if a.enter != b.enter {
-			return a.enter < b.enter
-		}
-		return a.proc < b.proc
-	}
-	// Binary min-heap of the stream heads.
-	h := streams
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			if l >= len(h) {
-				return
-			}
-			c := l
-			if r < len(h) && less(&h[r], &h[l]) {
-				c = r
-			}
-			if !less(&h[c], &h[i]) {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	var id int64
-	for len(h) > 0 {
-		s := &h[0]
-		ids[s.next] = id
-		id++
-		s.next++
-		if s.next < s.end {
-			s.enter = ids[s.next]
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		siftDown(0)
-	}
-	return ids
-}
-
-// occurrenceIDsSort is the reference O(E log E) numbering into ids,
-// used when a process stream is not Enter-monotone (never the case for
-// recorded traces) and by tests as the merge oracle.
-func occurrenceIDsSort(events []Event, ids []int64) []int64 {
-	order := make([]int, len(events))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		x, y := &events[order[a]], &events[order[b]]
-		if x.Enter != y.Enter {
-			return x.Enter < y.Enter
-		}
-		if x.Process != y.Process {
-			return x.Process < y.Process
-		}
-		return x.Number < y.Number
-	})
-	for id, idx := range order {
-		ids[idx] = int64(id)
-	}
-	return ids
 }
 
 // crcWriter accumulates the whole-file CRC as bytes stream out.

@@ -211,13 +211,13 @@ func TestEncodeOutputPinned(t *testing.T) {
 		{1, 1, 0,
 			"e0890a0377e3e18ff6500434dba9e3bbd078688046574f29a8ea5c2a3f96c509"},
 		{3, 2, 255,
-			"f6df4a48ab8230f7839fb44ee2ed7a08da4c5a5189ef71c2e29d040acbacf33b"},
+			"3e3457f2ad754ed4132a93517a103345c674c9eb9e8f928a4ea3437540a60dab"},
 		{5, 2, 256,
-			"f2d470eba384fbae3963584e8dec4101dc10515c9ccd3371b645574cc0ee2d17"},
+			"e4f8eefed4898691479f48087b608cf700fd3879a2a9aa948175244c8a1e791a"},
 		{6, 4, 1500,
-			"e87819429005b7748d6765940c8e79f3a7d1af20302659e326ee0072cd96d579"},
+			"4b59c36e9864fe69ae2c8e1b25e12b6c639e0b85150d99ac30d012b1d3332f49"},
 		{7, 3, 2048,
-			"5bebef5a503ade8faa410b88b946302e991d545514dec4af1dd8088b2300860d"},
+			"2c9f9496fb1f053fe915c57a29a4ca1c22e48c5f81d32a50245c3c52f21bf72a"},
 		{8, 1, 40000,
 			"dade7b78fa178b2201365e9f846c525ffcf47bb4f853d7252f9c32371b710d27"},
 	}

@@ -30,3 +30,21 @@ func (r *Recording) HeldStats() (peak, made, reused int) {
 	defer r.mu.Unlock()
 	return r.peak, r.made, r.reused
 }
+
+// IDColumn returns the ID column of every record of a v2 tracefile, in
+// file order.
+func IDColumn(data []byte) []uint64 { return idColumn(data) }
+
+// MaskIDsAndBlockCRCs returns a copy of a v2 tracefile with every
+// record's ID column and every block CRC zeroed.
+func MaskIDsAndBlockCRCs(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	records, blockCRCs := recordLayout(data)
+	for _, off := range records {
+		clear(out[off : off+8])
+	}
+	for _, off := range blockCRCs {
+		clear(out[off : off+4])
+	}
+	return out
+}

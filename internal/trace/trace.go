@@ -46,8 +46,9 @@ const NoLT = int64(-1)
 // logical time, process, type (+K/-K), size, per-process number, and
 // the relation linking a receive to its send (or a collective
 // occurrence to its peers). The paper's identifier, "given in order of
-// occurrence", is not held in memory, where nothing reads it: the
-// tracefile writers compute it into the record's ID column (codec.go).
+// occurrence", is not held in memory, where nothing reads it: a
+// tracefile's ID column holds each record's position in the file
+// (blockio.go), and readers skip it.
 //
 // The fields are ordered by size, widest first, so the struct has no
 // interior padding (88 bytes). Every recorded event is written into

@@ -39,33 +39,57 @@ func buildTestTrace(t *testing.T) *Trace {
 	return tr
 }
 
-// TestNewTraceAssignsGlobalIDs: the tracefile's ID column numbers
-// events in global occurrence order, although the in-memory trace
-// carries no ID; and the P-way merge that computes it agrees with the
-// reference sort.
+// TestNewTraceAssignsGlobalIDs: the in-memory trace carries no ID, and
+// the tracefile's ID column is each record's position in the file.
+// buildTestTrace's occurrence order by enter time (p1#0 at 5, p0#0 at
+// 10, p1#1 at 25, p0#1 at 30) is not its file order, so a writer that
+// numbered the column by occurrence ([1 3 0 2]) fails here; the
+// 3-process trace spans several blocks, so one that restarted the
+// numbering at a block fails too.
 func TestNewTraceAssignsGlobalIDs(t *testing.T) {
-	tr := buildTestTrace(t)
-	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	// Records follow the trace's (Process, Number) order; occurrence
-	// order by enter time is p1#0 (5), p0#0 (10), p1#1 (25), p0#1 (30).
-	first := len(magicV2) + 24 + len(tr.AppName) + 4
-	var got []uint64
-	for i := range tr.Events {
-		got = append(got, binary.LittleEndian.Uint64(buf.Bytes()[first+i*recordSize:]))
-	}
-	if want := []uint64{1, 3, 0, 2}; !reflect.DeepEqual(got, want) {
-		t.Errorf("ID column %v, want %v", got, want)
-	}
-
-	for seed := int64(1); seed <= 20; seed++ {
-		evs := fuzzTrace(t, seed, 1+int(seed%5), 50).Events
-		if got, want := occurrenceIDs(evs), occurrenceIDsSort(evs, make([]int64, len(evs))); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: merged IDs differ from the sort's", seed)
+	for _, tr := range []*Trace{buildTestTrace(t), fuzzTrace(t, 11, 3, 700)} {
+		var buf bytes.Buffer
+		if err := Encode(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		ids := idColumn(buf.Bytes())
+		if len(ids) != len(tr.Events) {
+			t.Fatalf("%d records, want %d", len(ids), len(tr.Events))
+		}
+		for i, id := range ids {
+			if id != uint64(i) {
+				t.Fatalf("%d-process trace: ID column %v..., want each record's position", tr.Procs, ids[:min(len(ids), 8)])
+			}
 		}
 	}
+}
+
+// idColumn returns the ID column of every record of the v2 tracefile
+// data, in file order.
+func idColumn(data []byte) []uint64 {
+	records, _ := recordLayout(data)
+	ids := make([]uint64, len(records))
+	for i, off := range records {
+		ids[i] = binary.LittleEndian.Uint64(data[off:])
+	}
+	return ids
+}
+
+// recordLayout returns the byte offset of every record of the v2
+// tracefile data, in file order, and of every block CRC.
+func recordLayout(data []byte) (records, blockCRCs []int) {
+	le := binary.LittleEndian
+	n := int(le.Uint64(data[16:]))
+	off := len(magicV2) + 24 + int(le.Uint16(data[8:])) + 4
+	for i := 0; i < n; i++ {
+		records = append(records, off)
+		off += recordSize
+		if (i+1)%blockEvents == 0 || i+1 == n {
+			blockCRCs = append(blockCRCs, off)
+			off += 4
+		}
+	}
+	return records, blockCRCs
 }
 
 // TestEventSize pins Event's layout: its fields are ordered by size,

@@ -17,7 +17,8 @@ import (
 
 // Options controls the rendering.
 type Options struct {
-	// Width is the drawing width in pixels (default 1200).
+	// Width is the drawing width in pixels (0 means 1200). A width
+	// below MinWidth leaves no room between the margins and is refused.
 	Width int
 	// LaneHeight is the per-process lane height (default 28).
 	LaneHeight int
@@ -30,6 +31,14 @@ type Options struct {
 	// ShowMessages draws send->receive links.
 	ShowMessages bool
 }
+
+// The plot's margins: the lane labels on the left, a gap on the right
+// and above for the title.
+const marginL, marginR, marginT = 70, 20, 30
+
+// MinWidth is the narrowest drawing with a time axis: one pixel
+// between the margins.
+const MinWidth = marginL + marginR + 1
 
 // DefaultOptions returns the standard rendering setup.
 func DefaultOptions() Options {
@@ -50,8 +59,11 @@ func RenderTrace(w io.Writer, tr *trace.Trace, opts Options) error {
 	if tr == nil || len(tr.Events) == 0 {
 		return fmt.Errorf("viz: empty trace")
 	}
-	if opts.Width <= 0 {
+	if opts.Width == 0 {
 		opts.Width = 1200
+	}
+	if opts.Width < MinWidth {
+		return fmt.Errorf("viz: width %d is below the minimum %d", opts.Width, MinWidth)
 	}
 	if opts.LaneHeight <= 0 {
 		opts.LaneHeight = 28
@@ -86,8 +98,7 @@ func RenderTrace(w io.Writer, tr *trace.Trace, opts Options) error {
 	}
 	span := float64(tMax - tMin)
 
-	marginL, marginT := 70, 30
-	plotW := opts.Width - marginL - 20
+	plotW := opts.Width - marginL - marginR
 	height := marginT + tr.Procs*opts.LaneHeight + 40
 	xOf := func(t vtime.Time) float64 {
 		return float64(marginL) + float64(t-tMin)/span*float64(plotW)

@@ -2,6 +2,7 @@ package viz
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -99,6 +100,23 @@ func TestRenderTraceMaxEvents(t *testing.T) {
 	// 3 event boxes + compute blocks + legend rects only.
 	if strings.Count(buf.String(), "<title>") != 3 {
 		t.Errorf("cap not applied: %d boxes", strings.Count(buf.String(), "<title>"))
+	}
+}
+
+// TestRenderTraceWidth: a width with no room between the margins is
+// refused rather than drawn with a backwards time axis; MinWidth draws.
+func TestRenderTraceWidth(t *testing.T) {
+	tr := sampleTrace(t)
+	opts := DefaultOptions()
+	for _, w := range []int{-3, 1, MinWidth - 1} {
+		opts.Width = w
+		if err := RenderTrace(io.Discard, tr, opts); err == nil {
+			t.Errorf("width %d: rendered, want a refusal", w)
+		}
+	}
+	opts.Width = MinWidth
+	if err := RenderTrace(io.Discard, tr, opts); err != nil {
+		t.Errorf("width %d: %v", MinWidth, err)
 	}
 }
 
